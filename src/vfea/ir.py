@@ -7,7 +7,6 @@ single source of truth for the schema-integrity audit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 DOF_ORDER = ("ux", "uy", "rz")
@@ -391,18 +390,3 @@ def bounding_box(model: IRModel) -> tuple[float, float, float, float] | None:
     xs = [n.x for n in model.nodes]
     ys = [n.y for n in model.nodes]
     return min(xs), min(ys), max(xs), max(ys)
-
-
-def all_finite(model: IRModel) -> bool:
-    vals: list[float] = []
-    for n in model.nodes:
-        vals += [n.x, n.y]
-    for m in model.materials:
-        vals += [m.youngs_modulus, m.poisson_ratio, m.density]
-    for s in model.sections:
-        vals.append(s.area)
-        if s.moment_of_inertia is not None:
-            vals.append(s.moment_of_inertia)
-    for l in model.loads:
-        vals += [l.fx, l.fy, l.mz]
-    return all(math.isfinite(v) for v in vals)

@@ -28,7 +28,7 @@ from .simscript import (Analyze, Delete, ElementDef, End, Fix, LoadStmt,
 from .solver import (AssemblyError, ModalResult, SingularSystemError,
                      StaticResult, TopoResult, UnsupportedOptimizationError,
                      build_dof_index, optimize_topology, solve_modal,
-                     solve_static)
+                     solve_static, subdivide_frames)
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -341,7 +341,11 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 schema_findings = check_l1(model)
                 if schema_findings:
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
-                n_dofs = len(build_dof_index(model))
+                # the budget counts the dofs the solver factorizes: modal
+                # analysis solves the subdivided model
+                solved = (subdivide_frames(model, modal_subdivisions)
+                          if stmt.kind == "modal" else model)
+                n_dofs = len(build_dof_index(solved))
                 if n_dofs > limits.max_solver_dofs:
                     log_lines.append(f"abort: solver budget exceeded "
                                      f"({n_dofs} > {limits.max_solver_dofs} dofs)")

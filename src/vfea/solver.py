@@ -1,14 +1,19 @@
 """Embedded 2D structural kernel: direct stiffness statics, modal analysis,
 and ground-structure topology optimization by optimality criteria.
 
-Dense symmetric storage throughout; target models are desk scale (<= ~1e3
-dofs), so direct factorizations beat any sparse machinery.
+Each element's dofs, geometry, section and material are resolved once per
+model into an element table; stiffness assembly, mass assembly, static
+stress recovery and the optimizer all read that table. Matrices are stored
+dense and factorized directly. The consistent mass matrix is assembled only
+when modal analysis asks for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +27,9 @@ OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
 OC_STOP_TOL = 1e-3        # on max area change, relative to a_max
 RESIDUAL_LIMIT = 1e-8     # beyond this the factorization is not trusted
+# Translations this close to a mode's peak count as ties for its sign; the
+# first in dof order decides, so mirror-image peaks give a stable sign.
+PEAK_TIE_RTOL = 1e-9
 
 
 class AssemblyError(Exception):
@@ -36,17 +44,37 @@ class UnsupportedOptimizationError(Exception):
     pass
 
 
+class _Element(NamedTuple):
+    """One element resolved against its model: global dofs, length and
+    direction cosines, and section and material properties."""
+    id: int
+    kind: str
+    dofs: list[int]
+    L: float
+    c: float
+    s: float
+    E: float
+    A: float
+    I: float | None
+    rho: float
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     dof_index: dict[tuple[int, str], int]
     K: np.ndarray
-    M: np.ndarray
     f: np.ndarray
     constrained: frozenset[int]
+    elements: tuple[_Element, ...]
 
     @property
     def n_dofs(self) -> int:
         return self.K.shape[0]
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """Consistent mass matrix, assembled on first access."""
+        return _scatter(self.n_dofs, self.elements, map(_element_mass, self.elements))
 
 
 @dataclass(frozen=True)
@@ -71,16 +99,6 @@ class TopoResult:
     areas: dict[int, float]
     compliance_history: tuple[float, ...]
     final_volume_fraction: float
-
-
-def _geometry(model: IRModel, e: Element) -> tuple[float, float, float]:
-    pos = model.node_positions()
-    (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
-    dx, dy = x2 - x1, y2 - y1
-    length = math.hypot(dx, dy)
-    if length == 0.0:
-        raise AssemblyError(f"element {e.id} has zero length")
-    return length, dx / length, dy / length
 
 
 def _truss_stiffness(ea_over_l: float, c: float, s: float) -> np.ndarray:
@@ -136,10 +154,18 @@ def _frame_mass_local(rho: float, A: float, L: float) -> np.ndarray:
     ])
 
 
-def _material_of(model: IRModel, e: Element):
-    sec = next(s for s in model.sections if s.id == e.section_id)
-    mat = next(m for m in model.materials if m.id == sec.material_id)
-    return sec, mat
+def _element_stiffness(e: _Element) -> np.ndarray:
+    if e.kind == "truss_bar":
+        return _truss_stiffness(e.E * e.A / e.L, e.c, e.s)
+    t = _frame_transform(e.c, e.s)
+    return t.T @ _frame_stiffness_local(e.E, e.A, e.I, e.L) @ t
+
+
+def _element_mass(e: _Element) -> np.ndarray:
+    if e.kind == "truss_bar":
+        return _truss_mass(e.rho * e.A * e.L)
+    t = _frame_transform(e.c, e.s)
+    return t.T @ _frame_mass_local(e.rho, e.A, e.L) @ t
 
 
 def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
@@ -158,44 +184,33 @@ def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
     return index
 
 
-def _element_dofs(index: dict[tuple[int, str], int], e: Element) -> list[int]:
-    n1, n2 = e.node_ids
-    if e.kind == "truss_bar":
-        return [index[(n1, "ux")], index[(n1, "uy")], index[(n2, "ux")], index[(n2, "uy")]]
-    return [index[(n1, "ux")], index[(n1, "uy")], index[(n1, "rz")],
-            index[(n2, "ux")], index[(n2, "uy")], index[(n2, "rz")]]
-
-
-def assemble(model: IRModel, area_override: dict[int, float] | None = None) -> AssembledSystem:
-    """Direct stiffness assembly of K, consistent M and the load vector.
-
-    ``area_override`` substitutes per-element areas (used by the optimizer)
-    without touching the model's section table.
-    """
+def _prepare(model: IRModel) -> tuple[dict[tuple[int, str], int], tuple[_Element, ...],
+                                      np.ndarray, frozenset[int]]:
+    """Dof index, element table, load vector and constrained dofs of a model."""
     index = build_dof_index(model)
-    n = len(index)
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
-    f = np.zeros(n)
-
+    pos = model.node_positions()
+    sections = {s.id: s for s in model.sections}
+    materials = {m.id: m for m in model.materials}
+    elements = []
     for e in model.elements:
-        sec, mat = _material_of(model, e)
-        area = area_override.get(e.id, sec.area) if area_override else sec.area
-        L, c, s = _geometry(model, e)
-        dofs = _element_dofs(index, e)
+        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
+        dx, dy = x2 - x1, y2 - y1
+        L = math.hypot(dx, dy)
+        if L == 0.0:
+            raise AssemblyError(f"element {e.id} has zero length")
+        sec = sections[e.section_id]
+        mat = materials[sec.material_id]
         if e.kind == "truss_bar":
-            ke = _truss_stiffness(mat.youngs_modulus * area / L, c, s)
-            me = _truss_mass(mat.density * area * L)
+            dof_names = ("ux", "uy")
+        elif sec.moment_of_inertia is None:
+            raise AssemblyError(f"frame element {e.id} has no moment of inertia")
         else:
-            if sec.moment_of_inertia is None:
-                raise AssemblyError(f"frame element {e.id} has no moment of inertia")
-            t = _frame_transform(c, s)
-            ke = t.T @ _frame_stiffness_local(mat.youngs_modulus, area,
-                                              sec.moment_of_inertia, L) @ t
-            me = t.T @ _frame_mass_local(mat.density, area, L) @ t
-        K[np.ix_(dofs, dofs)] += ke
-        M[np.ix_(dofs, dofs)] += me
+            dof_names = ("ux", "uy", "rz")
+        dofs = [index[(n, d)] for n in e.node_ids for d in dof_names]
+        elements.append(_Element(e.id, e.kind, dofs, L, dx / L, dy / L, mat.youngs_modulus,
+                                 sec.area, sec.moment_of_inertia, mat.density))
 
+    f = np.zeros(len(index))
     for l in model.loads:
         f[index[(l.node_id, "ux")]] += l.fx
         f[index[(l.node_id, "uy")]] += l.fy
@@ -208,7 +223,24 @@ def assemble(model: IRModel, area_override: dict[int, float] | None = None) -> A
         for d in b.sorted_dofs()
         if (b.node_id, d) in index
     )
-    return AssembledSystem(dof_index=index, K=K, M=M, f=f, constrained=constrained)
+    return index, tuple(elements), f, constrained
+
+
+def _scatter(n: int, elements, matrices) -> np.ndarray:
+    """Sum element matrices into a dense n x n global matrix."""
+    out = np.zeros((n, n))
+    for e, m in zip(elements, matrices):
+        out[np.ix_(e.dofs, e.dofs)] += m
+    return out
+
+
+def assemble(model: IRModel) -> AssembledSystem:
+    """Direct stiffness assembly of K and the load vector; the consistent
+    mass matrix ``M`` is assembled when first read."""
+    index, elements, f, constrained = _prepare(model)
+    K = _scatter(len(index), elements, map(_element_stiffness, elements))
+    return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
+                           elements=elements)
 
 
 def _solve_free(K: np.ndarray, f: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, float]:
@@ -232,58 +264,43 @@ def _solve_free(K: np.ndarray, f: np.ndarray, free: np.ndarray) -> tuple[np.ndar
     return u, residual
 
 
-def _free_indices(system: AssembledSystem) -> np.ndarray:
-    return np.array(sorted(set(range(system.n_dofs)) - set(system.constrained)), dtype=int)
+def _free_indices(n_dofs: int, constrained: frozenset[int]) -> np.ndarray:
+    return np.array(sorted(set(range(n_dofs)) - constrained), dtype=int)
 
 
-def _node_vector(model: IRModel, index: dict[tuple[int, str], int],
-                 u: np.ndarray, node_id: int) -> tuple[float, float, float]:
+def _node_vector(index: dict[tuple[int, str], int], u: np.ndarray,
+                 node_id: int) -> tuple[float, float, float]:
     return (float(u[index[(node_id, "ux")]]),
             float(u[index[(node_id, "uy")]]),
             float(u[index[(node_id, "rz")]]) if (node_id, "rz") in index else 0.0)
 
 
-def solve_static(model: IRModel, area_override: dict[int, float] | None = None) -> StaticResult:
-    system = assemble(model, area_override)
-    free = _free_indices(system)
-    u, residual = _solve_free(system.K, system.f, free)
+def solve_static(model: IRModel) -> StaticResult:
+    system = assemble(model)
+    index = system.dof_index
+    u, residual = _solve_free(system.K, system.f, _free_indices(system.n_dofs, system.constrained))
 
     reactions_full = system.K @ u - system.f
-    displacements = {n.id: _node_vector(model, system.dof_index, u, n.id) for n in model.nodes}
+    displacements = {n.id: _node_vector(index, u, n.id) for n in model.nodes}
     reactions: dict[int, tuple[float, float, float]] = {}
     for b in model.boundary_conditions:
-        rx = ry = rm = 0.0
-        for d in b.sorted_dofs():
-            key = (b.node_id, d)
-            if key not in system.dof_index:
-                continue
-            v = float(reactions_full[system.dof_index[key]])
-            if d == "ux":
-                rx = v
-            elif d == "uy":
-                ry = v
-            else:
-                rm = v
-        reactions[b.node_id] = (rx, ry, rm)
+        r = {d: float(reactions_full[index[(b.node_id, d)]])
+             for d in b.sorted_dofs() if (b.node_id, d) in index}
+        reactions[b.node_id] = (r.get("ux", 0.0), r.get("uy", 0.0), r.get("rz", 0.0))
 
     axial_force: dict[int, float] = {}
     axial_stress: dict[int, float] = {}
     frame_end_forces: dict[int, tuple[float, ...]] = {}
-    for e in model.elements:
-        sec, mat = _material_of(model, e)
-        area = area_override.get(e.id, sec.area) if area_override else sec.area
-        L, c, s = _geometry(model, e)
-        dofs = _element_dofs(system.dof_index, e)
-        ue = u[dofs]
+    for e in system.elements:
+        ue = u[e.dofs]
         if e.kind == "truss_bar":
-            stretch = (ue[2] - ue[0]) * c + (ue[3] - ue[1]) * s
-            force = mat.youngs_modulus * area / L * stretch
+            stretch = (ue[2] - ue[0]) * e.c + (ue[3] - ue[1]) * e.s
+            force = e.E * e.A / e.L * stretch
             axial_force[e.id] = float(force)
-            axial_stress[e.id] = float(force / area)
+            axial_stress[e.id] = float(force / e.A)
         else:
-            t = _frame_transform(c, s)
-            local = _frame_stiffness_local(mat.youngs_modulus, area,
-                                           sec.moment_of_inertia, L) @ (t @ ue)
+            t = _frame_transform(e.c, e.s)
+            local = _frame_stiffness_local(e.E, e.A, e.I, e.L) @ (t @ ue)
             frame_end_forces[e.id] = tuple(float(v) for v in local)
 
     return StaticResult(displacements=displacements, reactions=reactions,
@@ -327,8 +344,9 @@ def solve_modal(model: IRModel, n: int,
                 subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
     """Lowest n natural frequencies and shapes of the restrained structure.
 
-    The generalized problem K phi = w^2 M phi is reduced through a Cholesky
-    factor of M to a standard symmetric eigenproblem.
+    The generalized problem K phi = w^2 M phi on the free dofs of the
+    subdivided model goes to LAPACK's symmetric-definite solver. Each shape
+    is scaled so that its largest-magnitude translation is +1.
     """
     if n < 1:
         raise ValueError("modal count must be >= 1")
@@ -336,19 +354,14 @@ def solve_modal(model: IRModel, n: int,
         raise SingularSystemError("insufficient restraint for modal analysis")
     refined = subdivide_frames(model, subdivisions)
     system = assemble(refined)
-    free = _free_indices(system)
+    free = _free_indices(system.n_dofs, system.constrained)
     if free.size == 0:
         raise SingularSystemError("no free dofs")
-    Kff = system.K[np.ix_(free, free)]
-    Mff = system.M[np.ix_(free, free)]
+    ff = np.ix_(free, free)
     try:
-        Lm = scipy.linalg.cholesky(Mff, lower=True, check_finite=False)
+        w2, vecs = scipy.linalg.eigh(system.K[ff], system.M[ff], check_finite=False)
     except scipy.linalg.LinAlgError:
         raise SingularSystemError("mass matrix not positive definite") from None
-    Y = scipy.linalg.solve_triangular(Lm, Kff, lower=True, check_finite=False)
-    A = scipy.linalg.solve_triangular(Lm, Y.T, lower=True, check_finite=False)
-    A = 0.5 * (A + A.T)
-    w2, vecs = scipy.linalg.eigh(A, check_finite=False)
 
     scale = max(float(w2[-1]), 1.0)
     if w2[0] <= 1e-12 * scale:
@@ -360,20 +373,18 @@ def solve_modal(model: IRModel, n: int,
         n = free.size
     freqs = tuple(float(math.sqrt(w) / (2 * math.pi)) for w in w2[:n])
 
+    index = system.dof_index
+    translations = np.array([i for (_, d), i in index.items() if d != "rz"])
     shapes: list[dict[int, tuple[float, float, float]]] = []
-    original_ids = [nd.id for nd in model.nodes]
     for i in range(n):
-        phi_free = scipy.linalg.solve_triangular(Lm, vecs[:, i], lower=True,
-                                                 trans="T", check_finite=False)
         phi = np.zeros(system.n_dofs)
-        phi[free] = phi_free
-        trans = [abs(phi[system.dof_index[(nid, d)]])
-                 for (nid, d) in system.dof_index if d in ("ux", "uy")]
-        peak = max(trans) if trans else 1.0
+        phi[free] = vecs[:, i]
+        t = phi[translations]
+        peak = float(np.max(np.abs(t)))
         if peak > 0:
-            phi = phi / peak
-        shapes.append({nid: _node_vector(refined, system.dof_index, phi, nid)
-                       for nid in original_ids})
+            lead = t[np.argmax(np.abs(t) >= (1.0 - PEAK_TIE_RTOL) * peak)]
+            phi[free] /= math.copysign(peak, lead)  # constrained dofs stay +0.0
+        shapes.append({nd.id: _node_vector(index, phi, nd.id) for nd in model.nodes})
     return ModalResult(frequencies_hz=freqs, mode_shapes=tuple(shapes), note=note)
 
 
@@ -411,7 +422,8 @@ def optimize_topology(model: IRModel, volfrac: float | None = None,
 
     Design variables are normalized bar areas x in [1e-6, 1] of the largest
     section area; initialization is the uniform conservative prior
-    x = volfrac. Sensitivities use the unit-area element stiffness.
+    x = volfrac. Each iteration rescales the unit-area element stiffnesses,
+    which also give the sensitivities.
     """
     if any(e.kind != "truss_bar" for e in model.elements):
         raise UnsupportedOptimizationError("ground structure must contain only truss bars")
@@ -424,50 +436,35 @@ def optimize_topology(model: IRModel, volfrac: float | None = None,
     if max_iters is None:
         max_iters = model.analysis.opt_max_iterations or 50
 
-    elems = sorted(model.elements, key=lambda e: e.id)
-    a_max = max(s.area for s in model.sections if any(e.section_id == s.id for e in elems))
-    x_min = AREA_FLOOR_RATIO
-    pos = model.node_positions()
-    lengths = np.array([
-        math.hypot(pos[e.node_ids[1]][0] - pos[e.node_ids[0]][0],
-                   pos[e.node_ids[1]][1] - pos[e.node_ids[0]][1]) for e in elems
-    ])
+    index, elements, f, constrained = _prepare(model)
+    elems = sorted(elements, key=lambda e: e.id)
+    a_max = max(e.A for e in elems)
+    lengths = np.array([e.L for e in elems])
     target_volume = volfrac * float(lengths.sum())  # in units of a_max
+    unit_stiffness = [_element_stiffness(e._replace(A=1.0)) for e in elems]
+    free = _free_indices(len(index), constrained)
 
-    index = build_dof_index(model)
-    unit_k: list[tuple[list[int], np.ndarray]] = []
-    for e in elems:
-        _, mat = _material_of(model, e)
-        L, c, s = _geometry(model, e)
-        unit_k.append((_element_dofs(index, e), _truss_stiffness(mat.youngs_modulus / L, c, s)))
-
-    x = np.full(len(elems), volfrac)
-    history: list[float] = []
-    n = len(index)
-    base = assemble(model)  # for loads and constraints
-    f = base.f
-    free = _free_indices(base)
-
-    def solve_for(xv: np.ndarray) -> tuple[np.ndarray, float]:
-        K = np.zeros((n, n))
-        for xe, (dofs, k0) in zip(xv, unit_k):
-            K[np.ix_(dofs, dofs)] += (xe * a_max) * k0
+    def displacements(xv: np.ndarray) -> tuple[np.ndarray, float]:
+        K = _scatter(len(index), elems,
+                     ((xe * a_max) * k0 for xe, k0 in zip(xv, unit_stiffness)))
         u, _ = _solve_free(K, f, free)
         return u, float(f @ u)
 
+    x = np.full(len(elems), volfrac)
+    history: list[float] = []
     for _ in range(max_iters):
-        u, compliance = solve_for(x)
+        u, compliance = displacements(x)
         history.append(compliance)
         neg_sens = np.array([
-            a_max * float(u[dofs] @ (k0 @ u[dofs])) for dofs, k0 in unit_k
+            a_max * float(u[e.dofs] @ (k0 @ u[e.dofs])) for e, k0 in zip(elems, unit_stiffness)
         ])  # -dC/dx_e, always >= 0
-        x_new = _oc_update(x, neg_sens, lengths, target_volume, x_min)
+        x_new = _oc_update(x, neg_sens, lengths, target_volume, AREA_FLOOR_RATIO)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change < OC_STOP_TOL:
             break
 
-    _, final_compliance = solve_for(x)
+    _, final_compliance = displacements(x)
     history.append(final_compliance)
     areas = {e.id: float(xe * a_max) for e, xe in zip(elems, x)}
     final_vf = float(x @ lengths) / float(lengths.sum())

@@ -158,29 +158,30 @@ def _values_finite(rs: ResultSet) -> bool:
             and ok(*rs.compliance_history) and ok(rs.final_volume_fraction))
 
 
-def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> bool:
+def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultSet | None:
     """Physical acceptance of a completed run: readable results of the right
-    kind, finite values, and the mode-specific health checks."""
+    kind, finite values, and the mode-specific health checks. Returns the
+    parsed results when they pass, else None."""
     if outcome.status != "COMPLETED" or outcome.results_path is None:
-        return False
+        return None
     try:
         rs = read_results(outcome.results_path)
     except (ResultsMissingError, ResultsCorruptError):
-        return False
+        return None
     expected = {"static": StaticResult, "modal": ModalResult,
                 "topology_optimization": TopoResult}[analysis.mode]
-    if not isinstance(rs, expected):
-        return False
-    if not _values_finite(rs):
-        return False
+    if not isinstance(rs, expected) or not _values_finite(rs):
+        return None
     if isinstance(rs, StaticResult):
-        return rs.equilibrium_residual <= STATIC_RESIDUAL_LIMIT
-    if isinstance(rs, ModalResult):
+        ok = rs.equilibrium_residual <= STATIC_RESIDUAL_LIMIT
+    elif isinstance(rs, ModalResult):
         freqs = rs.frequencies_hz
-        return (len(freqs) > 0 and all(f > 0 for f in freqs)
-                and all(a <= b for a, b in zip(freqs, freqs[1:])))
-    volfrac = analysis.opt_volume_fraction if analysis.opt_volume_fraction is not None else 0.5
-    return rs.final_volume_fraction <= volfrac + VOLUME_SLACK
+        ok = (len(freqs) > 0 and all(f > 0 for f in freqs)
+              and all(a <= b for a, b in zip(freqs, freqs[1:])))
+    else:
+        volfrac = analysis.opt_volume_fraction if analysis.opt_volume_fraction is not None else 0.5
+        ok = rs.final_volume_fraction <= volfrac + VOLUME_SLACK
+    return rs if ok else None
 
 
 def _excerpt(script: str) -> str:
@@ -251,12 +252,13 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                           modal_subdivisions=modal_subdivisions, mode=execution_mode)
         attempt.outcome = outcome
 
-        if outcome.status == "COMPLETED" and verify_results(outcome, model.analysis):
+        verified = verify_results(outcome, model.analysis)
+        if verified is not None:
             buffer.record(ExperienceRecord(
                 signature=sig, error=None,
                 lesson=f"verified {model.analysis.mode} script for this structure family",
                 script_excerpt=_excerpt(script), outcome="success", created_at=time.time()))
-            return script, read_results(outcome.results_path), trace
+            return script, verified, trace
 
         if outcome.runtime_error is not None:
             message = outcome.runtime_error.message
@@ -286,11 +288,12 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     outcome = execute(fallback_script, workspace, limits,
                       modal_subdivisions=modal_subdivisions, mode=execution_mode)
     trace.attempts[-1].outcome = outcome
-    if outcome.status != "COMPLETED" or not verify_results(outcome, model.analysis):
+    verified = verify_results(outcome, model.analysis)
+    if verified is None:
         raise FallbackFailureError(
             f"deterministic fallback failed with status {outcome.status}: "
             f"{outcome.runtime_error.message if outcome.runtime_error else 'unverified results'}")
-    return fallback_script, read_results(outcome.results_path), trace
+    return fallback_script, verified, trace
 
 
 # --- generator implementations ---------------------------------------------

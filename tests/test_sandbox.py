@@ -76,6 +76,15 @@ class TestExecute:
         out = execute(cantilever_script, ws, Limits(max_solver_dofs=2))
         assert out.status == "ABORTED"
 
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_modal_dof_budget_counts_subdivided_model(self, tmp_path, mode):
+        # 6 dofs as drawn, 15 once the frame is split into four elements
+        script = lower_ir(modal_cantilever(), tmp_path)
+        out = execute(script, allocate_workspace(tmp_path, "refined"),
+                      Limits(max_solver_dofs=10), mode=mode)
+        assert out.status == "ABORTED"
+        assert "(15 > 10 dofs)" in out.log
+
     def test_parse_failure_reports_line(self, tmp_path):
         ws = allocate_workspace(tmp_path, "parse")
         out = execute("model begin\nmesh_edges part1\nend\n", ws, Limits())

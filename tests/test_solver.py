@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (BAR, STEEL, cantilever_model, ground_structure,
+from conftest import (BAR, BEAM, STEEL, cantilever_model, ground_structure,
                       modal_cantilever, random_frame_model, two_bar_truss)
 from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
                      Section, canonicalize)
+from vfea import solver
 from vfea.solver import (AssemblyError, SingularSystemError,
                          UnsupportedOptimizationError, assemble,
                          optimize_topology, solve_modal, solve_static)
@@ -65,6 +66,15 @@ class TestAssemble:
         assert np.max(np.abs(sys_.M - sys_.M.T)) <= 1e-12 * np.max(np.abs(sys_.M))
         eigs = np.linalg.eigvalsh(sys_.K)
         assert eigs.min() >= -1e-8 * eigs.max()  # PSD before constraints
+
+    def test_static_and_topology_never_build_mass(self, monkeypatch, topopt_model):
+        def no_mass(e):
+            raise AssertionError("mass matrix assembled")
+        monkeypatch.setattr(solver, "_element_mass", no_mass)
+        solve_static(cantilever_model())
+        optimize_topology(topopt_model, max_iters=2)
+        with pytest.raises(AssertionError, match="mass matrix assembled"):
+            solve_modal(modal_cantilever(), 1)
 
     def test_zero_length_element_rejected(self):
         m = IRModel(nodes=(Node(1, 0.0, 0.0), Node(2, 0.0, 0.0)),
@@ -199,10 +209,22 @@ class TestModal:
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_mode_shape_normalization(self):
+        # the largest-magnitude translation is +1; a cantilever peaks at its tip
         r = solve_modal(modal_cantilever(), 2)
         for shape in r.mode_shapes:
-            peak = max(max(abs(v[0]), abs(v[1])) for v in shape.values())
+            peak = max((c for v in shape.values() for c in v[:2]), key=abs)
             assert peak == pytest.approx(1.0, rel=1e-12)
+
+    def test_simply_supported_beam_first_frequency_closed_form(self):
+        # pin plus roller: f1 = (pi / 2 L^2) sqrt(E I / rho A)
+        L = 2.0
+        m = replace(modal_cantilever(), boundary_conditions=(
+            BoundaryCondition(1, frozenset({"ux", "uy"})),
+            BoundaryCondition(2, frozenset({"uy"}))))
+        f1 = math.pi / (2 * L**2) * math.sqrt(
+            STEEL.youngs_modulus * BEAM.moment_of_inertia / (STEEL.density * BEAM.area))
+        r = solve_modal(m, 1, subdivisions=8)
+        assert r.frequencies_hz[0] == pytest.approx(f1, rel=1e-4)
 
     def test_truncation_note_when_too_many_modes_requested(self):
         r = solve_modal(modal_cantilever(), 500, subdivisions=2)

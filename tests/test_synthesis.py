@@ -13,7 +13,8 @@ import pytest
 from conftest import cantilever_model, ground_structure
 from vfea.ir import AnalysisSpec
 from vfea.memory import ExperienceBuffer, ExperienceRecord, StructuralSignature
-from vfea.sandbox import Limits, RuntimeFault, allocate_workspace, execute
+from vfea.sandbox import (Limits, RuntimeFault, allocate_workspace, execute,
+                          read_results)
 from vfea.simscript import PreflightViolation, ScriptParseError, lower_ir
 from vfea.synthesis import (ConfigError, DebugContext, ExternalGenerator,
                             FaultyGenerator, PerfectGenerator,
@@ -78,7 +79,7 @@ class TestVerifyResults:
 
     def test_healthy_static(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
-        assert verify_results(out, AnalysisSpec(mode="static"))
+        assert verify_results(out, AnalysisSpec(mode="static")) == read_results(out.results_path)
 
     def test_kind_mismatch(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
