@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ir import IRModel, deserialize
+from .ir import IRModel, deserialize, unit_box
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionConfig, PerceptionFailure, ScaleConflictError,
@@ -139,19 +139,6 @@ def load_suite(suite_dir: str | Path) -> list[CaseSpec]:
     return [load_case(m.parent) for m in manifests]
 
 
-def _aligned_coords(model: IRModel, align: bool) -> dict[int, tuple[float, float]]:
-    coords = model.node_positions()
-    if not align or not coords:
-        return coords
-    xs = [p[0] for p in coords.values()]
-    ys = [p[1] for p in coords.values()]
-    x0, y0 = min(xs), min(ys)
-    extent = max(max(xs) - x0, max(ys) - y0)
-    if extent == 0:
-        extent = 1.0
-    return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in coords.items()}
-
-
 def evaluate_ir(predicted: IRModel, truth: IRModel,
                 tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
     """Perception metrics against a reference model.
@@ -163,8 +150,9 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
     """
     schema_valid = not check_l1(predicted)
     align = predicted.coordinate_mode != truth.coordinate_mode
-    pred = _aligned_coords(predicted, align)
-    ref = _aligned_coords(truth, align)
+    pred, ref = predicted.node_positions(), truth.node_positions()
+    if align:
+        pred, ref = unit_box(pred), unit_box(ref)
 
     if ref:
         xs = [p[0] for p in ref.values()]
@@ -302,27 +290,25 @@ def run_case(case: CaseSpec, config: RunConfig,
             execution_mode=config.execution_mode)
     except SynthesisExhaustedError as exc:
         report.error = f"synthesis: retry budget exhausted ({len(exc.trace.attempts)} attempts)"
-        report.trace = _summarize_trace(exc.trace)
+        report.trace = _summarize_trace(exc.trace, verified=False)
         return report
     except FallbackFailureError as exc:
         report.error = f"synthesis: fallback failure: {exc}"
         return report
     report.timings["synthesis_s"] = time.monotonic() - t1
 
-    report.trace = _summarize_trace(trace)
+    report.trace = _summarize_trace(trace, verified=True)
     report.metrics = replace(report.metrics, execution_success=True)
     report.highlights = _highlights(results)
     report.timings["total_s"] = time.monotonic() - t0
     return report
 
 
-def _summarize_trace(trace: SynthesisTrace) -> TraceSummary:
-    retry = None
-    for attempt in trace.attempts:
-        if attempt.outcome is not None and attempt.outcome.status == "COMPLETED":
-            retry = attempt.k
-            break
-    return TraceSummary(attempts=len(trace.attempts), retry_count=retry,
+def _summarize_trace(trace: SynthesisTrace, verified: bool) -> TraceSummary:
+    """``retry_count`` is the k of the attempt whose results were verified:
+    the last one when synthesis returned, none when it was exhausted."""
+    return TraceSummary(attempts=len(trace.attempts),
+                        retry_count=trace.attempts[-1].k if verified else None,
                         fallback_used=trace.fallback_used,
                         lessons=tuple(trace.lessons_accumulated))
 

@@ -390,3 +390,17 @@ def bounding_box(model: IRModel) -> tuple[float, float, float, float] | None:
     xs = [n.x for n in model.nodes]
     ys = [n.y for n in model.nodes]
     return min(xs), min(ys), max(xs), max(ys)
+
+
+def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
+    """Shift the points' bounding box to the origin and scale its longer side
+    to 1 (aspect ratio kept; a single point maps to the origin)."""
+    if not points:
+        return {}
+    xs = [p[0] for p in points.values()]
+    ys = [p[1] for p in points.values()]
+    x0, y0 = min(xs), min(ys)
+    extent = max(max(xs) - x0, max(ys) - y0)
+    if extent == 0:
+        extent = 1.0
+    return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in points.items()}

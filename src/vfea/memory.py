@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,14 +18,34 @@ from .ir import IRModel
 
 DENSITY_RATIO_INTERVAL = (0.5, 2.0)
 
-ERROR_CATEGORIES = ("type_i_lifecycle", "type_ii_hallucination",
-                    "type_iii_unsafe_state", "other")
+# most severe first: a batch of preflight violations takes the first category
+# any of its kinds maps to
+ERROR_CATEGORIES = ("type_iii_unsafe_state", "type_ii_hallucination",
+                    "type_i_lifecycle", "other")
 
-# message fragments that identify each failure family
-_TYPE_I_MARKERS = ("no execution trigger", "idle run", "termination signal",
-                   "write_results statement absent", "no results persistence")
-_TYPE_II_MARKERS = ("unknown statement",)
-_TYPE_III_MARKERS = ("kernel protection", "protected root")
+_ROOT_LESSON = "never delete the protected root model container"
+_MODEL_LESSON = ("declare the full model before analysis and write results only "
+                 "after a completed analysis")
+_LOG_LESSON = "review the execution log and correct the failing statement"
+
+# failure kind (PreflightViolation.kind, RuntimeFault.kind) -> (category,
+# lesson): the one place a failure kind gets its meaning
+FAILURE_KINDS: dict[str, tuple[str, str]] = {
+    "parse": ("type_ii_hallucination",
+              "use only statements documented for the simulation language; "
+              "unknown statements fail to parse"),
+    "lifecycle": ("type_i_lifecycle",
+                  "every script must contain an analyze execution trigger, a "
+                  "write_results statement and an end termination signal"),
+    "safety": ("type_iii_unsafe_state", _ROOT_LESSON),
+    "kernel-protection": ("type_iii_unsafe_state", _ROOT_LESSON),
+    "isolation": ("other", "write all artifacts to paths inside the allocated task workspace"),
+    "state": ("other", _MODEL_LESSON),
+    "model": ("other", _MODEL_LESSON),
+    "solver": ("other", "ensure the model is fully restrained and well posed before analysis"),
+    "sandbox": ("other", _LOG_LESSON),
+}
+UNKNOWN_FAILURE = ("other", _LOG_LESSON)
 
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*")
 _LINE_RE = re.compile(r"line (\d+)")
@@ -82,20 +103,14 @@ def compute_signature(model: IRModel) -> StructuralSignature:
     )
 
 
-def classify_error(text: str) -> ErrorSignature:
-    """Map a diagnostic message or log onto the failure taxonomy.
-
-    Total: anything that matches no family lands in ``other``.
-    """
+def classify_error(kind: str | Iterable[str] | None, text: str) -> ErrorSignature:
+    """Error signature of a failure: the category comes from the failure
+    kind (the most severe one for several kinds; no kind or an unknown kind
+    is ``other``), the tokens and the ``line N`` number from the message."""
+    kinds = (kind,) if isinstance(kind, str) else kind or ()
+    category = min((FAILURE_KINDS.get(k, UNKNOWN_FAILURE)[0] for k in kinds),
+                   key=ERROR_CATEGORIES.index, default="other")
     low = text.lower()
-    if any(m in low for m in _TYPE_III_MARKERS):
-        category = "type_iii_unsafe_state"
-    elif any(m in low for m in _TYPE_II_MARKERS):
-        category = "type_ii_hallucination"
-    elif any(m in low for m in _TYPE_I_MARKERS):
-        category = "type_i_lifecycle"
-    else:
-        category = "other"
     match = _LINE_RE.search(low)
     line = int(match.group(1)) if match else None
     return ErrorSignature(category=category,
@@ -153,21 +168,31 @@ class ExperienceBuffer:
     """Replay buffer with optional file persistence.
 
     Appends are serialized through one lock; readers see a consistent
-    prefix because records are only ever appended.
+    prefix because records are only ever appended. Lines that do not decode
+    to a record (a write torn by a crash) are skipped on load and counted in
+    ``skipped_lines``.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._records: list[ExperienceRecord] = []
+        self.skipped_lines = 0
+        # a torn last line has no newline; the next append must not extend it
+        self._torn_tail = False
         if self.path is not None and self.path.exists():
             try:
-                text = self.path.read_text(encoding="utf-8")
+                text = self.path.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:
                 raise MemoryPersistError(f"cannot read buffer {self.path}: {exc}") from None
+            self._torn_tail = bool(text) and not text.endswith("\n")
             for line in text.splitlines():
-                if line.strip():
+                if not line.strip():
+                    continue
+                try:
                     self._records.append(_record_from_line(line))
+                except (ValueError, KeyError, TypeError):
+                    self.skipped_lines += 1
 
     def __len__(self) -> int:
         return len(self._records)
@@ -182,8 +207,9 @@ class ExperienceBuffer:
                 try:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     with open(self.path, "a", encoding="utf-8") as fh:
-                        fh.write(_record_to_line(rec) + "\n")
+                        fh.write(("\n" if self._torn_tail else "") + _record_to_line(rec) + "\n")
                         fh.flush()
+                    self._torn_tail = False
                 except OSError as exc:
                     raise MemoryPersistError(f"cannot append to {self.path}: {exc}") from None
             self._records.append(rec)

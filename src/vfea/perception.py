@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, canonicalize)
-from .validation import ValidationReport, accept_update, audit
+                 Material, Node, Section, canonicalize, unit_box)
+from .validation import (ValidationReport, accept_update, audit,
+                         connected_components)
 
 STROKE_CLASSES = ("structural", "dimension", "annotation")
 GLYPH_KINDS = ("pin", "roller_x", "roller_y", "fixed")
@@ -276,26 +277,11 @@ def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SN
     for _, s in structural:
         points.append(s.p1)
         points.append(s.p2)
-    parent = list(range(len(points)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if math.dist(points[i], points[j]) <= snap_tolerance:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(points)):
-        clusters.setdefault(find(i), []).append(i)
+    links = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))
+             if math.dist(points[i], points[j]) <= snap_tolerance]
+    clusters = connected_components(range(len(points)), links)
     centroids: list[tuple[float, float, tuple[int, ...]]] = []
-    for members in clusters.values():
+    for members in clusters:
         cx = sum(points[i][0] for i in members) / len(members)
         cy = sum(points[i][1] for i in members) / len(members)
         centroids.append((cx, cy, tuple(members)))
@@ -409,13 +395,7 @@ def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
     if scale.mode == "metric":
         m = scale.meters_per_pixel
         return {nid: (x * m, y * m) for nid, x, y in nodes}
-    xs = [x for _, x, _ in nodes]
-    ys = [y for _, _, y in nodes]
-    x0, y0 = min(xs), min(ys)
-    extent = max(max(xs) - x0, max(ys) - y0)
-    if extent == 0:
-        extent = 1.0
-    return {nid: ((x - x0) / extent, (y - y0) / extent) for nid, x, y in nodes}
+    return unit_box({nid: (x, y) for nid, x, y in nodes})
 
 
 def _nearest_node(nodes, p: Point) -> tuple[int, float]:

@@ -188,10 +188,6 @@ def read_results(path: str | Path) -> ResultSet:
         raise ResultsCorruptError(f"{path}: malformed results document: {exc}") from None
 
 
-class _KernelProtection(Exception):
-    pass
-
-
 class _RuntimeStop(Exception):
     def __init__(self, kind: str, message: str):
         self.kind = kind
@@ -320,7 +316,8 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
             elif isinstance(stmt, Delete):
                 builder.require_begun()
                 if stmt.target == ("model", "root"):
-                    raise _KernelProtection()
+                    raise _RuntimeStop("kernel-protection",
+                                       "kernel protection: deletion of protected root container")
                 kind, raw_id = stmt.target
                 target_id = int(raw_id)
                 table = builder.elements if kind == "element" else builder.nodes
@@ -363,23 +360,23 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 if results is None:
                     raise _RuntimeStop("state", "no analysis results available to write")
                 target = resolve_path(stmt.path)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                write_results_file(results, target)
+                try:
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    write_results_file(results, target)
+                except OSError as exc:
+                    raise _RuntimeStop("sandbox", f"cannot write results to {stmt.path}: "
+                                                  f"{exc.strerror or type(exc).__name__}") from None
                 results_path = target
                 wrote = True
             elif isinstance(stmt, End):
                 ended = True
                 break
-        except _KernelProtection:
-            fault = RuntimeFault(stmt.line, "kernel-protection",
-                                 "kernel protection: deletion of protected root container")
-            log_lines.append(f"    ERROR {fault.message}")
-            return finish("FAILED", None, fault)
         except _RuntimeStop as exc:
             fault = RuntimeFault(stmt.line, exc.kind, exc.message)
             log_lines.append(f"    ERROR {fault.message}")
             return finish("FAILED", None, fault)
-        except (AssemblyError, SingularSystemError, UnsupportedOptimizationError) as exc:
+        except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
+                ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
             fault = RuntimeFault(stmt.line, "solver", str(exc))
             log_lines.append(f"    ERROR solver: {exc}")
             return finish("FAILED", None, fault)
@@ -412,27 +409,37 @@ def _execute_subprocess(script_text: str, workspace: Workspace, limits: Limits,
            str(limits.max_statements), str(limits.max_solver_dofs),
            str(limits.max_wall_time), str(modal_subdivisions)]
     start = time.monotonic()
+
+    def stop(status: str, diagnostic: str, fault: RuntimeFault | None) -> ExecutionOutcome:
+        log = f"{diagnostic}\nSTATUS: {status}\n"
+        (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
+        return ExecutionOutcome(status=status, results_path=None, log=log,
+                                runtime_error=fault, wall_time=time.monotonic() - start)
+
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False,
                               timeout=limits.max_wall_time + 30.0)
     except subprocess.TimeoutExpired:
-        log = "abort: child process exceeded the wall time budget\nSTATUS: ABORTED\n"
-        (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
-        return ExecutionOutcome(status="ABORTED", results_path=None, log=log,
-                                runtime_error=None,
-                                wall_time=time.monotonic() - start)
-    if proc.returncode != 0:
-        raise RuntimeError(f"sandbox child process failed: {proc.stderr.strip()}")
-    doc = json.loads(proc.stdout)
-    fault = None
-    if doc["runtime_error"] is not None:
-        fault = RuntimeFault(line=doc["runtime_error"]["line"],
-                             kind=doc["runtime_error"]["kind"],
-                             message=doc["runtime_error"]["message"])
-    return ExecutionOutcome(
-        status=doc["status"],
-        results_path=Path(doc["results_path"]) if doc["results_path"] else None,
-        log=doc["log"], runtime_error=fault, wall_time=doc["wall_time"])
+        return stop("ABORTED", "abort: child process exceeded the wall time budget", None)
+    try:
+        if proc.returncode == 0:
+            doc = json.loads(proc.stdout)
+            fault = None
+            if doc["runtime_error"] is not None:
+                fault = RuntimeFault(line=doc["runtime_error"]["line"],
+                                     kind=doc["runtime_error"]["kind"],
+                                     message=doc["runtime_error"]["message"])
+            return ExecutionOutcome(
+                status=doc["status"],
+                results_path=Path(doc["results_path"]) if doc["results_path"] else None,
+                log=doc["log"], runtime_error=fault, wall_time=doc["wall_time"])
+        reason = f"exit code {proc.returncode}"
+    except (ValueError, KeyError, TypeError):
+        reason = "unreadable outcome report"
+    stderr = proc.stderr.strip().splitlines()
+    fault = RuntimeFault(None, "sandbox", f"sandbox child process failed ({reason})"
+                         + (f": {stderr[-1]}" if stderr else ""))
+    return stop("FAILED", f"    ERROR {fault.message}", fault)
 
 
 def _child_main(argv: list[str]) -> int:

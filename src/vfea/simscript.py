@@ -283,7 +283,10 @@ def _inside_workspace(root: str | Path, candidate: str) -> bool:
     # lexical containment; symlinks in existing prefixes are resolved first
     root_real = os.path.realpath(str(root))
     cand = candidate if os.path.isabs(candidate) else os.path.join(root_real, candidate)
-    cand_real = os.path.realpath(cand)
+    try:
+        cand_real = os.path.realpath(cand)
+    except ValueError:  # embedded NUL: not a path at all
+        return False
     return cand_real == root_real or cand_real.startswith(root_real + os.sep)
 
 

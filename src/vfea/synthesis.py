@@ -9,14 +9,18 @@ generation service.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
+import urllib.request
 from dataclasses import dataclass, field
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
 from .ir import AnalysisSpec, IRModel, serialize
-from .memory import (ExperienceBuffer, ExperienceRecord, classify_error,
+from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ErrorSignature,
+                     ExperienceBuffer, ExperienceRecord, classify_error,
                      compute_signature)
 from .sandbox import (ExecutionOutcome, Limits, ResultsCorruptError,
                       ResultsMissingError, ResultSet, allocate_workspace,
@@ -29,22 +33,6 @@ DEFAULT_RETRIEVAL_K = 3
 STATIC_RESIDUAL_LIMIT = 1e-8
 VOLUME_SLACK = 1e-6
 EXCERPT_CHARS = 400
-
-LESSON_TEXT = {
-    "parse": "use only statements documented for the simulation language; "
-             "unknown statements fail to parse",
-    "lifecycle": "every script must contain an analyze execution trigger, a "
-                 "write_results statement and an end termination signal",
-    "safety": "never delete the protected root model container",
-    "kernel-protection": "never delete the protected root model container",
-    "isolation": "write all artifacts to paths inside the allocated task workspace",
-    "solver": "ensure the model is fully restrained and well posed before analysis",
-    "state": "declare the full model before analysis and write results only "
-             "after a completed analysis",
-    "model": "declare the full model before analysis and write results only "
-             "after a completed analysis",
-}
-_FALLBACK_LESSON = "review the execution log and correct the failing statement"
 
 
 class ConfigError(Exception):
@@ -106,29 +94,20 @@ class SynthesisTrace:
     lessons_accumulated: list[str] = field(default_factory=list)
 
 
-def reflect(violations_or_error) -> list[str]:
-    """One imperative lesson per distinct violation kind."""
-    kinds: list[str] = []
-    if isinstance(violations_or_error, ScriptParseError):
-        kinds = ["parse"]
-    elif isinstance(violations_or_error, (list, tuple)):
-        for v in violations_or_error:
-            if v.kind not in kinds:
-                kinds.append(v.kind)
-    else:  # RuntimeFault
-        kinds = [violations_or_error.kind]
-    return [LESSON_TEXT.get(kind, _FALLBACK_LESSON) for kind in kinds]
+def reflect(kinds: Iterable[str | None]) -> list[str]:
+    """One imperative lesson per distinct failure kind, from the failure
+    table; ``None`` (no recorded fault) gives the generic lesson."""
+    return [FAILURE_KINDS.get(kind, UNKNOWN_FAILURE)[1] for kind in dict.fromkeys(kinds)]
 
 
-def compose_debug_context(error_message: str, error_line: int | None, log: str,
-                          retrieved: list[ExperienceRecord],
+def compose_debug_context(error: ErrorSignature, error_message: str, error_line: int | None,
+                          log: str, retrieved: list[ExperienceRecord],
                           reflections: list[str]) -> DebugContext:
     """Assemble the composite repair context: structured summary, the raw
     numbered log, and lessons from both reflection and memory (memory wins
     on duplicate text)."""
-    sig = classify_error(error_message)
-    summary = ErrorSummary(category=sig.category, message=error_message,
-                           line=error_line if error_line is not None else sig.line)
+    summary = ErrorSummary(category=error.category, message=error_message,
+                           line=error_line if error_line is not None else error.line)
     lessons: dict[str, LessonEntry] = {}
     for text in reflections:
         lessons[text] = LessonEntry("reflection", text)
@@ -213,6 +192,13 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             if text not in trace.lessons_accumulated:
                 trace.lessons_accumulated.append(text)
 
+    def diagnose(kinds: list[str | None], message: str, line: int | None, log: str):
+        err_sig = classify_error(kinds, message)
+        reflections = reflect(kinds)
+        ctx = compose_debug_context(err_sig, message, line, log,
+                                    buffer.retrieve(sig, err_sig, retrieval_k), reflections)
+        return err_sig, reflections, ctx
+
     script = generator.generate(model, buffer.retrieve(sig, None, retrieval_k))
 
     for k in range(K + 1):
@@ -224,26 +210,19 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             violations = tuple(preflight(ast, workspace_root))
         except ScriptParseError as exc:
             attempt.parse_error = str(exc)
-            reflections = reflect(exc)
+            _, reflections, ctx = diagnose(["parse"], str(exc), exc.line, f"preflight: {exc}")
             accumulate(reflections)
-            ctx = compose_debug_context(str(exc), exc.line, f"preflight: {exc}",
-                                        buffer.retrieve(sig, classify_error(str(exc)),
-                                                        retrieval_k),
-                                        reflections)
             script = generator.repair(script, ctx)
             continue
         if violations:
             attempt.preflight_violations = violations
-            reflections = reflect(list(violations))
-            accumulate(reflections)
-            message = "; ".join(v.message for v in violations)
             log = "\n".join(f"preflight[{v.kind}]"
                             + (f" line {v.line}" if v.line is not None else "")
                             + f": {v.message}" for v in violations)
-            ctx = compose_debug_context(message, violations[0].line, log,
-                                        buffer.retrieve(sig, classify_error(message),
-                                                        retrieval_k),
-                                        reflections)
+            _, reflections, ctx = diagnose([v.kind for v in violations],
+                                           "; ".join(v.message for v in violations),
+                                           violations[0].line, log)
+            accumulate(reflections)
             script = generator.repair(script, ctx)
             continue
 
@@ -260,17 +239,14 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                 script_excerpt=_excerpt(script), outcome="success", created_at=time.time()))
             return script, verified, trace
 
-        if outcome.runtime_error is not None:
-            message = outcome.runtime_error.message
-            line = outcome.runtime_error.line
+        fault = outcome.runtime_error
+        if fault is not None:
+            message, line = fault.message, fault.line
         else:
             message = f"execution {outcome.status.lower()} without readable results"
             line = None
-        err_sig = classify_error(message)
-        retrieved = buffer.retrieve(sig, err_sig, retrieval_k)
-        reflections = reflect(outcome.runtime_error) if outcome.runtime_error else \
-            [_FALLBACK_LESSON]
-        ctx = compose_debug_context(message, line, outcome.log, retrieved, reflections)
+        err_sig, reflections, ctx = diagnose([fault.kind if fault else None], message, line,
+                                             outcome.log)
         accumulate(ctx.lesson_texts())
         buffer.record(ExperienceRecord(
             signature=sig, error=err_sig,
@@ -309,23 +285,20 @@ class PerfectGenerator:
         return script
 
 
-_FAULT_LESSON_MARKERS = {
-    "type_i": ("analyze", "execution trigger"),
-    "type_ii": ("unknown statement", "documented"),
-    "type_iii": ("root", "delete"),
-}
+# fault family -> the failure kind it provokes
+_FAULT_KINDS = {"type_i": "lifecycle", "type_ii": "parse", "type_iii": "safety"}
 
 
 class FaultyGenerator:
     """Injects one failure family into otherwise-correct scripts.
 
-    On repair the fault is removed iff a lesson matching it is present in the
-    debug context; stubborn variants never heed lessons, which is how the
-    handover path gets exercised.
+    On repair the fault is removed iff the failure table's lesson for the
+    kind it provokes is in the debug context; stubborn variants never heed
+    lessons, which is how the handover path gets exercised.
     """
 
     def __init__(self, fault: str, stubborn: bool = False):
-        if fault not in _FAULT_LESSON_MARKERS:
+        if fault not in _FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {fault!r}")
         self.fault = fault
         self.stubborn = stubborn
@@ -348,12 +321,8 @@ class FaultyGenerator:
     def repair(self, script: str, context: DebugContext) -> str:
         if self.stubborn or self._clean is None:
             return script
-        markers = _FAULT_LESSON_MARKERS[self.fault]
-        for lesson in context.lesson_texts():
-            low = lesson.lower()
-            if any(m in low for m in markers):
-                return self._clean
-        return script
+        lesson = FAILURE_KINDS[_FAULT_KINDS[self.fault]][1]
+        return self._clean if lesson in context.lesson_texts() else script
 
 
 class ExternalGenerator:
@@ -371,21 +340,20 @@ class ExternalGenerator:
         self._last_model: IRModel | None = None
 
     def _post(self, body: dict) -> str:
-        import requests
-
+        request = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("utf-8"),
+                                         headers={"Content-Type": "application/json"})
         last_exc: Exception | None = None
         for _ in range(self.retries + 1):
             try:
-                resp = requests.post(self.endpoint, json=body, timeout=self.timeout)
-                resp.raise_for_status()
-                payload = resp.json()
-                if not isinstance(payload, dict) or "script" not in payload:
-                    raise ConfigError("external generator response missing 'script'")
-                return str(payload["script"])
-            except ConfigError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - network layer
+                # urlopen raises HTTPError on 4xx/5xx responses
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    payload = json.loads(resp.read())
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_exc = exc
+                continue
+            if not isinstance(payload, dict) or "script" not in payload:
+                raise ConfigError("external generator response missing 'script'")
+            return str(payload["script"])
         raise ConfigError(f"external generator unreachable at {self.endpoint}: {last_exc}")
 
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -205,22 +206,26 @@ def restraint_rank(model: IRModel) -> int:
     return rank
 
 
-def _components(model: IRModel) -> list[set[int]]:
-    parent = {n.id: n.id for n in model.nodes}
+def connected_components(items: Iterable[Hashable],
+                         links: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
+    """Union-find over ``items`` joined by ``links``. Each component lists its
+    members in ``items`` order; components come in the order of their first
+    member."""
+    parent = {i: i for i in items}
 
-    def find(i: int) -> int:
+    def find(i):
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for e in model.elements:
-        a, b = find(e.node_ids[0]), find(e.node_ids[1])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, set[int]] = {}
-    for nid in parent:
-        groups.setdefault(find(nid), set()).add(nid)
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for i in parent:
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -233,8 +238,10 @@ def check_l2(model: IRModel) -> list[Finding]:
         out.append(Finding("L2", "rigid-body-motion",
                            f"constrained dofs restrain only {rank} of 3 planar rigid modes"))
     supported = {b.node_id for b in model.boundary_conditions}
-    for comp in sorted(_components(model), key=min):
-        if not comp & supported:
+    comps = connected_components((n.id for n in model.nodes),
+                                 (e.node_ids for e in model.elements))
+    for comp in sorted(comps, key=min):
+        if supported.isdisjoint(comp):
             out.append(Finding("L2", "floating-substructure",
                                f"component containing node {min(comp)} has no supported node",
                                f"nodes/{min(comp)}"))

@@ -10,12 +10,14 @@ import pytest
 
 from conftest import (BAR, STEEL, cantilever_model, random_frame_model,
                       two_bar_truss)
+from vfea import harness
 from vfea.cli import main as cli_main
 from vfea.harness import (CaseLoadError, CaseReport, Metrics, RunConfig,
                           TraceSummary, aggregate, emit_report, evaluate_ir,
                           load_case, load_suite, run_case)
 from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
                      canonicalize, serialize)
+from vfea.simscript import lower_ir
 
 
 def four_node_truth() -> IRModel:
@@ -210,6 +212,28 @@ class TestRunCase:
         (golden_case / "context.txt").unlink()
         with pytest.raises(CaseLoadError):
             load_case(golden_case)
+
+    def test_retry_count_is_the_verified_attempt(self, golden_case, tmp_path, monkeypatch):
+        class WrongModeFirst:
+            """First script completes a modal run for a static model; the
+            repair is the correct script."""
+
+            def generate(self, model, memory_context):
+                return lower_ir(model, ".").replace("analyze static", "analyze modal count 1")
+
+            def repair(self, script, context):
+                return script.replace("analyze modal count 1", "analyze static")
+
+        monkeypatch.setattr(harness, "make_generator", lambda spec: WrongModeFirst())
+        result = run_case(load_case(golden_case), RunConfig(workspace_root=tmp_path / "ws"))
+        assert result.metrics.execution_success
+        assert (result.trace.attempts, result.trace.retry_count) == (2, 1)
+
+        exhausted = RunConfig(workspace_root=tmp_path / "ws", max_retries=0,
+                              fallback_enabled=False)
+        result = run_case(load_case(golden_case), exhausted)
+        assert not result.metrics.execution_success
+        assert (result.trace.attempts, result.trace.retry_count) == (1, None)
 
 
 class TestSuiteLoading:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfea.memory import (DENSITY_RATIO_INTERVAL, ERROR_CATEGORIES,
-                         ErrorSignature, ExperienceBuffer, ExperienceRecord,
+                         FAILURE_KINDS, ErrorSignature, ExperienceBuffer,
+                         ExperienceRecord,
                          StructuralSignature, classify_error,
                          compute_signature, jaccard)
 
@@ -47,32 +48,77 @@ class TestSignature:
             {"truss_bar", "frame_beam"})
 
 
+# every failure kind's category and lesson, pinned
+FAILURE_TABLE = {
+    "parse": ("type_ii_hallucination", "use only statements documented for the "
+              "simulation language; unknown statements fail to parse"),
+    "lifecycle": ("type_i_lifecycle", "every script must contain an analyze execution "
+                  "trigger, a write_results statement and an end termination signal"),
+    "safety": ("type_iii_unsafe_state", "never delete the protected root model container"),
+    "kernel-protection": ("type_iii_unsafe_state",
+                          "never delete the protected root model container"),
+    "isolation": ("other", "write all artifacts to paths inside the allocated task workspace"),
+    "state": ("other", "declare the full model before analysis and write results only "
+              "after a completed analysis"),
+    "model": ("other", "declare the full model before analysis and write results only "
+              "after a completed analysis"),
+    "solver": ("other", "ensure the model is fully restrained and well posed before analysis"),
+    "sandbox": ("other", "review the execution log and correct the failing statement"),
+}
+
+
 class TestClassify:
     def test_lifecycle(self):
-        s = classify_error("no execution trigger: analyze statement absent")
+        s = classify_error("lifecycle", "no execution trigger: analyze statement absent")
         assert s.category == "type_i_lifecycle"
 
     def test_hallucination_with_line(self):
-        s = classify_error("unknown statement 'mesh_edges' at line 12")
+        s = classify_error("parse", "unknown statement 'mesh_edges' at line 12")
         assert s.category == "type_ii_hallucination"
         assert s.line == 12
         assert "mesh_edges" in s.tokens
 
     def test_unsafe_state(self):
-        s = classify_error("kernel protection: deletion of protected root container")
+        s = classify_error("kernel-protection",
+                           "kernel protection: deletion of protected root container")
         assert s.category == "type_iii_unsafe_state"
 
     def test_other(self):
-        assert classify_error("numerical overflow in step 3").category == "other"
+        assert classify_error("solver", "numerical overflow in step 3").category == "other"
 
     def test_tokens_lowercase_deduplicated(self):
-        s = classify_error("Missing MISSING missing trigger")
+        s = classify_error(None, "Missing MISSING missing trigger")
         assert s.tokens == frozenset({"missing", "trigger"})
 
+    def test_category_ignores_message_text(self):
+        # an isolation message quoting a marker-laden path stays "other"
+        s = classify_error("isolation", "artifact path escapes workspace: ../protected root")
+        assert s.category == "other"
+        assert classify_error("parse", "line 3: expected an integer").category == \
+            "type_ii_hallucination"
+
+    def test_batch_takes_most_severe_kind(self):
+        assert classify_error(["isolation", "lifecycle"], "").category == "type_i_lifecycle"
+        assert classify_error(["lifecycle", "safety", "isolation"], "").category == \
+            "type_iii_unsafe_state"
+        assert classify_error(["isolation"], "").category == "other"
+        assert classify_error([], "").category == "other"
+
+    @pytest.mark.parametrize("kind", sorted(FAILURE_TABLE))
+    def test_failure_table_pinned(self, kind):
+        category, lesson = FAILURE_TABLE[kind]
+        assert FAILURE_KINDS[kind] == (category, lesson)
+        assert classify_error(kind, "any message").category == category
+
+    def test_unknown_kind_is_other(self):
+        assert set(FAILURE_KINDS) == set(FAILURE_TABLE)
+        assert classify_error("no-such-kind", "unknown statement").category == "other"
+        assert classify_error(None, "kernel protection").category == "other"
+
     @settings(max_examples=80, deadline=None)
-    @given(st.text(min_size=1, max_size=120))
-    def test_total_over_arbitrary_text(self, text):
-        assert classify_error(text).category in ERROR_CATEGORIES
+    @given(st.sampled_from([None, "parse", "safety", "bogus"]), st.text(min_size=1, max_size=120))
+    def test_total_over_arbitrary_text(self, kind, text):
+        assert classify_error(kind, text).category in ERROR_CATEGORIES
 
 
 class TestRetrieve:
@@ -182,3 +228,18 @@ class TestPersistence:
         reloaded = ExperienceBuffer(path)
         rewritten = "".join(_record_to_line(r) + "\n" for r in reloaded.records)
         assert rewritten.encode("utf-8") == original
+
+    def test_torn_last_line_skipped_and_not_extended(self, tmp_path):
+        path = tmp_path / "mem.jsonl"
+        buf = ExperienceBuffer(path)
+        for i in range(3):
+            buf.record(failure(sig(3, 2), {f"t{i}"}, lesson=f"lesson-{i}"))
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) - 25])  # crash in the middle of the last append
+        reloaded = ExperienceBuffer(path)
+        assert [r.lesson for r in reloaded.records] == ["lesson-0", "lesson-1"]
+        assert reloaded.skipped_lines == 1
+        reloaded.record(failure(sig(3, 2), {"t3"}, lesson="lesson-3"))
+        again = ExperienceBuffer(path)
+        assert [r.lesson for r in again.records] == ["lesson-0", "lesson-1", "lesson-3"]
+        assert again.skipped_lines == 1

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import re
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import cantilever_model, ground_structure, modal_cantilever
+from conftest import (cantilever_model, ground_structure, modal_cantilever,
+                      two_bar_truss)
 from vfea.sandbox import (Limits, ResultsCorruptError, ResultsMissingError,
                           WorkspaceError, allocate_workspace, execute,
                           read_results, write_results_file)
@@ -199,6 +204,71 @@ class TestExecute:
                       mode="subprocess")
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "kernel-protection"
+
+    @pytest.mark.parametrize("returncode, stdout", [(1, ""), (0, "Traceback (most recent")])
+    def test_subprocess_child_crash_is_failed_outcome(self, tmp_path, cantilever_script,
+                                                     monkeypatch, returncode, stdout):
+        def crashed(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, returncode, stdout, "MemoryError\n")
+
+        monkeypatch.setattr(subprocess, "run", crashed)
+        ws = allocate_workspace(tmp_path, "crash")
+        out = execute(cantilever_script, ws, Limits(), mode="subprocess")
+        assert out.status == "FAILED" and out.results_path is None
+        assert out.runtime_error.kind == "sandbox"
+        assert out.log.endswith("STATUS: FAILED\n")
+        assert (ws.root / "run.log").read_text() == out.log
+
+    def test_unwritable_results_path_fails(self, tmp_path, cantilever_script):
+        # "." names the workspace directory itself, which is inside but not a file
+        out = execute(cantilever_script.replace("write_results results.res", "write_results ."),
+                      allocate_workspace(tmp_path, "dir"), Limits())
+        assert out.status == "FAILED"
+        assert out.runtime_error.kind == "sandbox"
+
+
+# statement lines built from the grammar, with edge-case ids, numbers and paths
+_IDS = st.integers(-1, 4).map(str)
+_NUMS = st.sampled_from(["0", "1", "-1", "1e-3", "2.1e11", "0.3", "7850", "1e-6", "nan",
+                         "inf", "-inf", "1e308", "1e-200", "-2.5"])
+_PATHS = st.sampled_from(["results.res", ".", "..", "../escape.res", "/escape.res",
+                          "sub/r.res", "script.sim", "script.sim/x", "a\x00b", "x" * 300])
+_LINES = st.one_of(
+    st.sampled_from(["model begin", "analyze static", "end", "delete model root"]),
+    st.tuples(st.sampled_from(["node", "material", "section", "load", "fix", "delete element",
+                               "delete node", "element 1 truss", "element 2 frame"]),
+              st.lists(st.one_of(_IDS, _NUMS), min_size=1, max_size=4))
+    .map(lambda t: " ".join([t[0], *t[1]])),
+    st.builds("fix {} {}".format, _IDS, st.sampled_from(["ux", "uy,rz", "ux,uy,rz", "uz"])),
+    st.builds("analyze modal count {}".format, st.integers(-1, 4)),
+    st.builds("analyze topopt volfrac {} iters {}".format, _NUMS, st.integers(-1, 3)),
+    st.builds("{} {}".format, st.sampled_from(["write_results", "workspace"]), _PATHS),
+    st.text(max_size=30),
+)
+_BASES = [lower_ir(m, ".") for m in (cantilever_model(), two_bar_truss(), modal_cantilever(),
+                                     ground_structure(iters=2))]
+
+
+@st.composite
+def _scripts(draw):
+    """Arbitrary text, or a valid script with a few lines replaced or inserted."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    lines = draw(st.sampled_from(_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(_LINES)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_scripts())
+def test_inprocess_execute_is_total(script):
+    with tempfile.TemporaryDirectory() as root:
+        out = execute(script, allocate_workspace(root, "prop"), Limits(max_wall_time=10.0))
+    assert out.status in ("COMPLETED", "FAILED", "ABORTED")
+    assert (out.runtime_error is not None) == (out.status == "FAILED")
+    assert out.log.endswith(f"STATUS: {out.status}\n")
 
 
 class TestResultsDatabase:

@@ -12,10 +12,11 @@ import pytest
 
 from conftest import cantilever_model, ground_structure
 from vfea.ir import AnalysisSpec
-from vfea.memory import ExperienceBuffer, ExperienceRecord, StructuralSignature
-from vfea.sandbox import (Limits, RuntimeFault, allocate_workspace, execute,
+from vfea.memory import (ExperienceBuffer, ExperienceRecord, StructuralSignature,
+                         classify_error)
+from vfea.sandbox import (Limits, allocate_workspace, execute,
                           read_results)
-from vfea.simscript import PreflightViolation, ScriptParseError, lower_ir
+from vfea.simscript import lower_ir
 from vfea.synthesis import (ConfigError, DebugContext, ExternalGenerator,
                             FaultyGenerator, PerfectGenerator,
                             SynthesisExhaustedError, compose_debug_context,
@@ -25,30 +26,33 @@ from vfea.synthesis import (ConfigError, DebugContext, ExternalGenerator,
 
 class TestReflect:
     def test_lifecycle_lesson_mentions_trigger(self):
-        lessons = reflect([PreflightViolation("lifecycle", None, "no execution trigger")])
+        lessons = reflect(["lifecycle"])
         assert len(lessons) == 1
         assert "analyze" in lessons[0]
 
     def test_one_lesson_per_distinct_kind(self):
-        lessons = reflect([PreflightViolation("safety", 3, "root"),
-                           PreflightViolation("isolation", 5, "path"),
-                           PreflightViolation("safety", 9, "root again")])
+        lessons = reflect(["safety", "isolation", "safety"])
         assert len(lessons) == 2
 
     def test_kernel_protection_lesson(self):
-        lessons = reflect(RuntimeFault(9, "kernel-protection", "kernel protection"))
+        lessons = reflect(["kernel-protection"])
         assert lessons == ["never delete the protected root model container"]
 
     def test_parse_error_lesson(self):
-        lessons = reflect(ScriptParseError(4, "mesh_edges", "unknown statement"))
+        lessons = reflect(["parse"])
         assert "unknown statements" in lessons[0]
+
+    def test_no_fault_or_unknown_kind_gives_generic_lesson(self):
+        generic = ["review the execution log and correct the failing statement"]
+        assert reflect([None]) == reflect(["no-such-kind"]) == generic
 
 
 class TestComposeDebugContext:
     def test_fault_line_propagates(self):
         log = "[line 44] fix 1 ux\n[line 45] delete model root\nSTATUS: FAILED"
-        ctx = compose_debug_context("kernel protection: deletion of protected root "
-                                    "container at line 45", 45, log, [], ["lesson"])
+        message = "kernel protection: deletion of protected root container at line 45"
+        ctx = compose_debug_context(classify_error("kernel-protection", message), message, 45,
+                                    log, [], ["lesson"])
         assert ctx.error_summary.line == 45
         assert "45" in ctx.raw_log
         assert ctx.error_summary.category == "type_iii_unsafe_state"
@@ -58,7 +62,8 @@ class TestComposeDebugContext:
             signature=StructuralSignature(3, 2, frozenset({"truss_bar"}), 1, 2),
             error=None, lesson="from the buffer", script_excerpt="model begin",
             outcome="success", created_at=0.0)
-        ctx = compose_debug_context("boom", None, "log", [rec], ["fresh thought"])
+        ctx = compose_debug_context(classify_error(None, "boom"), "boom", None, "log", [rec],
+                                    ["fresh thought"])
         by_source = {l.source: l.text for l in ctx.lessons}
         assert by_source == {"reflection": "fresh thought", "memory": "from the buffer"}
 
@@ -67,7 +72,8 @@ class TestComposeDebugContext:
             signature=StructuralSignature(3, 2, frozenset({"truss_bar"}), 1, 2),
             error=None, lesson="same text", script_excerpt="model begin",
             outcome="success", created_at=0.0)
-        ctx = compose_debug_context("boom", None, "log", [rec], ["same text"])
+        ctx = compose_debug_context(classify_error(None, "boom"), "boom", None, "log", [rec],
+                                    ["same text"])
         assert len(ctx.lessons) == 1
         assert ctx.lessons[0].source == "memory"
 
