@@ -33,6 +33,10 @@ from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
 LOG_FILENAME = "run.log"
+# Modes one modal analysis may compute, min(count, dofs): the Lanczos basis
+# holds about twice that many vectors of the model's dofs, and the dense
+# path taken when the count reaches the free dofs is cubic in them.
+MAX_MODES = 100
 
 _alloc_counter = itertools.count(1)
 
@@ -59,7 +63,7 @@ class Workspace:
 @dataclass(frozen=True)
 class Limits:
     max_statements: int = 10_000
-    max_solver_dofs: int = 3_000
+    max_solver_dofs: int = 20_000
     max_wall_time: float = 60.0
 
     def __post_init__(self):
@@ -346,6 +350,10 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 if n_dofs > limits.max_solver_dofs:
                     log_lines.append(f"abort: solver budget exceeded "
                                      f"({n_dofs} > {limits.max_solver_dofs} dofs)")
+                    return finish("ABORTED", None, None)
+                modes = min(stmt.count or 1, n_dofs) if stmt.kind == "modal" else 0
+                if modes > MAX_MODES:
+                    log_lines.append(f"abort: mode budget exceeded ({modes} > {MAX_MODES} modes)")
                     return finish("ABORTED", None, None)
                 if stmt.kind == "static":
                     results = solve_static(model)

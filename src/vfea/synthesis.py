@@ -177,9 +177,11 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     Attempts k = 0..K: preflight-gate the candidate script (static violations
     are reflected into lessons and repaired without touching the sandbox),
     execute the survivors in a fresh workspace, and on verified success index
-    the script into the replay buffer. When the budget is exhausted the
-    deterministic lowering takes over (if enabled); its output is
-    guaranteed-executable, so a failure there raises FallbackFailureError.
+    the script into the replay buffer; every failed attempt, whether parsing,
+    preflight or execution stopped it, is recorded there as a failure. When
+    the budget is exhausted the deterministic lowering takes over (if
+    enabled); its output is guaranteed-executable, so a failure there raises
+    FallbackFailureError.
     """
     if K < 0:
         raise ConfigError("retry budget must be >= 0")
@@ -192,12 +194,18 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             if text not in trace.lessons_accumulated:
                 trace.lessons_accumulated.append(text)
 
-    def diagnose(kinds: list[str | None], message: str, line: int | None, log: str):
+    def diagnose(script: str, kinds: list[str | None], message: str, line: int | None,
+                 log: str):
+        """Classify and reflect a failed attempt, compose its debug context
+        from the lessons retrieved before it, and record it as a failure."""
         err_sig = classify_error(kinds, message)
         reflections = reflect(kinds)
         ctx = compose_debug_context(err_sig, message, line, log,
                                     buffer.retrieve(sig, err_sig, retrieval_k), reflections)
-        return err_sig, reflections, ctx
+        buffer.record(ExperienceRecord(
+            signature=sig, error=err_sig, lesson=reflections[0],
+            script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))
+        return reflections, ctx
 
     script = generator.generate(model, buffer.retrieve(sig, None, retrieval_k))
 
@@ -210,7 +218,8 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             violations = tuple(preflight(ast, workspace_root))
         except ScriptParseError as exc:
             attempt.parse_error = str(exc)
-            _, reflections, ctx = diagnose(["parse"], str(exc), exc.line, f"preflight: {exc}")
+            reflections, ctx = diagnose(script, ["parse"], str(exc), exc.line,
+                                        f"preflight: {exc}")
             accumulate(reflections)
             script = generator.repair(script, ctx)
             continue
@@ -219,9 +228,9 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             log = "\n".join(f"preflight[{v.kind}]"
                             + (f" line {v.line}" if v.line is not None else "")
                             + f": {v.message}" for v in violations)
-            _, reflections, ctx = diagnose([v.kind for v in violations],
-                                           "; ".join(v.message for v in violations),
-                                           violations[0].line, log)
+            reflections, ctx = diagnose(script, [v.kind for v in violations],
+                                        "; ".join(v.message for v in violations),
+                                        violations[0].line, log)
             accumulate(reflections)
             script = generator.repair(script, ctx)
             continue
@@ -245,13 +254,8 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         else:
             message = f"execution {outcome.status.lower()} without readable results"
             line = None
-        err_sig, reflections, ctx = diagnose([fault.kind if fault else None], message, line,
-                                             outcome.log)
+        _, ctx = diagnose(script, [fault.kind if fault else None], message, line, outcome.log)
         accumulate(ctx.lesson_texts())
-        buffer.record(ExperienceRecord(
-            signature=sig, error=err_sig,
-            lesson=reflections[0], script_excerpt=_excerpt(script),
-            outcome="failure", created_at=time.time()))
         script = generator.repair(script, ctx)
 
     if not fallback_enabled:

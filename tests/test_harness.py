@@ -17,6 +17,7 @@ from vfea.harness import (CaseLoadError, CaseReport, Metrics, RunConfig,
                           load_case, load_suite, run_case)
 from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
                      canonicalize, serialize)
+from vfea.memory import ExperienceBuffer
 from vfea.simscript import lower_ir
 
 
@@ -328,3 +329,17 @@ class TestCLI:
         code = cli_main(["bench", "--suite", str(suite_dir), "--generator", "wat",
                          "--memory", str(tmp_path / "m.jsonl")])
         assert code == 2
+
+    def test_bench_records_preflight_failures_in_memory(self, suite_dir, tmp_path,
+                                                        monkeypatch):
+        # type II faults stop at parsing, before the sandbox: each case must
+        # still leave its failure record next to its success record
+        monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))
+        memory = tmp_path / "m.jsonl"
+        code = cli_main(["bench", "--suite", str(suite_dir), "--generator", "faulty:type_ii",
+                         "--memory", str(memory), "--out", str(tmp_path / "out")])
+        assert code == 0
+        records = ExperienceBuffer(memory).records
+        failures = [r for r in records if r.outcome == "failure"]
+        assert len(failures) == len(records) // 2 == 15
+        assert {r.error.category for r in failures} == {"type_ii_hallucination"}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
-from vfea.sandbox import (Limits, ResultsCorruptError, ResultsMissingError,
+from vfea.sandbox import (MAX_MODES, Limits, ResultsCorruptError, ResultsMissingError,
                           WorkspaceError, allocate_workspace, execute,
                           read_results, write_results_file)
 from vfea.simscript import lower_ir
@@ -89,6 +89,19 @@ class TestExecute:
                       Limits(max_solver_dofs=10), mode=mode)
         assert out.status == "ABORTED"
         assert "(15 > 10 dofs)" in out.log
+
+    @pytest.mark.parametrize("subdivisions,status", [(4, "COMPLETED"), (40, "ABORTED")])
+    def test_mode_budget_counts_modes_the_solver_computes(self, tmp_path, subdivisions,
+                                                          status):
+        # 101 modes asked: 15 dofs give 15 modes and a note, 123 dofs give 101
+        script = lower_ir(modal_cantilever(count=MAX_MODES + 1), tmp_path)
+        out = execute(script, allocate_workspace(tmp_path, "modes"), Limits(),
+                      modal_subdivisions=subdivisions)
+        assert out.status == status
+        if status == "ABORTED":
+            assert f"({MAX_MODES + 1} > {MAX_MODES} modes)" in out.log
+        else:
+            assert len(read_results(out.results_path).frequencies_hz) < MAX_MODES
 
     def test_parse_failure_reports_line(self, tmp_path):
         ws = allocate_workspace(tmp_path, "parse")

@@ -9,12 +9,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (BAR, BEAM, STEEL, cantilever_model, ground_structure,
                       modal_cantilever, random_frame_model, two_bar_truss)
-from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
-                     Section, canonicalize)
+from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
+                     Node, Section, canonicalize, deserialize)
 from vfea import solver
+from vfea.sandbox import Limits, allocate_workspace, execute
+from vfea.simscript import lower_ir
 from vfea.solver import (AssemblyError, SingularSystemError,
                          UnsupportedOptimizationError, assemble,
                          optimize_topology, solve_modal, solve_static)
@@ -30,6 +33,18 @@ def single_bar(end: tuple[float, float]) -> IRModel:
         materials=(STEEL,), sections=(Section(1, 1, area),),
         boundary_conditions=(BoundaryCondition(1, frozenset({"ux", "uy"})),),
         loads=(Load(2, 1.0, 0.0, 0.0),)))
+
+
+def unbraced_square(analysis: AnalysisSpec = AnalysisSpec()) -> IRModel:
+    """Restraint rank 3, but the square can shear: an internal mechanism."""
+    return canonicalize(IRModel(
+        nodes=(Node(1, 0.0, 0.0), Node(2, 1.0, 0.0), Node(3, 1.0, 1.0), Node(4, 0.0, 1.0)),
+        elements=(Element(1, "truss_bar", (1, 2), 1), Element(2, "truss_bar", (2, 3), 1),
+                  Element(3, "truss_bar", (3, 4), 1), Element(4, "truss_bar", (4, 1), 1)),
+        materials=(STEEL,), sections=(BAR,),
+        boundary_conditions=(BoundaryCondition(1, frozenset({"ux", "uy"})),
+                             BoundaryCondition(2, frozenset({"uy"})),),
+        loads=(Load(3, 1000.0, 0.0, 0.0),), analysis=analysis))
 
 
 class TestAssemble:
@@ -62,9 +77,10 @@ class TestAssemble:
     def test_symmetry_and_psd(self):
         m = random_frame_model(random.Random(3))
         sys_ = assemble(m)
-        assert np.max(np.abs(sys_.K - sys_.K.T)) <= 1e-12 * np.max(np.abs(sys_.K))
-        assert np.max(np.abs(sys_.M - sys_.M.T)) <= 1e-12 * np.max(np.abs(sys_.M))
-        eigs = np.linalg.eigvalsh(sys_.K)
+        K, M = sys_.K.toarray(), sys_.M.toarray()
+        assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+        assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
+        eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-8 * eigs.max()  # PSD before constraints
 
     def test_static_and_topology_never_build_mass(self, monkeypatch, topopt_model):
@@ -151,16 +167,15 @@ class TestStatic:
         with pytest.raises(SingularSystemError):
             solve_static(m)
 
+    def test_negative_pivot_raises(self):
+        # a negative modulus gives a negative definite K: the factor exists
+        # but its pivots are negative
+        m = replace(cantilever_model(), materials=(replace(STEEL, youngs_modulus=-210e9),))
+        with pytest.raises(SingularSystemError):
+            solve_static(m)
+
     def test_truss_mechanism_detected_at_solve_time(self):
-        # unbraced square: restraint rank 3 but an internal mechanism remains
-        m = canonicalize(IRModel(
-            nodes=(Node(1, 0.0, 0.0), Node(2, 1.0, 0.0), Node(3, 1.0, 1.0), Node(4, 0.0, 1.0)),
-            elements=(Element(1, "truss_bar", (1, 2), 1), Element(2, "truss_bar", (2, 3), 1),
-                      Element(3, "truss_bar", (3, 4), 1), Element(4, "truss_bar", (4, 1), 1)),
-            materials=(STEEL,), sections=(BAR,),
-            boundary_conditions=(BoundaryCondition(1, frozenset({"ux", "uy"})),
-                                 BoundaryCondition(2, frozenset({"uy"})),),
-            loads=(Load(3, 1000.0, 0.0, 0.0),)))
+        m = unbraced_square()
         assert restraint_rank(m) == 3
         with pytest.raises(SingularSystemError):
             solve_static(m)
@@ -231,11 +246,30 @@ class TestModal:
         assert r.note is not None
         assert len(r.frequencies_hz) < 500
 
+    def test_internal_mechanism_raises(self, tmp_path):
+        m = unbraced_square(AnalysisSpec(mode="modal", modal_count=1))
+        assert restraint_rank(m) == 3
+        with pytest.raises(SingularSystemError):
+            solve_modal(m, 1)
+        out = execute(lower_ir(m, tmp_path), allocate_workspace(tmp_path, "mech"), Limits())
+        assert out.status == "FAILED"
+        assert out.runtime_error.kind == "solver"
+
     def test_insufficient_restraint(self):
         m = replace(modal_cantilever(), boundary_conditions=(
             BoundaryCondition(1, frozenset({"ux", "uy"})),))
         with pytest.raises(SingularSystemError):
             solve_modal(m, 1)
+
+
+# areas of topopt_ground by element id, as the dense kernel computed them
+TOPOPT_GROUND_AREAS = [
+    0.01, 0.009951229111141368, 1e-08, 0.01, 0.01, 1e-08, 1e-08, 8.147672276795505e-06,
+    0.0013758849998131407, 0.01, 0.005160833873930222, 0.01, 1e-08, 0.005160833873930221,
+    1e-08, 0.001949319746778869, 0.009669798233986757, 0.0038517913574041903,
+    8.147672276795573e-06, 1e-08, 0.003851791357404195, 1e-08, 0.01, 1e-08, 0.01,
+    0.001949319746778867, 0.01, 0.01, 0.0051608338739302225, 0.009669798233986766, 0.01, 0.01,
+    0.0038517913574041924, 0.01, 0.009951229111141357, 0.0013758849998131316]
 
 
 class TestTopopt:
@@ -274,8 +308,76 @@ class TestTopopt:
         with pytest.raises(UnsupportedOptimizationError):
             optimize_topology(cantilever, volfrac=0.5)
 
+    def test_bundled_ground_structure_pinned(self, suite_dir):
+        m = deserialize((suite_dir / "topopt_ground" / "truth.ir.json").read_text())
+        r = optimize_topology(m)
+        assert len(r.compliance_history) == 25  # 24 OC updates and the final solve
+        assert [r.areas[k] for k in sorted(r.areas)] == pytest.approx(
+            TOPOPT_GROUND_AREAS, rel=0, abs=1e-9 * max(s.area for s in m.sections))
+
     def test_volfrac_and_iters_from_analysis_spec(self):
         m = ground_structure(volfrac=0.3, iters=5)
         r = optimize_topology(m)
         assert r.final_volume_fraction <= 0.3 + 1e-6
         assert len(r.compliance_history) <= 6
+
+
+def oracle_models(suite_dir) -> list[tuple[str, IRModel]]:
+    """The 15 bundled cases and seeded random frames."""
+    rng = random.Random(7)
+    return ([(d.name, deserialize((d / "truth.ir.json").read_text()))
+             for d in sorted(suite_dir.iterdir()) if (d / "truth.ir.json").exists()]
+            + [(f"random{i}", random_frame_model(rng)) for i in range(20)])
+
+
+def dense_free(system):
+    free = np.array(sorted(set(range(system.n_dofs)) - system.constrained))
+    return free, np.ix_(free, free)
+
+
+class TestDenseOracle:
+    """Sparse results against dense linear algebra on the same K and M."""
+
+    def test_static_matches_dense_solve(self, suite_dir):
+        for name, m in oracle_models(suite_dir):
+            system = assemble(m)
+            free, ff = dense_free(system)
+            K = system.K.toarray()
+            u = np.zeros(system.n_dofs)
+            u[free] = np.linalg.solve(K[ff], system.f[free])
+            reactions = K @ u - system.f
+            r = solve_static(m)
+            index = system.dof_index
+            for got, expected in ((r.displacements, u), (r.reactions, reactions)):
+                want = [expected[index[(nid, d)]] if (nid, d) in index else 0.0
+                        for nid in got for d in ("ux", "uy", "rz")]
+                have = [c for v in got.values() for c in v]
+                scale = max(map(abs, want))
+                assert have == pytest.approx(want, rel=1e-9, abs=1e-9 * scale), name
+
+    def test_modal_matches_dense_eigh(self, suite_dir):
+        n = 3
+        for name, m in oracle_models(suite_dir):
+            r = solve_modal(m, n)
+            system = assemble(solver.subdivide_frames(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
+            free, ff = dense_free(system)
+            # the reciprocal problem M x = x K / w^2 puts the lowest modes at
+            # the top of its spectrum, where the dense solver is most accurate
+            mu, vecs = scipy.linalg.eigh(system.M.toarray()[ff], system.K.toarray()[ff])
+            k = min(n, free.size)
+            w2, vecs = 1.0 / mu[::-1][:k], vecs[:, ::-1][:, :k]
+            freqs = np.sqrt(w2) / (2 * math.pi)
+            assert r.frequencies_hz == pytest.approx(freqs, rel=1e-9), name
+            index = system.dof_index
+            translations = [i for (_, d), i in index.items() if d != "rz"]
+            for i, shape in enumerate(r.mode_shapes):
+                phi = np.zeros(system.n_dofs)
+                phi[free] = vecs[:, i]
+                phi /= np.max(np.abs(phi[translations]))  # peak translation +-1
+                want = np.array([phi[index[(nid, d)]] if (nid, d) in index else 0.0
+                                 for nid in shape for d in ("ux", "uy", "rz")])
+                have = np.array([c for v in shape.values() for c in v])
+                err = min(np.max(np.abs(have - want)), np.max(np.abs(have + want)))
+                # a repeated eigenvalue (the two-bar apex) has no unique shape
+                gap = np.sort(np.abs(1.0 / mu - w2[i]))[1] / w2[i] if mu.size > 1 else 1.0
+                assert err <= 1e-9 or gap < 1e-6, (name, i)
