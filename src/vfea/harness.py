@@ -11,11 +11,12 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ir import IRModel, deserialize, unit_box
+from .ir import IRModel, deserialize, pairs_within, unit_box
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionConfig, PerceptionFailure, ScaleConflictError,
@@ -143,10 +144,11 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
                 tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
     """Perception metrics against a reference model.
 
-    Nodes match greedily by distance within ``tol`` of the reference
-    bounding-box diagonal; connectivity is F1 over element node pairs mapped
-    through that matching; the composite overall score is the mean of node
-    accuracy and connectivity F1.
+    Nodes match greedily, nearest pair first, by a finite distance within
+    ``tol`` of the reference bounding-box diagonal, so a node with a
+    non-finite coordinate matches nothing; connectivity is F1 over element
+    node pairs mapped through that matching; the composite overall score is
+    the mean of node accuracy and connectivity F1.
     """
     schema_valid = not check_l1(predicted)
     align = predicted.coordinate_mode != truth.coordinate_mode
@@ -162,16 +164,12 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
         diagonal = 0.0
     threshold = tol * diagonal if diagonal > 0 else tol
 
-    pairs = sorted(
-        (math.dist(pp, tp), pid, tid)
-        for pid, pp in pred.items()
-        for tid, tp in ref.items()
-    )
+    pred_ids, ref_ids = list(pred), list(ref)
+    pairs = sorted((d, pred_ids[i], ref_ids[j]) for d, i, j in
+                   pairs_within(list(pred.values()), threshold, list(ref.values())))
     pred_to_truth: dict[int, int] = {}
     matched_truth: set[int] = set()
-    for d, pid, tid in pairs:
-        if d > threshold:
-            break
+    for _, pid, tid in pairs:
         if pid in pred_to_truth or tid in matched_truth:
             continue
         pred_to_truth[pid] = tid
@@ -194,12 +192,7 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
 
     pred_pairs = pair_multiset(predicted, pred_to_truth)
     truth_pairs = pair_multiset(truth, None)
-    remaining = list(truth_pairs)
-    tp = 0
-    for p in pred_pairs:
-        if p in remaining:
-            remaining.remove(p)
-            tp += 1
+    tp = sum((Counter(pred_pairs) & Counter(truth_pairs)).values())
     if not pred_pairs and not truth_pairs:
         connectivity_f1 = 1.0
     elif tp == 0:

@@ -7,6 +7,9 @@ single source of truth for the schema-integrity audit.
 from __future__ import annotations
 
 import json
+import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 DOF_ORDER = ("ux", "uy", "rz")
@@ -404,3 +407,53 @@ def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, f
     if extent == 0:
         extent = 1.0
     return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in points.items()}
+
+
+def pairs_within(points: Sequence[tuple[float, float]], r: float,
+                 others: Sequence[tuple[float, float]] | None = None,
+                 ) -> list[tuple[float, int, int]]:
+    """Every pair of points at a finite distance d = math.dist(p, q) <= r, as
+    (d, i, j) index triples: i < j into ``points``, or, when ``others`` is
+    given, i into ``points`` and j into ``others``. A point with a non-finite
+    coordinate pairs with nothing, and a NaN or negative r matches nothing.
+    Pairs come in no particular order.
+
+    The points are bucketed in a grid of square cells at least r wide, so
+    each point is compared only with those in the 3x3 cells around its own
+    (Bentley, Stanat & Williams, IPL 1977).
+    """
+    if not r >= 0:
+        return []
+    one_set = others is None
+    targets = points if one_set else others
+    span = max((max(abs(x), abs(y)) for pts in (points, targets) for x, y in pts
+                if math.isfinite(x) and math.isfinite(y)), default=0.0)
+    # A cell a little wider than r (and never subnormal, where that margin
+    # would round away), with every point at most 2**30 cells from the
+    # origin, keeps the rounding of x / cell from putting two points within
+    # r more than one cell apart, so the 3x3 scan misses no pair, and cell
+    # indices small whatever the coordinates. An infinite cell is one cell.
+    cell = max(r * (1 + 2 ** -20), span * 2 ** -30, 2 ** -1000)
+    limit = min(r, sys.float_info.max)  # an overflowing distance never matches
+    grid: dict[tuple[int, int], list[int]] = {}
+
+    def finite_cells(pts):
+        for k, (x, y) in enumerate(pts):
+            if math.isfinite(x) and math.isfinite(y):
+                yield k, math.floor(x / cell), math.floor(y / cell)
+
+    if not one_set:
+        for j, cx, cy in finite_cells(others):
+            grid.setdefault((cx, cy), []).append(j)
+    out: list[tuple[float, int, int]] = []
+    for i, cx, cy in finite_cells(points):
+        p = points[i]
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for j in grid.get((gx, gy), ()):
+                    d = math.dist(p, targets[j])
+                    if d <= limit:
+                        out.append((d, j, i) if one_set else (d, i, j))
+        if one_set:  # later points meet this one, so each pair is seen once
+            grid.setdefault((cx, cy), []).append(i)
+    return out

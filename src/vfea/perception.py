@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, canonicalize, unit_box)
+                 Material, Node, Section, canonicalize, pairs_within, unit_box)
 from .validation import (ValidationReport, accept_update, audit,
                          connected_components)
 
@@ -269,7 +269,7 @@ def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SN
     Returns pixel-space nodes (id, x, y) and elements (id, n1, n2); node ids
     are assigned in (x, y) order of the centroid, elements in segment order.
     """
-    if snap_tolerance <= 0:
+    if not snap_tolerance > 0:  # NaN too
         raise ValueError("snap_tolerance must be positive")
     structural = [(i, s) for i, s in enumerate(drawing.segments)
                   if s.stroke_class == "structural"]
@@ -277,8 +277,7 @@ def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SN
     for _, s in structural:
         points.append(s.p1)
         points.append(s.p2)
-    links = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))
-             if math.dist(points[i], points[j]) <= snap_tolerance]
+    links = [(i, j) for _, i, j in pairs_within(points, snap_tolerance)]
     clusters = connected_components(range(len(points)), links)
     centroids: list[tuple[float, float, tuple[int, ...]]] = []
     for members in clusters:

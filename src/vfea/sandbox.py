@@ -37,6 +37,11 @@ LOG_FILENAME = "run.log"
 # holds about twice that many vectors of the model's dofs, and the dense
 # path taken when the count reaches the free dofs is cubic in them.
 MAX_MODES = 100
+# Iterations one topology optimisation may run, each a full factorisation:
+# an in-process run cannot be stopped once started, so the count is checked
+# before it starts. At the default dof budget an iteration takes ~0.2 s, so
+# 200 of them fit the default 60-s wall-time budget.
+MAX_OC_ITERATIONS = 200
 
 _alloc_counter = itertools.count(1)
 
@@ -354,6 +359,10 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 modes = min(stmt.count or 1, n_dofs) if stmt.kind == "modal" else 0
                 if modes > MAX_MODES:
                     log_lines.append(f"abort: mode budget exceeded ({modes} > {MAX_MODES} modes)")
+                    return finish("ABORTED", None, None)
+                if stmt.kind == "topopt" and stmt.iters > MAX_OC_ITERATIONS:
+                    log_lines.append(f"abort: iteration budget exceeded "
+                                     f"({stmt.iters} > {MAX_OC_ITERATIONS} iterations)")
                     return finish("ABORTED", None, None)
                 if stmt.kind == "static":
                     results = solve_static(model)

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (BAR, STEEL, cantilever_model, random_frame_model,
                       two_bar_truss)
 from vfea import harness
 from vfea.cli import main as cli_main
-from vfea.harness import (CaseLoadError, CaseReport, Metrics, RunConfig,
-                          TraceSummary, aggregate, emit_report, evaluate_ir,
-                          load_case, load_suite, run_case)
-from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
-                     canonicalize, serialize)
+from vfea.harness import (DEFAULT_MATCH_TOLERANCE, CaseLoadError, CaseReport,
+                          Metrics, RunConfig, TraceSummary, aggregate,
+                          emit_report, evaluate_ir, load_case, load_suite,
+                          run_case)
+from vfea.ir import (COORDINATE_MODES, DOF_ORDER, BoundaryCondition, Element,
+                     IRModel, Load, Node, canonicalize, serialize, unit_box)
 from vfea.memory import ExperienceBuffer
 from vfea.simscript import lower_ir
+from vfea.validation import check_l1
 
 
 def four_node_truth() -> IRModel:
@@ -103,6 +108,125 @@ class TestEvaluateIR:
             model = random_frame_model(rng)
             m = evaluate_ir(model, model)
             assert (m.node_accuracy, m.connectivity_f1, m.overall) == (1.0, 1.0, 1.0)
+
+    def test_reversed_and_duplicated_elements_f1(self):
+        truth = four_node_truth()
+        # reversed order, and element 2 drawn twice: 3 of 4 predicted pairs
+        # are true positives, all 3 reference pairs are found -> F1 = 6/7
+        pred = replace(truth, elements=tuple(reversed(truth.elements))
+                       + (replace(truth.elements[1], id=4),))
+        assert evaluate_ir(pred, truth).connectivity_f1 == pytest.approx(6 / 7)
+        both = replace(truth, elements=truth.elements + (replace(truth.elements[1], id=4),))
+        assert evaluate_ir(pred, both).connectivity_f1 == 1.0
+
+    def test_nan_nodes_never_match(self, truss):
+        nan = replace(truss, nodes=tuple(replace(n, x=math.nan, y=math.nan)
+                                         for n in truss.nodes))
+        m = evaluate_ir(nan, truss)
+        assert (m.node_accuracy, m.connectivity_f1, m.overall) == (0.0, 0.0, 0.0)
+        one_nan = replace(truss, nodes=truss.nodes[:2] + (replace(truss.nodes[2], y=math.nan),))
+        m = evaluate_ir(truss, one_nan)
+        assert (m.node_accuracy, m.connectivity_f1) == (pytest.approx(2 / 3), 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_threshold(self, tol):
+        truth = four_node_truth()
+        far = replace(truth, nodes=truth.nodes[:3] + (replace(truth.nodes[3], x=-1.7e308),))
+        m = evaluate_ir(far, truth, tol)
+        # NaN matches nothing; infinity matches every finite distance
+        assert m.node_accuracy == (0.0 if math.isnan(tol) else 1.0)
+
+    @pytest.mark.parametrize("xs,expected", [
+        ((0.0, 0.0, 0.0), 1.0),              # zero diagonal: coincident nodes pair one to one
+        ((0.0, 5e-324, 1e-323), 1.0),        # subnormal diagonal: threshold rounds to 0
+        ((-1.7e308, 0.0, 1.7e308), 1.0),     # diagonal overflows to infinity
+        ((math.inf, 0.0, -math.inf), 1 / 3),  # only the finite node matches
+    ])
+    def test_degenerate_reference_geometry(self, truss, xs, expected):
+        flat = replace(truss, nodes=tuple(replace(n, x=x, y=0.0) for n, x in zip(truss.nodes, xs)))
+        assert evaluate_ir(flat, flat).node_accuracy == pytest.approx(expected)
+
+
+def naive_evaluate_ir(predicted: IRModel, truth: IRModel,
+                      tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
+    """Sort-all-pairs reference for ``evaluate_ir`` on finite coordinates."""
+    pred, ref = predicted.node_positions(), truth.node_positions()
+    if predicted.coordinate_mode != truth.coordinate_mode:
+        pred, ref = unit_box(pred), unit_box(ref)
+    diagonal = 0.0
+    if ref:
+        xs, ys = [p[0] for p in ref.values()], [p[1] for p in ref.values()]
+        diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    threshold = tol * diagonal if diagonal > 0 else tol
+    mapping: dict[int, int] = {}
+    for d, pid, tid in sorted((math.dist(p, q), pid, tid)
+                              for pid, p in pred.items() for tid, q in ref.items()):
+        if d > threshold:
+            break
+        if pid not in mapping and tid not in mapping.values():
+            mapping[pid] = tid
+    denom = max(len(pred), len(ref))
+    node_accuracy = len(mapping) / denom if denom else 1.0
+    pred_pairs = [tuple(sorted((mapping[a], mapping[b]))) if a in mapping and b in mapping
+                  else (-e.id, -e.id) for e in predicted.elements for a, b in [e.node_ids]]
+    remaining = [tuple(sorted(e.node_ids)) for e in truth.elements]
+    n_truth, tp = len(remaining), 0
+    for p in pred_pairs:
+        if p in remaining:
+            remaining.remove(p)
+            tp += 1
+    if not pred_pairs and not n_truth:
+        f1 = 1.0
+    elif tp == 0:
+        f1 = 0.0
+    else:
+        precision, recall = tp / len(pred_pairs), tp / n_truth
+        f1 = 2 * precision * recall / (precision + recall)
+    pred_bcs = {b.node_id: b.constrained_dofs for b in predicted.boundary_conditions}
+    truth_bcs = {b.node_id: b.constrained_dofs for b in truth.boundary_conditions}
+    back = {t: p for p, t in mapping.items()}
+    bc = (sum(1 for t, dofs in truth_bcs.items() if t in back and pred_bcs.get(back[t]) == dofs)
+          / len(truth_bcs)) if truth_bcs else 1.0
+    return Metrics(schema_valid=not check_l1(predicted), node_accuracy=node_accuracy,
+                   connectivity_f1=f1, bc_detection=bc, overall=(node_accuracy + f1) / 2.0)
+
+
+FINITE = st.one_of(st.integers(-6, 6).map(float), st.integers(-12, 12).map(lambda k: k / 2),
+                   st.floats(min_value=-10.0, max_value=10.0))
+ANY_FLOAT = st.one_of(FINITE, st.floats(),
+                      st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                       -5e-324, 1e-310, 1.7e308, -1.7e308]))
+
+
+@st.composite
+def ir_models(draw, coord) -> IRModel:
+    """Models ``deserialize`` accepts: duplicate, non-positive and dangling
+    ids, self-loops, either coordinate mode, coordinates drawn from ``coord``."""
+    ids = draw(st.lists(st.integers(-2, 12), max_size=10))
+    pool = st.sampled_from(ids or [1])
+    elements = tuple(Element(k + 1, "truss_bar", (draw(pool), draw(pool)), 1)
+                     for k in range(draw(st.integers(0, 10))))
+    bcs = tuple(BoundaryCondition(draw(pool), frozenset(draw(st.sets(
+        st.sampled_from(DOF_ORDER), min_size=1)))) for _ in range(draw(st.integers(0, 3))))
+    return IRModel(nodes=tuple(Node(i, draw(coord), draw(coord)) for i in ids),
+                   elements=elements, materials=(STEEL,), sections=(BAR,),
+                   boundary_conditions=bcs, loads=(Load(draw(pool), 0.0, -1.0, 0.0),),
+                   coordinate_mode=draw(st.sampled_from(COORDINATE_MODES)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ir_models(FINITE), ir_models(FINITE),
+       st.one_of(st.sampled_from([0.0, 0.02, 0.1, 0.25]), st.floats(0.0, 1.0)))
+def test_evaluate_ir_equals_sort_all_pairs_reference(predicted, truth, tol):
+    assert evaluate_ir(predicted, truth, tol) == naive_evaluate_ir(predicted, truth, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ir_models(ANY_FLOAT), ir_models(ANY_FLOAT),
+       st.one_of(st.just(DEFAULT_MATCH_TOLERANCE), ANY_FLOAT))
+def test_evaluate_ir_never_raises(predicted, truth, tol):
+    m = evaluate_ir(predicted, truth, tol)
+    assert 0.0 <= m.node_accuracy <= 1.0 and 0.0 <= m.connectivity_f1 <= 1.0
 
 
 def report(case_id: str, success: bool, retry: int | None = 0,

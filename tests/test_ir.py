@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_frame_model
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
                      Load, Node, SchemaParseError, canonicalize, deserialize,
-                     diff, serialize)
+                     diff, pairs_within, serialize)
 
 
 def shuffled(model: IRModel) -> IRModel:
@@ -146,3 +147,71 @@ def test_pure_addition_never_degenerative(model, new_id):
     grown = canonicalize(replace(model, nodes=model.nodes + (Node(new_id, 99.0, 99.0),),
                                  loads=model.loads + (Load(new_id, 1.0, 0.0, 0.0),)))
     assert not diff(model, grown).degenerative
+
+
+def naive_pairs(points, r, others=None):
+    """All-pairs reference for ``pairs_within``."""
+    targets = points if others is None else others
+    out = []
+    for i, p in enumerate(points):
+        for j, q in enumerate(targets):
+            if others is None and j <= i:
+                continue
+            d = math.dist(p, q)
+            if math.isfinite(d) and d <= r:
+                out.append((d, i, j))
+    return sorted(out)
+
+
+RADII = st.one_of(
+    st.sampled_from([0.0, 1.0, 3.0, 0.1, 2.5e-3, 5e-324, 1e-300, 1e300, math.inf, -1.0,
+                     math.nan]),
+    st.floats(min_value=0.0, allow_infinity=False))
+
+
+@st.composite
+def point_sets(draw, r):
+    """Points on multiples of r and r/2 (exactly r apart, on cell boundaries),
+    negative and arbitrary coordinates, duplicates and non-finite values."""
+    lattice = abs(r) if math.isfinite(r) and r != 0 else 1.0
+    coord = st.one_of(
+        st.integers(-6, 6).map(lambda k: k * lattice),
+        st.integers(-12, 12).map(lambda k: k * lattice / 2),
+        st.floats(min_value=-8 * lattice, max_value=8 * lattice),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7e308,
+                         1.7e308]),
+        st.floats())
+    points = draw(st.lists(st.tuples(coord, coord), max_size=24))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))  # duplicates
+    return points
+
+
+class TestPairsWithin:
+    def test_exactly_r_apart_across_a_cell_boundary(self):
+        assert pairs_within([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)], 3.0) == [(3.0, 0, 1)]
+
+    def test_two_sets_pair_first_to_second(self):
+        got = sorted(pairs_within([(0.0, 0.0), (10.0, 0.0)], 1.0, [(10.5, 0.0), (0.0, 1.0)]))
+        assert got == [(0.5, 1, 0), (1.0, 0, 1)]
+
+    def test_non_finite_points_and_radii_match_nothing(self):
+        points = [(math.nan, 0.0), (math.nan, 0.0), (math.inf, 0.0), (math.inf, 0.0)]
+        assert pairs_within(points, 1.0) == []
+        assert pairs_within([(0.0, 0.0), (0.0, 0.0)], math.nan) == []
+        # an infinite radius takes every finite distance, never an overflowing one
+        far = [(-1.7e308, 0.0), (0.0, 0.0), (1.7e308, 0.0)]
+        assert sorted((i, j) for _, i, j in pairs_within(far, math.inf)) == [(0, 1), (1, 2)]
+
+    def test_subnormal_radius_beside_huge_coordinates(self):
+        points = [(1e300, 0.0), (1e300, 5e-324), (-1e300, 0.0), (5e-324, 0.0), (0.0, 0.0)]
+        assert sorted(pairs_within(points, 5e-324)) == naive_pairs(points, 5e-324)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), RADII)
+def test_pairs_within_equals_all_pairs(data, r):
+    points = data.draw(point_sets(r))
+    assert sorted(pairs_within(points, r)) == naive_pairs(points, r)
+    others = data.draw(point_sets(r))
+    assert sorted(pairs_within(points, r, others)) == naive_pairs(points, r, others)

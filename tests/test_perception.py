@@ -4,18 +4,24 @@ the orchestration loop with scripted reasoning hooks."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vfea.ir import IRModel
+from conftest import SUITE_DIR
+from vfea.harness import load_case
+from vfea.ir import IRModel, serialize
 from vfea.perception import (DegenerateElementError,
                              DrawingParseError, PerceptionConfig,
-                             PerceptionFailure, ScaleConflictError,
-                             SemanticsError, attach_semantics,
-                             default_reasoning, infer_scale, infer_topology,
-                             orchestrate, parse_drawing, parse_magnitude)
-from vfea.validation import audit
+                             PerceptionFailure, PrimitiveDrawing,
+                             ScaleConflictError, Segment, SemanticsError,
+                             attach_semantics, default_reasoning, infer_scale,
+                             infer_topology, orchestrate, parse_drawing,
+                             parse_magnitude)
+from vfea.validation import audit, connected_components
 
 TWO_SEGMENTS_PIN = json.dumps({
     "segments": [
@@ -138,6 +144,11 @@ class TestInferTopology:
         with pytest.raises(DegenerateElementError):
             infer_topology(parse_drawing(json.dumps(doc)), 3.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            infer_topology(parse_drawing(TWO_SEGMENTS_PIN), tol)
+
     def test_scale_invariance_under_power_of_two(self):
         # exact fp scaling: doubling coordinates and tolerance preserves incidence
         d = parse_drawing(TWO_SEGMENTS_PIN)
@@ -148,6 +159,62 @@ class TestInferTopology:
         nodes, elems = infer_topology(scaled, 12.0)
         assert elems == base_elems
         assert [n[0] for n in nodes] == [n[0] for n in base_nodes]
+
+
+def naive_topology(drawing: PrimitiveDrawing, tol: float):
+    """All-pairs reference for ``infer_topology``."""
+    structural = [s for s in drawing.segments if s.stroke_class == "structural"]
+    points = [p for s in structural for p in (s.p1, s.p2)]
+    links = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))
+             if math.dist(points[i], points[j]) <= tol]
+    centroids = sorted(((sum(points[i][0] for i in m) / len(m),
+                         sum(points[i][1] for i in m) / len(m), m)
+                        for m in connected_components(range(len(points)), links)),
+                       key=lambda c: (c[0], c[1]))
+    node_of = {i: nid for nid, (_, _, m) in enumerate(centroids, start=1) for i in m}
+    elements = tuple((k + 1, node_of[2 * k], node_of[2 * k + 1]) for k in range(len(structural)))
+    if any(a == b for _, a, b in elements):
+        raise DegenerateElementError("collapsed segment")
+    return tuple((nid, cx, cy) for nid, (cx, cy, _) in enumerate(centroids, start=1)), elements
+
+
+@st.composite
+def structural_drawings(draw):
+    """Segments whose endpoints sit on multiples of the tolerance (exactly one
+    tolerance apart), on half multiples, or anywhere near; negative
+    coordinates, shared endpoints and non-structural strokes included."""
+    tol = draw(st.one_of(st.sampled_from([0.5, 1.0, 3.0]),
+                         st.floats(min_value=1e-3, max_value=10.0)))
+    coord = st.one_of(st.integers(-4, 4).map(lambda k: k * tol),
+                      st.integers(-8, 8).map(lambda k: k * tol / 2),
+                      st.floats(min_value=-5 * tol, max_value=5 * tol))
+    point = st.tuples(coord, coord)
+    segments = draw(st.lists(st.builds(Segment, point, point,
+                                       st.sampled_from(["structural"] * 4 + ["dimension"])),
+                             max_size=16))
+    return PrimitiveDrawing(segments=tuple(segments)), tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(structural_drawings())
+def test_infer_topology_equals_all_pairs_reference(drawing_and_tol):
+    drawing, tol = drawing_and_tol
+    try:
+        expected = naive_topology(drawing, tol)
+    except DegenerateElementError:
+        with pytest.raises(DegenerateElementError):
+            infer_topology(drawing, tol)
+    else:
+        assert infer_topology(drawing, tol) == expected
+
+
+@pytest.mark.parametrize("case_dir", sorted(p.parent for p in SUITE_DIR.glob("*/case.json")),
+                         ids=lambda p: p.name)
+def test_bundled_case_perceives_its_reference_model(case_dir):
+    case = load_case(case_dir)
+    model = orchestrate(case.drawing_path.read_text(encoding="utf-8"),
+                        case.context_path.read_text(encoding="utf-8"))
+    assert serialize(model) == case.truth_ir_path.read_text(encoding="utf-8")
 
 
 class TestMagnitude:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
-from vfea.sandbox import (MAX_MODES, Limits, ResultsCorruptError, ResultsMissingError,
-                          WorkspaceError, allocate_workspace, execute,
-                          read_results, write_results_file)
+from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits, ResultsCorruptError,
+                          ResultsMissingError, WorkspaceError, allocate_workspace,
+                          execute, read_results, write_results_file)
 from vfea.simscript import lower_ir
 from vfea.solver import TopoResult
 
@@ -102,6 +102,16 @@ class TestExecute:
             assert f"({MAX_MODES + 1} > {MAX_MODES} modes)" in out.log
         else:
             assert len(read_results(out.results_path).frequencies_hz) < MAX_MODES
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_oc_iteration_budget(self, tmp_path, mode):
+        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1), tmp_path)
+        out = execute(script, allocate_workspace(tmp_path, "oc"), Limits(), mode=mode)
+        assert out.status == "ABORTED" and out.runtime_error is None
+        assert f"({MAX_OC_ITERATIONS + 1} > {MAX_OC_ITERATIONS} iterations)" in out.log
+        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS), tmp_path)
+        assert execute(script, allocate_workspace(tmp_path, "oc"), Limits(),
+                       mode=mode).status == "COMPLETED"
 
     def test_parse_failure_reports_line(self, tmp_path):
         ws = allocate_workspace(tmp_path, "parse")
