@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ir import IRModel, deserialize, pairs_within, unit_box
+from .ir import IRModel, bounding_box, deserialize, pairs_within, unit_box
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionConfig, PerceptionFailure, ScaleConflictError,
@@ -63,8 +63,6 @@ class RunConfig:
     workspace_root: Path | None = None
     out_dir: Path | None = None
     parallel: int = 1
-    match_tolerance: float = DEFAULT_MATCH_TOLERANCE
-    modal_subdivisions: int = 4
     execution_mode: str = "inprocess"
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     limits: Limits = field(default_factory=Limits)
@@ -146,7 +144,8 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
 
     Nodes match greedily, nearest pair first, by a finite distance within
     ``tol`` of the reference bounding-box diagonal, so a node with a
-    non-finite coordinate matches nothing; connectivity is F1 over element
+    non-finite coordinate matches nothing (and, like any non-finite point,
+    is left out of that box); connectivity is F1 over element
     node pairs mapped through that matching; the composite overall score is
     the mean of node accuracy and connectivity F1.
     """
@@ -156,12 +155,8 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
     if align:
         pred, ref = unit_box(pred), unit_box(ref)
 
-    if ref:
-        xs = [p[0] for p in ref.values()]
-        ys = [p[1] for p in ref.values()]
-        diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    else:
-        diagonal = 0.0
+    box = bounding_box(ref.values())
+    diagonal = math.hypot(box[2] - box[0], box[3] - box[1]) if box else 0.0
     threshold = tol * diagonal if diagonal > 0 else tol
 
     pred_ids, ref_ids = list(pred), list(ref)
@@ -268,7 +263,7 @@ def run_case(case: CaseSpec, config: RunConfig,
     report.timings["perception_s"] = time.monotonic() - t0
 
     if truth is not None:
-        report.metrics = evaluate_ir(model, truth, config.match_tolerance)
+        report.metrics = evaluate_ir(model, truth)
     else:
         report.metrics = replace(report.metrics, schema_valid=not check_l1(model))
 
@@ -278,9 +273,7 @@ def run_case(case: CaseSpec, config: RunConfig,
         _, results, trace = synthesize(
             model, config.max_retries, buffer, generator,
             config.resolved_workspace_root(), fallback_enabled=config.fallback_enabled,
-            limits=config.limits, task_id=case.case_id,
-            modal_subdivisions=config.modal_subdivisions,
-            execution_mode=config.execution_mode)
+            limits=config.limits, task_id=case.case_id, execution_mode=config.execution_mode)
     except SynthesisExhaustedError as exc:
         report.error = f"synthesis: retry budget exhausted ({len(exc.trace.attempts)} attempts)"
         report.trace = _summarize_trace(exc.trace, verified=False)

@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 DOF_ORDER = ("ux", "uy", "rz")
 ELEMENT_KINDS = ("truss_bar", "frame_beam")
@@ -194,216 +195,208 @@ def diff(old: IRModel, new: IRModel) -> ChangeSet:
 
 # --- text document schema -------------------------------------------------
 
-def _analysis_to_doc(a: AnalysisSpec) -> dict:
-    doc: dict = {"mode": a.mode}
-    if a.modal_count is not None:
-        doc["modal_count"] = a.modal_count
-    if a.opt_volume_fraction is not None:
-        doc["volfrac"] = a.opt_volume_fraction
-    if a.opt_max_iterations is not None:
-        doc["max_iterations"] = a.opt_max_iterations
-    return doc
+class _Defect(Exception):
+    """A schema defect in the value being read. ``where`` gathers the keys
+    and indices that lead to it, innermost first, as it propagates up; the
+    path string is only built once it reaches ``deserialize``."""
+
+    def __init__(self, reason: str, *where: str | int):
+        self.reason = reason
+        self.where = list(where)
+
+
+def _expected(what: str, value: object) -> _Defect:
+    return _Defect(f"expected {what}, got {type(value).__name__}")
+
+
+def _int(value):
+    if type(value) is not int:
+        raise _expected("integer", value)
+    return value
+
+
+def _float(value):
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # a bool too
+        raise _expected("number", value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Defect("number out of float range") from None
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise _expected("string", value)
+    return value
+
+
+def _one_of(choices: tuple[str, ...]):
+    def read(value):
+        if _text(value) not in choices:
+            raise _Defect(f"expected one of {choices}, got {value!r}")
+        return value
+    return read
+
+
+def _array(read_item):
+    def read(value):
+        if not isinstance(value, list):
+            raise _expected("array", value)
+        out = []
+        try:
+            for i, item in enumerate(value):
+                out.append(read_item(item))
+        except _Defect as defect:
+            defect.where.append(i)
+            raise
+        return tuple(out)
+    return read
+
+
+_node_ids = _array(_int)
+_dofs = _array(_one_of(DOF_ORDER))
+
+
+def _pair(value):
+    ids = _node_ids(value)
+    if len(ids) != 2:
+        raise _Defect(f"expected exactly 2 node ids, got {len(ids)}")
+    return ids
+
+
+class _Field(NamedTuple):
+    key: str       # document key
+    attr: str      # attribute of the model object
+    read: Callable[[object], object]
+    required: bool = True
+
+
+def _record(cls: type):
+    """Reader of one object of ``cls``: its keys must all be known and the
+    required ones present (the first one missing in table order is named),
+    and each field is read in table order."""
+    fields = _RECORDS[cls]
+    known = {f.key for f in fields}
+    required = {f.key for f in fields if f.required}
+
+    def read(doc):
+        if not isinstance(doc, dict):
+            raise _expected("object", doc)
+        if not known.issuperset(doc):
+            raise _Defect("unknown field", next(k for k in doc if k not in known))
+        if not required.issubset(doc):
+            raise _Defect("missing required field",
+                          next(f.key for f in fields if f.required and f.key not in doc))
+        values = {}
+        try:
+            for key, attr, read_value, _ in fields:
+                if key in doc:
+                    values[attr] = read_value(doc[key])
+        except _Defect as defect:
+            defect.where.append(key)
+            raise
+        return cls(**values)
+    return read
+
+
+# Every record kind of the document, each field in the documented key order
+# (docs/ir-schema.md). Optional fields default to the attribute's default on
+# reading and are left out when None on writing.
+_RECORDS: dict[type, tuple[_Field, ...]] = {
+    Node: (_Field("id", "id", _int), _Field("x", "x", _float), _Field("y", "y", _float)),
+    Element: (_Field("id", "id", _int), _Field("kind", "kind", _one_of(ELEMENT_KINDS)),
+              _Field("nodes", "node_ids", _pair), _Field("section", "section_id", _int)),
+    Material: (_Field("id", "id", _int), _Field("youngs_modulus", "youngs_modulus", _float),
+               _Field("poisson_ratio", "poisson_ratio", _float),
+               _Field("density", "density", _float)),
+    Section: (_Field("id", "id", _int), _Field("material", "material_id", _int),
+              _Field("area", "area", _float),
+              _Field("moment_of_inertia", "moment_of_inertia", _float, required=False)),
+    BoundaryCondition: (_Field("node", "node_id", _int),
+                        _Field("dofs", "constrained_dofs", lambda v: frozenset(_dofs(v)))),
+    Load: (_Field("node", "node_id", _int), _Field("fx", "fx", _float),
+           _Field("fy", "fy", _float), _Field("mz", "mz", _float)),
+    AnalysisSpec: (_Field("mode", "mode", _one_of(ANALYSIS_MODES)),
+                   _Field("modal_count", "modal_count", _int, required=False),
+                   _Field("volfrac", "opt_volume_fraction", _float, required=False),
+                   _Field("max_iterations", "opt_max_iterations", _int, required=False)),
+}
+_RECORDS[IRModel] = (
+    _Field("nodes", "nodes", _array(_record(Node))),
+    _Field("elements", "elements", _array(_record(Element))),
+    _Field("materials", "materials", _array(_record(Material))),
+    _Field("sections", "sections", _array(_record(Section))),
+    _Field("bcs", "boundary_conditions", _array(_record(BoundaryCondition))),
+    _Field("loads", "loads", _array(_record(Load))),
+    _Field("analysis", "analysis", _record(AnalysisSpec)),
+    _Field("coordinate_mode", "coordinate_mode", _one_of(COORDINATE_MODES)),
+    _Field("provenance", "provenance", _text, required=False),
+)
+_read_model = _record(IRModel)
+
+
+def _to_doc(value):
+    """The document form of a model value: a record's fields in table order,
+    None ones left out; a tuple as an array; a dof set in DOF_ORDER."""
+    fields = _RECORDS.get(type(value))
+    if fields is not None:
+        return {f.key: _to_doc(v) for f in fields if (v := getattr(value, f.attr)) is not None}
+    if isinstance(value, (tuple, list)):
+        return [_to_doc(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [d for d in DOF_ORDER if d in value]
+    return value
 
 
 def serialize(model: IRModel) -> str:
     """Render the model as the canonical text document (deterministic order)."""
-    doc = {
-        "nodes": [{"id": n.id, "x": n.x, "y": n.y} for n in model.nodes],
-        "elements": [
-            {"id": e.id, "kind": e.kind, "nodes": list(e.node_ids), "section": e.section_id}
-            for e in model.elements
-        ],
-        "materials": [
-            {"id": m.id, "youngs_modulus": m.youngs_modulus,
-             "poisson_ratio": m.poisson_ratio, "density": m.density}
-            for m in model.materials
-        ],
-        "sections": [
-            {"id": s.id, "material": s.material_id, "area": s.area}
-            | ({} if s.moment_of_inertia is None else {"moment_of_inertia": s.moment_of_inertia})
-            for s in model.sections
-        ],
-        "bcs": [{"node": b.node_id, "dofs": list(b.sorted_dofs())} for b in model.boundary_conditions],
-        "loads": [{"node": l.node_id, "fx": l.fx, "fy": l.fy, "mz": l.mz} for l in model.loads],
-        "analysis": _analysis_to_doc(model.analysis),
-        "coordinate_mode": model.coordinate_mode,
-        "provenance": model.provenance,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-class _Reader:
-    """Strict walker over a decoded document; errors carry the field path."""
-
-    def __init__(self, doc: object, path: str = "$"):
-        self.doc = doc
-        self.path = path
-
-    def fail(self, reason: str):
-        raise SchemaParseError(self.path, reason)
-
-    def as_object(self, allowed: set[str], required: set[str]) -> dict:
-        if not isinstance(self.doc, dict):
-            self.fail(f"expected object, got {type(self.doc).__name__}")
-        for key in self.doc:
-            if key not in allowed:
-                raise SchemaParseError(f"{self.path}.{key}", "unknown field")
-        for key in required:
-            if key not in self.doc:
-                raise SchemaParseError(f"{self.path}.{key}", "missing required field")
-        return self.doc
-
-    def child(self, key: str, default=None, *, required: bool = True) -> "_Reader":
-        assert isinstance(self.doc, dict)
-        if key not in self.doc:
-            if required:
-                raise SchemaParseError(f"{self.path}.{key}", "missing required field")
-            return _Reader(default, f"{self.path}.{key}")
-        return _Reader(self.doc[key], f"{self.path}.{key}")
-
-    def items(self) -> list["_Reader"]:
-        if not isinstance(self.doc, list):
-            self.fail(f"expected array, got {type(self.doc).__name__}")
-        return [_Reader(v, f"{self.path}[{i}]") for i, v in enumerate(self.doc)]
-
-    def as_int(self) -> int:
-        if type(self.doc) is not int:
-            self.fail(f"expected integer, got {type(self.doc).__name__}")
-        return self.doc
-
-    def as_float(self) -> float:
-        if type(self.doc) is bool or not isinstance(self.doc, (int, float)):
-            self.fail(f"expected number, got {type(self.doc).__name__}")
-        return float(self.doc)
-
-    def as_str(self, choices: tuple[str, ...] | None = None) -> str:
-        if not isinstance(self.doc, str):
-            self.fail(f"expected string, got {type(self.doc).__name__}")
-        if choices is not None and self.doc not in choices:
-            self.fail(f"expected one of {choices}, got {self.doc!r}")
-        return self.doc
-
-
-_TOP_KEYS = {"nodes", "elements", "materials", "sections", "bcs", "loads",
-             "analysis", "coordinate_mode", "provenance"}
+    return json.dumps(_to_doc(model), indent=2) + "\n"
 
 
 def deserialize(text: str) -> IRModel:
     """Parse an IR document.
 
-    Structurally malformed input (bad syntax, wrong types, unknown fields)
-    raises SchemaParseError. Semantic defects such as empty arrays or
-    dangling references parse fine and are left to the L1 audit.
+    Structurally malformed input (bad syntax, wrong types, unknown fields,
+    numbers beyond the float range) raises SchemaParseError. Semantic
+    defects such as empty arrays or dangling references parse fine and are
+    left to the L1 audit.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an overlong integer
         raise SchemaParseError("$", f"invalid document syntax: {exc}") from None
-
-    root = _Reader(raw)
-    root.as_object(_TOP_KEYS, _TOP_KEYS - {"provenance"})
-
-    nodes = []
-    for r in root.child("nodes").items():
-        r.as_object({"id", "x", "y"}, {"id", "x", "y"})
-        nodes.append(Node(id=r.child("id").as_int(),
-                          x=r.child("x").as_float(), y=r.child("y").as_float()))
-
-    elements = []
-    for r in root.child("elements").items():
-        r.as_object({"id", "kind", "nodes", "section"}, {"id", "kind", "nodes", "section"})
-        pair = r.child("nodes")
-        ids = [p.as_int() for p in pair.items()]
-        if len(ids) != 2:
-            pair.fail(f"expected exactly 2 node ids, got {len(ids)}")
-        elements.append(Element(
-            id=r.child("id").as_int(),
-            kind=r.child("kind").as_str(ELEMENT_KINDS),
-            node_ids=(ids[0], ids[1]),
-            section_id=r.child("section").as_int(),
-        ))
-
-    materials = []
-    for r in root.child("materials").items():
-        r.as_object({"id", "youngs_modulus", "poisson_ratio", "density"},
-                    {"id", "youngs_modulus", "poisson_ratio", "density"})
-        materials.append(Material(
-            id=r.child("id").as_int(),
-            youngs_modulus=r.child("youngs_modulus").as_float(),
-            poisson_ratio=r.child("poisson_ratio").as_float(),
-            density=r.child("density").as_float(),
-        ))
-
-    sections = []
-    for r in root.child("sections").items():
-        r.as_object({"id", "material", "area", "moment_of_inertia"}, {"id", "material", "area"})
-        inertia = None
-        if isinstance(r.doc, dict) and "moment_of_inertia" in r.doc:
-            inertia = r.child("moment_of_inertia").as_float()
-        sections.append(Section(
-            id=r.child("id").as_int(),
-            material_id=r.child("material").as_int(),
-            area=r.child("area").as_float(),
-            moment_of_inertia=inertia,
-        ))
-
-    bcs = []
-    for r in root.child("bcs").items():
-        r.as_object({"node", "dofs"}, {"node", "dofs"})
-        dofs = frozenset(d.as_str(DOF_ORDER) for d in r.child("dofs").items())
-        bcs.append(BoundaryCondition(node_id=r.child("node").as_int(), constrained_dofs=dofs))
-
-    loads = []
-    for r in root.child("loads").items():
-        r.as_object({"node", "fx", "fy", "mz"}, {"node", "fx", "fy", "mz"})
-        loads.append(Load(node_id=r.child("node").as_int(),
-                          fx=r.child("fx").as_float(),
-                          fy=r.child("fy").as_float(),
-                          mz=r.child("mz").as_float()))
-
-    ar = root.child("analysis")
-    ar.as_object({"mode", "modal_count", "volfrac", "max_iterations"}, {"mode"})
-    mode = ar.child("mode").as_str(ANALYSIS_MODES)
-    adoc = ar.doc
-    assert isinstance(adoc, dict)
-    analysis = AnalysisSpec(
-        mode=mode,
-        modal_count=ar.child("modal_count").as_int() if "modal_count" in adoc else None,
-        opt_volume_fraction=ar.child("volfrac").as_float() if "volfrac" in adoc else None,
-        opt_max_iterations=ar.child("max_iterations").as_int() if "max_iterations" in adoc else None,
-    )
-
-    return IRModel(
-        nodes=tuple(nodes),
-        elements=tuple(elements),
-        materials=tuple(materials),
-        sections=tuple(sections),
-        boundary_conditions=tuple(bcs),
-        loads=tuple(loads),
-        analysis=analysis,
-        coordinate_mode=root.child("coordinate_mode").as_str(COORDINATE_MODES),
-        provenance=root.child("provenance", default="", required=False).doc or "",
-    )
+    try:
+        return _read_model(raw)
+    except _Defect as defect:
+        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                       for p in reversed(defect.where))
+        raise SchemaParseError("$" + path, defect.reason) from None
 
 
-def bounding_box(model: IRModel) -> tuple[float, float, float, float] | None:
-    """(xmin, ymin, xmax, ymax) over the node set, or None when empty."""
-    if not model.nodes:
+def bounding_box(points: Iterable[tuple[float, float]]
+                 ) -> tuple[float, float, float, float] | None:
+    """(xmin, ymin, xmax, ymax) over the points with finite coordinates, or
+    None when there are none. A non-finite point is skipped, so the box does
+    not depend on where such a point is listed."""
+    finite = [p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])]
+    if not finite:
         return None
-    xs = [n.x for n in model.nodes]
-    ys = [n.y for n in model.nodes]
+    xs = [p[0] for p in finite]
+    ys = [p[1] for p in finite]
     return min(xs), min(ys), max(xs), max(ys)
 
 
 def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
     """Shift the points' bounding box to the origin and scale its longer side
-    to 1 (aspect ratio kept; a single point maps to the origin)."""
-    if not points:
-        return {}
-    xs = [p[0] for p in points.values()]
-    ys = [p[1] for p in points.values()]
-    x0, y0 = min(xs), min(ys)
-    extent = max(max(xs) - x0, max(ys) - y0)
+    to 1 (aspect ratio kept; a single point maps to the origin). The box
+    spans the finite points; without any, the points are returned as they are."""
+    box = bounding_box(points.values())
+    if box is None:
+        return dict(points)
+    x0, y0, x1, y1 = box
+    extent = max(x1 - x0, y1 - y0)
     if extent == 0:
         extent = 1.0
     return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in points.items()}

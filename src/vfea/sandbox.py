@@ -20,15 +20,14 @@ from pathlib import Path
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section)
-from .simscript import (Analyze, Delete, ElementDef, End, Fix, LoadStmt,
-                        MaterialDef, ModelBegin, NodeDef, ScriptParseError,
-                        SectionDef, WorkspaceStmt, WriteResults,
-                        SCRIPT_TO_KIND, _inside_workspace, _stmt_text,
-                        parse_script)
-from .solver import (AssemblyError, ModalResult, SingularSystemError,
-                     StaticResult, TopoResult, UnsupportedOptimizationError,
-                     build_dof_index, optimize_topology, solve_modal,
-                     solve_static, subdivide_frames)
+from .simscript import (Analyze, Declare, Delete, End, Entity, ModelBegin,
+                        ScriptParseError, WorkspaceStmt, WriteResults,
+                        _inside_workspace, _stmt_text, parse_script)
+from .solver import (DEFAULT_MODAL_SUBDIVISIONS, AssemblyError, ModalResult,
+                     SingularSystemError, StaticResult, TopoResult,
+                     UnsupportedOptimizationError, build_dof_index,
+                     optimize_topology, solve_modal, solve_static,
+                     subdivide_frames)
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -147,7 +146,7 @@ def _results_to_doc(rs: ResultSet) -> dict:
 
 
 def write_results_file(rs: ResultSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_results_to_doc(rs), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(_results_to_doc(rs)) + "\n", encoding="utf-8")
 
 
 def _triple(v, what: str) -> tuple[float, float, float]:
@@ -215,10 +214,27 @@ class _ModelBuilder:
         self.elements: dict[int, Element] = {}
         self.bcs: dict[int, BoundaryCondition] = {}
         self.loads: dict[int, Load] = {}
+        self._by_id = {Node: self.nodes, Material: self.materials, Section: self.sections,
+                       Element: self.elements}
 
     def require_begun(self):
         if not self.begun:
             raise _RuntimeStop("state", "no active model: missing 'model begin'")
+
+    def declare(self, entity: Entity):
+        """Store a declared entity under its id; a fix adds its dofs to those
+        already fixed at the node, a load adds to the node's load."""
+        self.require_begun()
+        if isinstance(entity, BoundaryCondition):
+            prev = self.bcs.get(entity.node_id)
+            dofs = entity.constrained_dofs | (prev.constrained_dofs if prev else frozenset())
+            self.bcs[entity.node_id] = BoundaryCondition(entity.node_id, dofs)
+        elif isinstance(entity, Load):
+            prev = self.loads.get(entity.node_id) or Load(entity.node_id)
+            self.loads[entity.node_id] = Load(entity.node_id, entity.fx + prev.fx,
+                                              entity.fy + prev.fy, entity.mz + prev.mz)
+        else:
+            self._by_id[type(entity)][entity.id] = entity
 
     def to_ir(self, analysis: AnalysisSpec) -> IRModel:
         return IRModel(
@@ -233,7 +249,7 @@ class _ModelBuilder:
 
 
 def execute(script_text: str, workspace: Workspace, limits: Limits,
-            modal_subdivisions: int = 4, mode: str = "inprocess") -> ExecutionOutcome:
+            mode: str = "inprocess") -> ExecutionOutcome:
     """Interpret a script inside its workspace under the resource budget.
 
     Errors never escape: parse and runtime faults yield a FAILED outcome,
@@ -243,7 +259,7 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     contract.
     """
     if mode == "subprocess":
-        return _execute_subprocess(script_text, workspace, limits, modal_subdivisions)
+        return _execute_subprocess(script_text, workspace, limits)
     if mode != "inprocess":
         raise ValueError(f"unknown execution mode {mode!r}")
     start = time.monotonic()
@@ -291,35 +307,8 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
         try:
             if isinstance(stmt, ModelBegin):
                 builder.begun = True
-            elif isinstance(stmt, NodeDef):
-                builder.require_begun()
-                builder.nodes[stmt.node_id] = Node(stmt.node_id, stmt.x, stmt.y)
-            elif isinstance(stmt, MaterialDef):
-                builder.require_begun()
-                builder.materials[stmt.material_id] = Material(
-                    stmt.material_id, stmt.youngs_modulus, stmt.poisson_ratio, stmt.density)
-            elif isinstance(stmt, SectionDef):
-                builder.require_begun()
-                builder.sections[stmt.section_id] = Section(
-                    stmt.section_id, stmt.material_id, stmt.area, stmt.moment_of_inertia)
-            elif isinstance(stmt, ElementDef):
-                builder.require_begun()
-                builder.elements[stmt.element_id] = Element(
-                    stmt.element_id, SCRIPT_TO_KIND[stmt.kind], (stmt.n1, stmt.n2),
-                    stmt.section_id)
-            elif isinstance(stmt, Fix):
-                builder.require_begun()
-                prev = builder.bcs.get(stmt.node_id)
-                dofs = frozenset(stmt.dofs) | (prev.constrained_dofs if prev else frozenset())
-                builder.bcs[stmt.node_id] = BoundaryCondition(stmt.node_id, dofs)
-            elif isinstance(stmt, LoadStmt):
-                builder.require_begun()
-                prev = builder.loads.get(stmt.node_id)
-                builder.loads[stmt.node_id] = Load(
-                    stmt.node_id,
-                    stmt.fx + (prev.fx if prev else 0.0),
-                    stmt.fy + (prev.fy if prev else 0.0),
-                    stmt.mz + (prev.mz if prev else 0.0))
+            elif isinstance(stmt, Declare):
+                builder.declare(stmt.entity)
             elif isinstance(stmt, WorkspaceStmt):
                 resolve_path(stmt.path)  # containment check only
             elif isinstance(stmt, Delete):
@@ -335,42 +324,35 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 del table[target_id]
             elif isinstance(stmt, Analyze):
                 builder.require_begun()
-                if stmt.kind == "static":
-                    spec = AnalysisSpec(mode="static")
-                elif stmt.kind == "modal":
-                    spec = AnalysisSpec(mode="modal", modal_count=stmt.count)
-                else:
-                    spec = AnalysisSpec(mode="topology_optimization",
-                                        opt_volume_fraction=stmt.volfrac,
-                                        opt_max_iterations=stmt.iters)
+                spec = stmt.spec
                 model = builder.to_ir(spec)
                 schema_findings = check_l1(model)
                 if schema_findings:
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
                 # the budget counts the dofs the solver factorizes: modal
                 # analysis solves the subdivided model
-                solved = (subdivide_frames(model, modal_subdivisions)
-                          if stmt.kind == "modal" else model)
+                modal = spec.mode == "modal"
+                solved = subdivide_frames(model, DEFAULT_MODAL_SUBDIVISIONS) if modal else model
                 n_dofs = len(build_dof_index(solved))
                 if n_dofs > limits.max_solver_dofs:
                     log_lines.append(f"abort: solver budget exceeded "
                                      f"({n_dofs} > {limits.max_solver_dofs} dofs)")
                     return finish("ABORTED", None, None)
-                modes = min(stmt.count or 1, n_dofs) if stmt.kind == "modal" else 0
+                modes = min(spec.modal_count or 1, n_dofs) if modal else 0
                 if modes > MAX_MODES:
                     log_lines.append(f"abort: mode budget exceeded ({modes} > {MAX_MODES} modes)")
                     return finish("ABORTED", None, None)
-                if stmt.kind == "topopt" and stmt.iters > MAX_OC_ITERATIONS:
+                iters = spec.opt_max_iterations
+                if spec.mode == "topology_optimization" and iters > MAX_OC_ITERATIONS:
                     log_lines.append(f"abort: iteration budget exceeded "
-                                     f"({stmt.iters} > {MAX_OC_ITERATIONS} iterations)")
+                                     f"({iters} > {MAX_OC_ITERATIONS} iterations)")
                     return finish("ABORTED", None, None)
-                if stmt.kind == "static":
+                if spec.mode == "static":
                     results = solve_static(model)
-                elif stmt.kind == "modal":
-                    results = solve_modal(model, stmt.count or 1,
-                                          subdivisions=modal_subdivisions)
+                elif modal:
+                    results = solve_modal(model, spec.modal_count or 1)
                 else:
-                    results = optimize_topology(model, stmt.volfrac, stmt.iters)
+                    results = optimize_topology(model, spec.opt_volume_fraction, iters)
                 analyzed = True
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):
@@ -417,14 +399,14 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     return finish("COMPLETED", results_path, None)
 
 
-def _execute_subprocess(script_text: str, workspace: Workspace, limits: Limits,
-                        modal_subdivisions: int) -> ExecutionOutcome:
+def _execute_subprocess(script_text: str, workspace: Workspace,
+                        limits: Limits) -> ExecutionOutcome:
     """Run the interpreter in a child OS process; same artifacts and outcome."""
     ws_root = Path(workspace.root)
     (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
     cmd = [sys.executable, "-m", "vfea.sandbox", str(ws_root), workspace.task_id,
            str(limits.max_statements), str(limits.max_solver_dofs),
-           str(limits.max_wall_time), str(modal_subdivisions)]
+           str(limits.max_wall_time)]
     start = time.monotonic()
 
     def stop(status: str, diagnostic: str, fault: RuntimeFault | None) -> ExecutionOutcome:
@@ -465,7 +447,7 @@ def _child_main(argv: list[str]) -> int:
                     max_wall_time=float(argv[4]))
     script_text = (ws_root / SCRIPT_FILENAME).read_text(encoding="utf-8")
     ws = Workspace(root=ws_root, task_id=task_id, created_at=time.time())
-    out = execute(script_text, ws, limits, modal_subdivisions=int(argv[5]))
+    out = execute(script_text, ws, limits)
     print(json.dumps({
         "status": out.status,
         "results_path": str(out.results_path) if out.results_path else None,

@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import DOF_ORDER, IRModel, canonicalize
+from .ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, IRModel,
+                 Load, Material, Node, Section, canonicalize)
 
 KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
 SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
@@ -23,6 +24,8 @@ PROTECTED_ROOT = ("model", "root")
 DEFAULT_VOLFRAC = 0.5   # conservative volume-constraint prior
 DEFAULT_OPT_ITERS = 50
 RESULTS_FILENAME = "results.res"
+
+Entity = Node | Material | Section | Element | BoundaryCondition | Load
 
 
 class ScriptParseError(Exception):
@@ -48,49 +51,10 @@ class ModelBegin(Statement):
 
 
 @dataclass(frozen=True)
-class NodeDef(Statement):
-    node_id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class MaterialDef(Statement):
-    material_id: int
-    youngs_modulus: float
-    poisson_ratio: float
-    density: float
-
-
-@dataclass(frozen=True)
-class SectionDef(Statement):
-    section_id: int
-    material_id: int
-    area: float
-    moment_of_inertia: float | None
-
-
-@dataclass(frozen=True)
-class ElementDef(Statement):
-    element_id: int
-    kind: str  # "truss" | "frame"
-    n1: int
-    n2: int
-    section_id: int
-
-
-@dataclass(frozen=True)
-class Fix(Statement):
-    node_id: int
-    dofs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class LoadStmt(Statement):
-    node_id: int
-    fx: float
-    fy: float
-    mz: float
+class Declare(Statement):
+    """A ``node``, ``material``, ``section``, ``element``, ``fix`` or ``load``
+    statement, carrying the model entity it declares."""
+    entity: Entity
 
 
 @dataclass(frozen=True)
@@ -100,10 +64,7 @@ class WorkspaceStmt(Statement):
 
 @dataclass(frozen=True)
 class Analyze(Statement):
-    kind: str
-    count: int | None = None
-    volfrac: float | None = None
-    iters: int | None = None
+    spec: AnalysisSpec
 
 
 @dataclass(frozen=True)
@@ -167,36 +128,39 @@ def parse_script(text: str) -> ScriptAST:
             statements.append(ModelBegin(lineno))
         elif head == "node":
             _arity(toks, 4, lineno, "node")
-            statements.append(NodeDef(lineno, _int(toks[1], lineno),
-                                      _float(toks[2], lineno), _float(toks[3], lineno)))
+            statements.append(Declare(lineno, Node(
+                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno))))
         elif head == "material":
             _arity(toks, 5, lineno, "material")
-            statements.append(MaterialDef(lineno, _int(toks[1], lineno), _float(toks[2], lineno),
-                                          _float(toks[3], lineno), _float(toks[4], lineno)))
+            statements.append(Declare(lineno, Material(
+                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno),
+                _float(toks[4], lineno))))
         elif head == "section":
             if len(toks) not in (4, 5):
                 raise ScriptParseError(lineno, code, "'section' takes 3 or 4 arguments")
             inertia = _float(toks[4], lineno) if len(toks) == 5 else None
-            statements.append(SectionDef(lineno, _int(toks[1], lineno), _int(toks[2], lineno),
-                                         _float(toks[3], lineno), inertia))
+            statements.append(Declare(lineno, Section(_int(toks[1], lineno), _int(toks[2], lineno),
+                                                      _float(toks[3], lineno), inertia)))
         elif head == "element":
             _arity(toks, 6, lineno, "element")
             if toks[2] not in SCRIPT_TO_KIND:
                 raise ScriptParseError(lineno, toks[2], "unknown element kind")
-            statements.append(ElementDef(lineno, _int(toks[1], lineno), toks[2],
-                                         _int(toks[3], lineno), _int(toks[4], lineno),
-                                         _int(toks[5], lineno)))
+            statements.append(Declare(lineno, Element(
+                _int(toks[1], lineno), SCRIPT_TO_KIND[toks[2]],
+                (_int(toks[3], lineno), _int(toks[4], lineno)), _int(toks[5], lineno))))
         elif head == "fix":
             _arity(toks, 3, lineno, "fix")
-            dofs = tuple(toks[2].split(","))
+            dofs = toks[2].split(",")
             for d in dofs:
                 if d not in DOF_ORDER:
                     raise ScriptParseError(lineno, d, "unknown dof (expected ux, uy or rz)")
-            statements.append(Fix(lineno, _int(toks[1], lineno), dofs))
+            statements.append(Declare(lineno, BoundaryCondition(_int(toks[1], lineno),
+                                                                frozenset(dofs))))
         elif head == "load":
             _arity(toks, 5, lineno, "load")
-            statements.append(LoadStmt(lineno, _int(toks[1], lineno), _float(toks[2], lineno),
-                                       _float(toks[3], lineno), _float(toks[4], lineno)))
+            statements.append(Declare(lineno, Load(
+                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno),
+                _float(toks[4], lineno))))
         elif head == "workspace":
             _arity(toks, 2, lineno, "workspace")
             statements.append(WorkspaceStmt(lineno, toks[1]))
@@ -205,17 +169,19 @@ def parse_script(text: str) -> ScriptAST:
                 raise ScriptParseError(lineno, code, "unknown analysis kind")
             if toks[1] == "static":
                 _arity(toks, 2, lineno, "analyze static")
-                statements.append(Analyze(lineno, "static"))
+                statements.append(Analyze(lineno, AnalysisSpec("static")))
             elif toks[1] == "modal":
                 if len(toks) != 4 or toks[2] != "count":
                     raise ScriptParseError(lineno, code, "expected 'analyze modal count <n>'")
-                statements.append(Analyze(lineno, "modal", count=_int(toks[3], lineno)))
+                statements.append(Analyze(lineno, AnalysisSpec(
+                    "modal", modal_count=_int(toks[3], lineno))))
             else:
                 if len(toks) != 6 or toks[2] != "volfrac" or toks[4] != "iters":
                     raise ScriptParseError(lineno, code,
                                            "expected 'analyze topopt volfrac <v> iters <n>'")
-                statements.append(Analyze(lineno, "topopt", volfrac=_float(toks[3], lineno),
-                                          iters=_int(toks[5], lineno)))
+                statements.append(Analyze(lineno, AnalysisSpec(
+                    "topology_optimization", opt_volume_fraction=_float(toks[3], lineno),
+                    opt_max_iterations=_int(toks[5], lineno))))
         elif head == "write_results":
             _arity(toks, 2, lineno, "write_results")
             statements.append(WriteResults(lineno, toks[1]))
@@ -239,31 +205,49 @@ def parse_script(text: str) -> ScriptAST:
     return ScriptAST(tuple(statements))
 
 
+def _entity_text(e: Entity) -> str:
+    if isinstance(e, Node):
+        return f"node {e.id} {e.x!r} {e.y!r}"
+    if isinstance(e, Material):
+        return f"material {e.id} {e.youngs_modulus!r} {e.poisson_ratio!r} {e.density!r}"
+    if isinstance(e, Section):
+        base = f"section {e.id} {e.material_id} {e.area!r}"
+        return base if e.moment_of_inertia is None else f"{base} {e.moment_of_inertia!r}"
+    if isinstance(e, Element):
+        if e.kind not in KIND_TO_SCRIPT:
+            raise LoweringError(f"element kind {e.kind!r} has no script form")
+        return (f"element {e.id} {KIND_TO_SCRIPT[e.kind]} {e.node_ids[0]} {e.node_ids[1]} "
+                f"{e.section_id}")
+    if isinstance(e, BoundaryCondition):
+        return f"fix {e.node_id} {','.join(e.sorted_dofs())}"
+    return f"load {e.node_id} {e.fx!r} {e.fy!r} {e.mz!r}"
+
+
+def _analyze_text(a: AnalysisSpec) -> str:
+    """The analyze statement of a spec; topology optimisation without its
+    parameters takes the conservative priors."""
+    if a.mode == "static":
+        return "analyze static"
+    if a.mode == "modal":
+        if a.modal_count is None:
+            raise LoweringError("modal analysis without modal_count")
+        return f"analyze modal count {a.modal_count}"
+    if a.mode == "topology_optimization":
+        volfrac = a.opt_volume_fraction if a.opt_volume_fraction is not None else DEFAULT_VOLFRAC
+        iters = a.opt_max_iterations if a.opt_max_iterations is not None else DEFAULT_OPT_ITERS
+        return f"analyze topopt volfrac {volfrac!r} iters {iters}"
+    raise LoweringError(f"analysis mode {a.mode!r} has no script form")
+
+
 def _stmt_text(s: Statement) -> str:
+    if isinstance(s, Declare):
+        return _entity_text(s.entity)
     if isinstance(s, ModelBegin):
         return "model begin"
-    if isinstance(s, NodeDef):
-        return f"node {s.node_id} {s.x!r} {s.y!r}"
-    if isinstance(s, MaterialDef):
-        return (f"material {s.material_id} {s.youngs_modulus!r} "
-                f"{s.poisson_ratio!r} {s.density!r}")
-    if isinstance(s, SectionDef):
-        base = f"section {s.section_id} {s.material_id} {s.area!r}"
-        return base if s.moment_of_inertia is None else f"{base} {s.moment_of_inertia!r}"
-    if isinstance(s, ElementDef):
-        return f"element {s.element_id} {s.kind} {s.n1} {s.n2} {s.section_id}"
-    if isinstance(s, Fix):
-        return f"fix {s.node_id} {','.join(s.dofs)}"
-    if isinstance(s, LoadStmt):
-        return f"load {s.node_id} {s.fx!r} {s.fy!r} {s.mz!r}"
     if isinstance(s, WorkspaceStmt):
         return f"workspace {s.path}"
     if isinstance(s, Analyze):
-        if s.kind == "static":
-            return "analyze static"
-        if s.kind == "modal":
-            return f"analyze modal count {s.count}"
-        return f"analyze topopt volfrac {s.volfrac!r} iters {s.iters}"
+        return _analyze_text(s.spec)
     if isinstance(s, WriteResults):
         return f"write_results {s.path}"
     if isinstance(s, Delete):
@@ -325,38 +309,9 @@ def lower_ir(model: IRModel, workspace: str | Path) -> str:
     guarantee is stated against.
     """
     m = canonicalize(model)
-    lines: list[str] = ["model begin"]
-    for mat in m.materials:
-        lines.append(_stmt_text(MaterialDef(0, mat.id, mat.youngs_modulus,
-                                            mat.poisson_ratio, mat.density)))
-    for sec in m.sections:
-        lines.append(_stmt_text(SectionDef(0, sec.id, sec.material_id, sec.area,
-                                           sec.moment_of_inertia)))
-    for n in m.nodes:
-        lines.append(_stmt_text(NodeDef(0, n.id, n.x, n.y)))
-    for e in m.elements:
-        if e.kind not in KIND_TO_SCRIPT:
-            raise LoweringError(f"element kind {e.kind!r} has no script form")
-        lines.append(_stmt_text(ElementDef(0, e.id, KIND_TO_SCRIPT[e.kind],
-                                           e.node_ids[0], e.node_ids[1], e.section_id)))
-    for b in m.boundary_conditions:
-        lines.append(_stmt_text(Fix(0, b.node_id, b.sorted_dofs())))
-    for l in m.loads:
-        lines.append(_stmt_text(LoadStmt(0, l.node_id, l.fx, l.fy, l.mz)))
-
-    a = m.analysis
-    if a.mode == "static":
-        lines.append("analyze static")
-    elif a.mode == "modal":
-        if a.modal_count is None:
-            raise LoweringError("modal analysis without modal_count")
-        lines.append(f"analyze modal count {a.modal_count}")
-    elif a.mode == "topology_optimization":
-        volfrac = a.opt_volume_fraction if a.opt_volume_fraction is not None else DEFAULT_VOLFRAC
-        iters = a.opt_max_iterations if a.opt_max_iterations is not None else DEFAULT_OPT_ITERS
-        lines.append(f"analyze topopt volfrac {volfrac!r} iters {iters}")
-    else:
-        raise LoweringError(f"analysis mode {a.mode!r} has no script form")
-    lines.append(f"write_results {RESULTS_FILENAME}")
-    lines.append("end")
+    lines = ["model begin"]
+    for entities in (m.materials, m.sections, m.nodes, m.elements, m.boundary_conditions,
+                     m.loads):
+        lines.extend(_entity_text(e) for e in entities)
+    lines += [_analyze_text(m.analysis), f"write_results {RESULTS_FILENAME}", "end"]
     return "\n".join(lines) + "\n"

@@ -170,7 +170,6 @@ def _excerpt(script: str) -> str:
 def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Generator,
                workspace_root: str | Path, fallback_enabled: bool = True,
                limits: Limits | None = None, task_id: str = "task",
-               retrieval_k: int = DEFAULT_RETRIEVAL_K, modal_subdivisions: int = 4,
                execution_mode: str = "inprocess") -> tuple[str, ResultSet, SynthesisTrace]:
     """Run the reflexive synthesis loop for one audited model.
 
@@ -201,13 +200,13 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         err_sig = classify_error(kinds, message)
         reflections = reflect(kinds)
         ctx = compose_debug_context(err_sig, message, line, log,
-                                    buffer.retrieve(sig, err_sig, retrieval_k), reflections)
+                                    buffer.retrieve(sig, err_sig, DEFAULT_RETRIEVAL_K), reflections)
         buffer.record(ExperienceRecord(
             signature=sig, error=err_sig, lesson=reflections[0],
             script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))
         return reflections, ctx
 
-    script = generator.generate(model, buffer.retrieve(sig, None, retrieval_k))
+    script = generator.generate(model, buffer.retrieve(sig, None, DEFAULT_RETRIEVAL_K))
 
     for k in range(K + 1):
         attempt = Attempt(k=k, script=script)
@@ -236,8 +235,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             continue
 
         workspace = allocate_workspace(workspace_root, task_id)
-        outcome = execute(script, workspace, limits,
-                          modal_subdivisions=modal_subdivisions, mode=execution_mode)
+        outcome = execute(script, workspace, limits, mode=execution_mode)
         attempt.outcome = outcome
 
         verified = verify_results(outcome, model.analysis)
@@ -265,8 +263,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     trace.fallback_used = True
     trace.attempts.append(Attempt(k=K + 1, script=fallback_script))
     workspace = allocate_workspace(workspace_root, task_id)
-    outcome = execute(fallback_script, workspace, limits,
-                      modal_subdivisions=modal_subdivisions, mode=execution_mode)
+    outcome = execute(fallback_script, workspace, limits, mode=execution_mode)
     trace.attempts[-1].outcome = outcome
     verified = verify_results(outcome, model.analysis)
     if verified is None:

@@ -160,7 +160,7 @@ def check_l1(model: IRModel) -> list[Finding]:
                              f"topology_optimization mode, not {a.mode}", "analysis")
 
     if model.coordinate_mode == "normalized":
-        box = bounding_box(model)
+        box = bounding_box((n.x, n.y) for n in model.nodes)
         if box is not None:
             xmin, ymin, xmax, ymax = box
             if xmin < -1e-9 or ymin < -1e-9 or xmax > 1 + 1e-9 or ymax > 1 + 1e-9:

@@ -128,6 +128,16 @@ class TestEvaluateIR:
         m = evaluate_ir(truss, one_nan)
         assert (m.node_accuracy, m.connectivity_f1) == (pytest.approx(2 / 3), 0.0)
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_non_finite_reference_node_leaves_the_diagonal_alone(self, truss, nan_first):
+        # the diagonal comes from nodes 1 and 2 alone (2 m, threshold 0.04 m),
+        # wherever the NaN node is listed, so node 1 moved 0.03 m still matches
+        nan_node = replace(truss.nodes[2], y=math.nan)
+        nodes = (nan_node,) + truss.nodes[:2] if nan_first else truss.nodes[:2] + (nan_node,)
+        pred = replace(truss, nodes=(replace(truss.nodes[0], x=0.03),) + truss.nodes[1:])
+        m = evaluate_ir(pred, replace(truss, nodes=nodes))
+        assert m.node_accuracy == pytest.approx(2 / 3)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_threshold(self, tol):
         truth = four_node_truth()
@@ -416,6 +426,14 @@ class TestCLI:
 
     def test_validate_unreadable_exit_two(self, tmp_path):
         assert cli_main(["validate", "--ir", str(tmp_path / "missing.json")]) == 2
+
+    def test_out_of_range_number_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(serialize(two_bar_truss()).replace('"x": 2.0', '"x": 1' + "0" * 400))
+        assert cli_main(["validate", "--ir", str(path)]) == 1
+        assert "$.nodes[1].x: number out of float range" in capsys.readouterr().out
+        assert cli_main(["eval", "--pred", str(path), "--truth", str(path)]) == 2
+        assert "schema error" in capsys.readouterr().err
 
     def test_eval_identity(self, tmp_path, capsys):
         path = tmp_path / "model.json"

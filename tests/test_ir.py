@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_frame_model
+from conftest import REPO_ROOT, SUITE_DIR, random_frame_model
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
-                     Load, Node, SchemaParseError, canonicalize, deserialize,
-                     diff, pairs_within, serialize)
+                     Load, Node, SchemaParseError, bounding_box, canonicalize,
+                     deserialize, diff, pairs_within, serialize)
 
 
 def shuffled(model: IRModel) -> IRModel:
@@ -113,6 +119,157 @@ class TestSchema:
         assert deserialize(serialize(topopt_model)) == topopt_model
         modal = replace(topopt_model, analysis=AnalysisSpec(mode="modal", modal_count=4))
         assert deserialize(serialize(modal)).analysis.modal_count == 4
+
+
+# Every field of the document present once, optional ones included.
+FULL_DOC = {
+    "nodes": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 2.0, "y": 0.0}],
+    "elements": [{"id": 1, "kind": "frame_beam", "nodes": [1, 2], "section": 1}],
+    "materials": [{"id": 1, "youngs_modulus": 210e9, "poisson_ratio": 0.3, "density": 7850.0}],
+    "sections": [{"id": 1, "material": 1, "area": 0.01, "moment_of_inertia": 1e-6}],
+    "bcs": [{"node": 1, "dofs": ["ux", "uy", "rz"]}],
+    "loads": [{"node": 2, "fx": 0.0, "fy": -1000.0, "mz": 0.0}],
+    "analysis": {"mode": "topology_optimization", "modal_count": 3, "volfrac": 0.4,
+                 "max_iterations": 20},
+    "coordinate_mode": "metric",
+    "provenance": "hand-written",
+}
+DELETE = object()
+
+
+def with_defect(path: str, value) -> str:
+    """FULL_DOC with the value at ``path`` replaced, or removed for DELETE."""
+    doc = copy.deepcopy(FULL_DOC)
+    steps = [int(i) if i else k for k, i in re.findall(r"\.(\w+)|\[(\d+)\]", path)]
+    if not steps:
+        return json.dumps(value)
+    parent = doc
+    for step in steps[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[steps[-1]]
+    else:
+        parent[steps[-1]] = value
+    return json.dumps(doc)
+
+
+MISSING = [f"$.{k}" for k in ("nodes", "elements", "materials", "sections", "bcs", "loads",
+                              "analysis", "coordinate_mode")] + [
+    "$.nodes[0].id", "$.nodes[0].x", "$.nodes[0].y",
+    "$.elements[0].id", "$.elements[0].kind", "$.elements[0].nodes", "$.elements[0].section",
+    "$.materials[0].id", "$.materials[0].youngs_modulus", "$.materials[0].poisson_ratio",
+    "$.materials[0].density", "$.sections[0].id", "$.sections[0].material",
+    "$.sections[0].area", "$.bcs[0].node", "$.bcs[0].dofs", "$.loads[0].node",
+    "$.loads[0].fx", "$.loads[0].fy", "$.loads[0].mz", "$.analysis.mode"]
+DOFS = "('ux', 'uy', 'rz')"
+# (path, value put there, reason): each document has this one defect, and
+# the error names its path
+DEFECTS = [(p, DELETE, "missing required field") for p in MISSING] + [
+    ("$", [], "expected object, got list"),
+    ("$.nodes", {}, "expected array, got dict"),
+    ("$.elements", 3, "expected array, got int"),
+    ("$.materials", "x", "expected array, got str"),
+    ("$.sections", None, "expected array, got NoneType"),
+    ("$.bcs", True, "expected array, got bool"),
+    ("$.loads", 1.5, "expected array, got float"),
+    ("$.analysis", [], "expected object, got list"),
+    ("$.coordinate_mode", 1, "expected string, got int"),
+    ("$.coordinate_mode", "polar", "expected one of ('metric', 'normalized'), got 'polar'"),
+    ("$.provenance", 5, "expected string, got int"),
+    ("$.nodes[0]", [], "expected object, got list"),
+    ("$.nodes[0].id", 1.0, "expected integer, got float"),
+    ("$.nodes[0].id", True, "expected integer, got bool"),
+    ("$.nodes[0].x", "0", "expected number, got str"),
+    ("$.nodes[0].y", True, "expected number, got bool"),
+    ("$.nodes[1].y", None, "expected number, got NoneType"),
+    ("$.nodes[1].x", 10 ** 400, "number out of float range"),
+    ("$.elements[0].kind", 3, "expected string, got int"),
+    ("$.elements[0].kind", "beam", "expected one of ('truss_bar', 'frame_beam'), got 'beam'"),
+    ("$.elements[0].nodes", {}, "expected array, got dict"),
+    ("$.elements[0].nodes", [1], "expected exactly 2 node ids, got 1"),
+    ("$.elements[0].nodes", [1, 2, 3], "expected exactly 2 node ids, got 3"),
+    ("$.elements[0].nodes[1]", 2.0, "expected integer, got float"),
+    ("$.elements[0].section", "1", "expected integer, got str"),
+    ("$.materials[0].youngs_modulus", "210e9", "expected number, got str"),
+    ("$.materials[0].poisson_ratio", [], "expected number, got list"),
+    ("$.materials[0].density", {}, "expected number, got dict"),
+    ("$.sections[0].material", 1.0, "expected integer, got float"),
+    ("$.sections[0].area", None, "expected number, got NoneType"),
+    ("$.sections[0].moment_of_inertia", "1e-6", "expected number, got str"),
+    ("$.bcs[0].node", None, "expected integer, got NoneType"),
+    ("$.bcs[0].dofs", "ux", "expected array, got str"),
+    ("$.bcs[0].dofs[1]", "uz", f"expected one of {DOFS}, got 'uz'"),
+    ("$.bcs[0].dofs[0]", 1, "expected string, got int"),
+    ("$.loads[0].node", 2.5, "expected integer, got float"),
+    ("$.loads[0].fx", "0", "expected number, got str"),
+    ("$.loads[0].fy", None, "expected number, got NoneType"),
+    ("$.loads[0].mz", False, "expected number, got bool"),
+    ("$.analysis.mode", "dynamic",
+     "expected one of ('static', 'modal', 'topology_optimization'), got 'dynamic'"),
+    ("$.analysis.mode", 0, "expected string, got int"),
+    ("$.analysis.modal_count", 3.0, "expected integer, got float"),
+    ("$.analysis.volfrac", "0.4", "expected number, got str"),
+    ("$.analysis.max_iterations", 20.5, "expected integer, got float"),
+] + [(p, 1, "unknown field") for p in (
+    "$.bogus", "$.nodes[0].z", "$.elements[0].material", "$.materials[0].name",
+    "$.sections[0].inertia", "$.bcs[0].dof", "$.loads[0].fz", "$.analysis.count")]
+
+
+class TestDocumentFormat:
+    @pytest.mark.parametrize("case", sorted(p.parent.name for p in
+                                            SUITE_DIR.glob("*/truth.ir.json")))
+    def test_committed_documents_round_trip_byte_exact(self, case):
+        text = (SUITE_DIR / case / "truth.ir.json").read_text(encoding="utf-8")
+        assert serialize(deserialize(text)) == text
+
+    def test_full_document_round_trips(self):
+        text = json.dumps(FULL_DOC, indent=2) + "\n"
+        assert serialize(deserialize(text)) == text
+
+    @pytest.mark.parametrize("path,value,reason", DEFECTS,
+                             ids=[f"{path}:{reason}" for path, _, reason in DEFECTS])
+    def test_single_defect_names_its_path(self, path, value, reason):
+        with pytest.raises(SchemaParseError) as err:
+            deserialize(with_defect(path, value))
+        assert (err.value.path, err.value.reason) == (path, reason)
+
+    @pytest.mark.parametrize("path,value_of,default", [
+        ("$.sections[0].moment_of_inertia", lambda m: m.sections[0].moment_of_inertia, None),
+        ("$.analysis.modal_count", lambda m: m.analysis.modal_count, None),
+        ("$.analysis.volfrac", lambda m: m.analysis.opt_volume_fraction, None),
+        ("$.analysis.max_iterations", lambda m: m.analysis.opt_max_iterations, None),
+        ("$.provenance", lambda m: m.provenance, "")])
+    def test_optional_field_may_be_left_out(self, path, value_of, default):
+        assert value_of(deserialize(with_defect(path, DELETE))) == default
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" + "0" * 5000],
+                             ids=["deep-nesting", "overlong-integer"])
+    def test_undecodable_text_is_a_syntax_error(self, text):
+        with pytest.raises(SchemaParseError) as err:
+            deserialize(text)
+        assert err.value.path == "$"
+        assert err.value.reason.startswith("invalid document syntax")
+
+    def test_first_missing_field_in_key_order_whatever_the_hash_seed(self):
+        code = ("from vfea.ir import SchemaParseError, deserialize\n"
+                "try:\n    deserialize('{\"nodes\": []}')\n"
+                "except SchemaParseError as exc:\n    print(exc.path, exc.reason)\n")
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO_ROOT / "src"))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            assert out == "$.elements missing required field\n"
+
+
+class TestBoundingBox:
+    def test_non_finite_points_are_skipped(self):
+        points = [(math.nan, 5.0), (1.0, -2.0), (math.inf, 0.0), (3.0, 4.0), (0.0, -math.inf)]
+        assert bounding_box(points) == (1.0, -2.0, 3.0, 4.0)
+        assert bounding_box(reversed(points)) == (1.0, -2.0, 3.0, 4.0)
+
+    def test_no_finite_point_has_no_box(self):
+        assert bounding_box([]) is None
+        assert bounding_box([(math.nan, 0.0), (0.0, math.inf)]) is None
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import subprocess
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
+from vfea.ir import Element, Node
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits, ResultsCorruptError,
                           ResultsMissingError, WorkspaceError, allocate_workspace,
                           execute, read_results, write_results_file)
@@ -90,13 +92,16 @@ class TestExecute:
         assert out.status == "ABORTED"
         assert "(15 > 10 dofs)" in out.log
 
-    @pytest.mark.parametrize("subdivisions,status", [(4, "COMPLETED"), (40, "ABORTED")])
-    def test_mode_budget_counts_modes_the_solver_computes(self, tmp_path, subdivisions,
-                                                          status):
-        # 101 modes asked: 15 dofs give 15 modes and a note, 123 dofs give 101
-        script = lower_ir(modal_cantilever(count=MAX_MODES + 1), tmp_path)
-        out = execute(script, allocate_workspace(tmp_path, "modes"), Limits(),
-                      modal_subdivisions=subdivisions)
+    @pytest.mark.parametrize("members,status", [(4, "COMPLETED"), (40, "ABORTED")])
+    def test_mode_budget_counts_modes_the_solver_computes(self, tmp_path, members, status):
+        # 101 modes asked of a cantilever split into four elements per member:
+        # 4 members give 51 dofs (48 modes and a note), 40 members 483 dofs
+        base = modal_cantilever(count=MAX_MODES + 1)
+        model = replace(base, nodes=tuple(Node(i + 1, 0.5 * i, 0.0) for i in range(members + 1)),
+                        elements=tuple(Element(i + 1, "frame_beam", (i + 1, i + 2), 1)
+                                       for i in range(members)))
+        script = lower_ir(model, tmp_path)
+        out = execute(script, allocate_workspace(tmp_path, "modes"), Limits())
         assert out.status == status
         if status == "ABORTED":
             assert f"({MAX_MODES + 1} > {MAX_MODES} modes)" in out.log
@@ -200,16 +205,11 @@ class TestExecute:
         rs = read_results(out.results_path)
         assert len(rs.frequencies_hz) == 3
 
-    def test_modal_subdivision_config_reaches_solver(self, tmp_path):
-        script = lower_ir(modal_cantilever(), tmp_path)
-        coarse = execute(script, allocate_workspace(tmp_path, "c"), Limits(),
-                         modal_subdivisions=2)
-        fine = execute(script, allocate_workspace(tmp_path, "f"), Limits(),
-                       modal_subdivisions=16)
-        f_coarse = read_results(coarse.results_path).frequencies_hz
-        f_fine = read_results(fine.results_path).frequencies_hz
-        assert f_coarse != f_fine  # refinement changes the discretization
-        assert f_coarse[0] == pytest.approx(f_fine[0], rel=1e-3)
+    def test_fix_echoes_its_dofs_in_canonical_order(self, tmp_path, cantilever_script):
+        script = cantilever_script.replace("fix 1 ux,uy,rz", "fix 1 rz,ux\nfix 1 uy,ux")
+        out = execute(script, allocate_workspace(tmp_path, "fix"), Limits())
+        assert out.status == "COMPLETED"
+        assert "] fix 1 ux,rz\n" in out.log and "] fix 1 ux,uy\n" in out.log
 
     def test_subprocess_mode_matches_inprocess(self, tmp_path, cantilever_script):
         ws_in = allocate_workspace(tmp_path, "inproc")

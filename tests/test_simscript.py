@@ -79,8 +79,9 @@ class TestParse:
     def test_analyze_variants(self):
         ast = parse_script("analyze modal count 3\nanalyze topopt volfrac 0.4 iters 20\n")
         modal, topopt = ast.statements
-        assert (modal.kind, modal.count) == ("modal", 3)
-        assert (topopt.kind, topopt.volfrac, topopt.iters) == ("topopt", 0.4, 20)
+        assert (modal.spec.mode, modal.spec.modal_count) == ("modal", 3)
+        assert (topopt.spec.mode, topopt.spec.opt_volume_fraction,
+                topopt.spec.opt_max_iterations) == ("topology_optimization", 0.4, 20)
 
 
 def test_print_parse_round_trip():
