@@ -90,6 +90,11 @@ class AnalysisSpec:
     opt_max_iterations: int | None = None
 
 
+# conservative priors of a topology optimisation that leaves its parameters unset
+DEFAULT_VOLFRAC = 0.5
+DEFAULT_OPT_ITERS = 50
+
+
 @dataclass(frozen=True)
 class IRModel:
     nodes: tuple[Node, ...] = ()

@@ -28,8 +28,8 @@ _MODEL_LESSON = ("declare the full model before analysis and write results only 
                  "after a completed analysis")
 _LOG_LESSON = "review the execution log and correct the failing statement"
 
-# failure kind (PreflightViolation.kind, RuntimeFault.kind) -> (category,
-# lesson): the one place a failure kind gets its meaning
+# failure kind (simscript.Fault.kind, for preflight and runtime faults alike)
+# -> (category, lesson): the one place a failure kind gets its meaning
 FAILURE_KINDS: dict[str, tuple[str, str]] = {
     "parse": ("type_ii_hallucination",
               "use only statements documented for the simulation language; "

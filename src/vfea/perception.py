@@ -135,7 +135,6 @@ class PerceptionConfig:
     max_turns: int = 3
     snap_tolerance: float = DEFAULT_SNAP_TOLERANCE
     scale_cv_tolerance: float = DEFAULT_SCALE_CV_TOL
-    dimension_tolerance: float = 0.02
     reasoning_hook: ReasoningHook | None = None
     justification_hook: JustificationHook | None = None
 
@@ -441,7 +440,8 @@ def attach_semantics(drawing: PrimitiveDrawing,
     loads = tuple(Load(nid, fx, fy, mz) for nid, (fx, fy, mz) in sorted(load_sum.items()))
 
     if ctx.mode == "modal":
-        analysis = AnalysisSpec(mode="modal", modal_count=ctx.modal_count or 1)
+        count = 1 if ctx.modal_count is None else ctx.modal_count  # audited by check_l1
+        analysis = AnalysisSpec(mode="modal", modal_count=count)
     elif ctx.mode == "topology_optimization":
         analysis = AnalysisSpec(mode="topology_optimization",
                                 opt_volume_fraction=ctx.volfrac,

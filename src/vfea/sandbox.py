@@ -15,12 +15,12 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section)
-from .simscript import (Analyze, Declare, Delete, End, Entity, ModelBegin,
+from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, _stmt_text, parse_script)
 from .solver import (DEFAULT_MODAL_SUBDIVISIONS, AssemblyError, ModalResult,
@@ -76,18 +76,11 @@ class Limits:
 
 
 @dataclass(frozen=True)
-class RuntimeFault:
-    line: int | None
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
 class ExecutionOutcome:
     status: str  # COMPLETED | FAILED | ABORTED
     results_path: Path | None
     log: str
-    runtime_error: RuntimeFault | None
+    runtime_error: Fault | None
     wall_time: float
 
 
@@ -197,10 +190,12 @@ def read_results(path: str | Path) -> ResultSet:
 
 
 class _RuntimeStop(Exception):
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        self.message = message
+    """Stops the interpreter at the current statement: a fault of ``kind``,
+    or, with no kind, an exceeded resource budget that aborts the run."""
+
+    def __init__(self, kind: str | None, message: str):
         super().__init__(message)
+        self.kind = kind
 
 
 class _ModelBuilder:
@@ -258,53 +253,52 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     the same interpreter in a child OS process with the identical observable
     contract.
     """
-    if mode == "subprocess":
-        return _execute_subprocess(script_text, workspace, limits)
-    if mode != "inprocess":
+    if mode not in ("inprocess", "subprocess"):
         raise ValueError(f"unknown execution mode {mode!r}")
     start = time.monotonic()
-    log_lines: list[str] = []
     ws_root = Path(workspace.root)
     (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
+    if mode == "subprocess":
+        return _execute_subprocess(ws_root, limits, start)
+    return _interpret(script_text, ws_root, limits, start)
 
-    def finish(status: str, results_path: Path | None,
-               fault: RuntimeFault | None) -> ExecutionOutcome:
-        log_lines.append(f"STATUS: {status}")
-        log = "\n".join(log_lines) + "\n"
-        (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
-        return ExecutionOutcome(status=status, results_path=results_path, log=log,
-                                runtime_error=fault, wall_time=time.monotonic() - start)
 
+def _finish(ws_root: Path, start: float, log_lines: list[str], status: str,
+            fault: Fault | None = None, results_path: Path | None = None) -> ExecutionOutcome:
+    """Close the log with the status line, write it as ``run.log`` and build
+    the outcome."""
+    log = "\n".join([*log_lines, f"STATUS: {status}"]) + "\n"
+    (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
+    return ExecutionOutcome(status=status, results_path=results_path, log=log,
+                            runtime_error=fault, wall_time=time.monotonic() - start)
+
+
+def _interpret(script_text: str, ws_root: Path, limits: Limits,
+               start: float) -> ExecutionOutcome:
+    """Parse the script and run it statement by statement; ``start`` is when
+    the wall-time budget began."""
     try:
         ast = parse_script(script_text)
     except ScriptParseError as exc:
-        log_lines.append(f"parse error at line {exc.line}: {exc.reason}"
-                         + (f" ({exc.token!r})" if exc.token else ""))
-        return finish("FAILED", None, RuntimeFault(exc.line, "parse", str(exc)))
+        return _finish(ws_root, start, [f"parse error at {exc}"], "FAILED", exc.fault)
 
+    log_lines: list[str] = []
     builder = _ModelBuilder()
     results: ResultSet | None = None
     results_path: Path | None = None
-    analyzed = False
-    wrote = False
-    ended = False
-    executed = 0
 
     def resolve_path(p: str) -> Path:
         if not _inside_workspace(ws_root, p):
             raise _RuntimeStop("isolation", f"artifact path escapes workspace: {p}")
         return Path(p) if os.path.isabs(p) else ws_root / p
 
-    for stmt in ast.statements:
-        if executed >= limits.max_statements:
-            log_lines.append(f"abort: statement budget ({limits.max_statements}) exceeded")
-            return finish("ABORTED", None, None)
-        if time.monotonic() - start > limits.max_wall_time:
-            log_lines.append(f"abort: wall time budget ({limits.max_wall_time}s) exceeded")
-            return finish("ABORTED", None, None)
-        executed += 1
-        log_lines.append(f"[line {stmt.line}] {_stmt_text(stmt)}")
-        try:
+    try:
+        for executed, stmt in enumerate(ast.statements):
+            if executed >= limits.max_statements:
+                raise _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
+            if time.monotonic() - start > limits.max_wall_time:
+                raise _RuntimeStop(None, f"wall time budget ({limits.max_wall_time}s) exceeded")
+            log_lines.append(f"[line {stmt.line}] {_stmt_text(stmt)}")
             if isinstance(stmt, ModelBegin):
                 builder.begun = True
             elif isinstance(stmt, Declare):
@@ -335,25 +329,22 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                 solved = subdivide_frames(model, DEFAULT_MODAL_SUBDIVISIONS) if modal else model
                 n_dofs = len(build_dof_index(solved))
                 if n_dofs > limits.max_solver_dofs:
-                    log_lines.append(f"abort: solver budget exceeded "
-                                     f"({n_dofs} > {limits.max_solver_dofs} dofs)")
-                    return finish("ABORTED", None, None)
-                modes = min(spec.modal_count or 1, n_dofs) if modal else 0
+                    raise _RuntimeStop(None, f"solver budget exceeded "
+                                             f"({n_dofs} > {limits.max_solver_dofs} dofs)")
+                # check_l1 has required a positive modal_count
+                modes = min(spec.modal_count, n_dofs) if modal else 0
                 if modes > MAX_MODES:
-                    log_lines.append(f"abort: mode budget exceeded ({modes} > {MAX_MODES} modes)")
-                    return finish("ABORTED", None, None)
+                    raise _RuntimeStop(None, f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
                 iters = spec.opt_max_iterations
                 if spec.mode == "topology_optimization" and iters > MAX_OC_ITERATIONS:
-                    log_lines.append(f"abort: iteration budget exceeded "
-                                     f"({iters} > {MAX_OC_ITERATIONS} iterations)")
-                    return finish("ABORTED", None, None)
+                    raise _RuntimeStop(None, f"iteration budget exceeded "
+                                             f"({iters} > {MAX_OC_ITERATIONS} iterations)")
                 if spec.mode == "static":
                     results = solve_static(model)
                 elif modal:
-                    results = solve_modal(model, spec.modal_count or 1)
+                    results = solve_modal(model, spec.modal_count)
                 else:
                     results = optimize_topology(model, spec.opt_volume_fraction, iters)
-                analyzed = True
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):
                 if results is None:
@@ -366,97 +357,60 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
                     raise _RuntimeStop("sandbox", f"cannot write results to {stmt.path}: "
                                                   f"{exc.strerror or type(exc).__name__}") from None
                 results_path = target
-                wrote = True
             elif isinstance(stmt, End):
-                ended = True
                 break
-        except _RuntimeStop as exc:
-            fault = RuntimeFault(stmt.line, exc.kind, exc.message)
-            log_lines.append(f"    ERROR {fault.message}")
-            return finish("FAILED", None, fault)
-        except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
-                ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
-            fault = RuntimeFault(stmt.line, "solver", str(exc))
-            log_lines.append(f"    ERROR solver: {exc}")
-            return finish("FAILED", None, fault)
-
-    last_line = ast.statements[min(executed, len(ast.statements)) - 1].line
-    if not ended:
-        fault = RuntimeFault(last_line, "lifecycle",
-                             "no termination signal: script ran out without an end statement")
-        log_lines.append(f"    ERROR {fault.message}")
-        return finish("FAILED", None, fault)
-    if not analyzed:
-        fault = RuntimeFault(last_line, "lifecycle",
-                             "idle run, no execution trigger: analyze statement absent")
-        log_lines.append(f"    ERROR {fault.message}")
-        return finish("FAILED", None, fault)
-    if not wrote or results_path is None:
-        fault = RuntimeFault(last_line, "lifecycle",
-                             "no results persistence: write_results statement absent")
-        log_lines.append(f"    ERROR {fault.message}")
-        return finish("FAILED", None, fault)
-    return finish("COMPLETED", results_path, None)
+        # the run ended at an end statement or ran out of statements; either
+        # way the fault line is that of the last executed statement
+        for missing, message in (
+                (not isinstance(stmt, End),
+                 "no termination signal: script ran out without an end statement"),
+                (results is None, "idle run, no execution trigger: analyze statement absent"),
+                (results_path is None, "no results persistence: write_results statement absent")):
+            if missing:
+                raise _RuntimeStop("lifecycle", message)
+    except _RuntimeStop as exc:
+        if exc.kind is None:
+            log_lines.append(f"abort: {exc}")
+            return _finish(ws_root, start, log_lines, "ABORTED")
+        log_lines.append(f"    ERROR {exc}")
+        return _finish(ws_root, start, log_lines, "FAILED", Fault(exc.kind, stmt.line, str(exc)))
+    except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
+            ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
+        log_lines.append(f"    ERROR solver: {exc}")
+        return _finish(ws_root, start, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
+    return _finish(ws_root, start, log_lines, "COMPLETED", results_path=results_path)
 
 
-def _execute_subprocess(script_text: str, workspace: Workspace,
-                        limits: Limits) -> ExecutionOutcome:
-    """Run the interpreter in a child OS process; same artifacts and outcome."""
-    ws_root = Path(workspace.root)
-    (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
-    cmd = [sys.executable, "-m", "vfea.sandbox", str(ws_root), workspace.task_id,
-           str(limits.max_statements), str(limits.max_solver_dofs),
-           str(limits.max_wall_time)]
-    start = time.monotonic()
-
-    def stop(status: str, diagnostic: str, fault: RuntimeFault | None) -> ExecutionOutcome:
-        log = f"{diagnostic}\nSTATUS: {status}\n"
-        (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
-        return ExecutionOutcome(status=status, results_path=None, log=log,
-                                runtime_error=fault, wall_time=time.monotonic() - start)
-
+def _execute_subprocess(ws_root: Path, limits: Limits, start: float) -> ExecutionOutcome:
+    """Run the interpreter on the workspace's script in a child OS process;
+    same artifacts and outcome."""
+    cmd = [sys.executable, "-m", "vfea.sandbox", str(ws_root), json.dumps(asdict(limits))]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False,
                               timeout=limits.max_wall_time + 30.0)
     except subprocess.TimeoutExpired:
-        return stop("ABORTED", "abort: child process exceeded the wall time budget", None)
+        return _finish(ws_root, start, ["abort: child process exceeded the wall time budget"],
+                       "ABORTED")
     try:
         if proc.returncode == 0:
             doc = json.loads(proc.stdout)
-            fault = None
-            if doc["runtime_error"] is not None:
-                fault = RuntimeFault(line=doc["runtime_error"]["line"],
-                                     kind=doc["runtime_error"]["kind"],
-                                     message=doc["runtime_error"]["message"])
-            return ExecutionOutcome(
-                status=doc["status"],
-                results_path=Path(doc["results_path"]) if doc["results_path"] else None,
-                log=doc["log"], runtime_error=fault, wall_time=doc["wall_time"])
+            return ExecutionOutcome(**{
+                **doc, "results_path": doc["results_path"] and Path(doc["results_path"]),
+                "runtime_error": doc["runtime_error"] and Fault(**doc["runtime_error"])})
         reason = f"exit code {proc.returncode}"
     except (ValueError, KeyError, TypeError):
         reason = "unreadable outcome report"
     stderr = proc.stderr.strip().splitlines()
-    fault = RuntimeFault(None, "sandbox", f"sandbox child process failed ({reason})"
-                         + (f": {stderr[-1]}" if stderr else ""))
-    return stop("FAILED", f"    ERROR {fault.message}", fault)
+    fault = Fault("sandbox", None, f"sandbox child process failed ({reason})"
+                  + (f": {stderr[-1]}" if stderr else ""))
+    return _finish(ws_root, start, [f"    ERROR {fault.message}"], "FAILED", fault)
 
 
 def _child_main(argv: list[str]) -> int:
-    ws_root, task_id = Path(argv[0]), argv[1]
-    limits = Limits(max_statements=int(argv[2]), max_solver_dofs=int(argv[3]),
-                    max_wall_time=float(argv[4]))
+    ws_root, limits = Path(argv[0]), Limits(**json.loads(argv[1]))
     script_text = (ws_root / SCRIPT_FILENAME).read_text(encoding="utf-8")
-    ws = Workspace(root=ws_root, task_id=task_id, created_at=time.time())
-    out = execute(script_text, ws, limits)
-    print(json.dumps({
-        "status": out.status,
-        "results_path": str(out.results_path) if out.results_path else None,
-        "log": out.log,
-        "runtime_error": None if out.runtime_error is None else {
-            "line": out.runtime_error.line, "kind": out.runtime_error.kind,
-            "message": out.runtime_error.message},
-        "wall_time": out.wall_time,
-    }))
+    out = _interpret(script_text, ws_root, limits, time.monotonic())
+    print(json.dumps(asdict(out), default=str))
     return 0
 
 

@@ -11,8 +11,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, IRModel,
-                 Load, Material, Node, Section, canonicalize)
+from .ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, AnalysisSpec,
+                 BoundaryCondition, Element, IRModel, Load, Material, Node, Section,
+                 canonicalize)
 
 KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
 SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
@@ -21,11 +22,19 @@ ANALYZE_KINDS = ("static", "modal", "topopt")
 DELETE_TARGETS = ("model", "element", "node")
 PROTECTED_ROOT = ("model", "root")
 
-DEFAULT_VOLFRAC = 0.5   # conservative volume-constraint prior
-DEFAULT_OPT_ITERS = 50
 RESULTS_FILENAME = "results.res"
 
 Entity = Node | Material | Section | Element | BoundaryCondition | Load
+
+
+@dataclass(frozen=True)
+class Fault:
+    """Why a script was rejected before execution or stopped during it: the
+    failure kind (a key of ``memory.FAILURE_KINDS``), the script line to
+    blame if there is one, and the message."""
+    kind: str
+    line: int | None
+    message: str
 
 
 class ScriptParseError(Exception):
@@ -34,6 +43,10 @@ class ScriptParseError(Exception):
         self.token = token
         self.reason = reason
         super().__init__(f"line {line}: {reason}" + (f" ({token!r})" if token else ""))
+
+    @property
+    def fault(self) -> Fault:
+        return Fault("parse", self.line, str(self))
 
 
 class LoweringError(Exception):
@@ -85,13 +98,6 @@ class End(Statement):
 @dataclass(frozen=True)
 class ScriptAST:
     statements: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class PreflightViolation:
-    kind: str  # lifecycle | safety | isolation
-    line: int | None
-    message: str
 
 
 def _int(tok: str, line: int) -> int:
@@ -274,30 +280,24 @@ def _inside_workspace(root: str | Path, candidate: str) -> bool:
     return cand_real == root_real or cand_real.startswith(root_real + os.sep)
 
 
-def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[PreflightViolation]:
-    """Static verification: lifecycle integrity, kernel safety, path isolation."""
-    out: list[PreflightViolation] = []
-    has_analyze = any(isinstance(s, Analyze) for s in ast.statements)
-    has_write = any(isinstance(s, WriteResults) for s in ast.statements)
-    has_end = any(isinstance(s, End) for s in ast.statements)
-    if not has_analyze:
-        out.append(PreflightViolation("lifecycle", None,
-                                      "no execution trigger: analyze statement absent"))
-    if not has_write:
-        out.append(PreflightViolation("lifecycle", None,
-                                      "no results persistence: write_results statement absent"))
-    if not has_end:
-        out.append(PreflightViolation("lifecycle", None,
-                                      "no termination signal: end statement absent"))
+def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[Fault]:
+    """Static verification: lifecycle integrity, kernel safety, path isolation.
+    Each violation is a fault of kind ``lifecycle``, ``safety`` or ``isolation``."""
+    out: list[Fault] = []
+    present = {type(s) for s in ast.statements}
+    for required, message in ((Analyze, "no execution trigger: analyze statement absent"),
+                              (WriteResults,
+                               "no results persistence: write_results statement absent"),
+                              (End, "no termination signal: end statement absent")):
+        if required not in present:
+            out.append(Fault("lifecycle", None, message))
     for s in ast.statements:
         if isinstance(s, Delete) and s.target == PROTECTED_ROOT:
-            out.append(PreflightViolation("safety", s.line,
-                                          "unsafe kernel operation: deletion of protected "
-                                          "root container"))
+            out.append(Fault("safety", s.line,
+                             "unsafe kernel operation: deletion of protected root container"))
         if isinstance(s, (WriteResults, WorkspaceStmt)):
             if not _inside_workspace(workspace_root, s.path):
-                out.append(PreflightViolation("isolation", s.line,
-                                              f"artifact path escapes workspace: {s.path}"))
+                out.append(Fault("isolation", s.line, f"artifact path escapes workspace: {s.path}"))
     return out
 
 

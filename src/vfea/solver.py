@@ -31,7 +31,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .ir import Element, IRModel, Node
+from .ir import DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, Element, IRModel, Node
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
@@ -510,11 +510,11 @@ def optimize_topology(model: IRModel, volfrac: float | None = None,
     if volfrac is None:
         volfrac = model.analysis.opt_volume_fraction
     if volfrac is None:
-        volfrac = 0.5
+        volfrac = DEFAULT_VOLFRAC
     if not (0.0 < volfrac <= 1.0):
         raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside (0, 1]")
     if max_iters is None:
-        max_iters = model.analysis.opt_max_iterations or 50
+        max_iters = model.analysis.opt_max_iterations or DEFAULT_OPT_ITERS
 
     index, (bars, _), f, constrained = _prepare(model)
     a_max = float(np.max(bars.A))

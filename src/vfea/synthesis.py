@@ -18,15 +18,14 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
-from .ir import AnalysisSpec, IRModel, serialize
+from .ir import DEFAULT_VOLFRAC, AnalysisSpec, IRModel, serialize
 from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ErrorSignature,
                      ExperienceBuffer, ExperienceRecord, classify_error,
                      compute_signature)
 from .sandbox import (ExecutionOutcome, Limits, ResultsCorruptError,
                       ResultsMissingError, ResultSet, allocate_workspace,
                       execute, read_results)
-from .simscript import (PreflightViolation, ScriptParseError, lower_ir,
-                        parse_script, preflight)
+from .simscript import Fault, ScriptParseError, lower_ir, parse_script, preflight
 from .solver import ModalResult, StaticResult, TopoResult
 
 DEFAULT_RETRIEVAL_K = 3
@@ -80,10 +79,11 @@ class DebugContext:
 
 @dataclass
 class Attempt:
+    """One candidate script: the faults that rejected it before execution
+    (parse or preflight), else the outcome of executing it."""
     k: int
     script: str
-    parse_error: str | None = None
-    preflight_violations: tuple[PreflightViolation, ...] = ()
+    rejected: tuple[Fault, ...] = ()
     outcome: ExecutionOutcome | None = None
 
 
@@ -158,7 +158,8 @@ def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultS
         ok = (len(freqs) > 0 and all(f > 0 for f in freqs)
               and all(a <= b for a, b in zip(freqs, freqs[1:])))
     else:
-        volfrac = analysis.opt_volume_fraction if analysis.opt_volume_fraction is not None else 0.5
+        volfrac = analysis.opt_volume_fraction
+        volfrac = DEFAULT_VOLFRAC if volfrac is None else volfrac
         ok = rs.final_volume_fraction <= volfrac + VOLUME_SLACK
     return rs if ok else None
 
@@ -173,14 +174,14 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                execution_mode: str = "inprocess") -> tuple[str, ResultSet, SynthesisTrace]:
     """Run the reflexive synthesis loop for one audited model.
 
-    Attempts k = 0..K: preflight-gate the candidate script (static violations
-    are reflected into lessons and repaired without touching the sandbox),
-    execute the survivors in a fresh workspace, and on verified success index
-    the script into the replay buffer; every failed attempt, whether parsing,
-    preflight or execution stopped it, is recorded there as a failure. When
-    the budget is exhausted the deterministic lowering takes over (if
-    enabled); its output is guaranteed-executable, so a failure there raises
-    FallbackFailureError.
+    Every attempt passes one gate: parse, preflight, allocate a fresh
+    workspace, execute, verify. Attempts k = 0..K are generated: a script
+    that parse or preflight rejects is reflected into lessons and repaired
+    without touching the sandbox, a verified one is indexed into the replay
+    buffer, and every failed attempt, rejected or executed, is recorded there
+    as a failure. When the budget is exhausted the deterministic lowering
+    takes over (if enabled) through the same gate; its output is
+    guaranteed-executable, so a failure there raises FallbackFailureError.
     """
     if K < 0:
         raise ConfigError("retry budget must be >= 0")
@@ -188,57 +189,25 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     trace = SynthesisTrace()
     sig = compute_signature(model)
 
-    def accumulate(lessons: list[str]):
-        for text in lessons:
-            if text not in trace.lessons_accumulated:
-                trace.lessons_accumulated.append(text)
-
-    def diagnose(script: str, kinds: list[str | None], message: str, line: int | None,
-                 log: str):
-        """Classify and reflect a failed attempt, compose its debug context
-        from the lessons retrieved before it, and record it as a failure."""
-        err_sig = classify_error(kinds, message)
-        reflections = reflect(kinds)
-        ctx = compose_debug_context(err_sig, message, line, log,
-                                    buffer.retrieve(sig, err_sig, DEFAULT_RETRIEVAL_K), reflections)
-        buffer.record(ExperienceRecord(
-            signature=sig, error=err_sig, lesson=reflections[0],
-            script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))
-        return reflections, ctx
+    def run(attempt: Attempt) -> ResultSet | None:
+        """Pass one attempt through the gate: parse, preflight, allocate a
+        workspace, execute, verify. Returns the verified results or None."""
+        trace.attempts.append(attempt)
+        try:
+            attempt.rejected = tuple(preflight(parse_script(attempt.script), workspace_root))
+        except ScriptParseError as exc:
+            attempt.rejected = (exc.fault,)
+        if attempt.rejected:
+            return None
+        attempt.outcome = execute(attempt.script, allocate_workspace(workspace_root, task_id),
+                                  limits, mode=execution_mode)
+        return verify_results(attempt.outcome, model.analysis)
 
     script = generator.generate(model, buffer.retrieve(sig, None, DEFAULT_RETRIEVAL_K))
 
     for k in range(K + 1):
         attempt = Attempt(k=k, script=script)
-        trace.attempts.append(attempt)
-
-        try:
-            ast = parse_script(script)
-            violations = tuple(preflight(ast, workspace_root))
-        except ScriptParseError as exc:
-            attempt.parse_error = str(exc)
-            reflections, ctx = diagnose(script, ["parse"], str(exc), exc.line,
-                                        f"preflight: {exc}")
-            accumulate(reflections)
-            script = generator.repair(script, ctx)
-            continue
-        if violations:
-            attempt.preflight_violations = violations
-            log = "\n".join(f"preflight[{v.kind}]"
-                            + (f" line {v.line}" if v.line is not None else "")
-                            + f": {v.message}" for v in violations)
-            reflections, ctx = diagnose(script, [v.kind for v in violations],
-                                        "; ".join(v.message for v in violations),
-                                        violations[0].line, log)
-            accumulate(reflections)
-            script = generator.repair(script, ctx)
-            continue
-
-        workspace = allocate_workspace(workspace_root, task_id)
-        outcome = execute(script, workspace, limits, mode=execution_mode)
-        attempt.outcome = outcome
-
-        verified = verify_results(outcome, model.analysis)
+        verified = run(attempt)
         if verified is not None:
             buffer.record(ExperienceRecord(
                 signature=sig, error=None,
@@ -246,31 +215,49 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                 script_excerpt=_excerpt(script), outcome="success", created_at=time.time()))
             return script, verified, trace
 
-        fault = outcome.runtime_error
-        if fault is not None:
-            message, line = fault.message, fault.line
+        # classify and reflect the failure, compose its debug context from the
+        # lessons retrieved before it, record it, and repair
+        if attempt.outcome is None:
+            faults = attempt.rejected
+            log = "\n".join(
+                f"preflight: {f.message}" if f.kind == "parse"
+                else f"preflight[{f.kind}]{'' if f.line is None else f' line {f.line}'}: {f.message}"
+                for f in faults)
         else:
-            message = f"execution {outcome.status.lower()} without readable results"
-            line = None
-        _, ctx = diagnose(script, [fault.kind if fault else None], message, line, outcome.log)
-        accumulate(ctx.lesson_texts())
+            fault = attempt.outcome.runtime_error
+            faults = () if fault is None else (fault,)
+            log = attempt.outcome.log
+        kinds = [f.kind for f in faults] or [None]
+        message = ("; ".join(f.message for f in faults) or
+                   f"execution {attempt.outcome.status.lower()} without readable results")
+        err_sig = classify_error(kinds, message)
+        reflections = reflect(kinds)
+        ctx = compose_debug_context(err_sig, message, faults[0].line if faults else None, log,
+                                    buffer.retrieve(sig, err_sig, DEFAULT_RETRIEVAL_K), reflections)
+        buffer.record(ExperienceRecord(
+            signature=sig, error=err_sig, lesson=reflections[0],
+            script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))
+        # a rejected attempt learns its own reflections, an executed one the
+        # whole context, memory lessons included
+        for text in reflections if attempt.outcome is None else ctx.lesson_texts():
+            if text not in trace.lessons_accumulated:
+                trace.lessons_accumulated.append(text)
         script = generator.repair(script, ctx)
 
     if not fallback_enabled:
         raise SynthesisExhaustedError(trace)
 
-    fallback_script = lower_ir(model, workspace_root)
+    attempt = Attempt(k=K + 1, script=lower_ir(model, workspace_root))
     trace.fallback_used = True
-    trace.attempts.append(Attempt(k=K + 1, script=fallback_script))
-    workspace = allocate_workspace(workspace_root, task_id)
-    outcome = execute(fallback_script, workspace, limits, mode=execution_mode)
-    trace.attempts[-1].outcome = outcome
-    verified = verify_results(outcome, model.analysis)
+    verified = run(attempt)
     if verified is None:
+        outcome = attempt.outcome
+        fault = attempt.rejected[0] if attempt.rejected else outcome.runtime_error
         raise FallbackFailureError(
-            f"deterministic fallback failed with status {outcome.status}: "
-            f"{outcome.runtime_error.message if outcome.runtime_error else 'unverified results'}")
-    return fallback_script, verified, trace
+            f"deterministic fallback failed with status "
+            f"{outcome.status if outcome else 'REJECTED'}: "
+            f"{fault.message if fault else 'unverified results'}")
+    return attempt.script, verified, trace
 
 
 # --- generator implementations ---------------------------------------------

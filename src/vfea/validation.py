@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .ir import IRModel, bounding_box, diff
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,6 +30,9 @@ AREA_MAX = 10.0                        # m^2
 INERTIA_MAX = 10.0                     # m^4
 
 DIMENSION_TOLERANCE = 0.02             # relative, for the L4 reverse-check
+# relative widening of the L4 band for numpy's squared distances, which may
+# differ from math.hypot's in the last bits; candidates are confirmed exactly
+_HYPOT_SLACK = 1e-12
 ZERO_LENGTH_EPS = 1e-12                # m
 
 
@@ -289,6 +294,31 @@ def check_l3(model: IRModel) -> list[Finding]:
     return out
 
 
+def _pair_distance_within(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether ``lo <= math.hypot(xb - xa, yb - ya) <= hi`` for some node pair.
+
+    Each node's row of squared distances to the later nodes is computed with
+    numpy, and the scan stops at the first row that matches. The row is
+    screened against the band widened by a relative ``_HYPOT_SLACK`` (and by
+    1e-300, for squares that underflow); the survivors, and any NaN, are
+    confirmed with ``math.hypot`` on the same differences, so the predicate
+    is the exact one.
+    """
+    if not hi >= 0:  # no distance is negative or NaN-bounded
+        return False
+    lo2 = lo * lo * (1 - _HYPOT_SLACK) - 1e-300 if lo > 0 else -math.inf
+    hi2 = hi * hi * (1 + _HYPOT_SLACK) + 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are screened in
+        for k in range(len(xs) - 1):
+            dx = xs[k + 1:] - xs[k]
+            dy = ys[k + 1:] - ys[k]
+            d2 = dx * dx + dy * dy
+            for j in np.flatnonzero(~((d2 < lo2) | (d2 > hi2))):
+                if lo <= math.hypot(dx[j], dy[j]) <= hi:
+                    return True
+    return False
+
+
 def check_l4(model: IRModel, drawing: "PrimitiveDrawing",
              scale: "ScaleResolution", tolerance: float = DIMENSION_TOLERANCE) -> list[Finding]:
     """Reverse-check that every annotated dimension is realized by some node
@@ -296,16 +326,12 @@ def check_l4(model: IRModel, drawing: "PrimitiveDrawing",
     if scale.mode != "metric":
         return []
     out: list[Finding] = []
-    coords = [(n.x, n.y) for n in model.nodes]
+    xs = np.fromiter((n.x for n in model.nodes), float, len(model.nodes))
+    ys = np.fromiter((n.y for n in model.nodes), float, len(model.nodes))
     for i, ann in enumerate(drawing.dimension_annotations):
         v = ann.value
         lo, hi = v * (1 - tolerance), v * (1 + tolerance)
-        found = any(
-            lo <= math.hypot(bx - ax, by - ay) <= hi
-            for k, (ax, ay) in enumerate(coords)
-            for (bx, by) in coords[k + 1:]
-        )
-        if not found:
+        if not _pair_distance_within(xs, ys, lo, hi):
             out.append(Finding("L4", "unrepresented-dimension",
                                f"annotated dimension {v:g} m matches no node pair distance "
                                f"within {tolerance:.0%}", f"dimension_annotations/{i}"))

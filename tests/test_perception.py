@@ -217,6 +217,23 @@ def test_bundled_case_perceives_its_reference_model(case_dir):
     assert serialize(model) == case.truth_ir_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("directive,count", [("modal_count: 0", None), ("modal_count: -2", None),
+                                             ("", 1), ("modal_count: 3", 3)])
+def test_modal_count_directive(directive, count):
+    # only an absent directive defaults to one mode; a non-positive count is
+    # kept, so the audit rejects it instead of running one mode
+    case = SUITE_DIR / "frame_modal"
+    context = (case / "context.txt").read_text(encoding="utf-8").replace("modal_count: 3",
+                                                                          directive)
+    drawing = (case / "drawing.json").read_text(encoding="utf-8")
+    if count is None:
+        with pytest.raises(PerceptionFailure) as err:
+            orchestrate(drawing, context)
+        assert {f.code for f in err.value.report.findings} == {"mode-params"}
+    else:
+        assert orchestrate(drawing, context).analysis.modal_count == count
+
+
 class TestMagnitude:
     @pytest.mark.parametrize("label,newtons", [
         ("10 kN", 10_000.0), ("500 N", 500.0), ("1.5kN", 1500.0),

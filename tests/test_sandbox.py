@@ -228,6 +228,27 @@ class TestExecute:
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "kernel-protection"
 
+    @pytest.mark.parametrize("kind, old, new, limits", [
+        ("parse", "model begin", "model begin\nmesh_edges part1", Limits()),
+        ("lifecycle", "\nend", "", Limits()),
+        ("kernel-protection", "analyze static", "delete model root\nanalyze static", Limits()),
+        ("isolation", "results.res", "../stolen.res", Limits()),
+        ("state", "analyze static", "delete node 99\nanalyze static", Limits()),
+        ("model", "analyze static", "analyze modal count 0", Limits()),
+        ("solver", "fix 1 ux,uy,rz", "fix 1 ux", Limits()),
+        ("sandbox", "write_results results.res", "write_results .", Limits()),
+        (None, "", "", Limits(max_statements=3)),  # a budget abort carries no fault
+    ])
+    def test_execution_modes_agree_on_every_outcome_kind(self, tmp_path, cantilever_script,
+                                                         kind, old, new, limits):
+        script = cantilever_script.replace(old, new)
+        outs = [execute(script, allocate_workspace(tmp_path / "runs", mode), limits, mode=mode)
+                for mode in ("inprocess", "subprocess")]
+        assert outs[0].status == ("ABORTED" if kind is None else "FAILED")
+        assert (outs[0].runtime_error and outs[0].runtime_error.kind) == kind
+        got = [(o.status, o.runtime_error, o.log) for o in outs]
+        assert got[0] == got[1]
+
     @pytest.mark.parametrize("returncode, stdout", [(1, ""), (0, "Traceback (most recent")])
     def test_subprocess_child_crash_is_failed_outcome(self, tmp_path, cantilever_script,
                                                      monkeypatch, returncode, stdout):

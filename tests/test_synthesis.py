@@ -149,7 +149,7 @@ class TestSynthesize:
                        FaultyGenerator("type_i", stubborn=True), tmp_path,
                        fallback_enabled=False)
         assert len(err.value.trace.attempts) == 3
-        assert all(a.preflight_violations or a.parse_error
+        assert all(a.rejected
                    for a in err.value.trace.attempts)
 
     def test_preflight_gating_keeps_sandbox_clean(self, tmp_path, cantilever):
@@ -157,7 +157,7 @@ class TestSynthesize:
         buf = ExperienceBuffer()
         _, _, trace = synthesize(cantilever, 3, buf, FaultyGenerator("type_iii"), tmp_path)
         for attempt in trace.attempts:
-            if attempt.preflight_violations or attempt.parse_error:
+            if attempt.rejected:
                 assert attempt.outcome is None
 
     def test_lessons_accumulate_monotonically(self, tmp_path, cantilever):

@@ -9,11 +9,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BEAM, STEEL
 from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
                      Section, canonicalize)
-from vfea.perception import BeliefState, infer_scale, parse_drawing
+from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
+                             ScaleResolution, infer_scale, parse_drawing)
 from vfea.validation import (ValidationReport, accept_update, audit,
                              check_l1, check_l2, check_l3, check_l4,
                              restraint_rank, serialize_report)
@@ -266,6 +269,68 @@ class TestL4:
             doc = DRAWING_2M.replace('"value_m": 2.0', f'"value_m": {2.0 * factor}')
             d2 = parse_drawing(doc)
             assert len(check_l4(scaled_model, d2, infer_scale(d2))) == len(base)
+
+
+def _l4_reference(coords, lo, hi) -> bool:
+    """The all-pairs L4 predicate: some node pair distance in [lo, hi]."""
+    return any(lo <= math.hypot(bx - ax, by - ay) <= hi
+               for k, (ax, ay) in enumerate(coords) for bx, by in coords[k + 1:])
+
+
+_COORD = st.one_of(st.integers(-4, 4).map(float), st.sampled_from([0.5, 1e-3, 1 / 3, 0.1]),
+                   st.floats(-1e3, 1e3), st.floats(), st.sampled_from([math.inf, math.nan]))
+
+
+@st.composite
+def _l4_inputs(draw):
+    """Node sets with duplicate points and collinear runs, and dimensions
+    placed on, or a few ulps beside, a pair distance or the band's edges."""
+    coords = draw(st.lists(st.tuples(_COORD, _COORD), max_size=7))
+    if draw(st.booleans()):  # a collinear run through (x0, y0) along (dx, dy)
+        x0, y0, dx, dy = (draw(_COORD) for _ in range(4))
+        coords += [(x0 + t * dx, y0 + t * dy) for t in draw(st.lists(st.integers(-3, 5),
+                                                                      max_size=6))]
+    if coords:
+        coords += draw(st.lists(st.sampled_from(coords), max_size=3))  # duplicates
+    coords = draw(st.permutations(coords))
+    tolerance = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    if len(coords) >= 2 and draw(st.booleans()):
+        (ax, ay), (bx, by) = draw(st.permutations(coords))[:2]
+        d = math.hypot(bx - ax, by - ay)
+        value = draw(st.sampled_from([d, d / (1 - tolerance), d / (1 + tolerance)]))
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(0, 2))):
+            value = math.nextafter(value, toward)
+    else:
+        value = draw(st.floats())
+    return coords, value, tolerance
+
+
+@settings(max_examples=400, deadline=None)
+@given(_l4_inputs())
+def test_l4_matches_all_pairs_reference(inputs):
+    coords, value, tolerance = inputs
+    model = IRModel(nodes=tuple(Node(i + 1, x, y) for i, (x, y) in enumerate(coords)))
+    drawing = PrimitiveDrawing(dimension_annotations=(DimensionAnnotation(0, value),))
+    findings = check_l4(model, drawing, ScaleResolution("metric", 1.0, 0.0), tolerance)
+    realized = _l4_reference(coords, value * (1 - tolerance), value * (1 + tolerance))
+    assert (findings == []) == realized
+
+
+def test_l4_exact_boundary_distances():
+    # a dimension equal to a pair's distance, with no tolerance, is realized
+    # however that distance rounds; one ulp beside it is not
+    rng = random.Random(5)
+    scale = ScaleResolution("metric", 1.0, 0.0)
+    for _ in range(200):
+        coords = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(2)]
+        model = IRModel(nodes=tuple(Node(i + 1, x, y) for i, (x, y) in enumerate(coords)))
+        (ax, ay), (bx, by) = coords
+        d = math.hypot(bx - ax, by - ay)
+        for value, realized in ((d, True), (math.nextafter(d, 0), False),
+                                (math.nextafter(d, math.inf), False)):
+            drawing = PrimitiveDrawing(dimension_annotations=(DimensionAnnotation(0, value),))
+            assert (check_l4(model, drawing, scale, 0.0) == []) == realized
 
 
 class TestAudit:
