@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
+
+import numpy as np
 
 DOF_ORDER = ("ux", "uy", "rz")
 ELEMENT_KINDS = ("truss_bar", "frame_beam")
@@ -143,10 +146,34 @@ def _entity_keys(model: IRModel) -> dict[str, dict[int, object]]:
     }
 
 
+_ID = operator.attrgetter("id")
+_NODE_ID = operator.attrgetter("node_id")
+
+
+def _by_key(items: tuple, key: Callable) -> tuple:
+    """``items`` as a tuple sorted by ``key``; a tuple already in key order
+    (no key below the one before it, which is exactly when the stable sort
+    would keep it) is returned as it is, after one linear check."""
+    keys = [key(x) for x in items]
+    if type(items) is tuple and not any(map(operator.lt, keys[1:], keys)):
+        return items
+    return tuple(sorted(items, key=key))
+
+
+def _ascending(e: Element) -> Element:
+    p = e.node_ids
+    if type(p) is tuple and len(p) == 2 and p[0] <= p[1]:
+        return e
+    return replace(e, node_ids=(min(p), max(p)))
+
+
 def canonicalize(model: IRModel) -> IRModel:
     """Sort every entity list by id and store element node pairs ascending.
 
-    Idempotent; raises CanonicalizationError when a cross-reference dangles.
+    Only what is out of place is rebuilt: a list already in id order and an
+    element whose pair is already ascending are kept, so a canonical model
+    comes back as the same object. Idempotent; raises CanonicalizationError
+    when a cross-reference dangles.
     """
     node_ids = {n.id for n in model.nodes}
     section_ids = {s.id for s in model.sections}
@@ -167,19 +194,21 @@ def canonicalize(model: IRModel) -> IRModel:
         if l.node_id not in node_ids:
             raise CanonicalizationError(f"load references missing node {l.node_id}")
 
-    elements = tuple(
-        replace(e, node_ids=(min(e.node_ids), max(e.node_ids)))
-        for e in sorted(model.elements, key=lambda e: e.id)
-    )
-    return replace(
-        model,
-        nodes=tuple(sorted(model.nodes, key=lambda n: n.id)),
-        elements=elements,
-        materials=tuple(sorted(model.materials, key=lambda m: m.id)),
-        sections=tuple(sorted(model.sections, key=lambda s: s.id)),
-        boundary_conditions=tuple(sorted(model.boundary_conditions, key=lambda b: b.node_id)),
-        loads=tuple(sorted(model.loads, key=lambda l: l.node_id)),
-    )
+    elements = _by_key(model.elements, _ID)
+    pairs = tuple(map(_ascending, elements))
+    if any(map(operator.is_not, pairs, elements)):
+        elements = pairs
+    lists = {
+        "nodes": _by_key(model.nodes, _ID),
+        "elements": elements,
+        "materials": _by_key(model.materials, _ID),
+        "sections": _by_key(model.sections, _ID),
+        "boundary_conditions": _by_key(model.boundary_conditions, _NODE_ID),
+        "loads": _by_key(model.loads, _NODE_ID),
+    }
+    if all(lists[name] is getattr(model, name) for name in lists):
+        return model
+    return replace(model, **lists)
 
 
 def diff(old: IRModel, new: IRModel) -> ChangeSet:
@@ -407,6 +436,14 @@ def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, f
     return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in points.items()}
 
 
+# Cell indices lie within 2**30 + 1 of zero (see pairs_within), so a cell
+# and its eight neighbours pack into one int64 key, row-major.
+_CELL_OFFSET = 2 ** 30 + 1
+_CELL_ROW = 2 * _CELL_OFFSET + 1
+_NEIGHBOURS = np.array([dx * _CELL_ROW + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
+                       dtype=np.int64)
+
+
 def pairs_within(points: Sequence[tuple[float, float]], r: float,
                  others: Sequence[tuple[float, float]] | None = None,
                  ) -> list[tuple[float, int, int]]:
@@ -416,16 +453,22 @@ def pairs_within(points: Sequence[tuple[float, float]], r: float,
     coordinate pairs with nothing, and a NaN or negative r matches nothing.
     Pairs come in no particular order.
 
-    The points are bucketed in a grid of square cells at least r wide, so
-    each point is compared only with those in the 3x3 cells around its own
-    (Bentley, Stanat & Williams, IPL 1977).
+    The points are keyed by the square cell, at least r wide, that holds
+    them, so each point is compared only with those in the 3x3 cells around
+    its own (Bentley, Stanat & Williams, IPL 1977). The candidates are found
+    with numpy, by sorting the keys and searching each neighbour cell's key;
+    each one is then confirmed with ``math.dist``.
     """
     if not r >= 0:
         return []
     one_set = others is None
     targets = points if one_set else others
-    span = max((max(abs(x), abs(y)) for pts in (points, targets) for x, y in pts
-                if math.isfinite(x) and math.isfinite(y)), default=0.0)
+    p_xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    t_xy = p_xy if one_set else np.asarray(others, dtype=float).reshape(-1, 2)
+    p_idx = np.flatnonzero(np.isfinite(p_xy).all(axis=1))
+    t_idx = p_idx if one_set else np.flatnonzero(np.isfinite(t_xy).all(axis=1))
+    span = max(float(np.abs(xy[idx]).max(initial=0.0))
+               for xy, idx in ((p_xy, p_idx), (t_xy, t_idx)))
     # A cell a little wider than r (and never subnormal, where that margin
     # would round away), with every point at most 2**30 cells from the
     # origin, keeps the rounding of x / cell from putting two points within
@@ -433,25 +476,25 @@ def pairs_within(points: Sequence[tuple[float, float]], r: float,
     # indices small whatever the coordinates. An infinite cell is one cell.
     cell = max(r * (1 + 2 ** -20), span * 2 ** -30, 2 ** -1000)
     limit = min(r, sys.float_info.max)  # an overflowing distance never matches
-    grid: dict[tuple[int, int], list[int]] = {}
 
-    def finite_cells(pts):
-        for k, (x, y) in enumerate(pts):
-            if math.isfinite(x) and math.isfinite(y):
-                yield k, math.floor(x / cell), math.floor(y / cell)
+    def cell_keys(xy, idx):
+        c = np.floor(xy[idx] / cell).astype(np.int64) + _CELL_OFFSET
+        return c[:, 0] * _CELL_ROW + c[:, 1]
 
-    if not one_set:
-        for j, cx, cy in finite_cells(others):
-            grid.setdefault((cx, cy), []).append(j)
-    out: list[tuple[float, int, int]] = []
-    for i, cx, cy in finite_cells(points):
-        p = points[i]
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for j in grid.get((gx, gy), ()):
-                    d = math.dist(p, targets[j])
-                    if d <= limit:
-                        out.append((d, j, i) if one_set else (d, i, j))
-        if one_set:  # later points meet this one, so each pair is seen once
-            grid.setdefault((cx, cy), []).append(i)
-    return out
+    p_keys = cell_keys(p_xy, p_idx)
+    t_keys = p_keys if one_set else cell_keys(t_xy, t_idx)
+    order = np.argsort(t_keys, kind="stable")
+    sorted_keys = t_keys[order]
+    # every (point, neighbour cell) query, and the run of targets in that cell
+    queries = (p_keys[:, None] + _NEIGHBOURS).ravel()
+    lo = np.searchsorted(sorted_keys, queries, side="left")
+    counts = np.searchsorted(sorted_keys, queries, side="right") - lo
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    i = np.repeat(np.repeat(p_idx, len(_NEIGHBOURS)), counts)
+    j = t_idx[order[first + np.arange(len(first))]]
+    if one_set:  # each pair once, never a point with itself
+        keep = i < j
+        i, j = i[keep], j[keep]
+    dist = math.dist
+    return [(d, a, b) for a, b in zip(i.tolist(), j.tolist())
+            if (d := dist(points[a], targets[b])) <= limit]

@@ -21,7 +21,7 @@ from pathlib import Path
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
-                        ScriptParseError, WorkspaceStmt, WriteResults,
+                        ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, _stmt_text, parse_script)
 from .solver import (DEFAULT_MODAL_SUBDIVISIONS, AssemblyError, ModalResult,
                      SingularSystemError, StaticResult, TopoResult,
@@ -81,7 +81,6 @@ class ExecutionOutcome:
     results_path: Path | None
     log: str
     runtime_error: Fault | None
-    wall_time: float
 
 
 def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
@@ -244,14 +243,19 @@ class _ModelBuilder:
 
 
 def execute(script_text: str, workspace: Workspace, limits: Limits,
-            mode: str = "inprocess") -> ExecutionOutcome:
+            mode: str = "inprocess", program: ScriptAST | None = None) -> ExecutionOutcome:
     """Interpret a script inside its workspace under the resource budget.
 
     Errors never escape: parse and runtime faults yield a FAILED outcome,
     exceeded budgets yield ABORTED. The kernel protects the root model
     container even when preflight was bypassed. ``mode="subprocess"`` runs
     the same interpreter in a child OS process with the identical observable
-    contract.
+    contract; the child parses the ``script.sim`` it finds.
+
+    ``program`` is ``parse_script(script_text)`` when the caller already has
+    it (synthesis parses every attempt for preflight); in process it is run
+    as it is instead of parsing the text again. ``script.sim`` is written
+    from the text either way.
     """
     if mode not in ("inprocess", "subprocess"):
         raise ValueError(f"unknown execution mode {mode!r}")
@@ -259,28 +263,29 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     ws_root = Path(workspace.root)
     (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
     if mode == "subprocess":
-        return _execute_subprocess(ws_root, limits, start)
-    return _interpret(script_text, ws_root, limits, start)
+        return _execute_subprocess(ws_root, limits)
+    return _interpret(script_text if program is None else program, ws_root, limits, start)
 
 
-def _finish(ws_root: Path, start: float, log_lines: list[str], status: str,
+def _finish(ws_root: Path, log_lines: list[str], status: str,
             fault: Fault | None = None, results_path: Path | None = None) -> ExecutionOutcome:
     """Close the log with the status line, write it as ``run.log`` and build
     the outcome."""
     log = "\n".join([*log_lines, f"STATUS: {status}"]) + "\n"
     (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
     return ExecutionOutcome(status=status, results_path=results_path, log=log,
-                            runtime_error=fault, wall_time=time.monotonic() - start)
+                            runtime_error=fault)
 
 
-def _interpret(script_text: str, ws_root: Path, limits: Limits,
+def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                start: float) -> ExecutionOutcome:
-    """Parse the script and run it statement by statement; ``start`` is when
-    the wall-time budget began."""
-    try:
-        ast = parse_script(script_text)
-    except ScriptParseError as exc:
-        return _finish(ws_root, start, [f"parse error at {exc}"], "FAILED", exc.fault)
+    """Run a program statement by statement, parsing it first when it is
+    given as text; ``start`` is when the wall-time budget began."""
+    if isinstance(program, str):
+        try:
+            program = parse_script(program)
+        except ScriptParseError as exc:
+            return _finish(ws_root, [f"parse error at {exc}"], "FAILED", exc.fault)
 
     log_lines: list[str] = []
     builder = _ModelBuilder()
@@ -293,7 +298,7 @@ def _interpret(script_text: str, ws_root: Path, limits: Limits,
         return Path(p) if os.path.isabs(p) else ws_root / p
 
     try:
-        for executed, stmt in enumerate(ast.statements):
+        for executed, stmt in enumerate(program.statements):
             if executed >= limits.max_statements:
                 raise _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
             if time.monotonic() - start > limits.max_wall_time:
@@ -371,17 +376,17 @@ def _interpret(script_text: str, ws_root: Path, limits: Limits,
     except _RuntimeStop as exc:
         if exc.kind is None:
             log_lines.append(f"abort: {exc}")
-            return _finish(ws_root, start, log_lines, "ABORTED")
+            return _finish(ws_root, log_lines, "ABORTED")
         log_lines.append(f"    ERROR {exc}")
-        return _finish(ws_root, start, log_lines, "FAILED", Fault(exc.kind, stmt.line, str(exc)))
+        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt.line, str(exc)))
     except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
             ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
         log_lines.append(f"    ERROR solver: {exc}")
-        return _finish(ws_root, start, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
-    return _finish(ws_root, start, log_lines, "COMPLETED", results_path=results_path)
+        return _finish(ws_root, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
+    return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)
 
 
-def _execute_subprocess(ws_root: Path, limits: Limits, start: float) -> ExecutionOutcome:
+def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
     """Run the interpreter on the workspace's script in a child OS process;
     same artifacts and outcome."""
     cmd = [sys.executable, "-m", "vfea.sandbox", str(ws_root), json.dumps(asdict(limits))]
@@ -389,8 +394,7 @@ def _execute_subprocess(ws_root: Path, limits: Limits, start: float) -> Executio
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False,
                               timeout=limits.max_wall_time + 30.0)
     except subprocess.TimeoutExpired:
-        return _finish(ws_root, start, ["abort: child process exceeded the wall time budget"],
-                       "ABORTED")
+        return _finish(ws_root, ["abort: child process exceeded the wall time budget"], "ABORTED")
     try:
         if proc.returncode == 0:
             doc = json.loads(proc.stdout)
@@ -403,7 +407,7 @@ def _execute_subprocess(ws_root: Path, limits: Limits, start: float) -> Executio
     stderr = proc.stderr.strip().splitlines()
     fault = Fault("sandbox", None, f"sandbox child process failed ({reason})"
                   + (f": {stderr[-1]}" if stderr else ""))
-    return _finish(ws_root, start, [f"    ERROR {fault.message}"], "FAILED", fault)
+    return _finish(ws_root, [f"    ERROR {fault.message}"], "FAILED", fault)
 
 
 def _child_main(argv: list[str]) -> int:

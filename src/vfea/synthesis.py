@@ -191,16 +191,20 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
 
     def run(attempt: Attempt) -> ResultSet | None:
         """Pass one attempt through the gate: parse, preflight, allocate a
-        workspace, execute, verify. Returns the verified results or None."""
+        workspace, execute, verify. The script is parsed once: preflight
+        checks that program and execution runs it. Returns the verified
+        results or None."""
         trace.attempts.append(attempt)
         try:
-            attempt.rejected = tuple(preflight(parse_script(attempt.script), workspace_root))
+            program = parse_script(attempt.script)
         except ScriptParseError as exc:
             attempt.rejected = (exc.fault,)
+            return None
+        attempt.rejected = tuple(preflight(program, workspace_root))
         if attempt.rejected:
             return None
         attempt.outcome = execute(attempt.script, allocate_workspace(workspace_root, task_id),
-                                  limits, mode=execution_mode)
+                                  limits, mode=execution_mode, program=program)
         return verify_results(attempt.outcome, model.analysis)
 
     script = generator.generate(model, buffer.retrieve(sig, None, DEFAULT_RETRIEVAL_K))

@@ -118,11 +118,14 @@ def check_l1(model: IRModel) -> list[Finding]:
                 f("missing-inertia",
                   f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
                   f"sections/{sec.id}")
+    # a zero or negative area or modulus leaves the stiffness matrix singular
+    # or indefinite, which the solver would report as a mechanism
     for m in model.materials:
-        for v in (m.youngs_modulus, m.poisson_ratio, m.density):
-            if not math.isfinite(v):
-                f("nonfinite-value", f"material {m.id} has non-finite properties", f"materials/{m.id}")
-                break
+        if not all(math.isfinite(v) for v in (m.youngs_modulus, m.poisson_ratio, m.density)):
+            f("nonfinite-value", f"material {m.id} has non-finite properties", f"materials/{m.id}")
+        elif m.youngs_modulus <= 0:
+            f("nonpositive-stiffness", f"material {m.id} has a non-positive youngs modulus "
+                                       f"{m.youngs_modulus!r}", f"materials/{m.id}")
     for s in model.sections:
         if s.material_id not in material_ids:
             f("dangling-ref", f"section {s.id} references missing material {s.material_id}",
@@ -130,6 +133,9 @@ def check_l1(model: IRModel) -> list[Finding]:
         if not math.isfinite(s.area) or (s.moment_of_inertia is not None
                                          and not math.isfinite(s.moment_of_inertia)):
             f("nonfinite-value", f"section {s.id} has non-finite properties", f"sections/{s.id}")
+        elif s.area <= 0:
+            f("nonpositive-stiffness", f"section {s.id} has a non-positive area {s.area!r}",
+              f"sections/{s.id}")
     for b in model.boundary_conditions:
         if b.node_id not in node_ids:
             f("dangling-ref", f"bc references missing node {b.node_id}", f"bcs/{b.node_id}")

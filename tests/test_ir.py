@@ -291,6 +291,55 @@ def test_canonicalize_idempotent_property(model):
     assert canonicalize(once) == once
 
 
+def reference_canonicalize(model: IRModel) -> IRModel:
+    """The canonical form by its definition: every list sorted by id (stably)
+    into a tuple, every element pair rebuilt ascending."""
+    return replace(
+        model,
+        nodes=tuple(sorted(model.nodes, key=lambda n: n.id)),
+        elements=tuple(replace(e, node_ids=(min(e.node_ids), max(e.node_ids)))
+                       for e in sorted(model.elements, key=lambda e: e.id)),
+        materials=tuple(sorted(model.materials, key=lambda m: m.id)),
+        sections=tuple(sorted(model.sections, key=lambda s: s.id)),
+        boundary_conditions=tuple(sorted(model.boundary_conditions, key=lambda b: b.node_id)),
+        loads=tuple(sorted(model.loads, key=lambda l: l.node_id)),
+    )
+
+
+@st.composite
+def scrambled_models(draw) -> IRModel:
+    """A random model with some lists shuffled or given as lists, some pairs
+    flipped, and repeated ids whose records differ, so a sort that is not
+    stable would show."""
+    model = draw(models())
+    rng = draw(st.randoms(use_true_random=False))
+    repeat = {"nodes": lambda n: replace(n, x=n.x + 1.0),
+              "elements": lambda e: replace(e, kind="truss_bar"),
+              "loads": lambda l: replace(l, fx=l.fx + 1.0)}
+    lists = {}
+    for name in ("nodes", "elements", "materials", "sections", "boundary_conditions",
+                 "loads"):
+        items = list(getattr(model, name))
+        if name == "elements":
+            items = [replace(e, node_ids=e.node_ids[::-1]) if rng.random() < 0.3 else e
+                     for e in items]
+        if name in repeat and rng.random() < 0.3:
+            items.append(repeat[name](rng.choice(items)))
+        if rng.random() < 0.5:
+            rng.shuffle(items)
+        lists[name] = items if rng.random() < 0.1 else tuple(items)
+    return replace(model, **lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_models())
+def test_canonicalize_matches_reference_property(model):
+    got = canonicalize(model)
+    assert got == reference_canonicalize(model)
+    assert canonicalize(got) is got
+    assert (got is model) == (model == got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(models())
 def test_self_diff_empty_property(model):
@@ -359,6 +408,17 @@ class TestPairsWithin:
         # an infinite radius takes every finite distance, never an overflowing one
         far = [(-1.7e308, 0.0), (0.0, 0.0), (1.7e308, 0.0)]
         assert sorted((i, j) for _, i, j in pairs_within(far, math.inf)) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-310, 1.0, 1.7e308, sys.float_info.max,
+                                   math.inf])
+    def test_extreme_coordinates_and_radii(self, r):
+        # cell keys and candidate distances must neither overflow nor lose a
+        # pair at the ends of the float range
+        coords = [-1.7e308, -1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, 1.7e308]
+        points = [(x, y) for x in coords for y in coords]
+        assert sorted(pairs_within(points, r)) == naive_pairs(points, r)
+        others = points[::-2]
+        assert sorted(pairs_within(points, r, others)) == naive_pairs(points, r, others)
 
     def test_subnormal_radius_beside_huge_coordinates(self):
         points = [(1e300, 0.0), (1e300, 5e-324), (-1e300, 0.0), (5e-324, 0.0), (0.0, 0.0)]

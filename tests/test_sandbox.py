@@ -18,8 +18,22 @@ from vfea.ir import Element, Node
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits, ResultsCorruptError,
                           ResultsMissingError, WorkspaceError, allocate_workspace,
                           execute, read_results, write_results_file)
-from vfea.simscript import lower_ir
+from vfea.simscript import lower_ir, parse_script
 from vfea.solver import TopoResult
+
+# One script edit per outcome kind of an execution, applied to the lowered
+# cantilever: (kind, old text, new text, limits).
+OUTCOME_KINDS = [
+    ("parse", "model begin", "model begin\nmesh_edges part1", Limits()),
+    ("lifecycle", "\nend", "", Limits()),
+    ("kernel-protection", "analyze static", "delete model root\nanalyze static", Limits()),
+    ("isolation", "results.res", "../stolen.res", Limits()),
+    ("state", "analyze static", "delete node 99\nanalyze static", Limits()),
+    ("model", "analyze static", "analyze modal count 0", Limits()),
+    ("solver", "fix 1 ux,uy,rz", "fix 1 ux", Limits()),
+    ("sandbox", "write_results results.res", "write_results .", Limits()),
+    (None, "", "", Limits(max_statements=3)),  # a budget abort carries no fault
+]
 
 
 @pytest.fixture()
@@ -228,17 +242,7 @@ class TestExecute:
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "kernel-protection"
 
-    @pytest.mark.parametrize("kind, old, new, limits", [
-        ("parse", "model begin", "model begin\nmesh_edges part1", Limits()),
-        ("lifecycle", "\nend", "", Limits()),
-        ("kernel-protection", "analyze static", "delete model root\nanalyze static", Limits()),
-        ("isolation", "results.res", "../stolen.res", Limits()),
-        ("state", "analyze static", "delete node 99\nanalyze static", Limits()),
-        ("model", "analyze static", "analyze modal count 0", Limits()),
-        ("solver", "fix 1 ux,uy,rz", "fix 1 ux", Limits()),
-        ("sandbox", "write_results results.res", "write_results .", Limits()),
-        (None, "", "", Limits(max_statements=3)),  # a budget abort carries no fault
-    ])
+    @pytest.mark.parametrize("kind, old, new, limits", OUTCOME_KINDS)
     def test_execution_modes_agree_on_every_outcome_kind(self, tmp_path, cantilever_script,
                                                          kind, old, new, limits):
         script = cantilever_script.replace(old, new)
@@ -248,6 +252,43 @@ class TestExecute:
         assert (outs[0].runtime_error and outs[0].runtime_error.kind) == kind
         got = [(o.status, o.runtime_error, o.log) for o in outs]
         assert got[0] == got[1]
+
+    # a script that does not parse has no program to hand over: execute
+    # parses it itself, which the test above covers
+    @pytest.mark.parametrize("kind, old, new, limits",
+                             [case for case in OUTCOME_KINDS if case[0] != "parse"])
+    def test_parsed_program_runs_like_its_text(self, tmp_path, cantilever_script,
+                                               kind, old, new, limits):
+        script = cantilever_script.replace(old, new)
+        program = parse_script(script)
+        outs, files = [], []
+        for given in (None, program):
+            ws = allocate_workspace(tmp_path / "runs", "program")
+            outs.append(execute(script, ws, limits, program=given))
+            files.append({p.relative_to(ws.root): p.read_bytes()
+                          for p in ws.root.rglob("*") if p.is_file()})
+        assert (outs[1].runtime_error and outs[1].runtime_error.kind) == kind
+        got = [(o.status, o.runtime_error, o.log) for o in outs]
+        assert got[0] == got[1]
+        assert files[0] == files[1]
+        assert files[1][Path("script.sim")] == script.encode()
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    @pytest.mark.parametrize("old, new", [
+        ("section 1 1 0.01 ", "section 1 1 -0.01 "),
+        ("material 1 210000000000.0 ", "material 1 -210000000000.0 "),
+    ])
+    def test_nonpositive_area_or_modulus_is_a_model_fault(self, tmp_path, cantilever_script,
+                                                          mode, old, new):
+        # the audit at analyze rejects it before the solver would call the
+        # model a mechanism and point the repair at its supports
+        script = cantilever_script.replace(old, new)
+        assert script != cantilever_script
+        out = execute(script, allocate_workspace(tmp_path, "sign"), Limits(), mode=mode)
+        assert out.status == "FAILED"
+        analyze = 1 + script.splitlines().index("analyze static")
+        assert out.runtime_error.kind == "model" and out.runtime_error.line == analyze
+        assert "non-positive" in out.runtime_error.message
 
     @pytest.mark.parametrize("returncode, stdout", [(1, ""), (0, "Traceback (most recent")])
     def test_subprocess_child_crash_is_failed_outcome(self, tmp_path, cantilever_script,

@@ -11,12 +11,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import cantilever_model, ground_structure
+from vfea import sandbox, synthesis
 from vfea.ir import AnalysisSpec
 from vfea.memory import (ExperienceBuffer, ExperienceRecord, StructuralSignature,
                          classify_error)
 from vfea.sandbox import (Limits, allocate_workspace, execute,
                           read_results)
-from vfea.simscript import lower_ir
+from vfea.simscript import lower_ir, parse_script
 from vfea.synthesis import (ConfigError, DebugContext, ExternalGenerator,
                             FaultyGenerator, PerfectGenerator,
                             SynthesisExhaustedError, compose_debug_context,
@@ -159,6 +160,33 @@ class TestSynthesize:
         for attempt in trace.attempts:
             if attempt.rejected:
                 assert attempt.outcome is None
+
+    @pytest.mark.parametrize("spec", ["perfect", "faulty:type_ii", "faulty:type_iii",
+                                      "solver-fault-once", "faulty:type_i:stubborn"])
+    def test_each_attempt_parses_once(self, tmp_path, cantilever, monkeypatch, spec):
+        # rejected by parse, by preflight, failed at run time, verified, and
+        # the fallback: one parse each, shared by preflight and execution
+        class SolverFaultOnce:
+            def generate(self, model, memory_context):
+                return lower_ir(model, ".").replace("fix 1 ux,uy,rz", "fix 1 ux")
+
+            def repair(self, script, context):
+                return lower_ir(cantilever, ".")
+
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_script(text)
+
+        for module in (synthesis, sandbox):
+            monkeypatch.setattr(module, "parse_script", counted)
+        generator = SolverFaultOnce() if spec == "solver-fault-once" else make_generator(spec)
+        _, _, trace = synthesize(cantilever, 2, ExperienceBuffer(), generator, tmp_path)
+        assert parsed == [a.script for a in trace.attempts]
+        assert len(trace.attempts) > 1 or spec == "perfect"
+        if spec == "solver-fault-once":
+            assert trace.attempts[0].outcome.runtime_error.kind == "solver"
 
     def test_lessons_accumulate_monotonically(self, tmp_path, cantilever):
         # a generator whose fault changes per attempt: the run's accumulated

@@ -69,6 +69,16 @@ class TestL1:
         bad = replace(cantilever, sections=(Section(1, 1, 1e-2, None),))
         assert "missing-inertia" in codes(check_l1(bad))
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -0.01, -math.inf])
+    def test_nonpositive_area_or_modulus(self, cantilever, value):
+        sections = (replace(BEAM, area=value),)
+        materials = (replace(STEEL, youngs_modulus=value * 2.1e13),)
+        for bad in (replace(cantilever, sections=sections),
+                    replace(cantilever, materials=materials)):
+            # an infinite value is reported once, as non-finite
+            expected = "nonfinite-value" if math.isinf(value) else "nonpositive-stiffness"
+            assert codes(check_l1(bad)) == {expected}
+
     def test_normalized_bounds(self, truss):
         bad = replace(truss, coordinate_mode="normalized")
         assert "normalized-bounds" in codes(check_l1(bad))  # spans 2 m
