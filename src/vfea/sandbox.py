@@ -23,11 +23,9 @@ from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, _stmt_text, parse_script)
-from .solver import (DEFAULT_MODAL_SUBDIVISIONS, AssemblyError, ModalResult,
-                     SingularSystemError, StaticResult, TopoResult,
-                     UnsupportedOptimizationError, build_dof_index,
-                     optimize_topology, solve_modal, solve_static,
-                     subdivide_frames)
+from .solver import (AssemblyError, ModalResult, SingularSystemError, StaticResult,
+                     TopoResult, UnsupportedOptimizationError, optimize_topology,
+                     solve_modal, solve_static, solved_dofs)
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -43,6 +41,8 @@ MAX_MODES = 100
 MAX_OC_ITERATIONS = 200
 
 _alloc_counter = itertools.count(1)
+# The directory that holds the vfea package, first on the child's import path.
+_PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
 
 
 class WorkspaceError(Exception):
@@ -328,11 +328,10 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 schema_findings = check_l1(model)
                 if schema_findings:
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
-                # the budget counts the dofs the solver factorizes: modal
-                # analysis solves the subdivided model
+                # the budget counts the dofs the solver assembles, those of
+                # the subdivided model for modal analysis
                 modal = spec.mode == "modal"
-                solved = subdivide_frames(model, DEFAULT_MODAL_SUBDIVISIONS) if modal else model
-                n_dofs = len(build_dof_index(solved))
+                n_dofs = solved_dofs(model)
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop(None, f"solver budget exceeded "
                                              f"({n_dofs} > {limits.max_solver_dofs} dofs)")
@@ -390,8 +389,11 @@ def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
     """Run the interpreter on the workspace's script in a child OS process;
     same artifacts and outcome."""
     cmd = [sys.executable, "-m", "vfea.sandbox", str(ws_root), json.dumps(asdict(limits))]
+    # the child imports this vfea, however the parent found it
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_PARENT + (os.pathsep + path if path else "")}
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=False,
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False, env=env,
                               timeout=limits.max_wall_time + 30.0)
     except subprocess.TimeoutExpired:
         return _finish(ws_root, ["abort: child process exceeded the wall time budget"], "ABORTED")

@@ -3,26 +3,33 @@ and ground-structure topology optimization by optimality criteria.
 
 Each model's elements are resolved once into an element table, one group of
 arrays per element kind (dofs, length, direction cosines, section and
-material). Element stiffness and mass matrices are built a whole group at a
-time and summed through COO row and column indices, also computed once per
-model, into sparse CSC matrices; the consistent mass matrix is assembled
-only when modal analysis asks for it. The free partition of K is factorized
-once by SuperLU in symmetric mode, and a non-positive pivot means rigid body
-motion or a mechanism. Statics back-substitutes with that factor, modal
-analysis hands it to ARPACK's shift-invert Lanczos iteration for the lowest
-modes, and the optimizer rescales the element data on each iteration.
+material), built column by column in one pass over the elements. Frame
+refinement happens in that table: for modal analysis each frame member's
+columns are split into equal pieces, with interior points, dofs and ids
+computed as arrays, so no refined model is ever built and no second dof
+index either. Element stiffness and mass matrices are built a whole group
+at a time and summed through COO row and column indices, also computed once
+per model, into sparse CSC matrices; the consistent mass matrix is
+assembled only when modal analysis asks for it. The free partition of K is
+factorized once by SuperLU in symmetric mode, and a non-positive pivot
+means rigid body motion or a mechanism. Statics back-substitutes with that
+factor, modal analysis hands it to ARPACK's shift-invert Lanczos iteration
+for the lowest modes, and the optimizer rescales the element data on each
+iteration.
 
 Measured on a 2-core x86 VM (Python 3.11, scipy 1.17, one process):
 ``solve_static`` takes ~20 ms on a 1722-dof truss grid and ~0.5 s on a
 20022-dof one; ``solve_modal`` finds the three lowest modes of a 2187-dof
-frame in 60-80 ms and of a 17163-dof frame in ~0.3 s, where the dense
-full-spectrum eigensolver it replaces took 1.7-2.0 s at 2187 dofs.
+frame in ~25 ms (~33 ms when frames were refined as IR nodes and elements
+first) and of a 17163-dof frame in ~0.2 s, where the dense full-spectrum
+eigensolver of earlier versions took 1.7-2.0 s at 2187 dofs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -31,7 +38,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .ir import DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, Element, IRModel, Node
+from .ir import DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, IRModel
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
@@ -217,38 +224,115 @@ def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
     return index
 
 
-def _group(kind: str, rows: list[tuple]) -> _Group:
-    """Columns of per-element rows (id, dofs, L, c, s, E, A, I, rho) as arrays."""
-    ids, dofs, *props = zip(*rows) if rows else ((),) * 9
-    return _Group(kind, np.array(ids, dtype=np.int64),
-                  np.array(dofs, dtype=np.int64).reshape(-1, 2 * len(_DOF_NAMES[kind])),
-                  *(np.array(p, dtype=float) for p in props))
+def solved_dofs(model: IRModel) -> int:
+    """Dofs the solver assembles for the model's analysis, constrained ones
+    included: modal analysis splits each frame member into
+    ``DEFAULT_MODAL_SUBDIVISIONS`` elements, whose interior nodes carry ux,
+    uy and rz each."""
+    n = len(build_dof_index(model))
+    if model.analysis.mode == "modal":
+        frames = sum(e.kind != "truss_bar" for e in model.elements)
+        n += 3 * (DEFAULT_MODAL_SUBDIVISIONS - 1) * frames
+    return n
 
 
-def _prepare(model: IRModel) -> tuple[dict[tuple[int, str], int], tuple[_Group, _Group],
-                                      np.ndarray, frozenset[int]]:
+def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.ndarray],
+           n_sub: int, first_id: int, first_dof: int):
+    """Frame columns with each member split into n_sub equal pieces.
+
+    Interior point i of a member is ``x1 + (i / n_sub) * (x2 - x1)`` and has
+    the dofs ux, uy, rz from ``first_dof`` on, in (member, point) order. A
+    member's first piece keeps its id and row; the other pieces follow all
+    members, in (member, piece) order, with ids from ``first_id``.
+    """
+    m, k = ids.size, n_sub - 1
+    t = np.arange(1, n_sub) / n_sub
+    x1, y1, x2, y2 = (ends[:, j:j + 1] for j in range(4))
+    xs = np.concatenate([x1, x1 + t * (x2 - x1), x2], axis=1)    # (m, n_sub + 1)
+    ys = np.concatenate([y1, y1 + t * (y2 - y1), y2], axis=1)
+    inner = first_dof + np.arange(3 * m * k, dtype=np.int64).reshape(m, k, 3)
+    chain = np.concatenate([dofs[:, None, :3], inner, dofs[:, None, 3:]], axis=1)
+
+    def rows(a: np.ndarray) -> np.ndarray:  # (m, n_sub, ...) pieces in table order
+        return np.concatenate([a[:, 0], a[:, 1:].reshape(m * k, *a.shape[2:])])
+
+    piece_ends = np.stack([xs[:, :-1], ys[:, :-1], xs[:, 1:], ys[:, 1:]], axis=-1)
+    return (np.concatenate([ids, np.arange(first_id, first_id + m * k, dtype=np.int64)]),
+            rows(np.concatenate([chain[:, :-1], chain[:, 1:]], axis=-1)),
+            rows(piece_ends), [np.concatenate([p, np.repeat(p, k)]) for p in props])
+
+
+def _group(kind: str, ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray,
+           props: list[np.ndarray]) -> _Group:
+    dx, dy = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
+    # math.hypot, not np.hypot: the two differ in the last bit for some pairs
+    L = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, dx.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _Group(kind, ids, dofs, L, dx / L, dy / L, *props)
+
+
+def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int],
+                                                      tuple[_Group, _Group],
+                                                      np.ndarray, frozenset[int]]:
     """Dof index, element table (truss group, frame group), load vector and
-    constrained dofs of a model."""
+    constrained dofs of a model with each frame member split into ``n_sub``
+    elements.
+
+    The split model is the one an IR-level refinement would give: interior
+    nodes numbered from max node id + 1 and their ux, uy, rz dofs after the
+    model's own, new elements numbered from max element id + 1, both in
+    (member id, piece) order. Its matrices are therefore bit-identical to
+    those of that model, without building it. Truss bars are never split:
+    an interior truss node carries no transverse stiffness and would
+    introduce a spurious mechanism.
+    """
     index = build_dof_index(model)
     pos = model.node_positions()
     sections = {s.id: s for s in model.sections}
     materials = {m.id: m for m in model.materials}
-    rows: dict[str, list[tuple]] = {kind: [] for kind in _DOF_NAMES}
+
+    def columns(elements: list, kind: str):
+        """ids (m,), dofs (m, d), end coordinates x1 y1 x2 y2 (m, 4), and
+        E, A, I, rho (m,) of elements of one kind."""
+        d = len(_DOF_NAMES[kind])
+        secs = [sections[e.section_id] for e in elements]
+        mats = [materials[s.material_id] for s in secs]
+        # a node's dofs are consecutive from its ux, rz last where it has one
+        ux = np.array([index[(n, "ux")] for e in elements for n in e.node_ids], dtype=np.int64)
+        return (np.array([e.id for e in elements], dtype=np.int64),
+                (ux.reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d),
+                np.array([pos[a] + pos[b] for a, b in (e.node_ids for e in elements)],
+                         dtype=float).reshape(-1, 4),
+                [np.array(v, dtype=float) for v in ([m.youngs_modulus for m in mats],
+                                                    [s.area for s in secs],
+                                                    [s.moment_of_inertia or 0.0 for s in secs],
+                                                    [m.density for m in mats])])
+
+    by_kind: dict[str, list] = {kind: [] for kind in _DOF_NAMES}
     for e in sorted(model.elements, key=lambda e: e.id):
-        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
-        dx, dy = x2 - x1, y2 - y1
-        L = math.hypot(dx, dy)
-        if L == 0.0:
-            raise AssemblyError(f"element {e.id} has zero length")
-        sec = sections[e.section_id]
-        mat = materials[sec.material_id]
-        kind = "truss_bar" if e.kind == "truss_bar" else "frame_beam"
-        if kind == "frame_beam" and sec.moment_of_inertia is None:
-            raise AssemblyError(f"frame element {e.id} has no moment of inertia")
-        dofs = [index[(n, d)] for n in e.node_ids for d in _DOF_NAMES[kind]]
-        rows[kind].append((e.id, dofs, L, dx / L, dy / L, mat.youngs_modulus, sec.area,
-                           sec.moment_of_inertia or 0.0, mat.density))
-    groups = tuple(_group(kind, r) for kind, r in rows.items())
+        by_kind["truss_bar" if e.kind == "truss_bar" else "frame_beam"].append(e)
+    no_inertia = next((e.id for e in by_kind["frame_beam"]
+                       if sections[e.section_id].moment_of_inertia is None), None)
+    bars = columns(by_kind["truss_bar"], "truss_bar")
+    frames = columns(by_kind["frame_beam"], "frame_beam")
+    if n_sub > 1 and frames[0].size:
+        first_node = max((n.id for n in model.nodes), default=0) + 1
+        first_dof, n_inner = len(index), frames[0].size * (n_sub - 1)
+        index.update(zip(itertools.product(range(first_node, first_node + n_inner),
+                                           _DOF_NAMES["frame_beam"]),
+                         range(first_dof, first_dof + 3 * n_inner)))
+        frames = _split(*frames, n_sub, max(e.id for e in model.elements) + 1, first_dof)
+    groups = (_group("truss_bar", *bars), _group("frame_beam", *frames))
+
+    # the first element in id order with zero length or no inertia, zero length
+    # first when one element has both
+    faults = [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
+              for g in groups if np.any(g.L == 0.0)]
+    if no_inertia is not None:
+        faults.append((no_inertia, 1, "frame element {} has no moment of inertia"))
+    if faults:
+        element, _, message = min(faults)
+        raise AssemblyError(message.format(element))
 
     f = np.zeros(len(index))
     for l in model.loads:
@@ -269,13 +353,18 @@ def _prepare(model: IRModel) -> tuple[dict[tuple[int, str], int], tuple[_Group, 
 def _pattern(n: int, groups) -> _Pattern:
     """Sparsity pattern of the groups' element matrices: the COO row and
     column of each entry, reduced once to CSC order."""
-    rows, cols = [], []
-    for g in groups:
-        m, d = g.dofs.shape
-        rows.append(np.broadcast_to(g.dofs[:, :, None], (m, d, d)).ravel())
-        cols.append(np.broadcast_to(g.dofs[:, None, :], (m, d, d)).ravel())
-    keys, slot = np.unique(np.concatenate(cols) * n + np.concatenate(rows),
-                           return_inverse=True)
+    # column * n + row of entry (i, j) of each element matrix, in that order
+    keys = np.concatenate([(g.dofs[:, None, :] * n + g.dofs[:, :, None]).ravel()
+                           for g in groups])
+    # np.unique(keys, return_inverse=True) at about half its cost
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slot = np.empty(keys.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return _Pattern(n, keys % n, indptr, slot)
@@ -289,10 +378,11 @@ def _scatter(p: _Pattern, matrices) -> scipy.sparse.csc_array:
     return scipy.sparse.csc_array((data, p.indices, p.indptr), shape=(p.n, p.n))
 
 
-def assemble(model: IRModel) -> AssembledSystem:
-    """Direct stiffness assembly of K and the load vector; the consistent
-    mass matrix ``M`` is assembled when first read."""
-    index, groups, f, constrained = _prepare(model)
+def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
+    """Direct stiffness assembly of K and the load vector, with each frame
+    member split into ``n_sub`` elements; the consistent mass matrix ``M``
+    is assembled when first read."""
+    index, groups, f, constrained = _prepare(model, n_sub)
     pattern = _pattern(len(index), groups)
     K = _scatter(pattern, [_element_stiffness(g) for g in groups])
     return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
@@ -372,38 +462,6 @@ def solve_static(model: IRModel) -> StaticResult:
         equilibrium_residual=residual)
 
 
-def subdivide_frames(model: IRModel, n_sub: int) -> IRModel:
-    """Split every frame member into n_sub elements with interior nodes.
-
-    Truss bars are untouched: an interior truss node carries no transverse
-    stiffness and would introduce a spurious mechanism.
-    """
-    if n_sub <= 1:
-        return model
-    next_node = max((n.id for n in model.nodes), default=0) + 1
-    next_elem = max((e.id for e in model.elements), default=0) + 1
-    pos = model.node_positions()
-    nodes = list(model.nodes)
-    elements: list[Element] = []
-    for e in sorted(model.elements, key=lambda e: e.id):
-        if e.kind != "frame_beam":
-            elements.append(e)
-            continue
-        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
-        chain = [e.node_ids[0]]
-        for i in range(1, n_sub):
-            t = i / n_sub
-            nodes.append(Node(next_node, x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-            chain.append(next_node)
-            next_node += 1
-        chain.append(e.node_ids[1])
-        elements.append(replace(e, node_ids=(chain[0], chain[1])))
-        for a, b in zip(chain[1:-1], chain[2:]):
-            elements.append(Element(next_elem, "frame_beam", (a, b), e.section_id))
-            next_elem += 1
-    return replace(model, nodes=tuple(nodes), elements=tuple(elements))
-
-
 def solve_modal(model: IRModel, n: int,
                 subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
     """Lowest n natural frequencies and shapes of the restrained structure.
@@ -418,8 +476,7 @@ def solve_modal(model: IRModel, n: int,
         raise ValueError("modal count must be >= 1")
     if restraint_rank(model) < 3:
         raise SingularSystemError("insufficient restraint for modal analysis")
-    refined = subdivide_frames(model, subdivisions)
-    system = assemble(refined)
+    system = assemble(model, subdivisions)
     free = _free_indices(system.n_dofs, system.constrained)
     if free.size == 0:
         raise SingularSystemError("no free dofs")

@@ -119,13 +119,18 @@ def check_l1(model: IRModel) -> list[Finding]:
                   f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
                   f"sections/{sec.id}")
     # a zero or negative area or modulus leaves the stiffness matrix singular
-    # or indefinite, which the solver would report as a mechanism
+    # or indefinite, which the solver would report as a mechanism; a zero or
+    # negative density does the same to the mass matrix of a modal analysis
     for m in model.materials:
         if not all(math.isfinite(v) for v in (m.youngs_modulus, m.poisson_ratio, m.density)):
             f("nonfinite-value", f"material {m.id} has non-finite properties", f"materials/{m.id}")
-        elif m.youngs_modulus <= 0:
+            continue
+        if m.youngs_modulus <= 0:
             f("nonpositive-stiffness", f"material {m.id} has a non-positive youngs modulus "
                                        f"{m.youngs_modulus!r}", f"materials/{m.id}")
+        if m.density <= 0 and model.analysis.mode == "modal":
+            f("nonpositive-mass", f"material {m.id} has a non-positive density {m.density!r}",
+              f"materials/{m.id}")
     for s in model.sections:
         if s.material_id not in material_ids:
             f("dangling-ref", f"section {s.id} references missing material {s.material_id}",
@@ -186,35 +191,34 @@ def restraint_rank(model: IRModel) -> int:
 
     Each constrained dof contributes one row of the map from planar rigid
     motion (tx, ty, w) to the displacement it would see: ux -> (1, 0, -y),
-    uy -> (0, 1, x), rz -> (0, 0, 1). Elimination is exact over rationals,
-    so collinear restraint patterns are ranked correctly.
+    uy -> (0, 1, x), rz -> (0, 0, 1). Each row is reduced against the basis
+    found so far as it is built, and the scan stops at rank 3. Elimination
+    is exact over rationals, so collinear restraint patterns are ranked
+    correctly.
     """
     pos = model.node_positions()
-    rows: list[list[Fraction]] = []
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+    zero, one = Fraction(0), Fraction(1)
     for bc in model.boundary_conditions:
         x, y = pos[bc.node_id]
         for dof in bc.sorted_dofs():
             if dof == "ux":
-                rows.append([Fraction(1), Fraction(0), -Fraction(y)])
+                row = [one, zero, -Fraction(y)]
             elif dof == "uy":
-                rows.append([Fraction(0), Fraction(1), Fraction(x)])
+                row = [zero, one, Fraction(x)]
             else:
-                rows.append([Fraction(0), Fraction(0), Fraction(1)])
-    rank = 0
-    for col in range(3):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / prow[col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == 3:
-            break
-    return rank
+                row = [zero, zero, one]
+            # each basis row is zero in the pivot columns of those before it
+            for col, b in basis:
+                if row[col] != 0:
+                    factor = row[col] / b[col]
+                    row = [r - factor * v for r, v in zip(row, b)]
+            col = next((c for c in range(3) if row[c] != 0), None)
+            if col is not None:
+                basis.append((col, row))
+                if len(basis) == 3:
+                    return 3
+    return len(basis)
 
 
 def connected_components(items: Iterable[Hashable],

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
-from vfea.ir import Element, Node
+from vfea.ir import AnalysisSpec, BoundaryCondition, Element, Node
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits, ResultsCorruptError,
                           ResultsMissingError, WorkspaceError, allocate_workspace,
                           execute, read_results, write_results_file)
-from vfea.simscript import lower_ir, parse_script
+from vfea.simscript import Fault, lower_ir, parse_script
 from vfea.solver import TopoResult
 
 # One script edit per outcome kind of an execution, applied to the lowered
@@ -105,6 +105,21 @@ class TestExecute:
                       Limits(max_solver_dofs=10), mode=mode)
         assert out.status == "ABORTED"
         assert "(15 > 10 dofs)" in out.log
+
+    @pytest.mark.parametrize("mode, dofs", [("modal", 17), ("static", 8)])
+    def test_dof_count_splits_frame_members_only(self, tmp_path, mode, dofs):
+        # a frame cantilever (6 dofs) braced by a truss bar to a pinned node
+        # (2 more); modal analysis adds three interior nodes to the frame only
+        base = cantilever_model()
+        model = replace(base, nodes=(*base.nodes, Node(3, 0.0, 1.0)),
+                        elements=(*base.elements, Element(2, "truss_bar", (3, 2), 1)),
+                        boundary_conditions=(*base.boundary_conditions,
+                                             BoundaryCondition(3, frozenset({"ux", "uy"}))))
+        if mode == "modal":
+            model = replace(model, loads=(), analysis=AnalysisSpec(mode="modal", modal_count=3))
+        out = execute(lower_ir(model, tmp_path), allocate_workspace(tmp_path, mode), Limits())
+        assert out.status == "COMPLETED"
+        assert f"analysis complete ({dofs} dofs)" in out.log
 
     @pytest.mark.parametrize("members,status", [(4, "COMPLETED"), (40, "ABORTED")])
     def test_mode_budget_counts_modes_the_solver_computes(self, tmp_path, members, status):
@@ -289,6 +304,34 @@ class TestExecute:
         analyze = 1 + script.splitlines().index("analyze static")
         assert out.runtime_error.kind == "model" and out.runtime_error.line == analyze
         assert "non-positive" in out.runtime_error.message
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    @pytest.mark.parametrize("density", ["-7850.0", "0.0"])
+    def test_nonpositive_density_is_a_model_fault_in_modal(self, tmp_path, mode, density):
+        # without the audit the solver reports a non-positive mode or an
+        # ARPACK failure, and the repair is pointed at the supports
+        script = lower_ir(modal_cantilever(), tmp_path)
+        bad = script.replace("0.3 7850.0", f"0.3 {density}")
+        assert bad != script
+        out = execute(bad, allocate_workspace(tmp_path, "mass"), Limits(), mode=mode)
+        assert out.status == "FAILED"
+        analyze = 1 + bad.splitlines().index("analyze modal count 3")
+        assert out.runtime_error == Fault(
+            "model", analyze, f"model rejected: material 1 has a non-positive density {density}")
+        # statics needs no mass
+        static = bad.replace("analyze modal count 3", "load 2 0.0 -1000.0 0.0\nanalyze static")
+        out = execute(static, allocate_workspace(tmp_path, "mass"), Limits(), mode=mode)
+        assert out.status == "COMPLETED"
+
+    def test_subprocess_child_finds_the_package_without_pythonpath(
+            self, tmp_path, cantilever_script, monkeypatch):
+        # the tests import vfea through sys.path; the child must find the same package
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        outs = [execute(cantilever_script, allocate_workspace(tmp_path, mode), Limits(),
+                        mode=mode) for mode in ("inprocess", "subprocess")]
+        assert outs[1].status == outs[0].status == "COMPLETED"
+        assert outs[1].log == outs[0].log
+        assert outs[1].results_path.read_text() == outs[0].results_path.read_text()
 
     @pytest.mark.parametrize("returncode, stdout", [(1, ""), (0, "Traceback (most recent")])
     def test_subprocess_child_crash_is_failed_outcome(self, tmp_path, cantilever_script,

@@ -3,15 +3,19 @@ method of joints, eigenvalue laws, optimality-criteria behavior."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import (BAR, BEAM, STEEL, cantilever_model, ground_structure,
+from conftest import (BAR, BEAM, REPO_ROOT, STEEL, cantilever_model, ground_structure,
                       modal_cantilever, random_frame_model, two_bar_truss)
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                      Node, Section, canonicalize, deserialize)
@@ -19,9 +23,12 @@ from vfea import solver
 from vfea.sandbox import Limits, allocate_workspace, execute
 from vfea.simscript import lower_ir
 from vfea.solver import (AssemblyError, SingularSystemError,
-                         UnsupportedOptimizationError, assemble,
-                         optimize_topology, solve_modal, solve_static)
+                         UnsupportedOptimizationError, assemble, build_dof_index,
+                         optimize_topology, solve_modal, solve_static, solved_dofs)
 from vfea.validation import restraint_rank
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def single_bar(end: tuple[float, float]) -> IRModel:
@@ -322,6 +329,154 @@ class TestTopopt:
         assert len(r.compliance_history) <= 6
 
 
+def subdivide_reference(model: IRModel, n_sub: int) -> IRModel:
+    """Every frame member split into n_sub elements with interior nodes, in
+    the IR: the model whose matrices ``assemble(model, n_sub)`` must equal.
+
+    Truss bars are untouched: an interior truss node carries no transverse
+    stiffness and would introduce a spurious mechanism.
+    """
+    if n_sub <= 1:
+        return model
+    next_node = max((n.id for n in model.nodes), default=0) + 1
+    next_elem = max((e.id for e in model.elements), default=0) + 1
+    pos = model.node_positions()
+    nodes = list(model.nodes)
+    elements: list[Element] = []
+    for e in sorted(model.elements, key=lambda e: e.id):
+        if e.kind != "frame_beam":
+            elements.append(e)
+            continue
+        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
+        chain = [e.node_ids[0]]
+        for i in range(1, n_sub):
+            t = i / n_sub
+            nodes.append(Node(next_node, x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+            chain.append(next_node)
+            next_node += 1
+        chain.append(e.node_ids[1])
+        elements.append(replace(e, node_ids=(chain[0], chain[1])))
+        for a, b in zip(chain[1:-1], chain[2:]):
+            elements.append(Element(next_elem, "frame_beam", (a, b), e.section_id))
+            next_elem += 1
+    return replace(model, nodes=tuple(nodes), elements=tuple(elements))
+
+
+def frame_decks() -> list[tuple[str, IRModel]]:
+    """The benchmark's generated frames, at every size of its deck, as drawn
+    and with every node moved by up to 0.1 m: skewed members have two
+    non-zero length components, and for some of them np.hypot and
+    math.hypot differ in the last bit."""
+    rng = random.Random(11)
+    out = []
+    for k, (a, b) in enumerate(workloads.FRAME_DECK):
+        m = deserialize(json.dumps(workloads.frame(a, b, random.Random(f"frame{k}"))[2]))
+        skewed = tuple(replace(n, x=n.x + rng.uniform(-0.1, 0.1), y=n.y + rng.uniform(-0.1, 0.1))
+                       for n in m.nodes)
+        out += [(f"frame{a}x{b}", m), (f"frame{a}x{b}-skewed", replace(m, nodes=skewed))]
+    return out
+
+
+def assert_same_system(got, want, label) -> None:
+    """Bit-identical K, f, M and dof index, the index in the same order."""
+    assert list(got.dof_index.items()) == list(want.dof_index.items()), label
+    for name in ("K", "M"):
+        a, b = getattr(got, name), getattr(want, name)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), (label, name, part)
+    assert got.f.tobytes() == want.f.tobytes(), label
+    assert got.constrained == want.constrained, label
+
+
+_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=6,
+                   unique=True)
+
+
+@st.composite
+def mixed_models(draw) -> IRModel:
+    """Truss bars and frame members between distinct points, ids with gaps,
+    loads with moments and fixes with rotations; modal or static."""
+    points = draw(_POINTS)
+    ids = draw(st.lists(st.integers(1, 50), min_size=len(points), max_size=len(points),
+                        unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    kinds = draw(st.lists(st.sampled_from(["truss_bar", "frame_beam"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    elem_ids = draw(st.lists(st.integers(1, 80), min_size=len(pairs), max_size=len(pairs),
+                             unique=True))
+    sub = st.sampled_from(ids)
+    dofs = st.frozensets(st.sampled_from(["ux", "uy", "rz"]), min_size=1)
+    bcs = draw(st.dictionaries(sub, dofs, min_size=1, max_size=3))
+    loads = draw(st.dictionaries(sub, st.tuples(*[st.sampled_from([0.0, 5.0, -2.0])] * 3),
+                                 max_size=3))
+    mode = draw(st.sampled_from(["modal", "static"]))
+    return IRModel(
+        nodes=tuple(Node(i, 0.5 * x, 0.5 * y) for i, (x, y) in zip(ids, points)),
+        elements=tuple(Element(i, k, p, 1 if k == "truss_bar" else 2)
+                       for i, k, p in zip(elem_ids, kinds, pairs)),
+        materials=(STEEL,), sections=(BAR, replace(BEAM, id=2)),
+        boundary_conditions=tuple(BoundaryCondition(n, d) for n, d in bcs.items()),
+        loads=tuple(Load(n, *v) for n, v in loads.items()),
+        analysis=(AnalysisSpec(mode="modal", modal_count=1) if mode == "modal"
+                  else AnalysisSpec()))
+
+
+class TestSubdivision:
+    """Frames split in the element table against the same split in the IR."""
+
+    @pytest.mark.parametrize("n_sub", [1, 2, 4])
+    def test_table_split_matches_ir_split(self, suite_dir, n_sub):
+        for name, m in oracle_models(suite_dir) + frame_decks():
+            refined = subdivide_reference(m, n_sub)
+            system = assemble(m, n_sub)
+            assert_same_system(system, assemble(refined), (name, n_sub))
+            # lengths are math.hypot's, as the solver has always computed them
+            pos, ends = refined.node_positions(), {e.id: e.node_ids for e in refined.elements}
+            for g in system.groups:
+                want = [math.hypot(pos[ends[i][1]][0] - pos[ends[i][0]][0],
+                                   pos[ends[i][1]][1] - pos[ends[i][0]][1])
+                        for i in g.ids.tolist()]
+                assert g.L.tolist() == want, (name, n_sub, g.kind)
+
+    @given(mixed_models())
+    def test_solved_dofs_counts_the_split_model(self, m):
+        n_sub = solver.DEFAULT_MODAL_SUBDIVISIONS if m.analysis.mode == "modal" else 1
+        reference = assemble(subdivide_reference(m, n_sub))
+        assert solved_dofs(m) == len(reference.dof_index)
+        assert_same_system(assemble(m, n_sub), reference, n_sub)
+
+    def test_static_count_is_the_dof_index(self):
+        m = replace(modal_cantilever(), analysis=AnalysisSpec())
+        assert solved_dofs(m) == len(build_dof_index(m)) == 6
+        assert solved_dofs(modal_cantilever()) == 15
+
+    @pytest.mark.parametrize("nodes, sections, n_sub, message", [
+        # the first element in id order fails, zero length before inertia
+        (((1, 0.0), (2, 2.0), (3, 2.0)), (BEAM, replace(BEAM, moment_of_inertia=None)), 4,
+         "frame element 1 has no moment of inertia"),
+        (((1, 0.0), (2, 0.0), (3, 2.0)), (BEAM, replace(BEAM, moment_of_inertia=None)), 4,
+         "element 1 has zero length"),
+        (((1, 0.0), (2, 2.0), (3, 2.0)), (BEAM, BEAM), 4, "element 2 has zero length"),
+        (((1, 0.0), (2, 2.0), (3, 2.0)), (BEAM, BEAM), 1, "element 2 has zero length"),
+        # 2 ulp apart from an odd mantissa: the quarter point rounds up to the
+        # half point, so the first piece has length and the second (the
+        # first new element, id 3) none
+        (((1, 1.0 + 2**-52), (2, 1.0 + 3 * 2**-52), (3, 3.0)), (BEAM, BEAM), 4,
+         "element 3 has zero length"),
+    ])
+    def test_faults_name_the_first_failing_element(self, nodes, sections, n_sub, message):
+        m = replace(cantilever_model(), nodes=tuple(Node(i, x, 0.0) for i, x in nodes),
+                    elements=(Element(1, "frame_beam", (1, 2), 2),
+                              Element(2, "frame_beam", (2, 3), 1)),
+                    sections=(sections[0], replace(sections[1], id=2)))
+        with pytest.raises(AssemblyError) as want:
+            assemble(subdivide_reference(m, n_sub))
+        with pytest.raises(AssemblyError) as got:
+            assemble(m, n_sub)
+        assert str(got.value) == str(want.value) == message
+
+
 def oracle_models(suite_dir) -> list[tuple[str, IRModel]]:
     """The 15 bundled cases and seeded random frames."""
     rng = random.Random(7)
@@ -359,7 +514,7 @@ class TestDenseOracle:
         n = 3
         for name, m in oracle_models(suite_dir):
             r = solve_modal(m, n)
-            system = assemble(solver.subdivide_frames(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
+            system = assemble(subdivide_reference(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
             free, ff = dense_free(system)
             # the reciprocal problem M x = x K / w^2 puts the lowest modes at
             # the top of its spectrum, where the dense solver is most accurate

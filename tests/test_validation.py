@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BEAM, STEEL
-from vfea.ir import (BoundaryCondition, Element, IRModel, Load, Node,
+from conftest import BEAM, STEEL, modal_cantilever
+from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load, Node,
                      Section, canonicalize)
 from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
@@ -78,6 +78,14 @@ class TestL1:
             # an infinite value is reported once, as non-finite
             expected = "nonfinite-value" if math.isinf(value) else "nonpositive-stiffness"
             assert codes(check_l1(bad)) == {expected}
+
+    @pytest.mark.parametrize("density", [0.0, -0.0, -7850.0])
+    def test_nonpositive_density_in_modal_mode(self, density):
+        bad = replace(modal_cantilever(), materials=(replace(STEEL, density=density),))
+        assert codes(check_l1(bad)) == {"nonpositive-mass"}
+        # statics and topology optimisation build no mass matrix
+        static = replace(bad, analysis=AnalysisSpec(), loads=(Load(2, 0.0, -1.0, 0.0),))
+        assert check_l1(static) == []
 
     def test_normalized_bounds(self, truss):
         bad = replace(truss, coordinate_mode="normalized")
