@@ -228,15 +228,25 @@ def diff(old: IRModel, new: IRModel) -> ChangeSet:
 
 
 # --- text document schema -------------------------------------------------
+#
+# One reader serves every JSON document of the package: a record table maps
+# each record class to its fields, and ``_record(table, cls)`` reads one
+# object of ``cls`` by it. The IR document's table is ``_RECORDS`` below;
+# perception and the sandbox declare their own for drawings and results.
 
 class _Defect(Exception):
     """A schema defect in the value being read. ``where`` gathers the keys
-    and indices that lead to it, innermost first, as it propagates up; the
-    path string is only built once it reaches ``deserialize``."""
+    and indices that lead to it, innermost first, as it propagates up;
+    ``path`` renders them as ``$.a[0].b`` once it reaches the top."""
 
     def __init__(self, reason: str, *where: str | int):
         self.reason = reason
         self.where = list(where)
+
+    @property
+    def path(self) -> str:
+        return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                             for p in reversed(self.where))
 
 
 def _expected(what: str, value: object) -> _Defect:
@@ -260,6 +270,14 @@ def _float(value):
         raise _Defect("number out of float range") from None
 
 
+def _finite(value):
+    if type(value) is not float:
+        value = _float(value)
+    if not math.isfinite(value):
+        raise _Defect(f"expected a finite number, got {value}")
+    return value
+
+
 def _text(value):
     if not isinstance(value, str):
         raise _expected("string", value)
@@ -274,30 +292,30 @@ def _one_of(choices: tuple[str, ...]):
     return read
 
 
-def _array(read_item):
+def _array(read_item, length: int | None = None, what: str = "items"):
+    """Reader of an array, of exactly ``length`` items when one is given."""
     def read(value):
         if not isinstance(value, list):
             raise _expected("array", value)
+        if length is not None and len(value) != length:
+            raise _Defect(f"expected exactly {length} {what}, got {len(value)}")
         out = []
         try:
-            for i, item in enumerate(value):
+            for item in value:
                 out.append(read_item(item))
         except _Defect as defect:
-            defect.where.append(i)
+            defect.where.append(len(out))  # the index of the item that failed
             raise
         return tuple(out)
     return read
 
 
-_node_ids = _array(_int)
+def _nullable(read):
+    return lambda value: None if value is None else read(value)
+
+
+_pair = _array(_int, 2, "node ids")
 _dofs = _array(_one_of(DOF_ORDER))
-
-
-def _pair(value):
-    ids = _node_ids(value)
-    if len(ids) != 2:
-        raise _Defect(f"expected exactly 2 node ids, got {len(ids)}")
-    return ids
 
 
 class _Field(NamedTuple):
@@ -307,11 +325,11 @@ class _Field(NamedTuple):
     required: bool = True
 
 
-def _record(cls: type):
-    """Reader of one object of ``cls``: its keys must all be known and the
-    required ones present (the first one missing in table order is named),
-    and each field is read in table order."""
-    fields = _RECORDS[cls]
+def _record(table: dict[type, tuple[_Field, ...]], cls: type):
+    """Reader of one object of ``cls`` by its fields in ``table``: its keys
+    must all be known and the required ones present (the first one missing
+    in table order is named), and each field is read in table order."""
+    fields = table[cls]
     known = {f.key for f in fields}
     required = {f.key for f in fields if f.required}
 
@@ -335,9 +353,38 @@ def _record(cls: type):
     return read
 
 
-# Every record kind of the document, each field in the documented key order
-# (docs/ir-schema.md). Optional fields default to the attribute's default on
-# reading and are left out when None on writing.
+def _read_json(read, text: str):
+    """``read`` applied to the JSON document ``text``; text that is not one
+    (bad syntax, nesting too deep, an overlong integer) is a defect at ``$``."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _Defect(f"invalid document syntax: {exc}") from None
+    return read(raw)
+
+
+def _to_doc(value, table: dict[type, tuple[_Field, ...]]):
+    """The document form of a value: a record's fields in table order, None
+    ones left out; a tuple as an array; a map by its keys in order, as
+    strings; a dof set in DOF_ORDER."""
+    if isinstance(value, (float, int, str)):
+        return value
+    fields = table.get(type(value))
+    if fields is not None:
+        return {f.key: _to_doc(v, table) for f in fields
+                if (v := getattr(value, f.attr)) is not None}
+    if isinstance(value, (tuple, list)):
+        return [_to_doc(v, table) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _to_doc(v, table) for k, v in sorted(value.items())}
+    if isinstance(value, (set, frozenset)):
+        return [d for d in DOF_ORDER if d in value]
+    return value
+
+
+# Every record kind of the IR document, each field in the documented key
+# order (docs/ir-schema.md). Optional fields default to the attribute's
+# default on reading and are left out when None on writing.
 _RECORDS: dict[type, tuple[_Field, ...]] = {
     Node: (_Field("id", "id", _int), _Field("x", "x", _float), _Field("y", "y", _float)),
     Element: (_Field("id", "id", _int), _Field("kind", "kind", _one_of(ELEMENT_KINDS)),
@@ -358,35 +405,22 @@ _RECORDS: dict[type, tuple[_Field, ...]] = {
                    _Field("max_iterations", "opt_max_iterations", _int, required=False)),
 }
 _RECORDS[IRModel] = (
-    _Field("nodes", "nodes", _array(_record(Node))),
-    _Field("elements", "elements", _array(_record(Element))),
-    _Field("materials", "materials", _array(_record(Material))),
-    _Field("sections", "sections", _array(_record(Section))),
-    _Field("bcs", "boundary_conditions", _array(_record(BoundaryCondition))),
-    _Field("loads", "loads", _array(_record(Load))),
-    _Field("analysis", "analysis", _record(AnalysisSpec)),
+    _Field("nodes", "nodes", _array(_record(_RECORDS, Node))),
+    _Field("elements", "elements", _array(_record(_RECORDS, Element))),
+    _Field("materials", "materials", _array(_record(_RECORDS, Material))),
+    _Field("sections", "sections", _array(_record(_RECORDS, Section))),
+    _Field("bcs", "boundary_conditions", _array(_record(_RECORDS, BoundaryCondition))),
+    _Field("loads", "loads", _array(_record(_RECORDS, Load))),
+    _Field("analysis", "analysis", _record(_RECORDS, AnalysisSpec)),
     _Field("coordinate_mode", "coordinate_mode", _one_of(COORDINATE_MODES)),
     _Field("provenance", "provenance", _text, required=False),
 )
-_read_model = _record(IRModel)
-
-
-def _to_doc(value):
-    """The document form of a model value: a record's fields in table order,
-    None ones left out; a tuple as an array; a dof set in DOF_ORDER."""
-    fields = _RECORDS.get(type(value))
-    if fields is not None:
-        return {f.key: _to_doc(v) for f in fields if (v := getattr(value, f.attr)) is not None}
-    if isinstance(value, (tuple, list)):
-        return [_to_doc(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [d for d in DOF_ORDER if d in value]
-    return value
+_read_model = _record(_RECORDS, IRModel)
 
 
 def serialize(model: IRModel) -> str:
     """Render the model as the canonical text document (deterministic order)."""
-    return json.dumps(_to_doc(model), indent=2) + "\n"
+    return json.dumps(_to_doc(model, _RECORDS), indent=2) + "\n"
 
 
 def deserialize(text: str) -> IRModel:
@@ -398,15 +432,9 @@ def deserialize(text: str) -> IRModel:
     left to the L1 audit.
     """
     try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # too deep, or an overlong integer
-        raise SchemaParseError("$", f"invalid document syntax: {exc}") from None
-    try:
-        return _read_model(raw)
+        return _read_json(_read_model, text)
     except _Defect as defect:
-        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                       for p in reversed(defect.where))
-        raise SchemaParseError("$" + path, defect.reason) from None
+        raise SchemaParseError(defect.path, defect.reason) from None
 
 
 def bounding_box(points: Iterable[tuple[float, float]]

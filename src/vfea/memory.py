@@ -14,7 +14,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import IRModel
+from .ir import (IRModel, _Defect, _Field, _array, _float, _int, _nullable,
+                 _read_json, _record, _text)
 
 DENSITY_RATIO_INTERVAL = (0.5, 2.0)
 
@@ -146,22 +147,31 @@ def _record_to_line(rec: ExperienceRecord) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _record_from_line(line: str) -> ExperienceRecord:
-    doc = json.loads(line)
-    sig = doc["signature"]
-    err = doc["error"]
-    return ExperienceRecord(
-        signature=StructuralSignature(
-            n_nodes=sig["n_nodes"], n_elements=sig["n_elements"],
-            section_kinds=frozenset(sig["section_kinds"]),
-            n_loads=sig["n_loads"], n_bcs=sig["n_bcs"]),
-        error=None if err is None else ErrorSignature(
-            category=err["category"], tokens=frozenset(err["tokens"]), line=err["line"]),
-        lesson=doc["lesson"],
-        script_excerpt=doc["script_excerpt"],
-        outcome=doc["outcome"],
-        created_at=doc["created_at"],
-    )
+def _number(value):
+    """A JSON number as it is written, so an int stays an int."""
+    return value if type(value) is int else _float(value)
+
+
+_names = _array(_text)
+
+# The fields of one buffer line (docs/memory-format.md), all required; a
+# null error or line is written as null.
+_LINE: dict[type, tuple[_Field, ...]] = {
+    StructuralSignature: (_Field("n_nodes", "n_nodes", _int),
+                          _Field("n_elements", "n_elements", _int),
+                          _Field("section_kinds", "section_kinds",
+                                 lambda v: frozenset(_names(v))),
+                          _Field("n_loads", "n_loads", _int), _Field("n_bcs", "n_bcs", _int)),
+    ErrorSignature: (_Field("category", "category", _text),
+                     _Field("tokens", "tokens", lambda v: frozenset(_names(v))),
+                     _Field("line", "line", _nullable(_int))),
+}
+_LINE[ExperienceRecord] = (
+    _Field("signature", "signature", _record(_LINE, StructuralSignature)),
+    _Field("error", "error", _nullable(_record(_LINE, ErrorSignature))),
+    _Field("lesson", "lesson", _text), _Field("script_excerpt", "script_excerpt", _text),
+    _Field("outcome", "outcome", _text), _Field("created_at", "created_at", _number))
+_read_record = _record(_LINE, ExperienceRecord)
 
 
 class ExperienceBuffer:
@@ -170,7 +180,7 @@ class ExperienceBuffer:
     Appends are serialized through one lock; readers see a consistent
     prefix because records are only ever appended. Lines that do not decode
     to a record (a write torn by a crash) are skipped on load and counted in
-    ``skipped_lines``.
+    ``skipped_lines``, and so are lines with a missing, unknown or mistyped field.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -190,8 +200,8 @@ class ExperienceBuffer:
                 if not line.strip():
                     continue
                 try:
-                    self._records.append(_record_from_line(line))
-                except (ValueError, KeyError, TypeError):
+                    self._records.append(_read_json(_read_record, line))
+                except (_Defect, ValueError):  # ValueError: a record invariant
                     self.skipped_lines += 1
 
     def __len__(self) -> int:

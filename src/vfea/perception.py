@@ -9,14 +9,15 @@ itself stays deterministic and testable.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, canonicalize, pairs_within, unit_box)
+                 Material, Node, Section, _Defect, _Field, _array, _finite, _int,
+                 _nullable, _one_of, _read_json, _record, _text, canonicalize,
+                 pairs_within, unit_box)
 from .validation import (ValidationReport, accept_update, audit,
                          connected_components)
 
@@ -134,127 +135,101 @@ JustificationHook = Callable[[ValidationReport, IRModel | None, IRModel], "str |
 class PerceptionConfig:
     max_turns: int = 3
     snap_tolerance: float = DEFAULT_SNAP_TOLERANCE
-    scale_cv_tolerance: float = DEFAULT_SCALE_CV_TOL
     reasoning_hook: ReasoningHook | None = None
     justification_hook: JustificationHook | None = None
 
 
-def _point(v, path: str) -> Point:
-    if not isinstance(v, list) or len(v) != 2:
-        raise DrawingParseError(f"{path}: expected a 2-vector")
-    try:
-        x, y = float(v[0]), float(v[1])
-    except (TypeError, ValueError):
-        raise DrawingParseError(f"{path}: coordinates must be numbers") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DrawingParseError(f"{path}: coordinates must be finite")
-    return (x, y)
+_point = _array(_finite, 2, "coordinates")
+
+
+def _direction(value) -> Point:
+    x, y = _point(value)
+    norm = math.hypot(x, y)
+    if norm == 0.0:
+        raise _Defect("zero vector")
+    return (x / norm, y / norm)
+
+
+def _positive(value) -> float:
+    value = _finite(value)
+    if not value > 0:
+        raise _Defect(f"expected a positive value, got {value}")
+    return value
+
+
+# Every record kind of the drawing document (docs/drawing-format.md), each
+# field in the documented key order; all arrays of the document are optional.
+_DRAWING: dict[type, tuple[_Field, ...]] = {
+    Segment: (_Field("p1", "p1", _point), _Field("p2", "p2", _point),
+              _Field("class", "stroke_class", _one_of(STROKE_CLASSES))),
+    DrawingLabel: (_Field("anchor", "anchor", _point), _Field("text", "text", _text)),
+    SupportGlyph: (_Field("anchor", "anchor", _point),
+                   _Field("kind", "kind", _one_of(GLYPH_KINDS))),
+    LoadArrow: (_Field("anchor", "anchor", _point), _Field("direction", "direction", _direction),
+                _Field("magnitude", "magnitude_label", _nullable(_text), required=False)),
+    DimensionAnnotation: (_Field("segment", "segment_index", _int),
+                          _Field("value_m", "value", _positive)),
+}
+_DRAWING[PrimitiveDrawing] = tuple(
+    _Field(key, key, _array(_record(_DRAWING, cls)), required=False)
+    for key, cls in (("segments", Segment), ("labels", DrawingLabel),
+                     ("support_glyphs", SupportGlyph), ("load_arrows", LoadArrow),
+                     ("dimension_annotations", DimensionAnnotation)))
+_read_drawing = _record(_DRAWING, PrimitiveDrawing)
+
+
+def _annotated(drawing: PrimitiveDrawing) -> PrimitiveDrawing:
+    """The drawing, once each dimension annotation is found to measure a
+    dimension-class segment."""
+    segments = drawing.segments
+    for i, ann in enumerate(drawing.dimension_annotations):
+        idx = ann.segment_index
+        if not 0 <= idx < len(segments):
+            reason = f"index {idx} out of range for {len(segments)} segments"
+        elif segments[idx].stroke_class != "dimension":
+            reason = f"segment {idx} is {segments[idx].stroke_class}, not a dimension line"
+        else:
+            continue
+        raise _Defect(reason, "segment", i, "dimension_annotations")
+    return drawing
 
 
 def parse_drawing(text: str) -> PrimitiveDrawing:
-    """Parse the structured drawing document (format in docs/drawing-format.md)."""
+    """Parse the structured drawing document (format in docs/drawing-format.md).
+    Any defect raises DrawingParseError naming its path, as ``$.segments[0].p1``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DrawingParseError(f"invalid drawing document at line {exc.lineno}: "
-                                f"{exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise DrawingParseError("drawing document must be an object")
-    known = {"segments", "labels", "support_glyphs", "load_arrows", "dimension_annotations"}
-    for key in doc:
-        if key not in known:
-            raise DrawingParseError(f"unknown drawing field {key!r}")
-
-    segments: list[Segment] = []
-    for i, s in enumerate(doc.get("segments", [])):
-        path = f"segments[{i}]"
-        if not isinstance(s, dict):
-            raise DrawingParseError(f"{path}: expected an object")
-        cls = s.get("class")
-        if cls not in STROKE_CLASSES:
-            raise DrawingParseError(f"{path}.class: expected one of {STROKE_CLASSES}, "
-                                    f"got {cls!r}")
-        segments.append(Segment(_point(s.get("p1"), f"{path}.p1"),
-                                _point(s.get("p2"), f"{path}.p2"), cls))
-
-    labels: list[DrawingLabel] = []
-    for i, l in enumerate(doc.get("labels", [])):
-        path = f"labels[{i}]"
-        if not isinstance(l, dict) or not isinstance(l.get("text"), str):
-            raise DrawingParseError(f"{path}: expected an object with text")
-        labels.append(DrawingLabel(_point(l.get("anchor"), f"{path}.anchor"), l["text"]))
-
-    glyphs: list[SupportGlyph] = []
-    for i, g in enumerate(doc.get("support_glyphs", [])):
-        path = f"support_glyphs[{i}]"
-        if not isinstance(g, dict) or g.get("kind") not in GLYPH_KINDS:
-            raise DrawingParseError(f"{path}.kind: expected one of {GLYPH_KINDS}")
-        glyphs.append(SupportGlyph(_point(g.get("anchor"), f"{path}.anchor"), g["kind"]))
-
-    arrows: list[LoadArrow] = []
-    for i, a in enumerate(doc.get("load_arrows", [])):
-        path = f"load_arrows[{i}]"
-        if not isinstance(a, dict):
-            raise DrawingParseError(f"{path}: expected an object")
-        direction = _point(a.get("direction"), f"{path}.direction")
-        norm = math.hypot(*direction)
-        if norm == 0.0:
-            raise DrawingParseError(f"{path}.direction: zero vector")
-        direction = (direction[0] / norm, direction[1] / norm)
-        label = a.get("magnitude")
-        if label is not None and not isinstance(label, str):
-            raise DrawingParseError(f"{path}.magnitude: expected a string")
-        arrows.append(LoadArrow(_point(a.get("anchor"), f"{path}.anchor"), direction, label))
-
-    annotations: list[DimensionAnnotation] = []
-    for i, d in enumerate(doc.get("dimension_annotations", [])):
-        path = f"dimension_annotations[{i}]"
-        if not isinstance(d, dict):
-            raise DrawingParseError(f"{path}: expected an object")
-        idx = d.get("segment")
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise DrawingParseError(f"{path}.segment: expected a segment index")
-        if not (0 <= idx < len(segments)):
-            raise DrawingParseError(f"{path}.segment: index {idx} out of range "
-                                    f"for {len(segments)} segments")
-        if segments[idx].stroke_class != "dimension":
-            raise DrawingParseError(f"{path}.segment: segment {idx} is "
-                                    f"{segments[idx].stroke_class}, not a dimension line")
-        try:
-            value = float(d.get("value_m"))
-        except (TypeError, ValueError):
-            raise DrawingParseError(f"{path}.value_m: expected a number") from None
-        if not (math.isfinite(value) and value > 0):
-            raise DrawingParseError(f"{path}.value_m: expected a positive finite value")
-        annotations.append(DimensionAnnotation(idx, value))
-
-    return PrimitiveDrawing(tuple(segments), tuple(labels), tuple(glyphs),
-                            tuple(arrows), tuple(annotations))
+        return _annotated(_read_json(_read_drawing, text))
+    except _Defect as defect:
+        raise DrawingParseError(f"{defect.path}: {defect.reason}") from None
 
 
 def _length(seg: Segment) -> float:
     return math.hypot(seg.p2[0] - seg.p1[0], seg.p2[1] - seg.p1[1])
 
 
-def infer_scale(drawing: PrimitiveDrawing,
-                cv_tolerance: float = DEFAULT_SCALE_CV_TOL) -> ScaleResolution:
+def infer_scale(drawing: PrimitiveDrawing) -> ScaleResolution:
     """Derive the pixel-to-metric scale from dimension annotations.
 
     Falls back to normalized mode when no annotation exists (topological
     consistency over absolute accuracy). Annotations that disagree beyond
-    the tolerance are an input conflict, not something to average away.
+    the tolerance are an input conflict, not something to average away; so
+    is a scale that is zero or infinite, or a mean or spread beyond the
+    float range.
     """
     scales: list[float] = []
     for ann in drawing.dimension_annotations:
         px = _length(drawing.segments[ann.segment_index])
-        if px <= 0:
-            raise ScaleConflictError([0.0], float("inf"))
-        scales.append(ann.value / px)
+        scales.append(ann.value / px if px > 0 else math.inf)
     if not scales:
         return ScaleResolution(mode="normalized", meters_per_pixel=None, consistency=0.0)
-    mean = statistics.fmean(scales)
-    cv = statistics.stdev(scales) / mean if len(scales) > 1 else 0.0
-    if cv > cv_tolerance:
+    if not all(0 < s < math.inf for s in scales):
+        raise ScaleConflictError(scales, math.inf)
+    try:
+        mean = statistics.fmean(scales)
+        cv = statistics.stdev(scales) / mean if len(scales) > 1 else 0.0
+    except OverflowError:  # the sum of the scales is beyond the float range
+        raise ScaleConflictError(scales, math.inf) from None
+    if not cv <= DEFAULT_SCALE_CV_TOL:
         raise ScaleConflictError(scales, cv)
     return ScaleResolution(mode="metric", meters_per_pixel=mean, consistency=cv)
 
@@ -397,12 +372,10 @@ def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
 
 
 def _nearest_node(nodes, p: Point) -> tuple[int, float]:
-    best_id, best_d = 0, float("inf")
-    for nid, x, y in nodes:
-        d = math.dist((x, y), p)
-        if d < best_d or (d == best_d and nid < best_id):
-            best_id, best_d = nid, d
-    return best_id, best_d
+    """The node nearest to ``p``, the lowest id among equally near ones (at
+    an infinite distance too), and its distance."""
+    d, nid = min((math.dist((x, y), p), nid) for nid, x, y in nodes)
+    return nid, d
 
 
 def attach_semantics(drawing: PrimitiveDrawing,
@@ -481,7 +454,7 @@ def orchestrate(drawing_doc: str, context_text: str,
     if config.max_turns < 1:
         raise ValueError("max_turns must be >= 1")
     drawing = parse_drawing(drawing_doc)
-    scale = infer_scale(drawing, config.scale_cv_tolerance)
+    scale = infer_scale(drawing)
     directives = parse_context(context_text)
 
     belief = BeliefState(draft=None, pinned_constraints=directives.lines,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section)
+                 Material, Node, Section, _Defect, _Field, _array, _expected,
+                 _finite, _read_json, _record, _text, _to_doc)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, _stmt_text, parse_script)
@@ -108,84 +110,80 @@ def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
 ResultSet = StaticResult | ModalResult | TopoResult
 
 
-def _results_to_doc(rs: ResultSet) -> dict:
-    if isinstance(rs, StaticResult):
-        return {
-            "result_kind": "static",
-            "displacements": {str(k): list(v) for k, v in sorted(rs.displacements.items())},
-            "reactions": {str(k): list(v) for k, v in sorted(rs.reactions.items())},
-            "axial_force": {str(k): v for k, v in sorted(rs.axial_force.items())},
-            "axial_stress": {str(k): v for k, v in sorted(rs.axial_stress.items())},
-            "frame_end_forces": {str(k): list(v) for k, v in sorted(rs.frame_end_forces.items())},
-            "equilibrium_residual": rs.equilibrium_residual,
-        }
-    if isinstance(rs, ModalResult):
-        doc = {
-            "result_kind": "modal",
-            "frequencies_hz": list(rs.frequencies_hz),
-            "mode_shapes": [{str(k): list(v) for k, v in sorted(shape.items())}
-                            for shape in rs.mode_shapes],
-        }
-        if rs.note is not None:
-            doc["note"] = rs.note
-        return doc
-    return {
-        "result_kind": "topo",
-        "areas": {str(k): v for k, v in sorted(rs.areas.items())},
-        "compliance_history": list(rs.compliance_history),
-        "final_volume_fraction": rs.final_volume_fraction,
-    }
+# an id as ``str`` writes it, so each id has one key
+_ID_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _id_map(read_value):
+    """Reader of an object keyed by decimal ids, as a map from int ids."""
+    def read(value):
+        if not isinstance(value, dict):
+            raise _expected("object", value)
+        out = {}
+        try:
+            for key, item in value.items():
+                if not _ID_KEY.fullmatch(key):
+                    raise _Defect(f"expected an integer id, got {key!r}")
+                out[int(key)] = read_value(item)
+        except _Defect as defect:
+            defect.where.append(key)
+            raise
+        return out
+    return read
+
+
+_numbers = _array(_finite)
+_triples = _id_map(_array(_finite, 3, "components"))
+
+# One record kind per result kind, tagged in the document by ``result_kind``,
+# each field in the documented key order (docs/artifacts.md). Every number
+# must be finite.
+_RESULT_TAGS = {StaticResult: "static", ModalResult: "modal", TopoResult: "topo"}
+_RESULTS: dict[type, tuple[_Field, ...]] = {
+    StaticResult: (_Field("displacements", "displacements", _triples),
+                   _Field("reactions", "reactions", _triples),
+                   _Field("axial_force", "axial_force", _id_map(_finite)),
+                   _Field("axial_stress", "axial_stress", _id_map(_finite)),
+                   _Field("frame_end_forces", "frame_end_forces", _id_map(_numbers)),
+                   _Field("equilibrium_residual", "equilibrium_residual", _finite)),
+    ModalResult: (_Field("frequencies_hz", "frequencies_hz", _numbers),
+                  _Field("mode_shapes", "mode_shapes", _array(_triples)),
+                  _Field("note", "note", _text, required=False)),
+    TopoResult: (_Field("areas", "areas", _id_map(_finite)),
+                 _Field("compliance_history", "compliance_history", _numbers),
+                 _Field("final_volume_fraction", "final_volume_fraction", _finite)),
+}
+_RESULT_READERS = {tag: _record(_RESULTS, cls) for cls, tag in _RESULT_TAGS.items()}
+
+
+def _read_result_set(doc) -> ResultSet:
+    if not isinstance(doc, dict):
+        raise _expected("object", doc)
+    fields = dict(doc)
+    tag = fields.pop("result_kind", None)
+    if not (type(tag) is str and tag in _RESULT_READERS):
+        raise _Defect(f"expected one of {tuple(_RESULT_READERS)}, got {tag!r}", "result_kind")
+    return _RESULT_READERS[tag](fields)
 
 
 def write_results_file(rs: ResultSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_results_to_doc(rs)) + "\n", encoding="utf-8")
-
-
-def _triple(v, what: str) -> tuple[float, float, float]:
-    if not isinstance(v, list) or len(v) != 3:
-        raise ResultsCorruptError(f"{what} must be a 3-vector")
-    return (float(v[0]), float(v[1]), float(v[2]))
+    doc = {"result_kind": _RESULT_TAGS[type(rs)], **_to_doc(rs, _RESULTS)}
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def read_results(path: str | Path) -> ResultSet:
-    """Load a results database; the ``result_kind`` tag selects the shape."""
+    """Load a results database; the ``result_kind`` tag selects the shape.
+    A file that is not a results document, numbers that are not finite
+    included, raises ResultsCorruptError."""
     path = Path(path)
     if not path.exists():
         raise ResultsMissingError(str(path))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return _read_json(_read_result_set, path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an overlong id
         raise ResultsCorruptError(f"{path}: {exc}") from None
-    try:
-        kind = doc["result_kind"]
-        if kind == "static":
-            return StaticResult(
-                displacements={int(k): _triple(v, "displacement")
-                               for k, v in doc["displacements"].items()},
-                reactions={int(k): _triple(v, "reaction") for k, v in doc["reactions"].items()},
-                axial_force={int(k): float(v) for k, v in doc["axial_force"].items()},
-                axial_stress={int(k): float(v) for k, v in doc["axial_stress"].items()},
-                frame_end_forces={int(k): tuple(float(x) for x in v)
-                                  for k, v in doc["frame_end_forces"].items()},
-                equilibrium_residual=float(doc["equilibrium_residual"]),
-            )
-        if kind == "modal":
-            return ModalResult(
-                frequencies_hz=tuple(float(v) for v in doc["frequencies_hz"]),
-                mode_shapes=tuple({int(k): _triple(v, "mode shape")
-                                   for k, v in shape.items()}
-                                  for shape in doc["mode_shapes"]),
-                note=doc.get("note"),
-            )
-        if kind == "topo":
-            return TopoResult(
-                areas={int(k): float(v) for k, v in doc["areas"].items()},
-                compliance_history=tuple(float(v) for v in doc["compliance_history"]),
-                final_volume_fraction=float(doc["final_volume_fraction"]),
-            )
-        raise ResultsCorruptError(f"unknown result kind {kind!r}")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ResultsCorruptError(f"{path}: malformed results document: {exc}") from None
+    except _Defect as defect:
+        raise ResultsCorruptError(f"{path}: {defect.path}: {defect.reason}") from None
 
 
 class _RuntimeStop(Exception):

@@ -117,30 +117,10 @@ def compose_debug_context(error: ErrorSignature, error_message: str, error_line:
     return DebugContext(error_summary=summary, raw_log=log, lessons=tuple(lessons.values()))
 
 
-def _values_finite(rs: ResultSet) -> bool:
-    import math
-
-    def ok(*vals: float) -> bool:
-        return all(math.isfinite(v) for v in vals)
-
-    if isinstance(rs, StaticResult):
-        return (all(ok(*v) for v in rs.displacements.values())
-                and all(ok(*v) for v in rs.reactions.values())
-                and all(ok(v) for v in rs.axial_force.values())
-                and all(ok(v) for v in rs.axial_stress.values())
-                and all(ok(*v) for v in rs.frame_end_forces.values())
-                and ok(rs.equilibrium_residual))
-    if isinstance(rs, ModalResult):
-        return (ok(*rs.frequencies_hz)
-                and all(ok(*v) for shape in rs.mode_shapes for v in shape.values()))
-    return (all(ok(v) for v in rs.areas.values())
-            and ok(*rs.compliance_history) and ok(rs.final_volume_fraction))
-
-
 def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultSet | None:
     """Physical acceptance of a completed run: readable results of the right
-    kind, finite values, and the mode-specific health checks. Returns the
-    parsed results when they pass, else None."""
+    kind (``read_results`` admits finite values only), and the mode-specific
+    health checks. Returns the parsed results when they pass, else None."""
     if outcome.status != "COMPLETED" or outcome.results_path is None:
         return None
     try:
@@ -149,7 +129,7 @@ def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultS
         return None
     expected = {"static": StaticResult, "modal": ModalResult,
                 "topology_optimization": TopoResult}[analysis.mode]
-    if not isinstance(rs, expected) or not _values_finite(rs):
+    if not isinstance(rs, expected):
         return None
     if isinstance(rs, StaticResult):
         ok = rs.equilibrium_residual <= STATIC_RESIDUAL_LIMIT

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -228,6 +229,42 @@ class TestPersistence:
         reloaded = ExperienceBuffer(path)
         rewritten = "".join(_record_to_line(r) + "\n" for r in reloaded.records)
         assert rewritten.encode("utf-8") == original
+
+    def test_integer_timestamp_round_trips_byte_exact(self, tmp_path):
+        from vfea.memory import _record_to_line
+        path = tmp_path / "mem.jsonl"
+        line = _record_to_line(failure(sig(5, 4), {"a"})).replace('"created_at":0.0',
+                                                                 '"created_at":7')
+        path.write_text(line + "\n")
+        assert _record_to_line(ExperienceBuffer(path).records[0]) == line
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["signature"].update(n_nodes="5"),
+        lambda d: d["signature"].update(n_bcs=True),
+        lambda d: d["signature"].update(section_kinds="truss_bar"),
+        lambda d: d["error"].update(tokens="abc"),
+        lambda d: d["error"].update(line=2.0),
+        lambda d: d.update(error=[]),
+        lambda d: d.update(lesson=None),
+        lambda d: d.update(created_at="now"),
+        lambda d: d.update(outcome="maybe"),
+        lambda d: d.pop("script_excerpt"),
+        lambda d: d["signature"].update(n_beams=1),
+    ], ids=["n_nodes-str", "n_bcs-bool", "section_kinds-str", "tokens-str", "line-float",
+            "error-list", "lesson-null", "created_at-str", "outcome-unknown",
+            "excerpt-missing", "signature-unknown-field"])
+    def test_mistyped_line_skipped(self, tmp_path, edit):
+        from vfea.memory import _record_to_line
+        path = tmp_path / "mem.jsonl"
+        ExperienceBuffer(path).record(failure(sig(3, 2), {"a"}, lesson="kept"))
+        doc = json.loads(_record_to_line(failure(sig(5, 4), {"b"}, lesson="mistyped")))
+        edit(doc)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        reloaded = ExperienceBuffer(path)
+        assert [r.lesson for r in reloaded.records] == ["kept"]
+        assert reloaded.skipped_lines == 1
+        assert reloaded.retrieve(sig(5, 4), None, 3) == list(reloaded.records)
 
     def test_torn_last_line_skipped_and_not_extended(self, tmp_path):
         path = tmp_path / "mem.jsonl"

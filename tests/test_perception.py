@@ -8,7 +8,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SUITE_DIR
@@ -42,6 +42,30 @@ CANTILEVER_DOC = json.dumps({
 })
 
 CONTEXT = "material: E=210e9 nu=0.3 rho=7850\nsection: A=0.01 I=1e-6\nelements: frame\nmode: static\n"
+
+
+# (edit of the cantilever document, start of the error it raises)
+MALFORMED = [
+    (lambda d: d.update(segments=5), "$.segments: expected array, got int"),
+    (lambda d: d.update(segments={"a": 1}), "$.segments: expected array, got dict"),
+    (lambda d: d["segments"][1].update(p1=["1e3", 0]), "$.segments[1].p1[0]: expected number"),
+    (lambda d: d["segments"][0].update(p2=[True, 0]), "$.segments[0].p2[0]: expected number"),
+    (lambda d: d["segments"][0].update(p2=[0, 1, 2]), "$.segments[0].p2: expected exactly 2"),
+    (lambda d: d["segments"][0].update(p2=[1e308, 10 ** 400]),
+     "$.segments[0].p2[1]: number out of float range"),
+    (lambda d: d["dimension_annotations"][0].update(value_m="2"),
+     "$.dimension_annotations[0].value_m: expected number, got str"),
+    (lambda d: d["dimension_annotations"][0].update(value_m=0),
+     "$.dimension_annotations[0].value_m: expected a positive value"),
+    (lambda d: d["segments"][0].update(width=2), "$.segments[0].width: unknown field"),
+    (lambda d: d["load_arrows"][0].pop("anchor"),
+     "$.load_arrows[0].anchor: missing required field"),
+    (lambda d: d["load_arrows"][0].update(direction=[0, 0]),
+     "$.load_arrows[0].direction: zero vector"),
+    (lambda d: d["load_arrows"][0].update(magnitude=10),
+     "$.load_arrows[0].magnitude: expected string, got int"),
+    (lambda d: d.update(notes=[]), "$.notes: unknown field"),
+]
 
 
 class TestParseDrawing:
@@ -82,6 +106,19 @@ class TestParseDrawing:
         with pytest.raises(DrawingParseError):
             parse_drawing('{"segments": [{"p1": [0,0], "p2": [1,1], "class": "wall"}]}')
 
+    @pytest.mark.parametrize("edit,path", MALFORMED, ids=[path for _, path in MALFORMED])
+    def test_malformed_field_names_its_path(self, edit, path):
+        doc = json.loads(CANTILEVER_DOC)
+        edit(doc)
+        with pytest.raises(DrawingParseError) as err:
+            parse_drawing(json.dumps(doc))
+        assert str(err.value).startswith(path)
+
+    def test_null_magnitude_is_no_label(self):
+        doc = json.loads(CANTILEVER_DOC)
+        doc["load_arrows"][0]["magnitude"] = None
+        assert parse_drawing(json.dumps(doc)).load_arrows[0].magnitude_label is None
+
 
 class TestInferScale:
     def test_single_annotation(self):
@@ -104,6 +141,19 @@ class TestInferScale:
         assert scale.mode == "metric"
         assert scale.meters_per_pixel == pytest.approx(0.01005)
         assert scale.consistency == pytest.approx(0.007036, rel=1e-3)
+
+    @pytest.mark.parametrize("dims,values", [
+        ([((0, -40), (1, -40)), ((0, -80), (1, -80))], [1e308, 1e308]),  # their sum overflows
+        ([((0, -40), (1e-320, -40)), ((0, -80), (100, -80))], [1.0, 1.0]),  # an infinite scale
+        ([((0, -40), (1e308, -40))], [5e-324]),  # a zero scale
+    ])
+    def test_scales_beyond_the_float_range_conflict(self, dims, values):
+        doc = json.loads(CANTILEVER_DOC)
+        doc["segments"][1:] = [{"p1": p1, "p2": p2, "class": "dimension"} for p1, p2 in dims]
+        doc["dimension_annotations"] = [{"segment": i + 1, "value_m": v}
+                                        for i, v in enumerate(values)]
+        with pytest.raises(ScaleConflictError):
+            orchestrate(json.dumps(doc), CONTEXT)
 
     def test_conflicting_annotations_raise(self):
         doc = json.loads(CANTILEVER_DOC)
@@ -280,6 +330,14 @@ class TestAttachSemantics:
         assert all(-1e-9 <= v <= 1 + 1e-9 for v in xs)
         assert m.coordinate_mode == "normalized"
 
+    def test_load_arrow_at_no_finite_distance_binds_to_a_node(self):
+        doc = {"segments": [{"p1": [-1.7e308, 0], "p2": [-1.6e308, 0], "class": "structural"}],
+               "load_arrows": [{"anchor": [1.7e308, 0], "direction": [0, -1]}]}
+        drawing = parse_drawing(json.dumps(doc))
+        scale = infer_scale(drawing)
+        model = attach_semantics(drawing, infer_topology(drawing), scale, CONTEXT)
+        assert [(l.node_id, l.fy) for l in model.loads] == [(1, -1.0)]
+
     def test_glyph_too_far_from_any_node(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["support_glyphs"][0]["anchor"] = [50, 50]
@@ -385,3 +443,96 @@ class TestOrchestrate:
         model = orchestrate(json.dumps(doc), CONTEXT)
         node_ids = {n.id for n in model.nodes}
         assert all(set(e.node_ids) <= node_ids for e in model.elements)
+
+
+# --- hostile drawing documents and context text ------------------------------
+
+PERCEPTION_ERRORS = (DrawingParseError, ScaleConflictError, DegenerateElementError,
+                     SemanticsError, PerceptionFailure)
+
+_EXTREMES = (1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0, -0.0,
+             math.nan, math.inf, -math.inf)
+_JUNK = (None, True, False, "1e3", "0", "", [], [0], [0, 0, 0], {"a": 1}, 10 ** 400)
+_MAGNITUDES = (None, "10 kN", "1e400 N", "-1e308 MN", "nan", "inf kN", "x")
+
+
+@st.composite
+def _drawing_docs(draw):
+    """Drawing documents on a coarse pixel grid, whose numbers are replaced
+    by extreme ones (1e308, 5e-324, NaN) and whose values are replaced by
+    junk (wrong types, strings and booleans for numbers, an overlong
+    integer) at drawn rates, and whose records now and then lose a field or
+    gain an unknown one."""
+    rnd = draw(st.randoms(use_true_random=True))
+    junk_rate = rnd.choice([0.0, 0.0, 0.01, 0.05, 0.3])
+    extreme_rate = rnd.choice([0.0, 0.05, 0.3])
+
+    def pick(value):
+        return rnd.choice(_JUNK) if rnd.random() < junk_rate else value
+
+    def odd(value, odd_values=_EXTREMES):
+        return pick(rnd.choice(odd_values) if rnd.random() < extreme_rate else value)
+
+    def point(pool=()):
+        x, y = rnd.choice(pool) if pool else (rnd.randint(-3, 3) * 100, rnd.randint(-3, 3) * 100)
+        return pick([odd(x), odd(y)])
+
+    def anchor():  # mostly on an endpoint of a structural segment
+        return point(ends)
+
+    records = {
+        "segments": lambda: {"p1": point(), "p2": point(), "class": pick(rnd.choice(
+            ["structural", "structural", "dimension", "annotation"]))},
+        "labels": lambda: {"anchor": anchor(), "text": pick("A")},
+        "support_glyphs": lambda: {"anchor": anchor(), "kind": pick(rnd.choice(
+            ["pin", "roller_x", "roller_y", "fixed"]))},
+        "load_arrows": lambda: {"anchor": anchor(), "direction": point(),
+                                "magnitude": odd("10 kN", _MAGNITUDES)},
+        "dimension_annotations": lambda: {
+            "segment": odd(rnd.choice(dimensions), (-1, 0, 5)),
+            "value_m": odd(rnd.choice([1.0, 2.0]), (1e308, 1e-320, 5e-324, -1.0, math.nan))},
+    }
+    doc = {}
+    dimensions = []  # indices of the dimension-class segments
+    ends = []  # endpoints of the structural ones
+    for key, record in records.items():
+        items = []
+        count = (rnd.randrange(6) if key != "dimension_annotations"
+                 else rnd.randrange(3) if dimensions else 0)
+        for _ in range(count):
+            rec = record()
+            mutation = rnd.random()
+            if mutation < 0.01:
+                rec["extra"] = 1
+            elif mutation < 0.02:
+                del rec[rnd.choice(sorted(rec))]
+            items.append(rec)
+        dimensions += [i for i, rec in enumerate(items) if rec.get("class") == "dimension"]
+        ends += [tuple(rec[p]) for rec in items if rec.get("class") == "structural"
+                 for p in ("p1", "p2") if isinstance(rec.get(p), list) and len(rec[p]) == 2]
+        if items or rnd.random() < 0.5:
+            doc[key] = pick(items)
+    return pick(doc)
+
+
+_contexts = st.lists(st.sampled_from([
+    "mode: static", "mode: modal", "mode: topology_optimization", "mode: thermal",
+    "modal_count: 3", "modal_count: 99999999999999999999", "modal_count: x",
+    "volfrac: 0.5", "volfrac: nan", "opt_iterations: -1", "elements: truss",
+    "elements: frame", "elements: cable", "material: E=nan nu=0.3 rho=1e400",
+    "section: A=0 I=-1", "section: A", "free text", "units: kN"]), max_size=5).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawing_docs(), _contexts)
+@example({"segments": 5}, "")
+@example({"segments": [{"p1": [-1.7e308, 0], "p2": [-1.6e308, 0], "class": "structural"}],
+          "load_arrows": [{"anchor": [1.7e308, 0], "direction": [0, -1]}]}, "")
+def test_orchestrate_raises_only_perception_errors(doc, context):
+    """Any drawing document and context text, including wrong types, missing
+    and unknown fields and extreme numbers, either perceive a model or raise
+    one of the perception errors."""
+    try:
+        orchestrate(json.dumps(doc), context)
+    except PERCEPTION_ERRORS:
+        pass

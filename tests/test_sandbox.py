@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import re
 import subprocess
 import tempfile
@@ -15,11 +17,12 @@ from hypothesis import strategies as st
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
 from vfea.ir import AnalysisSpec, BoundaryCondition, Element, Node
-from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits, ResultsCorruptError,
-                          ResultsMissingError, WorkspaceError, allocate_workspace,
-                          execute, read_results, write_results_file)
+from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
+                          ResultsCorruptError, ResultsMissingError, WorkspaceError,
+                          allocate_workspace, execute, read_results, write_results_file)
 from vfea.simscript import Fault, lower_ir, parse_script
-from vfea.solver import TopoResult
+from vfea.solver import TopoResult, optimize_topology, solve_modal, solve_static
+from vfea.synthesis import verify_results
 
 # One script edit per outcome kind of an execution, applied to the lowered
 # cantilever: (kind, old text, new text, limits).
@@ -399,13 +402,71 @@ def test_inprocess_execute_is_total(script):
     assert out.log.endswith(f"STATUS: {out.status}\n")
 
 
+# Every result kind and optional field, as solved: name -> result set.
+RESULT_SETS = {
+    "static-frame": lambda: solve_static(cantilever_model()),
+    "static-truss": lambda: solve_static(two_bar_truss()),
+    "modal": lambda: solve_modal(modal_cantilever(), 3),
+    "modal-note": lambda: solve_modal(modal_cantilever(), 10_000),  # fewer dofs than modes
+    "topology": lambda: optimize_topology(ground_structure(iters=3), 0.5, 3),
+}
+
+
+# (result set, edit of its document, path of the defect the edit makes)
+RESULT_DEFECTS = [
+    ("static-frame", lambda d: d.update(displacements=5), "$.displacements"),
+    ("static-frame", lambda d: d["reactions"].update({"1": [0.0, 0.0]}), "$.reactions.1"),
+    ("topology", lambda d: d["areas"].update({"01": 1.0}), "$.areas.01"),
+    ("modal", lambda d: d["frequencies_hz"].__setitem__(0, "1.5"), "$.frequencies_hz[0]"),
+    ("modal", lambda d: d.update(note=3), "$.note"),
+    ("modal", lambda d: d.update(result_kind="static"), "$.frequencies_hz"),
+    ("topology", lambda d: d.pop("result_kind"), "$.result_kind"),
+]
+
+
 class TestResultsDatabase:
-    def test_static_round_trip(self, tmp_path):
-        from vfea.solver import solve_static
-        rs = solve_static(cantilever_model())
-        path = tmp_path / "static.res"
+    @pytest.mark.parametrize("make", RESULT_SETS.values(), ids=RESULT_SETS)
+    def test_round_trip(self, tmp_path, make):
+        rs = make()
+        path = tmp_path / "results.res"
         write_results_file(rs, path)
         assert read_results(path) == rs
+
+    @pytest.mark.parametrize("kind,edit", [
+        ("static-frame", lambda d: d["displacements"]["2"].__setitem__(1, math.nan)),
+        ("static-frame", lambda d: d.update(equilibrium_residual=math.inf)),
+        ("static-truss", lambda d: d["axial_force"].update({"1": -math.inf})),
+        ("modal", lambda d: d["frequencies_hz"].__setitem__(0, math.nan)),
+        ("modal", lambda d: d["mode_shapes"][1]["2"].__setitem__(0, math.inf)),
+        ("topology", lambda d: d["compliance_history"].append(math.nan)),
+        ("topology", lambda d: d.update(final_volume_fraction=math.inf)),
+    ], ids=["displacement-nan", "residual-inf", "axial-force-minus-inf", "frequency-nan",
+            "mode-shape-inf", "compliance-nan", "volume-fraction-inf"])
+    def test_non_finite_number_is_corrupt(self, tmp_path, kind, edit):
+        path = tmp_path / "results.res"
+        write_results_file(RESULT_SETS[kind](), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))  # NaN and Infinity, as json writes them
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ResultsCorruptError):
+            read_results(path)
+        outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
+        mode = {"static": "static", "modal": "modal", "topology": "topology_optimization"}
+        analysis = AnalysisSpec(mode=mode[kind.split("-")[0]], modal_count=3)
+        assert verify_results(outcome, analysis) is None
+
+    @pytest.mark.parametrize("kind,edit,where", RESULT_DEFECTS,
+                             ids=[f"{kind}:{where}" for kind, _, where in RESULT_DEFECTS])
+    def test_defect_names_its_path(self, tmp_path, kind, edit, where):
+        path = tmp_path / "results.res"
+        write_results_file(RESULT_SETS[kind](), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ResultsCorruptError) as err:
+            read_results(path)
+        assert f": {where}: " in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResultsMissingError):
