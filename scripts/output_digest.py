@@ -17,6 +17,8 @@ seed (default: 1). Families:
   bench:GEN       `vfea bench` markdown, per-case reports and summary.json
                   over the bundled cases, for the perfect generator and
                   every faulty:* generator
+  memory:GEN      the replay-buffer lines that bench run writes (--memory),
+                  each without its created_at time stamp
 
 A family's digest covers its artifacts in case order, each one framed by
 its length, so a moved byte cannot cancel out.
@@ -90,14 +92,19 @@ def run_artifacts(digests: Digests, case, work: Path, mode: str) -> None:
 
 def bench_artifacts(digests: Digests, suite: Path, work: Path, generator: str) -> None:
     out = work / f"bench-{generator.replace(':', '_')}"
+    memory = work / f"memory-{generator.replace(':', '_')}.jsonl"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["bench", "--suite", str(suite), "--out", str(out),
-                         "--generator", generator])
+                         "--generator", generator, "--memory", str(memory)])
     family = f"bench:{generator}"
     digests.add(family, f"exit {code}\n{stdout.getvalue()}")
     for path in sorted(p for p in out.iterdir() if p.is_file()):  # reports, not workspaces
         digests.add(family, path.name + "\n" + path.read_text(encoding="utf-8"))
+    for line in memory.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        del record["created_at"]  # wall-clock time of the run
+        digests.add(f"memory:{generator}", json.dumps(record, sort_keys=True))
 
 
 def main() -> int:

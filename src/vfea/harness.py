@@ -15,8 +15,10 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
-from .ir import IRModel, bounding_box, deserialize, pairs_within, unit_box
+from .ir import (IRModel, _Defect, _Field, _nullable, _read_json, _record, _text,
+                 bounding_box, deserialize, pairs_within, unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionConfig, PerceptionFailure, ScaleConflictError,
@@ -109,21 +111,37 @@ class SuiteSummary:
     reports: list[CaseReport]
 
 
+class _Manifest(NamedTuple):
+    """``case.json``: the case id, and file names relative to its directory."""
+    id: str
+    drawing: str
+    context: str
+    truth_ir: str | None = None
+    expected_mode: str = "static"
+
+
+_read_manifest = _record({_Manifest: (
+    _Field("id", "id", _text), _Field("drawing", "drawing", _text),
+    _Field("context", "context", _text),
+    _Field("truth_ir", "truth_ir", _nullable(_text), required=False),
+    _Field("expected_mode", "expected_mode", _text, required=False))}, _Manifest)
+
+
 def load_case(case_dir: str | Path) -> CaseSpec:
+    """Read a case directory's ``case.json``; a manifest that is unreadable,
+    malformed or names a missing file raises CaseLoadError naming the path."""
     case_dir = Path(case_dir)
     manifest = case_dir / "case.json"
     try:
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = _read_json(_read_manifest, manifest.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseLoadError(f"cannot load case manifest {manifest}: {exc}") from None
-    try:
-        drawing = case_dir / doc["drawing"]
-        context = case_dir / doc["context"]
-        truth = case_dir / doc["truth_ir"] if doc.get("truth_ir") else None
-        spec = CaseSpec(case_id=str(doc["id"]), drawing_path=drawing, context_path=context,
-                        truth_ir_path=truth, expected_mode=doc.get("expected_mode", "static"))
-    except KeyError as exc:
-        raise CaseLoadError(f"case manifest {manifest} missing field {exc}") from None
+    except _Defect as defect:
+        raise CaseLoadError(f"case manifest {manifest}: {defect.path}: {defect.reason}") from None
+    spec = CaseSpec(case_id=doc.id, drawing_path=case_dir / doc.drawing,
+                    context_path=case_dir / doc.context,
+                    truth_ir_path=case_dir / doc.truth_ir if doc.truth_ir else None,
+                    expected_mode=doc.expected_mode)
     for p in (spec.drawing_path, spec.context_path, spec.truth_ir_path):
         if p is not None and not p.exists():
             raise CaseLoadError(f"case file does not resolve: {p}")
@@ -280,6 +298,7 @@ def run_case(case: CaseSpec, config: RunConfig,
         return report
     except FallbackFailureError as exc:
         report.error = f"synthesis: fallback failure: {exc}"
+        report.trace = _summarize_trace(exc.trace, verified=False)
         return report
     report.timings["synthesis_s"] = time.monotonic() - t1
 

@@ -147,6 +147,10 @@ def _direction(value) -> Point:
     norm = math.hypot(x, y)
     if norm == 0.0:
         raise _Defect("zero vector")
+    if norm == math.inf:  # finite components whose norm overflows
+        scale = max(abs(x), abs(y))
+        x, y = x / scale, y / scale
+        norm = math.hypot(x, y)
     return (x / norm, y / norm)
 
 

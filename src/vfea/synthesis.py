@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Protocol
 
 from .ir import DEFAULT_VOLFRAC, AnalysisSpec, IRModel, serialize
-from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ErrorSignature,
-                     ExperienceBuffer, ExperienceRecord, classify_error,
-                     compute_signature)
+from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ExperienceBuffer,
+                     ExperienceRecord, classify_error, compute_signature)
 from .sandbox import (ExecutionOutcome, Limits, ResultsCorruptError,
                       ResultsMissingError, ResultSet, allocate_workspace,
                       execute, read_results)
@@ -47,6 +46,10 @@ class SynthesisExhaustedError(Exception):
 class FallbackFailureError(Exception):
     """The guaranteed-executable path failed; this indicates a kernel bug."""
 
+    def __init__(self, message: str, trace: "SynthesisTrace"):
+        self.trace = trace
+        super().__init__(message)
+
 
 class Generator(Protocol):
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str: ...
@@ -55,26 +58,15 @@ class Generator(Protocol):
 
 
 @dataclass(frozen=True)
-class ErrorSummary:
+class DebugContext:
+    """What a repair sees of a failed attempt: the failure's category,
+    message and line, the raw numbered log, and the failure table's lessons
+    for its kinds."""
     category: str
     message: str
     line: int | None
-
-
-@dataclass(frozen=True)
-class LessonEntry:
-    source: str  # reflection | memory
-    text: str
-
-
-@dataclass(frozen=True)
-class DebugContext:
-    error_summary: ErrorSummary
     raw_log: str
-    lessons: tuple[LessonEntry, ...]
-
-    def lesson_texts(self) -> list[str]:
-        return [l.text for l in self.lessons]
+    lessons: tuple[str, ...]
 
 
 @dataclass
@@ -98,23 +90,6 @@ def reflect(kinds: Iterable[str | None]) -> list[str]:
     """One imperative lesson per distinct failure kind, from the failure
     table; ``None`` (no recorded fault) gives the generic lesson."""
     return [FAILURE_KINDS.get(kind, UNKNOWN_FAILURE)[1] for kind in dict.fromkeys(kinds)]
-
-
-def compose_debug_context(error: ErrorSignature, error_message: str, error_line: int | None,
-                          log: str, retrieved: list[ExperienceRecord],
-                          reflections: list[str]) -> DebugContext:
-    """Assemble the composite repair context: structured summary, the raw
-    numbered log, and lessons from both reflection and memory (memory wins
-    on duplicate text)."""
-    summary = ErrorSummary(category=error.category, message=error_message,
-                           line=error_line if error_line is not None else error.line)
-    lessons: dict[str, LessonEntry] = {}
-    for text in reflections:
-        lessons[text] = LessonEntry("reflection", text)
-    for rec in retrieved:
-        if rec.lesson:
-            lessons[rec.lesson] = LessonEntry("memory", rec.lesson)
-    return DebugContext(error_summary=summary, raw_log=log, lessons=tuple(lessons.values()))
 
 
 def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultSet | None:
@@ -159,7 +134,9 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     that parse or preflight rejects is reflected into lessons and repaired
     without touching the sandbox, a verified one is indexed into the replay
     buffer, and every failed attempt, rejected or executed, is recorded there
-    as a failure. When the budget is exhausted the deterministic lowering
+    as a failure. The buffer is read once, for the generation request; a
+    repair sees the failure at hand and the failure table's lessons for its
+    kinds. When the budget is exhausted the deterministic lowering
     takes over (if enabled) through the same gate; its output is
     guaranteed-executable, so a failure there raises FallbackFailureError.
     """
@@ -199,8 +176,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                 script_excerpt=_excerpt(script), outcome="success", created_at=time.time()))
             return script, verified, trace
 
-        # classify and reflect the failure, compose its debug context from the
-        # lessons retrieved before it, record it, and repair
+        # classify and reflect the failure, record it, and repair
         if attempt.outcome is None:
             faults = attempt.rejected
             log = "\n".join(
@@ -215,15 +191,12 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         message = ("; ".join(f.message for f in faults) or
                    f"execution {attempt.outcome.status.lower()} without readable results")
         err_sig = classify_error(kinds, message)
-        reflections = reflect(kinds)
-        ctx = compose_debug_context(err_sig, message, faults[0].line if faults else None, log,
-                                    buffer.retrieve(sig, err_sig, DEFAULT_RETRIEVAL_K), reflections)
+        line = faults[0].line if faults and faults[0].line is not None else err_sig.line
+        ctx = DebugContext(err_sig.category, message, line, log, tuple(reflect(kinds)))
         buffer.record(ExperienceRecord(
-            signature=sig, error=err_sig, lesson=reflections[0],
+            signature=sig, error=err_sig, lesson=ctx.lessons[0],
             script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))
-        # a rejected attempt learns its own reflections, an executed one the
-        # whole context, memory lessons included
-        for text in reflections if attempt.outcome is None else ctx.lesson_texts():
+        for text in ctx.lessons:
             if text not in trace.lessons_accumulated:
                 trace.lessons_accumulated.append(text)
         script = generator.repair(script, ctx)
@@ -240,7 +213,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         raise FallbackFailureError(
             f"deterministic fallback failed with status "
             f"{outcome.status if outcome else 'REJECTED'}: "
-            f"{fault.message if fault else 'unverified results'}")
+            f"{fault.message if fault else 'unverified results'}", trace)
     return attempt.script, verified, trace
 
 
@@ -294,7 +267,7 @@ class FaultyGenerator:
         if self.stubborn or self._clean is None:
             return script
         lesson = FAILURE_KINDS[_FAULT_KINDS[self.fault]][1]
-        return self._clean if lesson in context.lesson_texts() else script
+        return self._clean if lesson in context.lessons else script
 
 
 class ExternalGenerator:
@@ -303,13 +276,15 @@ class ExternalGenerator:
     Request body: {"ir_document": str, "memory_lessons": [str],
     "debug_context": null | {"error": {...}, "raw_log": str,
     "lessons": [str], "script": str}}. Response body: {"script": str}.
+    A repair request repeats the document and memory lessons of the last
+    generate request.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
-        self._last_model: IRModel | None = None
+        self._task: dict = {"ir_document": "", "memory_lessons": []}
 
     def _post(self, body: dict) -> str:
         request = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("utf-8"),
@@ -329,29 +304,18 @@ class ExternalGenerator:
         raise ConfigError(f"external generator unreachable at {self.endpoint}: {last_exc}")
 
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str:
-        self._last_model = model
-        return self._post({
-            "ir_document": serialize(model),
-            "memory_lessons": [r.lesson for r in memory_context if r.lesson],
-            "debug_context": None,
-        })
+        self._task = {"ir_document": serialize(model),
+                      "memory_lessons": [r.lesson for r in memory_context if r.lesson]}
+        return self._post({**self._task, "debug_context": None})
 
     def repair(self, script: str, context: DebugContext) -> str:
-        ir_doc = serialize(self._last_model) if self._last_model is not None else ""
-        return self._post({
-            "ir_document": ir_doc,
-            "memory_lessons": [l.text for l in context.lessons if l.source == "memory"],
-            "debug_context": {
-                "error": {
-                    "category": context.error_summary.category,
-                    "message": context.error_summary.message,
-                    "line": context.error_summary.line,
-                },
-                "raw_log": context.raw_log,
-                "lessons": context.lesson_texts(),
-                "script": script,
-            },
-        })
+        return self._post({**self._task, "debug_context": {
+            "error": {"category": context.category, "message": context.message,
+                      "line": context.line},
+            "raw_log": context.raw_log,
+            "lessons": list(context.lessons),
+            "script": script,
+        }})
 
 
 def make_generator(spec: str) -> Generator:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,13 +17,15 @@ from conftest import (BAR, STEEL, cantilever_model, random_frame_model,
 from vfea import harness
 from vfea.cli import main as cli_main
 from vfea.harness import (DEFAULT_MATCH_TOLERANCE, CaseLoadError, CaseReport,
-                          Metrics, RunConfig, TraceSummary, aggregate,
+                          CaseSpec, Metrics, RunConfig, TraceSummary, aggregate,
                           emit_report, evaluate_ir, load_case, load_suite,
                           run_case)
 from vfea.ir import (COORDINATE_MODES, DOF_ORDER, BoundaryCondition, Element,
                      IRModel, Load, Node, canonicalize, serialize, unit_box)
 from vfea.memory import ExperienceBuffer
+from vfea.sandbox import Limits
 from vfea.simscript import lower_ir
+from vfea.synthesis import reflect
 from vfea.validation import check_l1
 
 
@@ -348,6 +351,17 @@ class TestRunCase:
         with pytest.raises(CaseLoadError):
             load_case(golden_case)
 
+    def test_fallback_failure_reports_its_trace(self, suite_dir, tmp_path):
+        # the rejected attempt and the fallback, which the statement budget aborts
+        config = RunConfig(generator_spec="faulty:type_ii:stubborn", max_retries=0,
+                           limits=Limits(max_statements=3), workspace_root=tmp_path / "ws")
+        result = run_case(load_case(suite_dir / "truss_two_bar"), config)
+        assert result.error == ("synthesis: fallback failure: deterministic fallback failed "
+                                "with status ABORTED: unverified results")
+        assert (result.trace.attempts, result.trace.retry_count) == (2, None)
+        assert result.trace.fallback_used
+        assert result.trace.lessons == tuple(reflect(["parse"]))
+
     def test_retry_count_is_the_verified_attempt(self, golden_case, tmp_path, monkeypatch):
         class WrongModeFirst:
             """First script completes a modal run for a static model; the
@@ -377,6 +391,31 @@ class TestSuiteLoading:
         assert len(cases) == 15
         modes = {c.expected_mode for c in cases}
         assert modes == {"static", "modal", "topology_optimization"}
+
+    def test_manifests_load_as_written(self, suite_dir, golden_case):
+        for case_dir in [golden_case, *sorted(p.parent for p in suite_dir.glob("*/case.json"))]:
+            doc = json.loads((case_dir / "case.json").read_text())
+            assert load_case(case_dir) == CaseSpec(
+                case_id=doc["id"], drawing_path=case_dir / doc["drawing"],
+                context_path=case_dir / doc["context"],
+                truth_ir_path=case_dir / doc["truth_ir"], expected_mode=doc["expected_mode"])
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda d: {**d, "drawing": 5}, "$.drawing"),
+        (lambda d: [d], "$"),
+        (lambda d: {k: v for k, v in d.items() if k != "id"}, "$.id"),
+        (lambda d: {**d, "notes": "x"}, "$.notes"),
+    ], ids=["drawing-number", "list-document", "missing-id", "unknown-field"])
+    def test_malformed_manifest_names_its_path(self, golden_case, edit, path):
+        manifest = golden_case / "case.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        with pytest.raises(CaseLoadError, match=re.escape(f"{manifest}: {path}:")):
+            load_case(golden_case)
+
+    def test_undecodable_manifest(self, golden_case):
+        (golden_case / "case.json").write_bytes(b'{"id": "\xff"}')
+        with pytest.raises(CaseLoadError, match="cannot load case manifest"):
+            load_case(golden_case)
 
     def test_empty_suite_rejected(self, tmp_path):
         with pytest.raises(CaseLoadError):

@@ -98,6 +98,27 @@ class TestParseDrawing:
         d = parse_drawing(json.dumps(doc))
         assert d.load_arrows[0].direction == pytest.approx((0.6, -0.8))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(allow_nan=False, allow_infinity=False))
+           .filter(lambda v: 0 < math.hypot(*v) < math.inf))
+    def test_direction_with_a_finite_norm_is_divided_by_it(self, direction):
+        doc = json.loads(CANTILEVER_DOC)
+        doc["load_arrows"][0]["direction"] = list(direction)
+        norm = math.hypot(*direction)
+        assert parse_drawing(json.dumps(doc)).load_arrows[0].direction == (
+            direction[0] / norm, direction[1] / norm)
+
+    @pytest.mark.parametrize("direction", [[1.7e308, 1.7e308], [-1.7e308, 1e308],
+                                           [1e308, -1.7e308]])
+    def test_direction_whose_norm_overflows_stays_a_unit_vector(self, direction):
+        doc = json.loads(CANTILEVER_DOC)
+        doc["load_arrows"][0]["direction"] = direction
+        dx, dy = parse_drawing(json.dumps(doc)).load_arrows[0].direction
+        assert math.hypot(dx, dy) == pytest.approx(1.0, rel=1e-15)
+        assert math.atan2(dy, dx) == pytest.approx(math.atan2(direction[1], direction[0]),
+                                                   rel=1e-15)
+
     def test_malformed_syntax(self):
         with pytest.raises(DrawingParseError):
             parse_drawing("{segments")

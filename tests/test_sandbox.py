@@ -392,14 +392,28 @@ def _scripts(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
-@given(_scripts())
-def test_inprocess_execute_is_total(script):
+def _assert_execute_is_total(script: str, mode: str) -> None:
+    """``execute`` returns one of its three outcomes for the script; a fault
+    exactly when it FAILED, and a log that ends in its status."""
     with tempfile.TemporaryDirectory() as root:
-        out = execute(script, allocate_workspace(root, "prop"), Limits(max_wall_time=10.0))
+        out = execute(script, allocate_workspace(root, "prop"), Limits(max_wall_time=10.0),
+                      mode=mode)
     assert out.status in ("COMPLETED", "FAILED", "ABORTED")
     assert (out.runtime_error is not None) == (out.status == "FAILED")
     assert out.log.endswith(f"STATUS: {out.status}\n")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_scripts())
+def test_inprocess_execute_is_total(script):
+    _assert_execute_is_total(script, "inprocess")
+
+
+# each example starts one sandbox child and waits for it
+@settings(max_examples=8, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_scripts())
+def test_subprocess_execute_is_total(script):
+    _assert_execute_is_total(script, "subprocess")
 
 
 # Every result kind and optional field, as solved: name -> result set.

@@ -13,16 +13,14 @@ import pytest
 from conftest import cantilever_model, ground_structure
 from vfea import sandbox, synthesis
 from vfea.ir import AnalysisSpec
-from vfea.memory import (ExperienceBuffer, ExperienceRecord, StructuralSignature,
-                         classify_error)
+from vfea.memory import (ExperienceBuffer, ExperienceRecord, classify_error,
+                         compute_signature)
 from vfea.sandbox import (Limits, allocate_workspace, execute,
                           read_results)
 from vfea.simscript import lower_ir, parse_script
-from vfea.synthesis import (ConfigError, DebugContext, ExternalGenerator,
-                            FaultyGenerator, PerfectGenerator,
-                            SynthesisExhaustedError, compose_debug_context,
-                            make_generator, reflect, synthesize,
-                            verify_results)
+from vfea.synthesis import (ConfigError, ExternalGenerator, FaultyGenerator,
+                            PerfectGenerator, SynthesisExhaustedError,
+                            make_generator, reflect, synthesize, verify_results)
 
 
 class TestReflect:
@@ -49,34 +47,56 @@ class TestReflect:
 
 
 class TestComposeDebugContext:
-    def test_fault_line_propagates(self):
-        log = "[line 44] fix 1 ux\n[line 45] delete model root\nSTATUS: FAILED"
-        message = "kernel protection: deletion of protected root container at line 45"
-        ctx = compose_debug_context(classify_error("kernel-protection", message), message, 45,
-                                    log, [], ["lesson"])
-        assert ctx.error_summary.line == 45
-        assert "45" in ctx.raw_log
-        assert ctx.error_summary.category == "type_iii_unsafe_state"
+    """The repair context that synthesize composes for a failed attempt."""
 
-    def test_memory_lessons_tagged(self):
-        rec = ExperienceRecord(
-            signature=StructuralSignature(3, 2, frozenset({"truss_bar"}), 1, 2),
-            error=None, lesson="from the buffer", script_excerpt="model begin",
-            outcome="success", created_at=0.0)
-        ctx = compose_debug_context(classify_error(None, "boom"), "boom", None, "log", [rec],
-                                    ["fresh thought"])
-        by_source = {l.source: l.text for l in ctx.lessons}
-        assert by_source == {"reflection": "fresh thought", "memory": "from the buffer"}
+    @staticmethod
+    def repair_contexts(model, script, tmp_path, K=1, buffer=None):
+        """The contexts given to a generator that proposes ``script`` on every
+        turn; the fallback then verifies."""
+        seen = []
 
-    def test_duplicate_lesson_memory_wins(self):
-        rec = ExperienceRecord(
-            signature=StructuralSignature(3, 2, frozenset({"truss_bar"}), 1, 2),
-            error=None, lesson="same text", script_excerpt="model begin",
-            outcome="success", created_at=0.0)
-        ctx = compose_debug_context(classify_error(None, "boom"), "boom", None, "log", [rec],
-                                    ["same text"])
-        assert len(ctx.lessons) == 1
-        assert ctx.lessons[0].source == "memory"
+        class Recorder:
+            def generate(self, model, memory_context):
+                return script
+
+            def repair(self, script, context):
+                seen.append(context)
+                return script
+
+        synthesize(model, K, buffer if buffer is not None else ExperienceBuffer(), Recorder(),
+                   tmp_path)
+        return seen
+
+    def test_fault_line_propagates(self, tmp_path, cantilever):
+        script = lower_ir(cantilever, ".").replace(
+            "analyze static", "delete model root\nanalyze static")
+        line = script.splitlines().index("delete model root") + 1
+        (ctx,) = self.repair_contexts(cantilever, script, tmp_path, K=0)
+        assert ctx.line == line
+        assert f"line {line}" in ctx.raw_log
+        assert ctx.category == "type_iii_unsafe_state"
+
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_lessons_are_the_reflections_and_memory_is_read_once(self, tmp_path, cantilever,
+                                                                 monkeypatch, K):
+        # the buffer holds a success record and lessons of other kinds, all
+        # of the same structure family; none of them reaches a repair
+        buffer = ExperienceBuffer()
+        sig = compute_signature(cantilever)
+        for kind, message in [(None, ""), ("isolation", "path escapes the workspace"),
+                              ("solver", "rigid body motion at line 9")]:
+            buffer.record(ExperienceRecord(
+                signature=sig, error=None if kind is None else classify_error(kind, message),
+                lesson=reflect([kind])[0] if kind else "verified static script",
+                script_excerpt="model begin", outcome="failure" if kind else "success",
+                created_at=0.0))
+        queries = []
+        retrieve = buffer.retrieve
+        monkeypatch.setattr(buffer, "retrieve", lambda *q: queries.append(q) or retrieve(*q))
+        script = lower_ir(cantilever, ".").replace("analyze static\n", "")
+        contexts = self.repair_contexts(cantilever, script, tmp_path, K=K, buffer=buffer)
+        assert [ctx.lessons for ctx in contexts] == [tuple(reflect(["lifecycle"]))] * (K + 1)
+        assert queries == [(sig, None, synthesis.DEFAULT_RETRIEVAL_K)]
 
 
 class TestVerifyResults:
@@ -299,16 +319,27 @@ class TestExternalGenerator:
         broken = lower_ir(cantilever, tmp_path).replace("analyze static\n", "")
         handler.script_queue = [broken, lower_ir(cantilever, tmp_path)]
         buf = ExperienceBuffer()
+        buf.record(ExperienceRecord(
+            signature=compute_signature(cantilever), error=None, lesson="from the buffer",
+            script_excerpt="model begin", outcome="success", created_at=0.0))
         _, results, trace = synthesize(cantilever, 3, buf,
                                        make_generator(f"external:{endpoint}"), tmp_path)
         assert not trace.fallback_used
         gen_req, repair_req = handler.requests
-        assert set(gen_req) == {"ir_document", "memory_lessons", "debug_context"}
+        assert set(gen_req) == set(repair_req) == {"ir_document", "memory_lessons",
+                                                   "debug_context"}
         assert gen_req["debug_context"] is None
         assert '"nodes"' in gen_req["ir_document"]
-        assert repair_req["debug_context"]["script"] == broken
-        assert repair_req["debug_context"]["error"]["category"] == "type_i_lifecycle"
-        assert any("analyze" in l for l in repair_req["debug_context"]["lessons"])
+        assert gen_req["memory_lessons"] == ["from the buffer"]
+        # a repair repeats the generation's document and memory lessons
+        assert repair_req["ir_document"] == gen_req["ir_document"]
+        assert repair_req["memory_lessons"] == gen_req["memory_lessons"]
+        context = repair_req["debug_context"]
+        assert set(context) == {"error", "raw_log", "lessons", "script"}
+        assert context["script"] == broken
+        assert context["error"]["category"] == "type_i_lifecycle"
+        assert set(context["error"]) == {"category", "message", "line"}
+        assert context["lessons"] == reflect(["lifecycle"])
 
     def test_unreachable_endpoint(self, cantilever):
         gen = ExternalGenerator("http://127.0.0.1:9/none", timeout=0.2, retries=0)
