@@ -44,7 +44,7 @@ def cmd_run(args) -> int:
     case = CaseSpec(case_id=Path(args.drawing).stem,
                     drawing_path=Path(args.drawing), context_path=Path(args.context),
                     truth_ir_path=Path(args.truth) if args.truth else None,
-                    expected_mode="unknown")
+                    expected_mode=None)
     for p in (case.drawing_path, case.context_path, case.truth_ir_path):
         if p is not None and not p.exists():
             print(f"error: input file not found: {p}", file=sys.stderr)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .ir import (IRModel, _Defect, _Field, _nullable, _read_json, _record, _text,
-                 bounding_box, deserialize, pairs_within, unit_box)
+from .ir import (ANALYSIS_MODES, IRModel, _Defect, _Field, _nullable, _one_of,
+                 _read_json, _record, _text, bounding_box, deserialize, pairs_within,
+                 unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionConfig, PerceptionFailure, ScaleConflictError,
@@ -43,7 +44,7 @@ class CaseSpec:
     drawing_path: Path
     context_path: Path
     truth_ir_path: Path | None
-    expected_mode: str
+    expected_mode: str | None  # the analysis mode perception must find; None expects none
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,8 @@ _read_manifest = _record({_Manifest: (
     _Field("id", "id", _text), _Field("drawing", "drawing", _text),
     _Field("context", "context", _text),
     _Field("truth_ir", "truth_ir", _nullable(_text), required=False),
-    _Field("expected_mode", "expected_mode", _text, required=False))}, _Manifest)
+    _Field("expected_mode", "expected_mode", _one_of(ANALYSIS_MODES), required=False))},
+    _Manifest)
 
 
 def load_case(case_dir: str | Path) -> CaseSpec:
@@ -178,8 +180,10 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
     threshold = tol * diagonal if diagonal > 0 else tol
 
     pred_ids, ref_ids = list(pred), list(ref)
-    pairs = sorted((d, pred_ids[i], ref_ids[j]) for d, i, j in
-                   pairs_within(list(pred.values()), threshold, list(ref.values())))
+    pred_xy, ref_xy = list(pred.values()), list(ref.values())
+    i, j = pairs_within(pred_xy, threshold, ref_xy)
+    pairs = sorted((math.dist(pred_xy[a], ref_xy[b]), pred_ids[a], ref_ids[b])
+                   for a, b in zip(i.tolist(), j.tolist()))
     pred_to_truth: dict[int, int] = {}
     matched_truth: set[int] = set()
     for _, pid, tid in pairs:
@@ -278,6 +282,10 @@ def run_case(case: CaseSpec, config: RunConfig,
             DegenerateElementError) as exc:
         report.error = f"perception: {type(exc).__name__}: {exc}"
         return report
+    if case.expected_mode is not None and model.analysis.mode != case.expected_mode:
+        report.error = (f"perception: perceived analysis mode {model.analysis.mode!r}, "
+                        f"expected {case.expected_mode!r}")
+        return report
     report.timings["perception_s"] = time.monotonic() - t0
 
     if truth is not None:
@@ -330,7 +338,14 @@ def run_suite(cases: list[CaseSpec], config: RunConfig) -> SuiteSummary:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    """The values added left to right in plain doubles (``sum`` of floats
+    is compensated from Python 3.12 on), divided by their count."""
+    if not values:
+        return 0.0
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def aggregate(reports: list[CaseReport]) -> SuiteSummary:

@@ -6,11 +6,13 @@ single source of truth for the schema-integrity audit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
+import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -253,6 +255,17 @@ def _expected(what: str, value: object) -> _Defect:
     return _Defect(f"expected {what}, got {type(value).__name__}")
 
 
+# Bulk reading. A reader may carry a ``column`` function that reads a whole
+# list of values at once, with one check per column, and returns the list
+# of what the reader would return for each, or None when any value is
+# irregular in any way. Arrays and id maps try it first and read item by
+# item only when it returns None, so a defect is always found and named by
+# the item-by-item reader.
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
 def _int(value):
     if type(value) is not int:
         raise _expected("integer", value)
@@ -289,16 +302,65 @@ def _one_of(choices: tuple[str, ...]):
         if _text(value) not in choices:
             raise _Defect(f"expected one of {choices}, got {value!r}")
         return value
+
+    def column(values):
+        if _types(values) <= {str} and set(values).issubset(choices):
+            return values
+        return None
+    read.column = column
     return read
 
 
+def _floats(values):
+    types = _types(values)
+    if types <= {float}:
+        return values
+    if types <= {float, int}:
+        try:
+            return list(map(float, values))
+        except OverflowError:
+            return None
+    return None
+
+
+def _finites(values):
+    values = _floats(values)
+    if values is not None and all(map(math.isfinite, values)):
+        return values
+    return None
+
+
+_int.column = lambda values: values if _types(values) <= {int} else None
+_float.column = _floats
+_finite.column = _finites
+
+
+def _column(read):
+    """The bulk reader of ``read``: its own ``column``, or else ``read``
+    mapped over the values, None at the first defect."""
+    column = getattr(read, "column", None)
+    if column is not None:
+        return column
+
+    def mapped(values):
+        try:
+            return list(map(read, values))
+        except (_Defect, ValueError):  # met again, and named, item by item
+            return None
+    return mapped
+
+
 def _array(read_item, length: int | None = None, what: str = "items"):
-    """Reader of an array, of exactly ``length`` items when one is given."""
+    """Reader of an array, of exactly ``length`` items when one is given;
+    then its ``column`` reads a list of such arrays through one flat column."""
     def read(value):
         if not isinstance(value, list):
             raise _expected("array", value)
         if length is not None and len(value) != length:
             raise _Defect(f"expected exactly {length} {what}, got {len(value)}")
+        out = _column(read_item)(value)
+        if out is not None:
+            return tuple(out)
         out = []
         try:
             for item in value:
@@ -307,6 +369,49 @@ def _array(read_item, length: int | None = None, what: str = "items"):
             defect.where.append(len(out))  # the index of the item that failed
             raise
         return tuple(out)
+
+    def column(values):
+        if not _types(values) <= {list} or list(map(len, values)).count(length) != len(values):
+            return None
+        flat = _column(read_item)(list(itertools.chain.from_iterable(values)))
+        if flat is None:
+            return None
+        return list(zip(*[iter(flat)] * length))
+    if length:
+        read.column = column
+    return read
+
+
+# an id as ``str`` writes it, so each id has one key
+_ID_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _id_map(read_value):
+    """Reader of an object keyed by decimal ids, as a map from int ids. The
+    ids are read at once when every key is one as ``str`` writes it, which
+    is exactly when ``_ID_KEY`` matches it."""
+    def read(value):
+        if not isinstance(value, dict):
+            raise _expected("object", value)
+        keys = list(value)
+        try:
+            ids = list(map(int, keys))
+        except ValueError:  # not a number, or too long a one
+            ids = None
+        if ids is not None and list(map(str, ids)) == keys:
+            out = _column(read_value)(list(value.values()))
+            if out is not None:
+                return dict(zip(ids, out))
+        out = {}
+        try:
+            for key, item in value.items():
+                if not _ID_KEY.fullmatch(key):
+                    raise _Defect(f"expected an integer id, got {key!r}")
+                out[int(key)] = read_value(item)
+        except _Defect as defect:
+            defect.where.append(key)
+            raise
+        return out
     return read
 
 
@@ -328,10 +433,17 @@ class _Field(NamedTuple):
 def _record(table: dict[type, tuple[_Field, ...]], cls: type):
     """Reader of one object of ``cls`` by its fields in ``table``: its keys
     must all be known and the required ones present (the first one missing
-    in table order is named), and each field is read in table order."""
+    in table order is named), and each field is read in table order.
+
+    Its ``column`` reads a list of objects that share one key set, in one
+    key order, made of the table's first fields: each field as one column,
+    each object built from its row of columns. A table lists the fields in
+    the order of ``cls``'s constructor, so an absent trailing field takes
+    the constructor's default."""
     fields = table[cls]
     known = {f.key for f in fields}
     required = {f.key for f in fields if f.required}
+    columns = [(operator.itemgetter(f.key), _column(f.read)) for f in fields]
 
     def read(doc):
         if not isinstance(doc, dict):
@@ -350,6 +462,26 @@ def _record(table: dict[type, tuple[_Field, ...]], cls: type):
             defect.where.append(key)
             raise
         return cls(**values)
+
+    def column(docs):
+        if not docs:
+            return []
+        if not _types(docs) <= {dict}:
+            return None
+        shapes = set(map(tuple, docs))
+        if len(shapes) != 1:
+            return None
+        keys = set(shapes.pop())
+        n = len(keys)
+        if not (required <= keys and {f.key for f in fields[:n]} == keys):
+            return None
+        values = []
+        for get, bulk in columns[:n]:
+            values.append(bulk(list(map(get, docs))))
+            if values[-1] is None:
+                return None
+        return list(map(cls, *values))
+    read.column = column
     return read
 
 
@@ -376,7 +508,13 @@ def _to_doc(value, table: dict[type, tuple[_Field, ...]]):
     if isinstance(value, (tuple, list)):
         return [_to_doc(v, table) for v in value]
     if isinstance(value, dict):
-        return {str(k): _to_doc(v, table) for k, v in sorted(value.items())}
+        items = sorted(value.items())
+        kinds = _types(value.values())
+        if kinds <= {float}:
+            return {str(k): v for k, v in items}
+        if kinds <= {tuple} and _types(itertools.chain.from_iterable(value.values())) <= {float}:
+            return {str(k): list(v) for k, v in items}
+        return {str(k): _to_doc(v, table) for k, v in items}
     if isinstance(value, (set, frozenset)):
         return [d for d in DOF_ORDER if d in value]
     return value
@@ -472,11 +610,9 @@ _NEIGHBOURS = np.array([dx * _CELL_ROW + dy for dx in (-1, 0, 1) for dy in (-1, 
                        dtype=np.int64)
 
 
-def pairs_within(points: Sequence[tuple[float, float]], r: float,
-                 others: Sequence[tuple[float, float]] | None = None,
-                 ) -> list[tuple[float, int, int]]:
-    """Every pair of points at a finite distance d = math.dist(p, q) <= r, as
-    (d, i, j) index triples: i < j into ``points``, or, when ``others`` is
+def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of points (x, y) at a finite distance math.dist(p, q) <= r,
+    as index arrays (i, j): i < j into ``points``, or, when ``others`` is
     given, i into ``points`` and j into ``others``. A point with a non-finite
     coordinate pairs with nothing, and a NaN or negative r matches nothing.
     Pairs come in no particular order.
@@ -484,14 +620,16 @@ def pairs_within(points: Sequence[tuple[float, float]], r: float,
     The points are keyed by the square cell, at least r wide, that holds
     them, so each point is compared only with those in the 3x3 cells around
     its own (Bentley, Stanat & Williams, IPL 1977). The candidates are found
-    with numpy, by sorting the keys and searching each neighbour cell's key;
-    each one is then confirmed with ``math.dist``.
+    with numpy, by sorting the keys and searching each neighbour cell's key,
+    and screened by ``np.hypot`` of their differences. Both it and
+    ``math.dist`` err by a few units in the last place at most, so only a
+    candidate within a relative 2**-40 of r (or a few subnormals of it) is
+    decided by ``math.dist`` itself.
     """
-    if not r >= 0:
-        return []
-    one_set = others is None
-    targets = points if one_set else others
     p_xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not r >= 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    one_set = others is None
     t_xy = p_xy if one_set else np.asarray(others, dtype=float).reshape(-1, 2)
     p_idx = np.flatnonzero(np.isfinite(p_xy).all(axis=1))
     t_idx = p_idx if one_set else np.flatnonzero(np.isfinite(t_xy).all(axis=1))
@@ -513,16 +651,24 @@ def pairs_within(points: Sequence[tuple[float, float]], r: float,
     t_keys = p_keys if one_set else cell_keys(t_xy, t_idx)
     order = np.argsort(t_keys, kind="stable")
     sorted_keys = t_keys[order]
-    # every (point, neighbour cell) query, and the run of targets in that cell
-    queries = (p_keys[:, None] + _NEIGHBOURS).ravel()
+    p_order = order if one_set else np.argsort(p_keys, kind="stable")
+    # every (point, neighbour cell) query, and the run of targets in that
+    # cell; the queries come as one ascending run per neighbour offset,
+    # which the binary searches walk faster than scattered ones
+    queries = (_NEIGHBOURS[:, None] + p_keys[p_order]).ravel()
     lo = np.searchsorted(sorted_keys, queries, side="left")
     counts = np.searchsorted(sorted_keys, queries, side="right") - lo
     first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    i = np.repeat(np.repeat(p_idx, len(_NEIGHBOURS)), counts)
+    i = np.repeat(np.tile(p_idx[p_order], len(_NEIGHBOURS)), counts)
     j = t_idx[order[first + np.arange(len(first))]]
     if one_set:  # each pair once, never a point with itself
         keep = i < j
         i, j = i[keep], j[keep]
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference may overflow
+        d = np.hypot(p_xy[i, 0] - t_xy[j, 0], p_xy[i, 1] - t_xy[j, 1])
+    accept = d < r * (1 - 2 ** -40) - 2 ** -1070
+    near = np.flatnonzero(~accept & (d <= r * (1 + 2 ** -40) + 2 ** -1070))
     dist = math.dist
-    return [(d, a, b) for a, b in zip(i.tolist(), j.tolist())
-            if (d := dist(points[a], targets[b])) <= limit]
+    accept[[k for k in near.tolist()
+            if dist(p_xy[i[k]].tolist(), t_xy[j[k]].tolist()) <= limit]] = True
+    return i[accept], j[accept]

@@ -9,10 +9,13 @@ itself stays deterministic and testable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import Callable
+
+import numpy as np
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section, _Defect, _Field, _array, _finite, _int,
@@ -65,7 +68,8 @@ class PerceptionFailure(Exception):
         self.report = report
         self.turns = turns
         codes = [f.code for f in report.findings]
-        super().__init__(f"no audited model after {turns} turns; open findings: {codes}")
+        super().__init__(f"no audited model after {turns} turn{'s' * (turns != 1)}; "
+                         f"open findings: {codes}")
 
 
 Point = tuple[float, float]
@@ -241,45 +245,54 @@ def infer_scale(drawing: PrimitiveDrawing) -> ScaleResolution:
 def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE,
                    ) -> tuple[tuple[tuple[int, float, float], ...],
                               tuple[tuple[int, int, int], ...]]:
-    """Cluster structural segment endpoints into nodes (single linkage within
-    the snap tolerance, centroid position) and emit one element per segment.
+    """Cluster structural segment endpoints into nodes and emit one element
+    per segment (the contract is in docs/drawing-format.md).
 
-    Returns pixel-space nodes (id, x, y) and elements (id, n1, n2); node ids
-    are assigned in (x, y) order of the centroid, elements in segment order.
+    Endpoints within the snap tolerance (``math.dist``) are linked, and
+    linked endpoints form one node (single linkage). Its position is the
+    centroid: the sum of its endpoints, added left to right in segment
+    order (p1 before p2) from 0.0, divided by their count. Returns
+    pixel-space nodes (id, x, y) and elements (id, n1, n2); node ids are
+    assigned in (x, y) order of the centroid, ties in the order of each
+    node's first endpoint, and elements in segment order.
     """
     if not snap_tolerance > 0:  # NaN too
         raise ValueError("snap_tolerance must be positive")
-    structural = [(i, s) for i, s in enumerate(drawing.segments)
-                  if s.stroke_class == "structural"]
-    points: list[Point] = []
-    for _, s in structural:
-        points.append(s.p1)
-        points.append(s.p2)
-    links = [(i, j) for _, i, j in pairs_within(points, snap_tolerance)]
-    clusters = connected_components(range(len(points)), links)
-    centroids: list[tuple[float, float, tuple[int, ...]]] = []
-    for members in clusters:
-        cx = sum(points[i][0] for i in members) / len(members)
-        cy = sum(points[i][1] for i in members) / len(members)
-        centroids.append((cx, cy, tuple(members)))
-    centroids.sort(key=lambda c: (c[0], c[1]))
-
-    point_to_node: dict[int, int] = {}
-    nodes: list[tuple[int, float, float]] = []
-    for nid, (cx, cy, members) in enumerate(centroids, start=1):
-        nodes.append((nid, cx, cy))
-        for i in members:
-            point_to_node[i] = nid
-
-    elements: list[tuple[int, int, int]] = []
-    for eid, (seg_idx, _) in enumerate(structural, start=1):
-        k = (eid - 1) * 2
-        n1, n2 = point_to_node[k], point_to_node[k + 1]
-        if n1 == n2:
-            raise DegenerateElementError(
-                f"structural segment {seg_idx} collapses to a single node after snapping")
-        elements.append((eid, n1, n2))
-    return tuple(nodes), tuple(elements)
+    structural = [k for k, s in enumerate(drawing.segments) if s.stroke_class == "structural"]
+    if not structural:
+        return (), ()
+    segments = drawing.segments
+    xy = np.fromiter(itertools.chain.from_iterable([segments[k].p1 + segments[k].p2
+                                                    for k in structural]),
+                     float, 4 * len(structural)).reshape(-1, 2)
+    labels = connected_components(len(xy), *pairs_within(xy, snap_tolerance))
+    # the members of each cluster in ascending order, and each one's rank there
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    rank = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    sums = np.zeros((len(sizes), 2))
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        start = 0
+        for stop in bounds.tolist():  # the r-th members of every cluster that has one
+            at = members[by_rank[start:stop]]
+            sums[labels[at]] += xy[at]
+            start = stop
+    centroids = sums / sizes[:, None]
+    cx, cy = centroids[:, 0], centroids[:, 1]
+    order = np.lexsort((cy, cx))  # stable: ties keep the first-endpoint order
+    node_of = np.empty(len(order), np.intp)
+    node_of[order] = np.arange(1, len(order) + 1)
+    ends = node_of[labels]
+    n1, n2 = ends[0::2], ends[1::2]
+    degenerate = np.flatnonzero(n1 == n2)
+    if len(degenerate):
+        raise DegenerateElementError(
+            f"structural segment {structural[degenerate[0]]} collapses to a single node "
+            f"after snapping")
+    nodes = tuple(zip(range(1, len(order) + 1), cx[order].tolist(), cy[order].tolist()))
+    return nodes, tuple(zip(range(1, len(structural) + 1), n1.tolist(), n2.tolist()))
 
 
 def parse_magnitude(label: str) -> float:
@@ -395,8 +408,8 @@ def attach_semantics(drawing: PrimitiveDrawing,
 
     coords = _to_model_coords(nodes_px, scale)
     nodes = tuple(Node(nid, coords[nid][0], coords[nid][1]) for nid, _, _ in nodes_px)
-    elements = tuple(Element(eid, ctx.element_kind, (n1, n2), ctx.section.id)
-                     for eid, n1, n2 in elements_raw)
+    elements = tuple(Element(eid, ctx.element_kind, (n1, n2) if n1 <= n2 else (n2, n1),
+                             ctx.section.id) for eid, n1, n2 in elements_raw)
 
     bc_dofs: dict[int, frozenset[str]] = {}
     for g in drawing.support_glyphs:
@@ -452,7 +465,9 @@ def orchestrate(drawing_doc: str, context_text: str,
     Each turn the reasoning step proposes a candidate; the audit findings are
     fed back through the belief state, and a candidate only replaces the
     draft when the non-degenerative gate accepts it. Pinned context
-    directives ride along on every turn.
+    directives ride along on every turn. Without a reasoning hook the loop
+    ends after one turn, since the default step would repeat its candidate.
+    PerceptionFailure reports the turns that ran.
     """
     config = config or PerceptionConfig()
     if config.max_turns < 1:
@@ -466,7 +481,6 @@ def orchestrate(drawing_doc: str, context_text: str,
     reasoning = config.reasoning_hook or (
         lambda dr, ctx, sc, b: default_reasoning(dr, ctx, sc, b, config.snap_tolerance))
 
-    last_report = ValidationReport()
     for turn in range(1, config.max_turns + 1):
         candidate = reasoning(drawing, context_text, scale, belief)
         report = audit(candidate, drawing, scale)
@@ -479,7 +493,10 @@ def orchestrate(drawing_doc: str, context_text: str,
         belief = BeliefState(draft=accepted_draft,
                              pinned_constraints=belief.pinned_constraints,
                              findings=report, turn=turn)
-        last_report = report
         if report.clean and decision.accepted:
             return candidate
-    raise PerceptionFailure(last_report, config.max_turns)
+        if config.reasoning_hook is None:
+            # the default step ignores the belief state: every later turn
+            # would propose this same candidate and meet the same findings
+            break
+    raise PerceptionFailure(report, turn)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section, _Defect, _Field, _array, _expected,
-                 _finite, _read_json, _record, _text, _to_doc)
+                 _finite, _id_map, _read_json, _record, _text, _to_doc)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, _stmt_text, parse_script)
@@ -108,28 +107,6 @@ def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
 
 
 ResultSet = StaticResult | ModalResult | TopoResult
-
-
-# an id as ``str`` writes it, so each id has one key
-_ID_KEY = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _id_map(read_value):
-    """Reader of an object keyed by decimal ids, as a map from int ids."""
-    def read(value):
-        if not isinstance(value, dict):
-            raise _expected("object", value)
-        out = {}
-        try:
-            for key, item in value.items():
-                if not _ID_KEY.fullmatch(key):
-                    raise _Defect(f"expected an integer id, got {key!r}")
-                out[int(key)] = read_value(item)
-        except _Defect as defect:
-            defect.where.append(key)
-            raise
-        return out
-    return read
 
 
 _numbers = _array(_finite)

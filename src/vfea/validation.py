@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .ir import IRModel, bounding_box, diff
 
@@ -221,27 +222,19 @@ def restraint_rank(model: IRModel) -> int:
     return len(basis)
 
 
-def connected_components(items: Iterable[Hashable],
-                         links: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
-    """Union-find over ``items`` joined by ``links``. Each component lists its
-    members in ``items`` order; components come in the order of their first
-    member."""
-    parent = {i: i for i in items}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict = {}
-    for i in parent:
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def connected_components(n: int, i, j) -> np.ndarray:
+    """The component label of each of ``n`` items joined by the links
+    (i[k], j[k]). Components are numbered 0, 1, ... in the order of their
+    first (lowest) member, so taking items in label order, stably, lists
+    each component's members in ascending order."""
+    if n == 0:
+        return np.zeros(0, np.intp)
+    graph = scipy.sparse.coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    number = np.empty(len(first), np.intp)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[labels]
 
 
 def check_l2(model: IRModel) -> list[Finding]:
@@ -252,14 +245,18 @@ def check_l2(model: IRModel) -> list[Finding]:
     if rank < 3:
         out.append(Finding("L2", "rigid-body-motion",
                            f"constrained dofs restrain only {rank} of 3 planar rigid modes"))
-    supported = {b.node_id for b in model.boundary_conditions}
-    comps = connected_components((n.id for n in model.nodes),
-                                 (e.node_ids for e in model.elements))
-    for comp in sorted(comps, key=min):
-        if supported.isdisjoint(comp):
-            out.append(Finding("L2", "floating-substructure",
-                               f"component containing node {min(comp)} has no supported node",
-                               f"nodes/{min(comp)}"))
+    ids = sorted(n.id for n in model.nodes)
+    index = {nid: k for k, nid in enumerate(ids)}
+    ends = [index[nid] for e in model.elements for nid in e.node_ids]
+    labels = connected_components(len(ids), ends[0::2], ends[1::2])
+    _, first = np.unique(labels, return_index=True)  # the lowest id of each component
+    supported = np.zeros(len(first), bool)
+    supported[labels[[index[b.node_id] for b in model.boundary_conditions
+                      if b.node_id in index]]] = True
+    for k in first[~supported].tolist():
+        out.append(Finding("L2", "floating-substructure",
+                           f"component containing node {ids[k]} has no supported node",
+                           f"nodes/{ids[k]}"))
     seen: set[tuple[str, int, int]] = set()
     for e in model.elements:
         key = (e.kind, min(e.node_ids), max(e.node_ids))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -252,6 +253,11 @@ def report(case_id: str, success: bool, retry: int | None = 0,
 
 
 class TestAggregate:
+    def test_means_add_left_to_right_in_plain_doubles(self):
+        # a compensated sum (Python >= 3.12's sum of floats) would give 1/3
+        assert harness._mean([1e16, 1.0, -1e16]) == 0.0
+        assert harness._mean([0.1] * 10) == 0.9999999999999999 / 10
+
     def test_all_successful(self):
         s = aggregate([report(f"c{i}", True) for i in range(10)])
         assert s.execution_success_rate == 1.0
@@ -384,6 +390,21 @@ class TestRunCase:
         assert not result.metrics.execution_success
         assert (result.trace.attempts, result.trace.retry_count) == (1, None)
 
+    def test_perceived_mode_must_be_the_expected_one(self, suite_dir, tmp_path):
+        case_dir = tmp_path / "truss_two_bar"
+        shutil.copytree(suite_dir / "truss_two_bar", case_dir)
+        manifest = json.loads((case_dir / "case.json").read_text())
+        (case_dir / "case.json").write_text(json.dumps({**manifest, "expected_mode": "modal"}))
+        result = run_case(load_case(case_dir), RunConfig(workspace_root=tmp_path / "ws"))
+        assert result.error == ("perception: perceived analysis mode 'static', "
+                                "expected 'modal'")
+        assert not result.metrics.execution_success and result.highlights == {}
+
+    def test_no_expected_mode_takes_any(self, suite_dir, tmp_path):
+        case = replace(load_case(suite_dir / "truss_two_bar"), expected_mode=None)
+        result = run_case(case, RunConfig(workspace_root=tmp_path / "ws"))
+        assert result.error is None and result.metrics.execution_success
+
 
 class TestSuiteLoading:
     def test_bundled_suite_loads(self, suite_dir):
@@ -402,10 +423,11 @@ class TestSuiteLoading:
 
     @pytest.mark.parametrize("edit,path", [
         (lambda d: {**d, "drawing": 5}, "$.drawing"),
+        (lambda d: {**d, "expected_mode": "unknown"}, "$.expected_mode"),
         (lambda d: [d], "$"),
         (lambda d: {k: v for k, v in d.items() if k != "id"}, "$.id"),
         (lambda d: {**d, "notes": "x"}, "$.notes"),
-    ], ids=["drawing-number", "list-document", "missing-id", "unknown-field"])
+    ], ids=["drawing-number", "unknown-mode", "list-document", "missing-id", "unknown-field"])
     def test_malformed_manifest_names_its_path(self, golden_case, edit, path):
         manifest = golden_case / "case.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))

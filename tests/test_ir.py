@@ -11,15 +11,18 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, SUITE_DIR, random_frame_model
+from vfea import ir, perception, sandbox
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
-                     Load, Node, SchemaParseError, bounding_box, canonicalize,
-                     deserialize, diff, pairs_within, serialize)
+                     Load, Node, SchemaParseError, _Defect, _read_json, bounding_box,
+                     canonicalize, deserialize, diff, pairs_within, serialize)
 
 
 def shuffled(model: IRModel) -> IRModel:
@@ -356,7 +359,7 @@ def test_pure_addition_never_degenerative(model, new_id):
 
 
 def naive_pairs(points, r, others=None):
-    """All-pairs reference for ``pairs_within``."""
+    """All-pairs reference for ``pairs_within``: the sorted (i, j) pairs."""
     targets = points if others is None else others
     out = []
     for i, p in enumerate(points):
@@ -365,8 +368,14 @@ def naive_pairs(points, r, others=None):
                 continue
             d = math.dist(p, q)
             if math.isfinite(d) and d <= r:
-                out.append((d, i, j))
+                out.append((i, j))
     return sorted(out)
+
+
+def found_pairs(points, r, others=None):
+    """``pairs_within``'s index arrays as sorted (i, j) pairs."""
+    i, j = pairs_within(points, r, others)
+    return sorted(zip(i.tolist(), j.tolist()))
 
 
 RADII = st.one_of(
@@ -395,19 +404,19 @@ def point_sets(draw, r):
 
 class TestPairsWithin:
     def test_exactly_r_apart_across_a_cell_boundary(self):
-        assert pairs_within([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)], 3.0) == [(3.0, 0, 1)]
+        assert found_pairs([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)], 3.0) == [(0, 1)]
 
     def test_two_sets_pair_first_to_second(self):
-        got = sorted(pairs_within([(0.0, 0.0), (10.0, 0.0)], 1.0, [(10.5, 0.0), (0.0, 1.0)]))
-        assert got == [(0.5, 1, 0), (1.0, 0, 1)]
+        got = found_pairs([(0.0, 0.0), (10.0, 0.0)], 1.0, [(10.5, 0.0), (0.0, 1.0)])
+        assert got == [(0, 1), (1, 0)]
 
     def test_non_finite_points_and_radii_match_nothing(self):
         points = [(math.nan, 0.0), (math.nan, 0.0), (math.inf, 0.0), (math.inf, 0.0)]
-        assert pairs_within(points, 1.0) == []
-        assert pairs_within([(0.0, 0.0), (0.0, 0.0)], math.nan) == []
+        assert found_pairs(points, 1.0) == []
+        assert found_pairs([(0.0, 0.0), (0.0, 0.0)], math.nan) == []
         # an infinite radius takes every finite distance, never an overflowing one
         far = [(-1.7e308, 0.0), (0.0, 0.0), (1.7e308, 0.0)]
-        assert sorted((i, j) for _, i, j in pairs_within(far, math.inf)) == [(0, 1), (1, 2)]
+        assert found_pairs(far, math.inf) == [(0, 1), (1, 2)]
 
     @pytest.mark.parametrize("r", [5e-324, 1e-310, 1.0, 1.7e308, sys.float_info.max,
                                    math.inf])
@@ -416,19 +425,182 @@ class TestPairsWithin:
         # pair at the ends of the float range
         coords = [-1.7e308, -1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, 1.7e308]
         points = [(x, y) for x in coords for y in coords]
-        assert sorted(pairs_within(points, r)) == naive_pairs(points, r)
+        assert found_pairs(points, r) == naive_pairs(points, r)
         others = points[::-2]
-        assert sorted(pairs_within(points, r, others)) == naive_pairs(points, r, others)
+        assert found_pairs(points, r, others) == naive_pairs(points, r, others)
+
+    def test_radius_where_hypot_and_dist_disagree(self):
+        # np.hypot and math.dist differ in the last place for some pairs; a
+        # radius equal to either one must give the pair exactly by math.dist
+        rng = random.Random(5)
+        disagree = 0
+        for _ in range(3000):
+            p = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            q = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            d, h = math.dist(p, q), float(np.hypot(p[0] - q[0], p[1] - q[1]))
+            if d != h:
+                disagree += 1
+                for r in (d, h):
+                    assert found_pairs([p, q], r) == naive_pairs([p, q], r)
+                    assert found_pairs([p], r, [q]) == naive_pairs([p], r, [q])
+        assert disagree > 0
 
     def test_subnormal_radius_beside_huge_coordinates(self):
         points = [(1e300, 0.0), (1e300, 5e-324), (-1e300, 0.0), (5e-324, 0.0), (0.0, 0.0)]
-        assert sorted(pairs_within(points, 5e-324)) == naive_pairs(points, 5e-324)
+        assert found_pairs(points, 5e-324) == naive_pairs(points, 5e-324)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), RADII)
 def test_pairs_within_equals_all_pairs(data, r):
     points = data.draw(point_sets(r))
-    assert sorted(pairs_within(points, r)) == naive_pairs(points, r)
+    assert found_pairs(points, r) == naive_pairs(points, r)
     others = data.draw(point_sets(r))
-    assert sorted(pairs_within(points, r, others)) == naive_pairs(points, r, others)
+    assert found_pairs(points, r, others) == naive_pairs(points, r, others)
+
+
+# --- bulk (column by column) reading ----------------------------------------
+
+def read_outcome(read, text: str) -> tuple:
+    """What reading ``text`` gives: ("value", repr) or ("defect", path, reason),
+    or the type and message of any other error."""
+    try:
+        return "value", repr(_read_json(read, text))
+    except _Defect as defect:
+        return "defect", defect.path, defect.reason
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def item_by_item(read, text: str) -> tuple:
+    """``read_outcome`` with every bulk reader switched off."""
+    with mock.patch.object(ir, "_column", lambda read_item: lambda values: None):
+        return read_outcome(read, text)
+
+
+def drawing_doc(rng: random.Random) -> dict:
+    def point():
+        return [rng.choice([rng.randint(-500, 500), rng.uniform(-500.0, 500.0)])
+                for _ in range(2)]
+    doc = {
+        "segments": [{"p1": point(), "p2": point(),
+                      "class": rng.choice(["structural", "structural", "dimension"])}
+                     for _ in range(rng.randint(0, 12))],
+        "labels": [{"anchor": point(), "text": rng.choice(["A", "B", ""])}
+                   for _ in range(rng.randint(0, 3))],
+        "support_glyphs": [{"anchor": point(), "kind": rng.choice(["pin", "fixed"])}
+                           for _ in range(rng.randint(0, 3))],
+        "load_arrows": [{"anchor": point(), "direction": [0, -1], "magnitude": "1 kN"}
+                        for _ in range(rng.randint(0, 3))],
+    }
+    dims = [k for k, s in enumerate(doc["segments"]) if s["class"] == "dimension"]
+    doc["dimension_annotations"] = [{"segment": k, "value_m": rng.uniform(0.5, 5.0)}
+                                    for k in dims]
+    return doc
+
+
+def results_doc(rng: random.Random) -> dict:
+    def id_map(make):
+        return {str(i): make() for i in sorted(rng.sample(range(1, 40), rng.randint(0, 8)))}
+
+    def triple():
+        return [rng.uniform(-1.0, 1.0) for _ in range(3)]
+
+    kind = rng.choice(["static", "modal", "topo"])
+    if kind == "static":
+        return {"result_kind": kind, "displacements": id_map(triple),
+                "reactions": id_map(triple), "axial_force": id_map(rng.random),
+                "axial_stress": id_map(rng.random),
+                "frame_end_forces": id_map(lambda: [rng.random() for _ in range(6)]),
+                "equilibrium_residual": rng.random()}
+    if kind == "modal":
+        return {"result_kind": kind, "frequencies_hz": [rng.random() for _ in range(3)],
+                "mode_shapes": [id_map(triple) for _ in range(3)], "note": "n"}
+    return {"result_kind": kind, "areas": id_map(rng.random),
+            "compliance_history": [rng.random() for _ in range(4)],
+            "final_volume_fraction": rng.random()}
+
+
+REPLACEMENTS = ["x", True, None, math.nan, 10 ** 400, -1, 2.5, [], {}, [1.0, 2.0]]
+# replacements of the same JSON type, which only the finer checks catch
+LIKE = {str: ["x", "", "structural", "pin", "ux", "frame_beam"],
+        float: [math.nan, math.inf, -math.inf, 10 ** 400], int: [True, 1.0, 10 ** 400],
+        list: [[], [1.0], [1.0, 2.0, 3.0], ["x", 1.0]]}
+
+
+def inject(doc, rng: random.Random) -> None:
+    """One random edit somewhere in ``doc``: a value replaced or dropped, an
+    unknown key added, a key renamed (a map id made non-canonical) or moved
+    to the end. Some edits leave the document valid."""
+    sites = []
+
+    def walk(value):
+        if isinstance(value, (dict, list)):
+            for key in (list(value) if isinstance(value, dict) else range(len(value))):
+                sites.append((value, key))
+                walk(value[key])
+    walk(doc)
+    fields = [site for site in sites if isinstance(site[0], dict)]
+    if not sites:
+        return
+    # most edits hit an object's field; most sites are coordinates
+    parent, key = rng.choice(fields if fields and rng.random() < 0.7 else sites)
+    edits = ["replace", "drop"] + (["add", "rename", "move"] if isinstance(parent, dict) else [])
+    edit = rng.choice(edits)
+    if edit == "replace":
+        like = LIKE.get(type(parent[key]))
+        parent[key] = rng.choice(like if like and rng.random() < 0.5 else REPLACEMENTS)
+    elif edit == "drop":
+        del parent[key]
+    elif edit == "add":
+        parent["zz"] = 1
+    elif edit == "rename":  # where it stands
+        new = rng.choice([f"0{key}", f"+{key}", f" {key}", f"{key}_", "-0"])
+        items = [(new if k == key else k, v) for k, v in parent.items()]
+        parent.clear()
+        parent.update(items)
+    else:  # same content, another key order
+        parent[key] = parent.pop(key)
+
+
+DOCUMENTS = {
+    "ir": (lambda rng: json.loads(serialize(random_frame_model(rng))), ir._read_model),
+    "drawing": (drawing_doc, perception._read_drawing),
+    "results": (results_doc, sandbox._read_result_set),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(DOCUMENTS)), st.integers(0, 2), st.integers(0, 2 ** 32))
+def test_bulk_reading_equals_item_by_item(kind, defects, seed):
+    make, read = DOCUMENTS[kind]
+    rng = random.Random(seed)
+    doc = make(rng)
+    for _ in range(defects):
+        inject(doc, rng)
+    text = json.dumps(doc)
+    assert read_outcome(read, text) == item_by_item(read, text)
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_valid_documents_are_read_in_bulk(kind):
+    # every array and id map of a valid document is read in one piece, so
+    # the property above compares the two paths and not one with itself
+    make, read = DOCUMENTS[kind]
+    taken = []
+    bulk_of = ir._column
+
+    def spy(read_item):
+        bulk = bulk_of(read_item)
+
+        def read_values(values):
+            out = bulk(values)
+            taken.append(out is not None)
+            return out
+        return read_values
+
+    for seed in range(10):
+        text = json.dumps(make(random.Random(seed)))
+        with mock.patch.object(ir, "_column", spy):
+            assert read_outcome(read, text) == item_by_item(read, text)
+    assert taken and all(taken)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SUITE_DIR
+from vfea import perception
 from vfea.harness import load_case
 from vfea.ir import IRModel, serialize
 from vfea.perception import (DegenerateElementError,
@@ -21,7 +22,7 @@ from vfea.perception import (DegenerateElementError,
                              attach_semantics, default_reasoning, infer_scale,
                              infer_topology, orchestrate, parse_drawing,
                              parse_magnitude)
-from vfea.validation import audit, connected_components
+from vfea.validation import audit
 
 TWO_SEGMENTS_PIN = json.dumps({
     "segments": [
@@ -215,6 +216,18 @@ class TestInferTopology:
         with pytest.raises(DegenerateElementError):
             infer_topology(parse_drawing(json.dumps(doc)), 3.0)
 
+    @pytest.mark.parametrize("x,centroid", [
+        # ten endpoints at 0.1: plain doubles give 0.9999999999999999 / 10,
+        # a compensated sum (Python >= 3.12's sum of floats) 1.0 / 10
+        ([0.1] * 10, 0.9999999999999999 / 10),
+        ([-0.0, -0.0], 0.0)])
+    def test_centroid_adds_left_to_right_in_plain_doubles(self, x, centroid):
+        segments = [Segment((xk, 0.0), (1e17, 10.0 * k + 10.0), "structural")
+                    for k, xk in enumerate(x)]
+        nodes, _ = infer_topology(PrimitiveDrawing(segments=tuple(segments)), 3.0)
+        assert math.copysign(1.0, nodes[0][1]) == 1.0
+        assert nodes[0][1:] == (centroid, 0.0)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_non_positive_or_nan_tolerance_rejected(self, tol):
         with pytest.raises(ValueError):
@@ -232,15 +245,35 @@ class TestInferTopology:
         assert [n[0] for n in nodes] == [n[0] for n in base_nodes]
 
 
+def plain_sum(values) -> float:
+    """``values`` added left to right from 0.0 in plain doubles (``sum`` of
+    floats is compensated from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def naive_topology(drawing: PrimitiveDrawing, tol: float):
-    """All-pairs reference for ``infer_topology``."""
+    """All-pairs reference for ``infer_topology``: clusters grown by a flood
+    fill from each endpoint not yet taken, in endpoint order."""
     structural = [s for s in drawing.segments if s.stroke_class == "structural"]
     points = [p for s in structural for p in (s.p1, s.p2)]
-    links = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))
-             if math.dist(points[i], points[j]) <= tol]
-    centroids = sorted(((sum(points[i][0] for i in m) / len(m),
-                         sum(points[i][1] for i in m) / len(m), m)
-                        for m in connected_components(range(len(points)), links)),
+    linked = [[j for j in range(len(points)) if j != i and math.dist(points[i], points[j]) <= tol]
+              for i in range(len(points))]
+    clusters, taken = [], set()
+    for i in range(len(points)):
+        if i in taken:
+            continue
+        members, frontier = {i}, [i]
+        while frontier:
+            new = {j for k in frontier for j in linked[k]} - members
+            members |= new
+            frontier = list(new)
+        taken |= members
+        clusters.append(sorted(members))
+    centroids = sorted(((plain_sum(points[i][0] for i in m) / len(m),
+                         plain_sum(points[i][1] for i in m) / len(m), m) for m in clusters),
                        key=lambda c: (c[0], c[1]))
     node_of = {i: nid for nid, (_, _, m) in enumerate(centroids, start=1) for i in m}
     elements = tuple((k + 1, node_of[2 * k], node_of[2 * k + 1]) for k in range(len(structural)))
@@ -439,6 +472,18 @@ class TestOrchestrate:
         orchestrate(CANTILEVER_DOC, CONTEXT, config)
         # the degenerative turn-2 candidate was rejected: counts never decreased
         assert counts and all(c == counts[0] for c in counts)
+
+    def test_default_reasoning_runs_one_turn(self, monkeypatch):
+        calls = []
+        infer = perception.infer_topology
+        monkeypatch.setattr(perception, "infer_topology",
+                            lambda *args: calls.append(args) or infer(*args))
+        doc = json.loads(CANTILEVER_DOC)
+        doc["load_arrows"][0]["magnitude"] = "nan kN"
+        with pytest.raises(PerceptionFailure, match="after 1 turn;") as err:
+            orchestrate(json.dumps(doc), CONTEXT, PerceptionConfig(max_turns=3))
+        assert len(calls) == 1 and err.value.turns == 1
+        assert [f.code for f in err.value.report.findings] == ["nonfinite-value"]
 
     def test_pinned_constraints_survive_every_turn(self):
         pinned_seen: list[tuple[str, ...]] = []

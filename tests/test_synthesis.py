@@ -311,6 +311,7 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
 
 
 class TestExternalGenerator:

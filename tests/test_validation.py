@@ -18,7 +18,7 @@ from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load, No
 from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
 from vfea.validation import (ValidationReport, accept_update, audit,
-                             check_l1, check_l2, check_l3, check_l4,
+                             check_l1, check_l2, check_l3, check_l4, connected_components,
                              restraint_rank, serialize_report)
 
 
@@ -211,6 +211,22 @@ class TestL2:
                                  elements=truss.elements + extra_elems))
         found = [f for f in check_l2(m) if f.code == "floating-substructure"]
         assert len(found) == 1 and found[0].subject == "nodes/10"
+
+    def test_floating_substructures_in_ascending_node_order(self, truss):
+        # two unsupported bars, listed with the higher ids first
+        extra_nodes = (Node(30, 30.0, 0.0), Node(31, 31.0, 0.0),
+                       Node(20, 20.0, 0.0), Node(21, 21.0, 0.0))
+        extra_elems = (Element(30, "truss_bar", (31, 30), 1),
+                       Element(20, "truss_bar", (21, 20), 1))
+        m = replace(truss, nodes=extra_nodes + truss.nodes,
+                    elements=extra_elems + truss.elements)
+        found = [f.subject for f in check_l2(m) if f.code == "floating-substructure"]
+        assert found == ["nodes/20", "nodes/30"]
+
+    def test_components_numbered_by_first_member(self):
+        assert connected_components(6, [4, 5, 3], [5, 1, 0]).tolist() == [0, 1, 2, 0, 1, 1]
+        assert connected_components(3, [], []).tolist() == [0, 1, 2]
+        assert connected_components(0, [], []).tolist() == []
 
     def test_duplicate_element(self, truss):
         m = replace(truss, elements=truss.elements + (
