@@ -132,7 +132,7 @@ def main() -> int:
             model = orchestrate(case.drawing_path.read_text(encoding="utf-8"),
                                 case.context_path.read_text(encoding="utf-8"))
             digests.add("ir", serialize(model))
-            digests.add("script", lower_ir(model, "."))
+            digests.add("script", lower_ir(model))
             run_artifacts(digests, case, work, "inprocess")
         for case in bundled:
             run_artifacts(digests, case, work, "subprocess")

@@ -1,7 +1,7 @@
 """Command line interface: run, validate, eval, bench.
 
 Exit codes: 0 success, 1 case failure or audit findings, 2 configuration
-error (bad arguments, unreadable inputs).
+error (bad arguments, unreadable inputs, unusable memory or workspace paths).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from pathlib import Path
 from .harness import (CaseLoadError, CaseSpec, RunConfig, aggregate,
                       emit_report, evaluate_ir, load_suite, run_case, run_suite)
 from .ir import SchemaParseError, deserialize
-from .memory import ExperienceBuffer
+from .memory import ExperienceBuffer, MemoryPersistError
+from .sandbox import WorkspaceError
 from .synthesis import ConfigError
 from .validation import audit
 
@@ -34,7 +35,6 @@ def _config_from(args, out_dir: Path | None) -> RunConfig:
         fallback_enabled=args.fallback == "on",
         memory_path=args.memory,
         out_dir=out_dir,
-        parallel=getattr(args, "parallel", 1),
     )
 
 
@@ -62,14 +62,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.ir)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = deserialize(text)
+        model = deserialize(Path(args.ir).read_text(encoding="utf-8"))
     except SchemaParseError as exc:
         print(f"schema error: {exc}")
         return 1
@@ -87,9 +81,6 @@ def cmd_eval(args) -> int:
     try:
         pred = deserialize(Path(args.pred).read_text(encoding="utf-8"))
         truth = deserialize(Path(args.truth).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SchemaParseError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -103,11 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        cases = load_suite(args.suite)
-    except CaseLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cases = load_suite(args.suite)
     out_dir = Path(args.out) if args.out else None
     config = _config_from(args, out_dir)
     summary = run_suite(cases, config)
@@ -147,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a case suite and aggregate metrics")
     p_bench.add_argument("--suite", required=True)
-    p_bench.add_argument("--parallel", type=int, default=1)
     p_bench.add_argument("--out", default=None)
     _add_run_options(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -162,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CaseLoadError as exc:
+    except (CaseLoadError, OSError, UnicodeDecodeError, WorkspaceError,
+            MemoryPersistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

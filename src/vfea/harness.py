@@ -12,7 +12,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from .ir import (ANALYSIS_MODES, IRModel, _Defect, _Field, _nullable, _one_of,
                  unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
-                         PerceptionConfig, PerceptionFailure, ScaleConflictError,
+                         PerceptionFailure, ScaleConflictError,
                          SemanticsError, orchestrate)
 from .sandbox import Limits
 from .solver import ModalResult, StaticResult, TopoResult
@@ -65,9 +64,7 @@ class RunConfig:
     memory_path: Path | None = None
     workspace_root: Path | None = None
     out_dir: Path | None = None
-    parallel: int = 1
     execution_mode: str = "inprocess"
-    perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     limits: Limits = field(default_factory=Limits)
 
     def resolved_workspace_root(self) -> Path:
@@ -262,7 +259,7 @@ def run_case(case: CaseSpec, config: RunConfig,
         context_text = case.context_path.read_text(encoding="utf-8")
         truth = (deserialize(case.truth_ir_path.read_text(encoding="utf-8"))
                  if case.truth_ir_path else None)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseLoadError(f"cannot read case {case.case_id}: {exc}") from None
 
     buffer = buffer if buffer is not None else ExperienceBuffer(config.memory_path)
@@ -274,7 +271,7 @@ def run_case(case: CaseSpec, config: RunConfig,
 
     t0 = time.monotonic()
     try:
-        model = orchestrate(drawing_doc, context_text, config.perception)
+        model = orchestrate(drawing_doc, context_text)
     except PerceptionFailure as exc:
         report.error = f"perception: {exc}"
         return report
@@ -327,14 +324,10 @@ def _summarize_trace(trace: SynthesisTrace, verified: bool) -> TraceSummary:
 
 
 def run_suite(cases: list[CaseSpec], config: RunConfig) -> SuiteSummary:
+    """Run the cases one at a time, in case-id order, sharing one buffer."""
     buffer = ExperienceBuffer(config.memory_path)
-    ordered = sorted(cases, key=lambda c: c.case_id)
-    if config.parallel > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            reports = list(pool.map(lambda c: run_case(c, config, buffer), ordered))
-    else:
-        reports = [run_case(c, config, buffer) for c in ordered]
-    return aggregate(reports)
+    return aggregate([run_case(c, config, buffer)
+                      for c in sorted(cases, key=lambda c: c.case_id)])
 
 
 def _mean(values: list[float]) -> float:

@@ -138,7 +138,6 @@ JustificationHook = Callable[[ValidationReport, IRModel | None, IRModel], "str |
 @dataclass(frozen=True)
 class PerceptionConfig:
     max_turns: int = 3
-    snap_tolerance: float = DEFAULT_SNAP_TOLERANCE
     reasoning_hook: ReasoningHook | None = None
     justification_hook: JustificationHook | None = None
 
@@ -266,19 +265,10 @@ def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SN
                                                     for k in structural]),
                      float, 4 * len(structural)).reshape(-1, 2)
     labels = connected_components(len(xy), *pairs_within(xy, snap_tolerance))
-    # the members of each cluster in ascending order, and each one's rank there
-    members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
-    rank = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    by_rank = np.argsort(rank, kind="stable")
-    bounds = np.cumsum(np.bincount(rank))
     sums = np.zeros((len(sizes), 2))
     with np.errstate(over="ignore"):  # a sum beyond the float range is inf
-        start = 0
-        for stop in bounds.tolist():  # the r-th members of every cluster that has one
-            at = members[by_rank[start:stop]]
-            sums[labels[at]] += xy[at]
-            start = stop
+        np.add.at(sums, labels, xy)  # unbuffered: endpoints added in index order
     centroids = sums / sizes[:, None]
     cx, cy = centroids[:, 0], centroids[:, 1]
     order = np.lexsort((cy, cx))  # stable: ties keep the first-endpoint order
@@ -451,11 +441,9 @@ def attach_semantics(drawing: PrimitiveDrawing,
 
 
 def default_reasoning(drawing: PrimitiveDrawing, context_text: str,
-                      scale: ScaleResolution, belief: BeliefState,
-                      snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> IRModel:
+                      scale: ScaleResolution, belief: BeliefState) -> IRModel:
     """The deterministic reasoning step: topology inference plus semantics."""
-    topology = infer_topology(drawing, snap_tolerance)
-    return attach_semantics(drawing, topology, scale, context_text, snap_tolerance)
+    return attach_semantics(drawing, infer_topology(drawing), scale, context_text)
 
 
 def orchestrate(drawing_doc: str, context_text: str,
@@ -478,8 +466,7 @@ def orchestrate(drawing_doc: str, context_text: str,
 
     belief = BeliefState(draft=None, pinned_constraints=directives.lines,
                          findings=None, turn=0)
-    reasoning = config.reasoning_hook or (
-        lambda dr, ctx, sc, b: default_reasoning(dr, ctx, sc, b, config.snap_tolerance))
+    reasoning = config.reasoning_hook or default_reasoning
 
     for turn in range(1, config.max_turns + 1):
         candidate = reasoning(drawing, context_text, scale, belief)

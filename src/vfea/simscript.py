@@ -301,12 +301,11 @@ def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[Fault]:
     return out
 
 
-def lower_ir(model: IRModel, workspace: str | Path) -> str:
+def lower_ir(model: IRModel) -> str:
     """Rule-based lowering of an audited model to a guaranteed-executable script.
 
     Output is byte-stable and uses workspace-relative artifact paths, so the
-    same script runs in any allocated workspace; ``workspace`` is the root the
-    guarantee is stated against.
+    same script runs in any allocated workspace.
     """
     m = canonicalize(model)
     lines = ["model begin"]

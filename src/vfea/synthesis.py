@@ -204,7 +204,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     if not fallback_enabled:
         raise SynthesisExhaustedError(trace)
 
-    attempt = Attempt(k=K + 1, script=lower_ir(model, workspace_root))
+    attempt = Attempt(k=K + 1, script=lower_ir(model))
     trace.fallback_used = True
     verified = run(attempt)
     if verified is None:
@@ -224,7 +224,7 @@ class PerfectGenerator:
     """Wraps the deterministic lowering; generation is always correct."""
 
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str:
-        return lower_ir(model, Path("."))
+        return lower_ir(model)
 
     def repair(self, script: str, context: DebugContext) -> str:
         return script
@@ -260,7 +260,7 @@ class FaultyGenerator:
         return "\n".join(lines) + "\n"
 
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str:
-        self._clean = lower_ir(model, Path("."))
+        self._clean = lower_ir(model)
         return self._inject(self._clean)
 
     def repair(self, script: str, context: DebugContext) -> str:

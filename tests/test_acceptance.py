@@ -224,7 +224,7 @@ UNKNOWN_STATEMENTS = ["mesh_edges part1", "job_submit all", "set_view iso",
 def _script_corpus() -> dict[str, list[str]]:
     """20 scripts per fault family plus 20 clean controls."""
     rng = random.Random(4242)
-    bases = [lower_ir(random_frame_model(rng), Path("/srv/check")) for _ in range(20)]
+    bases = [lower_ir(random_frame_model(rng)) for _ in range(20)]
     corpus: dict[str, list[str]] = {"clean": list(bases), "type_i": [], "type_ii": [],
                                     "type_iii": []}
     for i, base in enumerate(bases):

@@ -374,7 +374,7 @@ class TestRunCase:
             repair is the correct script."""
 
             def generate(self, model, memory_context):
-                return lower_ir(model, ".").replace("analyze static", "analyze modal count 1")
+                return lower_ir(model).replace("analyze static", "analyze modal count 1")
 
             def repair(self, script, context):
                 return script.replace("analyze modal count 1", "analyze static")
@@ -459,16 +459,23 @@ class TestSuiteLoading:
         assert r.metrics.execution_success
         assert r.highlights["first_frequency_hz"] > 0
 
-    def test_parallel_bench_matches_serial(self, suite_dir, tmp_path):
+    def test_suite_runs_are_deterministic(self, suite_dir, tmp_path):
         from vfea.harness import run_suite
-        serial = run_suite(load_suite(suite_dir),
-                           RunConfig(workspace_root=tmp_path / "ws-serial",
-                                     memory_path=tmp_path / "m1.jsonl"))
-        parallel = run_suite(load_suite(suite_dir),
-                             RunConfig(workspace_root=tmp_path / "ws-par",
-                                       memory_path=tmp_path / "m2.jsonl",
-                                       parallel=4))
-        assert emit_report(parallel) == emit_report(serial)
+
+        def run(tag):
+            memory = tmp_path / f"{tag}.jsonl"
+            summary = run_suite(load_suite(suite_dir),
+                                RunConfig(generator_spec="faulty:type_ii",
+                                          workspace_root=tmp_path / f"ws-{tag}",
+                                          memory_path=memory))
+            lines = [json.loads(line) for line in memory.read_text().splitlines()]
+            for doc in lines:
+                del doc["created_at"]
+            return emit_report(summary), lines
+
+        first, second = run("first"), run("second")
+        assert first[1]  # the faulty generator leaves failure records behind
+        assert first == second
 
 
 class TestCLI:
@@ -487,6 +494,17 @@ class TestCLI:
 
     def test_validate_unreadable_exit_two(self, tmp_path):
         assert cli_main(["validate", "--ir", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("command", [["validate", "--ir", "{latin1}"],
+                                         ["eval", "--pred", "{latin1}", "--truth", "{valid}"]],
+                             ids=["validate", "eval"])
+    def test_undecodable_input_exit_two(self, tmp_path, capsys, command):
+        (tmp_path / "latin1.json").write_bytes(b'{"nodes": "\xe9"}')
+        (tmp_path / "valid.json").write_text(serialize(two_bar_truss()))
+        argv = [a.format(latin1=tmp_path / "latin1.json", valid=tmp_path / "valid.json")
+                for a in command]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_out_of_range_number_is_a_schema_error(self, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -518,6 +536,30 @@ class TestCLI:
     def test_run_missing_input_exit_two(self, tmp_path):
         assert cli_main(["run", "--drawing", "/nope.json", "--context", "/nope.txt",
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("fault", ["drawing-not-utf8", "memory-is-dir",
+                                       "memory-under-file", "workspace-under-file"])
+    def test_run_unusable_input_exit_two(self, golden_case, tmp_path, capsys, monkeypatch,
+                                         fault):
+        monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file")
+        drawing = golden_case / "drawing.json"
+        extra = ["--memory", str(tmp_path / "m.jsonl")]
+        if fault == "drawing-not-utf8":
+            drawing = tmp_path / "latin1.json"
+            drawing.write_bytes(b'{"segments": "\xe9"}')
+        elif fault == "memory-is-dir":
+            extra = ["--memory", str(tmp_path)]
+        elif fault == "memory-under-file":
+            extra = ["--memory", str(blocker / "m.jsonl")]
+        else:
+            monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(blocker / "ws"))
+        code = cli_main(["run", "--drawing", str(drawing),
+                         "--context", str(golden_case / "context.txt"),
+                         "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_case_failure_exit_one(self, golden_case, tmp_path, monkeypatch):
         monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))

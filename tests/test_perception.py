@@ -220,7 +220,9 @@ class TestInferTopology:
         # ten endpoints at 0.1: plain doubles give 0.9999999999999999 / 10,
         # a compensated sum (Python >= 3.12's sum of floats) 1.0 / 10
         ([0.1] * 10, 0.9999999999999999 / 10),
-        ([-0.0, -0.0], 0.0)])
+        ([-0.0, -0.0], 0.0),
+        # in order 0.6000000000000001; reversed or compensated 0.6
+        ([0.1, 0.2, 0.3], 0.6000000000000001 / 3)])
     def test_centroid_adds_left_to_right_in_plain_doubles(self, x, centroid):
         segments = [Segment((xk, 0.0), (1e17, 10.0 * k + 10.0), "structural")
                     for k, xk in enumerate(x)]

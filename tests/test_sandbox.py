@@ -41,7 +41,7 @@ OUTCOME_KINDS = [
 
 @pytest.fixture()
 def cantilever_script(tmp_path):
-    return lower_ir(cantilever_model(), tmp_path)
+    return lower_ir(cantilever_model())
 
 
 class TestWorkspace:
@@ -103,7 +103,7 @@ class TestExecute:
     @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
     def test_modal_dof_budget_counts_subdivided_model(self, tmp_path, mode):
         # 6 dofs as drawn, 15 once the frame is split into four elements
-        script = lower_ir(modal_cantilever(), tmp_path)
+        script = lower_ir(modal_cantilever())
         out = execute(script, allocate_workspace(tmp_path, "refined"),
                       Limits(max_solver_dofs=10), mode=mode)
         assert out.status == "ABORTED"
@@ -120,7 +120,7 @@ class TestExecute:
                                              BoundaryCondition(3, frozenset({"ux", "uy"}))))
         if mode == "modal":
             model = replace(model, loads=(), analysis=AnalysisSpec(mode="modal", modal_count=3))
-        out = execute(lower_ir(model, tmp_path), allocate_workspace(tmp_path, mode), Limits())
+        out = execute(lower_ir(model), allocate_workspace(tmp_path, mode), Limits())
         assert out.status == "COMPLETED"
         assert f"analysis complete ({dofs} dofs)" in out.log
 
@@ -132,7 +132,7 @@ class TestExecute:
         model = replace(base, nodes=tuple(Node(i + 1, 0.5 * i, 0.0) for i in range(members + 1)),
                         elements=tuple(Element(i + 1, "frame_beam", (i + 1, i + 2), 1)
                                        for i in range(members)))
-        script = lower_ir(model, tmp_path)
+        script = lower_ir(model)
         out = execute(script, allocate_workspace(tmp_path, "modes"), Limits())
         assert out.status == status
         if status == "ABORTED":
@@ -142,11 +142,11 @@ class TestExecute:
 
     @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
     def test_oc_iteration_budget(self, tmp_path, mode):
-        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1), tmp_path)
+        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1))
         out = execute(script, allocate_workspace(tmp_path, "oc"), Limits(), mode=mode)
         assert out.status == "ABORTED" and out.runtime_error is None
         assert f"({MAX_OC_ITERATIONS + 1} > {MAX_OC_ITERATIONS} iterations)" in out.log
-        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS), tmp_path)
+        script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS))
         assert execute(script, allocate_workspace(tmp_path, "oc"), Limits(),
                        mode=mode).status == "COMPLETED"
 
@@ -216,7 +216,7 @@ class TestExecute:
 
     def test_delete_element_then_analyze(self, tmp_path):
         # deleting a real element leaves a dangling-free model: still valid here
-        script = lower_ir(ground_structure(iters=2), tmp_path)
+        script = lower_ir(ground_structure(iters=2))
         script = script.replace("analyze topopt", "delete element 36\nanalyze topopt")
         out = execute(script, allocate_workspace(tmp_path, "del"), Limits())
         assert out.status == "COMPLETED"
@@ -231,7 +231,7 @@ class TestExecute:
         assert out.runtime_error.kind == "state"
 
     def test_modal_script_round_trip(self, tmp_path):
-        script = lower_ir(modal_cantilever(), tmp_path)
+        script = lower_ir(modal_cantilever())
         out = execute(script, allocate_workspace(tmp_path, "modal"), Limits())
         assert out.status == "COMPLETED"
         rs = read_results(out.results_path)
@@ -313,7 +313,7 @@ class TestExecute:
     def test_nonpositive_density_is_a_model_fault_in_modal(self, tmp_path, mode, density):
         # without the audit the solver reports a non-positive mode or an
         # ARPACK failure, and the repair is pointed at the supports
-        script = lower_ir(modal_cantilever(), tmp_path)
+        script = lower_ir(modal_cantilever())
         bad = script.replace("0.3 7850.0", f"0.3 {density}")
         assert bad != script
         out = execute(bad, allocate_workspace(tmp_path, "mass"), Limits(), mode=mode)
@@ -376,7 +376,7 @@ _LINES = st.one_of(
     st.builds("{} {}".format, st.sampled_from(["write_results", "workspace"]), _PATHS),
     st.text(max_size=30),
 )
-_BASES = [lower_ir(m, ".") for m in (cantilever_model(), two_bar_truss(), modal_cantilever(),
+_BASES = [lower_ir(m) for m in (cantilever_model(), two_bar_truss(), modal_cantilever(),
                                      ground_structure(iters=2))]
 
 

@@ -94,7 +94,7 @@ def test_print_parse_round_trip():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_print_parse_round_trip_property(seed):
-    script = lower_ir(random_frame_model(random.Random(seed)), Path("."))
+    script = lower_ir(random_frame_model(random.Random(seed)))
     ast = parse_script(script)
     assert print_script(ast) == script  # lowering already emits canonical text
 
@@ -157,7 +157,7 @@ class TestPreflight:
 class TestLowerIR:
     def test_round_trip_through_sandbox(self, cantilever, tmp_path):
         from vfea.sandbox import Limits, allocate_workspace, execute
-        script = lower_ir(cantilever, tmp_path)
+        script = lower_ir(cantilever)
         ws = allocate_workspace(tmp_path, "lower")
         outcome = execute(script, ws, Limits())
         assert outcome.status == "COMPLETED"
@@ -165,12 +165,12 @@ class TestLowerIR:
     def test_topopt_defaults_to_conservative_volfrac(self, topopt_model):
         bare = replace(topopt_model,
                        analysis=AnalysisSpec(mode="topology_optimization"))
-        script = lower_ir(bare, Path("."))
+        script = lower_ir(bare)
         assert "volfrac 0.5" in script
         assert "iters 50" in script
 
     def test_deterministic_output(self, topopt_model):
-        assert lower_ir(topopt_model, Path(".")) == lower_ir(topopt_model, Path("."))
+        assert lower_ir(topopt_model) == lower_ir(topopt_model)
 
 
 @settings(max_examples=50, deadline=None)
@@ -182,6 +182,6 @@ def test_lowering_soundness_property(seed):
     root = Path("/srv/vfea-check/ws")
     model = random_frame_model(random.Random(seed))
     assert audit(model).clean
-    script = lower_ir(model, root)
+    script = lower_ir(model)
     ast = parse_script(script)
     assert preflight(ast, root) == []

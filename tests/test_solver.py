@@ -258,7 +258,7 @@ class TestModal:
         assert restraint_rank(m) == 3
         with pytest.raises(SingularSystemError):
             solve_modal(m, 1)
-        out = execute(lower_ir(m, tmp_path), allocate_workspace(tmp_path, "mech"), Limits())
+        out = execute(lower_ir(m), allocate_workspace(tmp_path, "mech"), Limits())
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "solver"
 

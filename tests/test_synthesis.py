@@ -68,7 +68,7 @@ class TestComposeDebugContext:
         return seen
 
     def test_fault_line_propagates(self, tmp_path, cantilever):
-        script = lower_ir(cantilever, ".").replace(
+        script = lower_ir(cantilever).replace(
             "analyze static", "delete model root\nanalyze static")
         line = script.splitlines().index("delete model root") + 1
         (ctx,) = self.repair_contexts(cantilever, script, tmp_path, K=0)
@@ -93,7 +93,7 @@ class TestComposeDebugContext:
         queries = []
         retrieve = buffer.retrieve
         monkeypatch.setattr(buffer, "retrieve", lambda *q: queries.append(q) or retrieve(*q))
-        script = lower_ir(cantilever, ".").replace("analyze static\n", "")
+        script = lower_ir(cantilever).replace("analyze static\n", "")
         contexts = self.repair_contexts(cantilever, script, tmp_path, K=K, buffer=buffer)
         assert [ctx.lessons for ctx in contexts] == [tuple(reflect(["lifecycle"]))] * (K + 1)
         assert queries == [(sig, None, synthesis.DEFAULT_RETRIEVAL_K)]
@@ -102,7 +102,7 @@ class TestComposeDebugContext:
 class TestVerifyResults:
     def run_one(self, model, tmp_path):
         ws = allocate_workspace(tmp_path, "verify")
-        return execute(lower_ir(model, ws.root), ws, Limits())
+        return execute(lower_ir(model), ws, Limits())
 
     def test_healthy_static(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
@@ -160,7 +160,7 @@ class TestSynthesize:
             cantilever, 3, buf, FaultyGenerator("type_ii", stubborn=True), tmp_path)
         assert trace.fallback_used
         assert trace.attempts[-1].script == script
-        assert script == lower_ir(cantilever, tmp_path)
+        assert script == lower_ir(cantilever)
         neural = [a for a in trace.attempts if a.k <= 3]
         assert len(neural) == 4  # K+1 neural attempts before handover
 
@@ -188,10 +188,10 @@ class TestSynthesize:
         # the fallback: one parse each, shared by preflight and execution
         class SolverFaultOnce:
             def generate(self, model, memory_context):
-                return lower_ir(model, ".").replace("fix 1 ux,uy,rz", "fix 1 ux")
+                return lower_ir(model).replace("fix 1 ux,uy,rz", "fix 1 ux")
 
             def repair(self, script, context):
-                return lower_ir(cantilever, ".")
+                return lower_ir(cantilever)
 
         parsed = []
 
@@ -211,7 +211,7 @@ class TestSynthesize:
     def test_lessons_accumulate_monotonically(self, tmp_path, cantilever):
         # a generator whose fault changes per attempt: the run's accumulated
         # lessons must only ever grow
-        clean = lower_ir(cantilever_model(), tmp_path)
+        clean = lower_ir(cantilever_model())
 
         class Shapeshifter:
             def __init__(self):
@@ -240,7 +240,7 @@ class TestSynthesize:
         # catches it, so use a generator that writes results outside analyze
         class IdleGenerator:
             def generate(self, model, memory_context):
-                clean = lower_ir(model, tmp_path)
+                clean = lower_ir(model)
                 # keep lifecycle statements so preflight passes, but make the
                 # run fail at execution: write_results before any analyze
                 return clean.replace("analyze static\nwrite_results",
@@ -248,7 +248,7 @@ class TestSynthesize:
                                      "write_results")
 
             def repair(self, script, context):
-                return lower_ir(cantilever_model(), tmp_path)
+                return lower_ir(cantilever_model())
 
         buf = ExperienceBuffer()
         _, _, trace = synthesize(cantilever, 2, buf, IdleGenerator(), tmp_path)
@@ -317,8 +317,8 @@ def stub_server():
 class TestExternalGenerator:
     def test_wire_protocol_end_to_end(self, tmp_path, cantilever, stub_server):
         endpoint, handler = stub_server
-        broken = lower_ir(cantilever, tmp_path).replace("analyze static\n", "")
-        handler.script_queue = [broken, lower_ir(cantilever, tmp_path)]
+        broken = lower_ir(cantilever).replace("analyze static\n", "")
+        handler.script_queue = [broken, lower_ir(cantilever)]
         buf = ExperienceBuffer()
         buf.record(ExperienceRecord(
             signature=compute_signature(cantilever), error=None, lesson="from the buffer",
