@@ -38,9 +38,17 @@ def _config_from(args, out_dir: Path | None) -> RunConfig:
     )
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8
+    raises CaseLoadError naming its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CaseLoadError(f"{path}: {exc}") from None
+
+
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     case = CaseSpec(case_id=Path(args.drawing).stem,
                     drawing_path=Path(args.drawing), context_path=Path(args.context),
                     truth_ir_path=Path(args.truth) if args.truth else None,
@@ -49,6 +57,7 @@ def cmd_run(args) -> int:
         if p is not None and not p.exists():
             print(f"error: input file not found: {p}", file=sys.stderr)
             return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
     config = _config_from(args, out_dir)
     report = run_case(case, config, ExperienceBuffer(config.memory_path))
     (out_dir / f"{case.case_id}.md").write_text(emit_report(report), encoding="utf-8")
@@ -63,7 +72,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        model = deserialize(Path(args.ir).read_text(encoding="utf-8"))
+        model = deserialize(_read_input(args.ir))
     except SchemaParseError as exc:
         print(f"schema error: {exc}")
         return 1
@@ -79,8 +88,8 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        pred = deserialize(Path(args.pred).read_text(encoding="utf-8"))
-        truth = deserialize(Path(args.truth).read_text(encoding="utf-8"))
+        pred = deserialize(_read_input(args.pred))
+        truth = deserialize(_read_input(args.truth))
     except SchemaParseError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

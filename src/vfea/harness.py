@@ -3,21 +3,30 @@
 A case directory holds ``case.json`` (id, file names, expected mode) next to
 the drawing document, the context text and optionally the reference model
 used for evaluation.
+
+``run_case`` runs each case with the cyclic garbage collector paused, when
+it is enabled, since a case's records hold no reference cycles and die
+together when the case ends. The switch is process-wide, so cases run on
+several threads at once may see it enabled again before they finish,
+which costs time, not results.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .ir import (ANALYSIS_MODES, IRModel, _Defect, _Field, _nullable, _one_of,
-                 _read_json, _record, _text, bounding_box, deserialize, pairs_within,
+import numpy as np
+
+from .ir import (ANALYSIS_MODES, IRModel, _Defect, _endpoints, _Field, _nullable,
+                 _one_of, _read_json, _record, _rows, _text, deserialize, pairs_within,
                  unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
@@ -155,6 +164,23 @@ def load_suite(suite_dir: str | Path) -> list[CaseSpec]:
     return [load_case(m.parent) for m in manifests]
 
 
+def _ranks(ids: list[int]) -> np.ndarray:
+    """The rank of each of the distinct ``ids`` in ascending order."""
+    rank = np.empty(len(ids), np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _common_pairs(left: np.ndarray, right: np.ndarray, n: int) -> int:
+    """How many unordered pairs the two (m, 2) arrays of codes below ``n``
+    have in common, counted as multisets."""
+    def counted(pairs: np.ndarray):
+        return np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_counts=True)
+    (lkeys, lcounts), (rkeys, rcounts) = counted(left), counted(right)
+    _, a, b = np.intersect1d(lkeys, rkeys, assume_unique=True, return_indices=True)
+    return int(np.minimum(lcounts[a], rcounts[b]).sum())
+
+
 def evaluate_ir(predicted: IRModel, truth: IRModel,
                 tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
     """Perception metrics against a reference model.
@@ -167,63 +193,71 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
     the mean of node accuracy and connectivity F1.
     """
     schema_valid = not check_l1(predicted)
-    align = predicted.coordinate_mode != truth.coordinate_mode
     pred, ref = predicted.node_positions(), truth.node_positions()
-    if align:
+    if predicted.coordinate_mode != truth.coordinate_mode:
         pred, ref = unit_box(pred), unit_box(ref)
+    pred_ids, ref_ids = list(pred), list(ref)
+    pred_xy = np.array(list(pred.values()), float).reshape(-1, 2)
+    ref_xy = np.array(list(ref.values()), float).reshape(-1, 2)
 
-    box = bounding_box(ref.values())
-    diagonal = math.hypot(box[2] - box[0], box[3] - box[1]) if box else 0.0
+    finite = ref_xy[np.isfinite(ref_xy).all(axis=1)]
+    with np.errstate(over="ignore"):  # a span beyond the float range is inf
+        span = (finite.max(axis=0) - finite.min(axis=0)).tolist() if len(finite) else [0.0]
+    diagonal = math.hypot(*span)
     threshold = tol * diagonal if diagonal > 0 else tol
 
-    pred_ids, ref_ids = list(pred), list(ref)
-    pred_xy, ref_xy = list(pred.values()), list(ref.values())
+    # candidate pairs in (distance, predicted id, reference id) order; ids
+    # compare through their ranks, which are plain array indices
     i, j = pairs_within(pred_xy, threshold, ref_xy)
-    pairs = sorted((math.dist(pred_xy[a], ref_xy[b]), pred_ids[a], ref_ids[b])
-                   for a, b in zip(i.tolist(), j.tolist()))
-    pred_to_truth: dict[int, int] = {}
-    matched_truth: set[int] = set()
-    for _, pid, tid in pairs:
-        if pid in pred_to_truth or tid in matched_truth:
-            continue
-        pred_to_truth[pid] = tid
-        matched_truth.add(tid)
+    dist = np.fromiter(map(math.dist, pred_xy[i].tolist(), ref_xy[j].tolist()), float, i.size)
+    order = np.lexsort((_ranks(ref_ids)[j], _ranks(pred_ids)[i], dist))
+    # predicted row -> matched reference row or -1; the extra last entry
+    # answers row -1, an endpoint that names no predicted node
+    match = [-1] * (len(pred_ids) + 1)
+    taken = [False] * len(ref_ids)
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if match[a] < 0 and not taken[b]:
+            match[a] = b
+            taken[b] = True
+    match = np.array(match)
+    matched = np.flatnonzero(match[:-1] >= 0)
 
     denom = max(len(pred), len(ref))
-    node_accuracy = (len(pred_to_truth) / denom) if denom else 1.0
+    node_accuracy = (len(matched) / denom) if denom else 1.0
 
-    def pair_multiset(model: IRModel, mapping: dict[int, int] | None) -> list[tuple[int, int]]:
-        out = []
-        for e in model.elements:
-            a, b = e.node_ids
-            if mapping is not None:
-                if a not in mapping or b not in mapping:
-                    out.append((-e.id, -e.id))  # unmatched endpoints: never a true positive
-                    continue
-                a, b = mapping[a], mapping[b]
-            out.append((min(a, b), max(a, b)))
-        return out
-
-    pred_pairs = pair_multiset(predicted, pred_to_truth)
-    truth_pairs = pair_multiset(truth, None)
-    tp = sum((Counter(pred_pairs) & Counter(truth_pairs)).values())
-    if not pred_pairs and not truth_pairs:
+    # Element pairs compare as unordered pairs of codes. A reference node's
+    # code is its row; any other value, a dangling reference endpoint or the
+    # -id that stands for both ends of a predicted element with an unmatched
+    # end, gets the next free code.
+    code = dict(zip(ref_ids, itertools.count()))
+    truth_ends = _endpoints(truth.elements)
+    pred_ends = match[_rows(pred_ids, _endpoints(predicted.elements), missing=-1)].reshape(-1, 2)
+    unmatched = np.flatnonzero((pred_ends < 0).any(axis=1))
+    negated = [-e.id for e in map(predicted.elements.__getitem__, unmatched.tolist())]
+    for value in itertools.chain(itertools.filterfalse(code.__contains__, truth_ends), negated):
+        code.setdefault(value, len(code))
+    pred_ends[unmatched] = np.fromiter(map(code.__getitem__, negated), np.intp,
+                                       len(negated))[:, None]
+    truth_ends = np.fromiter(map(code.__getitem__, truth_ends), np.intp,
+                             len(truth_ends)).reshape(-1, 2)
+    tp = _common_pairs(pred_ends, truth_ends, len(code))
+    if not len(pred_ends) and not len(truth_ends):
         connectivity_f1 = 1.0
     elif tp == 0:
         connectivity_f1 = 0.0
     else:
-        precision = tp / len(pred_pairs)
-        recall = tp / len(truth_pairs)
+        precision = tp / len(pred_ends)
+        recall = tp / len(truth_ends)
         connectivity_f1 = 2 * precision * recall / (precision + recall)
 
     truth_bcs = {b.node_id: b.constrained_dofs for b in truth.boundary_conditions}
     pred_bcs = {b.node_id: b.constrained_dofs for b in predicted.boundary_conditions}
-    truth_to_pred = {t: p for p, t in pred_to_truth.items()}
     if truth_bcs:
-        hits = sum(
-            1 for tid, dofs in truth_bcs.items()
-            if tid in truth_to_pred and pred_bcs.get(truth_to_pred[tid]) == dofs
-        )
+        pred_row = np.full(len(ref_ids) + 1, -1)  # as in match, for row -1
+        pred_row[match[matched]] = matched
+        rows = pred_row[_rows(ref_ids, truth_bcs, missing=-1)].tolist()
+        hits = sum(1 for (tid, dofs), a in zip(truth_bcs.items(), rows)
+                   if a >= 0 and pred_bcs.get(pred_ids[a]) == dofs)
         bc_detection = hits / len(truth_bcs)
     else:
         bc_detection = 1.0
@@ -253,7 +287,23 @@ def _highlights(results) -> dict[str, float]:
 def run_case(case: CaseSpec, config: RunConfig,
              buffer: ExperienceBuffer | None = None) -> CaseReport:
     """Perception, synthesis and evaluation for one case; failures at any
-    stage are captured in the report rather than raised."""
+    stage are captured in the report rather than raised.
+
+    The cyclic garbage collector is paused for the call when it is enabled,
+    and enabled again on the way out, raising or not. A case's records live
+    until the case ends and hold no reference cycles, so collections during
+    the case would scan them and find nothing to free.
+    """
+    if not gc.isenabled():
+        return _run_case(case, config, buffer)
+    gc.disable()
+    try:
+        return _run_case(case, config, buffer)
+    finally:
+        gc.enable()
+
+
+def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None) -> CaseReport:
     try:
         drawing_doc = case.drawing_path.read_text(encoding="utf-8")
         context_text = case.context_path.read_text(encoding="utf-8")

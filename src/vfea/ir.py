@@ -150,6 +150,10 @@ def _entity_keys(model: IRModel) -> dict[str, dict[int, object]]:
 
 _ID = operator.attrgetter("id")
 _NODE_ID = operator.attrgetter("node_id")
+_XY = operator.attrgetter("x", "y")
+_NODE_IDS = operator.attrgetter("node_ids")
+_KIND = operator.attrgetter("kind")
+_SECTION_ID = operator.attrgetter("section_id")
 
 
 def _by_key(items: tuple, key: Callable) -> tuple:
@@ -600,6 +604,30 @@ def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, f
     if extent == 0:
         extent = 1.0
     return {k: ((x - x0) / extent, (y - y0) / extent) for k, (x, y) in points.items()}
+
+
+# Array views of entity lists for passes over every node or element. Ids
+# stay Python ints, of any size: they are only hashed, never put in arrays.
+
+def _coordinates(nodes) -> np.ndarray:
+    """The nodes' (x, y), as an (n, 2) float array in list order."""
+    return np.fromiter(itertools.chain.from_iterable(map(_XY, nodes)), float,
+                       2 * len(nodes)).reshape(-1, 2)
+
+
+def _endpoints(elements) -> list[int]:
+    """The elements' node ids, two per element, in list order."""
+    return list(itertools.chain.from_iterable(map(_NODE_IDS, elements)))
+
+
+def _rows(ids, keys, missing: int | None = None) -> np.ndarray:
+    """The position in ``ids`` of each key, as an index array: the last
+    position of an id listed twice, and ``missing`` for a key not listed
+    (KeyError when ``missing`` is None)."""
+    where = dict(zip(ids, itertools.count()))
+    found = (map(where.__getitem__, keys) if missing is None
+             else map(where.get, keys, itertools.repeat(missing)))
+    return np.fromiter(found, np.intp)
 
 
 # Cell indices lie within 2**30 + 1 of zero (see pairs_within), so a cell

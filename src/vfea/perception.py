@@ -378,10 +378,20 @@ def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
     return unit_box({nid: (x, y) for nid, x, y in nodes})
 
 
-def _nearest_node(nodes, p: Point) -> tuple[int, float]:
+def _nearest_node(ids: list[int], xy: np.ndarray, p: Point) -> tuple[int, float]:
     """The node nearest to ``p``, the lowest id among equally near ones (at
-    an infinite distance too), and its distance."""
-    d, nid = min((math.dist((x, y), p), nid) for nid, x, y in nodes)
+    an infinite distance too), and its distance ``math.dist``.
+
+    One ``np.hypot`` over the coordinates (n, 2) screens the nodes. It and
+    ``math.dist`` differ by a few units in the last place at most, so only
+    the nodes within a relative 2**-40 of the nearest screened distance are
+    measured with ``math.dist``. No coordinate is NaN: nodes are centroids
+    of finite endpoints.
+    """
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
+        screen = np.hypot(xy[:, 0] - p[0], xy[:, 1] - p[1])
+        near = np.flatnonzero(screen <= screen.min() * (1 + 2 ** -40) + 2 ** -1070)
+    d, nid = min((math.dist(xy[k].tolist(), p), ids[k]) for k in near.tolist())
     return nid, d
 
 
@@ -401,9 +411,11 @@ def attach_semantics(drawing: PrimitiveDrawing,
     elements = tuple(Element(eid, ctx.element_kind, (n1, n2) if n1 <= n2 else (n2, n1),
                              ctx.section.id) for eid, n1, n2 in elements_raw)
 
+    ids, xs, ys = zip(*nodes_px)
+    xy = np.array([xs, ys], float).T
     bc_dofs: dict[int, frozenset[str]] = {}
     for g in drawing.support_glyphs:
-        nid, d = _nearest_node(nodes_px, g.anchor)
+        nid, d = _nearest_node(ids, xy, g.anchor)
         if d > snap_tolerance:
             raise SemanticsError(f"support glyph {g.kind!r} at {g.anchor} is {d:.1f} px "
                                  f"from the nearest node (snap tolerance {snap_tolerance})")
@@ -412,7 +424,7 @@ def attach_semantics(drawing: PrimitiveDrawing,
 
     load_sum: dict[int, list[float]] = {}
     for a in drawing.load_arrows:
-        nid, _ = _nearest_node(nodes_px, a.anchor)
+        nid, _ = _nearest_node(ids, xy, a.anchor)
         magnitude = parse_magnitude(a.magnitude_label) if a.magnitude_label else 1.0
         acc = load_sum.setdefault(nid, [0.0, 0.0, 0.0])
         acc[0] += magnitude * a.direction[0]

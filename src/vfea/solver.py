@@ -38,7 +38,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .ir import DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, IRModel
+from .ir import (_ID, _KIND, _SECTION_ID, DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, IRModel,
+                 _coordinates, _endpoints, _rows)
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
@@ -287,34 +288,37 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
     introduce a spurious mechanism.
     """
     index = build_dof_index(model)
-    pos = model.node_positions()
+    nodes = sorted(model.nodes, key=_ID)
+    ids = [n.id for n in nodes]
+    # a node's dofs are consecutive from its ux, rz last where it has one
+    ux = np.fromiter(map(index.__getitem__, zip(ids, itertools.repeat("ux"))), np.int64,
+                     len(ids))
+    xy = _coordinates(nodes)
     sections = {s.id: s for s in model.sections}
     materials = {m.id: m for m in model.materials}
 
-    def columns(elements: list, kind: str):
-        """ids (m,), dofs (m, d), end coordinates x1 y1 x2 y2 (m, 4), and
-        E, A, I, rho (m,) of elements of one kind."""
-        d = len(_DOF_NAMES[kind])
-        secs = [sections[e.section_id] for e in elements]
-        mats = [materials[s.material_id] for s in secs]
-        # a node's dofs are consecutive from its ux, rz last where it has one
-        ux = np.array([index[(n, "ux")] for e in elements for n in e.node_ids], dtype=np.int64)
-        return (np.array([e.id for e in elements], dtype=np.int64),
-                (ux.reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d),
-                np.array([pos[a] + pos[b] for a, b in (e.node_ids for e in elements)],
-                         dtype=float).reshape(-1, 4),
-                [np.array(v, dtype=float) for v in ([m.youngs_modulus for m in mats],
-                                                    [s.area for s in secs],
-                                                    [s.moment_of_inertia or 0.0 for s in secs],
-                                                    [m.density for m in mats])])
+    elements = sorted(model.elements, key=_ID)
+    element_ids = np.array([e.id for e in elements], dtype=np.int64)
+    ends = _rows(ids, _endpoints(elements)).reshape(-1, 2)
+    # E, A, I, rho of each section the elements use, and whether it has no I
+    used = [sections[k] for k in dict.fromkeys(map(_SECTION_ID, elements))]
+    table = np.array([(materials[s.material_id].youngs_modulus, s.area,
+                       s.moment_of_inertia or 0.0, materials[s.material_id].density,
+                       s.moment_of_inertia is None) for s in used], float).reshape(-1, 5)
+    props = table[_rows([s.id for s in used], map(_SECTION_ID, elements))]
+    is_bar = np.fromiter(map("truss_bar".__eq__, map(_KIND, elements)), bool, len(elements))
 
-    by_kind: dict[str, list] = {kind: [] for kind in _DOF_NAMES}
-    for e in sorted(model.elements, key=lambda e: e.id):
-        by_kind["truss_bar" if e.kind == "truss_bar" else "frame_beam"].append(e)
-    no_inertia = next((e.id for e in by_kind["frame_beam"]
-                       if sections[e.section_id].moment_of_inertia is None), None)
-    bars = columns(by_kind["truss_bar"], "truss_bar")
-    frames = columns(by_kind["frame_beam"], "frame_beam")
+    def columns(mask: np.ndarray, kind: str):
+        """ids (m,), dofs (m, d), end coordinates x1 y1 x2 y2 (m, 4), and
+        E, A, I, rho (m,) of the masked elements, which are of one kind."""
+        d = len(_DOF_NAMES[kind])
+        rows = ends[mask]
+        return (element_ids[mask], (ux[rows].reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d),
+                xy[rows].reshape(-1, 4), [props[mask, k] for k in range(4)])
+
+    no_inertia = element_ids[~is_bar & (props[:, 4] == 1.0)][:1].tolist()
+    bars = columns(is_bar, "truss_bar")
+    frames = columns(~is_bar, "frame_beam")
     if n_sub > 1 and frames[0].size:
         first_node = max((n.id for n in model.nodes), default=0) + 1
         first_dof, n_inner = len(index), frames[0].size * (n_sub - 1)
@@ -328,8 +332,8 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
     # first when one element has both
     faults = [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
               for g in groups if np.any(g.L == 0.0)]
-    if no_inertia is not None:
-        faults.append((no_inertia, 1, "frame element {} has no moment of inertia"))
+    if no_inertia:
+        faults.append((no_inertia[0], 1, "frame element {} has no moment of inertia"))
     if faults:
         element, _, message = min(faults)
         raise AssemblyError(message.format(element))

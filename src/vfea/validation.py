@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .ir import IRModel, bounding_box, diff
+from .ir import (_ID, _KIND, _NODE_ID, IRModel, _coordinates, _endpoints, _rows,
+                 bounding_box, diff)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perception import BeliefState, PrimitiveDrawing, ScaleResolution
@@ -245,30 +246,42 @@ def check_l2(model: IRModel) -> list[Finding]:
     if rank < 3:
         out.append(Finding("L2", "rigid-body-motion",
                            f"constrained dofs restrain only {rank} of 3 planar rigid modes"))
-    ids = sorted(n.id for n in model.nodes)
-    index = {nid: k for k, nid in enumerate(ids)}
-    ends = [index[nid] for e in model.elements for nid in e.node_ids]
-    labels = connected_components(len(ids), ends[0::2], ends[1::2])
+    nodes = sorted(model.nodes, key=_ID)
+    ids = [n.id for n in nodes]
+    # node rows, in id order, of each element's two ends, so a row compares
+    # as its id does
+    ends = _rows(ids, _endpoints(model.elements)).reshape(-1, 2)
+    labels = connected_components(len(ids), ends[:, 0], ends[:, 1])
     _, first = np.unique(labels, return_index=True)  # the lowest id of each component
     supported = np.zeros(len(first), bool)
-    supported[labels[[index[b.node_id] for b in model.boundary_conditions
-                      if b.node_id in index]]] = True
+    bcs = _rows(ids, map(_NODE_ID, model.boundary_conditions), missing=-1)
+    supported[labels[bcs[bcs >= 0]]] = True
     for k in first[~supported].tolist():
         out.append(Finding("L2", "floating-substructure",
                            f"component containing node {ids[k]} has no supported node",
                            f"nodes/{ids[k]}"))
-    seen: set[tuple[str, int, int]] = set()
-    for e in model.elements:
-        key = (e.kind, min(e.node_ids), max(e.node_ids))
-        if key in seen:
-            out.append(Finding("L2", "duplicate-element",
-                               f"element {e.id} duplicates another {e.kind} between nodes "
-                               f"{key[1]} and {key[2]}", f"elements/{e.id}"))
-        seen.add(key)
-    pos = model.node_positions()
-    for e in model.elements:
-        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
-        if math.hypot(x2 - x1, y2 - y1) < ZERO_LENGTH_EPS:
+
+    kinds = list(map(_KIND, model.elements))
+    kind = _rows(dict.fromkeys(kinds), kinds)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, once = np.unique((kind * len(ids) + lo) * len(ids) + hi, return_index=True)
+    repeated = np.ones(len(kinds), bool)
+    repeated[once] = False  # all but the first element of each (kind, ends)
+    for k in np.flatnonzero(repeated).tolist():
+        e = model.elements[k]
+        out.append(Finding("L2", "duplicate-element",
+                           f"element {e.id} duplicates another {e.kind} between nodes "
+                           f"{ids[lo[k]]} and {ids[hi[k]]}", f"elements/{e.id}"))
+
+    xy = _coordinates(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference may overflow
+        d = xy[ends[:, 1]] - xy[ends[:, 0]]
+        screen = np.hypot(d[:, 0], d[:, 1])
+    # np.hypot and math.hypot differ by a few units in the last place at
+    # most, so only lengths near the bound are decided by math.hypot itself
+    for k in np.flatnonzero(~(screen > ZERO_LENGTH_EPS * (1 + 2 ** -40))).tolist():
+        if math.hypot(*d[k].tolist()) < ZERO_LENGTH_EPS:
+            e = model.elements[k]
             out.append(Finding("L2", "zero-length-element",
                                f"element {e.id} has zero length", f"elements/{e.id}"))
     return out

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import re
 import shutil
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BAR, STEEL, cantilever_model, random_frame_model,
+from conftest import (BAR, REPO_ROOT, STEEL, cantilever_model, random_frame_model,
                       two_bar_truss)
 from vfea import harness
 from vfea.cli import main as cli_main
@@ -22,12 +25,16 @@ from vfea.harness import (DEFAULT_MATCH_TOLERANCE, CaseLoadError, CaseReport,
                           emit_report, evaluate_ir, load_case, load_suite,
                           run_case)
 from vfea.ir import (COORDINATE_MODES, DOF_ORDER, BoundaryCondition, Element,
-                     IRModel, Load, Node, canonicalize, serialize, unit_box)
+                     IRModel, Load, Node, bounding_box, canonicalize, pairs_within,
+                     serialize, unit_box)
 from vfea.memory import ExperienceBuffer
 from vfea.sandbox import Limits
 from vfea.simscript import lower_ir
 from vfea.synthesis import reflect
 from vfea.validation import check_l1
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def four_node_truth() -> IRModel:
@@ -212,11 +219,17 @@ ANY_FLOAT = st.one_of(FINITE, st.floats(),
                                        -5e-324, 1e-310, 1.7e308, -1.7e308]))
 
 
+SMALL_IDS = st.integers(-2, 12)
+# ids around and beyond the int64 range, of either sign
+WIDE_IDS = st.one_of(SMALL_IDS, st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, 10**30,
+                                                 -2**63, -2**63 - 1, -10**30]))
+
+
 @st.composite
-def ir_models(draw, coord) -> IRModel:
+def ir_models(draw, coord, id_values=SMALL_IDS) -> IRModel:
     """Models ``deserialize`` accepts: duplicate, non-positive and dangling
     ids, self-loops, either coordinate mode, coordinates drawn from ``coord``."""
-    ids = draw(st.lists(st.integers(-2, 12), max_size=10))
+    ids = draw(st.lists(id_values, max_size=10))
     pool = st.sampled_from(ids or [1])
     elements = tuple(Element(k + 1, "truss_bar", (draw(pool), draw(pool)), 1)
                      for k in range(draw(st.integers(0, 10))))
@@ -241,6 +254,98 @@ def test_evaluate_ir_equals_sort_all_pairs_reference(predicted, truth, tol):
 def test_evaluate_ir_never_raises(predicted, truth, tol):
     m = evaluate_ir(predicted, truth, tol)
     assert 0.0 <= m.node_accuracy <= 1.0 and 0.0 <= m.connectivity_f1 <= 1.0
+
+
+def head_evaluate_ir(predicted: IRModel, truth: IRModel,
+                     tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
+    """``evaluate_ir`` as it was before its array passes: one tuple per
+    candidate pair, sorted, and pair multisets counted element by element."""
+    schema_valid = not check_l1(predicted)
+    pred, ref = predicted.node_positions(), truth.node_positions()
+    if predicted.coordinate_mode != truth.coordinate_mode:
+        pred, ref = unit_box(pred), unit_box(ref)
+    box = bounding_box(ref.values())
+    diagonal = math.hypot(box[2] - box[0], box[3] - box[1]) if box else 0.0
+    threshold = tol * diagonal if diagonal > 0 else tol
+    pred_ids, ref_ids = list(pred), list(ref)
+    pred_xy, ref_xy = list(pred.values()), list(ref.values())
+    i, j = pairs_within(pred_xy, threshold, ref_xy)
+    pairs = sorted((math.dist(pred_xy[a], ref_xy[b]), pred_ids[a], ref_ids[b])
+                   for a, b in zip(i.tolist(), j.tolist()))
+    pred_to_truth: dict[int, int] = {}
+    matched_truth: set[int] = set()
+    for _, pid, tid in pairs:
+        if pid in pred_to_truth or tid in matched_truth:
+            continue
+        pred_to_truth[pid] = tid
+        matched_truth.add(tid)
+    denom = max(len(pred), len(ref))
+    node_accuracy = (len(pred_to_truth) / denom) if denom else 1.0
+
+    def pair_multiset(model: IRModel, mapping: dict[int, int] | None) -> list[tuple[int, int]]:
+        out = []
+        for e in model.elements:
+            a, b = e.node_ids
+            if mapping is not None:
+                if a not in mapping or b not in mapping:
+                    out.append((-e.id, -e.id))
+                    continue
+                a, b = mapping[a], mapping[b]
+            out.append((min(a, b), max(a, b)))
+        return out
+
+    pred_pairs = pair_multiset(predicted, pred_to_truth)
+    truth_pairs = pair_multiset(truth, None)
+    tp = sum((Counter(pred_pairs) & Counter(truth_pairs)).values())
+    if not pred_pairs and not truth_pairs:
+        connectivity_f1 = 1.0
+    elif tp == 0:
+        connectivity_f1 = 0.0
+    else:
+        precision, recall = tp / len(pred_pairs), tp / len(truth_pairs)
+        connectivity_f1 = 2 * precision * recall / (precision + recall)
+    truth_bcs = {b.node_id: b.constrained_dofs for b in truth.boundary_conditions}
+    pred_bcs = {b.node_id: b.constrained_dofs for b in predicted.boundary_conditions}
+    truth_to_pred = {t: p for p, t in pred_to_truth.items()}
+    bc_detection = (sum(1 for tid, dofs in truth_bcs.items()
+                        if tid in truth_to_pred and pred_bcs.get(truth_to_pred[tid]) == dofs)
+                    / len(truth_bcs)) if truth_bcs else 1.0
+    return Metrics(schema_valid=schema_valid, node_accuracy=node_accuracy,
+                   connectivity_f1=connectivity_f1, bc_detection=bc_detection,
+                   overall=(node_accuracy + connectivity_f1) / 2.0)
+
+
+@st.composite
+def prediction_pairs(draw) -> tuple[IRModel, IRModel]:
+    """A reference model and a prediction: either independent, or the
+    reference with its nodes moved by a grid step or left non-finite, its
+    ids shuffled, and elements dropped, repeated or re-pointed, so many
+    nodes match, at tied distances too."""
+    truth = draw(ir_models(ANY_FLOAT, WIDE_IDS))
+    if draw(st.booleans()):
+        return draw(ir_models(ANY_FLOAT, WIDE_IDS)), truth
+    step = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, math.nan, math.inf])
+    relabel = dict(zip(truth.node_positions(), draw(st.permutations(
+        list(truth.node_positions())))))
+    nodes = tuple(Node(relabel[n.id], n.x + draw(step), n.y + draw(step)) for n in truth.nodes)
+    pool = st.sampled_from(list(relabel.values()) + [99] if relabel else [99])
+    elements = [replace(e, node_ids=tuple(relabel.get(v, v) for v in e.node_ids))
+                for e in truth.elements]
+    elements = draw(st.lists(st.sampled_from(elements), max_size=12)) if elements else []
+    elements += [Element(20 + k, "truss_bar", (draw(pool), draw(pool)), 1)
+                 for k in range(draw(st.integers(0, 3)))]
+    bcs = tuple(replace(b, node_id=relabel.get(b.node_id, b.node_id))
+                for b in truth.boundary_conditions)
+    mode = draw(st.sampled_from(COORDINATE_MODES))
+    return replace(truth, nodes=nodes, elements=tuple(elements), boundary_conditions=bcs,
+                   coordinate_mode=mode), truth
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_pairs(), st.one_of(st.sampled_from([0.0, 0.02, 0.1, 0.25, 1.0]), ANY_FLOAT))
+def test_evaluate_ir_equals_its_previous_algorithm(models, tol):
+    predicted, truth = models
+    assert evaluate_ir(predicted, truth, tol) == head_evaluate_ir(predicted, truth, tol)
 
 
 def report(case_id: str, success: bool, retry: int | None = 0,
@@ -406,6 +511,64 @@ class TestRunCase:
         assert result.error is None and result.metrics.execution_success
 
 
+class TestGarbageCollection:
+    """``run_case`` pauses the cyclic collector, and its premise: a case
+    leaves no cyclic garbage for a collection to find."""
+
+    @pytest.fixture()
+    def grid_case(self, tmp_path) -> CaseSpec:
+        drawing, context, truth = workloads.truss_grid(20, 10, random.Random(3))  # 231 nodes
+        return load_case(workloads.write_case(tmp_path / "cases", "grid", drawing, context,
+                                              truth, "static"))
+
+    @pytest.mark.parametrize("readable", [True, False], ids=["grid", "drawing-not-utf8"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_no_collection_inside_run_case(self, grid_case, tmp_path, enabled, readable):
+        if not readable:
+            grid_case.drawing_path.write_bytes(b'{"segments": "\xe9"}')
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        config = RunConfig(workspace_root=tmp_path / "ws", memory_path=tmp_path / "m.jsonl")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(record)
+        try:
+            if readable:
+                report = run_case(grid_case, config)
+            else:
+                with pytest.raises(CaseLoadError):
+                    run_case(grid_case, config)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was_enabled else gc.disable)()
+        assert started == []
+        if readable:
+            assert report.error is None and report.metrics.execution_success
+
+    def test_bundled_cases_leave_no_cyclic_garbage(self, suite_dir, tmp_path):
+        configs = {"perfect": RunConfig(),
+                   "stubborn-no-fallback": RunConfig(generator_spec="faulty:type_ii:stubborn",
+                                                     fallback_enabled=False),
+                   "fallback-failure": RunConfig(limits=Limits(max_statements=3))}
+        cases = load_suite(suite_dir)
+        gc.collect()
+        gc.disable()
+        try:
+            for name, config in configs.items():
+                config.workspace_root = tmp_path / name
+                buffer = ExperienceBuffer(tmp_path / f"{name}.jsonl")
+                reports = [run_case(case, config, buffer) for case in cases]
+                assert gc.collect() == 0, name
+                assert any(r.error for r in reports) == (name != "perfect"), name
+        finally:
+            gc.enable()
+
+
 class TestSuiteLoading:
     def test_bundled_suite_loads(self, suite_dir):
         cases = load_suite(suite_dir)
@@ -492,19 +655,22 @@ class TestCLI:
         assert cli_main(["validate", "--ir", str(path)]) == 1
         assert "L1/empty-array" in capsys.readouterr().out
 
-    def test_validate_unreadable_exit_two(self, tmp_path):
-        assert cli_main(["validate", "--ir", str(tmp_path / "missing.json")]) == 2
+    def test_validate_unreadable_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli_main(["validate", "--ir", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {missing}: ")
 
     @pytest.mark.parametrize("command", [["validate", "--ir", "{latin1}"],
-                                         ["eval", "--pred", "{latin1}", "--truth", "{valid}"]],
-                             ids=["validate", "eval"])
+                                         ["eval", "--pred", "{latin1}", "--truth", "{valid}"],
+                                         ["eval", "--pred", "{valid}", "--truth", "{latin1}"]],
+                             ids=["validate", "eval", "eval-truth"])
     def test_undecodable_input_exit_two(self, tmp_path, capsys, command):
         (tmp_path / "latin1.json").write_bytes(b'{"nodes": "\xe9"}')
         (tmp_path / "valid.json").write_text(serialize(two_bar_truss()))
         argv = [a.format(latin1=tmp_path / "latin1.json", valid=tmp_path / "valid.json")
                 for a in command]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'latin1.json'}: ")
 
     def test_out_of_range_number_is_a_schema_error(self, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -534,8 +700,10 @@ class TestCLI:
         assert (tmp_path / "env-ws").exists()  # env var override honored
 
     def test_run_missing_input_exit_two(self, tmp_path):
+        out = tmp_path / "out"
         assert cli_main(["run", "--drawing", "/nope.json", "--context", "/nope.txt",
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["drawing-not-utf8", "memory-is-dir",
                                        "memory-under-file", "workspace-under-file"])

@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,9 @@ from vfea import perception
 from vfea.harness import load_case
 from vfea.ir import IRModel, serialize
 from vfea.perception import (DegenerateElementError,
-                             DrawingParseError, PerceptionConfig,
-                             PerceptionFailure, PrimitiveDrawing,
-                             ScaleConflictError, Segment, SemanticsError,
+                             DrawingParseError, LoadArrow, PerceptionConfig,
+                             PerceptionFailure, PrimitiveDrawing, ScaleResolution,
+                             ScaleConflictError, Segment, SemanticsError, SupportGlyph,
                              attach_semantics, default_reasoning, infer_scale,
                              infer_topology, orchestrate, parse_drawing,
                              parse_magnitude)
@@ -405,6 +406,76 @@ class TestAttachSemantics:
         doc["load_arrows"][0]["magnitude"] = "lots"
         with pytest.raises(SemanticsError):
             self.build(json.dumps(doc))
+
+
+def head_nearest_node(nodes, p) -> tuple[int, float]:
+    """``_nearest_node`` as it was before its array pass: ``math.dist`` to
+    every node, the least (distance, id)."""
+    d, nid = min((math.dist((x, y), p), nid) for nid, x, y in nodes)
+    return nid, d
+
+
+_GLYPH_COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                         st.sampled_from([1.7e308, -1.7e308, 1.7976931348623157e308, 1e-300]))
+
+
+@st.composite
+def _glyph_layouts(draw):
+    """Nodes (id, x, y) with shuffled ids, some beyond int64, coordinates on
+    a small grid (so distances tie), at the float range's end, or infinite,
+    and a finite anchor, as drawings have, on, near or between them."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.one_of(st.integers(1, 20), st.sampled_from([2**63, 10**30])),
+                        min_size=n, max_size=n, unique=True))
+    coord = st.one_of(_GLYPH_COORD, st.sampled_from([math.inf, -math.inf]))
+    nodes = tuple((i, draw(coord), draw(coord)) for i in ids)
+    anchor = draw(st.tuples(_GLYPH_COORD, _GLYPH_COORD))
+    _, x, y = draw(st.sampled_from(nodes))
+    if math.isfinite(x) and math.isfinite(y) and draw(st.booleans()):
+        # a few ulps beside a node, or at an offset whose np.hypot is not
+        # math.hypot's
+        dx, dy = draw(st.sampled_from([(0.0, 0.0), (-0.9388858913601634, 0.9903412489171073),
+                                       (0.03621910915668547, -0.111067243147569)]))
+        near = (math.nextafter(x + dx, draw(st.sampled_from([-math.inf, math.inf]))), y + dy)
+        anchor = near if math.isfinite(near[0]) else anchor
+    return nodes, anchor
+
+
+@settings(max_examples=400, deadline=None)
+@given(_glyph_layouts())
+# math.dist puts both nodes 1.414526337423396 from the anchor, np.hypot puts
+# node 1 an ulp further: the tie still goes to the lower id
+@example(layout=(((1, 0.9643218765169291, 1.0348758755209806),
+                  (2, 1.0392558658275888, 0.9595999190326122)), (0.0, 0.0)))
+def test_nearest_node_equals_its_previous_algorithm(layout):
+    nodes, anchor = layout
+    ids, xs, ys = zip(*nodes)
+    got = perception._nearest_node(list(ids), np.array([xs, ys], float).T, anchor)
+    want = head_nearest_node(nodes, anchor)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_glyph_layouts(), st.lists(st.sampled_from(["pin", "roller_y", "fixed"]), min_size=1,
+                                  max_size=3))
+def test_attach_semantics_binds_glyphs_as_its_previous_algorithm(layout, kinds):
+    nodes, anchor = layout
+    drawing = PrimitiveDrawing(
+        support_glyphs=tuple(SupportGlyph(anchor, kind) for kind in kinds),
+        load_arrows=(LoadArrow(anchor, (0.0, -1.0), "2 kN"),))
+    scale = ScaleResolution("normalized", None, 0.0)
+    topology = (nodes, ())
+
+    def bind():
+        model = attach_semantics(drawing, topology, scale, CONTEXT, math.inf)
+        return model.boundary_conditions, model.loads
+
+    got = bind()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perception, "_nearest_node",
+                      lambda ids, xy, p: head_nearest_node(nodes, p))
+        want = bind()
+    assert got == want
 
 
 class TestOrchestrate:

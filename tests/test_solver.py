@@ -3,6 +3,7 @@ method of joints, eigenvalue laws, optimality-criteria behavior."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (BAR, BEAM, REPO_ROOT, STEEL, cantilever_model, ground_structure,
@@ -420,6 +421,120 @@ def mixed_models(draw) -> IRModel:
         loads=tuple(Load(n, *v) for n, v in loads.items()),
         analysis=(AnalysisSpec(mode="modal", modal_count=1) if mode == "modal"
                   else AnalysisSpec()))
+
+
+def head_prepare(model: IRModel, n_sub: int = 1):
+    """``solver._prepare`` as it was before its array passes: dofs, end
+    coordinates, sections and materials looked up element by element."""
+    index = build_dof_index(model)
+    pos = model.node_positions()
+    sections = {s.id: s for s in model.sections}
+    materials = {m.id: m for m in model.materials}
+
+    def columns(elements: list, kind: str):
+        d = len(solver._DOF_NAMES[kind])
+        secs = [sections[e.section_id] for e in elements]
+        mats = [materials[s.material_id] for s in secs]
+        ux = np.array([index[(n, "ux")] for e in elements for n in e.node_ids], dtype=np.int64)
+        return (np.array([e.id for e in elements], dtype=np.int64),
+                (ux.reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d),
+                np.array([pos[a] + pos[b] for a, b in (e.node_ids for e in elements)],
+                         dtype=float).reshape(-1, 4),
+                [np.array(v, dtype=float) for v in ([m.youngs_modulus for m in mats],
+                                                    [s.area for s in secs],
+                                                    [s.moment_of_inertia or 0.0 for s in secs],
+                                                    [m.density for m in mats])])
+
+    by_kind: dict[str, list] = {kind: [] for kind in solver._DOF_NAMES}
+    for e in sorted(model.elements, key=lambda e: e.id):
+        by_kind["truss_bar" if e.kind == "truss_bar" else "frame_beam"].append(e)
+    no_inertia = next((e.id for e in by_kind["frame_beam"]
+                       if sections[e.section_id].moment_of_inertia is None), None)
+    bars = columns(by_kind["truss_bar"], "truss_bar")
+    frames = columns(by_kind["frame_beam"], "frame_beam")
+    if n_sub > 1 and frames[0].size:
+        first_node = max((n.id for n in model.nodes), default=0) + 1
+        first_dof, n_inner = len(index), frames[0].size * (n_sub - 1)
+        index.update(zip(itertools.product(range(first_node, first_node + n_inner),
+                                           solver._DOF_NAMES["frame_beam"]),
+                         range(first_dof, first_dof + 3 * n_inner)))
+        frames = solver._split(*frames, n_sub, max(e.id for e in model.elements) + 1, first_dof)
+    groups = (solver._group("truss_bar", *bars), solver._group("frame_beam", *frames))
+    faults = [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
+              for g in groups if np.any(g.L == 0.0)]
+    if no_inertia is not None:
+        faults.append((no_inertia, 1, "frame element {} has no moment of inertia"))
+    if faults:
+        element, _, message = min(faults)
+        raise AssemblyError(message.format(element))
+    f = np.zeros(len(index))
+    for l in model.loads:
+        f[index[(l.node_id, "ux")]] += l.fx
+        f[index[(l.node_id, "uy")]] += l.fy
+        if l.mz != 0.0:
+            f[index[(l.node_id, "rz")]] += l.mz
+    constrained = frozenset(index[(b.node_id, d)] for b in model.boundary_conditions
+                            for d in b.sorted_dofs() if (b.node_id, d) in index)
+    return index, groups, f, constrained
+
+
+def head_assemble(model: IRModel, n_sub: int):
+    index, groups, f, constrained = head_prepare(model, n_sub)
+    pattern = solver._pattern(len(index), groups)
+    K = solver._scatter(pattern, [solver._element_stiffness(g) for g in groups])
+    return solver.AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
+                                  groups=groups, pattern=pattern)
+
+
+ALUMINIUM = replace(STEEL, id=2, youngs_modulus=70e9, density=2700.0)
+_TABLE_SECTIONS = (BAR, replace(BEAM, id=2), replace(BEAM, id=3, moment_of_inertia=None),
+                   Section(4, 2, 0.02, 2e-6))
+
+
+@st.composite
+def table_models(draw) -> IRModel:
+    """``mixed_models`` with node ids beyond int64 among them, nodes moved
+    onto others, members repeated, and sections of two materials, one
+    section without a moment of inertia."""
+    m = draw(mixed_models())
+    wide = draw(st.lists(st.one_of(st.integers(1, 60), st.sampled_from([2**63, 2**64 + 5,
+                                                                         10**30])),
+                         min_size=len(m.nodes), max_size=len(m.nodes), unique=True))
+    relabel = dict(zip((n.id for n in m.nodes), wide))
+    nodes = [replace(n, id=relabel[n.id]) for n in m.nodes]
+    if draw(st.booleans()):  # a node on top of another: zero-length members
+        a, b = draw(st.permutations(range(len(nodes))))[:2]
+        nodes[a] = replace(nodes[a], x=nodes[b].x, y=nodes[b].y)
+    elements = [replace(e, node_ids=tuple(relabel[v] for v in e.node_ids),
+                        section_id=draw(st.sampled_from([1, 2, 3, 4])) if draw(st.booleans())
+                        else e.section_id) for e in m.elements]
+    elements += [replace(e, id=100 + k) for k, e in
+                 enumerate(draw(st.lists(st.sampled_from(elements), max_size=3)))]
+    return replace(m, nodes=tuple(draw(st.permutations(nodes))),
+                   elements=tuple(draw(st.permutations(elements))),
+                   materials=(STEEL, ALUMINIUM), sections=_TABLE_SECTIONS,
+                   boundary_conditions=tuple(replace(b, node_id=relabel[b.node_id])
+                                             for b in m.boundary_conditions),
+                   loads=tuple(replace(l, node_id=relabel[l.node_id]) for l in m.loads))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_models(), st.sampled_from([1, 2, 4]))
+def test_element_table_equals_its_previous_algorithm(m, n_sub):
+    try:
+        want = head_assemble(m, n_sub)
+    except AssemblyError as exc:
+        with pytest.raises(AssemblyError) as got:
+            assemble(m, n_sub)
+        assert str(got.value) == str(exc)
+        return
+    got = assemble(m, n_sub)
+    assert_same_system(got, want, n_sub)
+    for a, b in zip(got.groups, want.groups):
+        for name in a._fields[1:]:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
 
 
 class TestSubdivision:

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,9 @@ from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load, No
                      Section, canonicalize)
 from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
-from vfea.validation import (ValidationReport, accept_update, audit,
-                             check_l1, check_l2, check_l3, check_l4, connected_components,
-                             restraint_rank, serialize_report)
+from vfea.validation import (ZERO_LENGTH_EPS, Finding, ValidationReport, accept_update,
+                             audit, check_l1, check_l2, check_l3, check_l4,
+                             connected_components, restraint_rank, serialize_report)
 
 
 def bc_model(constraints: list[tuple[float, float, str]]) -> IRModel:
@@ -237,6 +238,102 @@ class TestL2:
         m = replace(truss, nodes=truss.nodes + (Node(4, 1.0, 1.0),),
                     elements=truss.elements + (Element(3, "truss_bar", (3, 4), 1),))
         assert "zero-length-element" in codes(check_l2(canonicalize(m)))
+
+
+def head_check_l2(model: IRModel) -> list[Finding]:
+    """``check_l2`` as it was before its array passes: node rows, duplicate
+    keys and lengths looked up element by element."""
+    out: list[Finding] = []
+    rank = restraint_rank(model)
+    if rank < 3:
+        out.append(Finding("L2", "rigid-body-motion",
+                           f"constrained dofs restrain only {rank} of 3 planar rigid modes"))
+    ids = sorted(n.id for n in model.nodes)
+    index = {nid: k for k, nid in enumerate(ids)}
+    ends = [index[nid] for e in model.elements for nid in e.node_ids]
+    labels = connected_components(len(ids), ends[0::2], ends[1::2])
+    _, first = np.unique(labels, return_index=True)
+    supported = np.zeros(len(first), bool)
+    supported[labels[[index[b.node_id] for b in model.boundary_conditions
+                      if b.node_id in index]]] = True
+    for k in first[~supported].tolist():
+        out.append(Finding("L2", "floating-substructure",
+                           f"component containing node {ids[k]} has no supported node",
+                           f"nodes/{ids[k]}"))
+    seen: set[tuple[str, int, int]] = set()
+    for e in model.elements:
+        key = (e.kind, min(e.node_ids), max(e.node_ids))
+        if key in seen:
+            out.append(Finding("L2", "duplicate-element",
+                               f"element {e.id} duplicates another {e.kind} between nodes "
+                               f"{key[1]} and {key[2]}", f"elements/{e.id}"))
+        seen.add(key)
+    pos = model.node_positions()
+    for e in model.elements:
+        (x1, y1), (x2, y2) = pos[e.node_ids[0]], pos[e.node_ids[1]]
+        if math.hypot(x2 - x1, y2 - y1) < ZERO_LENGTH_EPS:
+            out.append(Finding("L2", "zero-length-element",
+                               f"element {e.id} has zero length", f"elements/{e.id}"))
+    return out
+
+
+def _ulps_from(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# offsets near the zero-length bound: along an axis or a diagonal, a few
+# ulps either side, and two where np.hypot and math.hypot fall on either
+# side of it (9.999999999999998e-13 and 1e-12, each way round)
+_EPS_OFFSETS = st.one_of(
+    st.builds(lambda scale, steps, diagonal: (
+        (_ulps_from(scale * ZERO_LENGTH_EPS / math.sqrt(2), steps),) * 2 if diagonal
+        else (_ulps_from(scale * ZERO_LENGTH_EPS, steps), 0.0)),
+        st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]), st.integers(-2, 2), st.booleans()),
+    st.sampled_from([(2.353168015809764e-13, 9.719187223701883e-13),
+                     (1.0591977897210854e-13, 9.943746780879426e-13)]))
+
+
+@st.composite
+def l2_models(draw) -> IRModel:
+    """Models whose elements and supports name existing nodes: shuffled
+    unique ids, some beyond int64; nodes placed within an ulp or two of the
+    zero-length bound of another, or far out; self-loops, and repeated and
+    reversed elements of either kind; supports on some components only."""
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.one_of(st.integers(1, 30),
+                                  st.sampled_from([2**63 - 1, 2**63, 2**64 + 7, 10**30])),
+                        min_size=n, max_size=n, unique=True))
+    coords: list[tuple[float, float]] = [(0.0, 0.0)] if draw(st.booleans()) else []
+    while len(coords) < n:
+        if coords and draw(st.booleans()):
+            x, y = draw(st.sampled_from(coords))
+            dx, dy = draw(_EPS_OFFSETS)
+            coords.append((x + dx, y + dy))
+        else:
+            coords.append(draw(st.tuples(*[st.one_of(st.integers(-3, 3).map(float),
+                                                     st.sampled_from([1e-12, 1.7e308, -1.7e308]),
+                                                     st.floats(-1e3, 1e3))] * 2)))
+    nodes = tuple(Node(i, x, y) for i, (x, y) in zip(ids, coords))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
+    if pairs:  # some again, in either order
+        pairs += [draw(st.permutations(p))
+                  for p in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    kinds = st.sampled_from(["truss_bar", "frame_beam"])
+    elements = tuple(Element(k + 1, draw(kinds), tuple(p), 1) for k, p in enumerate(pairs))
+    supported = draw(st.lists(st.sampled_from(ids), max_size=3, unique=True))
+    bcs = tuple(BoundaryCondition(i, frozenset(draw(st.sets(st.sampled_from(["ux", "uy", "rz"]),
+                                                            min_size=1))))
+                for i in supported)
+    return IRModel(nodes=tuple(draw(st.permutations(nodes))), elements=elements,
+                   materials=(STEEL,), sections=(BEAM,), boundary_conditions=bcs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(l2_models())
+def test_l2_equals_its_previous_algorithm(model):
+    assert check_l2(model) == head_check_l2(model)
 
 
 class TestL3:
