@@ -14,6 +14,9 @@ seed (default: 1). Families:
   run.log         the run log, through run_case, in process
   results         results documents after json.loads, in process
   *[subprocess]   the same three in subprocess mode, bundled cases only
+  run.log[hand]   the run logs of hand-written variants of one bundled
+                  case's lowered script (comments, runs of spaces, fix dofs
+                  in another order, CRLF line ends), in both modes
   bench:GEN       `vfea bench` markdown, per-case reports and summary.json
                   over the bundled cases, for the perfect generator and
                   every faulty:* generator
@@ -32,6 +35,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -46,7 +50,22 @@ from vfea import cli  # noqa: E402
 from vfea.harness import RunConfig, load_case, load_suite, run_case  # noqa: E402
 from vfea.ir import serialize  # noqa: E402
 from vfea.perception import orchestrate  # noqa: E402
+from vfea.sandbox import Limits, allocate_workspace, execute  # noqa: E402
 from vfea.simscript import lower_ir  # noqa: E402
+
+# The bundled case whose lowered script is rewritten by hand; it fixes
+# three dofs at one support and two at the other.
+HAND_CASE = "frame_asymmetric"
+HAND_EDITS = {
+    "comments": lambda script: "# written by hand\n" + "".join(
+        f"{line}  # line {n}\n" for n, line in enumerate(script.splitlines(), 1)),
+    "spaces": lambda script: "".join(
+        f"  {line.replace(' ', '   ')} \n" for line in script.splitlines()),
+    "fix dofs": lambda script: re.sub(
+        r"^(fix \S+ )(\S+)$", lambda m: m[1] + ",".join(reversed(m[2].split(","))),
+        script, flags=re.M),
+    "crlf": lambda script: script.replace("\n", "\r\n"),
+}
 
 GENERATORS = ("perfect",
               *(f"faulty:{kind}{tail}" for tail in ("", ":stubborn")
@@ -90,6 +109,16 @@ def run_artifacts(digests: Digests, case, work: Path, mode: str) -> None:
             digests.add(f"results{suffix}", json.dumps(doc, sort_keys=True))
 
 
+def hand_artifacts(digests: Digests, script: str, work: Path) -> None:
+    """Execute each hand-written variant of a lowered script in both modes
+    and add its run log, which echoes the variant's lines as written."""
+    for name, edit in HAND_EDITS.items():
+        for mode in ("inprocess", "subprocess"):
+            ws = allocate_workspace(work / "hand", name.replace(" ", "-"))
+            execute(edit(script), ws, Limits(), mode=mode)
+            digests.add("run.log[hand]", (ws.root / "run.log").read_bytes())
+
+
 def bench_artifacts(digests: Digests, suite: Path, work: Path, generator: str) -> None:
     out = work / f"bench-{generator.replace(':', '_')}"
     memory = work / f"memory-{generator.replace(':', '_')}.jsonl"
@@ -131,11 +160,15 @@ def main() -> int:
         for case in bundled + generated:
             model = orchestrate(case.drawing_path.read_text(encoding="utf-8"),
                                 case.context_path.read_text(encoding="utf-8"))
+            script = lower_ir(model)
             digests.add("ir", serialize(model))
-            digests.add("script", lower_ir(model))
+            digests.add("script", script)
             run_artifacts(digests, case, work, "inprocess")
+            if case.case_id == HAND_CASE:
+                hand_script = script
         for case in bundled:
             run_artifacts(digests, case, work, "subprocess")
+        hand_artifacts(digests, hand_script, work)
         for generator in GENERATORS:
             bench_artifacts(digests, ROOT / "cases", work, generator)
     print(f"# seeds {' '.join(map(str, seeds))}")

@@ -23,7 +23,7 @@ from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  _finite, _id_map, _read_json, _record, _text, _to_doc)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
-                        _inside_workspace, _stmt_text, parse_script)
+                        _inside_workspace, parse_script)
 from .solver import (AssemblyError, ModalResult, SingularSystemError, StaticResult,
                      TopoResult, UnsupportedOptimizationError, optimize_topology,
                      solve_modal, solve_static, solved_dofs)
@@ -272,13 +272,14 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             raise _RuntimeStop("isolation", f"artifact path escapes workspace: {p}")
         return Path(p) if os.path.isabs(p) else ws_root / p
 
+    stmt = None
     try:
         for executed, stmt in enumerate(program.statements):
             if executed >= limits.max_statements:
                 raise _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
             if time.monotonic() - start > limits.max_wall_time:
                 raise _RuntimeStop(None, f"wall time budget ({limits.max_wall_time}s) exceeded")
-            log_lines.append(f"[line {stmt.line}] {_stmt_text(stmt)}")
+            log_lines.append(f"[line {stmt.line}] {stmt.source}")
             if isinstance(stmt, ModelBegin):
                 builder.begun = True
             elif isinstance(stmt, Declare):
@@ -339,7 +340,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             elif isinstance(stmt, End):
                 break
         # the run ended at an end statement or ran out of statements; either
-        # way the fault line is that of the last executed statement
+        # way the fault line is that of the last executed statement, if any
         for missing, message in (
                 (not isinstance(stmt, End),
                  "no termination signal: script ran out without an end statement"),
@@ -352,7 +353,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             log_lines.append(f"abort: {exc}")
             return _finish(ws_root, log_lines, "ABORTED")
         log_lines.append(f"    ERROR {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt.line, str(exc)))
+        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt and stmt.line, str(exc)))
     except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
             ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
         log_lines.append(f"    ERROR solver: {exc}")

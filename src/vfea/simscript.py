@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, AnalysisSpec,
                  BoundaryCondition, Element, IRModel, Load, Material, Node, Section,
@@ -18,8 +19,6 @@ from .ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, AnalysisSpec,
 KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
 SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
 
-ANALYZE_KINDS = ("static", "modal", "topopt")
-DELETE_TARGETS = ("model", "element", "node")
 PROTECTED_ROOT = ("model", "root")
 
 RESULTS_FILENAME = "results.res"
@@ -55,7 +54,10 @@ class LoweringError(Exception):
 
 @dataclass(frozen=True)
 class Statement:
+    """A parsed statement: its source line number and its text there, the
+    line without its comment and without surrounding whitespace."""
     line: int
+    source: str
 
 
 @dataclass(frozen=True)
@@ -100,24 +102,135 @@ class ScriptAST:
     statements: tuple[Statement, ...]
 
 
-def _int(tok: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ScriptParseError(line, tok, "expected an integer") from None
+class _BadToken(ValueError):
+    """An argument its reader rejects; its args are the token to name and why."""
 
 
-def _float(tok: str, line: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise ScriptParseError(line, tok, "expected a number") from None
+def _kind(tok: str) -> str:
+    if tok not in SCRIPT_TO_KIND:
+        raise _BadToken(tok, "unknown element kind")
+    return SCRIPT_TO_KIND[tok]
 
 
-def _arity(tokens: list[str], n: int, line: int, stmt: str):
-    if len(tokens) != n:
-        raise ScriptParseError(line, " ".join(tokens),
-                               f"'{stmt}' takes {n - 1} arguments, got {len(tokens) - 1}")
+def _dofs(tok: str) -> frozenset[str]:
+    dofs = tok.split(",")
+    for d in dofs:
+        if d not in DOF_ORDER:
+            raise _BadToken(d, "unknown dof (expected ux, uy or rz)")
+    return frozenset(dofs)
+
+
+def _id(tok: str) -> str:
+    """A delete target's id, kept as written once it reads as an integer."""
+    int(tok)
+    return tok
+
+
+# Why the readers of numbers reject a token; the other readers raise
+# _BadToken with their own reason.
+_REASONS = {int: "expected an integer", float: "expected a number", _id: "expected an integer"}
+
+
+def _declare(cls: type):
+    return lambda line, source, *values: Declare(line, source, cls(*values))
+
+
+def _analyze(mode: str, *params: str):
+    return lambda line, source, *values: Analyze(
+        line, source, AnalysisSpec(mode, **dict(zip(params, values))))
+
+
+def _delete(*target: str):
+    return lambda line, source, *values: Delete(line, source, (*target, *values))
+
+
+def _topopt_text(a: AnalysisSpec) -> str:  # unset parameters take the conservative priors
+    volfrac = DEFAULT_VOLFRAC if a.opt_volume_fraction is None else a.opt_volume_fraction
+    iters = DEFAULT_OPT_ITERS if a.opt_max_iterations is None else a.opt_max_iterations
+    return f"analyze topopt volfrac {volfrac!r} iters {iters}"
+
+
+class _Form:
+    """One statement form: ``tokens`` in line order, a keyword as a string
+    and an argument as the function that reads it; ``build(line, source,
+    *values)`` makes the statement; ``text`` prints what it carries (entity,
+    spec, path or target) and ``key`` selects it for printing; ``usage`` is
+    the reason for a line that names the form but does not fit it (by
+    default, the argument count); with ``optional`` the last argument may
+    be left out. A line's arguments are checked in the order the grammar has
+    always reported them: the optional one and the words first, then the
+    numbers from left to right."""
+
+    def __init__(self, tokens: tuple, build: Callable[..., Statement], key: object,
+                 text: Callable[[object], str], usage: str | None = None,
+                 optional: bool = False):
+        self.tokens, self.build, self.key, self.text, self.usage = tokens, build, key, text, usage
+        self.words = tuple(t for t in tokens if isinstance(t, str))
+        self.keywords = tuple((i, t) for i, t in enumerate(tokens) if i and isinstance(t, str))
+        self.args = tuple((i, t) for i, t in enumerate(tokens) if not isinstance(t, str))
+        self.sizes = (len(tokens), len(tokens) - 1) if optional else (len(tokens),)
+        last = self.args[-1] if optional else None
+        self.checks = sorted(self.args, key=lambda a: (a[1] in _REASONS and a != last, a[0]))
+
+    def rejected(self, toks: list[str], line: int) -> ScriptParseError:
+        """The error of a line that fits the form but not its readers."""
+        for i, read in self.checks:
+            if i < len(toks):
+                try:
+                    read(toks[i])
+                except _BadToken as exc:
+                    return ScriptParseError(line, *exc.args)
+                except ValueError:
+                    return ScriptParseError(line, toks[i], _REASONS[read])
+
+
+# The script language (docs/simscript.md), one row per statement form: the
+# one mapping between script text and statements, entities and specs.
+_STATEMENTS = (
+    _Form(("model", "begin"), ModelBegin, ModelBegin, lambda _: "model begin",
+          "unknown statement"),
+    _Form(("material", int, float, float, float), _declare(Material), Material,
+          lambda e: f"material {e.id} {e.youngs_modulus!r} {e.poisson_ratio!r} {e.density!r}"),
+    _Form(("section", int, int, float, float), _declare(Section), Section,
+          lambda e: f"section {e.id} {e.material_id} {e.area!r}"
+                    + ("" if e.moment_of_inertia is None else f" {e.moment_of_inertia!r}"),
+          "'section' takes 3 or 4 arguments", optional=True),
+    _Form(("node", int, float, float), _declare(Node), Node,
+          lambda e: f"node {e.id} {e.x!r} {e.y!r}"),
+    _Form(("element", int, _kind, int, int, int),
+          lambda line, source, i, kind, n1, n2, s: Declare(line, source,
+                                                           Element(i, kind, (n1, n2), s)),
+          Element, lambda e: f"element {e.id} {KIND_TO_SCRIPT[e.kind]} {e.node_ids[0]} "
+                             f"{e.node_ids[1]} {e.section_id}"),
+    _Form(("fix", int, _dofs), _declare(BoundaryCondition), BoundaryCondition,
+          lambda e: f"fix {e.node_id} {','.join(e.sorted_dofs())}"),
+    _Form(("load", int, float, float, float), _declare(Load), Load,
+          lambda e: f"load {e.node_id} {e.fx!r} {e.fy!r} {e.mz!r}"),
+    _Form(("workspace", str), WorkspaceStmt, WorkspaceStmt, lambda path: f"workspace {path}"),
+    _Form(("analyze", "static"), _analyze("static"), "static", lambda _: "analyze static"),
+    # ``:d`` refuses a spec without its count
+    _Form(("analyze", "modal", "count", int), _analyze("modal", "modal_count"), "modal",
+          lambda a: f"analyze modal count {a.modal_count:d}",
+          "expected 'analyze modal count <n>'"),
+    _Form(("analyze", "topopt", "volfrac", float, "iters", int),
+          _analyze("topology_optimization", "opt_volume_fraction", "opt_max_iterations"),
+          "topology_optimization", _topopt_text,
+          "expected 'analyze topopt volfrac <v> iters <n>'"),
+    _Form(("write_results", str), WriteResults, WriteResults,
+          lambda path: f"write_results {path}"),
+    _Form(("delete", "model", "root"), _delete("model", "root"), "model",
+          lambda _: "delete model root", "unknown delete target"),
+    _Form(("delete", "element", _id), _delete("element"), "element",
+          lambda target: f"delete element {target[1]}", "unknown delete target"),
+    _Form(("delete", "node", _id), _delete("node"), "node",
+          lambda target: f"delete node {target[1]}", "unknown delete target"),
+    _Form(("end",), End, End, lambda _: "end"),
+)
+# A head with several forms selects one by the word after it; a line with
+# another word there is rejected for the reason in _UNKNOWN_FORM.
+_UNKNOWN_FORM = {"analyze": "unknown analysis kind", "delete": "unknown delete target"}
+_FORMS = {f.words[:2] if f.words[0] in _UNKNOWN_FORM else f.words[0]: f for f in _STATEMENTS}
+_TEXT = {f.key: f.text for f in _STATEMENTS}
 
 
 def parse_script(text: str) -> ScriptAST:
@@ -128,145 +241,26 @@ def parse_script(text: str) -> ScriptAST:
             continue
         toks = code.split()
         head = toks[0]
-        if head == "model":
-            if len(toks) != 2 or toks[1] != "begin":
-                raise ScriptParseError(lineno, code, "unknown statement")
-            statements.append(ModelBegin(lineno))
-        elif head == "node":
-            _arity(toks, 4, lineno, "node")
-            statements.append(Declare(lineno, Node(
-                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno))))
-        elif head == "material":
-            _arity(toks, 5, lineno, "material")
-            statements.append(Declare(lineno, Material(
-                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno),
-                _float(toks[4], lineno))))
-        elif head == "section":
-            if len(toks) not in (4, 5):
-                raise ScriptParseError(lineno, code, "'section' takes 3 or 4 arguments")
-            inertia = _float(toks[4], lineno) if len(toks) == 5 else None
-            statements.append(Declare(lineno, Section(_int(toks[1], lineno), _int(toks[2], lineno),
-                                                      _float(toks[3], lineno), inertia)))
-        elif head == "element":
-            _arity(toks, 6, lineno, "element")
-            if toks[2] not in SCRIPT_TO_KIND:
-                raise ScriptParseError(lineno, toks[2], "unknown element kind")
-            statements.append(Declare(lineno, Element(
-                _int(toks[1], lineno), SCRIPT_TO_KIND[toks[2]],
-                (_int(toks[3], lineno), _int(toks[4], lineno)), _int(toks[5], lineno))))
-        elif head == "fix":
-            _arity(toks, 3, lineno, "fix")
-            dofs = toks[2].split(",")
-            for d in dofs:
-                if d not in DOF_ORDER:
-                    raise ScriptParseError(lineno, d, "unknown dof (expected ux, uy or rz)")
-            statements.append(Declare(lineno, BoundaryCondition(_int(toks[1], lineno),
-                                                                frozenset(dofs))))
-        elif head == "load":
-            _arity(toks, 5, lineno, "load")
-            statements.append(Declare(lineno, Load(
-                _int(toks[1], lineno), _float(toks[2], lineno), _float(toks[3], lineno),
-                _float(toks[4], lineno))))
-        elif head == "workspace":
-            _arity(toks, 2, lineno, "workspace")
-            statements.append(WorkspaceStmt(lineno, toks[1]))
-        elif head == "analyze":
-            if len(toks) < 2 or toks[1] not in ANALYZE_KINDS:
-                raise ScriptParseError(lineno, code, "unknown analysis kind")
-            if toks[1] == "static":
-                _arity(toks, 2, lineno, "analyze static")
-                statements.append(Analyze(lineno, AnalysisSpec("static")))
-            elif toks[1] == "modal":
-                if len(toks) != 4 or toks[2] != "count":
-                    raise ScriptParseError(lineno, code, "expected 'analyze modal count <n>'")
-                statements.append(Analyze(lineno, AnalysisSpec(
-                    "modal", modal_count=_int(toks[3], lineno))))
-            else:
-                if len(toks) != 6 or toks[2] != "volfrac" or toks[4] != "iters":
-                    raise ScriptParseError(lineno, code,
-                                           "expected 'analyze topopt volfrac <v> iters <n>'")
-                statements.append(Analyze(lineno, AnalysisSpec(
-                    "topology_optimization", opt_volume_fraction=_float(toks[3], lineno),
-                    opt_max_iterations=_int(toks[5], lineno))))
-        elif head == "write_results":
-            _arity(toks, 2, lineno, "write_results")
-            statements.append(WriteResults(lineno, toks[1]))
-        elif head == "delete":
-            if len(toks) != 3 or toks[1] not in DELETE_TARGETS:
-                raise ScriptParseError(lineno, code, "unknown delete target")
-            if toks[1] == "model":
-                if toks[2] != "root":
-                    raise ScriptParseError(lineno, code, "unknown delete target")
-                statements.append(Delete(lineno, ("model", "root")))
-            else:
-                _int(toks[2], lineno)
-                statements.append(Delete(lineno, (toks[1], toks[2])))
-        elif head == "end":
-            _arity(toks, 1, lineno, "end")
-            statements.append(End(lineno))
-        else:
+        form = _FORMS.get(head) or _FORMS.get(tuple(toks[:2]))
+        if form is None:
+            if head in _UNKNOWN_FORM:
+                raise ScriptParseError(lineno, code, _UNKNOWN_FORM[head])
             raise ScriptParseError(lineno, head, "unknown statement")
+        if len(toks) not in form.sizes or (
+                form.keywords and any(toks[i] != word for i, word in form.keywords)):
+            if form.usage is None:
+                raise ScriptParseError(lineno, " ".join(toks), f"'{' '.join(form.words)}' takes "
+                                       f"{len(form.tokens) - 1} arguments, got {len(toks) - 1}")
+            raise ScriptParseError(lineno, code, form.usage)
+        args = form.args if len(toks) == len(form.tokens) else form.args[:-1]
+        try:
+            values = [read(toks[i]) for i, read in args]
+        except ValueError:
+            raise form.rejected(toks, lineno) from None
+        statements.append(form.build(lineno, code, *values))
     if not statements:
         raise ScriptParseError(0, "", "empty script")
     return ScriptAST(tuple(statements))
-
-
-def _entity_text(e: Entity) -> str:
-    if isinstance(e, Node):
-        return f"node {e.id} {e.x!r} {e.y!r}"
-    if isinstance(e, Material):
-        return f"material {e.id} {e.youngs_modulus!r} {e.poisson_ratio!r} {e.density!r}"
-    if isinstance(e, Section):
-        base = f"section {e.id} {e.material_id} {e.area!r}"
-        return base if e.moment_of_inertia is None else f"{base} {e.moment_of_inertia!r}"
-    if isinstance(e, Element):
-        if e.kind not in KIND_TO_SCRIPT:
-            raise LoweringError(f"element kind {e.kind!r} has no script form")
-        return (f"element {e.id} {KIND_TO_SCRIPT[e.kind]} {e.node_ids[0]} {e.node_ids[1]} "
-                f"{e.section_id}")
-    if isinstance(e, BoundaryCondition):
-        return f"fix {e.node_id} {','.join(e.sorted_dofs())}"
-    return f"load {e.node_id} {e.fx!r} {e.fy!r} {e.mz!r}"
-
-
-def _analyze_text(a: AnalysisSpec) -> str:
-    """The analyze statement of a spec; topology optimisation without its
-    parameters takes the conservative priors."""
-    if a.mode == "static":
-        return "analyze static"
-    if a.mode == "modal":
-        if a.modal_count is None:
-            raise LoweringError("modal analysis without modal_count")
-        return f"analyze modal count {a.modal_count}"
-    if a.mode == "topology_optimization":
-        volfrac = a.opt_volume_fraction if a.opt_volume_fraction is not None else DEFAULT_VOLFRAC
-        iters = a.opt_max_iterations if a.opt_max_iterations is not None else DEFAULT_OPT_ITERS
-        return f"analyze topopt volfrac {volfrac!r} iters {iters}"
-    raise LoweringError(f"analysis mode {a.mode!r} has no script form")
-
-
-def _stmt_text(s: Statement) -> str:
-    if isinstance(s, Declare):
-        return _entity_text(s.entity)
-    if isinstance(s, ModelBegin):
-        return "model begin"
-    if isinstance(s, WorkspaceStmt):
-        return f"workspace {s.path}"
-    if isinstance(s, Analyze):
-        return _analyze_text(s.spec)
-    if isinstance(s, WriteResults):
-        return f"write_results {s.path}"
-    if isinstance(s, Delete):
-        return f"delete {' '.join(s.target)}"
-    if isinstance(s, End):
-        return "end"
-    raise LoweringError(f"unprintable statement {s!r}")
-
-
-def print_script(ast: ScriptAST) -> str:
-    """Canonical text rendering; parse_script(print_script(a)) reproduces a
-    up to line numbering."""
-    return "\n".join(_stmt_text(s) for s in ast.statements) + "\n"
 
 
 def _inside_workspace(root: str | Path, candidate: str) -> bool:
@@ -308,9 +302,13 @@ def lower_ir(model: IRModel) -> str:
     same script runs in any allocated workspace.
     """
     m = canonicalize(model)
-    lines = ["model begin"]
-    for entities in (m.materials, m.sections, m.nodes, m.elements, m.boundary_conditions,
-                     m.loads):
-        lines.extend(_entity_text(e) for e in entities)
-    lines += [_analyze_text(m.analysis), f"write_results {RESULTS_FILENAME}", "end"]
+    try:
+        lines = [_TEXT[ModelBegin](None)]
+        for entities in (m.materials, m.sections, m.nodes, m.elements, m.boundary_conditions,
+                         m.loads):
+            lines += [_TEXT[type(e)](e) for e in entities]
+        lines += [_TEXT[m.analysis.mode](m.analysis), _TEXT[WriteResults](RESULTS_FILENAME),
+                  _TEXT[End](None)]
+    except (KeyError, TypeError) as exc:  # an element kind, mode or count it cannot print
+        raise LoweringError(f"model feature without a script form: {exc!r}") from None
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from vfea.ir import AnalysisSpec, BoundaryCondition, Element, Node
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
                           ResultsCorruptError, ResultsMissingError, WorkspaceError,
                           allocate_workspace, execute, read_results, write_results_file)
-from vfea.simscript import Fault, lower_ir, parse_script
+from vfea.simscript import Fault, ScriptAST, lower_ir, parse_script
 from vfea.solver import TopoResult, optimize_topology, solve_modal, solve_static
 from vfea.synthesis import verify_results
 
@@ -237,11 +237,21 @@ class TestExecute:
         rs = read_results(out.results_path)
         assert len(rs.frequencies_hz) == 3
 
-    def test_fix_echoes_its_dofs_in_canonical_order(self, tmp_path, cantilever_script):
-        script = cantilever_script.replace("fix 1 ux,uy,rz", "fix 1 rz,ux\nfix 1 uy,ux")
+    def test_log_echoes_each_statement_as_written(self, tmp_path, cantilever_script):
+        # without its comment and surrounding whitespace, and not reprinted
+        script = cantilever_script.replace("fix 1 ux,uy,rz",
+                                           "  fix 1 rz,ux  # pinned\nfix\t1  uy,ux")
         out = execute(script, allocate_workspace(tmp_path, "fix"), Limits())
         assert out.status == "COMPLETED"
-        assert "] fix 1 ux,rz\n" in out.log and "] fix 1 ux,uy\n" in out.log
+        assert "[line 7] fix 1 rz,ux\n[line 8] fix\t1  uy,ux\n" in out.log
+
+    def test_empty_program_is_a_lifecycle_failure(self, tmp_path):
+        ws = allocate_workspace(tmp_path, "empty")
+        out = execute("", ws, Limits(), program=ScriptAST(()))
+        assert out.status == "FAILED"
+        assert out.runtime_error == Fault(
+            "lifecycle", None, "no termination signal: script ran out without an end statement")
+        assert (ws.root / "run.log").read_text() == out.log
 
     def test_subprocess_mode_matches_inprocess(self, tmp_path, cantilever_script):
         ws_in = allocate_workspace(tmp_path, "inproc")

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_frame_model
-from vfea.ir import AnalysisSpec
-from vfea.simscript import (ModelBegin, ScriptParseError, lower_ir,
-                            parse_script, preflight, print_script)
+import simscript_reference as reference
+from conftest import (cantilever_model, ground_structure, modal_cantilever,
+                      random_frame_model, two_bar_truss)
+from vfea.ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, ELEMENT_KINDS,
+                     AnalysisSpec, BoundaryCondition, Element, Load, Material, Node, Section)
+from vfea.simscript import (_STATEMENTS, _TEXT, End, ModelBegin, ScriptParseError,
+                            WorkspaceStmt, WriteResults, lower_ir, parse_script, preflight)
 from vfea.validation import audit
 
 MINIMAL = """\
@@ -84,19 +88,169 @@ class TestParse:
                 topopt.spec.opt_max_iterations) == ("topology_optimization", 0.4, 20)
 
 
-def test_print_parse_round_trip():
-    ast = parse_script(MINIMAL)
-    reparsed = parse_script(print_script(ast))
-    strip = lambda a: [replace(s, line=0) for s in a.statements]
-    assert strip(reparsed) == strip(ast)
+# Values to print through each form of the statement table, by its key:
+# float and id edge cases, every dof subset, both element kinds, sections
+# with and without inertia, and topology optimisation with and without its
+# parameters.
+_INTS = st.one_of(st.integers(), st.sampled_from([2**63, 2**64 + 1, -2**63 - 1]))
+_FLOATS = st.one_of(st.floats(allow_nan=False),
+                    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
+_WORDS = st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                 min_size=1).filter(lambda w: w.split() == [w])
+_VALUES = {
+    ModelBegin: st.none(),
+    Material: st.builds(Material, _INTS, _FLOATS, _FLOATS, _FLOATS),
+    Section: st.builds(Section, _INTS, _INTS, _FLOATS, st.none() | _FLOATS),
+    Node: st.builds(Node, _INTS, _FLOATS, _FLOATS),
+    Element: st.builds(Element, _INTS, st.sampled_from(ELEMENT_KINDS),
+                       st.tuples(_INTS, _INTS), _INTS),
+    BoundaryCondition: st.builds(BoundaryCondition, _INTS,
+                                 st.frozensets(st.sampled_from(DOF_ORDER), min_size=1)),
+    Load: st.builds(Load, _INTS, _FLOATS, _FLOATS, _FLOATS),
+    WorkspaceStmt: _WORDS,
+    "static": st.just(AnalysisSpec("static")),
+    "modal": st.builds(lambda n: AnalysisSpec("modal", modal_count=n), _INTS),
+    "topology_optimization": st.builds(
+        lambda v, n: AnalysisSpec("topology_optimization", opt_volume_fraction=v,
+                                  opt_max_iterations=n), st.none() | _FLOATS, st.none() | _INTS),
+    WriteResults: _WORDS,
+    "model": st.just(("model", "root")),
+    "element": st.tuples(st.just("element"), _INTS.map(str)),
+    "node": st.tuples(st.just("node"), _INTS.map(str)),
+    End: st.none(),
+}
+
+
+def _carried(stmt):
+    """What a statement carries past its line and source: its entity, spec,
+    path or target, or None."""
+    return next((getattr(stmt, f.name) for f in fields(stmt)
+                 if f.name not in ("line", "source")), None)
+
+
+def _with_priors(value):
+    if isinstance(value, AnalysisSpec) and value.mode == "topology_optimization":
+        return replace(value, opt_volume_fraction=(DEFAULT_VOLFRAC if value.opt_volume_fraction
+                                                   is None else value.opt_volume_fraction),
+                       opt_max_iterations=(DEFAULT_OPT_ITERS if value.opt_max_iterations
+                                           is None else value.opt_max_iterations))
+    return value
+
+
+def test_every_form_has_values_to_print():
+    assert set(_VALUES) == {form.key for form in _STATEMENTS}
+    assert len(_TEXT) == len(_STATEMENTS)
+
+
+@pytest.mark.parametrize("form", _STATEMENTS, ids=lambda f: "-".join(f.words))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_form_parses_what_it_prints(form, data):
+    value = data.draw(_VALUES[form.key])
+    line = form.text(value)
+    (stmt,) = parse_script(line).statements
+    assert (stmt.line, stmt.source) == (1, line)
+    assert _carried(stmt) == _with_priors(value)
+    assert form.text(_carried(stmt)) == line  # keeps what equality cannot see, like -0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_print_parse_round_trip_property(seed):
+def test_lowered_script_is_its_statements_sources(seed):
     script = lower_ir(random_frame_model(random.Random(seed)))
-    ast = parse_script(script)
-    assert print_script(ast) == script  # lowering already emits canonical text
+    assert "\n".join(s.source for s in parse_script(script).statements) + "\n" == script
+
+
+def _shape(tokens, optional: bool) -> tuple[str, ...]:
+    shape = tuple(t if isinstance(t, str) else "<>" for t in tokens)
+    return shape[:-1] + ("[<>]",) if optional else shape
+
+
+def test_documented_statements_are_the_table():
+    """The statement block of docs/simscript.md lists exactly the table's
+    forms: their keywords, and where each takes an argument."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "simscript.md").read_text()
+    block = doc.split("## Statements", 1)[1].split("```")[1]
+    documented = set()
+    for line in block.splitlines():
+        for form in filter(None, line.split("#", 1)[0].split(" | ")):
+            tokens = form.split()
+            documented.add(tuple(
+                t if re.fullmatch(r"[a-z_]+", t) else "[<>]" if t.startswith("[") else "<>"
+                for t in tokens))
+    table = {_shape(f.tokens, len(f.sizes) == 2) for f in _STATEMENTS}
+    assert len(table) == len(_STATEMENTS)
+    assert documented == table
+
+
+# Lines for the oracle below to insert: every analyze and delete form,
+# sections with 3 and 4 arguments, bad dofs, and misshapen forms of each.
+_ORACLE_LINES = [
+    "analyze static", "analyze modal count 3", "analyze topopt volfrac 0.4 iters 20",
+    "delete model root", "delete element 3", "delete node 2",
+    "section 1 1 0.01", "section 2 1 0.01 1e-6", "fix 1 uz", "fix 1 ux,,uy", "fix 1 ux,ux",
+    "fix 1 UX", "fix 1 rz,ux,uy,rz", "fix x uz", "section x 1 0.01 bad",
+    "element x beam 1 2 1", "element 1 truss x 2 y", "analyze", "analyze static 1",
+    "analyze dynamic", "analyze modal", "analyze modal cnt 3", "analyze modal count 3 4",
+    "analyze modal count x", "analyze topopt volfrac x iters y",
+    "analyze topopt iters 10 volfrac 0.5", "delete", "delete model", "delete model node",
+    "delete element", "delete element x", "delete universe 1", "delete node 1 2",
+    "model", "model end", "model begin now", "end now", "workspace", "workspace a b",
+    "write_results", "node", "load 1 0 0", "material 1 2e11 0.3 7850 1",
+]
+# Tokens to put in place of another: words where numbers belong, numbers
+# that Python reads in more than one spelling, and other heads.
+_ORACLE_WORDS = ["zero", "x", "frame", "truss", "ux", "begin", "count", "nan", "-inf", "1.5",
+                 "-3", "1e400", "0x10", "1_000", "\u0661", "node", "mesh_edges", "9" * 5000]
+
+
+@st.composite
+def _mutated_scripts(draw):
+    """A lowered script with a few tokens dropped, duplicated or replaced,
+    heads changed, lines inserted, comments and runs of whitespace added,
+    and CRLF line ends."""
+    model = draw(st.sampled_from([cantilever_model(), two_bar_truss(), modal_cantilever(),
+                                  ground_structure(iters=2)])
+                 | st.integers(0, 10_000).map(lambda n: random_frame_model(random.Random(n))))
+    lines = lower_ir(model).splitlines()
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.integers(0, len(lines) - 1))
+        toks = lines[at].split(" ")
+        i = draw(st.integers(0, len(toks) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "replace", "insert", "comment",
+                                     "whitespace", "text"]))
+        if edit == "drop":
+            del toks[i]
+        elif edit == "duplicate":
+            toks.insert(i, toks[i])
+        elif edit == "replace":
+            toks[i] = draw(st.sampled_from(_ORACLE_WORDS))
+        elif edit == "insert":
+            lines.insert(at, draw(st.sampled_from(_ORACLE_LINES)))
+        elif edit == "comment":
+            toks.insert(i, draw(st.sampled_from(["#", "# note", "#x"])))
+        elif edit == "whitespace":
+            toks[i] = draw(st.sampled_from(["\t", "  ", " \t "])).join(["", toks[i], ""])
+        else:
+            lines.insert(at, draw(st.text(max_size=20)))
+        if edit not in ("insert", "text"):
+            lines[at] = " ".join(toks)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _parsed(parse, text: str):
+    """The statements without their source text, or the parse error."""
+    try:
+        ast = parse(text)
+    except ScriptParseError as exc:
+        return ("error", exc.line, exc.token, exc.reason)
+    return [(type(s).__name__, s.line, repr(_carried(s))) for s in ast.statements]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_scripts())
+def test_parser_agrees_with_the_reference(script):
+    assert _parsed(parse_script, script) == _parsed(reference.parse_script, script)
 
 
 class TestPreflight:
