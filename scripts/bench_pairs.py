@@ -12,7 +12,12 @@ end-to-end metric that BENCHMARK.json lists, each side's median and
 quartiles, and the number of pairs the change won (ties count for
 neither). A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
-range. Nothing is edited: the benchmark runs as each checkout has it.
+range. The no-regression verdict weighs each metric against its bound in
+BENCHMARK.json, a fraction of the parent's median: `within` when the
+change's median is not worse than the parent's by more than the bound,
+`worse` when it is, and `unresolved` when the parent's interquartile range
+is wider than the bound, unless every change run beats every parent run.
+Nothing is edited: the benchmark runs as each checkout has it.
 
 Exit 0 when every run reported correct results, 1 otherwise.
 """
@@ -52,6 +57,18 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def verdict(values: dict[str, list[float]], up: bool, bound: float) -> str:
+    """The no-regression verdict of one metric over the runs of each side."""
+    (pq1, pmed, pq3), (_, cmed, _) = (quartiles(values[s]) for s in ("parent", "change"))
+    allowed = bound * abs(pmed)
+    sign = 1 if up else -1
+    worst_change = min(values["change"], key=lambda v: sign * v)
+    best_parent = max(values["parent"], key=lambda v: sign * v)
+    if pq3 - pq1 > allowed and sign * (worst_change - best_parent) <= 0:
+        return "unresolved"
+    return "worse" if sign * (pmed - cmed) > allowed else "within"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -63,6 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs: list[dict[str, dict]] = []
     ok = True
@@ -83,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{args.workload}: {len(pairs)} complete pairs, {args.seconds:g} s per run, "
           f"parent {sides['parent']}, change {sides['change']}")
     print(f"{'metric':<16} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
-          f"{'wins':>6}  gain")
+          f"{'wins':>6}  gain  vs bound")
     for name, up in higher.items():
         if not pairs:
             break
@@ -94,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         gain = wins >= 0.9 * len(pairs) and sign * (cmed - pmed) > pq3 - pq1
         print(f"{name:<16} {f'{pmed:.6g} [{pq1:.6g}, {pq3:.6g}]':>32} "
               f"{f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':>32} {f'{wins}/{len(pairs)}':>6}  "
-              f"{'yes' if gain else 'no'}")
+              f"{'yes' if gain else 'no':<4}  {verdict(values, up, bounds[name])}")
     return 0 if ok else 1
 
 

@@ -33,7 +33,7 @@ from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionFailure, ScaleConflictError,
                          SemanticsError, orchestrate)
 from .sandbox import Limits
-from .solver import ModalResult, StaticResult, TopoResult
+from .solver import ANALYSES
 from .synthesis import (FallbackFailureError, SynthesisExhaustedError,
                         SynthesisTrace, make_generator, synthesize)
 from .validation import check_l1
@@ -268,22 +268,6 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
                    overall=overall)
 
 
-def _highlights(results) -> dict[str, float]:
-    if isinstance(results, StaticResult):
-        max_disp = max((math.hypot(v[0], v[1]) for v in results.displacements.values()),
-                       default=0.0)
-        out = {"max_displacement_m": max_disp}
-        if results.axial_stress:
-            out["max_abs_axial_stress_pa"] = max(abs(v) for v in results.axial_stress.values())
-        return out
-    if isinstance(results, ModalResult):
-        return {"first_frequency_hz": results.frequencies_hz[0]}
-    if isinstance(results, TopoResult):
-        return {"final_compliance_j": results.compliance_history[-1],
-                "final_volume_fraction": results.final_volume_fraction}
-    return {}
-
-
 def run_case(case: CaseSpec, config: RunConfig,
              buffer: ExperienceBuffer | None = None) -> CaseReport:
     """Perception, synthesis and evaluation for one case; failures at any
@@ -359,7 +343,7 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
 
     report.trace = _summarize_trace(trace, verified=True)
     report.metrics = replace(report.metrics, execution_success=True)
-    report.highlights = _highlights(results)
+    report.highlights = ANALYSES[model.analysis.mode].highlights(results)
     report.timings["total_s"] = time.monotonic() - t0
     return report
 

@@ -100,6 +100,14 @@ DEFAULT_VOLFRAC = 0.5
 DEFAULT_OPT_ITERS = 50
 
 
+def topology_params(analysis: AnalysisSpec) -> tuple[float, int]:
+    """Volume fraction and iteration count of a topology optimisation, each
+    its prior where the spec leaves it unset."""
+    volfrac, iters = analysis.opt_volume_fraction, analysis.opt_max_iterations
+    return (DEFAULT_VOLFRAC if volfrac is None else volfrac,
+            DEFAULT_OPT_ITERS if iters is None else iters)
+
+
 @dataclass(frozen=True)
 class IRModel:
     nodes: tuple[Node, ...] = ()
@@ -696,7 +704,6 @@ def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]
         d = np.hypot(p_xy[i, 0] - t_xy[j, 0], p_xy[i, 1] - t_xy[j, 1])
     accept = d < r * (1 - 2 ** -40) - 2 ** -1070
     near = np.flatnonzero(~accept & (d <= r * (1 + 2 ** -40) + 2 ** -1070))
-    dist = math.dist
-    accept[[k for k in near.tolist()
-            if dist(p_xy[i[k]].tolist(), t_xy[j[k]].tolist()) <= limit]] = True
+    exact = map(math.dist, p_xy[i[near]].tolist(), t_xy[j[near]].tolist())
+    accept[near[np.fromiter(exact, float, near.size) <= limit]] = True
     return i[accept], j[accept]

@@ -196,7 +196,7 @@ class ExperienceBuffer:
             except OSError as exc:
                 raise MemoryPersistError(f"cannot read buffer {self.path}: {exc}") from None
             self._torn_tail = bool(text) and not text.endswith("\n")
-            for line in text.splitlines():
+            for line in text.split("\n"):  # U+2028 and the like may stand in JSON strings
                 if not line.strip():
                     continue
                 try:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
+from .ir import (ANALYSIS_MODES, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section, _Defect, _Field, _array, _finite, _int,
                  _nullable, _one_of, _read_json, _record, _text, canonicalize,
                  pairs_within, unit_box)
@@ -354,7 +354,7 @@ def parse_context(text: str) -> ContextDirectives:
                 else:
                     raise SemanticsError(f"unknown element kind directive {value!r}")
             elif key == "mode":
-                if value not in ("static", "modal", "topology_optimization"):
+                if value not in ANALYSIS_MODES:
                     raise SemanticsError(f"unknown analysis mode {value!r}")
                 mode = value
             elif key == "modal_count":

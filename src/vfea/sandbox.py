@@ -24,9 +24,8 @@ from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, parse_script)
-from .solver import (AssemblyError, ModalResult, SingularSystemError, StaticResult,
-                     TopoResult, UnsupportedOptimizationError, optimize_topology,
-                     solve_modal, solve_static, solved_dofs)
+from .solver import (ANALYSES, AssemblyError, ModalResult, SingularSystemError, StaticResult,
+                     TopoResult, UnsupportedOptimizationError, solved_dofs)
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -106,16 +105,12 @@ def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
     raise WorkspaceError("workspace suffix space exhausted")
 
 
-ResultSet = StaticResult | ModalResult | TopoResult
-
-
 _numbers = _array(_finite)
 _triples = _id_map(_array(_finite, 3, "components"))
 
-# One record kind per result kind, tagged in the document by ``result_kind``,
-# each field in the documented key order (docs/artifacts.md). Every number
-# must be finite.
-_RESULT_TAGS = {StaticResult: "static", ModalResult: "modal", TopoResult: "topo"}
+# One record kind per analysis mode's result class, tagged in the document by
+# the mode's ``result_kind``, each field in the documented key order
+# (docs/artifacts.md). Every number must be finite.
 _RESULTS: dict[type, tuple[_Field, ...]] = {
     StaticResult: (_Field("displacements", "displacements", _triples),
                    _Field("reactions", "reactions", _triples),
@@ -130,10 +125,11 @@ _RESULTS: dict[type, tuple[_Field, ...]] = {
                  _Field("compliance_history", "compliance_history", _numbers),
                  _Field("final_volume_fraction", "final_volume_fraction", _finite)),
 }
-_RESULT_READERS = {tag: _record(_RESULTS, cls) for cls, tag in _RESULT_TAGS.items()}
+_RESULT_KINDS = {a.result: a.kind for a in ANALYSES.values()}
+_RESULT_READERS = {a.kind: _record(_RESULTS, a.result) for a in ANALYSES.values()}
 
 
-def _read_result_set(doc) -> ResultSet:
+def _read_result_set(doc):
     if not isinstance(doc, dict):
         raise _expected("object", doc)
     fields = dict(doc)
@@ -143,12 +139,13 @@ def _read_result_set(doc) -> ResultSet:
     return _RESULT_READERS[tag](fields)
 
 
-def write_results_file(rs: ResultSet, path: str | Path) -> None:
-    doc = {"result_kind": _RESULT_TAGS[type(rs)], **_to_doc(rs, _RESULTS)}
+def write_results_file(rs, path: str | Path) -> None:
+    """Write the results of one analysis, tagged with its ``result_kind``."""
+    doc = {"result_kind": _RESULT_KINDS[type(rs)], **_to_doc(rs, _RESULTS)}
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
-def read_results(path: str | Path) -> ResultSet:
+def read_results(path: str | Path):
     """Load a results database; the ``result_kind`` tag selects the shape.
     A file that is not a results document, numbers that are not finite
     included, raises ResultsCorruptError."""
@@ -264,7 +261,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
 
     log_lines: list[str] = []
     builder = _ModelBuilder()
-    results: ResultSet | None = None
+    results = None
     results_path: Path | None = None
 
     def resolve_path(p: str) -> Path:
@@ -306,25 +303,19 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
                 # the budget counts the dofs the solver assembles, those of
                 # the subdivided model for modal analysis
-                modal = spec.mode == "modal"
                 n_dofs = solved_dofs(model)
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop(None, f"solver budget exceeded "
                                              f"({n_dofs} > {limits.max_solver_dofs} dofs)")
                 # check_l1 has required a positive modal_count
-                modes = min(spec.modal_count, n_dofs) if modal else 0
+                modes = min(spec.modal_count, n_dofs) if spec.mode == "modal" else 0
                 if modes > MAX_MODES:
                     raise _RuntimeStop(None, f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
                 iters = spec.opt_max_iterations
                 if spec.mode == "topology_optimization" and iters > MAX_OC_ITERATIONS:
                     raise _RuntimeStop(None, f"iteration budget exceeded "
                                              f"({iters} > {MAX_OC_ITERATIONS} iterations)")
-                if spec.mode == "static":
-                    results = solve_static(model)
-                elif modal:
-                    results = solve_modal(model, spec.modal_count)
-                else:
-                    results = optimize_topology(model, spec.opt_volume_fraction, iters)
+                results = ANALYSES[spec.mode].run(model)
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):
                 if results is None:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, AnalysisSpec,
-                 BoundaryCondition, Element, IRModel, Load, Material, Node, Section,
-                 canonicalize)
+from .ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
+                 Material, Node, Section, canonicalize, topology_params)
 
 KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
 SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
@@ -144,12 +143,6 @@ def _delete(*target: str):
     return lambda line, source, *values: Delete(line, source, (*target, *values))
 
 
-def _topopt_text(a: AnalysisSpec) -> str:  # unset parameters take the conservative priors
-    volfrac = DEFAULT_VOLFRAC if a.opt_volume_fraction is None else a.opt_volume_fraction
-    iters = DEFAULT_OPT_ITERS if a.opt_max_iterations is None else a.opt_max_iterations
-    return f"analyze topopt volfrac {volfrac!r} iters {iters}"
-
-
 class _Form:
     """One statement form: ``tokens`` in line order, a keyword as a string
     and an argument as the function that reads it; ``build(line, source,
@@ -214,7 +207,8 @@ _STATEMENTS = (
           "expected 'analyze modal count <n>'"),
     _Form(("analyze", "topopt", "volfrac", float, "iters", int),
           _analyze("topology_optimization", "opt_volume_fraction", "opt_max_iterations"),
-          "topology_optimization", _topopt_text,
+          "topology_optimization",
+          lambda a: "analyze topopt volfrac {!r} iters {}".format(*topology_params(a)),
           "expected 'analyze topopt volfrac <v> iters <n>'"),
     _Form(("write_results", str), WriteResults, WriteResults,
           lambda path: f"write_results {path}"),
@@ -235,7 +229,9 @@ _TEXT = {f.key: f.text for f in _STATEMENTS}
 
 def parse_script(text: str) -> ScriptAST:
     statements: list[Statement] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or \r, as in script.sim read back as text
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         code = raw.split("#", 1)[0].strip()
         if not code:
             continue

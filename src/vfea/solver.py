@@ -31,15 +31,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .ir import (_ID, _KIND, _SECTION_ID, DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, IRModel,
-                 _coordinates, _endpoints, _rows)
+from .ir import (_ID, _KIND, _SECTION_ID, AnalysisSpec, IRModel, _coordinates, _endpoints,
+                 _rows, topology_params)
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
@@ -48,6 +48,7 @@ OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
 OC_STOP_TOL = 1e-3        # on max area change, relative to a_max
 RESIDUAL_LIMIT = 1e-8     # beyond this the factorization is not trusted
+VOLUME_SLACK = 1e-6       # accepted excess of an optimized volume fraction over its target
 # Translations this close to a mode's peak count as ties for its sign; the
 # first in dof order decides, so mirror-image peaks give a stable sign.
 PEAK_TIE_RTOL = 1e-9
@@ -466,17 +467,17 @@ def solve_static(model: IRModel) -> StaticResult:
         equilibrium_residual=residual)
 
 
-def solve_modal(model: IRModel, n: int,
-                subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
-    """Lowest n natural frequencies and shapes of the restrained structure.
+def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
+    """The ``modal_count`` lowest natural frequencies and mode shapes.
 
     The generalized problem K phi = w^2 M phi on the free dofs of the
     subdivided model goes to ARPACK's shift-invert Lanczos iteration about
-    zero, with the stiffness factor as the inverse operator; when n reaches
-    the number of free dofs, to LAPACK's dense symmetric-definite solver.
+    zero, with the stiffness factor as the inverse operator; when the count
+    reaches the number of free dofs, to LAPACK's dense symmetric-definite solver.
     Each shape is scaled so that its largest-magnitude translation is +1.
     """
-    if n < 1:
+    n = model.analysis.modal_count
+    if n is None or n < 1:
         raise ValueError("modal count must be >= 1")
     if restraint_rank(model) < 3:
         raise SingularSystemError("insufficient restraint for modal analysis")
@@ -556,9 +557,9 @@ def _oc_update(x: np.ndarray, neg_sens: np.ndarray, lengths: np.ndarray,
     return candidate(l2)
 
 
-def optimize_topology(model: IRModel, volfrac: float | None = None,
-                      max_iters: int | None = None) -> TopoResult:
-    """Minimum-compliance sizing of a truss ground structure.
+def optimize_topology(model: IRModel) -> TopoResult:
+    """Minimum-compliance sizing of a truss ground structure, with the
+    volume fraction and iteration count of ``ir.topology_params``.
 
     Design variables are normalized bar areas x in [1e-6, 1] of the largest
     section area; initialization is the uniform conservative prior
@@ -568,14 +569,9 @@ def optimize_topology(model: IRModel, volfrac: float | None = None,
     """
     if any(e.kind != "truss_bar" for e in model.elements):
         raise UnsupportedOptimizationError("ground structure must contain only truss bars")
-    if volfrac is None:
-        volfrac = model.analysis.opt_volume_fraction
-    if volfrac is None:
-        volfrac = DEFAULT_VOLFRAC
+    volfrac, max_iters = topology_params(model.analysis)
     if not (0.0 < volfrac <= 1.0):
         raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside (0, 1]")
-    if max_iters is None:
-        max_iters = model.analysis.opt_max_iterations or DEFAULT_OPT_ITERS
 
     index, (bars, _), f, constrained = _prepare(model)
     a_max = float(np.max(bars.A))
@@ -609,3 +605,43 @@ def optimize_topology(model: IRModel, volfrac: float | None = None,
     final_vf = float(x @ lengths) / float(lengths.sum())
     return TopoResult(areas=areas, compliance_history=tuple(history),
                       final_volume_fraction=final_vf)
+
+
+def _static_highlights(rs: StaticResult) -> dict[str, float]:
+    out = {"max_displacement_m": max((math.hypot(v[0], v[1]) for v in rs.displacements.values()),
+                                     default=0.0)}
+    if rs.axial_stress:
+        out["max_abs_axial_stress_pa"] = max(abs(v) for v in rs.axial_stress.values())
+    return out
+
+
+class Analysis(NamedTuple):
+    """One analysis mode: its result class and ``result_kind`` tag in the
+    results database, the solver run for a model of the mode, the acceptance
+    check of results read back, and the figures a case report highlights."""
+    result: type
+    kind: str
+    run: Callable[[IRModel], object]
+    accept: Callable[[object, AnalysisSpec], bool]
+    highlights: Callable[[object], dict[str, float]]
+
+
+# One row per ``ir.ANALYSIS_MODES`` entry, in that order. A row calls the
+# solver by this module's name at call time, so that a rebound
+# ``solver.solve_static`` (a tracer's timing wrapper) is the one that runs.
+ANALYSES = {
+    "static": Analysis(
+        StaticResult, "static", lambda m: solve_static(m),
+        lambda rs, _: rs.equilibrium_residual <= RESIDUAL_LIMIT,
+        _static_highlights),
+    "modal": Analysis(
+        ModalResult, "modal", lambda m: solve_modal(m),
+        lambda rs, _: (min(rs.frequencies_hz, default=0.0) > 0  # some, all positive, ascending
+                       and list(rs.frequencies_hz) == sorted(rs.frequencies_hz)),
+        lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]}),
+    "topology_optimization": Analysis(
+        TopoResult, "topo", lambda m: optimize_topology(m),
+        lambda rs, a: rs.final_volume_fraction <= topology_params(a)[0] + VOLUME_SLACK,
+        lambda rs: {"final_compliance_j": rs.compliance_history[-1],
+                    "final_volume_fraction": rs.final_volume_fraction}),
+}

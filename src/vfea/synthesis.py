@@ -18,18 +18,15 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
-from .ir import DEFAULT_VOLFRAC, AnalysisSpec, IRModel, serialize
+from .ir import AnalysisSpec, IRModel, serialize
 from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ExperienceBuffer,
                      ExperienceRecord, classify_error, compute_signature)
 from .sandbox import (ExecutionOutcome, Limits, ResultsCorruptError,
-                      ResultsMissingError, ResultSet, allocate_workspace,
-                      execute, read_results)
+                      ResultsMissingError, allocate_workspace, execute, read_results)
 from .simscript import Fault, ScriptParseError, lower_ir, parse_script, preflight
-from .solver import ModalResult, StaticResult, TopoResult
+from .solver import ANALYSES
 
 DEFAULT_RETRIEVAL_K = 3
-STATIC_RESIDUAL_LIMIT = 1e-8
-VOLUME_SLACK = 1e-6
 EXCERPT_CHARS = 400
 
 
@@ -92,31 +89,18 @@ def reflect(kinds: Iterable[str | None]) -> list[str]:
     return [FAILURE_KINDS.get(kind, UNKNOWN_FAILURE)[1] for kind in dict.fromkeys(kinds)]
 
 
-def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec) -> ResultSet | None:
-    """Physical acceptance of a completed run: readable results of the right
-    kind (``read_results`` admits finite values only), and the mode-specific
-    health checks. Returns the parsed results when they pass, else None."""
+def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
+    """Physical acceptance of a completed run: readable results (finite ones
+    only) of the mode's result class that pass its check in ``solver.ANALYSES``.
+    Returns the parsed results when they pass, else None."""
     if outcome.status != "COMPLETED" or outcome.results_path is None:
         return None
     try:
         rs = read_results(outcome.results_path)
     except (ResultsMissingError, ResultsCorruptError):
         return None
-    expected = {"static": StaticResult, "modal": ModalResult,
-                "topology_optimization": TopoResult}[analysis.mode]
-    if not isinstance(rs, expected):
-        return None
-    if isinstance(rs, StaticResult):
-        ok = rs.equilibrium_residual <= STATIC_RESIDUAL_LIMIT
-    elif isinstance(rs, ModalResult):
-        freqs = rs.frequencies_hz
-        ok = (len(freqs) > 0 and all(f > 0 for f in freqs)
-              and all(a <= b for a, b in zip(freqs, freqs[1:])))
-    else:
-        volfrac = analysis.opt_volume_fraction
-        volfrac = DEFAULT_VOLFRAC if volfrac is None else volfrac
-        ok = rs.final_volume_fraction <= volfrac + VOLUME_SLACK
-    return rs if ok else None
+    row = ANALYSES[analysis.mode]
+    return rs if isinstance(rs, row.result) and row.accept(rs, analysis) else None
 
 
 def _excerpt(script: str) -> str:
@@ -126,7 +110,7 @@ def _excerpt(script: str) -> str:
 def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Generator,
                workspace_root: str | Path, fallback_enabled: bool = True,
                limits: Limits | None = None, task_id: str = "task",
-               execution_mode: str = "inprocess") -> tuple[str, ResultSet, SynthesisTrace]:
+               execution_mode: str = "inprocess") -> tuple[str, object, SynthesisTrace]:
     """Run the reflexive synthesis loop for one audited model.
 
     Every attempt passes one gate: parse, preflight, allocate a fresh
@@ -146,7 +130,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     trace = SynthesisTrace()
     sig = compute_signature(model)
 
-    def run(attempt: Attempt) -> ResultSet | None:
+    def run(attempt: Attempt):
         """Pass one attempt through the gate: parse, preflight, allocate a
         workspace, execute, verify. The script is parsed once: preflight
         checks that program and execution runs it. Returns the verified

@@ -83,7 +83,8 @@ def _arity(tokens: list[str], n: int, line: int, stmt: str):
 
 def parse_script(text: str) -> ScriptAST:
     statements: list[Statement] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         code = raw.split("#", 1)[0].strip()
         if not code:
             continue

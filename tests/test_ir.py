@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairs_within_reference
 from conftest import REPO_ROOT, SUITE_DIR, random_frame_model
 from vfea import ir, perception, sandbox
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
@@ -457,6 +458,17 @@ def test_pairs_within_equals_all_pairs(data, r):
     assert found_pairs(points, r) == naive_pairs(points, r)
     others = data.draw(point_sets(r))
     assert found_pairs(points, r, others) == naive_pairs(points, r, others)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), RADII)
+def test_pairs_within_equals_reference(data, r):
+    """The same pairs in the same order as confirming the near candidates
+    one at a time, points exactly r apart included."""
+    points, others = data.draw(point_sets(r)), data.draw(point_sets(r))
+    for args in ((points, r), (points, r, others)):
+        got, want = pairs_within(*args), pairs_within_reference.pairs_within(*args)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # --- bulk (column by column) reading ----------------------------------------

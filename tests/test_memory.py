@@ -266,6 +266,17 @@ class TestPersistence:
         assert reloaded.skipped_lines == 1
         assert reloaded.retrieve(sig(5, 4), None, 3) == list(reloaded.records)
 
+    def test_raw_line_separator_in_a_string_is_one_record(self, tmp_path):
+        from vfea.memory import _record_to_line
+        path = tmp_path / "mem.jsonl"
+        line = _record_to_line(failure(sig(3, 2), {"a"}, lesson="first\u2028second"))
+        line = line.replace("\\u2028", "\u2028")  # the separator raw, not escaped
+        assert "\u2028" in line
+        path.write_text(line + "\n", encoding="utf-8")
+        reloaded = ExperienceBuffer(path)
+        assert [r.lesson for r in reloaded.records] == ["first\u2028second"]
+        assert reloaded.skipped_lines == 0
+
     def test_torn_last_line_skipped_and_not_extended(self, tmp_path):
         path = tmp_path / "mem.jsonl"
         buf = ExperienceBuffer(path)

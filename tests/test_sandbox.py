@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       two_bar_truss)
-from vfea.ir import AnalysisSpec, BoundaryCondition, Element, Node
+from vfea import simscript, solver
+from vfea.ir import ANALYSIS_MODES, AnalysisSpec, BoundaryCondition, Element, Node
+from vfea.perception import SemanticsError, parse_context
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
                           ResultsCorruptError, ResultsMissingError, WorkspaceError,
                           allocate_workspace, execute, read_results, write_results_file)
@@ -36,6 +38,8 @@ OUTCOME_KINDS = [
     ("solver", "fix 1 ux,uy,rz", "fix 1 ux", Limits()),
     ("sandbox", "write_results results.res", "write_results .", Limits()),
     (None, "", "", Limits(max_statements=3)),  # a budget abort carries no fault
+    # a form feed is whitespace and a lone \r ends a line, in the child too
+    ("parse", "model begin", "model begin\x0c\rmesh_edges part1", Limits()),
 ]
 
 
@@ -430,9 +434,9 @@ def test_subprocess_execute_is_total(script):
 RESULT_SETS = {
     "static-frame": lambda: solve_static(cantilever_model()),
     "static-truss": lambda: solve_static(two_bar_truss()),
-    "modal": lambda: solve_modal(modal_cantilever(), 3),
-    "modal-note": lambda: solve_modal(modal_cantilever(), 10_000),  # fewer dofs than modes
-    "topology": lambda: optimize_topology(ground_structure(iters=3), 0.5, 3),
+    "modal": lambda: solve_modal(modal_cantilever(3)),
+    "modal-note": lambda: solve_modal(modal_cantilever(10_000)),  # fewer dofs than modes
+    "topology": lambda: optimize_topology(ground_structure(volfrac=0.5, iters=3)),
 }
 
 
@@ -516,3 +520,26 @@ class TestResultsDatabase:
         path.write_text('{"result_kind": "thermal"}')
         with pytest.raises(ResultsCorruptError):
             read_results(path)
+
+
+class TestAnalysisTable:
+    def test_one_row_per_mode_everywhere(self):
+        # a mode added in one place only fails here
+        assert tuple(solver.ANALYSES) == ANALYSIS_MODES
+        assert [f.key for f in simscript._STATEMENTS if f.words[0] == "analyze"] == list(
+            ANALYSIS_MODES)
+        assert [parse_context(f"mode: {mode}\n").mode for mode in ANALYSIS_MODES] == list(
+            ANALYSIS_MODES)
+        with pytest.raises(SemanticsError, match="unknown analysis mode"):
+            parse_context("mode: buckling\n")
+
+    def test_execute_calls_the_solver_by_its_module_name(self, monkeypatch, tmp_path):
+        # a tracer times the solver by rebinding ``solver.solve_static``; a
+        # row holding the function object itself would bypass it
+        calls = []
+        original = solver.solve_static
+        monkeypatch.setattr(solver, "solve_static", lambda m: calls.append(m) or original(m))
+        out = execute(lower_ir(cantilever_model()), allocate_workspace(tmp_path, "traced"),
+                      Limits())
+        assert out.status == "COMPLETED"
+        assert len(calls) == 1

@@ -61,6 +61,15 @@ class TestParse:
         assert isinstance(ast.statements[0], ModelBegin)
         assert ast.statements[0].line == 3
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, brk):
+        # other line breaks are whitespace; \r and \r\n end lines as \n does
+        with pytest.raises(ScriptParseError) as err:
+            parse_script(f"model begin{brk}\nfoo 1{brk}\r\nbar\rbaz\n")
+        assert (err.value.line, err.value.token) == (2, "foo")
+        assert [s.line for s in parse_script(f"model{brk}begin\r\rend\r\n").statements] == [1, 3]
+
     def test_bad_arity(self):
         with pytest.raises(ScriptParseError):
             parse_script("node 1 0\n")

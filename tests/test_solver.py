@@ -91,14 +91,14 @@ class TestAssemble:
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-8 * eigs.max()  # PSD before constraints
 
-    def test_static_and_topology_never_build_mass(self, monkeypatch, topopt_model):
+    def test_static_and_topology_never_build_mass(self, monkeypatch):
         def no_mass(e):
             raise AssertionError("mass matrix assembled")
         monkeypatch.setattr(solver, "_element_mass", no_mass)
         solve_static(cantilever_model())
-        optimize_topology(topopt_model, max_iters=2)
+        optimize_topology(ground_structure(iters=2))
         with pytest.raises(AssertionError, match="mass matrix assembled"):
-            solve_modal(modal_cantilever(), 1)
+            solve_modal(modal_cantilever(1))
 
     def test_zero_length_element_rejected(self):
         m = IRModel(nodes=(Node(1, 0.0, 0.0), Node(2, 0.0, 0.0)),
@@ -200,23 +200,23 @@ class TestStatic:
 
 class TestModal:
     def test_cantilever_first_mode_within_2pct(self):
-        m = modal_cantilever()
-        r = solve_modal(m, 1, subdivisions=8)
+        m = modal_cantilever(1)
+        r = solve_modal(m, subdivisions=8)
         lam1 = 1.8751040687119611
         f1 = (lam1**2 / (2 * math.pi)) * math.sqrt(
             STEEL.youngs_modulus * 1e-6 / (STEEL.density * 1e-2 * 2.0**4))
         assert r.frequencies_hz[0] == pytest.approx(f1, rel=0.02)
 
     def test_frequencies_ascending_positive(self):
-        r = solve_modal(modal_cantilever(), 5)
+        r = solve_modal(modal_cantilever(5))
         assert all(f > 0 for f in r.frequencies_hz)
         assert list(r.frequencies_hz) == sorted(r.frequencies_hz)
 
     def test_density_scaling_law(self):
         m = modal_cantilever()
         doubled = replace(m, materials=(replace(STEEL, density=2 * STEEL.density),))
-        f_base = solve_modal(m, 3).frequencies_hz
-        f_heavy = solve_modal(doubled, 3).frequencies_hz
+        f_base = solve_modal(m).frequencies_hz
+        f_heavy = solve_modal(doubled).frequencies_hz
         for fb, fh in zip(f_base, f_heavy):
             assert fh == pytest.approx(fb / math.sqrt(2.0), rel=1e-9)
 
@@ -226,14 +226,14 @@ class TestModal:
         c, s = math.cos(theta), math.sin(theta)
         rotated = replace(m, nodes=tuple(
             replace(n, x=c * n.x - s * n.y, y=s * n.x + c * n.y) for n in m.nodes))
-        f0 = solve_modal(m, 3).frequencies_hz
-        f1 = solve_modal(rotated, 3).frequencies_hz
+        f0 = solve_modal(m).frequencies_hz
+        f1 = solve_modal(rotated).frequencies_hz
         for a, b in zip(f0, f1):
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_mode_shape_normalization(self):
         # the largest-magnitude translation is +1; a cantilever peaks at its tip
-        r = solve_modal(modal_cantilever(), 2)
+        r = solve_modal(modal_cantilever(2))
         for shape in r.mode_shapes:
             peak = max((c for v in shape.values() for c in v[:2]), key=abs)
             assert peak == pytest.approx(1.0, rel=1e-12)
@@ -241,16 +241,22 @@ class TestModal:
     def test_simply_supported_beam_first_frequency_closed_form(self):
         # pin plus roller: f1 = (pi / 2 L^2) sqrt(E I / rho A)
         L = 2.0
-        m = replace(modal_cantilever(), boundary_conditions=(
+        m = replace(modal_cantilever(1), boundary_conditions=(
             BoundaryCondition(1, frozenset({"ux", "uy"})),
             BoundaryCondition(2, frozenset({"uy"}))))
         f1 = math.pi / (2 * L**2) * math.sqrt(
             STEEL.youngs_modulus * BEAM.moment_of_inertia / (STEEL.density * BEAM.area))
-        r = solve_modal(m, 1, subdivisions=8)
+        r = solve_modal(m, subdivisions=8)
         assert r.frequencies_hz[0] == pytest.approx(f1, rel=1e-4)
 
+    @pytest.mark.parametrize("model", [modal_cantilever(0), cantilever_model()],
+                             ids=["zero", "unset"])
+    def test_modal_count_must_be_positive(self, model):
+        with pytest.raises(ValueError, match="modal count must be >= 1"):
+            solve_modal(model)
+
     def test_truncation_note_when_too_many_modes_requested(self):
-        r = solve_modal(modal_cantilever(), 500, subdivisions=2)
+        r = solve_modal(modal_cantilever(500), subdivisions=2)
         assert r.note is not None
         assert len(r.frequencies_hz) < 500
 
@@ -258,16 +264,16 @@ class TestModal:
         m = unbraced_square(AnalysisSpec(mode="modal", modal_count=1))
         assert restraint_rank(m) == 3
         with pytest.raises(SingularSystemError):
-            solve_modal(m, 1)
+            solve_modal(m)
         out = execute(lower_ir(m), allocate_workspace(tmp_path, "mech"), Limits())
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "solver"
 
     def test_insufficient_restraint(self):
-        m = replace(modal_cantilever(), boundary_conditions=(
+        m = replace(modal_cantilever(1), boundary_conditions=(
             BoundaryCondition(1, frozenset({"ux", "uy"})),))
         with pytest.raises(SingularSystemError):
-            solve_modal(m, 1)
+            solve_modal(m)
 
 
 # areas of topopt_ground by element id, as the dense kernel computed them
@@ -314,7 +320,7 @@ class TestTopopt:
 
     def test_frame_elements_rejected(self, cantilever):
         with pytest.raises(UnsupportedOptimizationError):
-            optimize_topology(cantilever, volfrac=0.5)
+            optimize_topology(cantilever)
 
     def test_bundled_ground_structure_pinned(self, suite_dir):
         m = deserialize((suite_dir / "topopt_ground" / "truth.ir.json").read_text())
@@ -328,6 +334,11 @@ class TestTopopt:
         r = optimize_topology(m)
         assert r.final_volume_fraction <= 0.3 + 1e-6
         assert len(r.compliance_history) <= 6
+
+    def test_zero_iterations_run_none(self):
+        # an explicit 0 is not unset: the prior of 50 does not apply
+        r = optimize_topology(ground_structure(iters=0))
+        assert len(r.compliance_history) == 1  # the final solve of the uniform prior
 
 
 def subdivide_reference(model: IRModel, n_sub: int) -> IRModel:
@@ -628,7 +639,7 @@ class TestDenseOracle:
     def test_modal_matches_dense_eigh(self, suite_dir):
         n = 3
         for name, m in oracle_models(suite_dir):
-            r = solve_modal(m, n)
+            r = solve_modal(replace(m, analysis=AnalysisSpec("modal", modal_count=n)))
             system = assemble(subdivide_reference(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
             free, ff = dense_free(system)
             # the reciprocal problem M x = x K / w^2 puts the lowest modes at
