@@ -323,7 +323,8 @@ def parse_context(text: str) -> ContextDirectives:
     volfrac = None
     opt_iterations = None
     kept: list[str] = []
-    for raw in text.splitlines():
+    # lines end at \n, \r\n or \r, as in scripts (simscript.parse_script)
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = raw.strip()
         if not line or line.startswith("#") or ":" not in line:
             continue

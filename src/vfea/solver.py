@@ -10,19 +10,43 @@ computed as arrays, so no refined model is ever built and no second dof
 index either. Element stiffness and mass matrices are built a whole group
 at a time and summed through COO row and column indices, also computed once
 per model, into sparse CSC matrices; the consistent mass matrix is
-assembled only when modal analysis asks for it. The free partition of K is
-factorized once by SuperLU in symmetric mode, and a non-positive pivot
-means rigid body motion or a mechanism. Statics back-substitutes with that
-factor, modal analysis hands it to ARPACK's shift-invert Lanczos iteration
-for the lowest modes, and the optimizer rescales the element data on each
-iteration.
+assembled only when modal analysis asks for it.
 
-Measured on a 2-core x86 VM (Python 3.11, scipy 1.17, one process):
-``solve_static`` takes ~20 ms on a 1722-dof truss grid and ~0.5 s on a
-20022-dof one; ``solve_modal`` finds the three lowest modes of a 2187-dof
-frame in ~25 ms (~33 ms when frames were refined as IR nodes and elements
-first) and of a 17163-dof frame in ~0.2 s, where the dense full-spectrum
-eigensolver of earlier versions took 1.7-2.0 s at 2187 dofs.
+The free partition of K is ordered by reverse Cuthill-McKee (Cuthill &
+McKee 1969) and factored in one of two forms. When the ordered band is
+narrow, at most ``BAND_RATIO_MAX`` band cells, (band + 1) * dofs, per
+stored entry of the free partition, LAPACK factors it as a band Cholesky
+factor (dpbtrf), filled from K's data vector without a submatrix gather.
+Otherwise, as when one hub node couples with most others and the band is
+nearly full, SuperLU factors it in symmetric mode. The threshold is the
+lowest crossover measured, with the default two BLAS threads: below 12.5
+cells per entry the band form won on every truss grid, frame and wheel
+tried (up to 12699 free dofs); from there on grids and frames of 10299 to
+20019 free dofs the two forms trade places from run to run, and on wheels
+of spokes around a hub SuperLU wins from 28-32 cells per entry. Either
+form stays within rounding of the other, so the rule only moves time.
+
+Both forms keep one mechanism rule: a pivot at or below ``PIVOT_RTOL``
+times its own diagonal entry of the ordered free stiffness, or a factor
+that breaks off for want of a positive pivot, means rigid body motion or a
+mechanism. Valid models keep every such ratio above 5e-5; an unbraced
+square turned by any half degree leaves one below 2e-13.
+
+Statics back-substitutes with the factor, and the optimizer factors each
+iteration's rescaled stiffness in the form chosen once per model. Modal
+analysis on the band factor solves the standard symmetric problem
+(L^-1 M L^-T) y = y / w^2 by ARPACK's Lanczos iteration for its largest
+eigenvalues (Bathe, Finite Element Procedures, the eigensolution chapter),
+two triangular band solves and one mass product a step; on the SuperLU
+factor it runs ARPACK's shift-invert Lanczos iteration about zero.
+
+Measured on a 2-core x86 VM (Python 3.11, numpy 2.4, scipy 1.17, one
+process, default BLAS threads, best of repeated calls; the host's speed
+varies about twofold from hour to hour): ``solve_static`` takes ~8 ms
+on a 1722-dof truss grid (~11 ms with SuperLU) and ~0.2 s on a 20022-dof
+one, which takes SuperLU; ``solve_modal`` finds the three lowest modes of
+a 2187-dof frame in ~10 ms (~13 ms with SuperLU and shift-invert) and of
+a 17163-dof frame, which takes SuperLU, in ~0.1 s.
 """
 
 from __future__ import annotations
@@ -36,6 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .ir import (_ID, _KIND, _SECTION_ID, AnalysisSpec, IRModel, _coordinates, _endpoints,
@@ -48,6 +73,8 @@ OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
 OC_STOP_TOL = 1e-3        # on max area change, relative to a_max
 RESIDUAL_LIMIT = 1e-8     # beyond this the factorization is not trusted
+PIVOT_RTOL = 1e-10        # pivot / its diagonal entry at or below this: a mechanism
+BAND_RATIO_MAX = 12.0     # band cells per stored entry beyond which SuperLU factors
 VOLUME_SLACK = 1e-6       # accepted excess of an optimized volume fraction over its target
 # Translations this close to a mode's peak count as ties for its sign; the
 # first in dof order decides, so mirror-image peaks give a stable sign.
@@ -394,58 +421,182 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
                            groups=groups, pattern=pattern)
 
 
-def _free_indices(n_dofs: int, constrained: frozenset[int]) -> np.ndarray:
-    return np.array(sorted(set(range(n_dofs)) - constrained), dtype=int)
-
-
-def _factor(Kff: scipy.sparse.csc_array) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LDL'-style factor of the free stiffness: symmetric ordering and
-    diagonal pivots, so the matrix is positive definite exactly when every
-    pivot is positive and finite."""
-    try:
-        lu = scipy.sparse.linalg.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        raise SingularSystemError("rigid body motion or mechanism") from None
-    pivots = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0)
-            and np.all(np.isfinite(pivots))):
+def _mechanism_rule(pivots: np.ndarray, diagonal: np.ndarray) -> None:
+    """The one test every factor form applies: a pivot at or below
+    ``PIVOT_RTOL`` times its own diagonal entry of the ordered free
+    stiffness, or not finite, means rigid body motion or a mechanism."""
+    if not (np.all(pivots > PIVOT_RTOL * np.abs(diagonal)) and np.all(np.isfinite(pivots))):
         raise SingularSystemError("rigid body motion or mechanism")
-    return lu
+
+
+class _FreeDofs:
+    """The free dofs of a sparsity pattern, and which factor form their
+    stiffness gets.
+
+    ``dofs`` holds them in increasing order, the order of every free vector
+    a factor takes or returns. ``banded`` is the rule between the two factor
+    forms: band cells, (band + 1) * dofs, at most ``BAND_RATIO_MAX`` times
+    the stored entries of the free partition, for the band of its reverse
+    Cuthill-McKee order. When even the narrowest band any order could give
+    breaks the rule, no order is computed. Otherwise ``order`` lists the
+    dofs, as positions in ``dofs``, in the reverse Cuthill-McKee order of
+    the pattern's graph, constrained dofs dropped, and ``band`` is the
+    half-bandwidth of the free partition in that order. When the rule holds
+    for it, ``cells`` and ``slots`` say where each stored entry of a matrix
+    on the pattern, ``slots`` into its data vector, lands in the lower band
+    storage of that partition, flattened as a (dofs, band + 1) C-order
+    array.
+    """
+
+    def __init__(self, pattern: _Pattern, constrained: frozenset[int]):
+        is_free = np.ones(pattern.n, dtype=bool)
+        is_free[list(constrained)] = False
+        self.dofs = np.flatnonzero(is_free)
+        self.size = self.dofs.size
+        columns = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        stored = is_free[pattern.indices] & is_free[columns]
+        n_stored = np.count_nonzero(stored)
+        # in any order, a column with c stored entries has one at least c // 2
+        # off the diagonal
+        widest = int(np.bincount(columns[stored], minlength=1).max())
+        self.banded = (widest // 2 + 1) * self.size <= BAND_RATIO_MAX * n_stored
+        if not self.banded:
+            return
+        graph = scipy.sparse.csr_array((np.ones(pattern.indices.size), pattern.indices,
+                                        pattern.indptr), shape=(pattern.n, pattern.n))
+        rcm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        ordered = rcm[is_free[rcm]]
+        self.order = (np.cumsum(is_free) - 1)[ordered]
+        position = np.full(pattern.n, -1, dtype=np.int64)
+        position[ordered] = np.arange(self.size)
+        rows, cols = position[pattern.indices], position[columns]
+        lower = (rows >= cols) & (cols >= 0)
+        offset = rows[lower] - cols[lower]
+        self.band = int(offset.max(initial=0))
+        self.banded = (self.band + 1) * self.size <= BAND_RATIO_MAX * n_stored
+        if self.banded:
+            self.slots = np.flatnonzero(lower)
+            self.cells = cols[lower] * (self.band + 1) + offset
+
+    def factor(self, K: scipy.sparse.csc_array) -> _BandFactor | _SparseFactor:
+        """Factor of the free partition of K, a matrix on the pattern."""
+        return _BandFactor(K, self) if self.banded else _SparseFactor(K, self)
+
+
+class _BandFactor:
+    """Cholesky factor L L' of the free stiffness in reverse Cuthill-McKee
+    order, by LAPACK in lower band storage. Its modal solve is the standard
+    symmetric problem (L^-1 M L^-T) y = y / w^2, whose largest eigenvalues
+    are the lowest modes: each Lanczos step is two triangular band solves
+    and one mass product."""
+
+    def __init__(self, K: scipy.sparse.csc_array, free: _FreeDofs):
+        band = np.zeros((free.size, free.band + 1))
+        band.flat[free.cells] = K.data[free.slots]
+        band = band.T  # (band + 1, dofs) in Fortran order, the diagonal in row 0
+        diagonal = band[0].copy()
+        self.L, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:  # a leading minor is not positive definite
+            raise SingularSystemError("rigid body motion or mechanism")
+        _mechanism_rule(self.L[0] ** 2, diagonal)
+        self.free = free
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        order = self.free.order
+        x = np.empty_like(b)
+        x[order] = scipy.linalg.lapack.dpbtrs(self.L, b[order], lower=1)[0]
+        return x
+
+    def lowest_modes(self, M: scipy.sparse.csc_array, k: int,
+                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        L, order = self.L, self.free.order
+        tbtrs = scipy.linalg.lapack.dtbtrs
+        inner = self.free.dofs[order]
+        full = np.zeros(M.shape[0])  # a free vector among zero constrained dofs
+
+        def step(y: np.ndarray) -> np.ndarray:
+            full[inner] = tbtrs(L, y, uplo="L", trans="T")[0]
+            return tbtrs(L, (M @ full)[inner], uplo="L")[0]
+
+        operator = scipy.sparse.linalg.LinearOperator((order.size,) * 2, matvec=step, dtype=float)
+        mu, y = scipy.sparse.linalg.eigsh(operator, k=k, v0=start)
+        vecs = np.empty_like(y)
+        vecs[order] = tbtrs(L, y, uplo="L", trans="T")[0]
+        return 1.0 / mu, vecs
+
+
+class _SparseFactor:
+    """SuperLU factor of the free stiffness in symmetric mode: symmetric
+    ordering and diagonal pivots, an LDL'-style factor. Its modal solve is
+    ARPACK's shift-invert Lanczos iteration about zero, with this factor as
+    the inverse operator."""
+
+    def __init__(self, K: scipy.sparse.csc_array, free: _FreeDofs):
+        self.K = K[np.ix_(free.dofs, free.dofs)]
+        try:
+            lu = scipy.sparse.linalg.splu(self.K, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            raise SingularSystemError("rigid body motion or mechanism") from None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SingularSystemError("rigid body motion or mechanism")
+        # column i of K is eliminated by pivot perm_c[i]
+        _mechanism_rule(lu.U.diagonal()[lu.perm_c], self.K.diagonal())
+        self.free, self.solve = free, lu.solve
+
+    def lowest_modes(self, M: scipy.sparse.csc_array, k: int,
+                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dofs = self.free.dofs
+        inverse = scipy.sparse.linalg.LinearOperator(self.K.shape, matvec=self.solve,
+                                                     dtype=float)
+        return scipy.sparse.linalg.eigsh(self.K, k=k, M=M[np.ix_(dofs, dofs)], sigma=0.0,
+                                         OPinv=inverse, v0=start)
 
 
 def _solve_free(K: scipy.sparse.csc_array, f: np.ndarray,
-                free: np.ndarray) -> tuple[np.ndarray, float]:
-    """Factorize the free partition and back-substitute; returns (u_full, residual)."""
+                free: _FreeDofs) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factorize the free partition and back-substitute; returns the
+    displacements u (zero at constrained dofs), the out-of-balance forces
+    K u - f and the residual, their norm over the free dofs relative to the
+    free loads'."""
     u = np.zeros(K.shape[0])
-    if free.size == 0:
-        return u, 0.0
-    Kff = K[np.ix_(free, free)]
-    ff = f[free]
-    uf = _factor(Kff).solve(ff)
-    if not np.all(np.isfinite(uf)):
-        raise SingularSystemError("rigid body motion or mechanism")
-    residual = float(np.linalg.norm(Kff @ uf - ff) / max(np.linalg.norm(ff), 1.0))
+    ff = f[free.dofs]
+    if free.size:
+        uf = free.factor(K).solve(ff)
+        if not np.all(np.isfinite(uf)):
+            raise SingularSystemError("rigid body motion or mechanism")
+        u[free.dofs] = uf
+    r = K @ u - f
+    residual = float(np.linalg.norm(r[free.dofs]) / max(np.linalg.norm(ff), 1.0))
     if residual > RESIDUAL_LIMIT:
         raise SingularSystemError(f"ill-conditioned system, residual {residual:.2e}")
-    u[free] = uf
-    return u, residual
+    return u, r, residual
 
 
-def _node_vector(index: dict[tuple[int, str], int], u: np.ndarray,
-                 node_id: int) -> tuple[float, float, float]:
-    return (float(u[index[(node_id, "ux")]]),
-            float(u[index[(node_id, "uy")]]),
-            float(u[index[(node_id, "rz")]]) if (node_id, "rz") in index else 0.0)
+def _node_vectors(index: dict[tuple[int, str], int], node_ids: list[int],
+                  vectors: np.ndarray) -> list[dict[int, tuple[float, float, float]]]:
+    """node id -> (ux, uy, rz) of each column of ``vectors``, rz 0.0 where
+    a node has none."""
+    n = len(node_ids)
+    ux = np.fromiter(map(index.__getitem__, zip(node_ids, itertools.repeat("ux"))), np.int64, n)
+    has_rz = np.fromiter(map(index.__contains__, zip(node_ids, itertools.repeat("rz"))), bool, n)
+    # a node's dofs are consecutive from its ux, rz last where it has one
+    dofs = ux[:, None] + np.arange(3)
+    dofs[~has_rz, 2] = -1
+    columns = vectors.reshape(len(vectors), -1)
+    padded = np.vstack([columns, np.zeros((1, columns.shape[1]))])  # row -1: a missing rz
+    return [dict(zip(node_ids, map(tuple, padded[dofs, j].tolist())))
+            for j in range(padded.shape[1])]
 
 
 def solve_static(model: IRModel) -> StaticResult:
     system = assemble(model)
     index = system.dof_index
-    u, residual = _solve_free(system.K, system.f, _free_indices(system.n_dofs, system.constrained))
+    free = _FreeDofs(system.pattern, system.constrained)
+    u, reactions_full, residual = _solve_free(system.K, system.f, free)
 
-    reactions_full = system.K @ u - system.f
-    displacements = {n.id: _node_vector(index, u, n.id) for n in model.nodes}
+    displacements = _node_vectors(index, [n.id for n in model.nodes], u)[0]
     reactions: dict[int, tuple[float, float, float]] = {}
     for b in model.boundary_conditions:
         r = {d: float(reactions_full[index[(b.node_id, d)]])
@@ -471,10 +622,11 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
     """The ``modal_count`` lowest natural frequencies and mode shapes.
 
     The generalized problem K phi = w^2 M phi on the free dofs of the
-    subdivided model goes to ARPACK's shift-invert Lanczos iteration about
-    zero, with the stiffness factor as the inverse operator; when the count
-    reaches the number of free dofs, to LAPACK's dense symmetric-definite solver.
-    Each shape is scaled so that its largest-magnitude translation is +1.
+    subdivided model goes to ARPACK's Lanczos iteration through the
+    stiffness factor (``_BandFactor.lowest_modes``,
+    ``_SparseFactor.lowest_modes``); when the count reaches the number of
+    free dofs, to LAPACK's dense symmetric-definite solver. Each shape is
+    scaled so that its largest-magnitude translation is +1.
     """
     n = model.analysis.modal_count
     if n is None or n < 1:
@@ -482,21 +634,16 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
     if restraint_rank(model) < 3:
         raise SingularSystemError("insufficient restraint for modal analysis")
     system = assemble(model, subdivisions)
-    free = _free_indices(system.n_dofs, system.constrained)
+    free = _FreeDofs(system.pattern, system.constrained)
     if free.size == 0:
         raise SingularSystemError("no free dofs")
-    ff = np.ix_(free, free)
-    Kff = system.K[ff]
-    lu = _factor(Kff)
-    Mff = system.M[ff]
+    factor = free.factor(system.K)
 
     note = None
     if n < free.size:
-        inverse = scipy.sparse.linalg.LinearOperator(Kff.shape, matvec=lu.solve, dtype=float)
         start = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, free.size)
         try:
-            w2, vecs = scipy.sparse.linalg.eigsh(Kff, k=n, M=Mff, sigma=0.0, OPinv=inverse,
-                                                 v0=start)
+            w2, vecs = factor.lowest_modes(system.M, n, start)
         except scipy.sparse.linalg.ArpackError as exc:  # includes ArpackNoConvergence
             raise SingularSystemError(f"modal eigensolver failed: {exc}") from None
         order = np.argsort(w2)
@@ -505,27 +652,26 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
         if n > free.size:
             note = f"requested {n} modes but only {free.size} free dofs are available"
             n = free.size
+        ff = np.ix_(free.dofs, free.dofs)
         try:
-            w2, vecs = scipy.linalg.eigh(Kff.toarray(), Mff.toarray(), check_finite=False,
-                                         subset_by_index=[0, n - 1])
+            w2, vecs = scipy.linalg.eigh(system.K[ff].toarray(), system.M[ff].toarray(),
+                                         check_finite=False, subset_by_index=[0, n - 1])
         except scipy.linalg.LinAlgError:
             raise SingularSystemError("mass matrix not positive definite") from None
     if not np.all(w2 > 0):
         raise SingularSystemError("mechanism detected: non-positive vibration mode")
     freqs = tuple(float(math.sqrt(w) / (2 * math.pi)) for w in w2)
 
-    index = system.dof_index
-    translations = np.array([i for (_, d), i in index.items() if d != "rz"])
-    shapes: list[dict[int, tuple[float, float, float]]] = []
+    translations = np.array([i for (_, d), i in system.dof_index.items() if d != "rz"])
+    phi = np.zeros((system.n_dofs, n))
+    phi[free.dofs] = vecs
     for i in range(n):
-        phi = np.zeros(system.n_dofs)
-        phi[free] = vecs[:, i]
-        t = phi[translations]
+        t = phi[translations, i]
         peak = float(np.max(np.abs(t)))
         if peak > 0:
             lead = t[np.argmax(np.abs(t) >= (1.0 - PEAK_TIE_RTOL) * peak)]
-            phi[free] /= math.copysign(peak, lead)  # constrained dofs stay +0.0
-        shapes.append({nd.id: _node_vector(index, phi, nd.id) for nd in model.nodes})
+            phi[free.dofs, i] /= math.copysign(peak, lead)  # constrained dofs stay +0.0
+    shapes = _node_vectors(system.dof_index, [nd.id for nd in model.nodes], phi)
     return ModalResult(frequencies_hz=freqs, mode_shapes=tuple(shapes), note=note)
 
 
@@ -579,11 +725,11 @@ def optimize_topology(model: IRModel) -> TopoResult:
     target_volume = volfrac * float(lengths.sum())  # in units of a_max
     unit_stiffness = _element_stiffness(bars._replace(A=np.ones_like(bars.A)))
     pattern = _pattern(len(index), (bars,))
-    free = _free_indices(len(index), constrained)
+    free = _FreeDofs(pattern, constrained)
 
     def displacements(xv: np.ndarray) -> tuple[np.ndarray, float]:
         K = _scatter(pattern, [(xv * a_max)[:, None, None] * unit_stiffness])
-        u, _ = _solve_free(K, f, free)
+        u, _, _ = _solve_free(K, f, free)
         return u, float(f @ u)
 
     x = np.full(bars.ids.size, volfrac)

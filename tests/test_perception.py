@@ -341,6 +341,23 @@ def test_modal_count_directive(directive, count):
         assert orchestrate(drawing, context).analysis.modal_count == count
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_context_lines_end_where_script_lines_end(end):
+    directives = perception.parse_context(f"mode: modal{end}modal_count: 4{end}elements: truss")
+    assert (directives.mode, directives.modal_count, directives.element_kind) == (
+        "modal", 4, "truss_bar")
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_other_line_breaks_stay_inside_a_directive(separator):
+    # str.splitlines would end the line at each of these and read a second
+    # directive; here the mode directive keeps the rest of the line and is
+    # an unknown mode
+    with pytest.raises(SemanticsError, match="unknown analysis mode"):
+        perception.parse_context(f"mode: static{separator}elements: truss\n")
+
+
 class TestMagnitude:
     @pytest.mark.parametrize("label,newtons", [
         ("10 kN", 10_000.0), ("500 N", 500.0), ("1.5kN", 1500.0),

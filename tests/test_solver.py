@@ -276,6 +276,50 @@ class TestModal:
             solve_modal(m)
 
 
+def turned(model: IRModel, degrees: float) -> IRModel:
+    """The model rotated about the origin."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return canonicalize(replace(model, nodes=tuple(
+        replace(n, x=c * n.x - s * n.y, y=s * n.x + c * n.y) for n in model.nodes)))
+
+
+# BAND_RATIO_MAX values that send every model to one factor form
+FORCED = {"band": 1e9, "sparse": 0.0}
+
+
+def forced_free_dofs(system, form: str):
+    """The system's free dofs, with the rule set to give them ``form``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BAND_RATIO_MAX", FORCED[form])
+        return solver._FreeDofs(system.pattern, system.constrained)
+
+
+# Half-degree turns of the unbraced square. Only the axis-aligned square
+# meets an exactly zero pivot; turned, its shear mode leaves a pivot of
+# rounding size, positive or negative.
+TURNS = [0.5 * k for k in range(1, 90)]
+
+
+class TestMechanismRule:
+    @pytest.mark.parametrize("mode,turns", [("inprocess", TURNS), ("subprocess", TURNS[1::16])])
+    def test_turned_mechanism_fails_in_both_execution_modes(self, tmp_path, mode, turns):
+        # without the mechanism rule, modal runs of many of these turns
+        # report a near-zero first frequency, and verification accepts it
+        for degrees in turns:
+            m = turned(unbraced_square(AnalysisSpec(mode="modal", modal_count=1)), degrees)
+            out = execute(lower_ir(m), allocate_workspace(tmp_path, "turned"), Limits(),
+                          mode=mode)
+            assert out.status == "FAILED", degrees
+            assert out.runtime_error.kind == "solver", degrees
+
+    def test_every_factor_form_applies_it(self):
+        for degrees in [0.0, *TURNS]:
+            system = assemble(turned(unbraced_square(), degrees))
+            for form in FORCED:
+                with pytest.raises(SingularSystemError, match="mechanism"):
+                    forced_free_dofs(system, form).factor(system.K)
+
+
 # areas of topopt_ground by element id, as the dense kernel computed them
 TOPOPT_GROUND_AREAS = [
     0.01, 0.009951229111141368, 1e-08, 0.01, 0.01, 1e-08, 1e-08, 8.147672276795505e-06,
@@ -616,10 +660,80 @@ def dense_free(system):
     return free, np.ix_(free, free)
 
 
-class TestDenseOracle:
-    """Sparse results against dense linear algebra on the same K and M."""
+def wheel(spokes: int) -> IRModel:
+    """Truss bars from a hub to every node of a rim and along the rim, the
+    rim pinned at one node and on a roller opposite: the free hub couples
+    with every rim node, so no ordering gives the stiffness a narrow band."""
+    rim = [Node(2 + k, math.cos(2 * math.pi * k / spokes), math.sin(2 * math.pi * k / spokes))
+           for k in range(spokes)]
+    pairs = ([(1, 2 + k) for k in range(spokes)]
+             + [(2 + k, 2 + (k + 1) % spokes) for k in range(spokes)])
+    return canonicalize(IRModel(
+        nodes=(Node(1, 0.0, 0.0), *rim),
+        elements=tuple(Element(i + 1, "truss_bar", p, 1) for i, p in enumerate(pairs)),
+        materials=(STEEL,), sections=(BAR,),
+        boundary_conditions=(BoundaryCondition(2, frozenset({"ux", "uy"})),
+                             BoundaryCondition(2 + spokes // 2, frozenset({"uy"}))),
+        loads=(Load(1, 0.0, -1e3, 0.0),), analysis=AnalysisSpec("modal", modal_count=3)))
 
-    def test_static_matches_dense_solve(self, suite_dir):
+
+def branch_models(suite_dir) -> list[tuple[str, IRModel, bool]]:
+    """The bundled cases, the benchmark's frames and wheels on either side of
+    the rule between the factor forms, all in modal mode, with the form each
+    takes: True for the band factor."""
+    modal = AnalysisSpec("modal", modal_count=3)
+    bundled = [(d.name, replace(deserialize((d / "truth.ir.json").read_text()), analysis=modal),
+                True) for d in sorted(suite_dir.iterdir()) if (d / "truth.ir.json").exists()]
+    frames = [(f"frame{a}x{b}", deserialize(json.dumps(
+        workloads.frame(a, b, random.Random(f"branch{a}"))[2])), True)
+        for a, b in workloads.FRAME_DECK]
+    return bundled + frames + [("wheel50", wheel(50), True), ("wheel100", wheel(100), False),
+                               ("wheel500", wheel(500), False)]
+
+
+def relative_error(x: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(x - want)) / np.max(np.abs(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_models())
+def test_factor_forms_equal_dense_linear_algebra(m):
+    """Both forms solve and find the lowest mode as the dense solvers do,
+    and both reject numerically singular stiffness."""
+    system = assemble(m)
+    dofs = solver._FreeDofs(system.pattern, system.constrained).dofs
+    if dofs.size == 0:
+        return
+    K = system.K.toarray()[np.ix_(dofs, dofs)]
+    M = system.M.toarray()[np.ix_(dofs, dofs)]
+    low, high = np.linalg.eigvalsh(K)[[0, -1]]
+    if low <= 1e-14 * high:
+        for form in FORCED:
+            with pytest.raises(SingularSystemError):
+                forced_free_dofs(system, form).factor(system.K)
+        return
+    # either side errs by about eps * cond(K): the tolerances hold up to a
+    # condition number of 1e5 and grow with it beyond
+    scale = max(1.0, high / low / 1e5)
+    b = np.linspace(-1.0, 2.0, dofs.size)
+    for form in FORCED:
+        try:
+            factor = forced_free_dofs(system, form).factor(system.K)
+        except SingularSystemError:  # allowed only short of well-conditioned
+            assert high / low > 1e8, form
+            continue
+        assert relative_error(factor.solve(b), np.linalg.solve(K, b)) <= 1e-10 * scale, form
+        if dofs.size > 1:
+            w2, _ = factor.lowest_modes(system.M, 1, np.ones(dofs.size))
+            want = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])
+            assert w2 == pytest.approx(want, rel=1e-9 * scale), form
+
+
+class TestDenseOracle:
+    """Sparse results against dense linear algebra on the same K and M, in
+    each factor form."""
+
+    def test_static_matches_dense_solve(self, suite_dir, monkeypatch):
         for name, m in oracle_models(suite_dir):
             system = assemble(m)
             free, ff = dense_free(system)
@@ -627,19 +741,20 @@ class TestDenseOracle:
             u = np.zeros(system.n_dofs)
             u[free] = np.linalg.solve(K[ff], system.f[free])
             reactions = K @ u - system.f
-            r = solve_static(m)
             index = system.dof_index
-            for got, expected in ((r.displacements, u), (r.reactions, reactions)):
-                want = [expected[index[(nid, d)]] if (nid, d) in index else 0.0
-                        for nid in got for d in ("ux", "uy", "rz")]
-                have = [c for v in got.values() for c in v]
-                scale = max(map(abs, want))
-                assert have == pytest.approx(want, rel=1e-9, abs=1e-9 * scale), name
+            for form, ratio in FORCED.items():
+                monkeypatch.setattr(solver, "BAND_RATIO_MAX", ratio)
+                r = solve_static(m)
+                for got, expected in ((r.displacements, u), (r.reactions, reactions)):
+                    want = [expected[index[(nid, d)]] if (nid, d) in index else 0.0
+                            for nid in got for d in ("ux", "uy", "rz")]
+                    have = [c for v in got.values() for c in v]
+                    scale = max(map(abs, want))
+                    assert have == pytest.approx(want, rel=1e-9, abs=1e-9 * scale), (name, form)
 
-    def test_modal_matches_dense_eigh(self, suite_dir):
+    def test_modal_matches_dense_eigh(self, suite_dir, monkeypatch):
         n = 3
         for name, m in oracle_models(suite_dir):
-            r = solve_modal(replace(m, analysis=AnalysisSpec("modal", modal_count=n)))
             system = assemble(subdivide_reference(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
             free, ff = dense_free(system)
             # the reciprocal problem M x = x K / w^2 puts the lowest modes at
@@ -648,17 +763,35 @@ class TestDenseOracle:
             k = min(n, free.size)
             w2, vecs = 1.0 / mu[::-1][:k], vecs[:, ::-1][:, :k]
             freqs = np.sqrt(w2) / (2 * math.pi)
-            assert r.frequencies_hz == pytest.approx(freqs, rel=1e-9), name
             index = system.dof_index
             translations = [i for (_, d), i in index.items() if d != "rz"]
-            for i, shape in enumerate(r.mode_shapes):
-                phi = np.zeros(system.n_dofs)
-                phi[free] = vecs[:, i]
-                phi /= np.max(np.abs(phi[translations]))  # peak translation +-1
-                want = np.array([phi[index[(nid, d)]] if (nid, d) in index else 0.0
-                                 for nid in shape for d in ("ux", "uy", "rz")])
-                have = np.array([c for v in shape.values() for c in v])
-                err = min(np.max(np.abs(have - want)), np.max(np.abs(have + want)))
-                # a repeated eigenvalue (the two-bar apex) has no unique shape
-                gap = np.sort(np.abs(1.0 / mu - w2[i]))[1] / w2[i] if mu.size > 1 else 1.0
-                assert err <= 1e-9 or gap < 1e-6, (name, i)
+            for form, ratio in FORCED.items():
+                monkeypatch.setattr(solver, "BAND_RATIO_MAX", ratio)
+                r = solve_modal(replace(m, analysis=AnalysisSpec("modal", modal_count=n)))
+                assert r.frequencies_hz == pytest.approx(freqs, rel=1e-9), (name, form)
+                for i, shape in enumerate(r.mode_shapes):
+                    phi = np.zeros(system.n_dofs)
+                    phi[free] = vecs[:, i]
+                    phi /= np.max(np.abs(phi[translations]))  # peak translation +-1
+                    want = np.array([phi[index[(nid, d)]] if (nid, d) in index else 0.0
+                                     for nid in shape for d in ("ux", "uy", "rz")])
+                    have = np.array([c for v in shape.values() for c in v])
+                    err = min(np.max(np.abs(have - want)), np.max(np.abs(have + want)))
+                    # a repeated eigenvalue (the two-bar apex) has no unique shape
+                    gap = np.sort(np.abs(1.0 / mu - w2[i]))[1] / w2[i] if mu.size > 1 else 1.0
+                    assert err <= 1e-9 or gap < 1e-6, (name, form, i)
+
+    def test_models_take_their_form_and_match_dense(self, suite_dir):
+        for name, m, banded in branch_models(suite_dir):
+            system = assemble(m, solver.DEFAULT_MODAL_SUBDIVISIONS)
+            free = solver._FreeDofs(system.pattern, system.constrained)
+            assert free.banded == banded, name
+            factor = free.factor(system.K)
+            assert isinstance(factor, solver._BandFactor if banded else solver._SparseFactor), name
+            K, M = (A.toarray()[np.ix_(free.dofs, free.dofs)] for A in (system.K, system.M))
+            b = np.linspace(-1.0, 2.0, free.size)
+            assert relative_error(factor.solve(b), np.linalg.solve(K, b)) <= 1e-10, name
+            k = min(3, free.size)
+            want = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, k - 1])
+            freqs = np.array(solve_modal(m).frequencies_hz)
+            assert (2 * math.pi * freqs) ** 2 == pytest.approx(want, rel=1e-9), name
