@@ -2,7 +2,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W
-           --seeds N [N ...] [--seconds S]
+           --seeds N [N ...] [--seconds S] [--trace]
 
 Pair k runs ``python3 perfbench/run.py --workload W --seed N_k --seconds S
 --trace 0`` once in each checkout, each in its own directory, the parent
@@ -19,6 +19,11 @@ change's median is not worse than the parent's by more than the bound,
 is wider than the bound, unless every change run beats every parent run.
 Nothing is edited: the benchmark runs as each checkout has it.
 
+With --trace, each run is ``--trace 1`` instead, whose last line carries
+the per-layer metrics that BENCHMARK.json lists. The comparison is then
+each side's median of every per-layer metric and the change's median
+minus the parent's, which shows the layers a change moved.
+
 Exit 0 when every run reported correct results, 1 otherwise.
 """
 
@@ -34,10 +39,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The last stdout line of one benchmark run, or None when it failed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict | None:
+    """The metrics of the last stdout line of one benchmark run, or None
+    when it failed."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", "1" if trace else "0"],
                           cwd=checkout, capture_output=True, text=True, check=False)
     try:
         line = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -69,6 +77,15 @@ def verdict(values: dict[str, list[float]], up: bool, bound: float) -> str:
     return "worse" if sign * (pmed - cmed) > allowed else "within"
 
 
+def layer_table(pairs: list[dict[str, dict]], names: list[str]) -> None:
+    """Each side's median of every per-layer metric, and their difference."""
+    print(f"{'per-layer metric':<38} {'parent':>12} {'change':>12} {'change - parent':>16}")
+    for name in names:
+        pmed, cmed = (statistics.median(p[side][name] for p in pairs)
+                      for side in ("parent", "change"))
+        print(f"{name:<38} {pmed:>12.6g} {cmed:>12.6g} {cmed - pmed:>+16.6g}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -76,11 +93,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--trace", action="store_true",
+                        help="run with --trace 1 and compare the per-layer metrics")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    higher = {m["name"]: m["better"] == "higher"
+              for m in spec["per_layer" if args.trace else "end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    shown = ("trace.untraced_cases_per_s", "trace.coverage_min") if args.trace else higher
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs: list[dict[str, dict]] = []
     ok = True
@@ -88,18 +109,22 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
-            metrics = run_once(sides[side], args.workload, seed, args.seconds)
+            metrics = run_once(sides[side], args.workload, seed, args.seconds, args.trace)
             ok &= metrics is not None
             if metrics is not None:
                 pair[side] = metrics
                 print(f"pair {k} seed {seed} {side}: " + "  ".join(
-                    f"{name} {metrics[name]:.6g}" for name in higher if name in metrics),
+                    f"{name} {metrics[name]:.6g}" for name in shown if name in metrics),
                     flush=True)
         if len(pair) == 2:
             pairs.append(pair)
 
     print(f"\n{args.workload}: {len(pairs)} complete pairs, {args.seconds:g} s per run, "
           f"parent {sides['parent']}, change {sides['change']}")
+    if args.trace:
+        if pairs:
+            layer_table(pairs, list(higher))
+        return 0 if ok else 1
     print(f"{'metric':<16} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
           f"{'wins':>6}  gain  vs bound")
     for name, up in higher.items():

@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ir import (ANALYSIS_MODES, IRModel, _Defect, _endpoints, _Field, _nullable,
-                 _one_of, _read_json, _record, _rows, _text, deserialize, pairs_within,
-                 unit_box)
+from .ir import (ANALYSIS_MODES, IRModel, SchemaParseError, _Defect, _endpoints, _Field,
+                 _nullable, _one_of, _read_json, _record, _rows, _text, deserialize,
+                 pairs_within, unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionFailure, ScaleConflictError,
@@ -181,9 +181,10 @@ def _common_pairs(left: np.ndarray, right: np.ndarray, n: int) -> int:
     return int(np.minimum(lcounts[a], rcounts[b]).sum())
 
 
-def evaluate_ir(predicted: IRModel, truth: IRModel,
-                tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
-    """Perception metrics against a reference model.
+def evaluate_ir(predicted: IRModel, truth: IRModel, tol: float = DEFAULT_MATCH_TOLERANCE,
+                schema_valid: bool | None = None) -> Metrics:
+    """Perception metrics against a reference model. ``schema_valid`` is
+    whether ``predicted`` passes the L1 audit, checked here when not given.
 
     Nodes match greedily, nearest pair first, by a finite distance within
     ``tol`` of the reference bounding-box diagonal, so a node with a
@@ -192,7 +193,8 @@ def evaluate_ir(predicted: IRModel, truth: IRModel,
     node pairs mapped through that matching; the composite overall score is
     the mean of node accuracy and connectivity F1.
     """
-    schema_valid = not check_l1(predicted)
+    if schema_valid is None:
+        schema_valid = not check_l1(predicted)
     pred, ref = predicted.node_positions(), truth.node_positions()
     if predicted.coordinate_mode != truth.coordinate_mode:
         pred, ref = unit_box(pred), unit_box(ref)
@@ -295,6 +297,9 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
                  if case.truth_ir_path else None)
     except (OSError, UnicodeDecodeError) as exc:
         raise CaseLoadError(f"cannot read case {case.case_id}: {exc}") from None
+    except SchemaParseError as exc:
+        raise CaseLoadError(f"case {case.case_id}: reference model {case.truth_ir_path}: "
+                            f"{exc}") from None
 
     buffer = buffer if buffer is not None else ExperienceBuffer(config.memory_path)
     empty_metrics = Metrics(schema_valid=False, node_accuracy=0.0, connectivity_f1=0.0,
@@ -319,10 +324,11 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
         return report
     report.timings["perception_s"] = time.monotonic() - t0
 
+    # orchestrate returns only a model whose audit, L1 included, is clean
     if truth is not None:
-        report.metrics = evaluate_ir(model, truth)
+        report.metrics = evaluate_ir(model, truth, schema_valid=True)
     else:
-        report.metrics = replace(report.metrics, schema_valid=not check_l1(model))
+        report.metrics = replace(report.metrics, schema_valid=True)
 
     t1 = time.monotonic()
     generator = make_generator(config.generator_spec)

@@ -337,7 +337,8 @@ def _floats(values):
 
 def _finites(values):
     values = _floats(values)
-    if values is not None and all(map(math.isfinite, values)):
+    # a finite sum has no inf or nan among its terms
+    if values is not None and (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         return values
     return None
 
@@ -394,23 +395,27 @@ def _array(read_item, length: int | None = None, what: str = "items"):
     return read
 
 
-# an id as ``str`` writes it, so each id has one key
-_ID_KEY = re.compile(r"0|-?[1-9][0-9]*")
+# an id as ``str`` writes it, so each id has one key; and a comma-joined list of them
+_ID_TEXT = r"(?:0|-?[1-9][0-9]*)"
+_ID_KEY = re.compile(_ID_TEXT)
+_ID_KEYS = re.compile(f"(?:{_ID_TEXT}(?:,{_ID_TEXT})*)?")
 
 
 def _id_map(read_value):
     """Reader of an object keyed by decimal ids, as a map from int ids. The
     ids are read at once when every key is one as ``str`` writes it, which
-    is exactly when ``_ID_KEY`` matches it."""
+    is exactly when ``_ID_KEY`` matches it; the values then as one column."""
     def read(value):
         if not isinstance(value, dict):
             raise _expected("object", value)
-        keys = list(value)
         try:
-            ids = list(map(int, keys))
-        except ValueError:  # not a number, or too long a one
+            # every key is one as ``str`` writes it when their comma-joined
+            # list matches and each reads as an int: a key with a comma in
+            # it does not
+            ids = list(map(int, value)) if _ID_KEYS.fullmatch(",".join(value)) else None
+        except ValueError:  # a comma in a key, or too long an id
             ids = None
-        if ids is not None and list(map(str, ids)) == keys:
+        if ids is not None:
             out = _column(read_value)(list(value.values()))
             if out is not None:
                 return dict(zip(ids, out))
@@ -447,7 +452,7 @@ def _record(table: dict[type, tuple[_Field, ...]], cls: type):
     must all be known and the required ones present (the first one missing
     in table order is named), and each field is read in table order.
 
-    Its ``column`` reads a list of objects that share one key set, in one
+    Its ``column`` reads a list of objects that share one key set, in any
     key order, made of the table's first fields: each field as one column,
     each object built from its row of columns. A table lists the fields in
     the order of ``cls``'s constructor, so an absent trailing field takes
@@ -456,6 +461,10 @@ def _record(table: dict[type, tuple[_Field, ...]], cls: type):
     known = {f.key for f in fields}
     required = {f.key for f in fields if f.required}
     columns = [(operator.itemgetter(f.key), _column(f.read)) for f in fields]
+    # the key counts of the objects a column reads: the first n fields
+    # include every required one
+    shapes = {n for n in range(len(fields) + 1)
+              if required <= {f.key for f in fields[:n]}}
 
     def read(doc):
         if not isinstance(doc, dict):
@@ -480,18 +489,20 @@ def _record(table: dict[type, tuple[_Field, ...]], cls: type):
             return []
         if not _types(docs) <= {dict}:
             return None
-        shapes = set(map(tuple, docs))
-        if len(shapes) != 1:
+        sizes = set(map(len, docs))
+        n = sizes.pop()
+        if sizes or n not in shapes:
             return None
-        keys = set(shapes.pop())
-        n = len(keys)
-        if not (required <= keys and {f.key for f in fields[:n]} == keys):
-            return None
+        # each object has n keys, and each of the first n fields' keys is
+        # found in it (a KeyError otherwise): its keys are exactly those
         values = []
-        for get, bulk in columns[:n]:
-            values.append(bulk(list(map(get, docs))))
-            if values[-1] is None:
-                return None
+        try:
+            for get, bulk in columns[:n]:
+                values.append(bulk(list(map(get, docs))))
+                if values[-1] is None:
+                    return None
+        except KeyError:
+            return None
         return list(map(cls, *values))
     read.column = column
     return read
@@ -509,8 +520,9 @@ def _read_json(read, text: str):
 
 def _to_doc(value, table: dict[type, tuple[_Field, ...]]):
     """The document form of a value: a record's fields in table order, None
-    ones left out; a tuple as an array; a map by its keys in order, as
-    strings; a dof set in DOF_ORDER."""
+    ones left out; a tuple as an array; a map by its keys in ascending
+    order, as strings; a dof set in DOF_ORDER. A map from ints to floats,
+    or to tuples of floats, in key order is its own document form."""
     if isinstance(value, (float, int, str)):
         return value
     fields = table.get(type(value))
@@ -520,13 +532,15 @@ def _to_doc(value, table: dict[type, tuple[_Field, ...]]):
     if isinstance(value, (tuple, list)):
         return [_to_doc(v, table) for v in value]
     if isinstance(value, dict):
-        items = sorted(value.items())
-        kinds = _types(value.values())
-        if kinds <= {float}:
-            return {str(k): v for k, v in items}
-        if kinds <= {tuple} and _types(itertools.chain.from_iterable(value.values())) <= {float}:
-            return {str(k): list(v) for k, v in items}
-        return {str(k): _to_doc(v, table) for k, v in items}
+        keys = list(value)
+        if not all(map(operator.lt, keys, keys[1:])):  # not in ascending key order
+            value = dict(sorted(value.items()))
+        values = value.values()
+        kinds = _types(values)
+        if _types(value) <= {int} and (kinds <= {float} or (
+                kinds <= {tuple} and _types(itertools.chain.from_iterable(values)) <= {float})):
+            return value  # JSON writes an int key as str does, and a tuple as an array
+        return {str(k): _to_doc(v, table) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return [d for d in DOF_ORDER if d in value]
     return value

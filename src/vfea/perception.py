@@ -314,7 +314,8 @@ class ContextDirectives:
 
 
 def parse_context(text: str) -> ContextDirectives:
-    """Parse the line-oriented ``key: value`` context directives."""
+    """Parse the line-oriented ``key: value`` context directives; ``#``
+    starts a comment."""
     material = DEFAULT_MATERIAL
     section = DEFAULT_SECTION
     element_kind = "frame_beam"
@@ -323,10 +324,11 @@ def parse_context(text: str) -> ContextDirectives:
     volfrac = None
     opt_iterations = None
     kept: list[str] = []
-    # lines end at \n, \r\n or \r, as in scripts (simscript.parse_script)
+    # lines end at \n, \r\n or \r, and # starts a comment, as in scripts
+    # (simscript.parse_script)
     for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#") or ":" not in line:
+        line = raw.split("#", 1)[0].strip()
+        if not line or ":" not in line:
             continue
         kept.append(line)
         key, value = (part.strip() for part in line.split(":", 1))

@@ -15,10 +15,11 @@ import os
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
+from .ir import (_ID, _NODE_ID, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section, _Defect, _Field, _array, _expected,
                  _finite, _id_map, _read_json, _record, _text, _to_doc)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
@@ -142,7 +143,9 @@ def _read_result_set(doc):
 def write_results_file(rs, path: str | Path) -> None:
     """Write the results of one analysis, tagged with its ``result_kind``."""
     doc = {"result_kind": _RESULT_KINDS[type(rs)], **_to_doc(rs, _RESULTS)}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    # no cycle to look for: the document's lists and records are new, and the
+    # result set's maps it holds as they are map ints to floats or float tuples
+    Path(path).write_text(json.dumps(doc, check_circular=False) + "\n", encoding="utf-8")
 
 
 def read_results(path: str | Path):
@@ -187,29 +190,32 @@ class _ModelBuilder:
         if not self.begun:
             raise _RuntimeStop("state", "no active model: missing 'model begin'")
 
-    def declare(self, entity: Entity):
-        """Store a declared entity under its id; a fix adds its dofs to those
-        already fixed at the node, a load adds to the node's load."""
-        self.require_begun()
-        if isinstance(entity, BoundaryCondition):
-            prev = self.bcs.get(entity.node_id)
-            dofs = entity.constrained_dofs | (prev.constrained_dofs if prev else frozenset())
-            self.bcs[entity.node_id] = BoundaryCondition(entity.node_id, dofs)
-        elif isinstance(entity, Load):
-            prev = self.loads.get(entity.node_id) or Load(entity.node_id)
-            self.loads[entity.node_id] = Load(entity.node_id, entity.fx + prev.fx,
-                                              entity.fy + prev.fy, entity.mz + prev.mz)
+    def declare(self, entities: Sequence[Entity]):
+        """Store the entities of one declaration run, all of one class, in
+        order: each under its id, except that a fix adds its dofs to those
+        already fixed at the node and a load adds to the node's load."""
+        kind = type(entities[0])
+        if kind is BoundaryCondition:
+            for entity in entities:
+                prev = self.bcs.get(entity.node_id)
+                dofs = entity.constrained_dofs | (prev.constrained_dofs if prev else frozenset())
+                self.bcs[entity.node_id] = BoundaryCondition(entity.node_id, dofs)
+        elif kind is Load:
+            for entity in entities:
+                prev = self.loads.get(entity.node_id) or Load(entity.node_id)
+                self.loads[entity.node_id] = Load(entity.node_id, entity.fx + prev.fx,
+                                                  entity.fy + prev.fy, entity.mz + prev.mz)
         else:
-            self._by_id[type(entity)][entity.id] = entity
+            self._by_id[kind].update(zip(map(_ID, entities), entities))
 
     def to_ir(self, analysis: AnalysisSpec) -> IRModel:
         return IRModel(
-            nodes=tuple(sorted(self.nodes.values(), key=lambda n: n.id)),
-            elements=tuple(sorted(self.elements.values(), key=lambda e: e.id)),
-            materials=tuple(sorted(self.materials.values(), key=lambda m: m.id)),
-            sections=tuple(sorted(self.sections.values(), key=lambda s: s.id)),
-            boundary_conditions=tuple(sorted(self.bcs.values(), key=lambda b: b.node_id)),
-            loads=tuple(sorted(self.loads.values(), key=lambda l: l.node_id)),
+            nodes=tuple(sorted(self.nodes.values(), key=_ID)),
+            elements=tuple(sorted(self.elements.values(), key=_ID)),
+            materials=tuple(sorted(self.materials.values(), key=_ID)),
+            sections=tuple(sorted(self.sections.values(), key=_ID)),
+            boundary_conditions=tuple(sorted(self.bcs.values(), key=_NODE_ID)),
+            loads=tuple(sorted(self.loads.values(), key=_NODE_ID)),
             analysis=analysis,
         )
 
@@ -269,18 +275,37 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             raise _RuntimeStop("isolation", f"artifact path escapes workspace: {p}")
         return Path(p) if os.path.isabs(p) else ws_root / p
 
+    def over_budget() -> _RuntimeStop:
+        return _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
+
     stmt = None
+    executed = 0  # lines run so far
+    line = None  # the line of the statement being run, or of the last one run
     try:
-        for executed, stmt in enumerate(program.statements):
+        for stmt in program.statements:
             if executed >= limits.max_statements:
-                raise _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
+                raise over_budget()
             if time.monotonic() - start > limits.max_wall_time:
                 raise _RuntimeStop(None, f"wall time budget ({limits.max_wall_time}s) exceeded")
-            log_lines.append(f"[line {stmt.line}] {stmt.source}")
+            if isinstance(stmt, Declare):
+                # the run's lines up to the end of the statement budget, at once
+                room = limits.max_statements - executed
+                lines, sources = stmt.lines[:room], stmt.sources[:room]
+                line = lines[0]
+                log_lines.append(f"[line {line}] {sources[0]}")
+                builder.require_begun()
+                log_lines += map("[line {}] {}".format, lines[1:], sources[1:])
+                builder.declare(stmt.entities[:room])
+                line = lines[-1]
+                executed += len(lines)
+                if len(lines) < len(stmt.lines):
+                    raise over_budget()
+                continue
+            line = stmt.line
+            executed += 1
+            log_lines.append(f"[line {line}] {stmt.source}")
             if isinstance(stmt, ModelBegin):
                 builder.begun = True
-            elif isinstance(stmt, Declare):
-                builder.declare(stmt.entity)
             elif isinstance(stmt, WorkspaceStmt):
                 resolve_path(stmt.path)  # containment check only
             elif isinstance(stmt, Delete):
@@ -344,11 +369,11 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             log_lines.append(f"abort: {exc}")
             return _finish(ws_root, log_lines, "ABORTED")
         log_lines.append(f"    ERROR {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt and stmt.line, str(exc)))
+        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, line, str(exc)))
     except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
             ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
         log_lines.append(f"    ERROR solver: {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
+        return _finish(ws_root, log_lines, "FAILED", Fault("solver", line, str(exc)))
     return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)
 
 

@@ -7,10 +7,12 @@ is how hallucinated constructs surface before execution.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                  Material, Node, Section, canonicalize, topology_params)
@@ -21,6 +23,9 @@ SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
 PROTECTED_ROOT = ("model", "root")
 
 RESULTS_FILENAME = "results.res"
+
+_FIRST = operator.itemgetter(0)
+_FORM = operator.itemgetter(2)
 
 Entity = Node | Material | Section | Element | BoundaryCondition | Load
 
@@ -65,10 +70,13 @@ class ModelBegin(Statement):
 
 
 @dataclass(frozen=True)
-class Declare(Statement):
-    """A ``node``, ``material``, ``section``, ``element``, ``fix`` or ``load``
-    statement, carrying the model entity it declares."""
-    entity: Entity
+class Declare:
+    """A run of consecutive ``node``, ``material``, ``section``, ``element``,
+    ``fix`` or ``load`` lines of one form: each line's number, its source
+    text and the model entity it declares."""
+    lines: tuple[int, ...]
+    sources: tuple[str, ...]
+    entities: tuple[Entity, ...]
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,9 @@ class End(Statement):
 
 @dataclass(frozen=True)
 class ScriptAST:
-    statements: tuple[Statement, ...]
+    """A program's statements in line order, each run of declarations of
+    one form as one ``Declare``."""
+    statements: tuple[Statement | Declare, ...]
 
 
 class _BadToken(ValueError):
@@ -131,7 +141,7 @@ _REASONS = {int: "expected an integer", float: "expected a number", _id: "expect
 
 
 def _declare(cls: type):
-    return lambda line, source, *values: Declare(line, source, cls(*values))
+    return lambda *columns: map(cls, *columns)
 
 
 def _analyze(mode: str, *params: str):
@@ -145,19 +155,23 @@ def _delete(*target: str):
 
 class _Form:
     """One statement form: ``tokens`` in line order, a keyword as a string
-    and an argument as the function that reads it; ``build(line, source,
-    *values)`` makes the statement; ``text`` prints what it carries (entity,
-    spec, path or target) and ``key`` selects it for printing; ``usage`` is
-    the reason for a line that names the form but does not fit it (by
-    default, the argument count); with ``optional`` the last argument may
-    be left out. A line's arguments are checked in the order the grammar has
-    always reported them: the optional one and the words first, then the
-    numbers from left to right."""
+    and an argument as the function that reads it. A form keyed by an
+    entity class declares that entity: its ``build(*columns)`` gives the
+    entities of a run of its lines from their argument columns. Any other
+    form's ``build(line, source, *values)`` makes the statement of one
+    line. ``text`` prints what a line carries (entity, spec, path or
+    target) and ``key`` selects it for printing; ``usage`` is the reason
+    for a line that names the form but does not fit it (by default, the
+    argument count); with ``optional`` the last argument may be left out,
+    and reads as None. A line's arguments are checked in the order the
+    grammar has always reported them: the optional one and the words
+    first, then the numbers from left to right."""
 
-    def __init__(self, tokens: tuple, build: Callable[..., Statement], key: object,
+    def __init__(self, tokens: tuple, build: Callable, key: object,
                  text: Callable[[object], str], usage: str | None = None,
                  optional: bool = False):
         self.tokens, self.build, self.key, self.text, self.usage = tokens, build, key, text, usage
+        self.declares = key in Entity.__args__
         self.words = tuple(t for t in tokens if isinstance(t, str))
         self.keywords = tuple((i, t) for i, t in enumerate(tokens) if i and isinstance(t, str))
         self.args = tuple((i, t) for i, t in enumerate(tokens) if not isinstance(t, str))
@@ -191,8 +205,7 @@ _STATEMENTS = (
     _Form(("node", int, float, float), _declare(Node), Node,
           lambda e: f"node {e.id} {e.x!r} {e.y!r}"),
     _Form(("element", int, _kind, int, int, int),
-          lambda line, source, i, kind, n1, n2, s: Declare(line, source,
-                                                           Element(i, kind, (n1, n2), s)),
+          lambda ids, kinds, n1, n2, sections: map(Element, ids, kinds, zip(n1, n2), sections),
           Element, lambda e: f"element {e.id} {KIND_TO_SCRIPT[e.kind]} {e.node_ids[0]} "
                              f"{e.node_ids[1]} {e.section_id}"),
     _Form(("fix", int, _dofs), _declare(BoundaryCondition), BoundaryCondition,
@@ -228,35 +241,84 @@ _TEXT = {f.key: f.text for f in _STATEMENTS}
 
 
 def parse_script(text: str) -> ScriptAST:
-    statements: list[Statement] = []
+    """The program of a script, read by columns: consecutive lines of one
+    head are read together, a run of one declaration form and one argument
+    count one argument column at a time, with one ``map`` of the column's
+    reader, and any other run line by line. Runs are read in line order,
+    and a run with a token its reader rejects is read again line by line,
+    so the error names the first line in error."""
     # lines end at \n, \r\n or \r, as in script.sim read back as text
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        code = raw.split("#", 1)[0].strip()
-        if not code:
-            continue
-        toks = code.split()
-        head = toks[0]
-        form = _FORMS.get(head) or _FORMS.get(tuple(toks[:2]))
-        if form is None:
-            if head in _UNKNOWN_FORM:
-                raise ScriptParseError(lineno, code, _UNKNOWN_FORM[head])
-            raise ScriptParseError(lineno, head, "unknown statement")
-        if len(toks) not in form.sizes or (
-                form.keywords and any(toks[i] != word for i, word in form.keywords)):
-            if form.usage is None:
-                raise ScriptParseError(lineno, " ".join(toks), f"'{' '.join(form.words)}' takes "
-                                       f"{len(form.tokens) - 1} arguments, got {len(toks) - 1}")
-            raise ScriptParseError(lineno, code, form.usage)
-        args = form.args if len(toks) == len(form.tokens) else form.args[:-1]
-        try:
-            values = [read(toks[i]) for i, read in args]
-        except ValueError:
-            raise form.rejected(toks, lineno) from None
-        statements.append(form.build(lineno, code, *values))
+    codes = ([raw.split("#", 1)[0].strip() for raw in lines] if "#" in text
+             else list(map(str.strip, lines)))
+    numbers = list(itertools.compress(itertools.count(1), codes))
+    codes = list(filter(None, codes))
+    toks = list(map(str.split, codes))
+    statements: list[Statement | Declare] = []
+    start = 0
+    for head, run in itertools.groupby(map(_FIRST, toks)):
+        end = start + len(list(run))
+        values = _columns(_FORMS.get(head), toks[start:end])
+        if values is None:
+            statements += _statements([
+                (n, code, *_read_line(n, code, t))
+                for n, code, t in zip(numbers[start:end], codes[start:end], toks[start:end])])
+        else:
+            statements.append(Declare(tuple(numbers[start:end]), tuple(codes[start:end]),
+                                      tuple(_FORMS[head].build(*values))))
+        start = end
     if not statements:
         raise ScriptParseError(0, "", "empty script")
     return ScriptAST(tuple(statements))
+
+
+def _columns(form: _Form | None, block: list[list[str]]) -> list[list] | None:
+    """The argument columns of a run of lines of one declaration form and
+    one argument count, each read with one ``map`` of its reader; None for
+    any other run, and for one with a token its reader rejects."""
+    if form is None or not form.declares or len(set(map(len, block))) != 1 \
+            or len(block[0]) not in form.sizes:
+        return None
+    columns = list(zip(*block))
+    try:
+        return [list(map(read, columns[i])) for i, read in form.args if i < len(columns)]
+    except ValueError:
+        return None
+
+
+def _read_line(lineno: int, code: str, toks: list[str]) -> tuple[_Form, list]:
+    """The form of one line, without its comment, and its argument values;
+    ScriptParseError when the line fits no form."""
+    head = toks[0]
+    form = _FORMS.get(head) or _FORMS.get(tuple(toks[:2]))
+    if form is None:
+        if head in _UNKNOWN_FORM:
+            raise ScriptParseError(lineno, code, _UNKNOWN_FORM[head])
+        raise ScriptParseError(lineno, head, "unknown statement")
+    if len(toks) not in form.sizes or (
+            form.keywords and any(toks[i] != word for i, word in form.keywords)):
+        if form.usage is None:
+            raise ScriptParseError(lineno, " ".join(toks), f"'{' '.join(form.words)}' takes "
+                                   f"{len(form.tokens) - 1} arguments, got {len(toks) - 1}")
+        raise ScriptParseError(lineno, code, form.usage)
+    try:
+        values = [read(toks[i]) for i, read in form.args if i < len(toks)]
+    except ValueError:
+        raise form.rejected(toks, lineno) from None
+    return form, values + [None] * (len(form.args) - len(values))
+
+
+def _statements(rows: list[tuple]) -> list[Statement | Declare]:
+    """The statements of read lines, each ``(line, source, form, values)``:
+    a run of declarations of one form becomes one ``Declare``."""
+    out: list[Statement | Declare] = []
+    for form, run in itertools.groupby(rows, key=_FORM):
+        if form.declares:
+            lines, sources, _, values = zip(*run)
+            out.append(Declare(lines, sources, tuple(form.build(*zip(*values)))))
+        else:
+            out += [form.build(line, source, *values) for line, source, _, values in run]
+    return out
 
 
 def _inside_workspace(root: str | Path, candidate: str) -> bool:
@@ -300,9 +362,10 @@ def lower_ir(model: IRModel) -> str:
     m = canonicalize(model)
     try:
         lines = [_TEXT[ModelBegin](None)]
-        for entities in (m.materials, m.sections, m.nodes, m.elements, m.boundary_conditions,
-                         m.loads):
-            lines += [_TEXT[type(e)](e) for e in entities]
+        for key, entities in ((Material, m.materials), (Section, m.sections), (Node, m.nodes),
+                              (Element, m.elements), (BoundaryCondition, m.boundary_conditions),
+                              (Load, m.loads)):
+            lines += map(_TEXT[key], entities)
         lines += [_TEXT[m.analysis.mode](m.analysis), _TEXT[WriteResults](RESULTS_FILENAME),
                   _TEXT[End](None)]
     except (KeyError, TypeError) as exc:  # an element kind, mode or count it cannot print

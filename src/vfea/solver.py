@@ -237,13 +237,19 @@ def _element_mass(g: _Group) -> np.ndarray:
     return t.transpose(0, 2, 1) @ _frame_mass_local(g.rho, g.A, g.L) @ t
 
 
+def _rz_nodes(model: IRModel) -> set[int]:
+    """The node ids that carry rz: frame-connected, loaded by a moment, or
+    with rz constrained."""
+    rz_nodes = {n for e in model.elements if e.kind == "frame_beam" for n in e.node_ids}
+    rz_nodes |= {l.node_id for l in model.loads if l.mz != 0.0}
+    rz_nodes |= {b.node_id for b in model.boundary_conditions if "rz" in b.constrained_dofs}
+    return rz_nodes
+
+
 def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
     """Allocate global dof indices: ux, uy at every node; rz only where it can
     carry stiffness (frame-connected), load, or an explicit constraint."""
-    frame_nodes = {n for e in model.elements if e.kind == "frame_beam" for n in e.node_ids}
-    rz_nodes = set(frame_nodes)
-    rz_nodes |= {l.node_id for l in model.loads if l.mz != 0.0}
-    rz_nodes |= {b.node_id for b in model.boundary_conditions if "rz" in b.constrained_dofs}
+    rz_nodes = _rz_nodes(model)
     index: dict[tuple[int, str], int] = {}
     for n in sorted(model.nodes, key=lambda n: n.id):
         index[(n.id, "ux")] = len(index)
@@ -258,7 +264,9 @@ def solved_dofs(model: IRModel) -> int:
     included: modal analysis splits each frame member into
     ``DEFAULT_MODAL_SUBDIVISIONS`` elements, whose interior nodes carry ux,
     uy and rz each."""
-    n = len(build_dof_index(model))
+    # ux and uy at every node, rz at those build_dof_index gives one
+    node_ids = set(map(_ID, model.nodes))
+    n = 2 * len(node_ids) + len(node_ids & _rz_nodes(model))
     if model.analysis.mode == "modal":
         frames = sum(e.kind != "truss_bar" for e in model.elements)
         n += 3 * (DEFAULT_MODAL_SUBDIVISIONS - 1) * frames

@@ -510,6 +510,50 @@ class TestRunCase:
         result = run_case(case, RunConfig(workspace_root=tmp_path / "ws"))
         assert result.error is None and result.metrics.execution_success
 
+    def test_malformed_reference_model_is_a_case_load_error(self, suite_dir, tmp_path,
+                                                           capsys):
+        suite = tmp_path / "suite"
+        shutil.copytree(suite_dir / "truss_two_bar", suite / "truss_two_bar")
+        truth = suite / "truss_two_bar" / "truth.ir.json"
+        truth.write_text('{"nodes": 5}')
+        config = RunConfig(workspace_root=tmp_path / "ws", memory_path=tmp_path / "m.jsonl")
+        message = (f"case truss_two_bar: reference model {truth}: "
+                   f"$.elements: missing required field")
+        with pytest.raises(CaseLoadError) as err:
+            run_case(load_case(suite / "truss_two_bar"), config)
+        assert str(err.value) == message
+        with pytest.raises(CaseLoadError):
+            harness.run_suite(load_suite(suite), config)
+        assert cli_main(["bench", "--suite", str(suite), "--memory",
+                         str(tmp_path / "m.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_the_perceived_model_is_audited_once(self, suite_dir, tmp_path, monkeypatch,
+                                                 with_truth):
+        # orchestrate returns only a model whose audit, L1 included, is
+        # clean, so run_case counts it schema-valid without a second check
+        monkeypatch.setattr(harness, "check_l1", lambda model: pytest.fail("checked again"))
+        case = load_case(suite_dir / "truss_two_bar")
+        if not with_truth:
+            case = replace(case, truth_ir_path=None)
+        result = run_case(case, RunConfig(workspace_root=tmp_path / "ws"))
+        assert result.metrics.schema_valid and result.metrics.execution_success
+
+
+def test_perceived_models_pass_the_l1_audit(suite_dir):
+    """The invariant run_case's schema_valid rests on, over every bundled
+    case and generated deck."""
+    cases = [load_case(p.parent) for p in sorted(suite_dir.glob("*/case.json"))]
+    for case in cases:
+        model = harness.orchestrate(case.drawing_path.read_text(),
+                                    case.context_path.read_text())
+        assert check_l1(model) == []
+    for make, size in ((workloads.truss_grid, (4, 2)), (workloads.truss_grid, (20, 10)),
+                       (workloads.frame, (4, 2)), (workloads.frame, (10, 5))):
+        drawing, context, _ = make(*size, random.Random(f"{make.__name__}{size}"))
+        assert check_l1(harness.orchestrate(json.dumps(drawing), context)) == []
+
 
 class TestGarbageCollection:
     """``run_case`` pauses the cyclic collector, and its premise: a case

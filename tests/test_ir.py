@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairs_within_reference
+import readers_reference
 from conftest import REPO_ROOT, SUITE_DIR, random_frame_model
 from vfea import ir, perception, sandbox
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
@@ -567,7 +568,8 @@ def inject(doc, rng: random.Random) -> None:
     elif edit == "add":
         parent["zz"] = 1
     elif edit == "rename":  # where it stands
-        new = rng.choice([f"0{key}", f"+{key}", f" {key}", f"{key}_", "-0"])
+        new = rng.choice([f"0{key}", f"+{key}", f" {key}", f"{key}_", "-0", f"{key},{key}",
+                          "\u0661"])
         items = [(new if k == key else k, v) for k, v in parent.items()]
         parent.clear()
         parent.update(items)
@@ -616,3 +618,38 @@ def test_valid_documents_are_read_in_bulk(kind):
         with mock.patch.object(ir, "_column", spy):
             assert read_outcome(read, text) == item_by_item(read, text)
     assert taken and all(taken)
+
+
+# The readers each document had before its current column paths.
+REFERENCE_READERS = {"ir": readers_reference.read_model,
+                     "drawing": readers_reference.read_drawing,
+                     "results": readers_reference.read_result_set}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(DOCUMENTS)), st.integers(0, 2), st.integers(0, 2 ** 32))
+def test_readers_agree_with_the_reference(kind, defects, seed):
+    """The same value, or the same defect path and reason, as the reader
+    each document had before."""
+    make, read = DOCUMENTS[kind]
+    rng = random.Random(seed)
+    doc = make(rng)
+    for _ in range(defects):
+        inject(doc, rng)
+    text = json.dumps(doc)
+    assert read_outcome(read, text) == read_outcome(REFERENCE_READERS[kind], text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_results_writer_agrees_with_the_reference(tmp_path_factory, seed):
+    """The bytes ``write_results_file`` writes are the reference's, maps
+    given out of id order included."""
+    rng = random.Random(seed)
+    rs = sandbox._read_result_set(results_doc(rng))
+    maps = {f.attr: getattr(rs, f.attr) for f in sandbox._RESULTS[type(rs)]
+            if isinstance(getattr(rs, f.attr), dict) and rng.random() < 0.5}
+    rs = replace(rs, **{k: dict(rng.sample(list(v.items()), len(v))) for k, v in maps.items()})
+    path = tmp_path_factory.mktemp("results") / "results.res"
+    sandbox.write_results_file(rs, path)
+    assert path.read_text() == json.dumps(readers_reference.results_doc(rs)) + "\n"

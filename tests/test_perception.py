@@ -348,6 +348,25 @@ def test_context_lines_end_where_script_lines_end(end):
         "modal", 4, "truss_bar")
 
 
+def test_documented_context_example_parses():
+    doc = (SUITE_DIR.parent / "docs" / "drawing-format.md").read_text(encoding="utf-8")
+    block = doc.split("## Context text", 1)[1].split("```")[1]
+    directives = perception.parse_context(block)
+    assert (directives.material.youngs_modulus, directives.material.poisson_ratio,
+            directives.material.density) == (210e9, 0.3, 7850.0)
+    assert (directives.section.area, directives.section.moment_of_inertia) == (0.01, 1e-6)
+    assert (directives.element_kind, directives.mode, directives.modal_count,
+            directives.volfrac, directives.opt_iterations) == ("frame_beam", "static", 3, 0.5, 40)
+    assert directives.lines[2] == "elements: frame"
+
+
+def test_hash_starts_a_context_comment():
+    directives = perception.parse_context("# elements: truss\nmode: modal # static\n"
+                                          "modal_count: 2#3\n")
+    assert (directives.element_kind, directives.mode, directives.modal_count,
+            directives.lines) == ("frame_beam", "modal", 2, ("mode: modal", "modal_count: 2"))
+
+
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
 def test_other_line_breaks_stay_inside_a_directive(separator):

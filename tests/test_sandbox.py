@@ -4,24 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import subprocess
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import interpret_reference as reference
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
-                      two_bar_truss)
+                      random_frame_model, two_bar_truss)
 from vfea import simscript, solver
 from vfea.ir import ANALYSIS_MODES, AnalysisSpec, BoundaryCondition, Element, Node
 from vfea.perception import SemanticsError, parse_context
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
                           ResultsCorruptError, ResultsMissingError, WorkspaceError,
-                          allocate_workspace, execute, read_results, write_results_file)
+                          _interpret, allocate_workspace, execute, read_results,
+                          write_results_file)
 from vfea.simscript import Fault, ScriptAST, lower_ir, parse_script
 from vfea.solver import TopoResult, optimize_topology, solve_modal, solve_static
 from vfea.synthesis import verify_results
@@ -543,3 +547,64 @@ class TestAnalysisTable:
                       Limits())
         assert out.status == "COMPLETED"
         assert len(calls) == 1
+
+
+# Lines for the interpreter oracle to put among a lowered script's
+# declarations: each statement kind, deletes that hit and miss, paths
+# inside and outside the workspace, and declarations that repeat an id or
+# fix and load a node again.
+_EXTRA_LINES = [
+    "model begin", "delete element 1", "delete node 2", "delete node 99", "delete model root",
+    "workspace sub", "workspace /etc", "analyze static", "analyze modal count 2",
+    "write_results results.res", "write_results ../out.res", "end",
+    "fix 1 ux", "fix 2 uy,rz", "fix 1 rz", "load 2 1.5 -2 0", "load 2 0 0 3", "load 1 -4 0 0",
+    "node 1 0.5 0.5", "node 2 2 0", "element 1 truss 1 2 1", "element 1 frame 1 2 1",
+    "material 1 1e9 0.3 7850", "section 1 1 0.02", "section 1 1 0.01 1e-6",
+]
+
+
+@st.composite
+def _programs(draw):
+    """A lowered script's lines with its declarations split into runs by
+    other statements, some declarations repeated, ``model begin`` moved or
+    dropped and the closing statements dropped or repeated; and a
+    statement budget that may end anywhere in it."""
+    model = draw(st.sampled_from([cantilever_model(), two_bar_truss(), modal_cantilever()])
+                 | st.integers(0, 10_000).map(lambda n: random_frame_model(random.Random(n))))
+    script = lower_ir(model).splitlines()
+    declarations, tail = script[1:-3], script[-3:]
+    lines = list(declarations)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(declarations) | st.sampled_from(_EXTRA_LINES)))
+    begin = draw(st.sampled_from(["first", "first", "first", "anywhere", "none"]))
+    if begin != "none":
+        lines.insert(0 if begin == "first" else draw(st.integers(0, len(lines))), "model begin")
+    lines += draw(st.sampled_from([tail, tail, tail, tail[:-1], tail[1:], tail + tail[-2:], [],
+                                   []]))
+    if not lines:
+        lines = ["end"]
+    budget = draw(st.just(10_000) | st.integers(1, len(lines) + 1))
+    return "\n".join(lines) + "\n", Limits(max_statements=budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+@example(("model begin\nnode 1 0 0\nnode 2 1 0\n", Limits(max_statements=2)))  # cut in the last run
+@example(("node 1 0 0\nnode 2 1 0\nmodel begin\nend\n", Limits()))  # before model begin
+def test_interpreter_agrees_with_the_reference(case):
+    """Same status, fault, run.log and results bytes as the interpreter
+    that runs one statement per line."""
+    text, limits = case
+    program = parse_script(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name, run in (("runs", _interpret), ("lines", reference.interpret)):
+            root = Path(tmp) / name
+            root.mkdir()
+            out = run(program, root, limits, time.monotonic())
+            results = out.results_path and (out.results_path.relative_to(root),
+                                            out.results_path.read_bytes())
+            runs.append((out.status, out.runtime_error, out.log, results,
+                         (root / "run.log").read_bytes()))
+        assert runs[0] == runs[1]

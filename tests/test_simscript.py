@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import fields, replace
@@ -16,7 +17,7 @@ from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
 from vfea.ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, ELEMENT_KINDS,
                      AnalysisSpec, BoundaryCondition, Element, Load, Material, Node, Section)
-from vfea.simscript import (_STATEMENTS, _TEXT, End, ModelBegin, ScriptParseError,
+from vfea.simscript import (_STATEMENTS, _TEXT, Declare, End, ModelBegin, ScriptParseError,
                             WorkspaceStmt, WriteResults, lower_ir, parse_script, preflight)
 from vfea.validation import audit
 
@@ -41,7 +42,8 @@ class TestParse:
         kinds = [type(s).__name__ for s in ast.statements]
         assert kinds[0] == "ModelBegin"
         assert kinds[-3:] == ["Analyze", "WriteResults", "End"]
-        assert [s.line for s in ast.statements] == sorted(s.line for s in ast.statements)
+        lines = [line for _, line, _, _ in _lines(ast)]
+        assert lines == sorted(lines) == list(range(1, 12))
 
     def test_unknown_statement_is_parse_error(self):
         bad = MINIMAL.replace("analyze static", "mesh_edges part1")
@@ -60,6 +62,17 @@ class TestParse:
         ast = parse_script("# header\n\nmodel begin  # trailing\nend\n")
         assert isinstance(ast.statements[0], ModelBegin)
         assert ast.statements[0].line == 3
+
+    def test_commented_declarations_are_one_run(self):
+        ast = parse_script("model begin\nnode 1 0 0  # left\n# right:\nnode 2 1.5 0\nend\n")
+        run = ast.statements[1]
+        assert (run.lines, run.sources) == ((2, 4), ("node 1 0 0", "node 2 1.5 0"))
+        assert run.entities == (Node(1, 0.0, 0.0), Node(2, 1.5, 0.0))
+
+    def test_bad_token_in_a_run_names_its_line(self):
+        with pytest.raises(ScriptParseError) as err:
+            parse_script("model begin\nnode 1 0 0  # ok\nnode 2 x 0\nnode 3 0 y\nend\n")
+        assert (err.value.line, err.value.token, err.value.reason) == (3, "x", "expected a number")
 
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                      "\u2028", "\u2029"])
@@ -137,6 +150,17 @@ def _carried(stmt):
                  if f.name not in ("line", "source")), None)
 
 
+def _lines(ast):
+    """A program's statements one line each, as (class name, line, source,
+    what it carries): a run of declarations gives one ``Declare`` per line.
+    A statement of the reference parser carries no source."""
+    for s in ast.statements:
+        if isinstance(s, Declare):
+            yield from zip(itertools.repeat("Declare"), s.lines, s.sources, s.entities)
+        else:
+            yield type(s).__name__, s.line, getattr(s, "source", None), _carried(s)
+
+
 def _with_priors(value):
     if isinstance(value, AnalysisSpec) and value.mode == "topology_optimization":
         return replace(value, opt_volume_fraction=(DEFAULT_VOLFRAC if value.opt_volume_fraction
@@ -157,17 +181,17 @@ def test_every_form_has_values_to_print():
 def test_each_form_parses_what_it_prints(form, data):
     value = data.draw(_VALUES[form.key])
     line = form.text(value)
-    (stmt,) = parse_script(line).statements
-    assert (stmt.line, stmt.source) == (1, line)
-    assert _carried(stmt) == _with_priors(value)
-    assert form.text(_carried(stmt)) == line  # keeps what equality cannot see, like -0.0
+    ((_, lineno, source, carried),) = _lines(parse_script(line))
+    assert (lineno, source) == (1, line)
+    assert carried == _with_priors(value)
+    assert form.text(carried) == line  # keeps what equality cannot see, like -0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_lowered_script_is_its_statements_sources(seed):
     script = lower_ir(random_frame_model(random.Random(seed)))
-    assert "\n".join(s.source for s in parse_script(script).statements) + "\n" == script
+    assert "\n".join(source for _, _, source, _ in _lines(parse_script(script))) + "\n" == script
 
 
 def _shape(tokens, optional: bool) -> tuple[str, ...]:
@@ -253,7 +277,7 @@ def _parsed(parse, text: str):
         ast = parse(text)
     except ScriptParseError as exc:
         return ("error", exc.line, exc.token, exc.reason)
-    return [(type(s).__name__, s.line, repr(_carried(s))) for s in ast.statements]
+    return [(name, line, repr(carried)) for name, line, _, carried in _lines(ast)]
 
 
 @settings(max_examples=500, deadline=None)
