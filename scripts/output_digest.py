@@ -17,6 +17,11 @@ seed (default: 1). Families:
   run.log[hand]   the run logs of hand-written variants of one bundled
                   case's lowered script (comments, runs of spaces, fix dofs
                   in another order, CRLF line ends), in both modes
+  run.log[modes]  the run logs of one small truss grid's script ending in
+                  each analyze variant of MODE_VARIANTS, in both modes
+  context[modes]  the perceived IR, or the perception error and its
+                  findings, of one bundled drawing under each context
+                  variant of context_variants
   bench:GEN       `vfea bench` markdown, per-case reports and summary.json
                   over the bundled cases, for the perfect generator and
                   every faulty:* generator
@@ -48,9 +53,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from vfea import cli  # noqa: E402
 from vfea.harness import RunConfig, load_case, load_suite, run_case  # noqa: E402
-from vfea.ir import serialize  # noqa: E402
-from vfea.perception import orchestrate  # noqa: E402
-from vfea.sandbox import Limits, allocate_workspace, execute  # noqa: E402
+from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,  # noqa: E402
+                     Material, Node, Section, serialize)
+from vfea.perception import PerceptionFailure, SemanticsError, orchestrate  # noqa: E402
+from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits,  # noqa: E402
+                          allocate_workspace, execute)
 from vfea.simscript import lower_ir  # noqa: E402
 
 # The bundled case whose lowered script is rewritten by hand; it fixes
@@ -66,6 +73,23 @@ HAND_EDITS = {
         script, flags=re.M),
     "crlf": lambda script: script.replace("\n", "\r\n"),
 }
+
+# Each analyze statement a script may end in: every mode, with counts and
+# volume fractions at and past the ends of their ranges and budgets.
+MODE_VARIANTS = [
+    "analyze static",
+    *(f"analyze modal count {n}" for n in (0, 1, 3, MAX_MODES + 1, 10**30)),
+    *(f"analyze topopt volfrac {v} iters 10" for v in ("0", "1e-6", "0.5", "1", "1.5")),
+    *(f"analyze topopt volfrac 0.5 iters {n}"
+      for n in (0, 1, MAX_OC_ITERATIONS, MAX_OC_ITERATIONS + 1)),
+]
+# The bundled case whose drawing is perceived under context variants.
+CONTEXT_CASE = "topopt_ground"
+CONTEXT_PARAMS = ["", "modal_count: 0", "modal_count: 1", "modal_count: 3", "modal_count: -2",
+                  "modal_count: 1.5", "volfrac: 0", "volfrac: 1e-300", "volfrac: 5e-7",
+                  "volfrac: 1e-6", "volfrac: 0.5", "volfrac: 1", "volfrac: 1.5", "volfrac: nan",
+                  "opt_iterations: 0", "opt_iterations: 1", "opt_iterations: 40",
+                  "opt_iterations: 201"]
 
 GENERATORS = ("perfect",
               *(f"faulty:{kind}{tail}" for tail in ("", ":stubborn")
@@ -119,6 +143,63 @@ def hand_artifacts(digests: Digests, script: str, work: Path) -> None:
             digests.add("run.log[hand]", (ws.root / "run.log").read_bytes())
 
 
+def modes_model() -> IRModel:
+    """A truss grid of 11 x 6 nodes, 132 dofs, so that every modal count
+    past MAX_MODES meets the mode budget: each cell braced by one diagonal,
+    pinned at both bottom corners and loaded at the top middle."""
+    node = {(i, j): 1 + 6 * i + j for i in range(11) for j in range(6)}
+    pairs = [(node[i, j], node[i + di, j + dj]) for (i, j) in node
+             for di, dj in ((1, 0), (0, 1), (1, 1)) if (i + di, j + dj) in node]
+    pin = frozenset({"ux", "uy"})
+    return IRModel(
+        nodes=tuple(Node(n, float(i), float(j)) for (i, j), n in node.items()),
+        elements=tuple(Element(k, "truss_bar", pair, 1) for k, pair in enumerate(pairs, 1)),
+        materials=(Material(1, 210e9, 0.3, 7850.0),), sections=(Section(1, 1, 0.01),),
+        boundary_conditions=(BoundaryCondition(node[0, 0], pin),
+                             BoundaryCondition(node[10, 0], pin)),
+        loads=(Load(node[5, 5], 0.0, -1e4, 0.0),), analysis=AnalysisSpec())
+
+
+def mode_artifacts(digests: Digests, work: Path) -> None:
+    """Execute the small grid's script ending in each analyze variant, in
+    both modes, and add its run log."""
+    script = lower_ir(modes_model())
+    for variant in MODE_VARIANTS:
+        for mode in ("inprocess", "subprocess"):
+            ws = allocate_workspace(work / "modes", "modes")
+            execute(script.replace("analyze static", variant), ws, Limits(), mode=mode)
+            digests.add("run.log[modes]", (ws.root / "run.log").read_bytes())
+
+
+def context_variants(context: str) -> list[str]:
+    """The case's context with each mode directive or none, and each one
+    parameter directive or none; and in topology optimisation without its
+    element kind directive, which leaves frame elements."""
+    base = re.sub(r"^(mode|modal_count|volfrac|opt_iterations):.*\n", "", context, flags=re.M)
+    variants = [base + mode + param + "\n"
+                for mode in ("", "mode: static\n", "mode: modal\n",
+                             "mode: topology_optimization\n")
+                for param in CONTEXT_PARAMS]
+    return variants + [v.replace("elements: truss\n", "") for v in variants
+                       if "topology_optimization" in v]
+
+
+def context_artifacts(digests: Digests, case) -> None:
+    """Perceive the case's drawing under each context variant and add the
+    model's IR, or the error with its findings."""
+    drawing = case.drawing_path.read_text(encoding="utf-8")
+    for context in context_variants(case.context_path.read_text(encoding="utf-8")):
+        try:
+            out = serialize(orchestrate(drawing, context))
+        except PerceptionFailure as exc:
+            out = "".join([f"{type(exc).__name__}: {exc}\n",
+                           *(f"{f.code} {f.subject}: {f.message}\n"
+                             for f in exc.report.findings)])
+        except SemanticsError as exc:
+            out = f"{type(exc).__name__}: {exc}\n"
+        digests.add("context[modes]", context + "---\n" + out)
+
+
 def bench_artifacts(digests: Digests, suite: Path, work: Path, generator: str) -> None:
     out = work / f"bench-{generator.replace(':', '_')}"
     memory = work / f"memory-{generator.replace(':', '_')}.jsonl"
@@ -169,6 +250,8 @@ def main() -> int:
         for case in bundled:
             run_artifacts(digests, case, work, "subprocess")
         hand_artifacts(digests, hand_script, work)
+        mode_artifacts(digests, work)
+        context_artifacts(digests, next(c for c in bundled if c.case_id == CONTEXT_CASE))
         for generator in GENERATORS:
             bench_artifacts(digests, ROOT / "cases", work, generator)
     print(f"# seeds {' '.join(map(str, seeds))}")

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (CaseLoadError, CaseSpec, RunConfig, aggregate,
+from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, aggregate,
                       emit_report, evaluate_ir, load_suite, run_case, run_suite)
 from .ir import SchemaParseError, deserialize
 from .memory import ExperienceBuffer, MemoryPersistError
@@ -95,10 +95,8 @@ def cmd_eval(args) -> int:
         return 2
     m = evaluate_ir(pred, truth)
     print(f"schema_valid: {str(m.schema_valid).lower()}")
-    for name, v in (("node_accuracy", m.node_accuracy),
-                    ("connectivity_f1", m.connectivity_f1),
-                    ("bc_detection", m.bc_detection), ("overall", m.overall)):
-        print(f"{name}: {v:.6f}")
+    for name in SCORES:
+        print(f"{name}: {getattr(m, name):.6f}")
     return 0
 
 

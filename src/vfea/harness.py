@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,6 +39,8 @@ from .synthesis import (FallbackFailureError, SynthesisExhaustedError,
 from .validation import check_l1
 
 DEFAULT_MATCH_TOLERANCE = 0.02   # of the reference bounding-box diagonal
+# the scores of a model against its reference, each None without one
+SCORES = ("node_accuracy", "connectivity_f1", "bc_detection", "overall")
 WORKSPACE_ROOT_ENV = "VFEA_WORKSPACE_ROOT"
 
 
@@ -302,11 +304,9 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
                             f"{exc}") from None
 
     buffer = buffer if buffer is not None else ExperienceBuffer(config.memory_path)
-    empty_metrics = Metrics(schema_valid=False, node_accuracy=0.0, connectivity_f1=0.0,
-                            bc_detection=0.0, overall=0.0) if truth else \
-        Metrics(schema_valid=False, node_accuracy=None, connectivity_f1=None,
-                bc_detection=None, overall=None)
-    report = CaseReport(case_id=case.case_id, metrics=empty_metrics, trace=TraceSummary())
+    unscored = dict.fromkeys(SCORES, 0.0 if truth else None)  # scored after perception
+    report = CaseReport(case_id=case.case_id, metrics=Metrics(False, **unscored),
+                        trace=TraceSummary())
 
     t0 = time.monotonic()
     try:
@@ -388,16 +388,12 @@ def aggregate(reports: list[CaseReport]) -> SuiteSummary:
     for r in reports:
         if r.trace.retry_count is not None:
             histogram[r.trace.retry_count] = histogram.get(r.trace.retry_count, 0) + 1
+    scores = {name: _mean([v for r in reports if (v := getattr(r.metrics, name)) is not None])
+              for name in SCORES}
     return SuiteSummary(
         n_cases=len(reports),
         schema_validity=_mean([1.0 if r.metrics.schema_valid else 0.0 for r in reports]),
-        node_accuracy=_mean([r.metrics.node_accuracy for r in reports
-                             if r.metrics.node_accuracy is not None]),
-        connectivity_f1=_mean([r.metrics.connectivity_f1 for r in reports
-                               if r.metrics.connectivity_f1 is not None]),
-        bc_detection=_mean([r.metrics.bc_detection for r in reports
-                            if r.metrics.bc_detection is not None]),
-        overall=_mean([r.metrics.overall for r in reports if r.metrics.overall is not None]),
+        **scores,
         execution_success_rate=_mean([1.0 if r.metrics.execution_success else 0.0
                                       for r in reports]),
         fallback_activation_rate=_mean([1.0 if r.trace.fallback_used else 0.0
@@ -412,25 +408,8 @@ def _fmt(value: float | None) -> str:
 
 
 def _case_to_doc(r: CaseReport) -> dict:
-    return {
-        "case_id": r.case_id,
-        "metrics": {
-            "schema_valid": r.metrics.schema_valid,
-            "node_accuracy": r.metrics.node_accuracy,
-            "connectivity_f1": r.metrics.connectivity_f1,
-            "bc_detection": r.metrics.bc_detection,
-            "overall": r.metrics.overall,
-            "execution_success": r.metrics.execution_success,
-        },
-        "trace": {
-            "attempts": r.trace.attempts,
-            "retry_count": r.trace.retry_count,
-            "fallback_used": r.trace.fallback_used,
-            "lessons": list(r.trace.lessons),
-        },
-        "highlights": dict(sorted(r.highlights.items())),
-        "error": r.error,
-    }
+    return {"case_id": r.case_id, "metrics": asdict(r.metrics), "trace": asdict(r.trace),
+            "highlights": r.highlights, "error": r.error}
 
 
 def emit_report(obj: CaseReport | SuiteSummary, fmt: str = "markdown") -> str:
@@ -440,18 +419,9 @@ def emit_report(obj: CaseReport | SuiteSummary, fmt: str = "markdown") -> str:
         if isinstance(obj, CaseReport):
             doc = _case_to_doc(obj)
         else:
-            doc = {
-                "n_cases": obj.n_cases,
-                "schema_validity": obj.schema_validity,
-                "node_accuracy": obj.node_accuracy,
-                "connectivity_f1": obj.connectivity_f1,
-                "bc_detection": obj.bc_detection,
-                "overall": obj.overall,
-                "execution_success_rate": obj.execution_success_rate,
-                "fallback_activation_rate": obj.fallback_activation_rate,
-                "retry_histogram": {str(k): v for k, v in obj.retry_histogram.items()},
-                "cases": [_case_to_doc(r) for r in obj.reports],
-            }
+            doc = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "reports"}
+            doc["retry_histogram"] = {str(k): v for k, v in obj.retry_histogram.items()}
+            doc["cases"] = [_case_to_doc(r) for r in obj.reports]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt != "markdown":
         raise ValueError(f"unknown report format {fmt!r}")

@@ -20,7 +20,6 @@ import numpy as np
 
 DOF_ORDER = ("ux", "uy", "rz")
 ELEMENT_KINDS = ("truss_bar", "frame_beam")
-ANALYSIS_MODES = ("static", "modal", "topology_optimization")
 COORDINATE_MODES = ("metric", "normalized")
 
 ENTITY_CLASSES = ("nodes", "elements", "materials", "sections", "bcs", "loads")
@@ -95,17 +94,64 @@ class AnalysisSpec:
     opt_max_iterations: int | None = None
 
 
-# conservative priors of a topology optimisation that leaves its parameters unset
-DEFAULT_VOLFRAC = 0.5
-DEFAULT_OPT_ITERS = 50
+# Topology optimisation sizes no bar below this fraction of the largest section area
+AREA_FLOOR_RATIO = 1e-6
+
+
+class ModeParam(NamedTuple):
+    """A parameter of an analysis mode: its ``AnalysisSpec`` field, IR key,
+    context directive and script keyword; the reader (int or float) of its
+    directive value and script token; its range [low, high]; and its prior
+    where unset, which perception writes into the IR when ``kept`` (the IR
+    must then hold a value) and is otherwise applied where the value is used."""
+    attr: str
+    key: str
+    directive: str
+    word: str
+    read: type
+    low: float
+    high: float
+    prior: float
+    kept: bool = False
+
+
+class AnalysisMode(NamedTuple):
+    """An analysis mode: its script word after ``analyze``, its parameters,
+    whether it is driven by mass alone (its densities must be positive and
+    its loads may be empty), and the element kinds it accepts."""
+    word: str
+    params: tuple[ModeParam, ...]
+    needs_mass: bool
+    element_kinds: tuple[str, ...]
+
+    def values(self, spec: AnalysisSpec) -> tuple:
+        """The spec's parameter values, an unset one its prior unless kept."""
+        return tuple(p.prior if v is None and not p.kept else v
+                     for p in self.params for v in (getattr(spec, p.attr),))
+
+
+# One row per analysis mode for the spec, the context, the audit and the
+# script (docs/ir-schema.md); solver.ANALYSES holds the solver's, in this order.
+MODES = {
+    "static": AnalysisMode("static", (), needs_mass=False, element_kinds=ELEMENT_KINDS),
+    "modal": AnalysisMode(
+        "modal", (ModeParam("modal_count", "modal_count", "modal_count", "count", int,
+                            low=1, high=math.inf, prior=1, kept=True),),
+        needs_mass=True, element_kinds=ELEMENT_KINDS),
+    "topology_optimization": AnalysisMode(
+        "topopt", (ModeParam("opt_volume_fraction", "volfrac", "volfrac", "volfrac", float,
+                             low=AREA_FLOOR_RATIO, high=1.0, prior=0.5),
+                   ModeParam("opt_max_iterations", "max_iterations", "opt_iterations", "iters",
+                             int, low=1, high=math.inf, prior=50)),
+        needs_mass=False, element_kinds=("truss_bar",)),
+}
+ANALYSIS_MODES = tuple(MODES)
 
 
 def topology_params(analysis: AnalysisSpec) -> tuple[float, int]:
     """Volume fraction and iteration count of a topology optimisation, each
     its prior where the spec leaves it unset."""
-    volfrac, iters = analysis.opt_volume_fraction, analysis.opt_max_iterations
-    return (DEFAULT_VOLFRAC if volfrac is None else volfrac,
-            DEFAULT_OPT_ITERS if iters is None else iters)
+    return MODES["topology_optimization"].values(analysis)
 
 
 @dataclass(frozen=True)
@@ -564,9 +610,8 @@ _RECORDS: dict[type, tuple[_Field, ...]] = {
     Load: (_Field("node", "node_id", _int), _Field("fx", "fx", _float),
            _Field("fy", "fy", _float), _Field("mz", "mz", _float)),
     AnalysisSpec: (_Field("mode", "mode", _one_of(ANALYSIS_MODES)),
-                   _Field("modal_count", "modal_count", _int, required=False),
-                   _Field("volfrac", "opt_volume_fraction", _float, required=False),
-                   _Field("max_iterations", "opt_max_iterations", _int, required=False)),
+                   *(_Field(p.key, p.attr, {int: _int, float: _float}[p.read], required=False)
+                     for row in MODES.values() for p in row.params)),
 }
 _RECORDS[IRModel] = (
     _Field("nodes", "nodes", _array(_record(_RECORDS, Node))),

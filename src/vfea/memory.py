@@ -125,26 +125,17 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(union)
 
 
-def _signature_to_doc(sig: StructuralSignature) -> dict:
-    return {"n_nodes": sig.n_nodes, "n_elements": sig.n_elements,
-            "section_kinds": sorted(sig.section_kinds),
-            "n_loads": sig.n_loads, "n_bcs": sig.n_bcs}
-
-
 def _record_to_line(rec: ExperienceRecord) -> str:
-    doc = {
-        "signature": _signature_to_doc(rec.signature),
-        "error": None if rec.error is None else {
-            "category": rec.error.category,
-            "tokens": sorted(rec.error.tokens),
-            "line": rec.error.line,
-        },
-        "lesson": rec.lesson,
-        "script_excerpt": rec.script_excerpt,
-        "outcome": rec.outcome,
-        "created_at": rec.created_at,
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(_line_doc(rec), separators=(",", ":"))
+
+
+def _line_doc(value):
+    """The document form of a buffer line's value: a record's fields in
+    ``_LINE`` order, None ones as null, and a set of names sorted."""
+    fields = _LINE.get(type(value))
+    if fields is not None:
+        return {f.key: _line_doc(getattr(value, f.attr)) for f in fields}
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def _number(value):

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import (ANALYSIS_MODES, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, _Defect, _Field, _array, _finite, _int,
+from .ir import (ANALYSIS_MODES, MODES, AnalysisSpec, BoundaryCondition, Element, IRModel,
+                 Load, Material, Node, Section, _Defect, _Field, _array, _finite, _int,
                  _nullable, _one_of, _read_json, _record, _text, canonicalize,
                  pairs_within, unit_box)
 from .validation import (ValidationReport, accept_update, audit,
@@ -301,6 +301,13 @@ def parse_magnitude(label: str) -> float:
     return value * FORCE_UNITS[unit]
 
 
+# the element kind of each ``elements`` directive value, and the parameter
+# directives of every analysis mode, by directive
+_ELEMENT_DIRECTIVES = {"truss": "truss_bar", "truss_bar": "truss_bar",
+                       "frame": "frame_beam", "frame_beam": "frame_beam"}
+_PARAMS = {p.directive: p for row in MODES.values() for p in row.params}
+
+
 @dataclass(frozen=True)
 class ContextDirectives:
     material: Material = DEFAULT_MATERIAL
@@ -316,13 +323,7 @@ class ContextDirectives:
 def parse_context(text: str) -> ContextDirectives:
     """Parse the line-oriented ``key: value`` context directives; ``#``
     starts a comment."""
-    material = DEFAULT_MATERIAL
-    section = DEFAULT_SECTION
-    element_kind = "frame_beam"
-    mode = "static"
-    modal_count = None
-    volfrac = None
-    opt_iterations = None
+    found: dict[str, object] = {}  # ContextDirectives fields set by a directive
     kept: list[str] = []
     # lines end at \n, \r\n or \r, and # starts a comment, as in scripts
     # (simscript.parse_script)
@@ -334,44 +335,31 @@ def parse_context(text: str) -> ContextDirectives:
         key, value = (part.strip() for part in line.split(":", 1))
         key = key.lower()
         try:
+            if key in ("material", "section"):
+                props = {k.lower(): v for k, v in (tok.split("=", 1) for tok in value.split())}
             if key == "material":
-                props = {k.lower(): v for k, v in
-                         (tok.split("=", 1) for tok in value.split())}
-                material = Material(id=1,
-                                    youngs_modulus=float(props.get("e", 210e9)),
-                                    poisson_ratio=float(props.get("nu", 0.3)),
-                                    density=float(props.get("rho", 7850.0)))
+                found["material"] = Material(
+                    1, float(props.get("e", DEFAULT_MATERIAL.youngs_modulus)),
+                    float(props.get("nu", DEFAULT_MATERIAL.poisson_ratio)),
+                    float(props.get("rho", DEFAULT_MATERIAL.density)))
             elif key == "section":
-                props = {k.lower(): v for k, v in
-                         (tok.split("=", 1) for tok in value.split())}
-                inertia = float(props["i"]) if "i" in props else DEFAULT_SECTION.moment_of_inertia
-                section = Section(id=1, material_id=1,
-                                  area=float(props.get("a", DEFAULT_SECTION.area)),
-                                  moment_of_inertia=inertia)
+                inertia = float(props.get("i", DEFAULT_SECTION.moment_of_inertia))
+                found["section"] = Section(1, 1, float(props.get("a", DEFAULT_SECTION.area)),
+                                           inertia)
             elif key == "elements":
-                v = value.lower()
-                if v in ("truss", "truss_bar"):
-                    element_kind = "truss_bar"
-                elif v in ("frame", "frame_beam"):
-                    element_kind = "frame_beam"
-                else:
+                if value.lower() not in _ELEMENT_DIRECTIVES:
                     raise SemanticsError(f"unknown element kind directive {value!r}")
+                found["element_kind"] = _ELEMENT_DIRECTIVES[value.lower()]
             elif key == "mode":
                 if value not in ANALYSIS_MODES:
                     raise SemanticsError(f"unknown analysis mode {value!r}")
-                mode = value
-            elif key == "modal_count":
-                modal_count = int(value)
-            elif key == "volfrac":
-                volfrac = float(value)
-            elif key == "opt_iterations":
-                opt_iterations = int(value)
+                found["mode"] = value
+            elif key in _PARAMS:
+                found[key] = _PARAMS[key].read(value)
             # unknown keys are free-text context and simply ignored
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise SemanticsError(f"malformed context directive {line!r}: {exc}") from None
-    return ContextDirectives(material=material, section=section, element_kind=element_kind,
-                             mode=mode, modal_count=modal_count, volfrac=volfrac,
-                             opt_iterations=opt_iterations, lines=tuple(kept))
+    return ContextDirectives(**found, lines=tuple(kept))
 
 
 def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
@@ -434,15 +422,10 @@ def attach_semantics(drawing: PrimitiveDrawing,
         acc[1] += magnitude * a.direction[1]
     loads = tuple(Load(nid, fx, fy, mz) for nid, (fx, fy, mz) in sorted(load_sum.items()))
 
-    if ctx.mode == "modal":
-        count = 1 if ctx.modal_count is None else ctx.modal_count  # audited by check_l1
-        analysis = AnalysisSpec(mode="modal", modal_count=count)
-    elif ctx.mode == "topology_optimization":
-        analysis = AnalysisSpec(mode="topology_optimization",
-                                opt_volume_fraction=ctx.volfrac,
-                                opt_max_iterations=ctx.opt_iterations)
-    else:
-        analysis = AnalysisSpec(mode="static")
+    # the mode's parameters as directed, or their kept priors; check_l1 audits them
+    analysis = AnalysisSpec(ctx.mode, **{
+        p.attr: p.prior if value is None and p.kept else value
+        for p in MODES[ctx.mode].params for value in (getattr(ctx, p.directive),)})
 
     provenance = (f"scale={scale.mode}"
                   + (f" {scale.meters_per_pixel:.6g} m/px" if scale.meters_per_pixel else "")

@@ -40,6 +40,8 @@ MAX_MODES = 100
 # before it starts. At the default dof budget an iteration takes ~0.2 s, so
 # 200 of them fit the default 60-s wall-time budget.
 MAX_OC_ITERATIONS = 200
+# The limit of each unit of budgeted solver work; a run without any does none
+_WORK_LIMITS = {"mode": MAX_MODES, "iteration": MAX_OC_ITERATIONS, None: 0}
 
 _alloc_counter = itertools.count(1)
 # The directory that holds the vfea package, first on the child's import path.
@@ -220,6 +222,13 @@ class _ModelBuilder:
         )
 
 
+def _check_work(spec: AnalysisSpec, n_dofs: int) -> None:
+    """Abort a run of an L1-clean spec whose budgeted work (``solver.ANALYSES``) is too much."""
+    unit, count = ANALYSES[spec.mode].work(spec, n_dofs)
+    if count > _WORK_LIMITS[unit]:
+        raise _RuntimeStop(None, f"{unit} budget exceeded ({count} > {_WORK_LIMITS[unit]} {unit}s)")
+
+
 def execute(script_text: str, workspace: Workspace, limits: Limits,
             mode: str = "inprocess", program: ScriptAST | None = None) -> ExecutionOutcome:
     """Interpret a script inside its workspace under the resource budget.
@@ -332,14 +341,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop(None, f"solver budget exceeded "
                                              f"({n_dofs} > {limits.max_solver_dofs} dofs)")
-                # check_l1 has required a positive modal_count
-                modes = min(spec.modal_count, n_dofs) if spec.mode == "modal" else 0
-                if modes > MAX_MODES:
-                    raise _RuntimeStop(None, f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
-                iters = spec.opt_max_iterations
-                if spec.mode == "topology_optimization" and iters > MAX_OC_ITERATIONS:
-                    raise _RuntimeStop(None, f"iteration budget exceeded "
-                                             f"({iters} > {MAX_OC_ITERATIONS} iterations)")
+                _check_work(spec, n_dofs)
                 results = ANALYSES[spec.mode].run(model)
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):

@@ -14,8 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, canonicalize, topology_params)
+from .ir import (DOF_ORDER, MODES, AnalysisMode, AnalysisSpec, BoundaryCondition, Element,
+                 IRModel, Load, Material, Node, Section, canonicalize)
 
 KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
 SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
@@ -144,11 +144,6 @@ def _declare(cls: type):
     return lambda *columns: map(cls, *columns)
 
 
-def _analyze(mode: str, *params: str):
-    return lambda line, source, *values: Analyze(
-        line, source, AnalysisSpec(mode, **dict(zip(params, values))))
-
-
 def _delete(*target: str):
     return lambda line, source, *values: Delete(line, source, (*target, *values))
 
@@ -191,6 +186,27 @@ class _Form:
                     return ScriptParseError(line, toks[i], _REASONS[read])
 
 
+# A parameter value's usage placeholder and format, by its reader; ``:d``
+# refuses an unset kept parameter, so a spec without it does not lower
+_VALUE_TEXT = {int: ("<n>", "{:d}"), float: ("<v>", "{!r}")}
+
+
+def _analyze(mode: str, row: AnalysisMode) -> _Form:
+    """The ``analyze`` form of a mode's row, printing a parameter the spec
+    leaves unset as its prior."""
+    def text(values) -> str:  # the mode's word, then each parameter's keyword and value
+        return " ".join(["analyze", row.word,
+                         *(f"{p.word} {v}" for p, v in zip(row.params, values))])
+
+    return _Form(
+        ("analyze", row.word, *itertools.chain.from_iterable((p.word, p.read) for p in row.params)),
+        lambda line, source, *values: Analyze(line, source, AnalysisSpec(
+            mode, **{p.attr: v for p, v in zip(row.params, values)})),
+        mode, lambda spec: text(_VALUE_TEXT[p.read][1].format(v)
+                                for p, v in zip(row.params, row.values(spec))),
+        f"expected '{text(_VALUE_TEXT[p.read][0] for p in row.params)}'" if row.params else None)
+
+
 # The script language (docs/simscript.md), one row per statement form: the
 # one mapping between script text and statements, entities and specs.
 _STATEMENTS = (
@@ -213,16 +229,7 @@ _STATEMENTS = (
     _Form(("load", int, float, float, float), _declare(Load), Load,
           lambda e: f"load {e.node_id} {e.fx!r} {e.fy!r} {e.mz!r}"),
     _Form(("workspace", str), WorkspaceStmt, WorkspaceStmt, lambda path: f"workspace {path}"),
-    _Form(("analyze", "static"), _analyze("static"), "static", lambda _: "analyze static"),
-    # ``:d`` refuses a spec without its count
-    _Form(("analyze", "modal", "count", int), _analyze("modal", "modal_count"), "modal",
-          lambda a: f"analyze modal count {a.modal_count:d}",
-          "expected 'analyze modal count <n>'"),
-    _Form(("analyze", "topopt", "volfrac", float, "iters", int),
-          _analyze("topology_optimization", "opt_volume_fraction", "opt_max_iterations"),
-          "topology_optimization",
-          lambda a: "analyze topopt volfrac {!r} iters {}".format(*topology_params(a)),
-          "expected 'analyze topopt volfrac <v> iters <n>'"),
+    *(_analyze(mode, row) for mode, row in MODES.items()),
     _Form(("write_results", str), WriteResults, WriteResults,
           lambda path: f"write_results {path}"),
     _Form(("delete", "model", "root"), _delete("model", "root"), "model",

@@ -63,12 +63,12 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .ir import (_ID, _KIND, _SECTION_ID, AnalysisSpec, IRModel, _coordinates, _endpoints,
-                 _rows, topology_params)
+from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, MODES, AnalysisSpec, IRModel,
+                 _coordinates, _endpoints, _rows, topology_params)
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
-AREA_FLOOR_RATIO = 1e-6   # a_min = ratio * a_max
+_MODAL, _TOPOLOGY = MODES["modal"], MODES["topology_optimization"]
 OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
 OC_STOP_TOL = 1e-3        # on max area change, relative to a_max
@@ -261,16 +261,13 @@ def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
 
 def solved_dofs(model: IRModel) -> int:
     """Dofs the solver assembles for the model's analysis, constrained ones
-    included: modal analysis splits each frame member into
-    ``DEFAULT_MODAL_SUBDIVISIONS`` elements, whose interior nodes carry ux,
-    uy and rz each."""
+    included: the analysis splits each frame member into its row's
+    ``subdivisions`` elements, whose interior nodes carry ux, uy and rz each."""
     # ux and uy at every node, rz at those build_dof_index gives one
     node_ids = set(map(_ID, model.nodes))
-    n = 2 * len(node_ids) + len(node_ids & _rz_nodes(model))
-    if model.analysis.mode == "modal":
-        frames = sum(e.kind != "truss_bar" for e in model.elements)
-        n += 3 * (DEFAULT_MODAL_SUBDIVISIONS - 1) * frames
-    return n
+    frames = sum(e.kind != "truss_bar" for e in model.elements)
+    return (2 * len(node_ids) + len(node_ids & _rz_nodes(model))
+            + 3 * (ANALYSES[model.analysis.mode].subdivisions - 1) * frames)
 
 
 def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.ndarray],
@@ -636,7 +633,7 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
     free dofs, to LAPACK's dense symmetric-definite solver. Each shape is
     scaled so that its largest-magnitude translation is +1.
     """
-    n = model.analysis.modal_count
+    (n,) = _MODAL.values(model.analysis)
     if n is None or n < 1:
         raise ValueError("modal count must be >= 1")
     if restraint_rank(model) < 3:
@@ -721,11 +718,13 @@ def optimize_topology(model: IRModel) -> TopoResult:
     into the data vector of the model's sparsity pattern; the same matrices
     give the sensitivities.
     """
-    if any(e.kind != "truss_bar" for e in model.elements):
+    if not set(map(_KIND, model.elements)).issubset(_TOPOLOGY.element_kinds):
         raise UnsupportedOptimizationError("ground structure must contain only truss bars")
     volfrac, max_iters = topology_params(model.analysis)
-    if not (0.0 < volfrac <= 1.0):
-        raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside (0, 1]")
+    fraction, _ = _TOPOLOGY.params
+    if not fraction.low <= volfrac <= fraction.high:
+        raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside "
+                                           f"[{fraction.low:g}, {fraction.high:g}]")
 
     index, (bars, _), f, constrained = _prepare(model)
     a_max = float(np.max(bars.A))
@@ -772,12 +771,15 @@ def _static_highlights(rs: StaticResult) -> dict[str, float]:
 class Analysis(NamedTuple):
     """One analysis mode: its result class and ``result_kind`` tag in the
     results database, the solver run for a model of the mode, the acceptance
-    check of results read back, and the figures a case report highlights."""
+    check of results read back, the figures a case report highlights, the
+    frame split of the run, and the budgeted work (unit, count) of a spec."""
     result: type
     kind: str
     run: Callable[[IRModel], object]
     accept: Callable[[object, AnalysisSpec], bool]
     highlights: Callable[[object], dict[str, float]]
+    subdivisions: int
+    work: Callable[[AnalysisSpec, int], tuple[str | None, int]]
 
 
 # One row per ``ir.ANALYSIS_MODES`` entry, in that order. A row calls the
@@ -787,15 +789,17 @@ ANALYSES = {
     "static": Analysis(
         StaticResult, "static", lambda m: solve_static(m),
         lambda rs, _: rs.equilibrium_residual <= RESIDUAL_LIMIT,
-        _static_highlights),
+        _static_highlights, 1, lambda a, dofs: (None, 0)),
     "modal": Analysis(
         ModalResult, "modal", lambda m: solve_modal(m),
         lambda rs, _: (min(rs.frequencies_hz, default=0.0) > 0  # some, all positive, ascending
                        and list(rs.frequencies_hz) == sorted(rs.frequencies_hz)),
-        lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]}),
+        lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]},
+        DEFAULT_MODAL_SUBDIVISIONS, lambda a, dofs: ("mode", min(a.modal_count, dofs))),
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
         lambda rs, a: rs.final_volume_fraction <= topology_params(a)[0] + VOLUME_SLACK,
         lambda rs: {"final_compliance_j": rs.compliance_history[-1],
-                    "final_volume_fraction": rs.final_volume_fraction}),
+                    "final_volume_fraction": rs.final_volume_fraction},
+        1, lambda a, _: ("iteration", topology_params(a)[1])),
 }

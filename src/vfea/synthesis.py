@@ -214,8 +214,12 @@ class PerfectGenerator:
         return script
 
 
-# fault family -> the failure kind it provokes
-_FAULT_KINDS = {"type_i": "lifecycle", "type_ii": "parse", "type_iii": "safety"}
+# fault family -> the failure kind it provokes, and how it breaks a script's lines
+_FAULTS = {
+    "type_i": ("lifecycle", lambda lines: [l for l in lines if not l.startswith("analyze ")]),
+    "type_ii": ("parse", lambda lines: lines[:1] + ["mesh_edges part1"] + lines[1:]),
+    "type_iii": ("safety", lambda lines: lines[:1] + ["delete model root"] + lines[1:]),
+}
 
 
 class FaultyGenerator:
@@ -227,21 +231,14 @@ class FaultyGenerator:
     """
 
     def __init__(self, fault: str, stubborn: bool = False):
-        if fault not in _FAULT_KINDS:
+        if fault not in _FAULTS:
             raise ConfigError(f"unknown fault kind {fault!r}")
         self.fault = fault
         self.stubborn = stubborn
         self._clean: str | None = None
 
     def _inject(self, script: str) -> str:
-        lines = script.splitlines()
-        if self.fault == "type_i":
-            lines = [l for l in lines if not l.startswith("analyze ")]
-        elif self.fault == "type_ii":
-            lines.insert(1, "mesh_edges part1")
-        else:
-            lines.insert(1, "delete model root")
-        return "\n".join(lines) + "\n"
+        return "\n".join(_FAULTS[self.fault][1](script.splitlines())) + "\n"
 
     def generate(self, model: IRModel, memory_context: list[ExperienceRecord]) -> str:
         self._clean = lower_ir(model)
@@ -250,7 +247,7 @@ class FaultyGenerator:
     def repair(self, script: str, context: DebugContext) -> str:
         if self.stubborn or self._clean is None:
             return script
-        lesson = FAILURE_KINDS[_FAULT_KINDS[self.fault]][1]
+        lesson = FAILURE_KINDS[_FAULTS[self.fault][0]][1]
         return self._clean if lesson in context.lessons else script
 
 
@@ -311,11 +308,9 @@ def make_generator(spec: str) -> Generator:
     if spec == "perfect":
         return PerfectGenerator()
     if spec.startswith("faulty:"):
-        parts = spec.split(":")
-        if len(parts) == 2:
-            return FaultyGenerator(parts[1])
-        if len(parts) == 3 and parts[2] == "stubborn":
-            return FaultyGenerator(parts[1], stubborn=True)
+        _, fault, *suffix = spec.split(":")
+        if suffix in ([], ["stubborn"]):
+            return FaultyGenerator(fault, stubborn=bool(suffix))
         raise ConfigError(f"malformed generator spec {spec!r}")
     if spec.startswith("external:"):
         endpoint = spec.split(":", 1)[1]

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .ir import (_ID, _KIND, _NODE_ID, IRModel, _coordinates, _endpoints, _rows,
+from .ir import (_ID, _KIND, _NODE_ID, MODES, IRModel, _coordinates, _endpoints, _rows,
                  bounding_box, diff)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,17 +64,19 @@ class UpdateDecision:
 
 def check_l1(model: IRModel) -> list[Finding]:
     """Schema-integrity findings: empty arrays, duplicate keys, dangling refs,
-    non-finite values, malformed analysis parameters."""
+    non-finite values, analysis parameters and element kinds the mode rejects."""
     out: list[Finding] = []
 
     def f(code: str, message: str, subject: str | None = None):
         out.append(Finding("L1", code, message, subject))
 
+    spec = model.analysis
+    row = MODES[spec.mode]
     required_nonempty = [("nodes", model.nodes), ("elements", model.elements),
                          ("materials", model.materials), ("sections", model.sections),
                          ("bcs", model.boundary_conditions)]
-    # modal analysis is driven by mass alone, an empty load array is fine there
-    if model.analysis.mode != "modal":
+    # a mode driven by mass alone (modal analysis) may have no loads
+    if not row.needs_mass:
         required_nonempty.append(("loads", model.loads))
     for name, seq in required_nonempty:
         if not seq:
@@ -120,9 +122,13 @@ def check_l1(model: IRModel) -> list[Finding]:
                 f("missing-inertia",
                   f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
                   f"sections/{sec.id}")
+    for kind in dict.fromkeys(map(_KIND, model.elements)):
+        if kind not in row.element_kinds:
+            f("mode-elements", f"{spec.mode} analysis does not accept {kind} elements",
+              "elements")
     # a zero or negative area or modulus leaves the stiffness matrix singular
     # or indefinite, which the solver would report as a mechanism; a zero or
-    # negative density does the same to the mass matrix of a modal analysis
+    # negative density does the same to the mass matrix of a mode that needs one
     for m in model.materials:
         if not all(math.isfinite(v) for v in (m.youngs_modulus, m.poisson_ratio, m.density)):
             f("nonfinite-value", f"material {m.id} has non-finite properties", f"materials/{m.id}")
@@ -130,7 +136,7 @@ def check_l1(model: IRModel) -> list[Finding]:
         if m.youngs_modulus <= 0:
             f("nonpositive-stiffness", f"material {m.id} has a non-positive youngs modulus "
                                        f"{m.youngs_modulus!r}", f"materials/{m.id}")
-        if m.density <= 0 and model.analysis.mode == "modal":
+        if m.density <= 0 and row.needs_mass:
             f("nonpositive-mass", f"material {m.id} has a non-positive density {m.density!r}",
               f"materials/{m.id}")
     for s in model.sections:
@@ -157,25 +163,21 @@ def check_l1(model: IRModel) -> list[Finding]:
         elif l.fx == 0.0 and l.fy == 0.0 and l.mz == 0.0:
             f("zero-load", f"load at node {l.node_id} has all components zero", f"loads/{l.node_id}")
 
-    a = model.analysis
-    if a.mode == "modal":
-        if a.modal_count is None:
-            f("mode-params", "modal analysis requires modal_count", "analysis")
-        elif a.modal_count <= 0:
-            f("mode-params", f"modal_count must be positive, got {a.modal_count}", "analysis")
-    elif a.modal_count is not None:
-        f("mode-params", f"modal_count is only valid in modal mode, not {a.mode}", "analysis")
-    if a.mode == "topology_optimization":
-        # volume fraction and iteration budget are optional: lowering applies
-        # the conservative priors (0.5, 50) when they are absent
-        if a.opt_volume_fraction is not None and not (0.0 < a.opt_volume_fraction <= 1.0):
-            f("mode-params", f"volfrac must lie in (0, 1], got {a.opt_volume_fraction}", "analysis")
-        if a.opt_max_iterations is not None and a.opt_max_iterations <= 0:
-            f("mode-params", "max_iterations must be positive", "analysis")
-    else:
-        if a.opt_volume_fraction is not None or a.opt_max_iterations is not None:
-            f("mode-params", f"optimization parameters are only valid in "
-                             f"topology_optimization mode, not {a.mode}", "analysis")
+    # each mode's parameters lie in their range, a kept one is set, and
+    # another mode's are unset
+    for mode, other in MODES.items():
+        for p in other.params:
+            value = getattr(spec, p.attr)
+            if mode != spec.mode:
+                if value is not None:
+                    f("mode-params", f"{p.key} is only valid in {mode} mode, not {spec.mode}",
+                      "analysis")
+            elif value is None:
+                if p.kept:
+                    f("mode-params", f"{mode} analysis requires {p.key}", "analysis")
+            elif not p.low <= value <= p.high:
+                f("mode-params", f"{p.key} must lie in [{p.low:g}, {p.high:g}], got {value}",
+                  "analysis")
 
     if model.coordinate_mode == "normalized":
         box = bounding_box((n.x, n.y) for n in model.nodes)

@@ -20,7 +20,8 @@ import interpret_reference as reference
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
 from vfea import simscript, solver
-from vfea.ir import ANALYSIS_MODES, AnalysisSpec, BoundaryCondition, Element, Node
+from vfea.ir import (ANALYSIS_MODES, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
+                     Element, Node)
 from vfea.perception import SemanticsError, parse_context
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
                           ResultsCorruptError, ResultsMissingError, WorkspaceError,
@@ -29,6 +30,8 @@ from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits
 from vfea.simscript import Fault, ScriptAST, lower_ir, parse_script
 from vfea.solver import TopoResult, optimize_topology, solve_modal, solve_static
 from vfea.synthesis import verify_results
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 # One script edit per outcome kind of an execution, applied to the lowered
 # cantilever: (kind, old text, new text, limits).
@@ -536,6 +539,46 @@ class TestAnalysisTable:
             ANALYSIS_MODES)
         with pytest.raises(SemanticsError, match="unknown analysis mode"):
             parse_context("mode: buckling\n")
+
+    def test_every_column_has_an_entry_for_every_mode(self):
+        assert tuple(MODES) == tuple(solver.ANALYSES) == ANALYSIS_MODES
+        for table in (MODES, solver.ANALYSES):
+            for row in table.values():
+                assert None not in row
+        for row in MODES.values():
+            assert row.element_kinds and set(row.element_kinds) <= set(ELEMENT_KINDS)
+            for p in row.params:
+                assert None not in p and p.read in (int, float) and p.low <= p.prior <= p.high
+        params = [p for row in MODES.values() for p in row.params]
+        for name in ("attr", "key", "directive"):
+            names = [getattr(p, name) for p in params]
+            assert len(set(names)) == len(names)
+
+    def test_documented_directives_are_the_rows(self):
+        # the context block of docs/drawing-format.md: the four directives
+        # of every mode, then each mode's parameters, marked with their mode
+        doc = (DOCS / "drawing-format.md").read_text(encoding="utf-8")
+        block = doc.split("## Context text", 1)[1].split("```")[1]
+        lines = [(line.split(":", 1)[0], line.partition("#")[2].strip())
+                 for line in block.strip().splitlines()]
+        params = [(p.directive, f"{mode} only") for mode, row in MODES.items()
+                  for p in row.params]
+        assert [key for key, _ in lines[:4]] == ["material", "section", "elements", "mode"]
+        assert lines[4:] == params
+
+    def test_documented_mode_fields_are_the_rows(self):
+        # the analysis table of docs/ir-schema.md: field, type, range and
+        # prior of every mode parameter, and whether perception writes it
+        doc = (DOCS / "ir-schema.md").read_text(encoding="utf-8")
+        table = doc.split("| mode | field |", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in table.strip().splitlines()[2:]]
+        documented = [(mode, key, kind, span, float(re.search(r"prior (\S+?),?\s", unset)[1]),
+                       unset.startswith("required"))
+                      for mode, key, kind, span, unset in rows]
+        assert documented == [(mode, p.key, {int: "integer", float: "number"}[p.read],
+                               f"[{p.low:g}, {p.high:g}]", p.prior, p.kept)
+                              for mode, row in MODES.items() for p in row.params]
 
     def test_execute_calls_the_solver_by_its_module_name(self, monkeypatch, tmp_path):
         # a tracer times the solver by rebinding ``solver.solve_static``; a

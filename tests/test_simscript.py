@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import simscript_reference as reference
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
-from vfea.ir import (DEFAULT_OPT_ITERS, DEFAULT_VOLFRAC, DOF_ORDER, ELEMENT_KINDS,
-                     AnalysisSpec, BoundaryCondition, Element, Load, Material, Node, Section)
+from vfea.ir import (DOF_ORDER, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
+                     Element, Load, Material, Node, Section)
 from vfea.simscript import (_STATEMENTS, _TEXT, Declare, End, ModelBegin, ScriptParseError,
                             WorkspaceStmt, WriteResults, lower_ir, parse_script, preflight)
 from vfea.validation import audit
@@ -162,11 +162,11 @@ def _lines(ast):
 
 
 def _with_priors(value):
-    if isinstance(value, AnalysisSpec) and value.mode == "topology_optimization":
-        return replace(value, opt_volume_fraction=(DEFAULT_VOLFRAC if value.opt_volume_fraction
-                                                   is None else value.opt_volume_fraction),
-                       opt_max_iterations=(DEFAULT_OPT_ITERS if value.opt_max_iterations
-                                           is None else value.opt_max_iterations))
+    """A spec with each unset parameter of its mode as its prior, as the
+    script prints it."""
+    if isinstance(value, AnalysisSpec):
+        row = MODES[value.mode]
+        return replace(value, **{p.attr: v for p, v in zip(row.params, row.values(value))})
     return value
 
 
