@@ -144,8 +144,8 @@ def hand_artifacts(digests: Digests, script: str, work: Path) -> None:
 
 
 def modes_model() -> IRModel:
-    """A truss grid of 11 x 6 nodes, 132 dofs, so that every modal count
-    past MAX_MODES meets the mode budget: each cell braced by one diagonal,
+    """A truss grid of 11 x 6 nodes, 132 dofs and 128 free, so that every
+    modal count past MAX_MODES meets the mode budget: each cell braced by one diagonal,
     pinned at both bottom corners and loaded at the top middle."""
     node = {(i, j): 1 + 6 * i + j for i in range(11) for j in range(6)}
     pairs = [(node[i, j], node[i + di, j + dj]) for (i, j) in node

@@ -12,7 +12,7 @@ import math
 import operator
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -21,8 +21,6 @@ import numpy as np
 DOF_ORDER = ("ux", "uy", "rz")
 ELEMENT_KINDS = ("truss_bar", "frame_beam")
 COORDINATE_MODES = ("metric", "normalized")
-
-ENTITY_CLASSES = ("nodes", "elements", "materials", "sections", "bcs", "loads")
 
 
 class CanonicalizationError(Exception):
@@ -72,7 +70,7 @@ class Section:
 @dataclass(frozen=True)
 class BoundaryCondition:
     node_id: int
-    constrained_dofs: frozenset[str]
+    constrained_dofs: frozenset[str] = frozenset()
 
     def sorted_dofs(self) -> tuple[str, ...]:
         return tuple(d for d in DOF_ORDER if d in self.constrained_dofs)
@@ -189,21 +187,85 @@ class ChangeSet:
             and not any(self.modified.values())
 
 
-def _entity_keys(model: IRModel) -> dict[str, dict[int, object]]:
-    # BCs and loads carry no id of their own; they are keyed by node id
-    # (the schema allows at most one record per node, merged on ingest).
-    return {
-        "nodes": {n.id: n for n in model.nodes},
-        "elements": {e.id: e for e in model.elements},
-        "materials": {m.id: m for m in model.materials},
-        "sections": {s.id: s for s in model.sections},
-        "bcs": {b.node_id: b for b in model.boundary_conditions},
-        "loads": {l.node_id: l for l in model.loads},
-    }
+class Reference(NamedTuple):
+    """A field holding a key of the ``target`` collection (keys, when ``many``)."""
+    field: str
+    target: str
+    many: bool = False
+
+
+class Collection(NamedTuple):
+    """An entity collection: its ``IRModel`` attribute; its document key, also
+    its name in a ``ChangeSet``, in finding subjects and, less the plural s,
+    in messages; its record class, keying field and references; and how two
+    records at one node merge, the first into the empty ``record(node)``."""
+    attr: str
+    key: str
+    record: type
+    keyed_by: str
+    refs: tuple[Reference, ...] = ()
+    merge: Callable[[object, object], object] | None = None
+
+    def keys(self, records) -> Iterator:
+        return map(operator.attrgetter(self.keyed_by), records)
+
+    def ingest(self, into: dict, records: Sequence) -> dict:
+        """``into``, records by key, with ``records`` added in order: each
+        merged with the one at its key, or in its place where none merge."""
+        if self.merge is None:
+            into.update(zip(self.keys(records), records))
+        else:
+            for key, record in zip(self.keys(records), records):
+                into[key] = self.merge(into.get(key) or self.record(key), record)
+        return into
+
+    def dangling(self, records: Sequence, present: dict[str, set]) -> dict[int, list[str]]:
+        """The messages of references to keys not ``present`` in their
+        collection, by the position of their record, in field order. A
+        record keyed by one of its references is named without its key."""
+        out: dict[int, list[str]] = {}
+        for ref in self.refs:
+            values = list(map(operator.attrgetter(ref.field), records))
+            keys = present[ref.target]
+            if keys.issuperset(itertools.chain.from_iterable(values) if ref.many else values):
+                continue  # the common case, screened at once
+            for k, value in enumerate(values):
+                missing = [key for key in (value if ref.many else (value,)) if key not in keys]
+                if missing:
+                    name = self.key[:-1] + ("" if ref.field == self.keyed_by
+                                            else f" {getattr(records[k], self.keyed_by)}")
+                    out.setdefault(k, []).extend(
+                        f"{name} references missing {ref.target[:-1]} {key}" for key in missing)
+        return out
+
+
+def _union_dofs(a: BoundaryCondition, b: BoundaryCondition) -> BoundaryCondition:
+    """the union of their dofs"""
+    return BoundaryCondition(a.node_id, a.constrained_dofs | b.constrained_dofs)
+
+
+def _sum_loads(a: Load, b: Load) -> Load:
+    """the componentwise sum, from a zero load"""
+    return Load(a.node_id, a.fx + b.fx, a.fy + b.fy, a.mz + b.mz)
+
+
+# One row per entity collection, by record class, in document order
+# (docs/ir-schema.md). A bc or load has no id: it is keyed by its node, one
+# record per node, and records at one node merge on ingest.
+COLLECTIONS = {row.record: row for row in (
+    Collection("nodes", "nodes", Node, "id"),
+    Collection("elements", "elements", Element, "id",
+               (Reference("node_ids", "nodes", many=True), Reference("section_id", "sections"))),
+    Collection("materials", "materials", Material, "id"),
+    Collection("sections", "sections", Section, "id", (Reference("material_id", "materials"),)),
+    Collection("boundary_conditions", "bcs", BoundaryCondition, "node_id",
+               (Reference("node_id", "nodes"),), _union_dofs),
+    Collection("loads", "loads", Load, "node_id", (Reference("node_id", "nodes"),), _sum_loads),
+)}
+_REFERENCED = {r.target for row in COLLECTIONS.values() for r in row.refs}
 
 
 _ID = operator.attrgetter("id")
-_NODE_ID = operator.attrgetter("node_id")
 _XY = operator.attrgetter("x", "y")
 _NODE_IDS = operator.attrgetter("node_ids")
 _KIND = operator.attrgetter("kind")
@@ -228,44 +290,25 @@ def _ascending(e: Element) -> Element:
 
 
 def canonicalize(model: IRModel) -> IRModel:
-    """Sort every entity list by id and store element node pairs ascending.
+    """Sort every entity list by its key and store element node pairs ascending.
 
-    Only what is out of place is rebuilt: a list already in id order and an
+    Only what is out of place is rebuilt: a list already in key order and an
     element whose pair is already ascending are kept, so a canonical model
     comes back as the same object. Idempotent; raises CanonicalizationError
-    when a cross-reference dangles.
+    with the first dangling cross-reference, in document order.
     """
-    node_ids = {n.id for n in model.nodes}
-    section_ids = {s.id for s in model.sections}
-    material_ids = {m.id for m in model.materials}
-    for e in model.elements:
-        for nid in e.node_ids:
-            if nid not in node_ids:
-                raise CanonicalizationError(f"element {e.id} references missing node {nid}")
-        if e.section_id not in section_ids:
-            raise CanonicalizationError(f"element {e.id} references missing section {e.section_id}")
-    for s in model.sections:
-        if s.material_id not in material_ids:
-            raise CanonicalizationError(f"section {s.id} references missing material {s.material_id}")
-    for b in model.boundary_conditions:
-        if b.node_id not in node_ids:
-            raise CanonicalizationError(f"bc references missing node {b.node_id}")
-    for l in model.loads:
-        if l.node_id not in node_ids:
-            raise CanonicalizationError(f"load references missing node {l.node_id}")
+    present = {row.key: set(row.keys(getattr(model, row.attr)))
+               for row in COLLECTIONS.values() if row.key in _REFERENCED}
+    for row in COLLECTIONS.values():
+        dangling = row.dangling(getattr(model, row.attr), present)
+        if dangling:
+            raise CanonicalizationError(dangling[min(dangling)][0])
 
-    elements = _by_key(model.elements, _ID)
-    pairs = tuple(map(_ascending, elements))
-    if any(map(operator.is_not, pairs, elements)):
-        elements = pairs
-    lists = {
-        "nodes": _by_key(model.nodes, _ID),
-        "elements": elements,
-        "materials": _by_key(model.materials, _ID),
-        "sections": _by_key(model.sections, _ID),
-        "boundary_conditions": _by_key(model.boundary_conditions, _NODE_ID),
-        "loads": _by_key(model.loads, _NODE_ID),
-    }
+    lists = {row.attr: _by_key(getattr(model, row.attr), operator.attrgetter(row.keyed_by))
+             for row in COLLECTIONS.values()}
+    pairs = tuple(map(_ascending, lists["elements"]))
+    if any(map(operator.is_not, pairs, lists["elements"])):
+        lists["elements"] = pairs
     if all(lists[name] is getattr(model, name) for name in lists):
         return model
     return replace(model, **lists)
@@ -273,17 +316,16 @@ def canonicalize(model: IRModel) -> IRModel:
 
 def diff(old: IRModel, new: IRModel) -> ChangeSet:
     """Exact per-entity set difference between two canonical models."""
-    old_keys = _entity_keys(old)
-    new_keys = _entity_keys(new)
     added: dict[str, tuple[int, ...]] = {}
     removed: dict[str, tuple[int, ...]] = {}
     modified: dict[str, tuple[int, ...]] = {}
-    for cls in ENTITY_CLASSES:
-        o, n = old_keys[cls], new_keys[cls]
-        added[cls] = tuple(sorted(set(n) - set(o)))
-        removed[cls] = tuple(sorted(set(o) - set(n)))
-        modified[cls] = tuple(sorted(k for k in set(o) & set(n) if o[k] != n[k]))
-    degenerative = any(removed[cls] for cls in ENTITY_CLASSES)
+    for row in COLLECTIONS.values():
+        o, n = (dict(zip(row.keys(records), records))
+                for records in (getattr(old, row.attr), getattr(new, row.attr)))
+        added[row.key] = tuple(sorted(set(n) - set(o)))
+        removed[row.key] = tuple(sorted(set(o) - set(n)))
+        modified[row.key] = tuple(sorted(k for k in set(o) & set(n) if o[k] != n[k]))
+    degenerative = any(removed.values())
     return ChangeSet(added=added, removed=removed, modified=modified, degenerative=degenerative)
 
 
@@ -614,12 +656,8 @@ _RECORDS: dict[type, tuple[_Field, ...]] = {
                      for row in MODES.values() for p in row.params)),
 }
 _RECORDS[IRModel] = (
-    _Field("nodes", "nodes", _array(_record(_RECORDS, Node))),
-    _Field("elements", "elements", _array(_record(_RECORDS, Element))),
-    _Field("materials", "materials", _array(_record(_RECORDS, Material))),
-    _Field("sections", "sections", _array(_record(_RECORDS, Section))),
-    _Field("bcs", "boundary_conditions", _array(_record(_RECORDS, BoundaryCondition))),
-    _Field("loads", "loads", _array(_record(_RECORDS, Load))),
+    *(_Field(row.key, row.attr, _array(_record(_RECORDS, row.record)))
+      for row in COLLECTIONS.values()),
     _Field("analysis", "analysis", _record(_RECORDS, AnalysisSpec)),
     _Field("coordinate_mode", "coordinate_mode", _one_of(COORDINATE_MODES)),
     _Field("provenance", "provenance", _text, required=False),

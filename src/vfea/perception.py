@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import (ANALYSIS_MODES, MODES, AnalysisSpec, BoundaryCondition, Element, IRModel,
-                 Load, Material, Node, Section, _Defect, _Field, _array, _finite, _int,
+from .ir import (ANALYSIS_MODES, COLLECTIONS, MODES, AnalysisSpec, BoundaryCondition, Element,
+                 IRModel, Load, Material, Node, Section, _Defect, _Field, _array, _finite, _int,
                  _nullable, _one_of, _read_json, _record, _text, canonicalize,
                  pairs_within, unit_box)
 from .validation import (ValidationReport, accept_update, audit,
@@ -404,24 +404,17 @@ def attach_semantics(drawing: PrimitiveDrawing,
 
     ids, xs, ys = zip(*nodes_px)
     xy = np.array([xs, ys], float).T
-    bc_dofs: dict[int, frozenset[str]] = {}
+    supports, arrows = [], []
     for g in drawing.support_glyphs:
         nid, d = _nearest_node(ids, xy, g.anchor)
         if d > snap_tolerance:
             raise SemanticsError(f"support glyph {g.kind!r} at {g.anchor} is {d:.1f} px "
                                  f"from the nearest node (snap tolerance {snap_tolerance})")
-        bc_dofs[nid] = bc_dofs.get(nid, frozenset()) | GLYPH_DOFS[g.kind]
-    bcs = tuple(BoundaryCondition(nid, dofs) for nid, dofs in sorted(bc_dofs.items()))
-
-    load_sum: dict[int, list[float]] = {}
+        supports.append(BoundaryCondition(nid, GLYPH_DOFS[g.kind]))
     for a in drawing.load_arrows:
         nid, _ = _nearest_node(ids, xy, a.anchor)
         magnitude = parse_magnitude(a.magnitude_label) if a.magnitude_label else 1.0
-        acc = load_sum.setdefault(nid, [0.0, 0.0, 0.0])
-        acc[0] += magnitude * a.direction[0]
-        acc[1] += magnitude * a.direction[1]
-    loads = tuple(Load(nid, fx, fy, mz) for nid, (fx, fy, mz) in sorted(load_sum.items()))
-
+        arrows.append(Load(nid, magnitude * a.direction[0], magnitude * a.direction[1]))
     # the mode's parameters as directed, or their kept priors; check_l1 audits them
     analysis = AnalysisSpec(ctx.mode, **{
         p.attr: p.prior if value is None and p.kept else value
@@ -430,8 +423,12 @@ def attach_semantics(drawing: PrimitiveDrawing,
     provenance = (f"scale={scale.mode}"
                   + (f" {scale.meters_per_pixel:.6g} m/px" if scale.meters_per_pixel else "")
                   + f"; directives={len(ctx.lines)}")
+    # the glyphs and arrows at one node merge as a script's fix and load lines do
     model = IRModel(nodes=nodes, elements=elements, materials=(ctx.material,),
-                    sections=(ctx.section,), boundary_conditions=bcs, loads=loads,
+                    sections=(ctx.section,),
+                    boundary_conditions=tuple(COLLECTIONS[BoundaryCondition].ingest(
+                        {}, supports).values()),
+                    loads=tuple(COLLECTIONS[Load].ingest({}, arrows).values()),
                     analysis=analysis,
                     coordinate_mode="metric" if scale.mode == "metric" else "normalized",
                     provenance=provenance)

@@ -19,9 +19,8 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .ir import (_ID, _NODE_ID, AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
-                 Material, Node, Section, _Defect, _Field, _array, _expected,
-                 _finite, _id_map, _read_json, _record, _text, _to_doc)
+from .ir import (COLLECTIONS, AnalysisSpec, Element, IRModel, Node, _Defect, _Field, _array,
+                 _expected, _finite, _id_map, _read_json, _record, _text, _to_doc)
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, parse_script)
@@ -31,9 +30,9 @@ from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
 LOG_FILENAME = "run.log"
-# Modes one modal analysis may compute, min(count, dofs): the Lanczos basis
-# holds about twice that many vectors of the model's dofs, and the dense
-# path taken when the count reaches the free dofs is cubic in them.
+# Modes one modal analysis may compute, min(count, free dofs): the Lanczos
+# basis holds about twice that many vectors of the model's dofs, and the
+# dense path taken when the count reaches the free dofs is cubic in them.
 MAX_MODES = 100
 # Iterations one topology optimisation may run, each a full factorisation:
 # an in-process run cannot be stopped once started, so the count is checked
@@ -74,8 +73,11 @@ class Limits:
     max_wall_time: float = 60.0
 
     def __post_init__(self):
-        if min(self.max_statements, self.max_solver_dofs, self.max_wall_time) <= 0:
-            raise ValueError("all limits must be positive")
+        # a NaN budget would switch its check off, and a fraction or an infinity crash it
+        if not (all(type(n) is int and n >= 1 for n in (self.max_statements, self.max_solver_dofs))
+                and type(self.max_wall_time) in (int, float)
+                and 0 < self.max_wall_time <= sys.float_info.max):
+            raise ValueError(f"budgets must be counts >= 1 and a finite wall time > 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -179,52 +181,26 @@ class _ModelBuilder:
 
     def __init__(self):
         self.begun = False
-        self.nodes: dict[int, Node] = {}
-        self.materials: dict[int, Material] = {}
-        self.sections: dict[int, Section] = {}
-        self.elements: dict[int, Element] = {}
-        self.bcs: dict[int, BoundaryCondition] = {}
-        self.loads: dict[int, Load] = {}
-        self._by_id = {Node: self.nodes, Material: self.materials, Section: self.sections,
-                       Element: self.elements}
+        self.stores: dict[type, dict] = {kind: {} for kind in COLLECTIONS}  # records by key
 
     def require_begun(self):
         if not self.begun:
             raise _RuntimeStop("state", "no active model: missing 'model begin'")
 
     def declare(self, entities: Sequence[Entity]):
-        """Store the entities of one declaration run, all of one class, in
-        order: each under its id, except that a fix adds its dofs to those
-        already fixed at the node and a load adds to the node's load."""
+        """Store one declaration run, all of one class, in order, each entity
+        under its key: a fix or load merges with the one at its node."""
         kind = type(entities[0])
-        if kind is BoundaryCondition:
-            for entity in entities:
-                prev = self.bcs.get(entity.node_id)
-                dofs = entity.constrained_dofs | (prev.constrained_dofs if prev else frozenset())
-                self.bcs[entity.node_id] = BoundaryCondition(entity.node_id, dofs)
-        elif kind is Load:
-            for entity in entities:
-                prev = self.loads.get(entity.node_id) or Load(entity.node_id)
-                self.loads[entity.node_id] = Load(entity.node_id, entity.fx + prev.fx,
-                                                  entity.fy + prev.fy, entity.mz + prev.mz)
-        else:
-            self._by_id[kind].update(zip(map(_ID, entities), entities))
+        COLLECTIONS[kind].ingest(self.stores[kind], entities)
 
     def to_ir(self, analysis: AnalysisSpec) -> IRModel:
-        return IRModel(
-            nodes=tuple(sorted(self.nodes.values(), key=_ID)),
-            elements=tuple(sorted(self.elements.values(), key=_ID)),
-            materials=tuple(sorted(self.materials.values(), key=_ID)),
-            sections=tuple(sorted(self.sections.values(), key=_ID)),
-            boundary_conditions=tuple(sorted(self.bcs.values(), key=_NODE_ID)),
-            loads=tuple(sorted(self.loads.values(), key=_NODE_ID)),
-            analysis=analysis,
-        )
+        return IRModel(**{row.attr: tuple(map(self.stores[kind].get, sorted(self.stores[kind])))
+                          for kind, row in COLLECTIONS.items()}, analysis=analysis)
 
 
-def _check_work(spec: AnalysisSpec, n_dofs: int) -> None:
-    """Abort a run of an L1-clean spec whose budgeted work (``solver.ANALYSES``) is too much."""
-    unit, count = ANALYSES[spec.mode].work(spec, n_dofs)
+def _check_work(spec: AnalysisSpec, free_dofs: int) -> None:
+    """Abort a run of an L1-clean spec whose budgeted work on ``free_dofs`` is too much."""
+    unit, count = ANALYSES[spec.mode].work(spec, free_dofs)
     if count > _WORK_LIMITS[unit]:
         raise _RuntimeStop(None, f"{unit} budget exceeded ({count} > {_WORK_LIMITS[unit]} {unit}s)")
 
@@ -324,7 +300,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                                        "kernel protection: deletion of protected root container")
                 kind, raw_id = stmt.target
                 target_id = int(raw_id)
-                table = builder.elements if kind == "element" else builder.nodes
+                table = builder.stores[Element if kind == "element" else Node]
                 if target_id not in table:
                     raise _RuntimeStop("state", f"cannot delete unknown {kind} {target_id}")
                 del table[target_id]
@@ -341,7 +317,9 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop(None, f"solver budget exceeded "
                                              f"({n_dofs} > {limits.max_solver_dofs} dofs)")
-                _check_work(spec, n_dofs)
+                # work is done on the free dofs; each constrained one is a solved one
+                _check_work(spec, n_dofs - sum(len(b.constrained_dofs)
+                                               for b in model.boundary_conditions))
                 results = ANALYSES[spec.mode].run(model)
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):
@@ -386,9 +364,11 @@ def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
     # the child imports this vfea, however the parent found it
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": _PACKAGE_PARENT + (os.pathsep + path if path else "")}
+    # subprocess waits at most 2**31 - 1 ms; the child checks a longer budget itself
+    timeout = limits.max_wall_time + 30.0
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False, env=env,
-                              timeout=limits.max_wall_time + 30.0)
+                              timeout=timeout if timeout < 2_147_483 else None)
     except subprocess.TimeoutExpired:
         return _finish(ws_root, ["abort: child process exceeded the wall time budget"], "ABORTED")
     try:

@@ -772,7 +772,7 @@ class Analysis(NamedTuple):
     """One analysis mode: its result class and ``result_kind`` tag in the
     results database, the solver run for a model of the mode, the acceptance
     check of results read back, the figures a case report highlights, the
-    frame split of the run, and the budgeted work (unit, count) of a spec."""
+    frame split of the run, and a spec's budgeted work (unit, count) on n free dofs."""
     result: type
     kind: str
     run: Callable[[IRModel], object]
@@ -795,7 +795,7 @@ ANALYSES = {
         lambda rs, _: (min(rs.frequencies_hz, default=0.0) > 0  # some, all positive, ascending
                        and list(rs.frequencies_hz) == sorted(rs.frequencies_hz)),
         lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]},
-        DEFAULT_MODAL_SUBDIVISIONS, lambda a, dofs: ("mode", min(a.modal_count, dofs))),
+        DEFAULT_MODAL_SUBDIVISIONS, lambda a, free: ("mode", min(a.modal_count, free))),
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
         lambda rs, a: rs.final_volume_fraction <= topology_params(a)[0] + VOLUME_SLACK,

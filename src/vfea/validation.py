@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .ir import (_ID, _KIND, _NODE_ID, MODES, IRModel, _coordinates, _endpoints, _rows,
-                 bounding_box, diff)
+from .ir import (_ID, _KIND, COLLECTIONS, MODES, BoundaryCondition, IRModel, _coordinates,
+                 _endpoints, _rows, bounding_box, diff)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perception import BeliefState, PrimitiveDrawing, ScaleResolution
@@ -72,23 +72,15 @@ def check_l1(model: IRModel) -> list[Finding]:
 
     spec = model.analysis
     row = MODES[spec.mode]
-    required_nonempty = [("nodes", model.nodes), ("elements", model.elements),
-                         ("materials", model.materials), ("sections", model.sections),
-                         ("bcs", model.boundary_conditions)]
-    # a mode driven by mass alone (modal analysis) may have no loads
-    if not row.needs_mass:
-        required_nonempty.append(("loads", model.loads))
-    for name, seq in required_nonempty:
-        if not seq:
-            f("empty-array", f"entity array '{name}' is empty", name)
+    for coll in COLLECTIONS.values():
+        # a mode driven by mass alone (modal analysis) may have no loads
+        if not getattr(model, coll.attr) and not (coll.key == "loads" and row.needs_mass):
+            f("empty-array", f"entity array '{coll.key}' is empty", coll.key)
 
-    for name, ids in (("nodes", [n.id for n in model.nodes]),
-                      ("elements", [e.id for e in model.elements]),
-                      ("materials", [m.id for m in model.materials]),
-                      ("sections", [s.id for s in model.sections]),
-                      ("bcs", [b.node_id for b in model.boundary_conditions]),
-                      ("loads", [l.node_id for l in model.loads])):
-        seen: set[int] = set()
+    present: dict[str, set] = {}  # each collection's keys
+    for coll in COLLECTIONS.values():
+        name, ids = coll.key, list(coll.keys(getattr(model, coll.attr)))
+        seen = present[name] = set()
         for i in ids:
             if i in seen:
                 f("duplicate-id", f"duplicate {name} entry for id {i}", f"{name}/{i}")
@@ -97,31 +89,24 @@ def check_l1(model: IRModel) -> list[Finding]:
             if i <= 0:
                 f("nonpositive-id", f"{name} id {i} is not a positive integer", f"{name}/{i}")
                 break
-
-    node_ids = {n.id for n in model.nodes}
-    section_ids = {s.id for s in model.sections}
-    material_ids = {m.id for m in model.materials}
+    dangling = {coll.key: coll.dangling(getattr(model, coll.attr), present)
+                for coll in COLLECTIONS.values()}
     sections_by_id = {s.id: s for s in model.sections}
 
     for n in model.nodes:
         if not (math.isfinite(n.x) and math.isfinite(n.y)):
             f("nonfinite-value", f"node {n.id} has non-finite coordinates", f"nodes/{n.id}")
-    for e in model.elements:
+    for k, e in enumerate(model.elements):
         a, b = e.node_ids
         if a == b:
             f("self-loop", f"element {e.id} connects node {a} to itself", f"elements/{e.id}")
-        for nid in (a, b):
-            if nid not in node_ids:
-                f("dangling-ref", f"element {e.id} references missing node {nid}", f"elements/{e.id}")
-        if e.section_id not in section_ids:
-            f("dangling-ref", f"element {e.id} references missing section {e.section_id}",
-              f"elements/{e.id}")
-        elif e.kind == "frame_beam":
-            sec = sections_by_id[e.section_id]
-            if sec.moment_of_inertia is None or sec.moment_of_inertia <= 0:
-                f("missing-inertia",
-                  f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
-                  f"sections/{sec.id}")
+        for message in dangling["elements"].get(k, ()):
+            f("dangling-ref", message, f"elements/{e.id}")
+        sec = sections_by_id.get(e.section_id) if e.kind == "frame_beam" else None
+        if sec is not None and (sec.moment_of_inertia is None or sec.moment_of_inertia <= 0):
+            f("missing-inertia",
+              f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
+              f"sections/{sec.id}")
     for kind in dict.fromkeys(map(_KIND, model.elements)):
         if kind not in row.element_kinds:
             f("mode-elements", f"{spec.mode} analysis does not accept {kind} elements",
@@ -139,24 +124,23 @@ def check_l1(model: IRModel) -> list[Finding]:
         if m.density <= 0 and row.needs_mass:
             f("nonpositive-mass", f"material {m.id} has a non-positive density {m.density!r}",
               f"materials/{m.id}")
-    for s in model.sections:
-        if s.material_id not in material_ids:
-            f("dangling-ref", f"section {s.id} references missing material {s.material_id}",
-              f"sections/{s.id}")
+    for k, s in enumerate(model.sections):
+        for message in dangling["sections"].get(k, ()):
+            f("dangling-ref", message, f"sections/{s.id}")
         if not math.isfinite(s.area) or (s.moment_of_inertia is not None
                                          and not math.isfinite(s.moment_of_inertia)):
             f("nonfinite-value", f"section {s.id} has non-finite properties", f"sections/{s.id}")
         elif s.area <= 0:
             f("nonpositive-stiffness", f"section {s.id} has a non-positive area {s.area!r}",
               f"sections/{s.id}")
-    for b in model.boundary_conditions:
-        if b.node_id not in node_ids:
-            f("dangling-ref", f"bc references missing node {b.node_id}", f"bcs/{b.node_id}")
+    for k, b in enumerate(model.boundary_conditions):
+        for message in dangling["bcs"].get(k, ()):
+            f("dangling-ref", message, f"bcs/{b.node_id}")
         if not b.constrained_dofs:
             f("empty-dofs", f"bc at node {b.node_id} constrains no dofs", f"bcs/{b.node_id}")
-    for l in model.loads:
-        if l.node_id not in node_ids:
-            f("dangling-ref", f"load references missing node {l.node_id}", f"loads/{l.node_id}")
+    for k, l in enumerate(model.loads):
+        for message in dangling["loads"].get(k, ()):
+            f("dangling-ref", message, f"loads/{l.node_id}")
         if not all(math.isfinite(v) for v in (l.fx, l.fy, l.mz)):
             f("nonfinite-value", f"load at node {l.node_id} has non-finite components",
               f"loads/{l.node_id}")
@@ -256,7 +240,7 @@ def check_l2(model: IRModel) -> list[Finding]:
     labels = connected_components(len(ids), ends[:, 0], ends[:, 1])
     _, first = np.unique(labels, return_index=True)  # the lowest id of each component
     supported = np.zeros(len(first), bool)
-    bcs = _rows(ids, map(_NODE_ID, model.boundary_conditions), missing=-1)
+    bcs = _rows(ids, COLLECTIONS[BoundaryCondition].keys(model.boundary_conditions), missing=-1)
     supported[labels[bcs[bcs >= 0]]] = True
     for k in first[~supported].tolist():
         out.append(Finding("L2", "floating-substructure",

@@ -3,7 +3,7 @@ reference the run-at-once ``vfea.sandbox._interpret`` is checked against
 (tests/test_sandbox.py). It runs one statement per line, so ``lines``
 first expands each run of declarations into one statement per line; the
 dofs it budgets are counted from the dof index, as ``solved_dofs`` once
-counted them."""
+counted them, and the modes from the free ones among them."""
 
 from __future__ import annotations
 
@@ -135,7 +135,8 @@ def interpret(program: ScriptAST, ws_root: Path, limits: Limits,
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop(None, f"solver budget exceeded "
                                              f"({n_dofs} > {limits.max_solver_dofs} dofs)")
-                modes = min(spec.modal_count, n_dofs) if spec.mode == "modal" else 0
+                free = n_dofs - sum(len(b.constrained_dofs) for b in model.boundary_conditions)
+                modes = min(spec.modal_count, free) if spec.mode == "modal" else 0
                 if modes > MAX_MODES:
                     raise _RuntimeStop(None, f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
                 iters = spec.opt_max_iterations

@@ -152,6 +152,26 @@ class TestExecute:
             assert len(read_results(out.results_path).frequencies_hz) < MAX_MODES
 
     @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_mode_budget_counts_free_dofs(self, tmp_path, mode):
+        # a truss grid of 17 x 3 nodes on a pin and a roller: 102 solved
+        # dofs, 99 of them free, so 200 modes asked give 99 and a note
+        node = {(i, j): 1 + 3 * i + j for i in range(17) for j in range(3)}
+        pairs = [(node[i, j], node[i + di, j + dj]) for (i, j) in node
+                 for di, dj in ((1, 0), (0, 1), (1, 1)) if (i + di, j + dj) in node]
+        model = replace(
+            modal_cantilever(count=200),
+            nodes=tuple(Node(n, float(i), float(j)) for (i, j), n in node.items()),
+            elements=tuple(Element(k, "truss_bar", p, 1) for k, p in enumerate(pairs, 1)),
+            boundary_conditions=(BoundaryCondition(node[0, 0], frozenset({"ux", "uy"})),
+                                 BoundaryCondition(node[16, 0], frozenset({"uy"}))))
+        out = execute(lower_ir(model), allocate_workspace(tmp_path, "free"), Limits(), mode=mode)
+        assert out.status == "COMPLETED"
+        assert "analysis complete (102 dofs)" in out.log
+        result = read_results(out.results_path)
+        assert len(result.frequencies_hz) == 99
+        assert result.note == "requested 200 modes but only 99 free dofs are available"
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
     def test_oc_iteration_budget(self, tmp_path, mode):
         script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1))
         out = execute(script, allocate_workspace(tmp_path, "oc"), Limits(), mode=mode)
@@ -160,6 +180,29 @@ class TestExecute:
         script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS))
         assert execute(script, allocate_workspace(tmp_path, "oc"), Limits(),
                        mode=mode).status == "COMPLETED"
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    @pytest.mark.parametrize("budget", [
+        {"max_statements": 2.5}, {"max_statements": math.nan}, {"max_statements": 0},
+        {"max_statements": True}, {"max_solver_dofs": math.nan}, {"max_solver_dofs": 1.5},
+        {"max_solver_dofs": math.inf}, {"max_wall_time": math.nan}, {"max_wall_time": math.inf},
+        {"max_wall_time": 0.0}, {"max_wall_time": 10 ** 400}, {"max_wall_time": "60"}])
+    def test_a_budget_that_is_no_count_or_no_finite_time_is_refused(
+            self, tmp_path, cantilever_script, mode, budget):
+        # each once crashed a run (a slice index, a subprocess timeout) or
+        # switched its own check off (NaN compares false)
+        with pytest.raises(ValueError, match="budgets must be counts"):
+            execute(cantilever_script, allocate_workspace(tmp_path, "limits"), Limits(**budget),
+                    mode=mode)
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_a_wall_time_longer_than_subprocess_can_wait_runs(self, tmp_path, cantilever_script,
+                                                              mode):
+        for wall in (1, 1e12, 1e308):
+            out = execute(cantilever_script, allocate_workspace(tmp_path, "long"),
+                          Limits(max_statements=100, max_solver_dofs=6, max_wall_time=wall),
+                          mode=mode)
+            assert out.status == "COMPLETED"
 
     def test_parse_failure_reports_line(self, tmp_path):
         ws = allocate_workspace(tmp_path, "parse")
