@@ -14,7 +14,6 @@ which costs time, not results.
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import math
 import os
@@ -26,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ir import (ANALYSIS_MODES, IRModel, SchemaParseError, _Defect, _endpoints, _Field,
-                 _nullable, _one_of, _read_json, _record, _rows, _text, deserialize,
-                 pairs_within, unit_box)
+                 _nullable, _one_of, _read_json, _record, _rows, _text, bounding_box,
+                 deserialize, pairs_within, unit_box)
 from .memory import ExperienceBuffer
 from .perception import (DegenerateElementError, DrawingParseError,
                          PerceptionFailure, ScaleConflictError,
@@ -174,7 +173,7 @@ def _ranks(ids: list[int]) -> np.ndarray:
 
 
 def _common_pairs(left: np.ndarray, right: np.ndarray, n: int) -> int:
-    """How many unordered pairs the two (m, 2) arrays of codes below ``n``
+    """How many unordered pairs the two (m, 2) arrays of rows below ``n``
     have in common, counted as multisets."""
     def counted(pairs: np.ndarray):
         return np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_counts=True)
@@ -192,8 +191,9 @@ def evaluate_ir(predicted: IRModel, truth: IRModel, tol: float = DEFAULT_MATCH_T
     ``tol`` of the reference bounding-box diagonal, so a node with a
     non-finite coordinate matches nothing (and, like any non-finite point,
     is left out of that box); connectivity is F1 over element
-    node pairs mapped through that matching; the composite overall score is
-    the mean of node accuracy and connectivity F1.
+    node pairs mapped through that matching, where a pair with an end that
+    is unmatched or names no node agrees with no pair; the composite overall
+    score is the mean of node accuracy and connectivity F1.
     """
     if schema_valid is None:
         schema_valid = not check_l1(predicted)
@@ -204,10 +204,8 @@ def evaluate_ir(predicted: IRModel, truth: IRModel, tol: float = DEFAULT_MATCH_T
     pred_xy = np.array(list(pred.values()), float).reshape(-1, 2)
     ref_xy = np.array(list(ref.values()), float).reshape(-1, 2)
 
-    finite = ref_xy[np.isfinite(ref_xy).all(axis=1)]
-    with np.errstate(over="ignore"):  # a span beyond the float range is inf
-        span = (finite.max(axis=0) - finite.min(axis=0)).tolist() if len(finite) else [0.0]
-    diagonal = math.hypot(*span)
+    box = bounding_box(ref.values())
+    diagonal = math.hypot(box[2] - box[0], box[3] - box[1]) if box else 0.0
     threshold = tol * diagonal if diagonal > 0 else tol
 
     # candidate pairs in (distance, predicted id, reference id) order; ids
@@ -229,22 +227,13 @@ def evaluate_ir(predicted: IRModel, truth: IRModel, tol: float = DEFAULT_MATCH_T
     denom = max(len(pred), len(ref))
     node_accuracy = (len(matched) / denom) if denom else 1.0
 
-    # Element pairs compare as unordered pairs of codes. A reference node's
-    # code is its row; any other value, a dangling reference endpoint or the
-    # -id that stands for both ends of a predicted element with an unmatched
-    # end, gets the next free code.
-    code = dict(zip(ref_ids, itertools.count()))
-    truth_ends = _endpoints(truth.elements)
+    # Element pairs compare as unordered pairs of reference rows. Only a
+    # predicted element with both ends matched and a reference element with
+    # both ends at reference nodes can agree, but every element counts.
     pred_ends = match[_rows(pred_ids, _endpoints(predicted.elements), missing=-1)].reshape(-1, 2)
-    unmatched = np.flatnonzero((pred_ends < 0).any(axis=1))
-    negated = [-e.id for e in map(predicted.elements.__getitem__, unmatched.tolist())]
-    for value in itertools.chain(itertools.filterfalse(code.__contains__, truth_ends), negated):
-        code.setdefault(value, len(code))
-    pred_ends[unmatched] = np.fromiter(map(code.__getitem__, negated), np.intp,
-                                       len(negated))[:, None]
-    truth_ends = np.fromiter(map(code.__getitem__, truth_ends), np.intp,
-                             len(truth_ends)).reshape(-1, 2)
-    tp = _common_pairs(pred_ends, truth_ends, len(code))
+    truth_ends = _rows(ref_ids, _endpoints(truth.elements), missing=-1).reshape(-1, 2)
+    tp = _common_pairs(pred_ends[(pred_ends >= 0).all(axis=1)],
+                       truth_ends[(truth_ends >= 0).all(axis=1)], len(ref_ids))
     if not len(pred_ends) and not len(truth_ends):
         connectivity_f1 = 1.0
     elif tp == 0:

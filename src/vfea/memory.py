@@ -1,5 +1,5 @@
 """Persistent experience replay: structural signatures, error classification,
-and density-filtered retrieval ranked by token-set similarity.
+and retrieval of the newest records of a comparable structure.
 
 The store is an append-only line-delimited file, one record per line, which
 makes appends crash-safe and keeps insertion order as the recency order.
@@ -7,6 +7,7 @@ makes appends crash-safe and keeps insertion order as the recency order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import threading
@@ -118,13 +119,6 @@ def classify_error(kind: str | Iterable[str] | None, text: str) -> ErrorSignatur
                           tokens=frozenset(_TOKEN_RE.findall(low)), line=line)
 
 
-def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
-
-
 def _record_to_line(rec: ExperienceRecord) -> str:
     return json.dumps(_line_doc(rec), separators=(",", ":"))
 
@@ -215,29 +209,19 @@ class ExperienceBuffer:
                     raise MemoryPersistError(f"cannot append to {self.path}: {exc}") from None
             self._records.append(rec)
 
-    def retrieve(self, query_sig: StructuralSignature,
-                 query_err: ErrorSignature | None, k: int) -> list[ExperienceRecord]:
-        """Top-k records whose structural density is commensurate with the query.
+    def retrieve(self, query_sig: StructuralSignature, k: int) -> list[ExperienceRecord]:
+        """The k newest records whose structural density is commensurate
+        with the query, newest first.
 
         The density-ratio filter keeps candidates inside [0.5, 2.0], which is
         closed under reciprocals, so filtering is symmetric between query and
-        candidate. Ranking: token Jaccard desc, category match desc, recency.
+        candidate. The scan starts at the newest record and stops at the k-th
+        match.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         lo, hi = DENSITY_RATIO_INTERVAL
         qd = query_sig.density
-        qtokens = query_err.tokens if query_err is not None else frozenset()
-        qcat = query_err.category if query_err is not None else None
-        scored = []
-        for idx, rec in enumerate(self._records):
-            ratio = rec.signature.density / qd if qd > 0 else float("inf")
-            if not (lo <= ratio <= hi):
-                continue
-            rtokens = rec.error.tokens if rec.error is not None else frozenset()
-            sim = jaccard(qtokens, rtokens)
-            cat_match = 1 if (qcat is not None and rec.error is not None
-                              and rec.error.category == qcat) else 0
-            scored.append(((-sim, -cat_match, -idx), rec))
-        scored.sort(key=lambda item: item[0])
-        return [rec for _, rec in scored[:k]]
+        return list(itertools.islice(
+            (rec for rec in reversed(self._records)
+             if lo <= (rec.signature.density / qd if qd > 0 else float("inf")) <= hi), k))

@@ -21,6 +21,7 @@ from .ir import (ANALYSIS_MODES, COLLECTIONS, MODES, AnalysisSpec, BoundaryCondi
                  IRModel, Load, Material, Node, Section, _Defect, _Field, _array, _finite, _int,
                  _nullable, _one_of, _read_json, _record, _text, canonicalize,
                  pairs_within, unit_box)
+from .simscript import _code_lines
 from .validation import (ValidationReport, accept_update, audit,
                          connected_components)
 
@@ -313,22 +314,19 @@ class ContextDirectives:
     material: Material = DEFAULT_MATERIAL
     section: Section = DEFAULT_SECTION
     element_kind: str = "frame_beam"
-    mode: str = "static"
-    modal_count: int | None = None
-    volfrac: float | None = None
-    opt_iterations: int | None = None
+    analysis: AnalysisSpec = AnalysisSpec()
     lines: tuple[str, ...] = ()
 
 
 def parse_context(text: str) -> ContextDirectives:
     """Parse the line-oriented ``key: value`` context directives; ``#``
-    starts a comment."""
+    starts a comment. The analysis spec holds the selected mode's parameters
+    as directed (check_l1 audits their ranges), or their kept priors;
+    another mode's directives are read and ignored."""
     found: dict[str, object] = {}  # ContextDirectives fields set by a directive
+    mode, params = "static", {}  # params: every mode's parameter directives
     kept: list[str] = []
-    # lines end at \n, \r\n or \r, and # starts a comment, as in scripts
-    # (simscript.parse_script)
-    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        line = raw.split("#", 1)[0].strip()
+    for line in _code_lines(text):
         if not line or ":" not in line:
             continue
         kept.append(line)
@@ -353,13 +351,15 @@ def parse_context(text: str) -> ContextDirectives:
             elif key == "mode":
                 if value not in ANALYSIS_MODES:
                     raise SemanticsError(f"unknown analysis mode {value!r}")
-                found["mode"] = value
+                mode = value
             elif key in _PARAMS:
-                found[key] = _PARAMS[key].read(value)
+                params[key] = _PARAMS[key].read(value)
             # unknown keys are free-text context and simply ignored
         except ValueError as exc:
             raise SemanticsError(f"malformed context directive {line!r}: {exc}") from None
-    return ContextDirectives(**found, lines=tuple(kept))
+    analysis = AnalysisSpec(mode, **{p.attr: params.get(p.directive, p.prior if p.kept else None)
+                                     for p in MODES[mode].params})
+    return ContextDirectives(**found, analysis=analysis, lines=tuple(kept))
 
 
 def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
@@ -415,10 +415,6 @@ def attach_semantics(drawing: PrimitiveDrawing,
         nid, _ = _nearest_node(ids, xy, a.anchor)
         magnitude = parse_magnitude(a.magnitude_label) if a.magnitude_label else 1.0
         arrows.append(Load(nid, magnitude * a.direction[0], magnitude * a.direction[1]))
-    # the mode's parameters as directed, or their kept priors; check_l1 audits them
-    analysis = AnalysisSpec(ctx.mode, **{
-        p.attr: p.prior if value is None and p.kept else value
-        for p in MODES[ctx.mode].params for value in (getattr(ctx, p.directive),)})
 
     provenance = (f"scale={scale.mode}"
                   + (f" {scale.meters_per_pixel:.6g} m/px" if scale.meters_per_pixel else "")
@@ -429,7 +425,7 @@ def attach_semantics(drawing: PrimitiveDrawing,
                     boundary_conditions=tuple(COLLECTIONS[BoundaryCondition].ingest(
                         {}, supports).values()),
                     loads=tuple(COLLECTIONS[Load].ingest({}, arrows).values()),
-                    analysis=analysis,
+                    analysis=ctx.analysis,
                     coordinate_mode="metric" if scale.mode == "metric" else "normalized",
                     provenance=provenance)
     return canonicalize(model)

@@ -247,6 +247,17 @@ _FORMS = {f.words[:2] if f.words[0] in _UNKNOWN_FORM else f.words[0]: f for f in
 _TEXT = {f.key: f.text for f in _STATEMENTS}
 
 
+def _code_lines(text: str) -> list[str]:
+    """The code of each line of a script or context text: a line ends at LF,
+    CR LF or CR (as in a script file read back as text), ``#`` starts a
+    comment, and surrounding whitespace is stripped. A blank line stays, so
+    line numbers hold."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "#" not in text:
+        return list(map(str.strip, lines))
+    return [raw.split("#", 1)[0].strip() for raw in lines]
+
+
 def parse_script(text: str) -> ScriptAST:
     """The program of a script, read by columns: consecutive lines of one
     head are read together, a run of one declaration form and one argument
@@ -254,10 +265,7 @@ def parse_script(text: str) -> ScriptAST:
     reader, and any other run line by line. Runs are read in line order,
     and a run with a token its reader rejects is read again line by line,
     so the error names the first line in error."""
-    # lines end at \n, \r\n or \r, as in script.sim read back as text
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    codes = ([raw.split("#", 1)[0].strip() for raw in lines] if "#" in text
-             else list(map(str.strip, lines)))
+    codes = _code_lines(text)
     numbers = list(itertools.compress(itertools.count(1), codes))
     codes = list(filter(None, codes))
     toks = list(map(str.split, codes))

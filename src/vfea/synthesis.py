@@ -148,7 +148,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                                   limits, mode=execution_mode, program=program)
         return verify_results(attempt.outcome, model.analysis)
 
-    script = generator.generate(model, buffer.retrieve(sig, None, DEFAULT_RETRIEVAL_K))
+    script = generator.generate(model, buffer.retrieve(sig, DEFAULT_RETRIEVAL_K))
 
     for k in range(K + 1):
         attempt = Attempt(k=k, script=script)

@@ -8,7 +8,6 @@ consistency reverse-check (L4).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,19 +355,6 @@ def audit(model: IRModel, drawing: "PrimitiveDrawing | None" = None,
     if drawing is not None and scale is not None:
         findings = tuple(check_l4(model, drawing, scale))
     return ValidationReport(findings=findings)
-
-
-def serialize_report(report: ValidationReport) -> str:
-    """Render a report in the same text-document convention as the IR."""
-    doc = {
-        "clean": report.clean,
-        "findings": [
-            {"level": f.level, "code": f.code, "message": f.message, "subject": f.subject}
-            for f in report.findings
-        ],
-        "justification": report.justification,
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def accept_update(belief: "BeliefState", candidate: IRModel,

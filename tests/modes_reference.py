@@ -1,6 +1,6 @@
 """Reference copies of the per-mode branches that the analysis tables
-replaced: the parameter directives of ``perception.parse_context``, the
-spec chain of ``perception.attach_semantics``, ``validation.check_l1``
+replaced: the parameter directives of ``perception.parse_context`` and the
+spec chain built from them (``analysis_spec``), ``validation.check_l1``
 with its mode-params, density and load rules, the two budget checks of
 ``sandbox._interpret``, ``solver.solved_dofs``, ``ir.topology_params`` and
 the three ``analyze`` printers of ``simscript``. The mode property in
@@ -80,19 +80,20 @@ def parse_context(text: str) -> ContextDirectives:
         except (ValueError, KeyError) as exc:
             raise SemanticsError(f"malformed context directive {line!r}: {exc}") from None
     return ContextDirectives(material=material, section=section, element_kind=element_kind,
-                             mode=mode, modal_count=modal_count, volfrac=volfrac,
-                             opt_iterations=opt_iterations, lines=tuple(kept))
+                             analysis=analysis_spec(mode, modal_count, volfrac, opt_iterations),
+                             lines=tuple(kept))
 
 
-def analysis_spec(ctx: ContextDirectives) -> AnalysisSpec:
+def analysis_spec(mode: str, modal_count: int | None, volfrac: float | None,
+                  opt_iterations: int | None) -> AnalysisSpec:
     """The spec chain of ``attach_semantics``."""
-    if ctx.mode == "modal":
-        count = 1 if ctx.modal_count is None else ctx.modal_count
+    if mode == "modal":
+        count = 1 if modal_count is None else modal_count
         analysis = AnalysisSpec(mode="modal", modal_count=count)
-    elif ctx.mode == "topology_optimization":
+    elif mode == "topology_optimization":
         analysis = AnalysisSpec(mode="topology_optimization",
-                                opt_volume_fraction=ctx.volfrac,
-                                opt_max_iterations=ctx.opt_iterations)
+                                opt_volume_fraction=volfrac,
+                                opt_max_iterations=opt_iterations)
     else:
         analysis = AnalysisSpec(mode="static")
     return analysis

@@ -167,6 +167,18 @@ class TestEvaluateIR:
         flat = replace(truss, nodes=tuple(replace(n, x=x, y=0.0) for n, x in zip(truss.nodes, xs)))
         assert evaluate_ir(flat, flat).node_accuracy == pytest.approx(expected)
 
+    @pytest.mark.parametrize("extra_id", [5, 6])
+    def test_an_unmatched_element_agrees_with_no_reference_element(self, extra_id):
+        # the extra element's loose end once stood for -id, which equals the
+        # reference's dangling endpoint -5 when the id is 5
+        nodes = (Node(1, 0.0, 0.0), Node(2, 4.0, 0.0))
+        truth = IRModel(nodes=nodes, elements=(Element(1, "truss_bar", (1, 2), 1),
+                                               Element(2, "truss_bar", (-5, -5), 1)),
+                        materials=(STEEL,), sections=(BAR,))
+        predicted = replace(truth, elements=(Element(1, "truss_bar", (1, 2), 1),
+                                             Element(extra_id, "truss_bar", (1, 99), 1)))
+        assert evaluate_ir(predicted, truth).connectivity_f1 == 0.5
+
 
 def naive_evaluate_ir(predicted: IRModel, truth: IRModel,
                       tol: float = DEFAULT_MATCH_TOLERANCE) -> Metrics:
@@ -189,7 +201,7 @@ def naive_evaluate_ir(predicted: IRModel, truth: IRModel,
     denom = max(len(pred), len(ref))
     node_accuracy = len(mapping) / denom if denom else 1.0
     pred_pairs = [tuple(sorted((mapping[a], mapping[b]))) if a in mapping and b in mapping
-                  else (-e.id, -e.id) for e in predicted.elements for a, b in [e.node_ids]]
+                  else None for e in predicted.elements for a, b in [e.node_ids]]
     remaining = [tuple(sorted(e.node_ids)) for e in truth.elements]
     n_truth, tp = len(remaining), 0
     for p in pred_pairs:
@@ -288,7 +300,7 @@ def head_evaluate_ir(predicted: IRModel, truth: IRModel,
             a, b = e.node_ids
             if mapping is not None:
                 if a not in mapping or b not in mapping:
-                    out.append((-e.id, -e.id))
+                    out.append(None)
                     continue
                 a, b = mapping[a], mapping[b]
             out.append((min(a, b), max(a, b)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 
+import memory_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from vfea.memory import (DENSITY_RATIO_INTERVAL, ERROR_CATEGORIES,
                          FAILURE_KINDS, ErrorSignature, ExperienceBuffer,
                          ExperienceRecord,
                          StructuralSignature, classify_error,
-                         compute_signature, jaccard)
+                         compute_signature)
 
 
 def sig(n_nodes: int, n_elements: int) -> StructuralSignature:
@@ -125,12 +126,12 @@ class TestClassify:
 class TestRetrieve:
     def test_empty_buffer(self):
         buf = ExperienceBuffer()
-        assert buf.retrieve(sig(3, 2), None, k=5) == []
+        assert buf.retrieve(sig(3, 2), k=5) == []
 
     def test_density_filter_excludes_ratio_3(self):
         buf = ExperienceBuffer()
         buf.record(failure(sig(9, 2), {"x"}))   # density 4.5 against query 1.5
-        assert buf.retrieve(sig(3, 2), ErrorSignature("other", frozenset({"x"})), 5) == []
+        assert buf.retrieve(sig(3, 2), 5) == []
 
     def test_density_filter_boundaries_inclusive(self):
         buf = ExperienceBuffer()
@@ -139,42 +140,22 @@ class TestRetrieve:
         buf.record(failure(sig(1, 2), {"c"}))    # density 0.5
         buf.record(failure(sig(5, 2), {"d"}))    # density 2.5: out
         buf.record(failure(sig(2, 5), {"e"}))    # density 0.4: out
-        got = buf.retrieve(sig(2, 2), ErrorSignature("other", frozenset()), 10)
+        got = buf.retrieve(sig(2, 2), 10)
         tokens = {next(iter(r.error.tokens)) for r in got}
         assert tokens == {"a", "b", "c"}
 
-    def test_jaccard_ordering(self):
-        # hand oracle: |{a,b,c,d} ^ {a,b,c,e}| / |union| = 3/5 = 0.6 > 1/7
-        q = ErrorSignature("other", frozenset({"a", "b", "c", "d"}))
-        buf = ExperienceBuffer()
-        buf.record(failure(sig(3, 2), {"a", "b", "c", "e"}, lesson="hi"))
-        buf.record(failure(sig(3, 2), {"a", "x", "y", "z"}, lesson="lo"))
-        got = buf.retrieve(sig(3, 2), q, 2)
-        assert [r.lesson for r in got] == ["hi", "lo"]
-        assert jaccard(q.tokens, got[0].error.tokens) == pytest.approx(0.6)
-        assert jaccard(q.tokens, got[1].error.tokens) == pytest.approx(1 / 7)
-
-    def test_category_match_breaks_ties(self):
-        q = ErrorSignature("type_i_lifecycle", frozenset({"a"}))
-        buf = ExperienceBuffer()
-        buf.record(failure(sig(3, 2), {"a"}, category="other", lesson="wrong-cat"))
-        buf.record(failure(sig(3, 2), {"a"}, category="type_i_lifecycle", lesson="match"))
-        got = buf.retrieve(sig(3, 2), q, 2)
-        assert [r.lesson for r in got] == ["match", "wrong-cat"]
-
-    def test_recency_breaks_remaining_ties(self):
-        q = ErrorSignature("other", frozenset({"a"}))
+    def test_newest_first(self):
         buf = ExperienceBuffer()
         buf.record(failure(sig(3, 2), {"a"}, lesson="older"))
         buf.record(failure(sig(3, 2), {"a"}, lesson="newer"))
-        got = buf.retrieve(sig(3, 2), q, 2)
+        got = buf.retrieve(sig(3, 2), 2)
         assert [r.lesson for r in got] == ["newer", "older"]
 
     def test_never_more_than_k(self):
         buf = ExperienceBuffer()
         for i in range(10):
             buf.record(failure(sig(3, 2), {f"t{i}"}))
-        assert len(buf.retrieve(sig(3, 2), None, 4)) == 4
+        assert len(buf.retrieve(sig(3, 2), 4)) == 4
 
     def test_filter_symmetry(self):
         lo, hi = DENSITY_RATIO_INTERVAL
@@ -183,6 +164,51 @@ class TestRetrieve:
             fwd = lo <= (a.density / b.density) <= hi
             rev = lo <= (b.density / a.density) <= hi
             assert fwd == rev
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, k):
+        buf = ExperienceBuffer()
+        buf.record(failure(sig(3, 2), {"a"}))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            buf.retrieve(sig(3, 2), k)
+
+
+@st.composite
+def _retrieval_cases(draw):
+    """A query signature (zero nodes or elements now and then), a buffer of
+    success and failure records, many of them at or one step beyond a
+    density bound of the query or repeating one signature, and a k from 1
+    to two past the buffer's length."""
+    qn, qe = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    # ratio 1, exactly 0.5 and 2.0 (a factor of 2 rounds exactly), and just past each
+    near = [(qn, qe), (qn, 2 * qe), (2 * qn, qe), (qn, 2 * qe + 1), (2 * qn + 1, qe),
+            (qn, max(2 * qe - 1, 0)), (max(2 * qn - 1, 0), qe), (0, qe)]
+    sigs = st.one_of(st.sampled_from(near), st.tuples(st.integers(0, 20), st.integers(0, 20)))
+    records = []
+    for i in range(draw(st.integers(0, 24))):
+        n, e = draw(sigs)
+        signature = StructuralSignature(n, e, frozenset({"truss_bar"}), 1, 2)
+        if draw(st.booleans()):
+            records.append(ExperienceRecord(signature, None, "verified script", "model begin",
+                                            "success", float(i)))
+        else:
+            records.append(failure(signature, draw(st.sets(st.sampled_from("abc"))),
+                                   draw(st.sampled_from(ERROR_CATEGORIES)), created_at=float(i)))
+    return sig(qn, qe), records, draw(st.integers(1, len(records) + 2))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_retrieval_cases())
+def test_newest_first_retrieval_equals_the_error_ranked_reference(case):
+    """The same record objects, in the same order, as the ranking with no
+    error signature."""
+    query, records, k = case
+    buf = ExperienceBuffer()
+    for rec in records:
+        buf.record(rec)
+    got, expected = buf.retrieve(query, k), reference.retrieve(records, query, None, k)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
 
 
 class TestRecords:
@@ -264,7 +290,7 @@ class TestPersistence:
         reloaded = ExperienceBuffer(path)
         assert [r.lesson for r in reloaded.records] == ["kept"]
         assert reloaded.skipped_lines == 1
-        assert reloaded.retrieve(sig(5, 4), None, 3) == list(reloaded.records)
+        assert reloaded.retrieve(sig(5, 4), 3) == list(reloaded.records)
 
     def test_raw_line_separator_in_a_string_is_one_record(self, tmp_path):
         from vfea.memory import _record_to_line

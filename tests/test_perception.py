@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import SUITE_DIR
 from vfea import perception
 from vfea.harness import load_case
-from vfea.ir import IRModel, serialize
+from vfea.ir import AnalysisSpec, IRModel, serialize
 from vfea.perception import (DegenerateElementError,
                              DrawingParseError, LoadArrow, PerceptionConfig,
                              PerceptionFailure, PrimitiveDrawing, ScaleResolution,
@@ -344,8 +344,8 @@ def test_modal_count_directive(directive, count):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_context_lines_end_where_script_lines_end(end):
     directives = perception.parse_context(f"mode: modal{end}modal_count: 4{end}elements: truss")
-    assert (directives.mode, directives.modal_count, directives.element_kind) == (
-        "modal", 4, "truss_bar")
+    assert (directives.analysis, directives.element_kind) == (
+        AnalysisSpec("modal", modal_count=4), "truss_bar")
 
 
 def test_documented_context_example_parses():
@@ -355,16 +355,22 @@ def test_documented_context_example_parses():
     assert (directives.material.youngs_modulus, directives.material.poisson_ratio,
             directives.material.density) == (210e9, 0.3, 7850.0)
     assert (directives.section.area, directives.section.moment_of_inertia) == (0.01, 1e-6)
-    assert (directives.element_kind, directives.mode, directives.modal_count,
-            directives.volfrac, directives.opt_iterations) == ("frame_beam", "static", 3, 0.5, 40)
+    assert (directives.element_kind, directives.analysis) == ("frame_beam", AnalysisSpec())
     assert directives.lines[2] == "elements: frame"
+    # the parameter directives of the other modes, read when their mode is selected
+    for mode, spec in [("modal", AnalysisSpec("modal", modal_count=3)),
+                       ("topology_optimization", AnalysisSpec("topology_optimization",
+                                                              opt_volume_fraction=0.5,
+                                                              opt_max_iterations=40))]:
+        assert perception.parse_context(block.replace("mode: static", f"mode: {mode}")
+                                        ).analysis == spec
 
 
 def test_hash_starts_a_context_comment():
     directives = perception.parse_context("# elements: truss\nmode: modal # static\n"
                                           "modal_count: 2#3\n")
-    assert (directives.element_kind, directives.mode, directives.modal_count,
-            directives.lines) == ("frame_beam", "modal", 2, ("mode: modal", "modal_count: 2"))
+    assert (directives.element_kind, directives.analysis, directives.lines) == (
+        "frame_beam", AnalysisSpec("modal", modal_count=2), ("mode: modal", "modal_count: 2"))
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",

@@ -578,7 +578,7 @@ class TestAnalysisTable:
         assert tuple(solver.ANALYSES) == ANALYSIS_MODES
         assert [f.key for f in simscript._STATEMENTS if f.words[0] == "analyze"] == list(
             ANALYSIS_MODES)
-        assert [parse_context(f"mode: {mode}\n").mode for mode in ANALYSIS_MODES] == list(
+        assert [parse_context(f"mode: {mode}\n").analysis.mode for mode in ANALYSIS_MODES] == list(
             ANALYSIS_MODES)
         with pytest.raises(SemanticsError, match="unknown analysis mode"):
             parse_context("mode: buckling\n")

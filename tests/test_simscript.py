@@ -17,8 +17,9 @@ from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
 from vfea.ir import (DOF_ORDER, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
                      Element, Load, Material, Node, Section)
-from vfea.simscript import (_STATEMENTS, _TEXT, Declare, End, ModelBegin, ScriptParseError,
-                            WorkspaceStmt, WriteResults, lower_ir, parse_script, preflight)
+from vfea.simscript import (_STATEMENTS, _TEXT, Declare, End, LoweringError, ModelBegin,
+                            ScriptParseError, WorkspaceStmt, WriteResults, lower_ir,
+                            parse_script, preflight)
 from vfea.validation import audit
 
 MINIMAL = """\
@@ -358,6 +359,18 @@ class TestLowerIR:
 
     def test_deterministic_output(self, topopt_model):
         assert lower_ir(topopt_model) == lower_ir(topopt_model)
+
+    def test_modal_spec_without_count_does_not_lower(self, cantilever):
+        # an unset kept parameter has no script form: ``{:d}`` refuses None
+        with pytest.raises(LoweringError, match=r"TypeError\('unsupported format string "
+                                                r"passed to NoneType\.__format__'\)"):
+            lower_ir(replace(cantilever, analysis=AnalysisSpec(mode="modal")))
+
+    def test_element_kind_without_script_word_does_not_lower(self, cantilever):
+        shell = replace(cantilever, elements=tuple(replace(e, kind="shell")
+                                                   for e in cantilever.elements))
+        with pytest.raises(LoweringError, match=r"KeyError\('shell'\)"):
+            lower_ir(shell)
 
 
 @settings(max_examples=50, deadline=None)

@@ -96,7 +96,7 @@ class TestComposeDebugContext:
         script = lower_ir(cantilever).replace("analyze static\n", "")
         contexts = self.repair_contexts(cantilever, script, tmp_path, K=K, buffer=buffer)
         assert [ctx.lessons for ctx in contexts] == [tuple(reflect(["lifecycle"]))] * (K + 1)
-        assert queries == [(sig, None, synthesis.DEFAULT_RETRIEVAL_K)]
+        assert queries == [(sig, synthesis.DEFAULT_RETRIEVAL_K)]
 
 
 class TestVerifyResults:

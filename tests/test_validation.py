@@ -20,7 +20,7 @@ from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
 from vfea.validation import (ZERO_LENGTH_EPS, Finding, ValidationReport, accept_update,
                              audit, check_l1, check_l2, check_l3, check_l4,
-                             connected_components, restraint_rank, serialize_report)
+                             connected_components, restraint_rank)
 
 
 def bc_model(constraints: list[tuple[float, float, str]]) -> IRModel:
@@ -482,14 +482,6 @@ class TestAudit:
 
     def test_pure_function(self, truss):
         assert audit(truss) == audit(truss)
-
-    def test_report_serialization(self, truss):
-        import json
-        bad = replace(truss, materials=(replace(STEEL, poisson_ratio=-0.1),))
-        doc = json.loads(serialize_report(audit(bad)))
-        assert doc["clean"] is False
-        assert doc["findings"][0]["code"] == "poisson-range"
-        assert serialize_report(audit(bad)) == serialize_report(audit(bad))
 
 
 class TestAcceptUpdate:
