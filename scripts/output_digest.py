@@ -19,6 +19,11 @@ seed (default: 1). Families:
                   in another order, CRLF line ends), in both modes
   run.log[modes]  the run logs of one small truss grid's script ending in
                   each analyze variant of MODE_VARIANTS, in both modes
+  mixed           one braced portal whose truss bars and frame beams share
+                  joints, lowered under analyze static and analyze modal
+                  count 3: each script, and its run log and results in both
+                  modes; and its run log under analyze topopt, which the
+                  audit rejects (mode-elements), in both modes
   context[modes]  the perceived IR, or the perception error and its
                   findings, of one bundled drawing under each context
                   variant of context_variants
@@ -44,6 +49,7 @@ import re
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +177,42 @@ def mode_artifacts(digests: Digests, work: Path) -> None:
             digests.add("run.log[modes]", (ws.root / "run.log").read_bytes())
 
 
+def mixed_model() -> IRModel:
+    """A portal of three frame beams on a fixed and a pinned foot, braced by
+    a truss bar across the bay and topped by two truss bars meeting at an
+    apex joint that carries only bars; a moment load at the braced eave."""
+    fixed, pin = frozenset({"ux", "uy", "rz"}), frozenset({"ux", "uy"})
+    return IRModel(
+        nodes=(Node(1, 0.0, 0.0), Node(2, 4.0, 0.0), Node(3, 0.0, 3.0), Node(4, 4.0, 3.0),
+               Node(5, 2.0, 4.5)),
+        elements=(Element(1, "frame_beam", (1, 3), 2), Element(2, "frame_beam", (2, 4), 2),
+                  Element(3, "frame_beam", (3, 4), 2), Element(4, "truss_bar", (1, 4), 1),
+                  Element(5, "truss_bar", (3, 5), 1), Element(6, "truss_bar", (4, 5), 1)),
+        materials=(Material(1, 210e9, 0.3, 7850.0),),
+        sections=(Section(1, 1, 2e-3), Section(2, 1, 1e-2, 8e-5)),
+        boundary_conditions=(BoundaryCondition(1, fixed), BoundaryCondition(2, pin)),
+        loads=(Load(4, 5e3, 0.0, 2e3), Load(5, 0.0, -1e4, 0.0)), analysis=AnalysisSpec())
+
+
+def mixed_artifacts(digests: Digests, work: Path) -> None:
+    """Lower the mixed model under static and modal analysis and execute
+    each script in both modes, adding the script, run log and results; then
+    add the run logs of the model under topology optimisation."""
+    model = mixed_model()
+    for analysis, results in ((AnalysisSpec(), True), (AnalysisSpec("modal", modal_count=3), True),
+                              (AnalysisSpec("topology_optimization"), False)):
+        script = lower_ir(replace(model, analysis=analysis))
+        if results:
+            digests.add("mixed", script)
+        for mode in ("inprocess", "subprocess"):
+            ws = allocate_workspace(work / "mixed", "mixed")
+            execute(script, ws, Limits(), mode=mode)
+            digests.add("mixed", (ws.root / "run.log").read_bytes())
+            if results:
+                doc = json.loads((ws.root / "results.res").read_text(encoding="utf-8"))
+                digests.add("mixed", json.dumps(doc, sort_keys=True))
+
+
 def context_variants(context: str) -> list[str]:
     """The case's context with each mode directive or none, and each one
     parameter directive or none; and in topology optimisation without its
@@ -251,6 +293,7 @@ def main() -> int:
             run_artifacts(digests, case, work, "subprocess")
         hand_artifacts(digests, hand_script, work)
         mode_artifacts(digests, work)
+        mixed_artifacts(digests, work)
         context_artifacts(digests, next(c for c in bundled if c.case_id == CONTEXT_CASE))
         for generator in GENERATORS:
             bench_artifacts(digests, ROOT / "cases", work, generator)

@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 DOF_ORDER = ("ux", "uy", "rz")
-ELEMENT_KINDS = ("truss_bar", "frame_beam")
 COORDINATE_MODES = ("metric", "normalized")
 
 
@@ -90,6 +89,26 @@ class AnalysisSpec:
     modal_count: int | None = None
     opt_volume_fraction: float | None = None
     opt_max_iterations: int | None = None
+
+
+class ElementKind(NamedTuple):
+    """An element kind: its script word, the context ``elements:`` words that
+    select it (in any case), the dofs at each of its nodes (a prefix of
+    DOF_ORDER, their order in a node's run of dofs), whether its section needs
+    a positive moment of inertia, and whether an analysis splits each member
+    into its row's ``subdivisions`` pieces."""
+    word: str
+    directives: tuple[str, ...]
+    dofs: tuple[str, ...]
+    needs_inertia: bool
+    split: bool
+
+
+# One row per element kind for the script, the context, the audit and the
+# solver (docs/ir-schema.md); solver.FORMULATIONS holds the solver's, in this order.
+KINDS = {"truss_bar": ElementKind("truss", ("truss", "truss_bar"), DOF_ORDER[:2], False, False),
+         "frame_beam": ElementKind("frame", ("frame", "frame_beam"), DOF_ORDER, True, True)}
+ELEMENT_KINDS = tuple(KINDS)
 
 
 # Topology optimisation sizes no bar below this fraction of the largest section area

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import (ANALYSIS_MODES, COLLECTIONS, MODES, AnalysisSpec, BoundaryCondition, Element,
-                 IRModel, Load, Material, Node, Section, _Defect, _Field, _array, _finite, _int,
-                 _nullable, _one_of, _read_json, _record, _text, canonicalize,
+from .ir import (ANALYSIS_MODES, COLLECTIONS, KINDS, MODES, AnalysisSpec, BoundaryCondition,
+                 Element, IRModel, Load, Material, Node, Section, _Defect, _Field, _array, _finite,
+                 _int, _nullable, _one_of, _read_json, _record, _text, canonicalize,
                  pairs_within, unit_box)
 from .simscript import _code_lines
 from .validation import (ValidationReport, accept_update, audit,
@@ -302,10 +302,7 @@ def parse_magnitude(label: str) -> float:
     return value * FORCE_UNITS[unit]
 
 
-# the element kind of each ``elements`` directive value, and the parameter
-# directives of every analysis mode, by directive
-_ELEMENT_DIRECTIVES = {"truss": "truss_bar", "truss_bar": "truss_bar",
-                       "frame": "frame_beam", "frame_beam": "frame_beam"}
+# the parameter directives of every analysis mode, by directive
 _PARAMS = {p.directive: p for row in MODES.values() for p in row.params}
 
 
@@ -345,9 +342,10 @@ def parse_context(text: str) -> ContextDirectives:
                 found["section"] = Section(1, 1, float(props.get("a", DEFAULT_SECTION.area)),
                                            inertia)
             elif key == "elements":
-                if value.lower() not in _ELEMENT_DIRECTIVES:
+                kinds = [kind for kind, row in KINDS.items() if value.lower() in row.directives]
+                if not kinds:
                     raise SemanticsError(f"unknown element kind directive {value!r}")
-                found["element_kind"] = _ELEMENT_DIRECTIVES[value.lower()]
+                found["element_kind"] = kinds[0]
             elif key == "mode":
                 if value not in ANALYSIS_MODES:
                     raise SemanticsError(f"unknown analysis mode {value!r}")

@@ -14,11 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import (DOF_ORDER, MODES, AnalysisMode, AnalysisSpec, BoundaryCondition, Element,
-                 IRModel, Load, Material, Node, Section, canonicalize)
-
-KIND_TO_SCRIPT = {"truss_bar": "truss", "frame_beam": "frame"}
-SCRIPT_TO_KIND = {v: k for k, v in KIND_TO_SCRIPT.items()}
+from .ir import (DOF_ORDER, KINDS, MODES, AnalysisMode, AnalysisSpec, BoundaryCondition,
+                 Element, IRModel, Load, Material, Node, Section, canonicalize)
 
 PROTECTED_ROOT = ("model", "root")
 
@@ -115,10 +112,13 @@ class _BadToken(ValueError):
     """An argument its reader rejects; its args are the token to name and why."""
 
 
+_KIND_OF_WORD = {row.word: kind for kind, row in KINDS.items()}
+
+
 def _kind(tok: str) -> str:
-    if tok not in SCRIPT_TO_KIND:
+    if tok not in _KIND_OF_WORD:
         raise _BadToken(tok, "unknown element kind")
-    return SCRIPT_TO_KIND[tok]
+    return _KIND_OF_WORD[tok]
 
 
 def _dofs(tok: str) -> frozenset[str]:
@@ -222,7 +222,7 @@ _STATEMENTS = (
           lambda e: f"node {e.id} {e.x!r} {e.y!r}"),
     _Form(("element", int, _kind, int, int, int),
           lambda ids, kinds, n1, n2, sections: map(Element, ids, kinds, zip(n1, n2), sections),
-          Element, lambda e: f"element {e.id} {KIND_TO_SCRIPT[e.kind]} {e.node_ids[0]} "
+          Element, lambda e: f"element {e.id} {KINDS[e.kind].word} {e.node_ids[0]} "
                              f"{e.node_ids[1]} {e.section_id}"),
     _Form(("fix", int, _dofs), _declare(BoundaryCondition), BoundaryCondition,
           lambda e: f"fix {e.node_id} {','.join(e.sorted_dofs())}"),

@@ -4,13 +4,13 @@ and ground-structure topology optimization by optimality criteria.
 Each model's elements are resolved once into an element table, one group of
 arrays per element kind (dofs, length, direction cosines, section and
 material), built column by column in one pass over the elements. Frame
-refinement happens in that table: for modal analysis each frame member's
-columns are split into equal pieces, with interior points, dofs and ids
-computed as arrays, so no refined model is ever built and no second dof
-index either. Element stiffness and mass matrices are built a whole group
-at a time and summed through COO row and column indices, also computed once
-per model, into sparse CSC matrices; the consistent mass matrix is
-assembled only when modal analysis asks for it.
+refinement happens in that table: for modal analysis the columns of each
+member of a kind that splits (``ir.KINDS``) are split into equal pieces,
+with interior points, dofs and ids computed as arrays, so no refined model
+is ever built and no second dof index either. Element stiffness and mass
+matrices are built a whole group at a time and summed through COO row and
+column indices, also computed once per model, into sparse CSC matrices; the
+consistent mass matrix is assembled only when modal analysis asks for it.
 
 The free partition of K is ordered by reverse Cuthill-McKee (Cuthill &
 McKee 1969) and factored in one of two forms. When the ordered band is
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -63,8 +64,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, MODES, AnalysisSpec, IRModel,
-                 _coordinates, _endpoints, _rows, topology_params)
+from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, KINDS, MODES, AnalysisSpec,
+                 IRModel, _coordinates, _endpoints, _rows, topology_params)
 from .validation import restraint_rank
 
 DEFAULT_MODAL_SUBDIVISIONS = 4
@@ -83,8 +84,6 @@ PEAK_TIE_RTOL = 1e-9
 # continues one random stream across calls, so reruns would differ in the
 # last digits.
 LANCZOS_SEED = 0
-
-_DOF_NAMES = {"truss_bar": ("ux", "uy"), "frame_beam": ("ux", "uy", "rz")}
 
 
 class AssemblyError(Exception):
@@ -139,7 +138,7 @@ class AssembledSystem:
     @cached_property
     def M(self) -> scipy.sparse.csc_array:
         """Consistent mass matrix, assembled on first access."""
-        return _scatter(self.pattern, [_element_mass(g) for g in self.groups])
+        return _scatter(self.pattern, [FORMULATIONS[g.kind].mass(g) for g in self.groups])
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,10 @@ class TopoResult:
     final_volume_fraction: float
 
 
-def _truss_stiffness(ea_over_l: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    cc, ss, cs = c * c, s * s, c * s
+def _truss_stiffness(g: _Group) -> np.ndarray:
+    cc, ss, cs = g.c * g.c, g.s * g.s, g.c * g.s
     block = np.stack([np.stack([cc, cs], -1), np.stack([cs, ss], -1)], -2)
-    return ea_over_l[:, None, None] * np.block([[block, -block], [-block, block]])
+    return (g.E * g.A / g.L)[:, None, None] * np.block([[block, -block], [-block, block]])
 
 
 # translational consistent mass; isotropic, so no rotation needed
@@ -221,26 +220,49 @@ def _frame_mass_local(rho: np.ndarray, A: np.ndarray, L: np.ndarray) -> np.ndarr
     ])
 
 
-def _element_stiffness(g: _Group) -> np.ndarray:
-    """Global stiffness matrices of a group, shape (m, d, d)."""
-    if g.kind == "truss_bar":
-        return _truss_stiffness(g.E * g.A / g.L, g.c, g.s)
-    t = _frame_transform(g.c, g.s)
-    return t.transpose(0, 2, 1) @ _frame_stiffness_local(g.E, g.A, g.I, g.L) @ t
+def _truss_forces(g: _Group, u: np.ndarray) -> dict[str, dict]:
+    ue = u[g.dofs]
+    force = g.E * g.A / g.L * ((ue[:, 2] - ue[:, 0]) * g.c + (ue[:, 3] - ue[:, 1]) * g.s)
+    ids = g.ids.tolist()
+    return {"axial_force": dict(zip(ids, force.tolist())),
+            "axial_stress": dict(zip(ids, (force / g.A).tolist()))}
 
 
-def _element_mass(g: _Group) -> np.ndarray:
-    """Global consistent mass matrices of a group, shape (m, d, d)."""
-    if g.kind == "truss_bar":
-        return (g.rho * g.A * g.L / 6.0)[:, None, None] * _TRUSS_MASS
+def _rotated(g: _Group, local: np.ndarray) -> np.ndarray:
+    """Global matrices of a group from its local (m, 6, 6) frame matrices."""
     t = _frame_transform(g.c, g.s)
-    return t.transpose(0, 2, 1) @ _frame_mass_local(g.rho, g.A, g.L) @ t
+    return t.transpose(0, 2, 1) @ local @ t
+
+
+def _frame_forces(g: _Group, u: np.ndarray) -> dict[str, dict]:
+    local = (_frame_stiffness_local(g.E, g.A, g.I, g.L)
+             @ (_frame_transform(g.c, g.s) @ u[g.dofs][:, :, None]))[:, :, 0]
+    return {"frame_end_forces": dict(zip(g.ids.tolist(), map(tuple, local.tolist())))}
+
+
+class Formulation(NamedTuple):
+    """The solver's side of an element kind: the global stiffness and
+    consistent mass matrices of a group, shape (m, d, d), and the
+    ``StaticResult`` fields its end forces fill under displacements u."""
+    stiffness: Callable[[_Group], np.ndarray]
+    mass: Callable[[_Group], np.ndarray]
+    forces: Callable[[_Group, np.ndarray], dict[str, dict]]
+
+
+# One row per ``ir.KINDS`` entry, in that order.
+FORMULATIONS = dict(zip(KINDS, (
+    Formulation(_truss_stiffness, lambda g: (g.rho * g.A * g.L / 6.0)[:, None, None] * _TRUSS_MASS,
+                _truss_forces),
+    Formulation(lambda g: _rotated(g, _frame_stiffness_local(g.E, g.A, g.I, g.L)),
+                lambda g: _rotated(g, _frame_mass_local(g.rho, g.A, g.L)), _frame_forces)),
+    strict=True))
 
 
 def _rz_nodes(model: IRModel) -> set[int]:
-    """The node ids that carry rz: frame-connected, loaded by a moment, or
-    with rz constrained."""
-    rz_nodes = {n for e in model.elements if e.kind == "frame_beam" for n in e.node_ids}
+    """The node ids that carry rz: on an element of a kind with rz among its
+    dofs, loaded by a moment, or with rz constrained."""
+    rz_kinds = {kind for kind, row in KINDS.items() if "rz" in row.dofs}
+    rz_nodes = {n for e in model.elements if e.kind in rz_kinds for n in e.node_ids}
     rz_nodes |= {l.node_id for l in model.loads if l.mz != 0.0}
     rz_nodes |= {b.node_id for b in model.boundary_conditions if "rz" in b.constrained_dofs}
     return rz_nodes
@@ -248,7 +270,7 @@ def _rz_nodes(model: IRModel) -> set[int]:
 
 def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
     """Allocate global dof indices: ux, uy at every node; rz only where it can
-    carry stiffness (frame-connected), load, or an explicit constraint."""
+    carry stiffness (``_rz_nodes``), load, or an explicit constraint."""
     rz_nodes = _rz_nodes(model)
     index: dict[tuple[int, str], int] = {}
     for n in sorted(model.nodes, key=lambda n: n.id):
@@ -261,31 +283,32 @@ def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
 
 def solved_dofs(model: IRModel) -> int:
     """Dofs the solver assembles for the model's analysis, constrained ones
-    included: the analysis splits each frame member into its row's
-    ``subdivisions`` elements, whose interior nodes carry ux, uy and rz each."""
+    included: the analysis splits each member of a kind that splits into its
+    row's ``subdivisions`` elements, whose interior nodes carry the kind's dofs."""
     # ux and uy at every node, rz at those build_dof_index gives one
     node_ids = set(map(_ID, model.nodes))
-    frames = sum(e.kind != "truss_bar" for e in model.elements)
+    kinds = list(map(_KIND, model.elements))
+    inner = sum(len(row.dofs) * kinds.count(kind) for kind, row in KINDS.items() if row.split)
     return (2 * len(node_ids) + len(node_ids & _rz_nodes(model))
-            + 3 * (ANALYSES[model.analysis.mode].subdivisions - 1) * frames)
+            + (ANALYSES[model.analysis.mode].subdivisions - 1) * inner)
 
 
 def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.ndarray],
            n_sub: int, first_id: int, first_dof: int):
-    """Frame columns with each member split into n_sub equal pieces.
+    """Columns of one kind with each member split into n_sub equal pieces.
 
     Interior point i of a member is ``x1 + (i / n_sub) * (x2 - x1)`` and has
-    the dofs ux, uy, rz from ``first_dof`` on, in (member, point) order. A
+    the kind's d dofs from ``first_dof`` on, in (member, point) order. A
     member's first piece keeps its id and row; the other pieces follow all
     members, in (member, piece) order, with ids from ``first_id``.
     """
-    m, k = ids.size, n_sub - 1
+    m, k, d = ids.size, n_sub - 1, dofs.shape[1] // 2
     t = np.arange(1, n_sub) / n_sub
     x1, y1, x2, y2 = (ends[:, j:j + 1] for j in range(4))
     xs = np.concatenate([x1, x1 + t * (x2 - x1), x2], axis=1)    # (m, n_sub + 1)
     ys = np.concatenate([y1, y1 + t * (y2 - y1), y2], axis=1)
-    inner = first_dof + np.arange(3 * m * k, dtype=np.int64).reshape(m, k, 3)
-    chain = np.concatenate([dofs[:, None, :3], inner, dofs[:, None, 3:]], axis=1)
+    inner = first_dof + np.arange(d * m * k, dtype=np.int64).reshape(m, k, d)
+    chain = np.concatenate([dofs[:, None, :d], inner, dofs[:, None, d:]], axis=1)
 
     def rows(a: np.ndarray) -> np.ndarray:  # (m, n_sub, ...) pieces in table order
         return np.concatenate([a[:, 0], a[:, 1:].reshape(m * k, *a.shape[2:])])
@@ -306,19 +329,17 @@ def _group(kind: str, ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray,
 
 
 def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int],
-                                                      tuple[_Group, _Group],
+                                                      tuple[_Group, ...],
                                                       np.ndarray, frozenset[int]]:
-    """Dof index, element table (truss group, frame group), load vector and
-    constrained dofs of a model with each frame member split into ``n_sub``
-    elements.
+    """Dof index, element table (one group per ``ir.KINDS`` row, in that
+    order), load vector and constrained dofs of a model with each member of
+    a kind that splits split into ``n_sub`` elements.
 
     The split model is the one an IR-level refinement would give: interior
-    nodes numbered from max node id + 1 and their ux, uy, rz dofs after the
-    model's own, new elements numbered from max element id + 1, both in
-    (member id, piece) order. Its matrices are therefore bit-identical to
-    those of that model, without building it. Truss bars are never split:
-    an interior truss node carries no transverse stiffness and would
-    introduce a spurious mechanism.
+    nodes numbered from max node id + 1 and their dofs after the model's
+    own, new elements numbered from max element id + 1, both in (kind,
+    member id, piece) order. Its matrices are therefore bit-identical to
+    those of that model, without building it.
     """
     index = build_dof_index(model)
     nodes = sorted(model.nodes, key=_ID)
@@ -339,34 +360,32 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
                        s.moment_of_inertia or 0.0, materials[s.material_id].density,
                        s.moment_of_inertia is None) for s in used], float).reshape(-1, 5)
     props = table[_rows([s.id for s in used], map(_SECTION_ID, elements))]
-    is_bar = np.fromiter(map("truss_bar".__eq__, map(_KIND, elements)), bool, len(elements))
+    row_of = _rows(list(KINDS), map(_KIND, elements))
 
-    def columns(mask: np.ndarray, kind: str):
-        """ids (m,), dofs (m, d), end coordinates x1 y1 x2 y2 (m, 4), and
-        E, A, I, rho (m,) of the masked elements, which are of one kind."""
-        d = len(_DOF_NAMES[kind])
-        rows = ends[mask]
-        return (element_ids[mask], (ux[rows].reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d),
-                xy[rows].reshape(-1, 4), [props[mask, k] for k in range(4)])
-
-    no_inertia = element_ids[~is_bar & (props[:, 4] == 1.0)][:1].tolist()
-    bars = columns(is_bar, "truss_bar")
-    frames = columns(~is_bar, "frame_beam")
-    if n_sub > 1 and frames[0].size:
-        first_node = max((n.id for n in model.nodes), default=0) + 1
-        first_dof, n_inner = len(index), frames[0].size * (n_sub - 1)
-        index.update(zip(itertools.product(range(first_node, first_node + n_inner),
-                                           _DOF_NAMES["frame_beam"]),
-                         range(first_dof, first_dof + 3 * n_inner)))
-        frames = _split(*frames, n_sub, max(e.id for e in model.elements) + 1, first_dof)
-    groups = (_group("truss_bar", *bars), _group("frame_beam", *frames))
-
+    if n_sub > 1:  # a split member's interior nodes and pieces follow the model's own
+        first_node, first_id = (max(map(_ID, c), default=0) + 1 for c in (model.nodes, elements))
     # the first element in id order with zero length or no inertia, zero length
     # first when one element has both
-    faults = [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
-              for g in groups if np.any(g.L == 0.0)]
-    if no_inertia:
-        faults.append((no_inertia[0], 1, "frame element {} has no moment of inertia"))
+    groups, faults = [], []
+    for k, (kind, row) in enumerate(KINDS.items()):
+        # ids (m,), dofs (m, 2d), end coordinates x1 y1 x2 y2 (m, 4), E, A, I, rho (m,)
+        mask, d = row_of == k, len(row.dofs)
+        rows = ends[mask]
+        dofs = (ux[rows].reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d)
+        columns = (element_ids[mask], dofs, xy[rows].reshape(-1, 4),
+                   [props[mask, j] for j in range(4)])
+        if row.needs_inertia:
+            faults += [(i, 1, f"{row.word} element {{}} has no moment of inertia")
+                       for i in element_ids[mask & (props[:, 4] == 1.0)][:1].tolist()]
+        if row.split and n_sub > 1 and rows.size:
+            first_dof, n_inner = len(index), len(rows) * (n_sub - 1)
+            index.update(zip(itertools.product(range(first_node, first_node + n_inner), row.dofs),
+                             itertools.count(first_dof)))
+            columns = _split(*columns, n_sub, first_id, first_dof)
+            first_node, first_id = first_node + n_inner, first_id + n_inner
+        groups.append(_group(kind, *columns))
+    faults += [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
+               for g in groups if np.any(g.L == 0.0)]
     if faults:
         element, _, message = min(faults)
         raise AssemblyError(message.format(element))
@@ -384,7 +403,7 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
         for d in b.sorted_dofs()
         if (b.node_id, d) in index
     )
-    return index, groups, f, constrained
+    return index, tuple(groups), f, constrained
 
 
 def _pattern(n: int, groups) -> _Pattern:
@@ -416,12 +435,12 @@ def _scatter(p: _Pattern, matrices) -> scipy.sparse.csc_array:
 
 
 def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
-    """Direct stiffness assembly of K and the load vector, with each frame
-    member split into ``n_sub`` elements; the consistent mass matrix ``M``
-    is assembled when first read."""
+    """Direct stiffness assembly of K and the load vector, with each member
+    of a kind that splits split into ``n_sub`` elements; the consistent mass
+    matrix ``M`` is assembled when first read."""
     index, groups, f, constrained = _prepare(model, n_sub)
     pattern = _pattern(len(index), groups)
-    K = _scatter(pattern, [_element_stiffness(g) for g in groups])
+    K = _scatter(pattern, [FORMULATIONS[g.kind].stiffness(g) for g in groups])
     return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
                            groups=groups, pattern=pattern)
 
@@ -608,19 +627,9 @@ def solve_static(model: IRModel) -> StaticResult:
              for d in b.sorted_dofs() if (b.node_id, d) in index}
         reactions[b.node_id] = (r.get("ux", 0.0), r.get("uy", 0.0), r.get("rz", 0.0))
 
-    bars, frames = system.groups
-    ue = u[bars.dofs]
-    stretch = (ue[:, 2] - ue[:, 0]) * bars.c + (ue[:, 3] - ue[:, 1]) * bars.s
-    force = bars.E * bars.A / bars.L * stretch
-    ids = bars.ids.tolist()
-    local = (_frame_stiffness_local(frames.E, frames.A, frames.I, frames.L)
-             @ (_frame_transform(frames.c, frames.s) @ u[frames.dofs][:, :, None]))[:, :, 0]
-    return StaticResult(
-        displacements=displacements, reactions=reactions,
-        axial_force=dict(zip(ids, force.tolist())),
-        axial_stress=dict(zip(ids, (force / bars.A).tolist())),
-        frame_end_forces=dict(zip(frames.ids.tolist(), map(tuple, local.tolist()))),
-        equilibrium_residual=residual)
+    forces = ChainMap(*(FORMULATIONS[g.kind].forces(g, u) for g in system.groups))
+    return StaticResult(displacements=displacements, reactions=reactions, **forces,
+                        equilibrium_residual=residual)
 
 
 def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
@@ -726,11 +735,13 @@ def optimize_topology(model: IRModel) -> TopoResult:
         raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside "
                                            f"[{fraction.low:g}, {fraction.high:g}]")
 
-    index, (bars, _), f, constrained = _prepare(model)
+    index, groups, f, constrained = _prepare(model)
+    (kind,) = _TOPOLOGY.element_kinds
+    bars = {g.kind: g for g in groups}[kind]
     a_max = float(np.max(bars.A))
     lengths = bars.L
     target_volume = volfrac * float(lengths.sum())  # in units of a_max
-    unit_stiffness = _element_stiffness(bars._replace(A=np.ones_like(bars.A)))
+    unit_stiffness = FORMULATIONS[kind].stiffness(bars._replace(A=np.ones_like(bars.A)))
     pattern = _pattern(len(index), (bars,))
     free = _FreeDofs(pattern, constrained)
 

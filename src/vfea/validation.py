@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .ir import (_ID, _KIND, COLLECTIONS, MODES, BoundaryCondition, IRModel, _coordinates,
+from .ir import (_ID, _KIND, COLLECTIONS, KINDS, MODES, BoundaryCondition, IRModel, _coordinates,
                  _endpoints, _rows, bounding_box, diff)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,6 +91,7 @@ def check_l1(model: IRModel) -> list[Finding]:
     dangling = {coll.key: coll.dangling(getattr(model, coll.attr), present)
                 for coll in COLLECTIONS.values()}
     sections_by_id = {s.id: s for s in model.sections}
+    needs_inertia = {kind for kind, row in KINDS.items() if row.needs_inertia}
 
     for n in model.nodes:
         if not (math.isfinite(n.x) and math.isfinite(n.y)):
@@ -101,11 +102,10 @@ def check_l1(model: IRModel) -> list[Finding]:
             f("self-loop", f"element {e.id} connects node {a} to itself", f"elements/{e.id}")
         for message in dangling["elements"].get(k, ()):
             f("dangling-ref", message, f"elements/{e.id}")
-        sec = sections_by_id.get(e.section_id) if e.kind == "frame_beam" else None
+        sec = sections_by_id.get(e.section_id) if e.kind in needs_inertia else None
         if sec is not None and (sec.moment_of_inertia is None or sec.moment_of_inertia <= 0):
-            f("missing-inertia",
-              f"frame element {e.id} uses section {sec.id} without a positive moment of inertia",
-              f"sections/{sec.id}")
+            f("missing-inertia", f"{KINDS[e.kind].word} element {e.id} uses section {sec.id} "
+                                 "without a positive moment of inertia", f"sections/{sec.id}")
     for kind in dict.fromkeys(map(_KIND, model.elements)):
         if kind not in row.element_kinds:
             f("mode-elements", f"{spec.mode} analysis does not accept {kind} elements",

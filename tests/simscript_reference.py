@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from element_kinds_reference import SCRIPT_TO_KIND
 from vfea.ir import (DOF_ORDER, AnalysisSpec, BoundaryCondition, Element, Load, Material,
                      Node, Section)
-from vfea.simscript import SCRIPT_TO_KIND, Entity, ScriptParseError
+from vfea.simscript import Entity, ScriptParseError
 
 ANALYZE_KINDS = ("static", "modal", "topopt")
 DELETE_TARGETS = ("model", "element", "node")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (BAR, BEAM, REPO_ROOT, STEEL, cantilever_model, ground_structure,
                       modal_cantilever, random_frame_model, two_bar_truss)
+from element_kinds_reference import DOF_NAMES, element_stiffness
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                      Node, Section, canonicalize, deserialize)
 from vfea import solver
@@ -94,7 +95,8 @@ class TestAssemble:
     def test_static_and_topology_never_build_mass(self, monkeypatch):
         def no_mass(e):
             raise AssertionError("mass matrix assembled")
-        monkeypatch.setattr(solver, "_element_mass", no_mass)
+        for kind, row in list(solver.FORMULATIONS.items()):
+            monkeypatch.setitem(solver.FORMULATIONS, kind, row._replace(mass=no_mass))
         solve_static(cantilever_model())
         optimize_topology(ground_structure(iters=2))
         with pytest.raises(AssertionError, match="mass matrix assembled"):
@@ -487,7 +489,7 @@ def head_prepare(model: IRModel, n_sub: int = 1):
     materials = {m.id: m for m in model.materials}
 
     def columns(elements: list, kind: str):
-        d = len(solver._DOF_NAMES[kind])
+        d = len(DOF_NAMES[kind])
         secs = [sections[e.section_id] for e in elements]
         mats = [materials[s.material_id] for s in secs]
         ux = np.array([index[(n, "ux")] for e in elements for n in e.node_ids], dtype=np.int64)
@@ -500,7 +502,7 @@ def head_prepare(model: IRModel, n_sub: int = 1):
                                                     [s.moment_of_inertia or 0.0 for s in secs],
                                                     [m.density for m in mats])])
 
-    by_kind: dict[str, list] = {kind: [] for kind in solver._DOF_NAMES}
+    by_kind: dict[str, list] = {kind: [] for kind in DOF_NAMES}
     for e in sorted(model.elements, key=lambda e: e.id):
         by_kind["truss_bar" if e.kind == "truss_bar" else "frame_beam"].append(e)
     no_inertia = next((e.id for e in by_kind["frame_beam"]
@@ -511,7 +513,7 @@ def head_prepare(model: IRModel, n_sub: int = 1):
         first_node = max((n.id for n in model.nodes), default=0) + 1
         first_dof, n_inner = len(index), frames[0].size * (n_sub - 1)
         index.update(zip(itertools.product(range(first_node, first_node + n_inner),
-                                           solver._DOF_NAMES["frame_beam"]),
+                                           DOF_NAMES["frame_beam"]),
                          range(first_dof, first_dof + 3 * n_inner)))
         frames = solver._split(*frames, n_sub, max(e.id for e in model.elements) + 1, first_dof)
     groups = (solver._group("truss_bar", *bars), solver._group("frame_beam", *frames))
@@ -536,7 +538,7 @@ def head_prepare(model: IRModel, n_sub: int = 1):
 def head_assemble(model: IRModel, n_sub: int):
     index, groups, f, constrained = head_prepare(model, n_sub)
     pattern = solver._pattern(len(index), groups)
-    K = solver._scatter(pattern, [solver._element_stiffness(g) for g in groups])
+    K = solver._scatter(pattern, [element_stiffness(g) for g in groups])
     return solver.AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
                                   groups=groups, pattern=pattern)
 
