@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Reliability experiment: run the bundled suite against every generator
 variant and print the recovery matrix (success rate, retry counts, fallback
-activation). This is the scaled-down analogue of the execution-robustness
+activation, and the failed cases counted by the stage and kind of their
+failure). This is the scaled-down analogue of the execution-robustness
 comparison the harness was built for.
 
 Usage: python scripts/fault_matrix.py [--suite cases] [--out DIR]
@@ -39,7 +40,7 @@ def main() -> int:
 
     cases = load_suite(args.suite)
     print(f"{len(cases)} cases from {args.suite}\n")
-    print(f"{'generator':<24}{'success':>9}{'fallback':>10}{'max k':>7}{'time':>8}")
+    print(f"{'generator':<24}{'success':>9}{'fallback':>10}{'max k':>7}{'time':>8}  failures")
     with tempfile.TemporaryDirectory(prefix="vfea-matrix-") as scratch:
         scratch = Path(scratch)
         for i, (label, spec, fallback) in enumerate(VARIANTS):
@@ -52,9 +53,10 @@ def main() -> int:
             retries = [r.trace.retry_count for r in summary.reports
                        if r.trace.retry_count is not None]
             max_k = max(retries) if retries else "-"
+            failures = ", ".join(f"{key} {n}" for key, n in summary.failure_counts.items())
             print(f"{label:<24}{summary.execution_success_rate:>9.0%}"
                   f"{summary.fallback_activation_rate:>10.0%}{max_k!s:>7}"
-                  f"{elapsed:>7.2f}s")
+                  f"{elapsed:>7.2f}s  {failures or '-'}")
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 name = label.replace(" ", "_").replace(",", "").replace("+", "and")

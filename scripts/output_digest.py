@@ -61,7 +61,8 @@ from vfea import cli  # noqa: E402
 from vfea.harness import RunConfig, load_case, load_suite, run_case  # noqa: E402
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,  # noqa: E402
                      Material, Node, Section, serialize)
-from vfea.perception import PerceptionFailure, SemanticsError, orchestrate  # noqa: E402
+from vfea.failures import FAILURES  # noqa: E402
+from vfea.perception import PerceptionError, PerceptionFailure, orchestrate  # noqa: E402
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits,  # noqa: E402
                           allocate_workspace, execute)
 from vfea.simscript import lower_ir  # noqa: E402
@@ -237,8 +238,8 @@ def context_artifacts(digests: Digests, case) -> None:
             out = "".join([f"{type(exc).__name__}: {exc}\n",
                            *(f"{f.code} {f.subject}: {f.message}\n"
                              for f in exc.report.findings)])
-        except SemanticsError as exc:
-            out = f"{type(exc).__name__}: {exc}\n"
+        except PerceptionError as exc:  # its label, as the case report shows it
+            out = FAILURES[exc.stage, exc.kind].text.format(exc).removeprefix("perception: ") + "\n"
         digests.add("context[modes]", context + "---\n" + out)
 
 

@@ -1,7 +1,10 @@
 """Command line interface: run, validate, eval, bench.
 
-Exit codes: 0 success, 1 case failure or audit findings, 2 configuration
-error (bad arguments, unreadable inputs, unusable memory or workspace paths).
+Exit codes: 0 success; 1 audit findings (validate) or a suite with a failed
+case (bench); 2 bad arguments. Any other failure exits with the code of its
+row in ``failures.FAILURES``, the table in docs/simscript.md: 1 for a failed
+case (run), 2 for a load failure (unreadable inputs, malformed documents,
+unusable memory or workspace paths).
 """
 
 from __future__ import annotations
@@ -10,12 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from .failures import FAILURES, raised
 from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, aggregate,
                       emit_report, evaluate_ir, load_suite, run_case, run_suite)
 from .ir import SchemaParseError, deserialize
-from .memory import ExperienceBuffer, MemoryPersistError
-from .sandbox import WorkspaceError
-from .synthesis import ConfigError
+from .memory import ExperienceBuffer
 from .validation import audit
 
 
@@ -55,8 +57,7 @@ def cmd_run(args) -> int:
                     expected_mode=None)
     for p in (case.drawing_path, case.context_path, case.truth_ir_path):
         if p is not None and not p.exists():
-            print(f"error: input file not found: {p}", file=sys.stderr)
-            return 2
+            raise CaseLoadError(f"input file not found: {p}")
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _config_from(args, out_dir)
     report = run_case(case, config, ExperienceBuffer(config.memory_path))
@@ -67,14 +68,15 @@ def cmd_run(args) -> int:
     if report.timings:
         timing = ", ".join(f"{k}={v:.3f}" for k, v in sorted(report.timings.items()))
         print(f"wall time: {timing}")
-    return 0 if report.metrics.execution_success else 1
+    failure = report.failure
+    return FAILURES[failure.stage, failure.kind].exit_code if failure else 0
 
 
 def cmd_validate(args) -> int:
     try:
         model = deserialize(_read_input(args.ir))
-    except SchemaParseError as exc:
-        print(f"schema error: {exc}")
+    except SchemaParseError as exc:  # a finding here: printed with the others, exit 1
+        print(FAILURES[exc.stage, exc.kind].text.format(exc))
         return 1
     report = audit(model)
     if report.clean:
@@ -87,12 +89,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        pred = deserialize(_read_input(args.pred))
-        truth = deserialize(_read_input(args.truth))
-    except SchemaParseError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+    pred = deserialize(_read_input(args.pred))
+    truth = deserialize(_read_input(args.truth))
     m = evaluate_ir(pred, truth)
     print(f"schema_valid: {str(m.schema_valid).lower()}")
     for name in SCORES:
@@ -152,13 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (CaseLoadError, OSError, UnicodeDecodeError, WorkspaceError,
-            MemoryPersistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        key = raised(exc)
+        if key is None or key[0] != "load":  # not a way a case fails to load
+            raise
+        print(FAILURES[key].text.format(exc), file=sys.stderr)
+        return FAILURES[key].exit_code
 
 
 if __name__ == "__main__":

@@ -18,23 +18,22 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .failures import FAILURES
 from .ir import (ANALYSIS_MODES, IRModel, SchemaParseError, _Defect, _endpoints, _Field,
                  _nullable, _one_of, _read_json, _record, _rows, _text, bounding_box,
                  deserialize, pairs_within, unit_box)
 from .memory import ExperienceBuffer
-from .perception import (DegenerateElementError, DrawingParseError,
-                         PerceptionFailure, ScaleConflictError,
-                         SemanticsError, orchestrate)
+from .perception import PerceptionError, PerceptionFailure, orchestrate
 from .sandbox import Limits
 from .solver import ANALYSES
-from .synthesis import (FallbackFailureError, SynthesisExhaustedError,
-                        SynthesisTrace, make_generator, synthesize)
+from .synthesis import SynthesisError, SynthesisTrace, make_generator, synthesize
 from .validation import check_l1
 
 DEFAULT_MATCH_TOLERANCE = 0.02   # of the reference bounding-box diagonal
@@ -44,7 +43,7 @@ WORKSPACE_ROOT_ENV = "VFEA_WORKSPACE_ROOT"
 
 
 class CaseLoadError(Exception):
-    pass
+    stage, kind = "load", "case"
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,16 @@ class TraceSummary:
     lessons: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class CaseFailure:
+    """The row of ``failures.FAILURES`` a case failed at, and its subject
+    when there is one: the drawing defect's path, the first open audit
+    finding's subject, or the script line (``line N``) of the last attempt."""
+    stage: str
+    kind: str
+    subject: str | None = None
+
+
 @dataclass
 class CaseReport:
     case_id: str
@@ -102,7 +111,8 @@ class CaseReport:
     trace: TraceSummary
     highlights: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
-    error: str | None = None
+    error: str | None = None  # the text of the failure's row
+    failure: CaseFailure | None = None
 
 
 @dataclass
@@ -117,6 +127,7 @@ class SuiteSummary:
     fallback_activation_rate: float
     retry_histogram: dict[int, int]
     reports: list[CaseReport]
+    failure_counts: dict[str, int] = field(default_factory=dict)  # by "stage/kind"
 
 
 class _Manifest(NamedTuple):
@@ -300,17 +311,11 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
     t0 = time.monotonic()
     try:
         model = orchestrate(drawing_doc, context_text)
-    except PerceptionFailure as exc:
-        report.error = f"perception: {exc}"
-        return report
-    except (DrawingParseError, ScaleConflictError, SemanticsError,
-            DegenerateElementError) as exc:
-        report.error = f"perception: {type(exc).__name__}: {exc}"
-        return report
+    except (PerceptionError, PerceptionFailure) as exc:
+        return _failed(report, exc, exc)
     if case.expected_mode is not None and model.analysis.mode != case.expected_mode:
-        report.error = (f"perception: perceived analysis mode {model.analysis.mode!r}, "
-                        f"expected {case.expected_mode!r}")
-        return report
+        return _failed(report, CaseFailure("perception", "mode"), model.analysis.mode,
+                       case.expected_mode)
     report.timings["perception_s"] = time.monotonic() - t0
 
     # orchestrate returns only a model whose audit, L1 included, is clean
@@ -326,20 +331,23 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
             model, config.max_retries, buffer, generator,
             config.resolved_workspace_root(), fallback_enabled=config.fallback_enabled,
             limits=config.limits, task_id=case.case_id, execution_mode=config.execution_mode)
-    except SynthesisExhaustedError as exc:
-        report.error = f"synthesis: retry budget exhausted ({len(exc.trace.attempts)} attempts)"
+    except SynthesisError as exc:
         report.trace = _summarize_trace(exc.trace, verified=False)
-        return report
-    except FallbackFailureError as exc:
-        report.error = f"synthesis: fallback failure: {exc}"
-        report.trace = _summarize_trace(exc.trace, verified=False)
-        return report
+        return _failed(report, exc, exc, len(exc.trace.attempts))
     report.timings["synthesis_s"] = time.monotonic() - t1
 
     report.trace = _summarize_trace(trace, verified=True)
     report.metrics = replace(report.metrics, execution_success=True)
     report.highlights = ANALYSES[model.analysis.mode].highlights(results)
     report.timings["total_s"] = time.monotonic() - t0
+    return report
+
+
+def _failed(report: CaseReport, failure, *args) -> CaseReport:
+    """The report of a case that failed at ``failure``'s (stage, kind) and
+    subject: its error is the row's text formatted with ``args``."""
+    report.failure = CaseFailure(failure.stage, failure.kind, failure.subject)
+    report.error = FAILURES[failure.stage, failure.kind].text.format(*args)
     return report
 
 
@@ -389,6 +397,8 @@ def aggregate(reports: list[CaseReport]) -> SuiteSummary:
                                         for r in reports]),
         retry_histogram=dict(sorted(histogram.items())),
         reports=reports,
+        failure_counts=dict(sorted(Counter(f"{r.failure.stage}/{r.failure.kind}"
+                                           for r in reports if r.failure).items())),
     )
 
 
@@ -398,7 +408,8 @@ def _fmt(value: float | None) -> str:
 
 def _case_to_doc(r: CaseReport) -> dict:
     return {"case_id": r.case_id, "metrics": asdict(r.metrics), "trace": asdict(r.trace),
-            "highlights": r.highlights, "error": r.error}
+            "highlights": r.highlights, "error": r.error,
+            "failure": r.failure and asdict(r.failure)}
 
 
 def emit_report(obj: CaseReport | SuiteSummary, fmt: str = "markdown") -> str:

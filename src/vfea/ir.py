@@ -23,11 +23,14 @@ COORDINATE_MODES = ("metric", "normalized")
 
 
 class CanonicalizationError(Exception):
-    """Model cannot be put in canonical form (dangling cross-reference)."""
+    """Model cannot be put in canonical form (dangling cross-reference);
+    unreachable after audit, where the fallback's lowering would fail."""
+    stage, kind = "synthesis", "fallback"
 
 
 class SchemaParseError(Exception):
     """Malformed IR document; ``path`` points at the offending field."""
+    stage, kind = "load", "schema"
 
     def __init__(self, path: str, reason: str):
         self.path = path

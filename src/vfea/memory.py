@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from .failures import attempt_row
 from .ir import (IRModel, _Defect, _Field, _array, _float, _int, _nullable,
                  _read_json, _record, _text)
 
@@ -25,36 +26,12 @@ DENSITY_RATIO_INTERVAL = (0.5, 2.0)
 ERROR_CATEGORIES = ("type_iii_unsafe_state", "type_ii_hallucination",
                     "type_i_lifecycle", "other")
 
-_ROOT_LESSON = "never delete the protected root model container"
-_MODEL_LESSON = ("declare the full model before analysis and write results only "
-                 "after a completed analysis")
-_LOG_LESSON = "review the execution log and correct the failing statement"
-
-# failure kind (simscript.Fault.kind, for preflight and runtime faults alike)
-# -> (category, lesson): the one place a failure kind gets its meaning
-FAILURE_KINDS: dict[str, tuple[str, str]] = {
-    "parse": ("type_ii_hallucination",
-              "use only statements documented for the simulation language; "
-              "unknown statements fail to parse"),
-    "lifecycle": ("type_i_lifecycle",
-                  "every script must contain an analyze execution trigger, a "
-                  "write_results statement and an end termination signal"),
-    "safety": ("type_iii_unsafe_state", _ROOT_LESSON),
-    "kernel-protection": ("type_iii_unsafe_state", _ROOT_LESSON),
-    "isolation": ("other", "write all artifacts to paths inside the allocated task workspace"),
-    "state": ("other", _MODEL_LESSON),
-    "model": ("other", _MODEL_LESSON),
-    "solver": ("other", "ensure the model is fully restrained and well posed before analysis"),
-    "sandbox": ("other", _LOG_LESSON),
-}
-UNKNOWN_FAILURE = ("other", _LOG_LESSON)
-
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*")
 _LINE_RE = re.compile(r"line (\d+)")
 
 
 class MemoryPersistError(Exception):
-    pass
+    stage, kind = "load", "memory"
 
 
 @dataclass(frozen=True)
@@ -106,11 +83,12 @@ def compute_signature(model: IRModel) -> StructuralSignature:
 
 
 def classify_error(kind: str | Iterable[str] | None, text: str) -> ErrorSignature:
-    """Error signature of a failure: the category comes from the failure
-    kind (the most severe one for several kinds; no kind or an unknown kind
-    is ``other``), the tokens and the ``line N`` number from the message."""
+    """Error signature of a failure: the category comes from the attempt row
+    of ``failures.FAILURES`` of the failure kind (the most severe one for
+    several kinds; no kind or an unknown kind is ``other``), the tokens and
+    the ``line N`` number from the message."""
     kinds = (kind,) if isinstance(kind, str) else kind or ()
-    category = min((FAILURE_KINDS.get(k, UNKNOWN_FAILURE)[0] for k in kinds),
+    category = min((attempt_row(k).category for k in kinds),
                    key=ERROR_CATEGORIES.index, default="other")
     low = text.lower()
     match = _LINE_RE.search(low)

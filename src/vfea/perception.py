@@ -44,30 +44,28 @@ DEFAULT_MATERIAL = Material(id=1, youngs_modulus=210e9, poisson_ratio=0.3, densi
 DEFAULT_SECTION = Section(id=1, material_id=1, area=1e-2, moment_of_inertia=1e-5)
 
 
-class DrawingParseError(Exception):
-    pass
+class PerceptionError(Exception):
+    """The drawing or the context cannot be read into a model. ``kind`` is
+    its perception row of ``failures.FAILURES``: a malformed ``drawing``
+    document (``subject`` is the defect's path), a ``scale`` conflict among
+    the dimension annotations, a ``degenerate`` structural segment, or
+    ``semantics`` that cannot be attached."""
+    stage = "perception"
 
-
-class ScaleConflictError(Exception):
-    def __init__(self, scales: list[float], cv: float):
-        self.scales = scales
-        self.cv = cv
-        super().__init__(f"dimension annotations imply inconsistent scales "
-                         f"{[f'{s:.6g}' for s in scales]} (cv {cv:.2%})")
-
-
-class DegenerateElementError(Exception):
-    pass
-
-
-class SemanticsError(Exception):
-    pass
+    def __init__(self, kind: str, message: str, subject: str | None = None):
+        super().__init__(message)
+        self.kind, self.subject = kind, subject
 
 
 class PerceptionFailure(Exception):
+    """No turn gave a model the audit passes: the last audit report, the
+    turns that ran, and the subject of its first open finding."""
+    stage, kind = "perception", "audit"
+
     def __init__(self, report: ValidationReport, turns: int):
         self.report = report
         self.turns = turns
+        self.subject = (report.findings[0].subject or None) if report.findings else None
         codes = [f.code for f in report.findings]
         super().__init__(f"no audited model after {turns} turn{'s' * (turns != 1)}; "
                          f"open findings: {codes}")
@@ -204,11 +202,12 @@ def _annotated(drawing: PrimitiveDrawing) -> PrimitiveDrawing:
 
 def parse_drawing(text: str) -> PrimitiveDrawing:
     """Parse the structured drawing document (format in docs/drawing-format.md).
-    Any defect raises DrawingParseError naming its path, as ``$.segments[0].p1``."""
+    Any defect raises a ``drawing`` PerceptionError naming its path, as
+    ``$.segments[0].p1``."""
     try:
         return _annotated(_read_json(_read_drawing, text))
     except _Defect as defect:
-        raise DrawingParseError(f"{defect.path}: {defect.reason}") from None
+        raise PerceptionError("drawing", f"{defect.path}: {defect.reason}", defect.path) from None
 
 
 def _length(seg: Segment) -> float:
@@ -230,15 +229,19 @@ def infer_scale(drawing: PrimitiveDrawing) -> ScaleResolution:
         scales.append(ann.value / px if px > 0 else math.inf)
     if not scales:
         return ScaleResolution(mode="normalized", meters_per_pixel=None, consistency=0.0)
+    def conflict(cv: float) -> PerceptionError:
+        return PerceptionError("scale", f"dimension annotations imply inconsistent scales "
+                                        f"{[f'{s:.6g}' for s in scales]} (cv {cv:.2%})")
+
     if not all(0 < s < math.inf for s in scales):
-        raise ScaleConflictError(scales, math.inf)
+        raise conflict(math.inf)
     try:
         mean = statistics.fmean(scales)
         cv = statistics.stdev(scales) / mean if len(scales) > 1 else 0.0
     except OverflowError:  # the sum of the scales is beyond the float range
-        raise ScaleConflictError(scales, math.inf) from None
+        raise conflict(math.inf) from None
     if not cv <= DEFAULT_SCALE_CV_TOL:
-        raise ScaleConflictError(scales, cv)
+        raise conflict(cv)
     return ScaleResolution(mode="metric", meters_per_pixel=mean, consistency=cv)
 
 
@@ -279,9 +282,9 @@ def infer_topology(drawing: PrimitiveDrawing, snap_tolerance: float = DEFAULT_SN
     n1, n2 = ends[0::2], ends[1::2]
     degenerate = np.flatnonzero(n1 == n2)
     if len(degenerate):
-        raise DegenerateElementError(
-            f"structural segment {structural[degenerate[0]]} collapses to a single node "
-            f"after snapping")
+        raise PerceptionError(
+            "degenerate", f"structural segment {structural[degenerate[0]]} collapses to a "
+                          f"single node after snapping")
     nodes = tuple(zip(range(1, len(order) + 1), cx[order].tolist(), cy[order].tolist()))
     return nodes, tuple(zip(range(1, len(structural) + 1), n1.tolist(), n2.tolist()))
 
@@ -298,7 +301,7 @@ def parse_magnitude(label: str) -> float:
     try:
         value = float(number)
     except ValueError:
-        raise SemanticsError(f"unparsable load magnitude {label!r}") from None
+        raise PerceptionError("semantics", f"unparsable load magnitude {label!r}") from None
     return value * FORCE_UNITS[unit]
 
 
@@ -344,17 +347,19 @@ def parse_context(text: str) -> ContextDirectives:
             elif key == "elements":
                 kinds = [kind for kind, row in KINDS.items() if value.lower() in row.directives]
                 if not kinds:
-                    raise SemanticsError(f"unknown element kind directive {value!r}")
+                    raise PerceptionError("semantics",
+                                          f"unknown element kind directive {value!r}")
                 found["element_kind"] = kinds[0]
             elif key == "mode":
                 if value not in ANALYSIS_MODES:
-                    raise SemanticsError(f"unknown analysis mode {value!r}")
+                    raise PerceptionError("semantics", f"unknown analysis mode {value!r}")
                 mode = value
             elif key in _PARAMS:
                 params[key] = _PARAMS[key].read(value)
             # unknown keys are free-text context and simply ignored
         except ValueError as exc:
-            raise SemanticsError(f"malformed context directive {line!r}: {exc}") from None
+            raise PerceptionError("semantics",
+                                  f"malformed context directive {line!r}: {exc}") from None
     analysis = AnalysisSpec(mode, **{p.attr: params.get(p.directive, p.prior if p.kept else None)
                                      for p in MODES[mode].params})
     return ContextDirectives(**found, analysis=analysis, lines=tuple(kept))
@@ -392,7 +397,7 @@ def attach_semantics(drawing: PrimitiveDrawing,
     """Bind supports, loads, materials and the analysis mode onto the topology."""
     nodes_px, elements_raw = topology
     if not nodes_px:
-        raise SemanticsError("topology is empty")
+        raise PerceptionError("semantics", "topology is empty")
     ctx = parse_context(context_text)
 
     coords = _to_model_coords(nodes_px, scale)
@@ -406,8 +411,9 @@ def attach_semantics(drawing: PrimitiveDrawing,
     for g in drawing.support_glyphs:
         nid, d = _nearest_node(ids, xy, g.anchor)
         if d > snap_tolerance:
-            raise SemanticsError(f"support glyph {g.kind!r} at {g.anchor} is {d:.1f} px "
-                                 f"from the nearest node (snap tolerance {snap_tolerance})")
+            raise PerceptionError("semantics", f"support glyph {g.kind!r} at {g.anchor} is "
+                                               f"{d:.1f} px from the nearest node "
+                                               f"(snap tolerance {snap_tolerance})")
         supports.append(BoundaryCondition(nid, GLYPH_DOFS[g.kind]))
     for a in drawing.load_arrows:
         nid, _ = _nearest_node(ids, xy, a.anchor)

@@ -24,8 +24,7 @@ from .ir import (COLLECTIONS, AnalysisSpec, Element, IRModel, Node, _Defect, _Fi
 from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
                         ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, parse_script)
-from .solver import (ANALYSES, AssemblyError, ModalResult, SingularSystemError, StaticResult,
-                     TopoResult, UnsupportedOptimizationError, solved_dofs)
+from .solver import ANALYSES, ModalResult, SolverError, StaticResult, TopoResult, solved_dofs
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -48,15 +47,12 @@ _PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
 
 
 class WorkspaceError(Exception):
-    pass
+    stage, kind = "load", "workspace"
 
 
-class ResultsMissingError(Exception):
-    pass
-
-
-class ResultsCorruptError(Exception):
-    pass
+class ResultsError(Exception):
+    """A results database that is missing or is not a results document."""
+    stage, kind = "attempt", "unverified"
 
 
 @dataclass(frozen=True)
@@ -154,17 +150,18 @@ def write_results_file(rs, path: str | Path) -> None:
 
 def read_results(path: str | Path):
     """Load a results database; the ``result_kind`` tag selects the shape.
-    A file that is not a results document, numbers that are not finite
-    included, raises ResultsCorruptError."""
+    A missing file raises ResultsError naming its path, and a file that is
+    not a results document, numbers that are not finite included, raises it
+    naming the path and the defect."""
     path = Path(path)
     if not path.exists():
-        raise ResultsMissingError(str(path))
+        raise ResultsError(str(path))
     try:
         return _read_json(_read_result_set, path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an overlong id
-        raise ResultsCorruptError(f"{path}: {exc}") from None
+        raise ResultsError(f"{path}: {exc}") from None
     except _Defect as defect:
-        raise ResultsCorruptError(f"{path}: {defect.path}: {defect.reason}") from None
+        raise ResultsError(f"{path}: {defect.path}: {defect.reason}") from None
 
 
 class _RuntimeStop(Exception):
@@ -350,8 +347,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             return _finish(ws_root, log_lines, "ABORTED")
         log_lines.append(f"    ERROR {exc}")
         return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, line, str(exc)))
-    except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
-            ArithmeticError, ValueError) as exc:  # non-finite or overflowing model data
+    except (SolverError, ArithmeticError, ValueError) as exc:  # or non-finite model data
         log_lines.append(f"    ERROR solver: {exc}")
         return _finish(ws_root, log_lines, "FAILED", Fault("solver", line, str(exc)))
     return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)

@@ -30,14 +30,16 @@ Entity = Node | Material | Section | Element | BoundaryCondition | Load
 @dataclass(frozen=True)
 class Fault:
     """Why a script was rejected before execution or stopped during it: the
-    failure kind (a key of ``memory.FAILURE_KINDS``), the script line to
-    blame if there is one, and the message."""
+    failure kind (its attempt row of ``failures.FAILURES``), the script line
+    to blame if there is one, and the message."""
     kind: str
     line: int | None
     message: str
 
 
 class ScriptParseError(Exception):
+    stage, kind = "attempt", "parse"
+
     def __init__(self, line: int, token: str, reason: str):
         self.line = line
         self.token = token
@@ -46,11 +48,13 @@ class ScriptParseError(Exception):
 
     @property
     def fault(self) -> Fault:
-        return Fault("parse", self.line, str(self))
+        return Fault(self.kind, self.line, str(self))
 
 
 class LoweringError(Exception):
-    """Model feature the template engine cannot express (unreachable after audit)."""
+    """Model feature the template engine cannot express (unreachable after
+    audit): the guaranteed-executable fallback would fail."""
+    stage, kind = "synthesis", "fallback"
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, KINDS, MODES, Analys
                  IRModel, _coordinates, _endpoints, _rows, topology_params)
 from .validation import restraint_rank
 
-DEFAULT_MODAL_SUBDIVISIONS = 4
 _MODAL, _TOPOLOGY = MODES["modal"], MODES["topology_optimization"]
 OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
@@ -86,16 +85,11 @@ PEAK_TIE_RTOL = 1e-9
 LANCZOS_SEED = 0
 
 
-class AssemblyError(Exception):
-    pass
-
-
-class SingularSystemError(Exception):
-    """Stiffness factorization failed: rigid body motion or mechanism."""
-
-
-class UnsupportedOptimizationError(Exception):
-    pass
+class SolverError(Exception):
+    """A model the solver cannot solve: an element it cannot assemble, a
+    stiffness factorisation or eigen solve that fails (rigid body motion or
+    mechanism), or an optimisation it does not support."""
+    stage, kind = "attempt", "solver"
 
 
 class _Group(NamedTuple):
@@ -388,7 +382,7 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
                for g in groups if np.any(g.L == 0.0)]
     if faults:
         element, _, message = min(faults)
-        raise AssemblyError(message.format(element))
+        raise SolverError(message.format(element))
 
     f = np.zeros(len(index))
     for l in model.loads:
@@ -450,7 +444,7 @@ def _mechanism_rule(pivots: np.ndarray, diagonal: np.ndarray) -> None:
     ``PIVOT_RTOL`` times its own diagonal entry of the ordered free
     stiffness, or not finite, means rigid body motion or a mechanism."""
     if not (np.all(pivots > PIVOT_RTOL * np.abs(diagonal)) and np.all(np.isfinite(pivots))):
-        raise SingularSystemError("rigid body motion or mechanism")
+        raise SolverError("rigid body motion or mechanism")
 
 
 class _FreeDofs:
@@ -521,7 +515,7 @@ class _BandFactor:
         diagonal = band[0].copy()
         self.L, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:  # a leading minor is not positive definite
-            raise SingularSystemError("rigid body motion or mechanism")
+            raise SolverError("rigid body motion or mechanism")
         _mechanism_rule(self.L[0] ** 2, diagonal)
         self.free = free
 
@@ -562,9 +556,9 @@ class _SparseFactor:
                                           diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            raise SingularSystemError("rigid body motion or mechanism") from None
+            raise SolverError("rigid body motion or mechanism") from None
         if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise SingularSystemError("rigid body motion or mechanism")
+            raise SolverError("rigid body motion or mechanism")
         # column i of K is eliminated by pivot perm_c[i]
         _mechanism_rule(lu.U.diagonal()[lu.perm_c], self.K.diagonal())
         self.free, self.solve = free, lu.solve
@@ -589,12 +583,12 @@ def _solve_free(K: scipy.sparse.csc_array, f: np.ndarray,
     if free.size:
         uf = free.factor(K).solve(ff)
         if not np.all(np.isfinite(uf)):
-            raise SingularSystemError("rigid body motion or mechanism")
+            raise SolverError("rigid body motion or mechanism")
         u[free.dofs] = uf
     r = K @ u - f
     residual = float(np.linalg.norm(r[free.dofs]) / max(np.linalg.norm(ff), 1.0))
     if residual > RESIDUAL_LIMIT:
-        raise SingularSystemError(f"ill-conditioned system, residual {residual:.2e}")
+        raise SolverError(f"ill-conditioned system, residual {residual:.2e}")
     return u, r, residual
 
 
@@ -632,11 +626,12 @@ def solve_static(model: IRModel) -> StaticResult:
                         equilibrium_residual=residual)
 
 
-def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) -> ModalResult:
+def solve_modal(model: IRModel, subdivisions: int | None = None) -> ModalResult:
     """The ``modal_count`` lowest natural frequencies and mode shapes.
 
-    The generalized problem K phi = w^2 M phi on the free dofs of the
-    subdivided model goes to ARPACK's Lanczos iteration through the
+    The generalized problem K phi = w^2 M phi on the free dofs of the model,
+    each element of a split kind divided into ``subdivisions`` (by default
+    the modal row's of ``ANALYSES``, which the dof budget counts), goes to ARPACK's Lanczos iteration through the
     stiffness factor (``_BandFactor.lowest_modes``,
     ``_SparseFactor.lowest_modes``); when the count reaches the number of
     free dofs, to LAPACK's dense symmetric-definite solver. Each shape is
@@ -646,11 +641,12 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
     if n is None or n < 1:
         raise ValueError("modal count must be >= 1")
     if restraint_rank(model) < 3:
-        raise SingularSystemError("insufficient restraint for modal analysis")
-    system = assemble(model, subdivisions)
+        raise SolverError("insufficient restraint for modal analysis")
+    system = assemble(model, ANALYSES["modal"].subdivisions if subdivisions is None
+                      else subdivisions)
     free = _FreeDofs(system.pattern, system.constrained)
     if free.size == 0:
-        raise SingularSystemError("no free dofs")
+        raise SolverError("no free dofs")
     factor = free.factor(system.K)
 
     note = None
@@ -659,7 +655,7 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
         try:
             w2, vecs = factor.lowest_modes(system.M, n, start)
         except scipy.sparse.linalg.ArpackError as exc:  # includes ArpackNoConvergence
-            raise SingularSystemError(f"modal eigensolver failed: {exc}") from None
+            raise SolverError(f"modal eigensolver failed: {exc}") from None
         order = np.argsort(w2)
         w2, vecs = w2[order], vecs[:, order]
     else:
@@ -671,9 +667,9 @@ def solve_modal(model: IRModel, subdivisions: int = DEFAULT_MODAL_SUBDIVISIONS) 
             w2, vecs = scipy.linalg.eigh(system.K[ff].toarray(), system.M[ff].toarray(),
                                          check_finite=False, subset_by_index=[0, n - 1])
         except scipy.linalg.LinAlgError:
-            raise SingularSystemError("mass matrix not positive definite") from None
+            raise SolverError("mass matrix not positive definite") from None
     if not np.all(w2 > 0):
-        raise SingularSystemError("mechanism detected: non-positive vibration mode")
+        raise SolverError("mechanism detected: non-positive vibration mode")
     freqs = tuple(float(math.sqrt(w) / (2 * math.pi)) for w in w2)
 
     translations = np.array([i for (_, d), i in system.dof_index.items() if d != "rz"])
@@ -728,12 +724,12 @@ def optimize_topology(model: IRModel) -> TopoResult:
     give the sensitivities.
     """
     if not set(map(_KIND, model.elements)).issubset(_TOPOLOGY.element_kinds):
-        raise UnsupportedOptimizationError("ground structure must contain only truss bars")
+        raise SolverError("ground structure must contain only truss bars")
     volfrac, max_iters = topology_params(model.analysis)
     fraction, _ = _TOPOLOGY.params
     if not fraction.low <= volfrac <= fraction.high:
-        raise UnsupportedOptimizationError(f"volume fraction {volfrac} outside "
-                                           f"[{fraction.low:g}, {fraction.high:g}]")
+        raise SolverError(f"volume fraction {volfrac} outside "
+                          f"[{fraction.low:g}, {fraction.high:g}]")
 
     index, groups, f, constrained = _prepare(model)
     (kind,) = _TOPOLOGY.element_kinds
@@ -806,7 +802,7 @@ ANALYSES = {
         lambda rs, _: (min(rs.frequencies_hz, default=0.0) > 0  # some, all positive, ascending
                        and list(rs.frequencies_hz) == sorted(rs.frequencies_hz)),
         lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]},
-        DEFAULT_MODAL_SUBDIVISIONS, lambda a, free: ("mode", min(a.modal_count, free))),
+        4, lambda a, free: ("mode", min(a.modal_count, free))),
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
         lambda rs, a: rs.final_volume_fraction <= topology_params(a)[0] + VOLUME_SLACK,

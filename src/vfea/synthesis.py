@@ -18,11 +18,11 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
+from .failures import FAILURES, attempt_row
 from .ir import AnalysisSpec, IRModel, serialize
-from .memory import (FAILURE_KINDS, UNKNOWN_FAILURE, ExperienceBuffer,
-                     ExperienceRecord, classify_error, compute_signature)
-from .sandbox import (ExecutionOutcome, Limits, ResultsCorruptError,
-                      ResultsMissingError, allocate_workspace, execute, read_results)
+from .memory import ExperienceBuffer, ExperienceRecord, classify_error, compute_signature
+from .sandbox import (ExecutionOutcome, Limits, ResultsError, allocate_workspace, execute,
+                      read_results)
 from .simscript import Fault, ScriptParseError, lower_ir, parse_script, preflight
 from .solver import ANALYSES
 
@@ -31,21 +31,20 @@ EXCERPT_CHARS = 400
 
 
 class ConfigError(Exception):
-    pass
+    stage, kind = "load", "config"
 
 
-class SynthesisExhaustedError(Exception):
-    def __init__(self, trace: "SynthesisTrace"):
-        self.trace = trace
-        super().__init__(f"retry budget exhausted after {len(trace.attempts)} attempts")
+class SynthesisError(Exception):
+    """No attempt was verified: the retry budget ran out (``exhausted``), or
+    the guaranteed-executable path failed too (``fallback``), which indicates
+    a kernel bug. Carries the trace, and the script line the last failed
+    attempt was blamed on as ``line N``, if any."""
+    stage = "synthesis"
 
-
-class FallbackFailureError(Exception):
-    """The guaranteed-executable path failed; this indicates a kernel bug."""
-
-    def __init__(self, message: str, trace: "SynthesisTrace"):
-        self.trace = trace
+    def __init__(self, kind: str, message: str, trace: "SynthesisTrace",
+                 subject: str | None = None):
         super().__init__(message)
+        self.kind, self.trace, self.subject = kind, trace, subject
 
 
 class Generator(Protocol):
@@ -84,9 +83,9 @@ class SynthesisTrace:
 
 
 def reflect(kinds: Iterable[str | None]) -> list[str]:
-    """One imperative lesson per distinct failure kind, from the failure
-    table; ``None`` (no recorded fault) gives the generic lesson."""
-    return [FAILURE_KINDS.get(kind, UNKNOWN_FAILURE)[1] for kind in dict.fromkeys(kinds)]
+    """One imperative lesson per distinct failure kind, from its attempt row
+    of ``failures.FAILURES``; ``None`` (no kind) gives the generic lesson."""
+    return [attempt_row(kind).lesson for kind in dict.fromkeys(kinds)]
 
 
 def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
@@ -97,7 +96,7 @@ def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
         return None
     try:
         rs = read_results(outcome.results_path)
-    except (ResultsMissingError, ResultsCorruptError):
+    except ResultsError:
         return None
     row = ANALYSES[analysis.mode]
     return rs if isinstance(rs, row.result) and row.accept(rs, analysis) else None
@@ -122,7 +121,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     repair sees the failure at hand and the failure table's lessons for its
     kinds. When the budget is exhausted the deterministic lowering
     takes over (if enabled) through the same gate; its output is
-    guaranteed-executable, so a failure there raises FallbackFailureError.
+    guaranteed-executable, so a failure there raises SynthesisError.
     """
     if K < 0:
         raise ConfigError("retry budget must be >= 0")
@@ -163,17 +162,17 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         # classify and reflect the failure, record it, and repair
         if attempt.outcome is None:
             faults = attempt.rejected
-            log = "\n".join(
-                f"preflight: {f.message}" if f.kind == "parse"
-                else f"preflight[{f.kind}]{'' if f.line is None else f' line {f.line}'}: {f.message}"
-                for f in faults)
+            log = "\n".join(FAILURES["attempt", f.kind].text.format(
+                f.message, "" if f.line is None else f" line {f.line}") for f in faults)
         else:
             fault = attempt.outcome.runtime_error
             faults = () if fault is None else (fault,)
             log = attempt.outcome.log
-        kinds = [f.kind for f in faults] or [None]
-        message = ("; ".join(f.message for f in faults) or
-                   f"execution {attempt.outcome.status.lower()} without readable results")
+        # a run without a fault completed unverified, or a budget aborted it
+        status = attempt.outcome and attempt.outcome.status
+        kinds = [f.kind for f in faults] or ["unverified" if status == "COMPLETED" else None]
+        message = ("; ".join(f.message for f in faults)
+                   or FAILURES["attempt", "unverified"].text.format(status.lower()))
         err_sig = classify_error(kinds, message)
         line = faults[0].line if faults and faults[0].line is not None else err_sig.line
         ctx = DebugContext(err_sig.category, message, line, log, tuple(reflect(kinds)))
@@ -186,7 +185,9 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         script = generator.repair(script, ctx)
 
     if not fallback_enabled:
-        raise SynthesisExhaustedError(trace)
+        raise SynthesisError(
+            "exhausted", f"retry budget exhausted after {len(trace.attempts)} attempts", trace,
+            _at(ctx.line))
 
     attempt = Attempt(k=K + 1, script=lower_ir(model))
     trace.fallback_used = True
@@ -194,11 +195,16 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     if verified is None:
         outcome = attempt.outcome
         fault = attempt.rejected[0] if attempt.rejected else outcome.runtime_error
-        raise FallbackFailureError(
-            f"deterministic fallback failed with status "
+        raise SynthesisError(
+            "fallback", f"deterministic fallback failed with status "
             f"{outcome.status if outcome else 'REJECTED'}: "
-            f"{fault.message if fault else 'unverified results'}", trace)
+            f"{fault.message if fault else 'unverified results'}",
+            trace, _at(fault and fault.line))
     return attempt.script, verified, trace
+
+
+def _at(line: int | None) -> str | None:
+    return None if line is None else f"line {line}"
 
 
 # --- generator implementations ---------------------------------------------
@@ -247,7 +253,7 @@ class FaultyGenerator:
     def repair(self, script: str, context: DebugContext) -> str:
         if self.stubborn or self._clean is None:
             return script
-        lesson = FAILURE_KINDS[_FAULTS[self.fault][0]][1]
+        lesson = FAILURES["attempt", _FAULTS[self.fault][0]].lesson
         return self._clean if lesson in context.lessons else script
 
 

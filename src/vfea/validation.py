@@ -18,7 +18,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .ir import (_ID, _KIND, COLLECTIONS, KINDS, MODES, BoundaryCondition, IRModel, _coordinates,
-                 _endpoints, _rows, bounding_box, diff)
+                 _endpoints, _rows, bounding_box, diff, pairs_within)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perception import BeliefState, PrimitiveDrawing, ScaleResolution
@@ -31,9 +31,7 @@ AREA_MAX = 10.0                        # m^2
 INERTIA_MAX = 10.0                     # m^4
 
 DIMENSION_TOLERANCE = 0.02             # relative, for the L4 reverse-check
-# relative widening of the L4 band for numpy's squared distances, which may
-# differ from math.hypot's in the last bits; candidates are confirmed exactly
-_HYPOT_SLACK = 1e-12
+_DIRECT_ROWS, _BLOCK_PAIRS = 8, 2 ** 20    # the L4 pair search's blocks (check_l4)
 ZERO_LENGTH_EPS = 1e-12                # m
 
 
@@ -300,27 +298,42 @@ def check_l3(model: IRModel) -> list[Finding]:
 
 
 def _pair_distance_within(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float) -> bool:
-    """Whether ``lo <= math.hypot(xb - xa, yb - ya) <= hi`` for some node pair.
-
-    Each node's row of squared distances to the later nodes is computed with
-    numpy, and the scan stops at the first row that matches. The row is
-    screened against the band widened by a relative ``_HYPOT_SLACK`` (and by
-    1e-300, for squares that underflow); the survivors, and any NaN, are
-    confirmed with ``math.hypot`` on the same differences, so the predicate
-    is the exact one.
+    """Whether ``lo <= math.hypot(xb - xa, yb - ya) <= hi`` for some pair of
+    nodes a < b, searched in growing blocks of nodes a until one holds such
+    a pair. A block's candidates are all its nodes' pairs while it is small
+    or ``hi`` is infinite, else those within ``hi`` (``ir.pairs_within``), at
+    most about ``_BLOCK_PAIRS`` of them at the last block's rate. Like
+    ``pairs_within``, ``np.hypot`` screens them and ``math.hypot`` decides
+    those within a relative 2**-40 of an end.
     """
     if not hi >= 0:  # no distance is negative or NaN-bounded
         return False
-    lo2 = lo * lo * (1 - _HYPOT_SLACK) - 1e-300 if lo > 0 else -math.inf
-    hi2 = hi * hi * (1 + _HYPOT_SLACK) + 1e-300
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are screened in
-        for k in range(len(xs) - 1):
-            dx = xs[k + 1:] - xs[k]
-            dy = ys[k + 1:] - ys[k]
-            d2 = dx * dx + dy * dy
-            for j in np.flatnonzero(~((d2 < lo2) | (d2 > hi2))):
-                if lo <= math.hypot(dx[j], dy[j]) <= hi:
-                    return True
+    n, xy = len(xs), np.column_stack((xs, ys))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: no bound
+        diagonal = math.hypot(np.ptp(xs), np.ptp(ys)) if n else 0.0
+    if lo > diagonal * (1 + 2 ** -40) + 2 ** -1070:  # beyond every pair
+        return False
+    start, size = 0, 1
+    while start < n - 1:
+        rows = xy[start:start + size]
+        if size <= _DIRECT_ROWS or hi == math.inf:
+            i, j = np.divmod(np.arange(len(rows) * n), n)
+        else:
+            i, j = pairs_within(rows, hi, xy)
+        rate = i.size / len(rows)
+        i = i + start
+        keep = i < j
+        i, j = i[keep], j[keep]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN differences
+            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+            d = np.hypot(dx, dy)
+            if np.any((d > lo * (1 + 2 ** -40) + 2 ** -1070) & (d < hi * (1 - 2 ** -40))):
+                return True
+            near = np.flatnonzero((d >= lo * (1 - 2 ** -40) - 2 ** -1070)
+                                  & (d <= hi * (1 + 2 ** -40) + 2 ** -1070))
+        if any(lo <= math.hypot(a, b) <= hi for a, b in zip(dx[near].tolist(), dy[near].tolist())):
+            return True
+        start, size = start + size, max(1, min(2 * size, int(_BLOCK_PAIRS / max(rate, 1))))
     return False
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from vfea.ir import (_ID, _KIND, _SECTION_ID, COLLECTIONS, MODES, IRModel, _coordinates,
                      _endpoints, _rows, bounding_box)
-from vfea.solver import (_TRUSS_MASS, ANALYSES, AssemblyError, _frame_mass_local,
+from vfea.solver import (_TRUSS_MASS, ANALYSES, SolverError, _frame_mass_local,
                          _frame_stiffness_local, _frame_transform, _group, _Group, _pattern,
                          _scatter)
 from vfea.validation import Finding
@@ -285,7 +285,7 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
         faults.append((no_inertia[0], 1, "frame element {} has no moment of inertia"))
     if faults:
         element, _, message = min(faults)
-        raise AssemblyError(message.format(element))
+        raise SolverError(message.format(element))
 
     f = np.zeros(len(index))
     for l in model.loads:

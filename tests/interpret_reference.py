@@ -17,8 +17,7 @@ from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits
                           _RuntimeStop, write_results_file)
 from vfea.simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin, ScriptAST,
                             WorkspaceStmt, WriteResults, _inside_workspace)
-from vfea.solver import (ANALYSES, DEFAULT_MODAL_SUBDIVISIONS, AssemblyError,
-                         SingularSystemError, UnsupportedOptimizationError, build_dof_index)
+from vfea.solver import ANALYSES, SolverError, build_dof_index
 from vfea.validation import check_l1
 
 
@@ -45,7 +44,7 @@ def solved_dofs(model: IRModel) -> int:
     n = len(build_dof_index(model))
     if model.analysis.mode == "modal":
         frames = sum(e.kind != "truss_bar" for e in model.elements)
-        n += 3 * (DEFAULT_MODAL_SUBDIVISIONS - 1) * frames
+        n += 3 * (ANALYSES["modal"].subdivisions - 1) * frames
     return n
 
 
@@ -171,8 +170,7 @@ def interpret(program: ScriptAST, ws_root: Path, limits: Limits,
             return _finish(ws_root, log_lines, "ABORTED")
         log_lines.append(f"    ERROR {exc}")
         return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt and stmt.line, str(exc)))
-    except (AssemblyError, SingularSystemError, UnsupportedOptimizationError,
-            ArithmeticError, ValueError) as exc:
+    except (SolverError, ArithmeticError, ValueError) as exc:
         log_lines.append(f"    ERROR solver: {exc}")
         return _finish(ws_root, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
     return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)

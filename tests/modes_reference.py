@@ -13,9 +13,9 @@ import math
 
 from vfea.ir import ANALYSIS_MODES, AnalysisSpec, IRModel, Material, Section, _ID, bounding_box
 from vfea.perception import (DEFAULT_MATERIAL, DEFAULT_SECTION, ContextDirectives,
-                             SemanticsError)
+                             PerceptionError)
 from vfea.sandbox import MAX_MODES, MAX_OC_ITERATIONS
-from vfea.solver import DEFAULT_MODAL_SUBDIVISIONS, _rz_nodes
+from vfea.solver import ANALYSES, _rz_nodes
 from vfea.validation import Finding
 
 DEFAULT_VOLFRAC = 0.5
@@ -66,10 +66,10 @@ def parse_context(text: str) -> ContextDirectives:
                 elif v in ("frame", "frame_beam"):
                     element_kind = "frame_beam"
                 else:
-                    raise SemanticsError(f"unknown element kind directive {value!r}")
+                    raise PerceptionError("semantics", f"unknown element kind directive {value!r}")
             elif key == "mode":
                 if value not in ANALYSIS_MODES:
-                    raise SemanticsError(f"unknown analysis mode {value!r}")
+                    raise PerceptionError("semantics", f"unknown analysis mode {value!r}")
                 mode = value
             elif key == "modal_count":
                 modal_count = int(value)
@@ -78,7 +78,8 @@ def parse_context(text: str) -> ContextDirectives:
             elif key == "opt_iterations":
                 opt_iterations = int(value)
         except (ValueError, KeyError) as exc:
-            raise SemanticsError(f"malformed context directive {line!r}: {exc}") from None
+            raise PerceptionError("semantics",
+                                  f"malformed context directive {line!r}: {exc}") from None
     return ContextDirectives(material=material, section=section, element_kind=element_kind,
                              analysis=analysis_spec(mode, modal_count, volfrac, opt_iterations),
                              lines=tuple(kept))
@@ -234,7 +235,7 @@ def solved_dofs(model: IRModel) -> int:
     n = 2 * len(node_ids) + len(node_ids & _rz_nodes(model))
     if model.analysis.mode == "modal":
         frames = sum(e.kind != "truss_bar" for e in model.elements)
-        n += 3 * (DEFAULT_MODAL_SUBDIVISIONS - 1) * frames
+        n += 3 * (ANALYSES["modal"].subdivisions - 1) * frames
     return n
 
 

@@ -15,7 +15,7 @@ from conftest import STEEL
 from vfea import solver
 from vfea.ir import (DOF_ORDER, ELEMENT_KINDS, KINDS, AnalysisSpec, BoundaryCondition, Element,
                      IRModel, Load, Node, Section)
-from vfea.perception import SemanticsError, parse_context
+from vfea.perception import PerceptionError, parse_context
 from vfea.simscript import Declare, ScriptParseError, lower_ir, parse_script
 from vfea.validation import check_l1
 
@@ -58,10 +58,10 @@ def mixed_models(draw) -> IRModel:
 
 def _system(assemble, model: IRModel, n_sub: int):
     """The dof index, K and M data, f, constrained dofs and group ids and
-    kinds of the split model, or the AssemblyError message."""
+    kinds of the split model, or the SolverError message."""
     try:
         index, K, M, f, constrained, groups = assemble(model, n_sub)
-    except solver.AssemblyError as exc:
+    except solver.SolverError as exc:
         return str(exc)
     return (list(index.items()),
             *(getattr(a, part).tobytes() for a in (K, M) for part in ("data", "indices", "indptr")),
@@ -92,7 +92,7 @@ _BOTH_FAULTS = [
 @example(_BOTH_FAULTS[2])
 @example(_BOTH_FAULTS[3])
 def test_kind_rows_agree_with_the_branches(model):
-    """The same split system (or AssemblyError message) unsplit and split
+    """The same split system (or SolverError message) unsplit and split
     four ways, the same solved dof count and the same audit findings in the
     same order as the per-kind branches."""
     for n_sub in (1, 4):
@@ -154,8 +154,9 @@ def test_unknown_words_are_refused_as_before():
         parse_script("model begin\nelement 1 beam 1 2 1\nend\n")
     error = err.value
     assert (error.line, error.token, error.reason) == (2, "beam", "unknown element kind")
-    with pytest.raises(SemanticsError, match="^unknown element kind directive 'Beam'$"):
+    with pytest.raises(PerceptionError, match="^unknown element kind directive 'Beam'$") as err:
         parse_context("elements: Beam")
+    assert err.value.kind == "semantics"
 
 
 class TestElementKindTable:

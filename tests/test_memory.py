@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vfea.failures import FAILURES
 from vfea.memory import (DENSITY_RATIO_INTERVAL, ERROR_CATEGORIES,
-                         FAILURE_KINDS, ErrorSignature, ExperienceBuffer,
+                         ErrorSignature, ExperienceBuffer,
                          ExperienceRecord,
                          StructuralSignature, classify_error,
                          compute_signature)
@@ -66,6 +67,7 @@ FAILURE_TABLE = {
               "after a completed analysis"),
     "solver": ("other", "ensure the model is fully restrained and well posed before analysis"),
     "sandbox": ("other", "review the execution log and correct the failing statement"),
+    "unverified": ("other", "review the execution log and correct the failing statement"),
 }
 
 
@@ -109,11 +111,11 @@ class TestClassify:
     @pytest.mark.parametrize("kind", sorted(FAILURE_TABLE))
     def test_failure_table_pinned(self, kind):
         category, lesson = FAILURE_TABLE[kind]
-        assert FAILURE_KINDS[kind] == (category, lesson)
+        assert FAILURES["attempt", kind][1:3] == (category, lesson)
         assert classify_error(kind, "any message").category == category
 
     def test_unknown_kind_is_other(self):
-        assert set(FAILURE_KINDS) == set(FAILURE_TABLE)
+        assert {kind for stage, kind in FAILURES if stage == "attempt"} == set(FAILURE_TABLE)
         assert classify_error("no-such-kind", "unknown statement").category == "other"
         assert classify_error(None, "kernel protection").category == "other"
 

@@ -17,12 +17,12 @@ import modes_reference as reference
 from conftest import cantilever_model, ground_structure, modal_cantilever, two_bar_truss
 from vfea.harness import RunConfig, load_case, run_case
 from vfea.ir import ANALYSIS_MODES, AREA_FLOOR_RATIO, MODES, AnalysisSpec, topology_params
-from vfea.perception import (PerceptionFailure, SemanticsError, attach_semantics,
+from vfea.perception import (PerceptionError, PerceptionFailure, attach_semantics,
                              infer_scale, infer_topology, orchestrate, parse_context,
                              parse_drawing)
 from vfea.sandbox import _check_work, _RuntimeStop
 from vfea.simscript import _TEXT
-from vfea.solver import UnsupportedOptimizationError, optimize_topology, solved_dofs
+from vfea.solver import SolverError, optimize_topology, solved_dofs
 from vfea.validation import check_l1
 
 SUITE = Path(__file__).resolve().parents[1] / "cases"
@@ -55,8 +55,8 @@ def _outcome(call):
     type and text of what it raises."""
     try:
         return repr(call())
-    except (TypeError, ValueError, SemanticsError) as exc:
-        return type(exc).__name__, str(exc)
+    except (TypeError, ValueError, PerceptionError) as exc:
+        return type(exc).__name__, getattr(exc, "kind", None), str(exc)
 
 
 def _budget_stop(spec: AnalysisSpec, dofs: int) -> str | None:
@@ -151,9 +151,10 @@ def test_topology_of_frame_members_is_an_audit_finding():
     with pytest.raises(PerceptionFailure) as err:
         orchestrate(*_topopt_context("elements: truss\n", ""))
     assert _pairs(err.value.report.findings) == {("mode-elements", "elements")}
-    with pytest.raises(UnsupportedOptimizationError, match="only truss bars"):
+    with pytest.raises(SolverError, match="only truss bars") as err:
         optimize_topology(replace(cantilever_model(),
                                   analysis=AnalysisSpec("topology_optimization")))
+    assert err.value.kind == "solver"
 
 
 @pytest.mark.parametrize("volfrac", ["1e-300", "5e-7"])
@@ -163,8 +164,9 @@ def test_volume_fraction_below_the_area_floor_is_an_audit_finding(volfrac):
     with pytest.raises(PerceptionFailure) as err:
         orchestrate(*_topopt_context("volfrac: 0.5", f"volfrac: {volfrac}"))
     assert _pairs(err.value.report.findings) == {("mode-params", "analysis")}
-    with pytest.raises(UnsupportedOptimizationError, match="volume fraction"):
+    with pytest.raises(SolverError, match="volume fraction") as err:
         optimize_topology(ground_structure(volfrac=float(volfrac), iters=1))
+    assert err.value.kind == "solver"
 
 
 def test_volume_fraction_at_the_area_floor_verifies(tmp_path):

@@ -3,8 +3,10 @@ the orchestration loop with scripted reasoning hooks."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +18,9 @@ from conftest import SUITE_DIR
 from vfea import perception
 from vfea.harness import load_case
 from vfea.ir import AnalysisSpec, IRModel, serialize
-from vfea.perception import (DegenerateElementError,
-                             DrawingParseError, LoadArrow, PerceptionConfig,
+from vfea.perception import (LoadArrow, PerceptionConfig, PerceptionError,
                              PerceptionFailure, PrimitiveDrawing, ScaleResolution,
-                             ScaleConflictError, Segment, SemanticsError, SupportGlyph,
+                             Segment, SupportGlyph,
                              attach_semantics, default_reasoning, infer_scale,
                              infer_topology, orchestrate, parse_drawing,
                              parse_magnitude)
@@ -84,15 +85,17 @@ class TestParseDrawing:
     def test_out_of_range_annotation_index(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["dimension_annotations"][0]["segment"] = 99
-        with pytest.raises(DrawingParseError) as err:
+        with pytest.raises(PerceptionError) as err:
             parse_drawing(json.dumps(doc))
+        assert err.value.kind == "drawing"
         assert "out of range" in str(err.value)
 
     def test_annotation_must_reference_dimension_segment(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["dimension_annotations"][0]["segment"] = 0  # structural
-        with pytest.raises(DrawingParseError):
+        with pytest.raises(PerceptionError) as err:
             parse_drawing(json.dumps(doc))
+        assert err.value.kind == "drawing"
 
     def test_direction_normalized_on_parse(self):
         doc = json.loads(CANTILEVER_DOC)
@@ -122,19 +125,22 @@ class TestParseDrawing:
                                                    rel=1e-15)
 
     def test_malformed_syntax(self):
-        with pytest.raises(DrawingParseError):
+        with pytest.raises(PerceptionError) as err:
             parse_drawing("{segments")
+        assert err.value.kind == "drawing"
 
     def test_unknown_class(self):
-        with pytest.raises(DrawingParseError):
+        with pytest.raises(PerceptionError) as err:
             parse_drawing('{"segments": [{"p1": [0,0], "p2": [1,1], "class": "wall"}]}')
+        assert err.value.kind == "drawing"
 
     @pytest.mark.parametrize("edit,path", MALFORMED, ids=[path for _, path in MALFORMED])
     def test_malformed_field_names_its_path(self, edit, path):
         doc = json.loads(CANTILEVER_DOC)
         edit(doc)
-        with pytest.raises(DrawingParseError) as err:
+        with pytest.raises(PerceptionError) as err:
             parse_drawing(json.dumps(doc))
+        assert err.value.kind == "drawing"
         assert str(err.value).startswith(path)
 
     def test_null_magnitude_is_no_label(self):
@@ -175,16 +181,21 @@ class TestInferScale:
         doc["segments"][1:] = [{"p1": p1, "p2": p2, "class": "dimension"} for p1, p2 in dims]
         doc["dimension_annotations"] = [{"segment": i + 1, "value_m": v}
                                         for i, v in enumerate(values)]
-        with pytest.raises(ScaleConflictError):
+        with pytest.raises(PerceptionError) as err:
             orchestrate(json.dumps(doc), CONTEXT)
+        assert err.value.kind == "scale"
 
     def test_conflicting_annotations_raise(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["segments"].append({"p1": [0, -80], "p2": [100, -80], "class": "dimension"})
         doc["dimension_annotations"].append({"segment": 2, "value_m": 1.5})
-        with pytest.raises(ScaleConflictError) as err:
+        with pytest.raises(PerceptionError) as err:
             infer_scale(parse_drawing(json.dumps(doc)))
-        assert len(err.value.scales) == 2
+        assert err.value.kind == "scale"
+        # the message lists the two scales
+        scales = re.fullmatch(r"dimension annotations imply inconsistent scales (\[.*\]) "
+                              r"\(cv .*\)", str(err.value))
+        assert len(ast.literal_eval(scales[1])) == 2
 
 
 class TestInferTopology:
@@ -214,8 +225,9 @@ class TestInferTopology:
 
     def test_degenerate_segment_rejected(self):
         doc = {"segments": [{"p1": [0, 0], "p2": [1.0, 0], "class": "structural"}]}
-        with pytest.raises(DegenerateElementError):
+        with pytest.raises(PerceptionError) as err:
             infer_topology(parse_drawing(json.dumps(doc)), 3.0)
+        assert err.value.kind == "degenerate"
 
     @pytest.mark.parametrize("x,centroid", [
         # ten endpoints at 0.1: plain doubles give 0.9999999999999999 / 10,
@@ -281,7 +293,7 @@ def naive_topology(drawing: PrimitiveDrawing, tol: float):
     node_of = {i: nid for nid, (_, _, m) in enumerate(centroids, start=1) for i in m}
     elements = tuple((k + 1, node_of[2 * k], node_of[2 * k + 1]) for k in range(len(structural)))
     if any(a == b for _, a, b in elements):
-        raise DegenerateElementError("collapsed segment")
+        raise PerceptionError("degenerate", "collapsed segment")
     return tuple((nid, cx, cy) for nid, (cx, cy, _) in enumerate(centroids, start=1)), elements
 
 
@@ -308,9 +320,10 @@ def test_infer_topology_equals_all_pairs_reference(drawing_and_tol):
     drawing, tol = drawing_and_tol
     try:
         expected = naive_topology(drawing, tol)
-    except DegenerateElementError:
-        with pytest.raises(DegenerateElementError):
+    except PerceptionError as want:
+        with pytest.raises(PerceptionError) as err:
             infer_topology(drawing, tol)
+        assert err.value.kind == want.kind == "degenerate"
     else:
         assert infer_topology(drawing, tol) == expected
 
@@ -379,8 +392,9 @@ def test_other_line_breaks_stay_inside_a_directive(separator):
     # str.splitlines would end the line at each of these and read a second
     # directive; here the mode directive keeps the rest of the line and is
     # an unknown mode
-    with pytest.raises(SemanticsError, match="unknown analysis mode"):
+    with pytest.raises(PerceptionError, match="unknown analysis mode") as err:
         perception.parse_context(f"mode: static{separator}elements: truss\n")
+    assert err.value.kind == "semantics"
 
 
 class TestMagnitude:
@@ -392,8 +406,9 @@ class TestMagnitude:
         assert parse_magnitude(label) == pytest.approx(newtons)
 
     def test_unparsable(self):
-        with pytest.raises(SemanticsError):
+        with pytest.raises(PerceptionError) as err:
             parse_magnitude("ten kN")
+        assert err.value.kind == "semantics"
 
 
 class TestAttachSemantics:
@@ -440,14 +455,16 @@ class TestAttachSemantics:
     def test_glyph_too_far_from_any_node(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["support_glyphs"][0]["anchor"] = [50, 50]
-        with pytest.raises(SemanticsError):
+        with pytest.raises(PerceptionError) as err:
             self.build(json.dumps(doc))
+        assert err.value.kind == "semantics"
 
     def test_unparsable_arrow_magnitude(self):
         doc = json.loads(CANTILEVER_DOC)
         doc["load_arrows"][0]["magnitude"] = "lots"
-        with pytest.raises(SemanticsError):
+        with pytest.raises(PerceptionError) as err:
             self.build(json.dumps(doc))
+        assert err.value.kind == "semantics"
 
 
 def head_nearest_node(nodes, p) -> tuple[int, float]:
@@ -628,8 +645,7 @@ class TestOrchestrate:
 
 # --- hostile drawing documents and context text ------------------------------
 
-PERCEPTION_ERRORS = (DrawingParseError, ScaleConflictError, DegenerateElementError,
-                     SemanticsError, PerceptionFailure)
+PERCEPTION_ERRORS = (PerceptionError, PerceptionFailure)
 
 _EXTREMES = (1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-320, 0.0, -0.0,
              math.nan, math.inf, -math.inf)

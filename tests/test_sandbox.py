@@ -22,9 +22,9 @@ from conftest import (cantilever_model, ground_structure, modal_cantilever,
 from vfea import simscript, solver
 from vfea.ir import (ANALYSIS_MODES, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
                      Element, Node)
-from vfea.perception import SemanticsError, parse_context
+from vfea.perception import PerceptionError, parse_context
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
-                          ResultsCorruptError, ResultsMissingError, WorkspaceError,
+                          ResultsError, WorkspaceError,
                           _interpret, allocate_workspace, execute, read_results,
                           write_results_file)
 from vfea.simscript import Fault, ScriptAST, lower_ir, parse_script
@@ -527,8 +527,9 @@ class TestResultsDatabase:
         edit(doc)
         path.write_text(json.dumps(doc))  # NaN and Infinity, as json writes them
         assert "NaN" in path.read_text() or "Infinity" in path.read_text()
-        with pytest.raises(ResultsCorruptError):
+        with pytest.raises(ResultsError) as err:
             read_results(path)
+        assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
         outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
         mode = {"static": "static", "modal": "modal", "topology": "topology_optimization"}
         analysis = AnalysisSpec(mode=mode[kind.split("-")[0]], modal_count=3)
@@ -542,13 +543,15 @@ class TestResultsDatabase:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ResultsCorruptError) as err:
+        with pytest.raises(ResultsError) as err:
             read_results(path)
+        assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
         assert f": {where}: " in str(err.value)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ResultsMissingError):
+        with pytest.raises(ResultsError) as err:
             read_results(tmp_path / "nope.res")
+        assert err.value.kind == "unverified" and str(err.value) == str(tmp_path / "nope.res")
 
     def test_truncated_file(self, tmp_path):
         from vfea.solver import solve_static
@@ -556,20 +559,23 @@ class TestResultsDatabase:
         path = tmp_path / "trunc.res"
         write_results_file(rs, path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        with pytest.raises(ResultsCorruptError):
+        with pytest.raises(ResultsError) as err:
             read_results(path)
+        assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "odd.res"
         path.write_text('{"result_kind": "static", "displacements": 5}')
-        with pytest.raises(ResultsCorruptError):
+        with pytest.raises(ResultsError) as err:
             read_results(path)
+        assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "kind.res"
         path.write_text('{"result_kind": "thermal"}')
-        with pytest.raises(ResultsCorruptError):
+        with pytest.raises(ResultsError) as err:
             read_results(path)
+        assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
 
 
 class TestAnalysisTable:
@@ -580,8 +586,9 @@ class TestAnalysisTable:
             ANALYSIS_MODES)
         assert [parse_context(f"mode: {mode}\n").analysis.mode for mode in ANALYSIS_MODES] == list(
             ANALYSIS_MODES)
-        with pytest.raises(SemanticsError, match="unknown analysis mode"):
+        with pytest.raises(PerceptionError, match="unknown analysis mode") as err:
             parse_context("mode: buckling\n")
+        assert err.value.kind == "semantics"
 
     def test_every_column_has_an_entry_for_every_mode(self):
         assert tuple(MODES) == tuple(solver.ANALYSES) == ANALYSIS_MODES

@@ -24,11 +24,18 @@ from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
 from vfea import solver
 from vfea.sandbox import Limits, allocate_workspace, execute
 from vfea.simscript import lower_ir
-from vfea.solver import (AssemblyError, SingularSystemError,
-                         UnsupportedOptimizationError, assemble, build_dof_index,
+from vfea.solver import (SolverError, assemble, build_dof_index,
                          optimize_topology, solve_modal, solve_static, solved_dofs)
 from vfea.validation import restraint_rank
 
+# The messages of a solver error for an element the solver cannot assemble,
+# for a system it cannot factorise or eigen-solve, and for an optimisation it
+# does not support.
+ASSEMBLY = r"^(frame|truss) element \d+ has no moment of inertia$|^element \d+ has zero length$"
+SINGULAR = ("^(rigid body motion or mechanism|ill-conditioned system|insufficient restraint"
+            "|no free dofs|modal eigensolver failed|mass matrix not positive definite"
+            "|mechanism detected)")
+UNSUPPORTED = "^(ground structure must contain only truss bars|volume fraction)"
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import workloads  # noqa: E402
 
@@ -108,8 +115,9 @@ class TestAssemble:
                     materials=(STEEL,), sections=(BAR,),
                     boundary_conditions=(BoundaryCondition(1, frozenset({"ux", "uy"})),),
                     loads=(Load(2, 1.0, 0.0, 0.0),))
-        with pytest.raises(AssemblyError):
+        with pytest.raises(SolverError, match=ASSEMBLY) as err:
             assemble(m)
+        assert err.value.kind == "solver"
 
 
 class TestStatic:
@@ -174,21 +182,24 @@ class TestStatic:
     def test_underrestrained_raises(self):
         m = replace(two_bar_truss(), boundary_conditions=(
             BoundaryCondition(1, frozenset({"uy"})), BoundaryCondition(2, frozenset({"uy"}))))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverError, match=SINGULAR) as err:
             solve_static(m)
+        assert err.value.kind == "solver"
 
     def test_negative_pivot_raises(self):
         # a negative modulus gives a negative definite K: the factor exists
         # but its pivots are negative
         m = replace(cantilever_model(), materials=(replace(STEEL, youngs_modulus=-210e9),))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverError, match=SINGULAR) as err:
             solve_static(m)
+        assert err.value.kind == "solver"
 
     def test_truss_mechanism_detected_at_solve_time(self):
         m = unbraced_square()
         assert restraint_rank(m) == 3
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverError, match=SINGULAR) as err:
             solve_static(m)
+        assert err.value.kind == "solver"
 
     def test_rank3_frame_always_factorizes(self):
         # cross-module consistency: frames resist all relative motion, so
@@ -201,6 +212,19 @@ class TestStatic:
 
 
 class TestModal:
+    @pytest.mark.parametrize("n_sub", [2, 4, 6])
+    def test_the_modal_row_splits_the_solved_and_the_budgeted_model(self, monkeypatch, n_sub):
+        # the solve and the dof budget (solved_dofs) read the one split count
+        m = modal_cantilever(3)
+        solved, assemble_as_is = [], solver.assemble
+        monkeypatch.setattr(solver, "assemble",
+                            lambda model, n=1: solved.append(assemble_as_is(model, n)) or solved[-1])
+        monkeypatch.setitem(solver.ANALYSES, "modal",
+                            solver.ANALYSES["modal"]._replace(subdivisions=n_sub))
+        solver.ANALYSES["modal"].run(m)
+        expected = 3 * (len(m.nodes) + (n_sub - 1) * len(m.elements))
+        assert [s.n_dofs for s in solved] == [solved_dofs(m)] == [expected]
+
     def test_cantilever_first_mode_within_2pct(self):
         m = modal_cantilever(1)
         r = solve_modal(m, subdivisions=8)
@@ -265,8 +289,9 @@ class TestModal:
     def test_internal_mechanism_raises(self, tmp_path):
         m = unbraced_square(AnalysisSpec(mode="modal", modal_count=1))
         assert restraint_rank(m) == 3
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverError, match=SINGULAR) as err:
             solve_modal(m)
+        assert err.value.kind == "solver"
         out = execute(lower_ir(m), allocate_workspace(tmp_path, "mech"), Limits())
         assert out.status == "FAILED"
         assert out.runtime_error.kind == "solver"
@@ -274,8 +299,9 @@ class TestModal:
     def test_insufficient_restraint(self):
         m = replace(modal_cantilever(1), boundary_conditions=(
             BoundaryCondition(1, frozenset({"ux", "uy"})),))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverError, match=SINGULAR) as err:
             solve_modal(m)
+        assert err.value.kind == "solver"
 
 
 def turned(model: IRModel, degrees: float) -> IRModel:
@@ -318,8 +344,9 @@ class TestMechanismRule:
         for degrees in [0.0, *TURNS]:
             system = assemble(turned(unbraced_square(), degrees))
             for form in FORCED:
-                with pytest.raises(SingularSystemError, match="mechanism"):
+                with pytest.raises(SolverError, match="mechanism") as err:
                     forced_free_dofs(system, form).factor(system.K)
+                assert err.value.kind == "solver"
 
 
 # areas of topopt_ground by element id, as the dense kernel computed them
@@ -365,8 +392,9 @@ class TestTopopt:
             assert 1e-6 * a_max - 1e-15 <= a <= a_max + 1e-15
 
     def test_frame_elements_rejected(self, cantilever):
-        with pytest.raises(UnsupportedOptimizationError):
+        with pytest.raises(SolverError, match=UNSUPPORTED) as err:
             optimize_topology(cantilever)
+        assert err.value.kind == "solver"
 
     def test_bundled_ground_structure_pinned(self, suite_dir):
         m = deserialize((suite_dir / "topopt_ground" / "truth.ir.json").read_text())
@@ -523,7 +551,7 @@ def head_prepare(model: IRModel, n_sub: int = 1):
         faults.append((no_inertia, 1, "frame element {} has no moment of inertia"))
     if faults:
         element, _, message = min(faults)
-        raise AssemblyError(message.format(element))
+        raise SolverError(message.format(element))
     f = np.zeros(len(index))
     for l in model.loads:
         f[index[(l.node_id, "ux")]] += l.fx
@@ -580,10 +608,10 @@ def table_models(draw) -> IRModel:
 def test_element_table_equals_its_previous_algorithm(m, n_sub):
     try:
         want = head_assemble(m, n_sub)
-    except AssemblyError as exc:
-        with pytest.raises(AssemblyError) as got:
+    except SolverError as exc:
+        with pytest.raises(SolverError) as got:
             assemble(m, n_sub)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == str(exc) and got.value.kind == "solver"
         return
     got = assemble(m, n_sub)
     assert_same_system(got, want, n_sub)
@@ -613,7 +641,7 @@ class TestSubdivision:
 
     @given(mixed_models())
     def test_solved_dofs_counts_the_split_model(self, m):
-        n_sub = solver.DEFAULT_MODAL_SUBDIVISIONS if m.analysis.mode == "modal" else 1
+        n_sub = solver.ANALYSES["modal"].subdivisions if m.analysis.mode == "modal" else 1
         reference = assemble(subdivide_reference(m, n_sub))
         assert solved_dofs(m) == len(reference.dof_index)
         assert_same_system(assemble(m, n_sub), reference, n_sub)
@@ -642,11 +670,12 @@ class TestSubdivision:
                     elements=(Element(1, "frame_beam", (1, 2), 2),
                               Element(2, "frame_beam", (2, 3), 1)),
                     sections=(sections[0], replace(sections[1], id=2)))
-        with pytest.raises(AssemblyError) as want:
+        with pytest.raises(SolverError, match=ASSEMBLY) as want:
             assemble(subdivide_reference(m, n_sub))
-        with pytest.raises(AssemblyError) as got:
+        with pytest.raises(SolverError, match=ASSEMBLY) as got:
             assemble(m, n_sub)
         assert str(got.value) == str(want.value) == message
+        assert got.value.kind == want.value.kind == "solver"
 
 
 def oracle_models(suite_dir) -> list[tuple[str, IRModel]]:
@@ -711,8 +740,9 @@ def test_factor_forms_equal_dense_linear_algebra(m):
     low, high = np.linalg.eigvalsh(K)[[0, -1]]
     if low <= 1e-14 * high:
         for form in FORCED:
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(SolverError, match=SINGULAR) as err:
                 forced_free_dofs(system, form).factor(system.K)
+            assert err.value.kind == "solver"
         return
     # either side errs by about eps * cond(K): the tolerances hold up to a
     # condition number of 1e5 and grow with it beyond
@@ -721,7 +751,7 @@ def test_factor_forms_equal_dense_linear_algebra(m):
     for form in FORCED:
         try:
             factor = forced_free_dofs(system, form).factor(system.K)
-        except SingularSystemError:  # allowed only short of well-conditioned
+        except SolverError:  # allowed only short of well-conditioned
             assert high / low > 1e8, form
             continue
         assert relative_error(factor.solve(b), np.linalg.solve(K, b)) <= 1e-10 * scale, form
@@ -757,7 +787,7 @@ class TestDenseOracle:
     def test_modal_matches_dense_eigh(self, suite_dir, monkeypatch):
         n = 3
         for name, m in oracle_models(suite_dir):
-            system = assemble(subdivide_reference(m, solver.DEFAULT_MODAL_SUBDIVISIONS))
+            system = assemble(subdivide_reference(m, solver.ANALYSES["modal"].subdivisions))
             free, ff = dense_free(system)
             # the reciprocal problem M x = x K / w^2 puts the lowest modes at
             # the top of its spectrum, where the dense solver is most accurate
@@ -785,7 +815,7 @@ class TestDenseOracle:
 
     def test_models_take_their_form_and_match_dense(self, suite_dir):
         for name, m, banded in branch_models(suite_dir):
-            system = assemble(m, solver.DEFAULT_MODAL_SUBDIVISIONS)
+            system = assemble(m, solver.ANALYSES["modal"].subdivisions)
             free = solver._FreeDofs(system.pattern, system.constrained)
             assert free.banded == banded, name
             factor = free.factor(system.K)

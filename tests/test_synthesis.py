@@ -19,7 +19,7 @@ from vfea.sandbox import (Limits, allocate_workspace, execute,
                           read_results)
 from vfea.simscript import lower_ir, parse_script
 from vfea.synthesis import (ConfigError, ExternalGenerator, FaultyGenerator,
-                            PerfectGenerator, SynthesisExhaustedError,
+                            PerfectGenerator, SynthesisError,
                             make_generator, reflect, synthesize, verify_results)
 
 
@@ -165,10 +165,11 @@ class TestSynthesize:
         assert len(neural) == 4  # K+1 neural attempts before handover
 
     def test_fallback_disabled_raises_with_trace(self, tmp_path, cantilever):
-        with pytest.raises(SynthesisExhaustedError) as err:
+        with pytest.raises(SynthesisError) as err:
             synthesize(cantilever, 2, ExperienceBuffer(),
                        FaultyGenerator("type_i", stubborn=True), tmp_path,
                        fallback_enabled=False)
+        assert err.value.kind == "exhausted"
         assert len(err.value.trace.attempts) == 3
         assert all(a.rejected
                    for a in err.value.trace.attempts)
@@ -226,9 +227,10 @@ class TestSynthesize:
                     return clean.replace("model begin", "model begin\ndelete model root")
                 return clean
 
-        with pytest.raises(SynthesisExhaustedError) as err:
+        with pytest.raises(SynthesisError) as err:
             synthesize(cantilever, 1, ExperienceBuffer(), Shapeshifter(), tmp_path,
                        fallback_enabled=False)
+        assert err.value.kind == "exhausted"
         trace = err.value.trace
         assert len(trace.lessons_accumulated) == 2  # lifecycle lesson, then safety
         _, _, trace2 = synthesize(cantilever, 2, ExperienceBuffer(), Shapeshifter(),

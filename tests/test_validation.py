@@ -10,16 +10,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pair_distance_reference
 from conftest import BEAM, STEEL, modal_cantilever
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load, Node,
                      Section, canonicalize)
 from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
-from vfea.validation import (ZERO_LENGTH_EPS, Finding, ValidationReport, accept_update,
-                             audit, check_l1, check_l2, check_l3, check_l4,
+from vfea.validation import (ZERO_LENGTH_EPS, Finding, ValidationReport, _pair_distance_within,
+                             accept_update, audit, check_l1, check_l2, check_l3, check_l4,
                              connected_components, restraint_rank)
 
 
@@ -446,6 +447,48 @@ def test_l4_matches_all_pairs_reference(inputs):
     findings = check_l4(model, drawing, ScaleResolution("metric", 1.0, 0.0), tolerance)
     realized = _l4_reference(coords, value * (1 - tolerance), value * (1 + tolerance))
     assert (findings == []) == realized
+
+
+@st.composite
+def _bands(draw):
+    """Point sets of up to 80 rows, on a coarse grid for many equal
+    distances, with duplicate rows and NaN, infinite and huge coordinates;
+    and bands whose ends lie on a pair distance, a few ulps beside one, or
+    anywhere (negative, NaN and infinite ends included)."""
+    grid = st.integers(-3, 3).map(float)
+    odd = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.5])
+    coord = st.one_of(grid, grid, grid, odd, st.floats(-1e3, 1e3))
+    xy = draw(st.lists(st.tuples(coord, coord), max_size=80))
+    if xy:
+        xy += draw(st.lists(st.sampled_from(xy), max_size=5))  # duplicates
+    xy = np.array(draw(st.permutations(xy)), float).reshape(-1, 2)
+
+    def end():
+        if len(xy) >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(len(xy))))[:2]
+            with np.errstate(all="ignore"):
+                d = math.hypot(xy[b, 0] - xy[a, 0], xy[b, 1] - xy[a, 1])
+            for _ in range(draw(st.integers(0, 2))):
+                d = math.nextafter(d, draw(st.sampled_from([-math.inf, math.inf])))
+            return d
+        return draw(st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 2.0, math.sqrt(2)])))
+
+    lo, hi = end(), end()
+    if draw(st.booleans()):
+        lo, hi = min(lo, hi), max(lo, hi)
+    return xy, lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bands())
+# the one pair in the band is two late rows at an overflowing distance
+@example((np.array([(0.0, 0.0)] * 16 + [(1e308, 0.0), (-1e308, 0.0)]), 1.5e308, math.inf))
+def test_band_search_gives_the_row_scans_answer(inputs):
+    xy, lo, hi = inputs
+    with np.errstate(all="ignore"):
+        want = pair_distance_reference._pair_distance_within(
+            xy[:, 0].copy(), xy[:, 1].copy(), lo, hi)
+    assert _pair_distance_within(xy[:, 0].copy(), xy[:, 1].copy(), lo, hi) == want
 
 
 def test_l4_exact_boundary_distances():
