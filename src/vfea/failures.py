@@ -60,18 +60,12 @@ FAILURES: dict[tuple[str, str], Failure] = {
     ("attempt", "solver"): _rejected(
         "solver", "other", "ensure the model is fully restrained and well posed before analysis"),
     ("attempt", "sandbox"): _rejected("sandbox", "other", _LOG_LESSON),
-    ("attempt", "unverified"): Failure("execution {0} without readable results", "other",
+    ("attempt", "budget"): _rejected("budget", "other", _LOG_LESSON),
+    ("attempt", "unverified"): Failure("execution completed without readable results", "other",
                                        _LOG_LESSON),
     ("synthesis", "exhausted"): Failure("synthesis: retry budget exhausted ({1} attempts)"),
     ("synthesis", "fallback"): Failure("synthesis: fallback failure: {0}"),
 }
-# The category and lesson of an attempt that failed without a kind: a run
-# that a resource budget aborted.
-UNCLASSIFIED = Failure("", "other", _LOG_LESSON)
-
-
-def attempt_row(kind: str | None) -> Failure:
-    return FAILURES.get(("attempt", kind), UNCLASSIFIED)
 
 
 def raised(exc: BaseException) -> tuple[str, str] | None:

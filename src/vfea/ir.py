@@ -288,7 +288,6 @@ _REFERENCED = {r.target for row in COLLECTIONS.values() for r in row.refs}
 
 
 _ID = operator.attrgetter("id")
-_XY = operator.attrgetter("x", "y")
 _NODE_IDS = operator.attrgetter("node_ids")
 _KIND = operator.attrgetter("kind")
 _SECTION_ID = operator.attrgetter("section_id")
@@ -738,8 +737,9 @@ def unit_box(points: dict[int, tuple[float, float]]) -> dict[int, tuple[float, f
 
 def _coordinates(nodes) -> np.ndarray:
     """The nodes' (x, y), as an (n, 2) float array in list order."""
-    return np.fromiter(itertools.chain.from_iterable(map(_XY, nodes)), float,
-                       2 * len(nodes)).reshape(-1, 2)
+    n = len(nodes)
+    return np.column_stack((np.fromiter((p.x for p in nodes), float, n),
+                            np.fromiter((p.y for p in nodes), float, n)))
 
 
 def _endpoints(elements) -> list[int]:

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .failures import attempt_row
+from .failures import FAILURES
 from .ir import (IRModel, _Defect, _Field, _array, _float, _int, _nullable,
                  _read_json, _record, _text)
 
@@ -82,14 +82,13 @@ def compute_signature(model: IRModel) -> StructuralSignature:
     )
 
 
-def classify_error(kind: str | Iterable[str] | None, text: str) -> ErrorSignature:
+def classify_error(kind: str | Iterable[str], text: str) -> ErrorSignature:
     """Error signature of a failure: the category comes from the attempt row
     of ``failures.FAILURES`` of the failure kind (the most severe one for
-    several kinds; no kind or an unknown kind is ``other``), the tokens and
-    the ``line N`` number from the message."""
-    kinds = (kind,) if isinstance(kind, str) else kind or ()
-    category = min((attempt_row(k).category for k in kinds),
-                   key=ERROR_CATEGORIES.index, default="other")
+    several kinds), the tokens and the ``line N`` number from the message."""
+    kinds = (kind,) if isinstance(kind, str) else kind
+    category = min((FAILURES["attempt", k].category for k in kinds),
+                   key=ERROR_CATEGORIES.index)
     low = text.lower()
     match = _LINE_RE.search(low)
     line = int(match.group(1)) if match else None

@@ -78,6 +78,8 @@ class Limits:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
+    """``runtime_error`` is the fault that stopped the run: of kind ``budget``
+    when it ABORTED, of another kind when it FAILED, None when it COMPLETED."""
     status: str  # COMPLETED | FAILED | ABORTED
     results_path: Path | None
     log: str
@@ -165,10 +167,11 @@ def read_results(path: str | Path):
 
 
 class _RuntimeStop(Exception):
-    """Stops the interpreter at the current statement: a fault of ``kind``,
-    or, with no kind, an exceeded resource budget that aborts the run."""
+    """Stops the interpreter at the current statement with a fault of
+    ``kind``: an exceeded resource budget (``budget``) aborts the run, any
+    other kind fails it."""
 
-    def __init__(self, kind: str | None, message: str):
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
 
@@ -198,8 +201,8 @@ class _ModelBuilder:
 def _check_work(spec: AnalysisSpec, free_dofs: int) -> None:
     """Abort a run of an L1-clean spec whose budgeted work on ``free_dofs`` is too much."""
     unit, count = ANALYSES[spec.mode].work(spec, free_dofs)
-    if count > _WORK_LIMITS[unit]:
-        raise _RuntimeStop(None, f"{unit} budget exceeded ({count} > {_WORK_LIMITS[unit]} {unit}s)")
+    if count > (limit := _WORK_LIMITS[unit]):
+        raise _RuntimeStop("budget", f"{unit} budget exceeded ({count} > {limit} {unit}s)")
 
 
 def execute(script_text: str, workspace: Workspace, limits: Limits,
@@ -207,10 +210,11 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     """Interpret a script inside its workspace under the resource budget.
 
     Errors never escape: parse and runtime faults yield a FAILED outcome,
-    exceeded budgets yield ABORTED. The kernel protects the root model
-    container even when preflight was bypassed. ``mode="subprocess"`` runs
-    the same interpreter in a child OS process with the identical observable
-    contract; the child parses the ``script.sim`` it finds.
+    an exceeded budget an ABORTED one with a ``budget`` fault that names it.
+    The kernel protects the root model container even when preflight was
+    bypassed. ``mode="subprocess"`` runs the same interpreter in a child OS
+    process with the identical observable contract; the child parses the
+    ``script.sim`` it finds.
 
     ``program`` is ``parse_script(script_text)`` when the caller already has
     it (synthesis parses every attempt for preflight); in process it is run
@@ -227,10 +231,11 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     return _interpret(script_text if program is None else program, ws_root, limits, start)
 
 
-def _finish(ws_root: Path, log_lines: list[str], status: str,
-            fault: Fault | None = None, results_path: Path | None = None) -> ExecutionOutcome:
+def _finish(ws_root: Path, log_lines: list[str], fault: Fault | None = None,
+            results_path: Path | None = None) -> ExecutionOutcome:
     """Close the log with the status line, write it as ``run.log`` and build
-    the outcome."""
+    the outcome; the fault, if any, sets the status."""
+    status = "COMPLETED" if fault is None else "ABORTED" if fault.kind == "budget" else "FAILED"
     log = "\n".join([*log_lines, f"STATUS: {status}"]) + "\n"
     (ws_root / LOG_FILENAME).write_text(log, encoding="utf-8")
     return ExecutionOutcome(status=status, results_path=results_path, log=log,
@@ -245,7 +250,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
         try:
             program = parse_script(program)
         except ScriptParseError as exc:
-            return _finish(ws_root, [f"parse error at {exc}"], "FAILED", exc.fault)
+            return _finish(ws_root, [f"parse error at {exc}"], exc.fault)
 
     log_lines: list[str] = []
     builder = _ModelBuilder()
@@ -258,7 +263,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
         return Path(p) if os.path.isabs(p) else ws_root / p
 
     def over_budget() -> _RuntimeStop:
-        return _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
+        return _RuntimeStop("budget", f"statement budget ({limits.max_statements}) exceeded")
 
     stmt = None
     executed = 0  # lines run so far
@@ -268,7 +273,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             if executed >= limits.max_statements:
                 raise over_budget()
             if time.monotonic() - start > limits.max_wall_time:
-                raise _RuntimeStop(None, f"wall time budget ({limits.max_wall_time}s) exceeded")
+                raise _RuntimeStop("budget", f"wall time budget ({limits.max_wall_time}s) exceeded")
             if isinstance(stmt, Declare):
                 # the run's lines up to the end of the statement budget, at once
                 room = limits.max_statements - executed
@@ -312,8 +317,8 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 # the subdivided model for modal analysis
                 n_dofs = solved_dofs(model)
                 if n_dofs > limits.max_solver_dofs:
-                    raise _RuntimeStop(None, f"solver budget exceeded "
-                                             f"({n_dofs} > {limits.max_solver_dofs} dofs)")
+                    raise _RuntimeStop("budget", f"solver budget exceeded "
+                                                 f"({n_dofs} > {limits.max_solver_dofs} dofs)")
                 # work is done on the free dofs; each constrained one is a solved one
                 _check_work(spec, n_dofs - sum(len(b.constrained_dofs)
                                                for b in model.boundary_conditions))
@@ -342,15 +347,12 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
             if missing:
                 raise _RuntimeStop("lifecycle", message)
     except _RuntimeStop as exc:
-        if exc.kind is None:
-            log_lines.append(f"abort: {exc}")
-            return _finish(ws_root, log_lines, "ABORTED")
-        log_lines.append(f"    ERROR {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, line, str(exc)))
+        log_lines.append(f"abort: {exc}" if exc.kind == "budget" else f"    ERROR {exc}")
+        return _finish(ws_root, log_lines, Fault(exc.kind, line, str(exc)))
     except (SolverError, ArithmeticError, ValueError) as exc:  # or non-finite model data
         log_lines.append(f"    ERROR solver: {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault("solver", line, str(exc)))
-    return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)
+        return _finish(ws_root, log_lines, Fault("solver", line, str(exc)))
+    return _finish(ws_root, log_lines, results_path=results_path)
 
 
 def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
@@ -366,7 +368,8 @@ def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False, env=env,
                               timeout=timeout if timeout < 2_147_483 else None)
     except subprocess.TimeoutExpired:
-        return _finish(ws_root, ["abort: child process exceeded the wall time budget"], "ABORTED")
+        fault = Fault("budget", None, "child process exceeded the wall time budget")
+        return _finish(ws_root, [f"abort: {fault.message}"], fault)
     try:
         if proc.returncode == 0:
             doc = json.loads(proc.stdout)
@@ -379,7 +382,7 @@ def _execute_subprocess(ws_root: Path, limits: Limits) -> ExecutionOutcome:
     stderr = proc.stderr.strip().splitlines()
     fault = Fault("sandbox", None, f"sandbox child process failed ({reason})"
                   + (f": {stderr[-1]}" if stderr else ""))
-    return _finish(ws_root, [f"    ERROR {fault.message}"], "FAILED", fault)
+    return _finish(ws_root, [f"    ERROR {fault.message}"], fault)
 
 
 def _child_main(argv: list[str]) -> int:

@@ -631,10 +631,11 @@ def solve_modal(model: IRModel, subdivisions: int | None = None) -> ModalResult:
 
     The generalized problem K phi = w^2 M phi on the free dofs of the model,
     each element of a split kind divided into ``subdivisions`` (by default
-    the modal row's of ``ANALYSES``, which the dof budget counts), goes to ARPACK's Lanczos iteration through the
-    stiffness factor (``_BandFactor.lowest_modes``,
-    ``_SparseFactor.lowest_modes``); when the count reaches the number of
-    free dofs, to LAPACK's dense symmetric-definite solver. Each shape is
+    the split count of the modal row of ``ANALYSES``, which the dof budget
+    counts), goes to ARPACK's Lanczos iteration through the stiffness factor
+    (``_BandFactor.lowest_modes``, ``_SparseFactor.lowest_modes``); when the
+    count reaches the number of free dofs, to LAPACK's dense
+    symmetric-definite solver. Each shape is
     scaled so that its largest-magnitude translation is +1.
     """
     (n,) = _MODAL.values(model.analysis)

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
-from .failures import FAILURES, attempt_row
+from .failures import FAILURES
 from .ir import AnalysisSpec, IRModel, serialize
 from .memory import ExperienceBuffer, ExperienceRecord, classify_error, compute_signature
 from .sandbox import (ExecutionOutcome, Limits, ResultsError, allocate_workspace, execute,
@@ -67,11 +67,13 @@ class DebugContext:
 
 @dataclass
 class Attempt:
-    """One candidate script: the faults that rejected it before execution
-    (parse or preflight), else the outcome of executing it."""
+    """One candidate script, the outcome of executing it if it ran, and why
+    it failed: the faults parse or preflight found, the fault its run ended
+    in, or an ``unverified`` one for a completed run whose results fail
+    verification. A verified attempt has no faults."""
     k: int
     script: str
-    rejected: tuple[Fault, ...] = ()
+    faults: tuple[Fault, ...] = ()
     outcome: ExecutionOutcome | None = None
 
 
@@ -82,10 +84,10 @@ class SynthesisTrace:
     lessons_accumulated: list[str] = field(default_factory=list)
 
 
-def reflect(kinds: Iterable[str | None]) -> list[str]:
+def reflect(kinds: Iterable[str]) -> list[str]:
     """One imperative lesson per distinct failure kind, from its attempt row
-    of ``failures.FAILURES``; ``None`` (no kind) gives the generic lesson."""
-    return [attempt_row(kind).lesson for kind in dict.fromkeys(kinds)]
+    of ``failures.FAILURES``."""
+    return [FAILURES["attempt", kind].lesson for kind in dict.fromkeys(kinds)]
 
 
 def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
@@ -133,19 +135,23 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         """Pass one attempt through the gate: parse, preflight, allocate a
         workspace, execute, verify. The script is parsed once: preflight
         checks that program and execution runs it. Returns the verified
-        results or None."""
+        results, or None with the attempt's faults set."""
         trace.attempts.append(attempt)
         try:
             program = parse_script(attempt.script)
         except ScriptParseError as exc:
-            attempt.rejected = (exc.fault,)
+            attempt.faults = (exc.fault,)
             return None
-        attempt.rejected = tuple(preflight(program, workspace_root))
-        if attempt.rejected:
+        attempt.faults = tuple(preflight(program, workspace_root))
+        if attempt.faults:
             return None
         attempt.outcome = execute(attempt.script, allocate_workspace(workspace_root, task_id),
                                   limits, mode=execution_mode, program=program)
-        return verify_results(attempt.outcome, model.analysis)
+        verified = verify_results(attempt.outcome, model.analysis)
+        if verified is None:  # a run that did not complete has a fault
+            attempt.faults = (attempt.outcome.runtime_error
+                              or Fault("unverified", None, FAILURES["attempt", "unverified"].text),)
+        return verified
 
     script = generator.generate(model, buffer.retrieve(sig, DEFAULT_RETRIEVAL_K))
 
@@ -160,21 +166,16 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             return script, verified, trace
 
         # classify and reflect the failure, record it, and repair
+        faults = attempt.faults
         if attempt.outcome is None:
-            faults = attempt.rejected
             log = "\n".join(FAILURES["attempt", f.kind].text.format(
                 f.message, "" if f.line is None else f" line {f.line}") for f in faults)
         else:
-            fault = attempt.outcome.runtime_error
-            faults = () if fault is None else (fault,)
             log = attempt.outcome.log
-        # a run without a fault completed unverified, or a budget aborted it
-        status = attempt.outcome and attempt.outcome.status
-        kinds = [f.kind for f in faults] or ["unverified" if status == "COMPLETED" else None]
-        message = ("; ".join(f.message for f in faults)
-                   or FAILURES["attempt", "unverified"].text.format(status.lower()))
+        kinds = [f.kind for f in faults]
+        message = "; ".join(f.message for f in faults)
         err_sig = classify_error(kinds, message)
-        line = faults[0].line if faults and faults[0].line is not None else err_sig.line
+        line = err_sig.line if faults[0].line is None else faults[0].line
         ctx = DebugContext(err_sig.category, message, line, log, tuple(reflect(kinds)))
         buffer.record(ExperienceRecord(
             signature=sig, error=err_sig, lesson=ctx.lessons[0],
@@ -193,13 +194,11 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
     trace.fallback_used = True
     verified = run(attempt)
     if verified is None:
-        outcome = attempt.outcome
-        fault = attempt.rejected[0] if attempt.rejected else outcome.runtime_error
+        fault = attempt.faults[0]
         raise SynthesisError(
             "fallback", f"deterministic fallback failed with status "
-            f"{outcome.status if outcome else 'REJECTED'}: "
-            f"{fault.message if fault else 'unverified results'}",
-            trace, _at(fault and fault.line))
+            f"{attempt.outcome.status if attempt.outcome else 'REJECTED'}: {fault.message}",
+            trace, _at(fault.line))
     return attempt.script, verified, trace
 
 

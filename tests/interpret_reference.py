@@ -3,7 +3,8 @@ reference the run-at-once ``vfea.sandbox._interpret`` is checked against
 (tests/test_sandbox.py). It runs one statement per line, so ``lines``
 first expands each run of declarations into one statement per line; the
 dofs it budgets are counted from the dof index, as ``solved_dofs`` once
-counted them, and the modes from the free ones among them."""
+counted them, and the modes from the free ones among them. A budget stop
+carries a ``budget`` fault on the last line run, like every other stop."""
 
 from __future__ import annotations
 
@@ -99,12 +100,14 @@ def interpret(program: ScriptAST, ws_root: Path, limits: Limits,
         return Path(p) if os.path.isabs(p) else ws_root / p
 
     stmt = None
+    line = None  # the line of the last statement run
     try:
         for executed, stmt in enumerate(lines(program)):
             if executed >= limits.max_statements:
-                raise _RuntimeStop(None, f"statement budget ({limits.max_statements}) exceeded")
+                raise _RuntimeStop("budget", f"statement budget ({limits.max_statements}) exceeded")
             if time.monotonic() - start > limits.max_wall_time:
-                raise _RuntimeStop(None, f"wall time budget ({limits.max_wall_time}s) exceeded")
+                raise _RuntimeStop("budget", f"wall time budget ({limits.max_wall_time}s) exceeded")
+            line = stmt.line
             log_lines.append(f"[line {stmt.line}] {stmt.source}")
             if isinstance(stmt, ModelBegin):
                 builder.begun = True
@@ -132,16 +135,17 @@ def interpret(program: ScriptAST, ws_root: Path, limits: Limits,
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
                 n_dofs = solved_dofs(model)
                 if n_dofs > limits.max_solver_dofs:
-                    raise _RuntimeStop(None, f"solver budget exceeded "
-                                             f"({n_dofs} > {limits.max_solver_dofs} dofs)")
+                    raise _RuntimeStop("budget", f"solver budget exceeded "
+                                                 f"({n_dofs} > {limits.max_solver_dofs} dofs)")
                 free = n_dofs - sum(len(b.constrained_dofs) for b in model.boundary_conditions)
                 modes = min(spec.modal_count, free) if spec.mode == "modal" else 0
                 if modes > MAX_MODES:
-                    raise _RuntimeStop(None, f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
+                    raise _RuntimeStop("budget",
+                                       f"mode budget exceeded ({modes} > {MAX_MODES} modes)")
                 iters = spec.opt_max_iterations
                 if spec.mode == "topology_optimization" and iters > MAX_OC_ITERATIONS:
-                    raise _RuntimeStop(None, f"iteration budget exceeded "
-                                             f"({iters} > {MAX_OC_ITERATIONS} iterations)")
+                    raise _RuntimeStop("budget", f"iteration budget exceeded "
+                                                 f"({iters} > {MAX_OC_ITERATIONS} iterations)")
                 results = ANALYSES[spec.mode].run(model)
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):
@@ -165,12 +169,9 @@ def interpret(program: ScriptAST, ws_root: Path, limits: Limits,
             if missing:
                 raise _RuntimeStop("lifecycle", message)
     except _RuntimeStop as exc:
-        if exc.kind is None:
-            log_lines.append(f"abort: {exc}")
-            return _finish(ws_root, log_lines, "ABORTED")
-        log_lines.append(f"    ERROR {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault(exc.kind, stmt and stmt.line, str(exc)))
+        log_lines.append(f"abort: {exc}" if exc.kind == "budget" else f"    ERROR {exc}")
+        return _finish(ws_root, log_lines, Fault(exc.kind, line, str(exc)))
     except (SolverError, ArithmeticError, ValueError) as exc:
         log_lines.append(f"    ERROR solver: {exc}")
-        return _finish(ws_root, log_lines, "FAILED", Fault("solver", stmt.line, str(exc)))
-    return _finish(ws_root, log_lines, "COMPLETED", results_path=results_path)
+        return _finish(ws_root, log_lines, Fault("solver", line, str(exc)))
+    return _finish(ws_root, log_lines, results_path=results_path)

@@ -27,8 +27,9 @@ from vfea.harness import (CaseFailure, CaseLoadError, CaseSpec, RunConfig, aggre
                           emit_report, load_case, run_case)
 from vfea.memory import ExperienceBuffer, MemoryPersistError, classify_error
 from vfea.sandbox import Limits, WorkspaceError
-from vfea.simscript import lower_ir, parse_script, preflight
-from vfea.synthesis import (ConfigError, DebugContext, FaultyGenerator, reflect, synthesize)
+from vfea.simscript import Fault, lower_ir, parse_script, preflight
+from vfea.synthesis import (ConfigError, DebugContext, FaultyGenerator, SynthesisError, reflect,
+                            synthesize)
 
 SRC = REPO_ROOT / "src" / "vfea"
 DOCS = REPO_ROOT / "docs"
@@ -37,11 +38,14 @@ DOCS = REPO_ROOT / "docs"
 class TestAttemptRows:
     def test_rows_keep_each_kinds_category_and_lesson(self):
         attempt = {kind: row[1:3] for (stage, kind), row in FAILURES.items() if stage == "attempt"}
-        assert attempt == {**reference.FAILURE_KINDS, "unverified": reference.UNKNOWN_FAILURE}
+        # a budget abort and an unverified run take the lesson a failure
+        # without a kind took
+        assert attempt == {**reference.FAILURE_KINDS, "budget": reference.UNKNOWN_FAILURE,
+                           "unverified": reference.UNKNOWN_FAILURE}
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([*reference.FAILURE_KINDS, "unverified", "bogus", None]),
-                    max_size=5))
+    @given(st.lists(st.sampled_from([*reference.FAILURE_KINDS, "budget", "unverified"]),
+                    min_size=1, max_size=5))
     def test_category_and_lessons_as_before(self, kinds):
         assert classify_error(kinds, "any message").category == reference.category(kinds)
         assert reflect(kinds) == reference.reflect(kinds)
@@ -76,7 +80,7 @@ class TestAttemptRows:
                 return lower_ir(cantilever)
 
         _, _, trace = synthesize(cantilever, 1, ExperienceBuffer(), Recorder(), tmp_path)
-        rejected = trace.attempts[0].rejected
+        rejected = trace.attempts[0].faults
         assert rejected and trace.attempts[0].outcome is None
         kinds = [f.kind for f in rejected]
         assert seen[0].raw_log == reference.preflight_log(rejected)
@@ -99,6 +103,31 @@ class TestAttemptRows:
         assert seen[0].message == "execution completed without readable results"
         assert seen[0].lessons == tuple(reference.reflect([None]))
         assert buffer.records[0].error.category == "other"
+
+    def test_a_budget_abort_takes_the_generic_lesson_and_names_its_budget(self, cantilever,
+                                                                          tmp_path):
+        seen = []
+
+        class Recorder:  # every attempt, and the fallback, stops at line 3
+            def generate(self, model, memory_context):
+                return lower_ir(model)
+
+            def repair(self, script, context):
+                seen.append(context)
+                return script
+
+        buffer = ExperienceBuffer()
+        with pytest.raises(SynthesisError) as err:
+            synthesize(cantilever, 1, buffer, Recorder(), tmp_path,
+                       limits=Limits(max_statements=3))
+        assert [a.faults for a in err.value.trace.attempts] == \
+            [(Fault("budget", 3, "statement budget (3) exceeded"),)] * 3
+        assert [(c.category, c.message, c.line, c.lessons) for c in seen] == \
+            [("other", "statement budget (3) exceeded", 3, tuple(reference.reflect([None])))] * 2
+        assert [r.error.category for r in buffer.records] == ["other"] * 2
+        assert (err.value.kind, str(err.value), err.value.subject) == (
+            "fallback", "deterministic fallback failed with status ABORTED: "
+            "statement budget (3) exceeded", "line 3")
 
     def test_preflight_faults_format_as_before(self, tmp_path):
         script = "model begin\ndelete model root\nwrite_results ../x.res\nworkspace /etc\n"
@@ -195,7 +224,9 @@ def _literal(node) -> str | None:
 
 def _named_rows() -> tuple[set, set]:
     """The rows the code raises an exception of or makes a fault of, and the
-    rows it names by a literal (stage, kind) pair."""
+    rows it names by a literal (stage, kind) pair. A fault or stop names its
+    attempt row by a string constant, or passes on the kind of the one it is
+    made of (``exc.kind``, ``self.kind``, or a child's report, ``**doc``)."""
     classes = _exception_classes()
     raised_rows, literal_rows = set(), set()
     for name, tree in _modules().items():
@@ -210,7 +241,12 @@ def _named_rows() -> tuple[set, set]:
                     kind = kind or args[0]
                     assert (stage, kind) in FAILURES, (name, node.lineno, func, kind)
                     raised_rows.add((stage, kind))
-                elif func in ("Fault", "_RuntimeStop") and args and args[0]:
+                elif func in ("Fault", "_RuntimeStop"):
+                    first = node.args[0] if node.args else None
+                    if (first is None and any(k.arg is None for k in node.keywords)
+                            or isinstance(first, ast.Attribute) and first.attr == "kind"):
+                        continue
+                    assert ("attempt", args[0]) in FAILURES, (name, node.lineno, func, args[0])
                     raised_rows.add(("attempt", args[0]))
                 elif len(args) == 2 and tuple(args) in FAILURES:
                     literal_rows.add(tuple(args))

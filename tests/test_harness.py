@@ -20,7 +20,7 @@ from conftest import (BAR, REPO_ROOT, STEEL, cantilever_model, random_frame_mode
                       two_bar_truss)
 from vfea import harness
 from vfea.cli import main as cli_main
-from vfea.harness import (DEFAULT_MATCH_TOLERANCE, CaseLoadError, CaseReport,
+from vfea.harness import (DEFAULT_MATCH_TOLERANCE, CaseFailure, CaseLoadError, CaseReport,
                           CaseSpec, Metrics, RunConfig, TraceSummary, aggregate,
                           emit_report, evaluate_ir, load_case, load_suite,
                           run_case)
@@ -480,7 +480,8 @@ class TestRunCase:
                            limits=Limits(max_statements=3), workspace_root=tmp_path / "ws")
         result = run_case(load_case(suite_dir / "truss_two_bar"), config)
         assert result.error == ("synthesis: fallback failure: deterministic fallback failed "
-                                "with status ABORTED: unverified results")
+                                "with status ABORTED: statement budget (3) exceeded")
+        assert result.failure == CaseFailure("synthesis", "fallback", "line 3")
         assert (result.trace.attempts, result.trace.retry_count) == (2, None)
         assert result.trace.fallback_used
         assert result.trace.lessons == tuple(reflect(["parse"]))

@@ -67,6 +67,7 @@ FAILURE_TABLE = {
               "after a completed analysis"),
     "solver": ("other", "ensure the model is fully restrained and well posed before analysis"),
     "sandbox": ("other", "review the execution log and correct the failing statement"),
+    "budget": ("other", "review the execution log and correct the failing statement"),
     "unverified": ("other", "review the execution log and correct the failing statement"),
 }
 
@@ -91,7 +92,7 @@ class TestClassify:
         assert classify_error("solver", "numerical overflow in step 3").category == "other"
 
     def test_tokens_lowercase_deduplicated(self):
-        s = classify_error(None, "Missing MISSING missing trigger")
+        s = classify_error("budget", "Missing MISSING missing trigger")
         assert s.tokens == frozenset({"missing", "trigger"})
 
     def test_category_ignores_message_text(self):
@@ -106,7 +107,6 @@ class TestClassify:
         assert classify_error(["lifecycle", "safety", "isolation"], "").category == \
             "type_iii_unsafe_state"
         assert classify_error(["isolation"], "").category == "other"
-        assert classify_error([], "").category == "other"
 
     @pytest.mark.parametrize("kind", sorted(FAILURE_TABLE))
     def test_failure_table_pinned(self, kind):
@@ -114,13 +114,19 @@ class TestClassify:
         assert FAILURES["attempt", kind][1:3] == (category, lesson)
         assert classify_error(kind, "any message").category == category
 
-    def test_unknown_kind_is_other(self):
+    def test_every_failure_has_a_kind_of_the_table(self):
+        # a budget abort and an unverified run have kinds of their own, so
+        # no failure is without a row
         assert {kind for stage, kind in FAILURES if stage == "attempt"} == set(FAILURE_TABLE)
-        assert classify_error("no-such-kind", "unknown statement").category == "other"
-        assert classify_error(None, "kernel protection").category == "other"
+        for kinds in ("no-such-kind", [None]):
+            with pytest.raises(KeyError):
+                classify_error(kinds, "unknown statement")
+        with pytest.raises(ValueError):
+            classify_error([], "")
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([None, "parse", "safety", "bogus"]), st.text(min_size=1, max_size=120))
+    @given(st.sampled_from(["parse", "safety", "budget", "unverified"]),
+           st.text(min_size=1, max_size=120))
     def test_total_over_arbitrary_text(self, kind, text):
         assert classify_error(kind, text).category in ERROR_CATEGORIES
 

@@ -44,10 +44,49 @@ OUTCOME_KINDS = [
     ("model", "analyze static", "analyze modal count 0", Limits()),
     ("solver", "fix 1 ux,uy,rz", "fix 1 ux", Limits()),
     ("sandbox", "write_results results.res", "write_results .", Limits()),
-    (None, "", "", Limits(max_statements=3)),  # a budget abort carries no fault
+    ("budget", "", "", Limits(max_statements=3)),
     # a form feed is whitespace and a lone \r ends a line, in the child too
     ("parse", "model begin", "model begin\x0c\rmesh_edges part1", Limits()),
 ]
+
+
+def _analyze_line(script: str) -> int:
+    return 1 + next(i for i, line in enumerate(script.splitlines())
+                    if line.startswith("analyze "))
+
+
+def _many_modes() -> str:
+    """101 modes asked of 40 frame members split into four elements each."""
+    base = modal_cantilever(count=MAX_MODES + 1)
+    return lower_ir(replace(base, nodes=tuple(Node(i + 1, 0.5 * i, 0.0) for i in range(41)),
+                            elements=tuple(Element(i + 1, "frame_beam", (i + 1, i + 2), 1)
+                                           for i in range(40))))
+
+
+_CANTILEVER = lower_ir(cantilever_model())
+_MODES = _many_modes()
+_OC = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1))
+# One case per budget stop: (script, limits, blamed line, message). The
+# line is the last one run; the statement budget stops once between
+# statements and once inside the run of node declarations (lines 4-5).
+BUDGET_STOPS = {
+    "statements": (_CANTILEVER, Limits(max_statements=1), 1, "statement budget (1) exceeded"),
+    "statements-in-a-run": (_CANTILEVER, Limits(max_statements=4), 4,
+                            "statement budget (4) exceeded"),
+    # nothing runs in a nanosecond: the first check stops the run
+    "wall-time": (_CANTILEVER, Limits(max_wall_time=1e-9), None,
+                  "wall time budget (1e-09s) exceeded"),
+    "solver-dofs": (_CANTILEVER, Limits(max_solver_dofs=2), _analyze_line(_CANTILEVER),
+                    "solver budget exceeded (6 > 2 dofs)"),
+    "modes": (_MODES, Limits(), _analyze_line(_MODES),
+              f"mode budget exceeded ({MAX_MODES + 1} > {MAX_MODES} modes)"),
+    "oc-iterations": (_OC, Limits(), _analyze_line(_OC),
+                      f"iteration budget exceeded ({MAX_OC_ITERATIONS + 1} > "
+                      f"{MAX_OC_ITERATIONS} iterations)"),
+    # the log line of a child stopped from outside is as it was, and names
+    # the wall-time budget without its limit
+    "child-timeout": (_CANTILEVER, Limits(), None, "child process exceeded the wall time budget"),
+}
 
 
 @pytest.fixture()
@@ -103,7 +142,7 @@ class TestExecute:
         ws = allocate_workspace(tmp_path, "budget")
         out = execute(cantilever_script, ws, Limits(max_statements=1))
         assert out.status == "ABORTED"
-        assert out.runtime_error is None
+        assert out.runtime_error == Fault("budget", 1, "statement budget (1) exceeded")
         assert "STATUS: ABORTED" in out.log
 
     def test_solver_dof_budget_aborts(self, tmp_path, cantilever_script):
@@ -171,11 +210,31 @@ class TestExecute:
         assert len(result.frequencies_hz) == 99
         assert result.note == "requested 200 modes but only 99 free dofs are available"
 
+    @pytest.mark.parametrize("stop, mode", [
+        (stop, mode) for stop in BUDGET_STOPS for mode in ("inprocess", "subprocess")
+        if stop != "child-timeout" or mode == "subprocess"])
+    def test_every_budget_stop_aborts_with_a_budget_fault(self, tmp_path, monkeypatch,
+                                                          stop, mode):
+        script, limits, line, message = BUDGET_STOPS[stop]
+        if stop == "child-timeout":
+            def timed_out(cmd, **kwargs):
+                raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+            monkeypatch.setattr(subprocess, "run", timed_out)
+        ws = allocate_workspace(tmp_path, stop)
+        out = execute(script, ws, limits, mode=mode)
+        assert (out.status, out.results_path) == ("ABORTED", None)
+        assert out.runtime_error == Fault("budget", line, message)
+        # the abort line is the one the log had when a budget abort carried no fault
+        assert [l for l in out.log.splitlines() if not l.startswith("[line ")] == \
+            [f"abort: {message}", "STATUS: ABORTED"]
+        assert (ws.root / "run.log").read_text() == out.log
+
     @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
     def test_oc_iteration_budget(self, tmp_path, mode):
         script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS + 1))
         out = execute(script, allocate_workspace(tmp_path, "oc"), Limits(), mode=mode)
-        assert out.status == "ABORTED" and out.runtime_error is None
+        assert out.status == "ABORTED" and out.runtime_error.kind == "budget"
         assert f"({MAX_OC_ITERATIONS + 1} > {MAX_OC_ITERATIONS} iterations)" in out.log
         script = lower_ir(ground_structure(iters=MAX_OC_ITERATIONS))
         assert execute(script, allocate_workspace(tmp_path, "oc"), Limits(),
@@ -330,8 +389,8 @@ class TestExecute:
         script = cantilever_script.replace(old, new)
         outs = [execute(script, allocate_workspace(tmp_path / "runs", mode), limits, mode=mode)
                 for mode in ("inprocess", "subprocess")]
-        assert outs[0].status == ("ABORTED" if kind is None else "FAILED")
-        assert (outs[0].runtime_error and outs[0].runtime_error.kind) == kind
+        assert outs[0].status == ("ABORTED" if kind == "budget" else "FAILED")
+        assert outs[0].runtime_error.kind == kind
         got = [(o.status, o.runtime_error, o.log) for o in outs]
         assert got[0] == got[1]
 
@@ -349,7 +408,7 @@ class TestExecute:
             outs.append(execute(script, ws, limits, program=given))
             files.append({p.relative_to(ws.root): p.read_bytes()
                           for p in ws.root.rglob("*") if p.is_file()})
-        assert (outs[1].runtime_error and outs[1].runtime_error.kind) == kind
+        assert outs[1].runtime_error.kind == kind
         got = [(o.status, o.runtime_error, o.log) for o in outs]
         assert got[0] == got[1]
         assert files[0] == files[1]
@@ -458,12 +517,15 @@ def _scripts(draw):
 
 def _assert_execute_is_total(script: str, mode: str) -> None:
     """``execute`` returns one of its three outcomes for the script; a fault
-    exactly when it FAILED, and a log that ends in its status."""
+    exactly when it did not complete, of kind ``budget`` exactly when it
+    ABORTED, and a log that ends in its status."""
     with tempfile.TemporaryDirectory() as root:
         out = execute(script, allocate_workspace(root, "prop"), Limits(max_wall_time=10.0),
                       mode=mode)
     assert out.status in ("COMPLETED", "FAILED", "ABORTED")
-    assert (out.runtime_error is not None) == (out.status == "FAILED")
+    assert (out.runtime_error is None) == (out.status == "COMPLETED")
+    assert (out.status == "ABORTED") == (out.runtime_error is not None
+                                         and out.runtime_error.kind == "budget")
     assert out.log.endswith(f"STATUS: {out.status}\n")
 
 

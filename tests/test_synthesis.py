@@ -41,9 +41,12 @@ class TestReflect:
         lessons = reflect(["parse"])
         assert "unknown statements" in lessons[0]
 
-    def test_no_fault_or_unknown_kind_gives_generic_lesson(self):
+    def test_budget_and_unverified_give_generic_lesson(self):
         generic = ["review the execution log and correct the failing statement"]
-        assert reflect([None]) == reflect(["no-such-kind"]) == generic
+        assert reflect(["budget"]) == reflect(["unverified"]) == reflect(["sandbox"]) == generic
+        for kind in (None, "no-such-kind"):
+            with pytest.raises(KeyError):
+                reflect([kind])
 
 
 class TestComposeDebugContext:
@@ -171,15 +174,14 @@ class TestSynthesize:
                        fallback_enabled=False)
         assert err.value.kind == "exhausted"
         assert len(err.value.trace.attempts) == 3
-        assert all(a.rejected
-                   for a in err.value.trace.attempts)
+        assert all(a.faults and a.outcome is None for a in err.value.trace.attempts)
 
     def test_preflight_gating_keeps_sandbox_clean(self, tmp_path, cantilever):
         # static-detectable faults must never reach execution
         buf = ExperienceBuffer()
         _, _, trace = synthesize(cantilever, 3, buf, FaultyGenerator("type_iii"), tmp_path)
         for attempt in trace.attempts:
-            if attempt.rejected:
+            if attempt.faults:
                 assert attempt.outcome is None
 
     @pytest.mark.parametrize("spec", ["perfect", "faulty:type_ii", "faulty:type_iii",
