@@ -27,6 +27,11 @@ seed (default: 1). Families:
   context[modes]  the perceived IR, or the perception error and its
                   findings, of one bundled drawing under each context
                   variant of context_variants
+  unverified      the fault and the repair context (kind, category, line,
+                  message) of a first attempt whose run completes but whose
+                  results fail verification, for each case edit of
+                  UNVERIFIED_EDITS, in both modes; each workspace directory
+                  <root>/<task>-NNNN reads <ws>
   bench:GEN       `vfea bench` markdown, per-case reports and summary.json
                   over the bundled cases, for the perfect generator and
                   every faulty:* generator
@@ -59,6 +64,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from vfea import cli  # noqa: E402
 from vfea.harness import RunConfig, load_case, load_suite, run_case  # noqa: E402
+from vfea.memory import ExperienceBuffer  # noqa: E402
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,  # noqa: E402
                      Material, Node, Section, serialize)
 from vfea.failures import FAILURES  # noqa: E402
@@ -66,6 +72,7 @@ from vfea.perception import PerceptionError, PerceptionFailure, orchestrate  # n
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, Limits,  # noqa: E402
                           allocate_workspace, execute)
 from vfea.simscript import lower_ir  # noqa: E402
+from vfea.synthesis import synthesize  # noqa: E402
 
 # The bundled case whose lowered script is rewritten by hand; it fixes
 # three dofs at one support and two at the other.
@@ -97,6 +104,12 @@ CONTEXT_PARAMS = ["", "modal_count: 0", "modal_count: 1", "modal_count: 3", "mod
                   "volfrac: 1e-6", "volfrac: 0.5", "volfrac: 1", "volfrac: 1.5", "volfrac: nan",
                   "opt_iterations: 0", "opt_iterations: 1", "opt_iterations: 40",
                   "opt_iterations: 201"]
+
+# (bundled case, text of its lowered script, replacement): scripts that run
+# to completion yet fail verification, by another mode's results and by a
+# volume fraction above the audited target.
+UNVERIFIED_EDITS = [("frame_cantilever", "analyze static", "analyze modal count 1"),
+                    ("topopt_ground", "volfrac 0.5", "volfrac 0.9")]
 
 GENERATORS = ("perfect",
               *(f"faulty:{kind}{tail}" for tail in ("", ":stubborn")
@@ -243,6 +256,43 @@ def context_artifacts(digests: Digests, case) -> None:
         digests.add("context[modes]", context + "---\n" + out)
 
 
+class OneShot:
+    """Proposes one script, then the lowering on repair, and keeps the
+    repair contexts it is given."""
+
+    def __init__(self, script: str):
+        self.script, self.contexts = script, []
+
+    def generate(self, model: IRModel, memory_context) -> str:
+        self.model = model
+        return self.script
+
+    def repair(self, script: str, context) -> str:
+        self.contexts.append(context)
+        return lower_ir(self.model)
+
+
+def unverified_artifacts(digests: Digests, bundled, work: Path) -> None:
+    """Synthesize each edited script of UNVERIFIED_EDITS once in each mode
+    and add its first attempt's fault and the repair context, with each
+    workspace directory as <ws>."""
+    cases = {case.case_id: case for case in bundled}
+    for case_id, old, new in UNVERIFIED_EDITS:
+        case = cases[case_id]
+        model = orchestrate(case.drawing_path.read_text(encoding="utf-8"),
+                            case.context_path.read_text(encoding="utf-8"))
+        for mode in ("inprocess", "subprocess"):
+            root = work / "unverified" / mode
+            generator = OneShot(lower_ir(model).replace(old, new))
+            _, _, trace = synthesize(model, 1, ExperienceBuffer(), generator, root,
+                                     task_id=case_id, execution_mode=mode)
+            (fault,), ctx = trace.attempts[0].faults, generator.contexts[0]
+            entry = (f"{case_id} {mode}\nfault: {fault.kind} {fault.line} {fault.message}\n"
+                     f"context: {ctx.category} {ctx.line} {ctx.message}\n")
+            digests.add("unverified", re.sub(re.escape(str(root)) + r"/[^/]+-\d{4,}", "<ws>",
+                                             entry))
+
+
 def bench_artifacts(digests: Digests, suite: Path, work: Path, generator: str) -> None:
     out = work / f"bench-{generator.replace(':', '_')}"
     memory = work / f"memory-{generator.replace(':', '_')}.jsonl"
@@ -296,6 +346,7 @@ def main() -> int:
         mode_artifacts(digests, work)
         mixed_artifacts(digests, work)
         context_artifacts(digests, next(c for c in bundled if c.case_id == CONTEXT_CASE))
+        unverified_artifacts(digests, bundled, work)
         for generator in GENERATORS:
             bench_artifacts(digests, ROOT / "cases", work, generator)
     print(f"# seeds {' '.join(map(str, seeds))}")

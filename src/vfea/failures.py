@@ -61,8 +61,7 @@ FAILURES: dict[tuple[str, str], Failure] = {
         "solver", "other", "ensure the model is fully restrained and well posed before analysis"),
     ("attempt", "sandbox"): _rejected("sandbox", "other", _LOG_LESSON),
     ("attempt", "budget"): _rejected("budget", "other", _LOG_LESSON),
-    ("attempt", "unverified"): Failure("execution completed without readable results", "other",
-                                       _LOG_LESSON),
+    ("attempt", "unverified"): _rejected("unverified", "other", _LOG_LESSON),
     ("synthesis", "exhausted"): Failure("synthesis: retry budget exhausted ({1} attempts)"),
     ("synthesis", "fallback"): Failure("synthesis: fallback failure: {0}"),
 }

@@ -51,7 +51,7 @@ class WorkspaceError(Exception):
 
 
 class ResultsError(Exception):
-    """A results database that is missing or is not a results document."""
+    """Why a run's results fail verification: a missing or corrupt file, or a failed check."""
     stage, kind = "attempt", "unverified"
 
 
@@ -152,12 +152,11 @@ def write_results_file(rs, path: str | Path) -> None:
 
 def read_results(path: str | Path):
     """Load a results database; the ``result_kind`` tag selects the shape.
-    A missing file raises ResultsError naming its path, and a file that is
-    not a results document, numbers that are not finite included, raises it
-    naming the path and the defect."""
+    Raises ResultsError naming the path and its defect: a missing file, or
+    one that is not a results document, numbers that are not finite included."""
     path = Path(path)
     if not path.exists():
-        raise ResultsError(str(path))
+        raise ResultsError(f"{path}: no such file")
     try:
         return _read_json(_read_result_set, path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an overlong id

@@ -776,15 +776,20 @@ def _static_highlights(rs: StaticResult) -> dict[str, float]:
     return out
 
 
+def _above(name: str, value: float, bound: float, slack: float = 0.0) -> str | None:
+    """None when ``value`` is at most ``bound`` + ``slack``, else the failed condition."""
+    return None if value <= bound + slack else f"{name} {value} above {bound}"
+
+
 class Analysis(NamedTuple):
     """One analysis mode: its result class and ``result_kind`` tag in the
-    results database, the solver run for a model of the mode, the acceptance
-    check of results read back, the figures a case report highlights, the
-    frame split of the run, and a spec's budgeted work (unit, count) on n free dofs."""
+    results database, the solver run for a model of the mode, the check of
+    results read back (the failed condition, or None), the figures a case report highlights,
+    the frame split of the run, and a spec's budgeted work (unit, count) on n free dofs."""
     result: type
     kind: str
     run: Callable[[IRModel], object]
-    accept: Callable[[object, AnalysisSpec], bool]
+    check: Callable[[object, AnalysisSpec], str | None]
     highlights: Callable[[object], dict[str, float]]
     subdivisions: int
     work: Callable[[AnalysisSpec, int], tuple[str | None, int]]
@@ -796,17 +801,19 @@ class Analysis(NamedTuple):
 ANALYSES = {
     "static": Analysis(
         StaticResult, "static", lambda m: solve_static(m),
-        lambda rs, _: rs.equilibrium_residual <= RESIDUAL_LIMIT,
+        lambda rs, _: _above("equilibrium residual", rs.equilibrium_residual, RESIDUAL_LIMIT),
         _static_highlights, 1, lambda a, dofs: (None, 0)),
     "modal": Analysis(
         ModalResult, "modal", lambda m: solve_modal(m),
-        lambda rs, _: (min(rs.frequencies_hz, default=0.0) > 0  # some, all positive, ascending
-                       and list(rs.frequencies_hz) == sorted(rs.frequencies_hz)),
+        lambda rs, _: "no frequencies" if not (f := rs.frequencies_hz) else next(
+            (f"frequency {b} after {a}, not ascending" for a, b in itertools.pairwise(f) if b < a),
+            None if f[0] > 0 else f"lowest frequency {f[0]} not above 0"),
         lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]},
         4, lambda a, free: ("mode", min(a.modal_count, free))),
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
-        lambda rs, a: rs.final_volume_fraction <= topology_params(a)[0] + VOLUME_SLACK,
+        lambda rs, a: _above("final volume fraction", rs.final_volume_fraction,
+                             topology_params(a)[0], VOLUME_SLACK),
         lambda rs: {"final_compliance_j": rs.compliance_history[-1],
                     "final_volume_fraction": rs.final_volume_fraction},
         1, lambda a, _: ("iteration", topology_params(a)[1])),

@@ -21,8 +21,8 @@ from typing import Protocol
 from .failures import FAILURES
 from .ir import AnalysisSpec, IRModel, serialize
 from .memory import ExperienceBuffer, ExperienceRecord, classify_error, compute_signature
-from .sandbox import (ExecutionOutcome, Limits, ResultsError, allocate_workspace, execute,
-                      read_results)
+from .sandbox import (_RESULT_KINDS, ExecutionOutcome, Limits, ResultsError,
+                      allocate_workspace, execute, read_results)
 from .simscript import Fault, ScriptParseError, lower_ir, parse_script, preflight
 from .solver import ANALYSES
 
@@ -55,9 +55,9 @@ class Generator(Protocol):
 
 @dataclass(frozen=True)
 class DebugContext:
-    """What a repair sees of a failed attempt: the failure's category,
-    message and line, the raw numbered log, and the failure table's lessons
-    for its kinds."""
+    """What a repair sees of a failed attempt: the failure's category and
+    message, its first fault's line, the raw numbered log, and the failure
+    table's lessons for its kinds."""
     category: str
     message: str
     line: int | None
@@ -93,15 +93,17 @@ def reflect(kinds: Iterable[str]) -> list[str]:
 def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
     """Physical acceptance of a completed run: readable results (finite ones
     only) of the mode's result class that pass its check in ``solver.ANALYSES``.
-    Returns the parsed results when they pass, else None."""
+    Returns them, or raises ResultsError naming the status of a run that did
+    not complete, or the results path and ``read_results``' defect, another
+    mode's result kind or the check's failed condition."""
     if outcome.status != "COMPLETED" or outcome.results_path is None:
-        return None
-    try:
-        rs = read_results(outcome.results_path)
-    except ResultsError:
-        return None
-    row = ANALYSES[analysis.mode]
-    return rs if isinstance(rs, row.result) and row.accept(rs, analysis) else None
+        raise ResultsError(f"no results of a {outcome.status} run")
+    rs, row = read_results(outcome.results_path), ANALYSES[analysis.mode]
+    why = (row.check(rs, analysis) if isinstance(rs, row.result)
+           else f"{_RESULT_KINDS[type(rs)]} results, expected {row.kind}")
+    if why:
+        raise ResultsError(f"{outcome.results_path}: {why}")
+    return rs
 
 
 def _excerpt(script: str) -> str:
@@ -139,19 +141,17 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         trace.attempts.append(attempt)
         try:
             program = parse_script(attempt.script)
+            attempt.faults = tuple(preflight(program, workspace_root))
+            if not attempt.faults:
+                attempt.outcome = execute(
+                    attempt.script, allocate_workspace(workspace_root, task_id), limits,
+                    mode=execution_mode, program=program)
+                return verify_results(attempt.outcome, model.analysis)
         except ScriptParseError as exc:
             attempt.faults = (exc.fault,)
-            return None
-        attempt.faults = tuple(preflight(program, workspace_root))
-        if attempt.faults:
-            return None
-        attempt.outcome = execute(attempt.script, allocate_workspace(workspace_root, task_id),
-                                  limits, mode=execution_mode, program=program)
-        verified = verify_results(attempt.outcome, model.analysis)
-        if verified is None:  # a run that did not complete has a fault
-            attempt.faults = (attempt.outcome.runtime_error
-                              or Fault("unverified", None, FAILURES["attempt", "unverified"].text),)
-        return verified
+        except ResultsError as exc:  # a run that did not complete keeps its own fault
+            attempt.faults = (attempt.outcome.runtime_error or Fault("unverified", None, str(exc)),)
+        return None
 
     script = generator.generate(model, buffer.retrieve(sig, DEFAULT_RETRIEVAL_K))
 
@@ -175,8 +175,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         kinds = [f.kind for f in faults]
         message = "; ".join(f.message for f in faults)
         err_sig = classify_error(kinds, message)
-        line = err_sig.line if faults[0].line is None else faults[0].line
-        ctx = DebugContext(err_sig.category, message, line, log, tuple(reflect(kinds)))
+        ctx = DebugContext(err_sig.category, message, faults[0].line, log, tuple(reflect(kinds)))
         buffer.record(ExperienceRecord(
             signature=sig, error=err_sig, lesson=ctx.lessons[0],
             script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))

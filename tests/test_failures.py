@@ -99,8 +99,9 @@ class TestAttemptRows:
                 return lower_ir(cantilever)
 
         buffer = ExperienceBuffer()
-        synthesize(cantilever, 1, buffer, WrongMode(), tmp_path)
-        assert seen[0].message == "execution completed without readable results"
+        _, _, trace = synthesize(cantilever, 1, buffer, WrongMode(), tmp_path)
+        assert seen[0].message == \
+            f"{trace.attempts[0].outcome.results_path}: modal results, expected static"
         assert seen[0].lessons == tuple(reference.reflect([None]))
         assert buffer.records[0].error.category == "other"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 import random
@@ -595,7 +597,9 @@ class TestResultsDatabase:
         outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
         mode = {"static": "static", "modal": "modal", "topology": "topology_optimization"}
         analysis = AnalysisSpec(mode=mode[kind.split("-")[0]], modal_count=3)
-        assert verify_results(outcome, analysis) is None
+        with pytest.raises(ResultsError) as verified:
+            verify_results(outcome, analysis)
+        assert str(verified.value) == str(err.value)
 
     @pytest.mark.parametrize("kind,edit,where", RESULT_DEFECTS,
                              ids=[f"{kind}:{where}" for kind, _, where in RESULT_DEFECTS])
@@ -613,7 +617,8 @@ class TestResultsDatabase:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResultsError) as err:
             read_results(tmp_path / "nope.res")
-        assert err.value.kind == "unverified" and str(err.value) == str(tmp_path / "nope.res")
+        assert err.value.kind == "unverified"
+        assert str(err.value) == f"{tmp_path / 'nope.res'}: no such file"
 
     def test_truncated_file(self, tmp_path):
         from vfea.solver import solve_static
@@ -638,6 +643,74 @@ class TestResultsDatabase:
         with pytest.raises(ResultsError) as err:
             read_results(path)
         assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
+
+
+# The analysis of each mode that the RESULT_SETS models were solved under.
+VERIFIED_ANALYSES = {"static": AnalysisSpec("static"), "modal": AnalysisSpec("modal", 3),
+                     "topology_optimization": AnalysisSpec("topology_optimization", None, 0.5, 3)}
+# JSON text a drawn defect puts in place of one value: a string, a bool,
+# null, NaN, a number beyond the float range, a nested list and an integer
+# beyond it.
+DAMAGED_VALUES = ['"1.5"', "true", "null", "NaN", "1e400", "[[1.0, [2.0]]]", "1" + "0" * 400]
+
+
+@functools.cache
+def _result_document(name: str) -> dict:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "results.res"
+        write_results_file(RESULT_SETS[name](), path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _places(doc, at=()):
+    """The path of every value inside a document, as keys and indices."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield at + (key,)
+            yield from _places(value, at + (key,))
+
+
+@st.composite
+def _damaged_results(draw) -> bytes:
+    """The text of a valid results document of a drawn kind with one drawn
+    defect: a key dropped, a value replaced, the text truncated, or bytes
+    that are not UTF-8 inserted."""
+    doc = copy.deepcopy(_result_document(draw(st.sampled_from(sorted(RESULT_SETS)))))
+    defect = draw(st.sampled_from(["drop", "replace", "truncate", "not-utf-8"]))
+    if defect in ("drop", "replace"):
+        places = [at for at in _places(doc) if defect == "replace" or isinstance(at[-1], str)]
+        *parent, last = draw(st.sampled_from(places))
+        container = functools.reduce(lambda node, key: node[key], parent, doc)
+        if defect == "drop":
+            del container[last]
+        else:
+            container[last] = "\0damaged"
+    text = json.dumps(doc).encode("utf-8")
+    if defect == "replace":
+        return text.replace(b'"\\u0000damaged"', draw(st.sampled_from(DAMAGED_VALUES)).encode())
+    offset = draw(st.integers(0, len(text)))
+    if defect == "truncate":
+        return text[:offset]
+    return text[:offset] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + text[offset:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damaged_results())
+def test_verify_results_of_a_damaged_document_passes_or_names_its_path(data):
+    # in every mode: results of the mode's class that pass its check, or a
+    # ResultsError that names the path; nothing else escapes
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "results.res"
+        path.write_bytes(data)
+        outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
+        for mode, analysis in VERIFIED_ANALYSES.items():
+            try:
+                rs = verify_results(outcome, analysis)
+            except ResultsError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                continue
+            row = solver.ANALYSES[mode]
+            assert isinstance(rs, row.result) and row.check(rs, analysis) is None
 
 
 class TestAnalysisTable:

@@ -10,14 +10,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from conftest import cantilever_model, ground_structure
+from conftest import cantilever_model, ground_structure, modal_cantilever
 from vfea import sandbox, synthesis
 from vfea.ir import AnalysisSpec
 from vfea.memory import (ExperienceBuffer, ExperienceRecord, classify_error,
                          compute_signature)
-from vfea.sandbox import (Limits, allocate_workspace, execute,
+from vfea.sandbox import (ExecutionOutcome, Limits, ResultsError, allocate_workspace, execute,
                           read_results)
-from vfea.simscript import lower_ir, parse_script
+from vfea.simscript import Fault, lower_ir, parse_script
 from vfea.synthesis import (ConfigError, ExternalGenerator, FaultyGenerator,
                             PerfectGenerator, SynthesisError,
                             make_generator, reflect, synthesize, verify_results)
@@ -107,27 +107,41 @@ class TestVerifyResults:
         ws = allocate_workspace(tmp_path, "verify")
         return execute(lower_ir(model), ws, Limits())
 
+    @staticmethod
+    def reason(out, analysis) -> str:
+        """What ``verify_results`` names after the results path when it raises."""
+        with pytest.raises(ResultsError) as err:
+            verify_results(out, analysis)
+        assert err.value.kind == "unverified"
+        assert str(err.value).startswith(f"{out.results_path}: ")
+        return str(err.value).removeprefix(f"{out.results_path}: ")
+
     def test_healthy_static(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         assert verify_results(out, AnalysisSpec(mode="static")) == read_results(out.results_path)
 
     def test_kind_mismatch(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
-        assert not verify_results(out, AnalysisSpec(mode="modal", modal_count=2))
+        assert self.reason(out, AnalysisSpec(mode="modal", modal_count=2)) == \
+            "static results, expected modal"
+        assert self.reason(out, AnalysisSpec(mode="topology_optimization")) == \
+            "static results, expected topo"
 
     def test_nonfinite_displacement_rejected(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         doc = json.loads(out.results_path.read_text())
         doc["displacements"]["2"][1] = float("nan")
         out.results_path.write_text(json.dumps(doc))
-        assert not verify_results(out, AnalysisSpec(mode="static"))
+        assert self.reason(out, AnalysisSpec(mode="static")) == \
+            "$.displacements.2[1]: expected a finite number, got nan"
 
     def test_perturbed_residual_rejected(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         doc = json.loads(out.results_path.read_text())
         doc["equilibrium_residual"] = 1e-3
         out.results_path.write_text(json.dumps(doc))
-        assert not verify_results(out, AnalysisSpec(mode="static"))
+        assert self.reason(out, AnalysisSpec(mode="static")) == \
+            "equilibrium residual 0.001 above 1e-08"
 
     def test_volume_violation_rejected(self, tmp_path):
         model = ground_structure(iters=3)
@@ -135,7 +149,149 @@ class TestVerifyResults:
         doc = json.loads(out.results_path.read_text())
         doc["final_volume_fraction"] = 0.7
         out.results_path.write_text(json.dumps(doc))
-        assert not verify_results(out, model.analysis)
+        assert self.reason(out, model.analysis) == "final volume fraction 0.7 above 0.5"
+        # the slack: a fraction within 1e-6 of the target passes
+        doc["final_volume_fraction"] = 0.5 + 5e-7
+        out.results_path.write_text(json.dumps(doc))
+        assert verify_results(out, model.analysis).final_volume_fraction == 0.5 + 5e-7
+
+    @pytest.mark.parametrize("frequencies,why", [
+        ([], "no frequencies"),
+        ([2.0, 1.0, 3.0], "frequency 1.0 after 2.0, not ascending"),
+        ([0.0, 1.0], "lowest frequency 0.0 not above 0"),
+        ([-1.0, 1.0], "lowest frequency -1.0 not above 0"),
+    ], ids=["none", "descending", "zero", "negative"])
+    def test_modal_check_names_the_failed_condition(self, tmp_path, frequencies, why):
+        model = modal_cantilever(3)
+        out = self.run_one(model, tmp_path)
+        doc = json.loads(out.results_path.read_text())
+        doc["frequencies_hz"] = frequencies
+        out.results_path.write_text(json.dumps(doc))
+        assert self.reason(out, model.analysis) == why
+        doc["frequencies_hz"] = [1.0, 1.0, 2.0]  # a repeated frequency is ascending
+        out.results_path.write_text(json.dumps(doc))
+        assert verify_results(out, model.analysis).frequencies_hz == (1.0, 1.0, 2.0)
+
+    def test_missing_file_says_it_is_missing(self, tmp_path):
+        out = self.run_one(cantilever_model(), tmp_path)
+        out.results_path.unlink()
+        assert self.reason(out, AnalysisSpec(mode="static")) == "no such file"
+
+    @pytest.mark.parametrize("status", ["FAILED", "ABORTED", "COMPLETED"])
+    def test_a_run_without_results_names_its_status(self, status):
+        out = ExecutionOutcome(status, None, f"STATUS: {status}\n", None)
+        with pytest.raises(ResultsError, match=f"^no results of a {status} run$"):
+            verify_results(out, AnalysisSpec(mode="static"))
+
+
+class TestUnverifiedAttempt:
+    """A completed run whose results fail verification: its one fault, the
+    repair context and the replay record name the results path and what
+    failed, and the repair at K = 1 is verified."""
+
+    @staticmethod
+    def first_failure(model, script, tmp_path, mode, edit=None, monkeypatch=None):
+        """Synthesize with a generator that proposes ``script`` once and the
+        lowering on repair; ``edit``, when given, rewrites the first run's
+        results document in this process. Returns the first attempt, the
+        repair context and the buffer."""
+        seen = []
+
+        class OneShot:
+            def generate(self, model, memory_context):
+                return script
+
+            def repair(self, script, context):
+                seen.append(context)
+                return lower_ir(model)
+
+        if edit is not None:
+            runs = []
+
+            def edited(*args, **kwargs):
+                out = execute(*args, **kwargs)
+                if not runs:
+                    edit(out.results_path)
+                runs.append(out)
+                return out
+
+            monkeypatch.setattr(synthesis, "execute", edited)
+        buffer = ExperienceBuffer()
+        _, _, trace = synthesize(model, 1, buffer, OneShot(), tmp_path, execution_mode=mode)
+        assert not trace.fallback_used and len(trace.attempts) == 2
+        return trace.attempts[0], seen[0], buffer
+
+    @staticmethod
+    def assert_unverified(attempt, ctx, why):
+        message = f"{attempt.outcome.results_path}: {why}"
+        assert attempt.outcome.status == "COMPLETED"
+        assert attempt.faults == (Fault("unverified", None, message),)
+        assert (ctx.category, ctx.message, ctx.line) == ("other", message, None)
+        assert ctx.lessons == tuple(reflect(["unverified"]))
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_another_modes_results(self, tmp_path, cantilever, mode):
+        script = lower_ir(cantilever).replace("analyze static", "analyze modal count 1")
+        attempt, ctx, _ = self.first_failure(cantilever, script, tmp_path, mode)
+        self.assert_unverified(attempt, ctx, "modal results, expected static")
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_a_volume_fraction_above_the_target(self, tmp_path, mode):
+        model = ground_structure(iters=3)
+        script = lower_ir(model).replace("volfrac 0.5", "volfrac 0.9")
+        attempt, ctx, _ = self.first_failure(model, script, tmp_path, mode)
+        achieved = read_results(attempt.outcome.results_path).final_volume_fraction
+        assert achieved > 0.5
+        self.assert_unverified(attempt, ctx, f"final volume fraction {achieved} above 0.5")
+
+    @staticmethod
+    def set_residual(path):
+        doc = json.loads(path.read_text())
+        doc["equilibrium_residual"] = 1e-3
+        path.write_text(json.dumps(doc))
+
+    @staticmethod
+    def set_nan(path):
+        doc = json.loads(path.read_text())
+        doc["reactions"]["1"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    @pytest.mark.parametrize("edit,why", [
+        (set_residual, "equilibrium residual 0.001 above 1e-08"),
+        (set_nan, "$.reactions.1[0]: expected a finite number, got nan"),
+        (lambda path: path.unlink(), "no such file"),
+    ], ids=["residual", "nan", "missing"])
+    def test_edited_results(self, tmp_path, cantilever, monkeypatch, mode, edit, why):
+        attempt, ctx, _ = self.first_failure(cantilever, lower_ir(cantilever), tmp_path, mode,
+                                             edit, monkeypatch)
+        self.assert_unverified(attempt, ctx, why)
+
+    def test_a_decode_error_quoting_a_line_blames_no_script_line(self, tmp_path, cantilever,
+                                                                 monkeypatch):
+        attempt, ctx, buffer = self.first_failure(
+            cantilever, lower_ir(cantilever), tmp_path, "inprocess",
+            lambda path: path.write_text('{"result_kind": "static", '), monkeypatch)
+        assert "line 1 column 27" in ctx.message and ctx.line is None
+        self.assert_unverified(attempt, ctx, "$: invalid document syntax: Expecting property "
+                               "name enclosed in double quotes: line 1 column 27 (char 26)")
+        # the stored error signature keeps the line number its message quotes
+        assert buffer.records[0].error.line == 1
+
+    def test_an_unverified_fallback_names_the_path_and_condition(self, tmp_path, cantilever,
+                                                                 monkeypatch):
+        def edited(*args, **kwargs):
+            out = execute(*args, **kwargs)
+            self.set_residual(out.results_path)
+            return out
+
+        monkeypatch.setattr(synthesis, "execute", edited)
+        with pytest.raises(SynthesisError) as err:
+            synthesize(cantilever, 0, ExperienceBuffer(), PerfectGenerator(), tmp_path)
+        path = err.value.trace.attempts[-1].outcome.results_path
+        assert (err.value.kind, str(err.value), err.value.subject) == (
+            "fallback", "deterministic fallback failed with status COMPLETED: "
+            f"{path}: equilibrium residual 0.001 above 1e-08", None)
 
 
 class TestSynthesize:
