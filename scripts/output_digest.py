@@ -160,7 +160,7 @@ def hand_artifacts(digests: Digests, script: str, work: Path) -> None:
         for mode in ("inprocess", "subprocess"):
             ws = allocate_workspace(work / "hand", name.replace(" ", "-"))
             execute(edit(script), ws, Limits(), mode=mode)
-            digests.add("run.log[hand]", (ws.root / "run.log").read_bytes())
+            digests.add("run.log[hand]", (ws / "run.log").read_bytes())
 
 
 def modes_model() -> IRModel:
@@ -188,7 +188,7 @@ def mode_artifacts(digests: Digests, work: Path) -> None:
         for mode in ("inprocess", "subprocess"):
             ws = allocate_workspace(work / "modes", "modes")
             execute(script.replace("analyze static", variant), ws, Limits(), mode=mode)
-            digests.add("run.log[modes]", (ws.root / "run.log").read_bytes())
+            digests.add("run.log[modes]", (ws / "run.log").read_bytes())
 
 
 def mixed_model() -> IRModel:
@@ -221,9 +221,9 @@ def mixed_artifacts(digests: Digests, work: Path) -> None:
         for mode in ("inprocess", "subprocess"):
             ws = allocate_workspace(work / "mixed", "mixed")
             execute(script, ws, Limits(), mode=mode)
-            digests.add("mixed", (ws.root / "run.log").read_bytes())
+            digests.add("mixed", (ws / "run.log").read_bytes())
             if results:
-                doc = json.loads((ws.root / "results.res").read_text(encoding="utf-8"))
+                doc = json.loads((ws / "results.res").read_text(encoding="utf-8"))
                 digests.add("mixed", json.dumps(doc, sort_keys=True))
 
 

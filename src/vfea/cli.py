@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .failures import FAILURES, raised
-from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, aggregate,
-                      emit_report, evaluate_ir, load_suite, run_case, run_suite)
+from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, emit_report, evaluate_ir,
+                      load_suite, run_case, run_suite)
 from .ir import SchemaParseError, deserialize
 from .memory import ExperienceBuffer
 from .validation import audit

@@ -12,8 +12,9 @@ from typing import NamedTuple
 
 
 class Failure(NamedTuple):
-    """One row: report text, attempt category and lesson, CLI exit code."""
-    text: str
+    """One row: report text, attempt category and lesson, CLI exit code. An
+    attempt kind that only a run meets has no text: its log is the run's."""
+    text: str | None
     category: str | None = None
     lesson: str | None = None
     exit_code: int = 1
@@ -51,17 +52,16 @@ FAILURES: dict[tuple[str, str], Failure] = {
         "every script must contain an analyze execution trigger, a "
         "write_results statement and an end termination signal"),
     ("attempt", "safety"): _rejected("safety", "type_iii_unsafe_state", _ROOT_LESSON),
-    ("attempt", "kernel-protection"): _rejected("kernel-protection", "type_iii_unsafe_state",
-                                                _ROOT_LESSON),
+    ("attempt", "kernel-protection"): Failure(None, "type_iii_unsafe_state", _ROOT_LESSON),
     ("attempt", "isolation"): _rejected(
         "isolation", "other", "write all artifacts to paths inside the allocated task workspace"),
-    ("attempt", "state"): _rejected("state", "other", _MODEL_LESSON),
-    ("attempt", "model"): _rejected("model", "other", _MODEL_LESSON),
-    ("attempt", "solver"): _rejected(
-        "solver", "other", "ensure the model is fully restrained and well posed before analysis"),
-    ("attempt", "sandbox"): _rejected("sandbox", "other", _LOG_LESSON),
-    ("attempt", "budget"): _rejected("budget", "other", _LOG_LESSON),
-    ("attempt", "unverified"): _rejected("unverified", "other", _LOG_LESSON),
+    ("attempt", "state"): Failure(None, "other", _MODEL_LESSON),
+    ("attempt", "model"): Failure(None, "other", _MODEL_LESSON),
+    ("attempt", "solver"): Failure(
+        None, "other", "ensure the model is fully restrained and well posed before analysis"),
+    ("attempt", "sandbox"): Failure(None, "other", _LOG_LESSON),
+    ("attempt", "budget"): Failure(None, "other", _LOG_LESSON),
+    ("attempt", "unverified"): Failure(None, "other", _LOG_LESSON),
     ("synthesis", "exhausted"): Failure("synthesis: retry budget exhausted ({1} attempts)"),
     ("synthesis", "fallback"): Failure("synthesis: fallback failure: {0}"),
 }

@@ -311,18 +311,21 @@ def _run_case(case: CaseSpec, config: RunConfig, buffer: ExperienceBuffer | None
     t0 = time.monotonic()
     try:
         model = orchestrate(drawing_doc, context_text)
-    except (PerceptionError, PerceptionFailure) as exc:
+    except PerceptionError as exc:  # no model was built
         return _failed(report, exc, exc)
+    except PerceptionFailure as exc:  # the last audit: an L1 finding stops L2-L4
+        report.metrics = replace(report.metrics, schema_valid=all(
+            f.level != "L1" for f in exc.report.findings))
+        return _failed(report, exc, exc)
+    # orchestrate returns only a model whose audit, L1 included, is clean
+    report.metrics = replace(report.metrics, schema_valid=True)
     if case.expected_mode is not None and model.analysis.mode != case.expected_mode:
         return _failed(report, CaseFailure("perception", "mode"), model.analysis.mode,
                        case.expected_mode)
     report.timings["perception_s"] = time.monotonic() - t0
 
-    # orchestrate returns only a model whose audit, L1 included, is clean
     if truth is not None:
         report.metrics = evaluate_ir(model, truth, schema_valid=True)
-    else:
-        report.metrics = replace(report.metrics, schema_valid=True)
 
     t1 = time.monotonic()
     generator = make_generator(config.generator_spec)

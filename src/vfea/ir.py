@@ -168,12 +168,6 @@ MODES = {
 ANALYSIS_MODES = tuple(MODES)
 
 
-def topology_params(analysis: AnalysisSpec) -> tuple[float, int]:
-    """Volume fraction and iteration count of a topology optimisation, each
-    its prior where the spec leaves it unset."""
-    return MODES["topology_optimization"].values(analysis)
-
-
 @dataclass(frozen=True)
 class IRModel:
     nodes: tuple[Node, ...] = ()

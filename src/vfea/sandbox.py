@@ -56,13 +56,6 @@ class ResultsError(Exception):
 
 
 @dataclass(frozen=True)
-class Workspace:
-    root: Path
-    task_id: str
-    created_at: float
-
-
-@dataclass(frozen=True)
 class Limits:
     max_statements: int = 10_000
     max_solver_dofs: int = 20_000
@@ -86,7 +79,7 @@ class ExecutionOutcome:
     runtime_error: Fault | None
 
 
-def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
+def allocate_workspace(root_dir: str | Path, task_id: str) -> Path:
     """Create a fresh, empty, never-reused directory for one task run."""
     root_dir = Path(root_dir)
     if os.sep in task_id or task_id in ("", ".", ".."):
@@ -104,7 +97,7 @@ def allocate_workspace(root_dir: str | Path, task_id: str) -> Workspace:
             continue
         except OSError as exc:
             raise WorkspaceError(f"cannot create workspace under {root_dir}: {exc}") from None
-        return Workspace(root=candidate, task_id=task_id, created_at=time.time())
+        return candidate
     raise WorkspaceError("workspace suffix space exhausted")
 
 
@@ -204,9 +197,10 @@ def _check_work(spec: AnalysisSpec, free_dofs: int) -> None:
         raise _RuntimeStop("budget", f"{unit} budget exceeded ({count} > {limit} {unit}s)")
 
 
-def execute(script_text: str, workspace: Workspace, limits: Limits,
+def execute(script_text: str, ws_root: Path, limits: Limits,
             mode: str = "inprocess", program: ScriptAST | None = None) -> ExecutionOutcome:
-    """Interpret a script inside its workspace under the resource budget.
+    """Interpret a script inside the workspace directory ``ws_root`` under
+    the resource budget.
 
     Errors never escape: parse and runtime faults yield a FAILED outcome,
     an exceeded budget an ABORTED one with a ``budget`` fault that names it.
@@ -223,7 +217,6 @@ def execute(script_text: str, workspace: Workspace, limits: Limits,
     if mode not in ("inprocess", "subprocess"):
         raise ValueError(f"unknown execution mode {mode!r}")
     start = time.monotonic()
-    ws_root = Path(workspace.root)
     (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
     if mode == "subprocess":
         return _execute_subprocess(ws_root, limits)

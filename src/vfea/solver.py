@@ -65,7 +65,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, KINDS, MODES, AnalysisSpec,
-                 IRModel, _coordinates, _endpoints, _rows, topology_params)
+                 IRModel, _coordinates, _endpoints, _rows)
 from .validation import restraint_rank
 
 _MODAL, _TOPOLOGY = MODES["modal"], MODES["topology_optimization"]
@@ -626,13 +626,13 @@ def solve_static(model: IRModel) -> StaticResult:
                         equilibrium_residual=residual)
 
 
-def solve_modal(model: IRModel, subdivisions: int | None = None) -> ModalResult:
+def solve_modal(model: IRModel) -> ModalResult:
     """The ``modal_count`` lowest natural frequencies and mode shapes.
 
     The generalized problem K phi = w^2 M phi on the free dofs of the model,
-    each element of a split kind divided into ``subdivisions`` (by default
-    the split count of the modal row of ``ANALYSES``, which the dof budget
-    counts), goes to ARPACK's Lanczos iteration through the stiffness factor
+    each element of a split kind divided into the split count of the modal
+    row of ``ANALYSES`` (the count the dof budget counts), goes to ARPACK's
+    Lanczos iteration through the stiffness factor
     (``_BandFactor.lowest_modes``, ``_SparseFactor.lowest_modes``); when the
     count reaches the number of free dofs, to LAPACK's dense
     symmetric-definite solver. Each shape is
@@ -643,8 +643,7 @@ def solve_modal(model: IRModel, subdivisions: int | None = None) -> ModalResult:
         raise ValueError("modal count must be >= 1")
     if restraint_rank(model) < 3:
         raise SolverError("insufficient restraint for modal analysis")
-    system = assemble(model, ANALYSES["modal"].subdivisions if subdivisions is None
-                      else subdivisions)
+    system = assemble(model, ANALYSES["modal"].subdivisions)
     free = _FreeDofs(system.pattern, system.constrained)
     if free.size == 0:
         raise SolverError("no free dofs")
@@ -716,7 +715,7 @@ def _oc_update(x: np.ndarray, neg_sens: np.ndarray, lengths: np.ndarray,
 
 def optimize_topology(model: IRModel) -> TopoResult:
     """Minimum-compliance sizing of a truss ground structure, with the
-    volume fraction and iteration count of ``ir.topology_params``.
+    volume fraction and iteration count of the topology mode row's ``values``.
 
     Design variables are normalized bar areas x in [1e-6, 1] of the largest
     section area; initialization is the uniform conservative prior
@@ -726,7 +725,7 @@ def optimize_topology(model: IRModel) -> TopoResult:
     """
     if not set(map(_KIND, model.elements)).issubset(_TOPOLOGY.element_kinds):
         raise SolverError("ground structure must contain only truss bars")
-    volfrac, max_iters = topology_params(model.analysis)
+    volfrac, max_iters = _TOPOLOGY.values(model.analysis)
     fraction, _ = _TOPOLOGY.params
     if not fraction.low <= volfrac <= fraction.high:
         raise SolverError(f"volume fraction {volfrac} outside "
@@ -813,8 +812,8 @@ ANALYSES = {
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
         lambda rs, a: _above("final volume fraction", rs.final_volume_fraction,
-                             topology_params(a)[0], VOLUME_SLACK),
+                             _TOPOLOGY.values(a)[0], VOLUME_SLACK),
         lambda rs: {"final_compliance_j": rs.compliance_history[-1],
                     "final_volume_fraction": rs.final_volume_fraction},
-        1, lambda a, _: ("iteration", topology_params(a)[1])),
+        1, lambda a, _: ("iteration", _TOPOLOGY.values(a)[1])),
 }

@@ -11,28 +11,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .ir import (_ID, _KIND, COLLECTIONS, KINDS, MODES, BoundaryCondition, IRModel, _coordinates,
-                 _endpoints, _rows, bounding_box, diff, pairs_within)
+from .ir import (_ID, _KIND, COLLECTIONS, KINDS, MODES, BoundaryCondition, IRModel, Material,
+                 Section, _coordinates, _endpoints, _rows, bounding_box, diff, pairs_within)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perception import BeliefState, PrimitiveDrawing, ScaleResolution
 
-# plausibility bounds: bracket common structural metals and composites
-YOUNGS_MODULUS_RANGE = (1e9, 1e12)     # Pa
-POISSON_RANGE = (0.0, 0.5)             # [0, 0.5)
-DENSITY_MAX = 5e4                      # kg/m^3
-AREA_MAX = 10.0                        # m^2
-INERTIA_MAX = 10.0                     # m^4
-
 DIMENSION_TOLERANCE = 0.02             # relative, for the L4 reverse-check
 _DIRECT_ROWS, _BLOCK_PAIRS = 8, 2 ** 20    # the L4 pair search's blocks (check_l4)
 ZERO_LENGTH_EPS = 1e-12                # m
+
+
+class Bound(NamedTuple):
+    """One L3 bound: the record class and field it bounds, the finding's code
+    and name for a value (a format of it), and the interval it quotes, whose
+    ``[`` and ``]`` include a bound and ``(`` and ``)`` exclude it."""
+    record: type
+    field: str
+    code: str
+    names: str
+    interval: str
+
+    def holds(self, value: float) -> bool:
+        low, high = map(float, self.interval[1:-1].split(","))
+        return ((low <= value if self.interval[0] == "[" else low < value)
+                and (value <= high if self.interval[-1] == "]" else value < high))
+
+
+# docs/findings.md's L3 table, in SI units: bounds that bracket common
+# structural metals and composites, checked record by record in this order
+BOUNDS = (
+    Bound(Material, "poisson_ratio", "poisson-range", "poisson ratio {}", "[0, 0.5)"),
+    Bound(Material, "youngs_modulus", "modulus-range", "youngs modulus {:g} Pa", "[1e9, 1e12]"),
+    Bound(Material, "density", "density-range", "density {:g}", "(0, 5e4]"),
+    Bound(Section, "area", "area-range", "area {:g}", "(0, 10]"),
+    Bound(Section, "moment_of_inertia", "inertia-range", "moment of inertia {:g}", "(0, 10]"),
+)
 
 
 @dataclass(frozen=True)
@@ -271,29 +291,18 @@ def check_l2(model: IRModel) -> list[Finding]:
 
 
 def check_l3(model: IRModel) -> list[Finding]:
-    """Engineering-plausibility findings on material and section ranges."""
+    """Engineering-plausibility findings on material and section ranges; an
+    unset field is not checked."""
     out: list[Finding] = []
-    for m in model.materials:
-        if not (POISSON_RANGE[0] <= m.poisson_ratio < POISSON_RANGE[1]):
-            out.append(Finding("L3", "poisson-range",
-                               f"material {m.id} poisson ratio {m.poisson_ratio} outside [0, 0.5)",
-                               f"materials/{m.id}"))
-        if not (YOUNGS_MODULUS_RANGE[0] <= m.youngs_modulus <= YOUNGS_MODULUS_RANGE[1]):
-            out.append(Finding("L3", "modulus-range",
-                               f"material {m.id} youngs modulus {m.youngs_modulus:g} Pa outside "
-                               f"[1e9, 1e12]", f"materials/{m.id}"))
-        if not (0.0 < m.density <= DENSITY_MAX):
-            out.append(Finding("L3", "density-range",
-                               f"material {m.id} density {m.density:g} outside (0, 5e4]",
-                               f"materials/{m.id}"))
-    for s in model.sections:
-        if not (0.0 < s.area <= AREA_MAX):
-            out.append(Finding("L3", "area-range",
-                               f"section {s.id} area {s.area:g} outside (0, 10]", f"sections/{s.id}"))
-        if s.moment_of_inertia is not None and not (0.0 < s.moment_of_inertia <= INERTIA_MAX):
-            out.append(Finding("L3", "inertia-range",
-                               f"section {s.id} moment of inertia {s.moment_of_inertia:g} "
-                               f"outside (0, 10]", f"sections/{s.id}"))
+    for record in dict.fromkeys(b.record for b in BOUNDS):
+        coll, bounds = COLLECTIONS[record], [b for b in BOUNDS if b.record is record]
+        for r in getattr(model, coll.attr):
+            for b in bounds:
+                value = getattr(r, b.field)
+                if value is not None and not b.holds(value):
+                    out.append(Finding("L3", b.code, f"{coll.key[:-1]} {r.id} "
+                                       f"{b.names.format(value)} outside {b.interval}",
+                                       f"{coll.key}/{r.id}"))
     return out
 
 

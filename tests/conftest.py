@@ -13,6 +13,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
+from vfea import solver
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                      Material, Node, Section, canonicalize)
 
@@ -108,6 +109,15 @@ def truss() -> IRModel:
 @pytest.fixture()
 def topopt_model() -> IRModel:
     return ground_structure()
+
+
+@pytest.fixture()
+def modal_split(monkeypatch):
+    """Set the split count of the modal row of ``solver.ANALYSES`` for one test."""
+    def split(n_sub: int) -> None:
+        monkeypatch.setitem(solver.ANALYSES, "modal",
+                            solver.ANALYSES["modal"]._replace(subdivisions=n_sub))
+    return split
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 replaced: the parameter directives of ``perception.parse_context`` and the
 spec chain built from them (``analysis_spec``), ``validation.check_l1``
 with its mode-params, density and load rules, the two budget checks of
-``sandbox._interpret``, ``solver.solved_dofs``, ``ir.topology_params`` and
-the three ``analyze`` printers of ``simscript``. The mode property in
+``sandbox._interpret``, ``solver.solved_dofs``, the topology parameters
+with their priors, and the three ``analyze`` printers of ``simscript``. The mode property in
 test_modes.py checks the tables against them.
 """
 

@@ -93,7 +93,7 @@ def test_criterion_2_symbolic_handover(suite_dir, tmp_path, capsys, monkeypatch)
             assert case["trace"]["attempts"] == 4  # the full K+1 attempt trace
 
 
-def test_criterion_3_solver_oracles():
+def test_criterion_3_solver_oracles(modal_split):
     with criterion("3 solver-oracles"):
         # cantilever tip deflection against P L^3 / (3 E I)
         r = solve_static(cantilever_model(load=-1000.0, length=2.0))
@@ -113,7 +113,8 @@ def test_criterion_3_solver_oracles():
             assert res.equilibrium_residual <= 1e-8
 
         # first cantilever frequency against the closed form, 8 subdivisions
-        rm = solve_modal(modal_cantilever(1), subdivisions=8)
+        modal_split(8)
+        rm = solve_modal(modal_cantilever(1))
         lam = 1.8751040687119611
         f1 = (lam**2 / (2 * math.pi)) * math.sqrt(210e9 * 1e-6 / (7850.0 * 1e-2 * 16.0))
         assert abs(rm.frequencies_hz[0] - f1) <= 0.02 * f1

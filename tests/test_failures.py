@@ -185,7 +185,8 @@ def _doc_rows(name: str) -> list[list[str]]:
 def test_documented_table_is_the_rows():
     # docs/simscript.md's failure table: every row in table order
     assert _doc_rows("simscript.md") == [
-        [f"`{stage}`", f"`{kind}`", f"`{row.text}`", f"`{row.category}`" if row.category else "—",
+        [f"`{stage}`", f"`{kind}`", f"`{row.text}`" if row.text else "—",
+         f"`{row.category}`" if row.category else "—",
          row.lesson or "—", str(row.exit_code)]
         for (stage, kind), row in FAILURES.items()]
 
@@ -195,6 +196,19 @@ def test_documented_table_is_the_rows():
 
 def _modules() -> dict[str, ast.Module]:
     return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_the_attempt_kinds_with_a_text_are_those_parse_and_preflight_reject():
+    # a text is formatted only into the log of an attempt that parse or
+    # preflight rejected; a kind that only a run meets has none
+    (preflight_def,) = [node for node in ast.walk(_modules()["simscript.py"])
+                        if isinstance(node, ast.FunctionDef) and node.name == "preflight"]
+    rejected = {call.args[0].value for call in ast.walk(preflight_def)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "Fault"}
+    assert rejected and all(isinstance(kind, str) for kind in rejected)
+    assert {kind for (stage, kind), row in FAILURES.items()
+            if stage == "attempt" and row.text is not None} == {"parse", *rejected}
 
 
 def _exception_classes() -> dict[str, tuple[str | None, str | None]]:

@@ -518,6 +518,30 @@ class TestRunCase:
                                 "expected 'modal'")
         assert not result.metrics.execution_success and result.highlights == {}
 
+    @pytest.mark.parametrize("glyphs, expected_mode, kind, findings, schema_valid", [
+        ([{"anchor": [0.0, 0.0], "kind": "roller_y"}], "static", "audit",
+         ["rigid-body-motion"], True),  # an L2 finding only
+        (None, "modal", "mode", None, True),  # passed the whole audit
+        ([], "static", "audit", ["empty-array"], False),  # no boundary conditions: L1
+        ([{"anchor": [0.0, 0.0], "kind": "bogus"}], "static", "drawing", None, False),
+    ], ids=["rigid-body-motion", "mode", "empty-array", "drawing"])
+    def test_schema_valid_is_whether_the_perceived_model_passed_l1(
+            self, suite_dir, tmp_path, glyphs, expected_mode, kind, findings, schema_valid):
+        # as evaluate_ir defines it; the audit runs L2-L4 only on an L1-clean model
+        case_dir = tmp_path / "truss_two_bar"
+        shutil.copytree(suite_dir / "truss_two_bar", case_dir)
+        drawing, manifest = case_dir / "drawing.json", case_dir / "case.json"
+        if glyphs is not None:
+            drawing.write_text(json.dumps({**json.loads(drawing.read_text()),
+                                           "support_glyphs": glyphs}))
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "expected_mode": expected_mode}))
+        result = run_case(load_case(case_dir), RunConfig(workspace_root=tmp_path / "ws"))
+        assert (result.failure.kind, result.metrics.schema_valid) == (kind, schema_valid)
+        if findings is not None:
+            assert result.error.endswith(f"open findings: {findings}")
+        assert result.metrics.node_accuracy == 0.0 and not result.metrics.execution_success
+
     def test_no_expected_mode_takes_any(self, suite_dir, tmp_path):
         case = replace(load_case(suite_dir / "truss_two_bar"), expected_mode=None)
         result = run_case(case, RunConfig(workspace_root=tmp_path / "ws"))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import modes_reference as reference
 from conftest import cantilever_model, ground_structure, modal_cantilever, two_bar_truss
 from vfea.harness import RunConfig, load_case, run_case
-from vfea.ir import ANALYSIS_MODES, AREA_FLOOR_RATIO, MODES, AnalysisSpec, topology_params
+from vfea.ir import ANALYSIS_MODES, AREA_FLOOR_RATIO, MODES, AnalysisSpec
 from vfea.perception import (PerceptionError, PerceptionFailure, attach_semantics,
                              infer_scale, infer_topology, orchestrate, parse_context,
                              parse_drawing)
@@ -94,7 +94,8 @@ def test_mode_rows_agree_with_the_branches(spec, base, density, loaded, dofs):
 
     assert solved_dofs(model) == reference.solved_dofs(model)
     row = MODES[spec.mode]
-    assert repr(topology_params(spec)) == repr(reference.topology_params(spec))
+    assert repr(MODES["topology_optimization"].values(spec)) == repr(
+        reference.topology_params(spec))
     assert _outcome(lambda: _TEXT[spec.mode](spec)) == _outcome(
         lambda: reference.ANALYZE_TEXT[spec.mode](spec))
     # a script sets every parameter of its mode, and the budgets apply to

@@ -100,12 +100,12 @@ class TestWorkspace:
     def test_same_task_id_gets_distinct_directories(self, tmp_path):
         a = allocate_workspace(tmp_path, "job")
         b = allocate_workspace(tmp_path, "job")
-        assert a.root != b.root
-        assert a.root.is_dir() and b.root.is_dir()
+        assert a != b
+        assert a.is_dir() and b.is_dir()
 
     def test_fresh_workspace_is_empty(self, tmp_path):
         ws = allocate_workspace(tmp_path, "job")
-        assert list(ws.root.iterdir()) == []
+        assert list(ws.iterdir()) == []
 
     def test_unwritable_root_raises(self, tmp_path):
         # a plain file cannot host workspaces (permission bits are unreliable
@@ -127,8 +127,8 @@ class TestExecute:
         assert out.status == "COMPLETED"
         assert out.results_path is not None and out.results_path.exists()
         assert out.log.rstrip().endswith("STATUS: COMPLETED")
-        assert (ws.root / "script.sim").read_text() == cantilever_script
-        assert (ws.root / "run.log").read_text() == out.log
+        assert (ws / "script.sim").read_text() == cantilever_script
+        assert (ws / "run.log").read_text() == out.log
 
     def test_kernel_protection_without_preflight(self, tmp_path, cantilever_script):
         bad = cantilever_script.replace("analyze static",
@@ -230,7 +230,7 @@ class TestExecute:
         # the abort line is the one the log had when a budget abort carried no fault
         assert [l for l in out.log.splitlines() if not l.startswith("[line ")] == \
             [f"abort: {message}", "STATUS: ABORTED"]
-        assert (ws.root / "run.log").read_text() == out.log
+        assert (ws / "run.log").read_text() == out.log
 
     @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
     def test_oc_iteration_budget(self, tmp_path, mode):
@@ -305,7 +305,7 @@ class TestExecute:
         ws = allocate_workspace(tmp_path / "runs", "iso2")
         execute(cantilever_script, ws, Limits())
         assert {p: p.stat().st_mtime_ns for p in outside.rglob("*")} == snapshot
-        produced = set(p.relative_to(ws.root) for p in ws.root.rglob("*"))
+        produced = set(p.relative_to(ws) for p in ws.rglob("*"))
         assert produced == {Path("script.sim"), Path("run.log"), Path("results.res")}
 
     def test_determinism_modulo_wall_time(self, tmp_path, cantilever_script):
@@ -366,7 +366,7 @@ class TestExecute:
         assert out.status == "FAILED"
         assert out.runtime_error == Fault(
             "lifecycle", None, "no termination signal: script ran out without an end statement")
-        assert (ws.root / "run.log").read_text() == out.log
+        assert (ws / "run.log").read_text() == out.log
 
     def test_subprocess_mode_matches_inprocess(self, tmp_path, cantilever_script):
         ws_in = allocate_workspace(tmp_path, "inproc")
@@ -408,8 +408,8 @@ class TestExecute:
         for given in (None, program):
             ws = allocate_workspace(tmp_path / "runs", "program")
             outs.append(execute(script, ws, limits, program=given))
-            files.append({p.relative_to(ws.root): p.read_bytes()
-                          for p in ws.root.rglob("*") if p.is_file()})
+            files.append({p.relative_to(ws): p.read_bytes()
+                          for p in ws.rglob("*") if p.is_file()})
         assert outs[1].runtime_error.kind == kind
         got = [(o.status, o.runtime_error, o.log) for o in outs]
         assert got[0] == got[1]
@@ -473,7 +473,7 @@ class TestExecute:
         assert out.status == "FAILED" and out.results_path is None
         assert out.runtime_error.kind == "sandbox"
         assert out.log.endswith("STATUS: FAILED\n")
-        assert (ws.root / "run.log").read_text() == out.log
+        assert (ws / "run.log").read_text() == out.log
 
     def test_unwritable_results_path_fails(self, tmp_path, cantilever_script):
         # "." names the workspace directory itself, which is inside but not a file

@@ -213,21 +213,22 @@ class TestStatic:
 
 class TestModal:
     @pytest.mark.parametrize("n_sub", [2, 4, 6])
-    def test_the_modal_row_splits_the_solved_and_the_budgeted_model(self, monkeypatch, n_sub):
+    def test_the_modal_row_splits_the_solved_and_the_budgeted_model(self, monkeypatch,
+                                                                    modal_split, n_sub):
         # the solve and the dof budget (solved_dofs) read the one split count
         m = modal_cantilever(3)
         solved, assemble_as_is = [], solver.assemble
         monkeypatch.setattr(solver, "assemble",
                             lambda model, n=1: solved.append(assemble_as_is(model, n)) or solved[-1])
-        monkeypatch.setitem(solver.ANALYSES, "modal",
-                            solver.ANALYSES["modal"]._replace(subdivisions=n_sub))
+        modal_split(n_sub)
         solver.ANALYSES["modal"].run(m)
         expected = 3 * (len(m.nodes) + (n_sub - 1) * len(m.elements))
         assert [s.n_dofs for s in solved] == [solved_dofs(m)] == [expected]
 
-    def test_cantilever_first_mode_within_2pct(self):
+    def test_cantilever_first_mode_within_2pct(self, modal_split):
         m = modal_cantilever(1)
-        r = solve_modal(m, subdivisions=8)
+        modal_split(8)
+        r = solve_modal(m)
         lam1 = 1.8751040687119611
         f1 = (lam1**2 / (2 * math.pi)) * math.sqrt(
             STEEL.youngs_modulus * 1e-6 / (STEEL.density * 1e-2 * 2.0**4))
@@ -264,7 +265,7 @@ class TestModal:
             peak = max((c for v in shape.values() for c in v[:2]), key=abs)
             assert peak == pytest.approx(1.0, rel=1e-12)
 
-    def test_simply_supported_beam_first_frequency_closed_form(self):
+    def test_simply_supported_beam_first_frequency_closed_form(self, modal_split):
         # pin plus roller: f1 = (pi / 2 L^2) sqrt(E I / rho A)
         L = 2.0
         m = replace(modal_cantilever(1), boundary_conditions=(
@@ -272,7 +273,8 @@ class TestModal:
             BoundaryCondition(2, frozenset({"uy"}))))
         f1 = math.pi / (2 * L**2) * math.sqrt(
             STEEL.youngs_modulus * BEAM.moment_of_inertia / (STEEL.density * BEAM.area))
-        r = solve_modal(m, subdivisions=8)
+        modal_split(8)
+        r = solve_modal(m)
         assert r.frequencies_hz[0] == pytest.approx(f1, rel=1e-4)
 
     @pytest.mark.parametrize("model", [modal_cantilever(0), cantilever_model()],
@@ -281,8 +283,9 @@ class TestModal:
         with pytest.raises(ValueError, match="modal count must be >= 1"):
             solve_modal(model)
 
-    def test_truncation_note_when_too_many_modes_requested(self):
-        r = solve_modal(modal_cantilever(500), subdivisions=2)
+    def test_truncation_note_when_too_many_modes_requested(self, modal_split):
+        modal_split(2)
+        r = solve_modal(modal_cantilever(500))
         assert r.note is not None
         assert len(r.frequencies_hz) < 500
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest

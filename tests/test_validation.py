@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pair_distance_reference
-from conftest import BEAM, STEEL, modal_cantilever
+from conftest import BEAM, REPO_ROOT, STEEL, modal_cantilever
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load, Node,
                      Section, canonicalize)
 from vfea.perception import (BeliefState, DimensionAnnotation, PrimitiveDrawing,
                              ScaleResolution, infer_scale, parse_drawing)
-from vfea.validation import (ZERO_LENGTH_EPS, Finding, ValidationReport, _pair_distance_within,
+from vfea.validation import (BOUNDS, ZERO_LENGTH_EPS, Finding, ValidationReport, _pair_distance_within,
                              accept_update, audit, check_l1, check_l2, check_l3, check_l4,
                              connected_components, restraint_rank)
 
@@ -553,3 +555,47 @@ class TestAcceptUpdate:
 
     def test_first_draft_always_accepted(self, truss):
         assert accept_update(self.belief(None), truss, ValidationReport()).accepted
+
+
+# --- the finding catalogue, docs/findings.md ---------------------------------
+
+
+def _documented_codes() -> dict[str, dict[str, str]]:
+    """Each level's table in docs/findings.md: its codes and their second column."""
+    doc = (REPO_ROOT / "docs" / "findings.md").read_text(encoding="utf-8")
+    return {level: dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", body, re.M))
+            for level, body in re.findall(r"^## (L\d) [^\n]*\n(.*?)(?=^## |\Z)", doc,
+                                          re.M | re.S)}
+
+
+def _raised_codes() -> dict[str, set[str]]:
+    """The code literals of validation.py's ``Finding("Ln", code, ...)`` calls
+    and of ``check_l1``'s ``f(code, ...)`` calls, by level."""
+    tree = ast.parse((REPO_ROOT / "src" / "vfea" / "validation.py").read_text(encoding="utf-8"))
+
+    def calls(scope: ast.AST, name: str) -> list[ast.Call]:
+        return [node for node in ast.walk(scope) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    (l1,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "check_l1"]
+    out: dict[str, set[str]] = {"L1": {call.args[0].value for call in calls(l1, "f")}}
+    for call in calls(tree, "Finding"):
+        level, code = call.args[:2]
+        if isinstance(code, ast.Constant):
+            out.setdefault(level.value, set()).add(code.value)
+    return out
+
+
+def test_the_catalogue_lists_exactly_the_codes_each_level_raises():
+    raised = _raised_codes()
+    # the L3 codes are the table's, raised through one Finding call
+    raised["L3"] = {b.code for b in BOUNDS}
+    assert {level: set(rows) for level, rows in _documented_codes().items()} == raised
+    assert sorted(raised) == ["L1", "L2", "L3", "L4"] and len(raised["L1"]) >= 10
+
+
+def test_the_documented_l3_intervals_are_the_table_s():
+    documented = {code: re.search(r"[\[(][^\])]*[\])]", bounds).group()
+                  for code, bounds in _documented_codes()["L3"].items()}
+    assert documented == {b.code: b.interval for b in BOUNDS}
