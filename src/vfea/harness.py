@@ -119,10 +119,10 @@ class CaseReport:
 class SuiteSummary:
     n_cases: int
     schema_validity: float
-    node_accuracy: float
-    connectivity_f1: float
-    bc_detection: float
-    overall: float
+    node_accuracy: float | None  # the scores, each None when no case has a reference
+    connectivity_f1: float | None
+    bc_detection: float | None
+    overall: float | None
     execution_success_rate: float
     fallback_activation_rate: float
     retry_histogram: dict[int, int]
@@ -370,11 +370,11 @@ def run_suite(cases: list[CaseSpec], config: RunConfig) -> SuiteSummary:
                       for c in sorted(cases, key=lambda c: c.case_id)])
 
 
-def _mean(values: list[float]) -> float:
+def _mean(values: list[float]) -> float | None:
     """The values added left to right in plain doubles (``sum`` of floats
-    is compensated from Python 3.12 on), divided by their count."""
+    is compensated from Python 3.12 on), divided by their count; None for no values."""
     if not values:
-        return 0.0
+        return None
     total = 0.0
     for v in values:
         total += v
@@ -451,8 +451,8 @@ def emit_report(obj: CaseReport | SuiteSummary, fmt: str = "markdown") -> str:
     lines = ["# Suite summary", ""]
     lines.append("| Model | Schema Valid. | Node Acc. | Conn. F1 | BC Det. | Overall |")
     lines.append("|---|---|---|---|---|---|")
-    lines.append(f"| vfea | {obj.schema_validity:.3f} | {obj.node_accuracy:.3f} | "
-                 f"{obj.connectivity_f1:.3f} | {obj.bc_detection:.3f} | {obj.overall:.3f} |")
+    lines.append(f"| vfea | {obj.schema_validity:.3f} | {_fmt(obj.node_accuracy)} | "
+                 f"{_fmt(obj.connectivity_f1)} | {_fmt(obj.bc_detection)} | {_fmt(obj.overall)} |")
     lines.append("")
     lines.append(f"- cases: {obj.n_cases}")
     lines.append(f"- execution success rate: {obj.execution_success_rate:.3f}")

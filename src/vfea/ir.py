@@ -151,7 +151,7 @@ class AnalysisMode(NamedTuple):
 
 
 # One row per analysis mode for the spec, the context, the audit and the
-# script (docs/ir-schema.md); solver.ANALYSES holds the solver's, in this order.
+# script (docs/ir-schema.md); solver.ANALYSES and certify.CHECKS follow this order.
 MODES = {
     "static": AnalysisMode("static", (), needs_mass=False, element_kinds=ELEMENT_KINDS),
     "modal": AnalysisMode(

@@ -64,6 +64,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from .certify import RESIDUAL_LIMIT
 from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, KINDS, MODES, AnalysisSpec,
                  IRModel, _coordinates, _endpoints, _rows)
 from .validation import restraint_rank
@@ -72,10 +73,8 @@ _MODAL, _TOPOLOGY = MODES["modal"], MODES["topology_optimization"]
 OC_MOVE_LIMIT = 0.2
 OC_EXPONENT = 0.5
 OC_STOP_TOL = 1e-3        # on max area change, relative to a_max
-RESIDUAL_LIMIT = 1e-8     # beyond this the factorization is not trusted
 PIVOT_RTOL = 1e-10        # pivot / its diagonal entry at or below this: a mechanism
 BAND_RATIO_MAX = 12.0     # band cells per stored entry beyond which SuperLU factors
-VOLUME_SLACK = 1e-6       # accepted excess of an optimized volume fraction over its target
 # Translations this close to a mode's peak count as ties for its sign; the
 # first in dof order decides, so mirror-image peaks give a stable sign.
 PEAK_TIE_RTOL = 1e-9
@@ -775,20 +774,14 @@ def _static_highlights(rs: StaticResult) -> dict[str, float]:
     return out
 
 
-def _above(name: str, value: float, bound: float, slack: float = 0.0) -> str | None:
-    """None when ``value`` is at most ``bound`` + ``slack``, else the failed condition."""
-    return None if value <= bound + slack else f"{name} {value} above {bound}"
-
-
 class Analysis(NamedTuple):
     """One analysis mode: its result class and ``result_kind`` tag in the
-    results database, the solver run for a model of the mode, the check of
-    results read back (the failed condition, or None), the figures a case report highlights,
-    the frame split of the run, and a spec's budgeted work (unit, count) on n free dofs."""
+    results database, the solver run for a model of the mode, the figures a
+    case report highlights, the frame split of the run, and a spec's
+    budgeted work (unit, count) on n free dofs."""
     result: type
     kind: str
     run: Callable[[IRModel], object]
-    check: Callable[[object, AnalysisSpec], str | None]
     highlights: Callable[[object], dict[str, float]]
     subdivisions: int
     work: Callable[[AnalysisSpec, int], tuple[str | None, int]]
@@ -800,19 +793,13 @@ class Analysis(NamedTuple):
 ANALYSES = {
     "static": Analysis(
         StaticResult, "static", lambda m: solve_static(m),
-        lambda rs, _: _above("equilibrium residual", rs.equilibrium_residual, RESIDUAL_LIMIT),
         _static_highlights, 1, lambda a, dofs: (None, 0)),
     "modal": Analysis(
         ModalResult, "modal", lambda m: solve_modal(m),
-        lambda rs, _: "no frequencies" if not (f := rs.frequencies_hz) else next(
-            (f"frequency {b} after {a}, not ascending" for a, b in itertools.pairwise(f) if b < a),
-            None if f[0] > 0 else f"lowest frequency {f[0]} not above 0"),
         lambda rs: {"first_frequency_hz": rs.frequencies_hz[0]},
         4, lambda a, free: ("mode", min(a.modal_count, free))),
     "topology_optimization": Analysis(
         TopoResult, "topo", lambda m: optimize_topology(m),
-        lambda rs, a: _above("final volume fraction", rs.final_volume_fraction,
-                             _TOPOLOGY.values(a)[0], VOLUME_SLACK),
         lambda rs: {"final_compliance_j": rs.compliance_history[-1],
                     "final_volume_fraction": rs.final_volume_fraction},
         1, lambda a, _: ("iteration", _TOPOLOGY.values(a)[1])),

@@ -18,8 +18,9 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol
 
+from .certify import CHECKS
 from .failures import FAILURES
-from .ir import AnalysisSpec, IRModel, serialize
+from .ir import IRModel, serialize
 from .memory import ExperienceBuffer, ExperienceRecord, classify_error, compute_signature
 from .sandbox import (_RESULT_KINDS, ExecutionOutcome, Limits, ResultsError,
                       allocate_workspace, execute, read_results)
@@ -90,16 +91,17 @@ def reflect(kinds: Iterable[str]) -> list[str]:
     return [FAILURES["attempt", kind].lesson for kind in dict.fromkeys(kinds)]
 
 
-def verify_results(outcome: ExecutionOutcome, analysis: AnalysisSpec):
-    """Physical acceptance of a completed run: readable results (finite ones
-    only) of the mode's result class that pass its check in ``solver.ANALYSES``.
-    Returns them, or raises ResultsError naming the status of a run that did
-    not complete, or the results path and ``read_results``' defect, another
-    mode's result kind or the check's failed condition."""
+def verify_results(outcome: ExecutionOutcome, model: IRModel):
+    """Physical acceptance of a completed run of the audited model: readable
+    results (finite ones only) of its mode's result class that pass the mode's
+    check in ``certify.CHECKS``. Returns them, or raises ResultsError naming the
+    status of a run that did not complete, or the results path and ``read_results``'
+    defect, another mode's result kind or the check's failed condition."""
     if outcome.status != "COMPLETED" or outcome.results_path is None:
         raise ResultsError(f"no results of a {outcome.status} run")
-    rs, row = read_results(outcome.results_path), ANALYSES[analysis.mode]
-    why = (row.check(rs, analysis) if isinstance(rs, row.result)
+    mode = model.analysis.mode
+    rs, row = read_results(outcome.results_path), ANALYSES[mode]
+    why = (CHECKS[mode](rs, model) if isinstance(rs, row.result)
            else f"{_RESULT_KINDS[type(rs)]} results, expected {row.kind}")
     if why:
         raise ResultsError(f"{outcome.results_path}: {why}")
@@ -146,7 +148,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
                 attempt.outcome = execute(
                     attempt.script, allocate_workspace(workspace_root, task_id), limits,
                     mode=execution_mode, program=program)
-                return verify_results(attempt.outcome, model.analysis)
+                return verify_results(attempt.outcome, model)
         except ScriptParseError as exc:
             attempt.faults = (exc.fault,)
         except ResultsError as exc:  # a run that did not complete keeps its own fault

@@ -393,6 +393,23 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    def test_a_suite_without_references_has_no_scores(self, suite_dir, tmp_path):
+        # two bundled cases with their reference removed: each score is
+        # unknown in the summary row, as it is in each case row
+        cases = []
+        for name in ("frame_portal", "truss_two_bar"):
+            case_dir = shutil.copytree(suite_dir / name, tmp_path / name)
+            manifest = json.loads((case_dir / "case.json").read_text())
+            del manifest["truth_ir"]
+            (case_dir / "case.json").write_text(json.dumps(manifest))
+            cases.append(load_case(case_dir))
+        s = harness.run_suite(cases, RunConfig(workspace_root=tmp_path / "ws"))
+        assert s.execution_success_rate == 1.0
+        assert [getattr(s, name) for name in harness.SCORES] == [None] * 4
+        assert "| vfea | 1.000 | — | — | — | — |" in emit_report(s)
+        doc = json.loads(emit_report(s, "structured_text"))
+        assert [doc[name] for name in harness.SCORES] == [None] * 4
+
 
 class TestEmitReport:
     def test_markdown_table_columns(self):

@@ -1,4 +1,5 @@
-"""No module of the package, its scripts or its tests imports a name it never uses."""
+"""No module of the package, its scripts or its tests imports a name it never
+uses, and the package's acceptance checks import nothing of the solver."""
 
 from __future__ import annotations
 
@@ -41,6 +42,23 @@ def used(tree: ast.Module) -> set[str]:
     return out
 
 
+def package_imports(source: str) -> set[str]:
+    """The vfea modules a module imports, relatively or by name; ``vfea`` for the package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["vfea" if node.level else None, node.module]))
+            names = [f"vfea.{alias.name}" for alias in node.names] if module == "vfea" else [module]
+        else:
+            continue
+        for first, _, rest in (name.partition(".") for name in names):
+            if first == "vfea":
+                out.add(rest.split(".")[0] or "vfea")
+    return out
+
+
 def unused_imports(source: str) -> list[tuple[int, str]]:
     tree = ast.parse(source)
     names = used(tree)
@@ -59,3 +77,17 @@ def test_a_name_counts_as_used_in_code_a_string_annotation_or_all():
     assert unused_imports('from a import B, C\ndef f(x: "B | None") -> "list[C]": pass\n') == []
     assert unused_imports('from a import B\n__all__ = ["B"]\n') == []
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+def test_the_acceptance_checks_import_nothing_of_vfea_but_ir():
+    # a checker that shares code with the solver can share its bug
+    source = (REPO_ROOT / "src/vfea/certify.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"ir"}
+
+
+def test_package_imports_reads_every_form_of_import():
+    assert package_imports("from .solver import solve_static\nfrom . import ir, sandbox\n") \
+        == {"solver", "ir", "sandbox"}
+    assert package_imports("import vfea.harness\nfrom vfea.memory import x\nimport numpy\n"
+                           "from __future__ import annotations\n") == {"harness", "memory"}
+    assert package_imports("import vfea\nfrom vfea import cli\n") == {"vfea", "cli"}

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import interpret_reference as reference
 from conftest import (cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
-from vfea import simscript, solver
+from vfea import certify, simscript, solver
 from vfea.ir import (ANALYSIS_MODES, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
                      Element, Node)
 from vfea.perception import PerceptionError, parse_context
@@ -552,6 +552,9 @@ RESULT_SETS = {
     "modal-note": lambda: solve_modal(modal_cantilever(10_000)),  # fewer dofs than modes
     "topology": lambda: optimize_topology(ground_structure(volfrac=0.5, iters=3)),
 }
+# The audited model of each mode that the RESULT_SETS were solved from.
+VERIFIED_MODELS = {"static": cantilever_model(), "modal": modal_cantilever(3),
+                   "topology_optimization": ground_structure(volfrac=0.5, iters=3)}
 
 
 # (result set, edit of its document, path of the defect the edit makes)
@@ -596,9 +599,8 @@ class TestResultsDatabase:
         assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
         outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
         mode = {"static": "static", "modal": "modal", "topology": "topology_optimization"}
-        analysis = AnalysisSpec(mode=mode[kind.split("-")[0]], modal_count=3)
         with pytest.raises(ResultsError) as verified:
-            verify_results(outcome, analysis)
+            verify_results(outcome, VERIFIED_MODELS[mode[kind.split("-")[0]]])
         assert str(verified.value) == str(err.value)
 
     @pytest.mark.parametrize("kind,edit,where", RESULT_DEFECTS,
@@ -645,9 +647,6 @@ class TestResultsDatabase:
         assert err.value.kind == "unverified" and str(err.value).startswith(f"{path}: ")
 
 
-# The analysis of each mode that the RESULT_SETS models were solved under.
-VERIFIED_ANALYSES = {"static": AnalysisSpec("static"), "modal": AnalysisSpec("modal", 3),
-                     "topology_optimization": AnalysisSpec("topology_optimization", None, 0.5, 3)}
 # JSON text a drawn defect puts in place of one value: a string, a bool,
 # null, NaN, a number beyond the float range, a nested list and an integer
 # beyond it.
@@ -703,20 +702,20 @@ def test_verify_results_of_a_damaged_document_passes_or_names_its_path(data):
         path = Path(scratch) / "results.res"
         path.write_bytes(data)
         outcome = ExecutionOutcome("COMPLETED", path, "STATUS: COMPLETED\n", None)
-        for mode, analysis in VERIFIED_ANALYSES.items():
+        for mode, model in VERIFIED_MODELS.items():
             try:
-                rs = verify_results(outcome, analysis)
+                rs = verify_results(outcome, model)
             except ResultsError as exc:
                 assert str(exc).startswith(f"{path}: ")
                 continue
-            row = solver.ANALYSES[mode]
-            assert isinstance(rs, row.result) and row.check(rs, analysis) is None
+            assert isinstance(rs, solver.ANALYSES[mode].result)
+            assert certify.CHECKS[mode](rs, model) is None
 
 
 class TestAnalysisTable:
     def test_one_row_per_mode_everywhere(self):
         # a mode added in one place only fails here
-        assert tuple(solver.ANALYSES) == ANALYSIS_MODES
+        assert tuple(solver.ANALYSES) == tuple(certify.CHECKS) == ANALYSIS_MODES
         assert [f.key for f in simscript._STATEMENTS if f.words[0] == "analyze"] == list(
             ANALYSIS_MODES)
         assert [parse_context(f"mode: {mode}\n").analysis.mode for mode in ANALYSIS_MODES] == list(
@@ -726,7 +725,7 @@ class TestAnalysisTable:
         assert err.value.kind == "semantics"
 
     def test_every_column_has_an_entry_for_every_mode(self):
-        assert tuple(MODES) == tuple(solver.ANALYSES) == ANALYSIS_MODES
+        assert tuple(MODES) == tuple(solver.ANALYSES) == tuple(certify.CHECKS) == ANALYSIS_MODES
         for table in (MODES, solver.ANALYSES):
             for row in table.values():
                 assert None not in row

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import cantilever_model, ground_structure, modal_cantilever
 from vfea import sandbox, synthesis
-from vfea.ir import AnalysisSpec
 from vfea.memory import (ExperienceBuffer, ExperienceRecord, classify_error,
                          compute_signature)
 from vfea.sandbox import (ExecutionOutcome, Limits, ResultsError, allocate_workspace, execute,
@@ -107,31 +106,30 @@ class TestVerifyResults:
         return execute(lower_ir(model), ws, Limits())
 
     @staticmethod
-    def reason(out, analysis) -> str:
+    def reason(out, model) -> str:
         """What ``verify_results`` names after the results path when it raises."""
         with pytest.raises(ResultsError) as err:
-            verify_results(out, analysis)
+            verify_results(out, model)
         assert err.value.kind == "unverified"
         assert str(err.value).startswith(f"{out.results_path}: ")
         return str(err.value).removeprefix(f"{out.results_path}: ")
 
     def test_healthy_static(self, tmp_path):
-        out = self.run_one(cantilever_model(), tmp_path)
-        assert verify_results(out, AnalysisSpec(mode="static")) == read_results(out.results_path)
+        model = cantilever_model()
+        out = self.run_one(model, tmp_path)
+        assert verify_results(out, model) == read_results(out.results_path)
 
     def test_kind_mismatch(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
-        assert self.reason(out, AnalysisSpec(mode="modal", modal_count=2)) == \
-            "static results, expected modal"
-        assert self.reason(out, AnalysisSpec(mode="topology_optimization")) == \
-            "static results, expected topo"
+        assert self.reason(out, modal_cantilever(2)) == "static results, expected modal"
+        assert self.reason(out, ground_structure()) == "static results, expected topo"
 
     def test_nonfinite_displacement_rejected(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         doc = json.loads(out.results_path.read_text())
         doc["displacements"]["2"][1] = float("nan")
         out.results_path.write_text(json.dumps(doc))
-        assert self.reason(out, AnalysisSpec(mode="static")) == \
+        assert self.reason(out, cantilever_model()) == \
             "$.displacements.2[1]: expected a finite number, got nan"
 
     def test_perturbed_residual_rejected(self, tmp_path):
@@ -139,7 +137,7 @@ class TestVerifyResults:
         doc = json.loads(out.results_path.read_text())
         doc["equilibrium_residual"] = 1e-3
         out.results_path.write_text(json.dumps(doc))
-        assert self.reason(out, AnalysisSpec(mode="static")) == \
+        assert self.reason(out, cantilever_model()) == \
             "equilibrium residual 0.001 above 1e-08"
 
     def test_volume_violation_rejected(self, tmp_path):
@@ -148,11 +146,11 @@ class TestVerifyResults:
         doc = json.loads(out.results_path.read_text())
         doc["final_volume_fraction"] = 0.7
         out.results_path.write_text(json.dumps(doc))
-        assert self.reason(out, model.analysis) == "final volume fraction 0.7 above 0.5"
+        assert self.reason(out, model) == "final volume fraction 0.7 above 0.5"
         # the slack: a fraction within 1e-6 of the target passes
         doc["final_volume_fraction"] = 0.5 + 5e-7
         out.results_path.write_text(json.dumps(doc))
-        assert verify_results(out, model.analysis).final_volume_fraction == 0.5 + 5e-7
+        assert verify_results(out, model).final_volume_fraction == 0.5 + 5e-7
 
     @pytest.mark.parametrize("frequencies,why", [
         ([], "no frequencies"),
@@ -166,21 +164,21 @@ class TestVerifyResults:
         doc = json.loads(out.results_path.read_text())
         doc["frequencies_hz"] = frequencies
         out.results_path.write_text(json.dumps(doc))
-        assert self.reason(out, model.analysis) == why
+        assert self.reason(out, model) == why
         doc["frequencies_hz"] = [1.0, 1.0, 2.0]  # a repeated frequency is ascending
         out.results_path.write_text(json.dumps(doc))
-        assert verify_results(out, model.analysis).frequencies_hz == (1.0, 1.0, 2.0)
+        assert verify_results(out, model).frequencies_hz == (1.0, 1.0, 2.0)
 
     def test_missing_file_says_it_is_missing(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         out.results_path.unlink()
-        assert self.reason(out, AnalysisSpec(mode="static")) == "no such file"
+        assert self.reason(out, cantilever_model()) == "no such file"
 
     @pytest.mark.parametrize("status", ["FAILED", "ABORTED", "COMPLETED"])
     def test_a_run_without_results_names_its_status(self, status):
         out = ExecutionOutcome(status, None, f"STATUS: {status}\n", None)
         with pytest.raises(ResultsError, match=f"^no results of a {status} run$"):
-            verify_results(out, AnalysisSpec(mode="static"))
+            verify_results(out, cantilever_model())
 
 
 class TestUnverifiedAttempt:
