@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .failures import FAILURES, raised
-from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, emit_report, evaluate_ir,
-                      load_suite, run_case, run_suite)
+from .harness import (SCORES, CaseLoadError, CaseSpec, RunConfig, check_case_id, emit_report,
+                      evaluate_ir, load_suite, run_case, run_suite)
 from .ir import SchemaParseError, deserialize
 from .memory import ExperienceBuffer
 from .validation import audit
@@ -51,7 +51,7 @@ def _read_input(path: str) -> str:
 
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
-    case = CaseSpec(case_id=Path(args.drawing).stem,
+    case = CaseSpec(case_id=check_case_id(Path(args.drawing).stem, f"drawing {args.drawing!r}"),
                     drawing_path=Path(args.drawing), context_path=Path(args.context),
                     truth_ir_path=Path(args.truth) if args.truth else None,
                     expected_mode=None)

@@ -31,7 +31,7 @@ from .ir import (ANALYSIS_MODES, IRModel, SchemaParseError, _Defect, _endpoints,
                  deserialize, pairs_within, unit_box)
 from .memory import ExperienceBuffer
 from .perception import PerceptionError, PerceptionFailure, orchestrate
-from .sandbox import Limits
+from .sandbox import Limits, _is_file_name
 from .solver import ANALYSES
 from .synthesis import SynthesisError, SynthesisTrace, make_generator, synthesize
 from .validation import check_l1
@@ -147,6 +147,14 @@ _read_manifest = _record({_Manifest: (
     _Manifest)
 
 
+def check_case_id(case_id: str, source: str) -> str:
+    """``case_id``, read from ``source``, if it can name the case's
+    workspaces and report files; else CaseLoadError naming ``source``."""
+    if not _is_file_name(case_id):
+        raise CaseLoadError(f"{source}: case id {case_id!r} cannot name a file")
+    return case_id
+
+
 def load_case(case_dir: str | Path) -> CaseSpec:
     """Read a case directory's ``case.json``; a manifest that is unreadable,
     malformed or names a missing file raises CaseLoadError naming the path."""
@@ -158,7 +166,8 @@ def load_case(case_dir: str | Path) -> CaseSpec:
         raise CaseLoadError(f"cannot load case manifest {manifest}: {exc}") from None
     except _Defect as defect:
         raise CaseLoadError(f"case manifest {manifest}: {defect.path}: {defect.reason}") from None
-    spec = CaseSpec(case_id=doc.id, drawing_path=case_dir / doc.drawing,
+    spec = CaseSpec(case_id=check_case_id(doc.id, f"case manifest {manifest}"),
+                    drawing_path=case_dir / doc.drawing,
                     context_path=case_dir / doc.context,
                     truth_ir_path=case_dir / doc.truth_ir if doc.truth_ir else None,
                     expected_mode=doc.expected_mode)

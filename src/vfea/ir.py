@@ -751,6 +751,24 @@ def _rows(ids, keys, missing: int | None = None) -> np.ndarray:
     return np.fromiter(found, np.intp)
 
 
+def _distances(p: np.ndarray, q, *bounds: float) -> np.ndarray:
+    """The distance math.dist(p, q) of each row p of an (m, 2) array from
+    the row of ``q`` it broadcasts with, by ``np.hypot``. It and math.dist
+    err by a few units in the last place at most, so a distance within a
+    relative 2**-40 (or a few subnormals) of one of ``bounds`` is measured
+    by math.dist itself: compared with the bounds by <, <= or ==, every
+    distance gives math.dist's answer."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference may overflow
+        d = p - q
+        out = np.hypot(d[:, 0], d[:, 1])
+        b = np.array(bounds, float)[:, None]
+        near = ((out >= b * (1 - 2 ** -40) - 2 ** -1070)
+                & (out <= b * (1 + 2 ** -40) + 2 ** -1070)).any(axis=0)
+    k = np.flatnonzero(near)
+    out[k] = np.fromiter(map(math.hypot, d[k, 0].tolist(), d[k, 1].tolist()), float, k.size)
+    return out
+
+
 # Cell indices lie within 2**30 + 1 of zero (see pairs_within), so a cell
 # and its eight neighbours pack into one int64 key, row-major.
 _CELL_OFFSET = 2 ** 30 + 1
@@ -770,10 +788,7 @@ def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]
     them, so each point is compared only with those in the 3x3 cells around
     its own (Bentley, Stanat & Williams, IPL 1977). The candidates are found
     with numpy, by sorting the keys and searching each neighbour cell's key,
-    and screened by ``np.hypot`` of their differences. Both it and
-    ``math.dist`` err by a few units in the last place at most, so only a
-    candidate within a relative 2**-40 of r (or a few subnormals of it) is
-    decided by ``math.dist`` itself.
+    and measured by ``_distances``.
     """
     p_xy = np.asarray(points, dtype=float).reshape(-1, 2)
     if not r >= 0:
@@ -813,10 +828,6 @@ def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]
     if one_set:  # each pair once, never a point with itself
         keep = i < j
         i, j = i[keep], j[keep]
-    with np.errstate(over="ignore", invalid="ignore"):  # a difference may overflow
-        d = np.hypot(p_xy[i, 0] - t_xy[j, 0], p_xy[i, 1] - t_xy[j, 1])
-    accept = d < r * (1 - 2 ** -40) - 2 ** -1070
-    near = np.flatnonzero(~accept & (d <= r * (1 + 2 ** -40) + 2 ** -1070))
-    exact = map(math.dist, p_xy[i[near]].tolist(), t_xy[j[near]].tolist())
-    accept[near[np.fromiter(exact, float, near.size) <= limit]] = True
+    # take gathers rows at a fraction of the cost of p_xy[i]
+    accept = _distances(p_xy.take(i, axis=0), t_xy.take(j, axis=0), limit) <= limit
     return i[accept], j[accept]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .ir import (ANALYSIS_MODES, COLLECTIONS, KINDS, MODES, AnalysisSpec, BoundaryCondition,
                  Element, IRModel, Load, Material, Node, Section, _Defect, _Field, _array, _finite,
-                 _int, _nullable, _one_of, _read_json, _record, _text, canonicalize,
-                 pairs_within, unit_box)
+                 _distances, _int, _nullable, _one_of, _read_json, _record, _text,
+                 canonicalize, pairs_within, unit_box)
 from .simscript import _code_lines
 from .validation import (ValidationReport, accept_update, audit,
                          connected_components)
@@ -374,19 +374,14 @@ def _to_model_coords(nodes, scale: ScaleResolution) -> dict[int, Point]:
 
 def _nearest_node(ids: list[int], xy: np.ndarray, p: Point) -> tuple[int, float]:
     """The node nearest to ``p``, the lowest id among equally near ones (at
-    an infinite distance too), and its distance ``math.dist``.
-
-    One ``np.hypot`` over the coordinates (n, 2) screens the nodes. It and
-    ``math.dist`` differ by a few units in the last place at most, so only
-    the nodes within a relative 2**-40 of the nearest screened distance are
-    measured with ``math.dist``. No coordinate is NaN: nodes are centroids
-    of finite endpoints.
+    an infinite distance too), and its distance ``math.dist``: the nearest
+    screened distance bounds ``ir._distances``, which measures the nodes
+    near it exactly. No coordinate is NaN: nodes are centroids of finite
+    endpoints.
     """
-    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
-        screen = np.hypot(xy[:, 0] - p[0], xy[:, 1] - p[1])
-        near = np.flatnonzero(screen <= screen.min() * (1 + 2 ** -40) + 2 ** -1070)
-    d, nid = min((math.dist(xy[k].tolist(), p), ids[k]) for k in near.tolist())
-    return nid, d
+    d = _distances(xy, p, float(_distances(xy, p).min()))
+    near = np.flatnonzero(d == d.min())
+    return min(ids[k] for k in near.tolist()), float(d[near[0]])
 
 
 def attach_semantics(drawing: PrimitiveDrawing,

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .ir import (COLLECTIONS, AnalysisSpec, Element, IRModel, Node, _Defect, _Field, _array,
                  _expected, _finite, _id_map, _read_json, _record, _text, _to_doc)
-from .simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin,
-                        ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
+from .simscript import (PROTECTED_ROOT, Analyze, Declare, Delete, End, Entity, Fault,
+                        ModelBegin, ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
                         _inside_workspace, parse_script)
 from .solver import ANALYSES, ModalResult, SolverError, StaticResult, TopoResult, solved_dofs
 from .validation import check_l1
@@ -79,10 +79,21 @@ class ExecutionOutcome:
     runtime_error: Fault | None
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` can name a file of its own: it is not empty, ``.`` or
+    ``..``, and holds no path separator, NUL or character that UTF-8 cannot
+    encode (a lone surrogate)."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return name not in ("", ".", "..") and not {"\0", os.sep, os.altsep} & set(name)
+
+
 def allocate_workspace(root_dir: str | Path, task_id: str) -> Path:
     """Create a fresh, empty, never-reused directory for one task run."""
     root_dir = Path(root_dir)
-    if os.sep in task_id or task_id in ("", ".", ".."):
+    if not _is_file_name(task_id):
         raise WorkspaceError(f"invalid task id {task_id!r}")
     try:
         root_dir.mkdir(parents=True, exist_ok=True)
@@ -212,12 +223,19 @@ def execute(script_text: str, ws_root: Path, limits: Limits,
     ``program`` is ``parse_script(script_text)`` when the caller already has
     it (synthesis parses every attempt for preflight); in process it is run
     as it is instead of parsing the text again. ``script.sim`` is written
-    from the text either way.
+    from the text either way. Text that UTF-8 cannot encode is written with
+    each such character as its ``\\uXXXX`` escape, and fails at its parse
+    fault in either mode.
     """
     if mode not in ("inprocess", "subprocess"):
         raise ValueError(f"unknown execution mode {mode!r}")
     start = time.monotonic()
-    (ws_root / SCRIPT_FILENAME).write_text(script_text, encoding="utf-8")
+    script = ws_root / SCRIPT_FILENAME
+    try:
+        script.write_text(script_text, encoding="utf-8")
+    except UnicodeEncodeError:
+        script.write_text(script_text, encoding="utf-8", errors="backslashreplace")
+        return _interpret(script_text, ws_root, limits, start)
     if mode == "subprocess":
         return _execute_subprocess(ws_root, limits)
     return _interpret(script_text if program is None else program, ws_root, limits, start)
@@ -289,7 +307,7 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 resolve_path(stmt.path)  # containment check only
             elif isinstance(stmt, Delete):
                 builder.require_begun()
-                if stmt.target == ("model", "root"):
+                if stmt.target == PROTECTED_ROOT:
                     raise _RuntimeStop("kernel-protection",
                                        "kernel protection: deletion of protected root container")
                 kind, raw_id = stmt.target

@@ -14,8 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ir import (DOF_ORDER, KINDS, MODES, AnalysisMode, AnalysisSpec, BoundaryCondition,
-                 Element, IRModel, Load, Material, Node, Section, canonicalize)
+from .ir import (COLLECTIONS, DOF_ORDER, KINDS, MODES, AnalysisMode, AnalysisSpec,
+                 BoundaryCondition, Element, IRModel, Load, Material, Node, Section)
 
 PROTECTED_ROOT = ("model", "root")
 
@@ -268,7 +268,14 @@ def parse_script(text: str) -> ScriptAST:
     count one argument column at a time, with one ``map`` of the column's
     reader, and any other run line by line. Runs are read in line order,
     and a run with a token its reader rejects is read again line by line,
-    so the error names the first line in error."""
+    so the error names the first line in error. A script is UTF-8 text: a
+    character UTF-8 cannot encode (a lone surrogate) is an error at its line."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # the message names it by its repr, an escape
+            raise ScriptParseError(len(_code_lines(text[:exc.start])), text[exc.start],
+                                   "not UTF-8 text") from None
     codes = _code_lines(text)
     numbers = list(itertools.compress(itertools.count(1), codes))
     codes = list(filter(None, codes))
@@ -375,18 +382,17 @@ def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[Fault]:
 def lower_ir(model: IRModel) -> str:
     """Rule-based lowering of an audited model to a guaranteed-executable script.
 
-    Output is byte-stable and uses workspace-relative artifact paths, so the
-    same script runs in any allocated workspace.
+    The model is the audited one, canonical as ``orchestrate`` returns it
+    (``ir.canonicalize``): its entities are printed in list order. Output is
+    byte-stable and uses workspace-relative artifact paths, so the same
+    script runs in any allocated workspace.
     """
-    m = canonicalize(model)
     try:
         lines = [_TEXT[ModelBegin](None)]
-        for key, entities in ((Material, m.materials), (Section, m.sections), (Node, m.nodes),
-                              (Element, m.elements), (BoundaryCondition, m.boundary_conditions),
-                              (Load, m.loads)):
-            lines += map(_TEXT[key], entities)
-        lines += [_TEXT[m.analysis.mode](m.analysis), _TEXT[WriteResults](RESULTS_FILENAME),
-                  _TEXT[End](None)]
+        for key in (Material, Section, Node, Element, BoundaryCondition, Load):
+            lines += map(_TEXT[key], getattr(model, COLLECTIONS[key].attr))
+        lines += [_TEXT[model.analysis.mode](model.analysis),
+                  _TEXT[WriteResults](RESULTS_FILENAME), _TEXT[End](None)]
     except (KeyError, TypeError) as exc:  # an element kind, mode or count it cannot print
         raise LoweringError(f"model feature without a script form: {exc!r}") from None
     return "\n".join(lines) + "\n"

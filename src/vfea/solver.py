@@ -321,12 +321,12 @@ def _group(kind: str, ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray,
         return _Group(kind, ids, dofs, L, dx / L, dy / L, *props)
 
 
-def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int],
-                                                      tuple[_Group, ...],
-                                                      np.ndarray, frozenset[int]]:
-    """Dof index, element table (one group per ``ir.KINDS`` row, in that
-    order), load vector and constrained dofs of a model with each member of
-    a kind that splits split into ``n_sub`` elements.
+def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
+    """Direct stiffness assembly of K, with the dof index, element table
+    (one group per ``ir.KINDS`` row, in that order), load vector and
+    constrained dofs of a model with each member of a kind that splits
+    split into ``n_sub`` elements; the consistent mass matrix ``M`` is
+    assembled when first read. Static, modal and topology work all start here.
 
     The split model is the one an IR-level refinement would give: interior
     nodes numbered from max node id + 1 and their dofs after the model's
@@ -396,7 +396,10 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
         for d in b.sorted_dofs()
         if (b.node_id, d) in index
     )
-    return index, tuple(groups), f, constrained
+    pattern = _pattern(len(index), groups)
+    K = _scatter(pattern, [FORMULATIONS[g.kind].stiffness(g) for g in groups])
+    return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
+                           groups=tuple(groups), pattern=pattern)
 
 
 def _pattern(n: int, groups) -> _Pattern:
@@ -425,17 +428,6 @@ def _scatter(p: _Pattern, matrices) -> scipy.sparse.csc_array:
     data = np.bincount(p.slot, weights=np.concatenate([m.ravel() for m in matrices]),
                        minlength=p.indices.size)
     return scipy.sparse.csc_array((data, p.indices, p.indptr), shape=(p.n, p.n))
-
-
-def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
-    """Direct stiffness assembly of K and the load vector, with each member
-    of a kind that splits split into ``n_sub`` elements; the consistent mass
-    matrix ``M`` is assembled when first read."""
-    index, groups, f, constrained = _prepare(model, n_sub)
-    pattern = _pattern(len(index), groups)
-    K = _scatter(pattern, [FORMULATIONS[g.kind].stiffness(g) for g in groups])
-    return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
-                           groups=groups, pattern=pattern)
 
 
 def _mechanism_rule(pivots: np.ndarray, diagonal: np.ndarray) -> None:
@@ -730,18 +722,18 @@ def optimize_topology(model: IRModel) -> TopoResult:
         raise SolverError(f"volume fraction {volfrac} outside "
                           f"[{fraction.low:g}, {fraction.high:g}]")
 
-    index, groups, f, constrained = _prepare(model)
+    system = assemble(model)
     (kind,) = _TOPOLOGY.element_kinds
-    bars = {g.kind: g for g in groups}[kind]
+    bars = {g.kind: g for g in system.groups}[kind]  # the only group with elements
     a_max = float(np.max(bars.A))
     lengths = bars.L
     target_volume = volfrac * float(lengths.sum())  # in units of a_max
     unit_stiffness = FORMULATIONS[kind].stiffness(bars._replace(A=np.ones_like(bars.A)))
-    pattern = _pattern(len(index), (bars,))
-    free = _FreeDofs(pattern, constrained)
+    f = system.f
+    free = _FreeDofs(system.pattern, system.constrained)
 
     def displacements(xv: np.ndarray) -> tuple[np.ndarray, float]:
-        K = _scatter(pattern, [(xv * a_max)[:, None, None] * unit_stiffness])
+        K = _scatter(system.pattern, [(xv * a_max)[:, None, None] * unit_stiffness])
         u, _, _ = _solve_free(K, f, free)
         return u, float(f @ u)
 

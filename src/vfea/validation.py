@@ -18,7 +18,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .ir import (_ID, _KIND, COLLECTIONS, KINDS, MODES, BoundaryCondition, IRModel, Material,
-                 Section, _coordinates, _endpoints, _rows, bounding_box, diff, pairs_within)
+                 Section, _coordinates, _distances, _endpoints, _rows, bounding_box, diff,
+                 pairs_within)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perception import BeliefState, PrimitiveDrawing, ScaleResolution
@@ -243,7 +244,9 @@ def connected_components(n: int, i, j) -> np.ndarray:
 
 def check_l2(model: IRModel) -> list[Finding]:
     """Physical-stability findings: rigid-body motion, floating substructures,
-    duplicate and zero-length elements. Assumes L1 passed."""
+    duplicate and zero-length elements, an element being zero-length when
+    its ``math.dist`` length, as ``ir._distances`` measures it, is below
+    ``ZERO_LENGTH_EPS``. Assumes L1 passed."""
     out: list[Finding] = []
     rank = restraint_rank(model)
     if rank < 3:
@@ -277,16 +280,12 @@ def check_l2(model: IRModel) -> list[Finding]:
                            f"{ids[lo[k]]} and {ids[hi[k]]}", f"elements/{e.id}"))
 
     xy = _coordinates(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):  # a difference may overflow
-        d = xy[ends[:, 1]] - xy[ends[:, 0]]
-        screen = np.hypot(d[:, 0], d[:, 1])
-    # np.hypot and math.hypot differ by a few units in the last place at
-    # most, so only lengths near the bound are decided by math.hypot itself
-    for k in np.flatnonzero(~(screen > ZERO_LENGTH_EPS * (1 + 2 ** -40))).tolist():
-        if math.hypot(*d[k].tolist()) < ZERO_LENGTH_EPS:
-            e = model.elements[k]
-            out.append(Finding("L2", "zero-length-element",
-                               f"element {e.id} has zero length", f"elements/{e.id}"))
+    lengths = _distances(xy.take(ends[:, 1], axis=0), xy.take(ends[:, 0], axis=0),
+                         ZERO_LENGTH_EPS)
+    for k in np.flatnonzero(lengths < ZERO_LENGTH_EPS).tolist():
+        e = model.elements[k]
+        out.append(Finding("L2", "zero-length-element",
+                           f"element {e.id} has zero length", f"elements/{e.id}"))
     return out
 
 
@@ -311,9 +310,8 @@ def _pair_distance_within(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float) 
     nodes a < b, searched in growing blocks of nodes a until one holds such
     a pair. A block's candidates are all its nodes' pairs while it is small
     or ``hi`` is infinite, else those within ``hi`` (``ir.pairs_within``), at
-    most about ``_BLOCK_PAIRS`` of them at the last block's rate. Like
-    ``pairs_within``, ``np.hypot`` screens them and ``math.hypot`` decides
-    those within a relative 2**-40 of an end.
+    most about ``_BLOCK_PAIRS`` of them at the last block's rate, measured
+    by ``ir._distances``.
     """
     if not hi >= 0:  # no distance is negative or NaN-bounded
         return False
@@ -332,15 +330,8 @@ def _pair_distance_within(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float) 
         rate = i.size / len(rows)
         i = i + start
         keep = i < j
-        i, j = i[keep], j[keep]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN differences
-            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-            d = np.hypot(dx, dy)
-            if np.any((d > lo * (1 + 2 ** -40) + 2 ** -1070) & (d < hi * (1 - 2 ** -40))):
-                return True
-            near = np.flatnonzero((d >= lo * (1 - 2 ** -40) - 2 ** -1070)
-                                  & (d <= hi * (1 + 2 ** -40) + 2 ** -1070))
-        if any(lo <= math.hypot(a, b) <= hi for a, b in zip(dx[near].tolist(), dy[near].tolist())):
+        d = _distances(xy.take(j[keep], axis=0), xy.take(i[keep], axis=0), lo, hi)
+        if np.any((lo <= d) & (d <= hi)):
             return True
         start, size = start + size, max(1, min(2 * size, int(_BLOCK_PAIRS / max(rate, 1))))
     return False

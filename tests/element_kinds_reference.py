@@ -1,7 +1,7 @@
 """Reference copies of the per-kind branches that ``ir.KINDS`` replaced:
 the script words of ``simscript``, the ``elements`` directive words of
 ``perception.parse_context``, the dofs of ``solver`` with its element matrix
-branches, ``_rz_nodes``, ``solved_dofs`` and ``_prepare``, and
+branches, ``_rz_nodes``, ``solved_dofs`` and the first half of ``assemble``, and
 ``validation.check_l1`` with its frame-only inertia rule. The element-kind
 property in test_element_kinds.py checks the table-driven code against
 them.

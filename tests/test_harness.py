@@ -827,6 +827,31 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_run_drawing_name_that_names_no_file_exit_two(self, golden_case, tmp_path, capsys,
+                                                          monkeypatch):
+        # byte 0x80 of a file name reads as the lone surrogate \udc80
+        monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))
+        drawing = tmp_path / "bad\udc80.json"
+        shutil.copy(golden_case / "drawing.json", drawing)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--drawing", str(drawing),
+                         "--context", str(golden_case / "context.txt"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: drawing {str(drawing)!r}: case id "
+                                           f"'bad\\udc80' cannot name a file\n")
+        assert not out.exists() and not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("case_id", ["", ".", "..", "a/b", "a\0b", "a\udc80b"])
+    def test_bench_case_id_that_names_no_file_exit_two(self, golden_case, tmp_path, capsys,
+                                                       monkeypatch, case_id):
+        monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))
+        manifest = golden_case / "case.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "id": case_id}))
+        out = tmp_path / "out"
+        assert cli_main(["bench", "--suite", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: case manifest {manifest}: case id "
+                                           f"{case_id!r} cannot name a file\n")
+        assert not out.exists() and not (tmp_path / "ws").exists()
+
     def test_run_case_failure_exit_one(self, golden_case, tmp_path, monkeypatch):
         monkeypatch.setenv("VFEA_WORKSPACE_ROOT", str(tmp_path / "ws"))
         code = cli_main([

@@ -23,7 +23,7 @@ import readers_reference
 from conftest import REPO_ROOT, SUITE_DIR, random_frame_model
 from vfea import ir, perception, sandbox
 from vfea.ir import (AnalysisSpec, CanonicalizationError, Element, IRModel,
-                     Load, Node, SchemaParseError, _Defect, _read_json, bounding_box,
+                     Load, Node, SchemaParseError, _Defect, _distances, _read_json, bounding_box,
                      canonicalize, deserialize, diff, pairs_within, serialize)
 
 
@@ -470,6 +470,46 @@ def test_pairs_within_equals_reference(data, r):
     for args in ((points, r), (points, r, others)):
         got, want = pairs_within(*args), pairs_within_reference.pairs_within(*args)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+# Coordinates whose distances are subnormal, zero, overflowing, infinite or
+# NaN, and ordinary ones, where np.hypot and math.dist disagree now and then
+DISTANCE_COORDS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308,
+                     sys.float_info.max, math.inf, -math.inf, math.nan]),
+    st.floats())
+DISTANCE_POINTS = st.tuples(DISTANCE_COORDS, DISTANCE_COORDS)
+
+
+def disagreeing_pairs(n: int) -> list:
+    """The pairs of points, among ``n`` random ones, whose np.hypot distance
+    and math.dist differ (in the last place)."""
+    rng = random.Random(5)
+    pairs = [tuple(tuple(rng.uniform(-1e3, 1e3) for _ in "xy") for _ in "pq") for _ in range(n)]
+    return [(p, q) for p, q in pairs
+            if math.dist(p, q) != float(np.hypot(p[0] - q[0], p[1] - q[1]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(DISTANCE_POINTS, DISTANCE_POINTS)
+                | st.sampled_from(disagreeing_pairs(3000)), min_size=1, max_size=6),
+       st.data())
+def test_distances_compare_with_bounds_as_math_dist(pairs, data):
+    """Each distance compares with each bound by <, <= and == as math.dist
+    does, for a bound on one math.dist or a few ulps either side of it and
+    for zero, subnormal, infinite, NaN and the largest finite bounds."""
+    exact = [math.dist(p, q) for p, q in pairs]
+    placed = data.draw(st.sampled_from(exact))
+    for _ in range(abs(ulps := data.draw(st.integers(-3, 3)))):
+        placed = math.nextafter(placed, math.copysign(math.inf, ulps))
+    bounds = [placed, *data.draw(st.lists(st.sampled_from(
+        [0.0, 5e-324, 1e-310, 1.0, sys.float_info.max, math.inf, -math.inf, math.nan]),
+        max_size=2))]
+    got = _distances(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]), *bounds)
+    for d, want in zip(got.tolist(), exact):
+        for b in bounds:
+            assert (d < b, d <= b, d == b) == (want < b, want <= b, want == b)
 
 
 # --- bulk (column by column) reading ----------------------------------------

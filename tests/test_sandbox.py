@@ -119,6 +119,12 @@ class TestWorkspace:
         with pytest.raises(WorkspaceError):
             allocate_workspace(tmp_path, "../escape")
 
+    @pytest.mark.parametrize("task_id", ["", ".", "..", "a\0b", "a\udc80b"])
+    def test_task_id_that_names_no_file_rejected(self, tmp_path, task_id):
+        with pytest.raises(WorkspaceError):
+            allocate_workspace(tmp_path / "root", task_id)
+        assert not (tmp_path / "root").exists()
+
 
 class TestExecute:
     def test_golden_run_completes(self, tmp_path, cantilever_script):
@@ -484,6 +490,15 @@ class TestExecute:
 
 
 # statement lines built from the grammar, with edge-case ids, numbers and paths
+# any character, lone surrogates (which UTF-8 cannot encode) included
+_ANY_CHAR = st.characters(exclude_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+
+
+def _text(max_size: int):
+    return st.text(max_size=max_size) | st.text(_ANY_CHAR, max_size=max_size)
+
+
 _IDS = st.integers(-1, 4).map(str)
 _NUMS = st.sampled_from(["0", "1", "-1", "1e-3", "2.1e11", "0.3", "7850", "1e-6", "nan",
                          "inf", "-inf", "1e308", "1e-200", "-2.5"])
@@ -499,7 +514,7 @@ _LINES = st.one_of(
     st.builds("analyze modal count {}".format, st.integers(-1, 4)),
     st.builds("analyze topopt volfrac {} iters {}".format, _NUMS, st.integers(-1, 3)),
     st.builds("{} {}".format, st.sampled_from(["write_results", "workspace"]), _PATHS),
-    st.text(max_size=30),
+    _text(30),
 )
 _BASES = [lower_ir(m) for m in (cantilever_model(), two_bar_truss(), modal_cantilever(),
                                      ground_structure(iters=2))]
@@ -509,7 +524,7 @@ _BASES = [lower_ir(m) for m in (cantilever_model(), two_bar_truss(), modal_canti
 def _scripts(draw):
     """Arbitrary text, or a valid script with a few lines replaced or inserted."""
     if draw(st.booleans()):
-        return draw(st.text(max_size=200))
+        return draw(_text(200))
     lines = draw(st.sampled_from(_BASES)).splitlines()
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(lines)))

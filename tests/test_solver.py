@@ -512,8 +512,9 @@ def mixed_models(draw) -> IRModel:
 
 
 def head_prepare(model: IRModel, n_sub: int = 1):
-    """``solver._prepare`` as it was before its array passes: dofs, end
-    coordinates, sections and materials looked up element by element."""
+    """The dof index, element table, load vector and constrained dofs of
+    ``solver.assemble`` as they were built before its array passes: dofs,
+    end coordinates, sections and materials looked up element by element."""
     index = build_dof_index(model)
     pos = model.node_positions()
     sections = {s.id: s for s in model.sections}

@@ -499,6 +499,25 @@ class TestExternalGenerator:
         assert set(context["error"]) == {"category", "message", "line"}
         assert context["lessons"] == reflect(["lifecycle"])
 
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_script_utf8_cannot_encode_is_a_parse_fault(self, tmp_path, cantilever,
+                                                         stub_server, mode):
+        # the JSON escape \udc80 decodes to a lone surrogate, in a comment here
+        endpoint, handler = stub_server
+        clean = lower_ir(cantilever)
+        broken = clean.replace("\n", " # \udc80\n", 1)
+        handler.script_queue = [broken, clean]
+        _, _, trace = synthesize(cantilever, 3, ExperienceBuffer(),
+                                 make_generator(f"external:{endpoint}"), tmp_path,
+                                 execution_mode=mode)
+        first, second = trace.attempts
+        assert first.outcome is None  # rejected before the sandbox
+        assert first.faults == (Fault("parse", 1, "line 1: not UTF-8 text ('\\udc80')"),)
+        assert second.faults == () and not trace.fallback_used
+        context = handler.requests[1]["debug_context"]
+        assert context["error"]["category"] == "type_ii_hallucination"
+        assert context["script"] == broken
+
     def test_unreachable_endpoint(self, cantilever):
         gen = ExternalGenerator("http://127.0.0.1:9/none", timeout=0.2, retries=0)
         with pytest.raises(ConfigError):
