@@ -178,11 +178,17 @@ def load_case(case_dir: str | Path) -> CaseSpec:
 
 
 def load_suite(suite_dir: str | Path) -> list[CaseSpec]:
+    """The cases of every ``*/case.json`` under the suite directory, ids unique."""
     suite_dir = Path(suite_dir)
     manifests = sorted(suite_dir.glob("*/case.json"))
     if not manifests:
         raise CaseLoadError(f"no cases found under {suite_dir}")
-    return [load_case(m.parent) for m in manifests]
+    cases, first = [load_case(m.parent) for m in manifests], {}
+    for manifest, case in zip(manifests, cases):
+        if (other := first.setdefault(case.case_id, manifest)) is not manifest:
+            raise CaseLoadError(f"case manifests {other} and {manifest} "
+                                f"share the case id {case.case_id!r}")
+    return cases
 
 
 def _ranks(ids: list[int]) -> np.ndarray:
@@ -231,7 +237,8 @@ def evaluate_ir(predicted: IRModel, truth: IRModel, tol: float = DEFAULT_MATCH_T
     # candidate pairs in (distance, predicted id, reference id) order; ids
     # compare through their ranks, which are plain array indices
     i, j = pairs_within(pred_xy, threshold, ref_xy)
-    dist = np.fromiter(map(math.dist, pred_xy[i].tolist(), ref_xy[j].tolist()), float, i.size)
+    dist = np.fromiter(map(math.dist, pred_xy.take(i, axis=0).tolist(),
+                           ref_xy.take(j, axis=0).tolist()), float, i.size)
     order = np.lexsort((_ranks(ref_ids)[j], _ranks(pred_ids)[i], dist))
     # predicted row -> matched reference row or -1; the extra last entry
     # answers row -1, an endpoint that names no predicted node

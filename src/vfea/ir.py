@@ -797,7 +797,7 @@ def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]
     t_xy = p_xy if one_set else np.asarray(others, dtype=float).reshape(-1, 2)
     p_idx = np.flatnonzero(np.isfinite(p_xy).all(axis=1))
     t_idx = p_idx if one_set else np.flatnonzero(np.isfinite(t_xy).all(axis=1))
-    span = max(float(np.abs(xy[idx]).max(initial=0.0))
+    span = max(float(np.abs(xy.take(idx, axis=0)).max(initial=0.0))
                for xy, idx in ((p_xy, p_idx), (t_xy, t_idx)))
     # A cell a little wider than r (and never subnormal, where that margin
     # would round away), with every point at most 2**30 cells from the
@@ -808,7 +808,7 @@ def pairs_within(points, r: float, others=None) -> tuple[np.ndarray, np.ndarray]
     limit = min(r, sys.float_info.max)  # an overflowing distance never matches
 
     def cell_keys(xy, idx):
-        c = np.floor(xy[idx] / cell).astype(np.int64) + _CELL_OFFSET
+        c = np.floor(xy.take(idx, axis=0) / cell).astype(np.int64) + _CELL_OFFSET
         return c[:, 0] * _CELL_ROW + c[:, 1]
 
     p_keys = cell_keys(p_xy, p_idx)

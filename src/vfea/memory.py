@@ -27,7 +27,6 @@ ERROR_CATEGORIES = ("type_iii_unsafe_state", "type_ii_hallucination",
                     "type_i_lifecycle", "other")
 
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*")
-_LINE_RE = re.compile(r"line (\d+)")
 
 
 class MemoryPersistError(Exception):
@@ -82,18 +81,15 @@ def compute_signature(model: IRModel) -> StructuralSignature:
     )
 
 
-def classify_error(kind: str | Iterable[str], text: str) -> ErrorSignature:
+def classify_error(kind: str | Iterable[str], text: str, line: int | None) -> ErrorSignature:
     """Error signature of a failure: the category comes from the attempt row
     of ``failures.FAILURES`` of the failure kind (the most severe one for
-    several kinds), the tokens and the ``line N`` number from the message."""
+    several kinds), the tokens from the message, the line from its first fault."""
     kinds = (kind,) if isinstance(kind, str) else kind
     category = min((FAILURES["attempt", k].category for k in kinds),
                    key=ERROR_CATEGORIES.index)
-    low = text.lower()
-    match = _LINE_RE.search(low)
-    line = int(match.group(1)) if match else None
     return ErrorSignature(category=category,
-                          tokens=frozenset(_TOKEN_RE.findall(low)), line=line)
+                          tokens=frozenset(_TOKEN_RE.findall(text.lower())), line=line)
 
 
 def _record_to_line(rec: ExperienceRecord) -> str:

@@ -23,8 +23,9 @@ from .ir import (COLLECTIONS, AnalysisSpec, Element, IRModel, Node, _Defect, _Fi
                  _expected, _finite, _id_map, _read_json, _record, _text, _to_doc)
 from .simscript import (PROTECTED_ROOT, Analyze, Declare, Delete, End, Entity, Fault,
                         ModelBegin, ScriptAST, ScriptParseError, WorkspaceStmt, WriteResults,
-                        _inside_workspace, parse_script)
-from .solver import ANALYSES, ModalResult, SolverError, StaticResult, TopoResult, solved_dofs
+                        parse_script)
+from .solver import (ANALYSES, ModalResult, SolverError, StaticResult, TopoResult, free_dofs,
+                     solved_dofs)
 from .validation import check_l1
 
 SCRIPT_FILENAME = "script.sim"
@@ -201,9 +202,9 @@ class _ModelBuilder:
                           for kind, row in COLLECTIONS.items()}, analysis=analysis)
 
 
-def _check_work(spec: AnalysisSpec, free_dofs: int) -> None:
-    """Abort a run of an L1-clean spec whose budgeted work on ``free_dofs`` is too much."""
-    unit, count = ANALYSES[spec.mode].work(spec, free_dofs)
+def _check_work(spec: AnalysisSpec, free: int) -> None:
+    """Abort a run of an L1-clean spec whose budgeted work on ``free`` dofs is too much."""
+    unit, count = ANALYSES[spec.mode].work(spec, free)
     if count > (limit := _WORK_LIMITS[unit]):
         raise _RuntimeStop("budget", f"{unit} budget exceeded ({count} > {limit} {unit}s)")
 
@@ -268,9 +269,13 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
     results_path: Path | None = None
 
     def resolve_path(p: str) -> Path:
-        if not _inside_workspace(ws_root, p):
+        # the workspace boundary: the path, anchored at the workspace when relative
+        # and its existing symlinks resolved, is the workspace or lies under it
+        root = os.path.realpath(ws_root)
+        if "\0" in p or os.path.commonpath(
+                [root, os.path.realpath(os.path.join(root, p))]) != root:
             raise _RuntimeStop("isolation", f"artifact path escapes workspace: {p}")
-        return Path(p) if os.path.isabs(p) else ws_root / p
+        return ws_root / p
 
     def over_budget() -> _RuntimeStop:
         return _RuntimeStop("budget", f"statement budget ({limits.max_statements}) exceeded")
@@ -323,15 +328,11 @@ def _interpret(program: ScriptAST | str, ws_root: Path, limits: Limits,
                 schema_findings = check_l1(model)
                 if schema_findings:
                     raise _RuntimeStop("model", f"model rejected: {schema_findings[0].message}")
-                # the budget counts the dofs the solver assembles, those of
-                # the subdivided model for modal analysis
                 n_dofs = solved_dofs(model)
                 if n_dofs > limits.max_solver_dofs:
                     raise _RuntimeStop("budget", f"solver budget exceeded "
                                                  f"({n_dofs} > {limits.max_solver_dofs} dofs)")
-                # work is done on the free dofs; each constrained one is a solved one
-                _check_work(spec, n_dofs - sum(len(b.constrained_dofs)
-                                               for b in model.boundary_conditions))
+                _check_work(spec, free_dofs(model))
                 results = ANALYSES[spec.mode].run(model)
                 log_lines.append(f"    analysis complete ({n_dofs} dofs)")
             elif isinstance(stmt, WriteResults):

@@ -12,7 +12,6 @@ import operator
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 from .ir import (COLLECTIONS, DOF_ORDER, KINDS, MODES, AnalysisMode, AnalysisSpec,
                  BoundaryCondition, Element, IRModel, Load, Material, Node, Section)
@@ -347,18 +346,7 @@ def _statements(rows: list[tuple]) -> list[Statement | Declare]:
     return out
 
 
-def _inside_workspace(root: str | Path, candidate: str) -> bool:
-    # lexical containment; symlinks in existing prefixes are resolved first
-    root_real = os.path.realpath(str(root))
-    cand = candidate if os.path.isabs(candidate) else os.path.join(root_real, candidate)
-    try:
-        cand_real = os.path.realpath(cand)
-    except ValueError:  # embedded NUL: not a path at all
-        return False
-    return cand_real == root_real or cand_real.startswith(root_real + os.sep)
-
-
-def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[Fault]:
+def preflight(ast: ScriptAST) -> list[Fault]:
     """Static verification: lifecycle integrity, kernel safety, path isolation.
     Each violation is a fault of kind ``lifecycle``, ``safety`` or ``isolation``."""
     out: list[Fault] = []
@@ -373,9 +361,12 @@ def preflight(ast: ScriptAST, workspace_root: str | Path) -> list[Fault]:
         if isinstance(s, Delete) and s.target == PROTECTED_ROOT:
             out.append(Fault("safety", s.line,
                              "unsafe kernel operation: deletion of protected root container"))
-        if isinstance(s, (WriteResults, WorkspaceStmt)):
-            if not _inside_workspace(workspace_root, s.path):
-                out.append(Fault("isolation", s.line, f"artifact path escapes workspace: {s.path}"))
+        # a path must be relative, hold no NUL and not climb above its start;
+        # whether it lands inside the workspace a run is given is the kernel's check
+        if isinstance(s, (WriteResults, WorkspaceStmt)) and (
+                os.path.isabs(s.path) or "\0" in s.path
+                or os.path.normpath(s.path).split(os.sep)[0] == os.pardir):
+            out.append(Fault("isolation", s.line, f"artifact path escapes workspace: {s.path}"))
     return out
 
 

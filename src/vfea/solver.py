@@ -123,6 +123,8 @@ class AssembledSystem:
     constrained: frozenset[int]
     groups: tuple[_Group, ...]
     pattern: _Pattern
+    node_ids: list[int]     # the model's node ids, in increasing order
+    node_dofs: np.ndarray   # a row per node id: its ux, uy, rz dofs, -1 for no rz
 
     @property
     def n_dofs(self) -> int:
@@ -274,6 +276,13 @@ def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
     return index
 
 
+def _constrained(model: IRModel) -> set[tuple[int, str]]:
+    """The (node, dof) keys of the model's constrained dofs, all in its dof index."""
+    node_ids = set(map(_ID, model.nodes))
+    return {(b.node_id, d) for b in model.boundary_conditions if b.node_id in node_ids
+            for d in b.sorted_dofs()}
+
+
 def solved_dofs(model: IRModel) -> int:
     """Dofs the solver assembles for the model's analysis, constrained ones
     included: the analysis splits each member of a kind that splits into its
@@ -284,6 +293,11 @@ def solved_dofs(model: IRModel) -> int:
     inner = sum(len(row.dofs) * kinds.count(kind) for kind, row in KINDS.items() if row.split)
     return (2 * len(node_ids) + len(node_ids & _rz_nodes(model))
             + (ANALYSES[model.analysis.mode].subdivisions - 1) * inner)
+
+
+def free_dofs(model: IRModel) -> int:
+    """The free dofs among ``solved_dofs(model)``, those ``_FreeDofs`` holds."""
+    return solved_dofs(model) - len(_constrained(model))
 
 
 def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.ndarray],
@@ -337,9 +351,11 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
     index = build_dof_index(model)
     nodes = sorted(model.nodes, key=_ID)
     ids = [n.id for n in nodes]
-    # a node's dofs are consecutive from its ux, rz last where it has one
     ux = np.fromiter(map(index.__getitem__, zip(ids, itertools.repeat("ux"))), np.int64,
                      len(ids))
+    # a node's dofs are consecutive from its ux, rz last where it has one
+    node_dofs = ux[:, None] + np.arange(3)
+    node_dofs[np.diff(ux, append=len(index)) == 2, 2] = -1
     xy = _coordinates(nodes)
     sections = {s.id: s for s in model.sections}
     materials = {m.id: m for m in model.materials}
@@ -364,8 +380,8 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
         # ids (m,), dofs (m, 2d), end coordinates x1 y1 x2 y2 (m, 4), E, A, I, rho (m,)
         mask, d = row_of == k, len(row.dofs)
         rows = ends[mask]
-        dofs = (ux[rows].reshape(-1, 2, 1) + np.arange(d)).reshape(-1, 2 * d)
-        columns = (element_ids[mask], dofs, xy[rows].reshape(-1, 4),
+        dofs = node_dofs.take(rows, axis=0)[..., :d].reshape(-1, 2 * d)
+        columns = (element_ids[mask], dofs, xy.take(rows, axis=0).reshape(-1, 4),
                    [props[mask, j] for j in range(4)])
         if row.needs_inertia:
             faults += [(i, 1, f"{row.word} element {{}} has no moment of inertia")
@@ -390,16 +406,12 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
         if l.mz != 0.0:
             f[index[(l.node_id, "rz")]] += l.mz
 
-    constrained = frozenset(
-        index[(b.node_id, d)]
-        for b in model.boundary_conditions
-        for d in b.sorted_dofs()
-        if (b.node_id, d) in index
-    )
+    constrained = frozenset(map(index.__getitem__, _constrained(model)))
     pattern = _pattern(len(index), groups)
     K = _scatter(pattern, [FORMULATIONS[g.kind].stiffness(g) for g in groups])
     return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
-                           groups=tuple(groups), pattern=pattern)
+                           groups=tuple(groups), pattern=pattern, node_ids=ids,
+                           node_dofs=node_dofs)
 
 
 def _pattern(n: int, groups) -> _Pattern:
@@ -583,35 +595,25 @@ def _solve_free(K: scipy.sparse.csc_array, f: np.ndarray,
     return u, r, residual
 
 
-def _node_vectors(index: dict[tuple[int, str], int], node_ids: list[int],
+def _node_vectors(system: AssembledSystem, node_ids: list[int],
                   vectors: np.ndarray) -> list[dict[int, tuple[float, float, float]]]:
-    """node id -> (ux, uy, rz) of each column of ``vectors``, rz 0.0 where
-    a node has none."""
-    n = len(node_ids)
-    ux = np.fromiter(map(index.__getitem__, zip(node_ids, itertools.repeat("ux"))), np.int64, n)
-    has_rz = np.fromiter(map(index.__contains__, zip(node_ids, itertools.repeat("rz"))), bool, n)
-    # a node's dofs are consecutive from its ux, rz last where it has one
-    dofs = ux[:, None] + np.arange(3)
-    dofs[~has_rz, 2] = -1
+    """node id -> (ux, uy, rz) of each column of ``vectors`` at ``node_ids``, rz 0.0 for none."""
+    dofs = system.node_dofs.take(_rows(system.node_ids, node_ids), axis=0)
     columns = vectors.reshape(len(vectors), -1)
-    padded = np.vstack([columns, np.zeros((1, columns.shape[1]))])  # row -1: a missing rz
+    padded = np.vstack([columns, np.zeros_like(columns[:1])])  # row -1: a missing rz
     return [dict(zip(node_ids, map(tuple, padded[dofs, j].tolist())))
             for j in range(padded.shape[1])]
 
 
 def solve_static(model: IRModel) -> StaticResult:
     system = assemble(model)
-    index = system.dof_index
     free = _FreeDofs(system.pattern, system.constrained)
-    u, reactions_full, residual = _solve_free(system.K, system.f, free)
+    u, out_of_balance, residual = _solve_free(system.K, system.f, free)
+    out_of_balance[free.dofs] = 0.0  # the reactions: those at constrained dofs
 
-    displacements = _node_vectors(index, [n.id for n in model.nodes], u)[0]
-    reactions: dict[int, tuple[float, float, float]] = {}
-    for b in model.boundary_conditions:
-        r = {d: float(reactions_full[index[(b.node_id, d)]])
-             for d in b.sorted_dofs() if (b.node_id, d) in index}
-        reactions[b.node_id] = (r.get("ux", 0.0), r.get("uy", 0.0), r.get("rz", 0.0))
-
+    displacements = _node_vectors(system, [n.id for n in model.nodes], u)[0]
+    reactions = _node_vectors(system, [b.node_id for b in model.boundary_conditions],
+                              out_of_balance)[0]
     forces = ChainMap(*(FORMULATIONS[g.kind].forces(g, u) for g in system.groups))
     return StaticResult(displacements=displacements, reactions=reactions, **forces,
                         equilibrium_residual=residual)
@@ -672,7 +674,7 @@ def solve_modal(model: IRModel) -> ModalResult:
         if peak > 0:
             lead = t[np.argmax(np.abs(t) >= (1.0 - PEAK_TIE_RTOL) * peak)]
             phi[free.dofs, i] /= math.copysign(peak, lead)  # constrained dofs stay +0.0
-    shapes = _node_vectors(system.dof_index, [nd.id for nd in model.nodes], phi)
+    shapes = _node_vectors(system, [nd.id for nd in model.nodes], phi)
     return ModalResult(frequencies_hz=freqs, mode_shapes=tuple(shapes), note=note)
 
 

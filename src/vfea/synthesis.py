@@ -143,7 +143,7 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
         trace.attempts.append(attempt)
         try:
             program = parse_script(attempt.script)
-            attempt.faults = tuple(preflight(program, workspace_root))
+            attempt.faults = tuple(preflight(program))
             if not attempt.faults:
                 attempt.outcome = execute(
                     attempt.script, allocate_workspace(workspace_root, task_id), limits,
@@ -176,8 +176,8 @@ def synthesize(model: IRModel, K: int, buffer: ExperienceBuffer, generator: Gene
             log = attempt.outcome.log
         kinds = [f.kind for f in faults]
         message = "; ".join(f.message for f in faults)
-        err_sig = classify_error(kinds, message)
-        ctx = DebugContext(err_sig.category, message, faults[0].line, log, tuple(reflect(kinds)))
+        err_sig = classify_error(kinds, message, faults[0].line)
+        ctx = DebugContext(err_sig.category, message, err_sig.line, log, tuple(reflect(kinds)))
         buffer.record(ExperienceRecord(
             signature=sig, error=err_sig, lesson=ctx.lessons[0],
             script_excerpt=_excerpt(script), outcome="failure", created_at=time.time()))

@@ -17,7 +17,7 @@ from vfea.ir import AnalysisSpec, BoundaryCondition, IRModel, Load
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits, _finish,
                           _RuntimeStop, write_results_file)
 from vfea.simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin, ScriptAST,
-                            WorkspaceStmt, WriteResults, _inside_workspace)
+                            WorkspaceStmt, WriteResults)
 from vfea.solver import ANALYSES, SolverError, build_dof_index
 from vfea.validation import check_l1
 
@@ -39,6 +39,17 @@ def lines(program: ScriptAST) -> list:
         else:
             out.append(s)
     return out
+
+
+def _inside_workspace(root: str | Path, candidate: str) -> bool:
+    # lexical containment; symlinks in existing prefixes are resolved first
+    root_real = os.path.realpath(str(root))
+    cand = candidate if os.path.isabs(candidate) else os.path.join(root_real, candidate)
+    try:
+        cand_real = os.path.realpath(cand)
+    except ValueError:  # embedded NUL: not a path at all
+        return False
+    return cand_real == root_real or cand_real.startswith(root_real + os.sep)
 
 
 def solved_dofs(model: IRModel) -> int:

@@ -243,12 +243,12 @@ def _script_corpus() -> dict[str, list[str]]:
     return corpus
 
 
-def _detect(script: str, root: Path) -> set[str]:
+def _detect(script: str) -> set[str]:
     try:
         ast = parse_script(script)
     except ScriptParseError as exc:
         return {"type_ii"} if "unknown statement" in exc.reason else {"parse-other"}
-    kinds = {v.kind for v in preflight(ast, root)}
+    kinds = {v.kind for v in preflight(ast)}
     detected = set()
     if "lifecycle" in kinds:
         detected.add("type_i")
@@ -262,13 +262,12 @@ def _detect(script: str, root: Path) -> set[str]:
 def test_criterion_6_preflight_fault_detection():
     """100% precision and recall per fault family on the injected corpus."""
     with criterion("6 preflight-detection"):
-        root = Path("/srv/check")
         corpus = _script_corpus()
         assert sum(len(v) for v in corpus.values()) == 80
         for family, scripts in corpus.items():
             assert len(scripts) == 20
             for script in scripts:
-                detected = _detect(script, root)
+                detected = _detect(script)
                 if family == "clean":
                     assert detected == set()
                 else:

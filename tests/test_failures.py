@@ -47,7 +47,7 @@ class TestAttemptRows:
     @given(st.lists(st.sampled_from([*reference.FAILURE_KINDS, "budget", "unverified"]),
                     min_size=1, max_size=5))
     def test_category_and_lessons_as_before(self, kinds):
-        assert classify_error(kinds, "any message").category == reference.category(kinds)
+        assert classify_error(kinds, "any message", None).category == reference.category(kinds)
         assert reflect(kinds) == reference.reflect(kinds)
 
     @pytest.mark.parametrize("fault", sorted(reference.FAULT_KINDS))
@@ -132,7 +132,7 @@ class TestAttemptRows:
 
     def test_preflight_faults_format_as_before(self, tmp_path):
         script = "model begin\ndelete model root\nwrite_results ../x.res\nworkspace /etc\n"
-        faults = preflight(parse_script(script), tmp_path)
+        faults = preflight(parse_script(script))
         assert {f.kind for f in faults} == {"lifecycle", "safety", "isolation"}
         assert "\n".join(FAILURES["attempt", f.kind].text.format(
             f.message, "" if f.line is None else f" line {f.line}") for f in faults) == \

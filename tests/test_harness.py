@@ -704,6 +704,23 @@ class TestSuiteLoading:
         with pytest.raises(CaseLoadError):
             load_suite(tmp_path)
 
+    def test_a_case_id_shared_by_two_manifests_is_a_load_error(self, suite_dir, tmp_path,
+                                                              capsys):
+        # both would write truss_two_bar.md, the second overwriting the first
+        suite, out = tmp_path / "suite", tmp_path / "out"
+        for name in ("truss_triangle", "truss_two_bar"):
+            shutil.copytree(suite_dir / name, suite / name)
+        manifest = suite / "truss_triangle" / "case.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "id": "truss_two_bar"}))
+        message = (f"case manifests {manifest} and {suite / 'truss_two_bar' / 'case.json'} "
+                   f"share the case id 'truss_two_bar'")
+        with pytest.raises(CaseLoadError, match=re.escape(message)):
+            load_suite(suite)
+        assert cli_main(["bench", "--suite", str(suite), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_topopt_case_report_highlights(self, suite_dir, tmp_path):
         from vfea.harness import run_case
         case = next(c for c in load_suite(suite_dir) if c.expected_mode

@@ -74,45 +74,50 @@ FAILURE_TABLE = {
 
 class TestClassify:
     def test_lifecycle(self):
-        s = classify_error("lifecycle", "no execution trigger: analyze statement absent")
+        s = classify_error("lifecycle", "no execution trigger: analyze statement absent",
+                           None)
         assert s.category == "type_i_lifecycle"
 
     def test_hallucination_with_line(self):
-        s = classify_error("parse", "unknown statement 'mesh_edges' at line 12")
+        # the line is the one the fault blames, never one the message quotes
+        s = classify_error("parse", "unknown statement 'mesh_edges' at line 12", 3)
         assert s.category == "type_ii_hallucination"
-        assert s.line == 12
+        assert s.line == 3
         assert "mesh_edges" in s.tokens
+        assert classify_error("parse", "unknown statement 'mesh_edges' at line 12", None).line \
+            is None
 
     def test_unsafe_state(self):
         s = classify_error("kernel-protection",
-                           "kernel protection: deletion of protected root container")
+                           "kernel protection: deletion of protected root container", 2)
         assert s.category == "type_iii_unsafe_state"
 
     def test_other(self):
-        assert classify_error("solver", "numerical overflow in step 3").category == "other"
+        assert classify_error("solver", "numerical overflow in step 3", 5).category == "other"
 
     def test_tokens_lowercase_deduplicated(self):
-        s = classify_error("budget", "Missing MISSING missing trigger")
+        s = classify_error("budget", "Missing MISSING missing trigger", None)
         assert s.tokens == frozenset({"missing", "trigger"})
 
     def test_category_ignores_message_text(self):
         # an isolation message quoting a marker-laden path stays "other"
-        s = classify_error("isolation", "artifact path escapes workspace: ../protected root")
+        s = classify_error("isolation", "artifact path escapes workspace: ../protected root",
+                           4)
         assert s.category == "other"
-        assert classify_error("parse", "line 3: expected an integer").category == \
+        assert classify_error("parse", "line 3: expected an integer", 3).category == \
             "type_ii_hallucination"
 
     def test_batch_takes_most_severe_kind(self):
-        assert classify_error(["isolation", "lifecycle"], "").category == "type_i_lifecycle"
-        assert classify_error(["lifecycle", "safety", "isolation"], "").category == \
+        assert classify_error(["isolation", "lifecycle"], "", None).category == "type_i_lifecycle"
+        assert classify_error(["lifecycle", "safety", "isolation"], "", None).category == \
             "type_iii_unsafe_state"
-        assert classify_error(["isolation"], "").category == "other"
+        assert classify_error(["isolation"], "", None).category == "other"
 
     @pytest.mark.parametrize("kind", sorted(FAILURE_TABLE))
     def test_failure_table_pinned(self, kind):
         category, lesson = FAILURE_TABLE[kind]
         assert FAILURES["attempt", kind][1:3] == (category, lesson)
-        assert classify_error(kind, "any message").category == category
+        assert classify_error(kind, "any message", None).category == category
 
     def test_every_failure_has_a_kind_of_the_table(self):
         # a budget abort and an unverified run have kinds of their own, so
@@ -120,15 +125,15 @@ class TestClassify:
         assert {kind for stage, kind in FAILURES if stage == "attempt"} == set(FAILURE_TABLE)
         for kinds in ("no-such-kind", [None]):
             with pytest.raises(KeyError):
-                classify_error(kinds, "unknown statement")
+                classify_error(kinds, "unknown statement", 1)
         with pytest.raises(ValueError):
-            classify_error([], "")
+            classify_error([], "", None)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["parse", "safety", "budget", "unverified"]),
            st.text(min_size=1, max_size=120))
     def test_total_over_arbitrary_text(self, kind, text):
-        assert classify_error(kind, text).category in ERROR_CATEGORIES
+        assert classify_error(kind, text, None).category in ERROR_CATEGORIES
 
 
 class TestRetrieve:

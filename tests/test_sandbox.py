@@ -9,6 +9,7 @@ import math
 import random
 import re
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -19,11 +20,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import interpret_reference as reference
-from conftest import (cantilever_model, ground_structure, modal_cantilever,
+from conftest import (REPO_ROOT, cantilever_model, ground_structure, modal_cantilever,
                       random_frame_model, two_bar_truss)
-from vfea import certify, simscript, solver
+from vfea import certify, sandbox, simscript, solver
 from vfea.ir import (ANALYSIS_MODES, ELEMENT_KINDS, MODES, AnalysisSpec, BoundaryCondition,
-                     Element, Node)
+                     Element, Load, Node, deserialize)
 from vfea.perception import PerceptionError, parse_context
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits,
                           ResultsError, WorkspaceError,
@@ -34,6 +35,8 @@ from vfea.solver import TopoResult, optimize_topology, solve_modal, solve_static
 from vfea.synthesis import verify_results
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 # One script edit per outcome kind of an execution, applied to the lowered
 # cantilever: (kind, old text, new text, limits).
@@ -502,8 +505,9 @@ def _text(max_size: int):
 _IDS = st.integers(-1, 4).map(str)
 _NUMS = st.sampled_from(["0", "1", "-1", "1e-3", "2.1e11", "0.3", "7850", "1e-6", "nan",
                          "inf", "-inf", "1e308", "1e-200", "-2.5"])
-_PATHS = st.sampled_from(["results.res", ".", "..", "../escape.res", "/escape.res",
-                          "sub/r.res", "script.sim", "script.sim/x", "a\x00b", "x" * 300])
+_PATH_TEXTS = ["results.res", ".", "..", "../escape.res", "/escape.res", "sub/r.res",
+               "script.sim", "script.sim/x", "a\x00b", "x" * 300]
+_PATHS = st.sampled_from(_PATH_TEXTS)
 _LINES = st.one_of(
     st.sampled_from(["model begin", "analyze static", "end", "delete model root"]),
     st.tuples(st.sampled_from(["node", "material", "section", "load", "fix", "delete element",
@@ -557,6 +561,27 @@ def test_inprocess_execute_is_total(script):
 @given(_scripts())
 def test_subprocess_execute_is_total(script):
     _assert_execute_is_total(script, "subprocess")
+
+
+@pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+@pytest.mark.parametrize("statement", ["write_results", "workspace"])
+def test_a_path_preflight_passes_never_escapes_a_fresh_workspace(tmp_path, mode, statement):
+    """Preflight sees no workspace, and the kernel draws the boundary: over
+    every artifact path above, and an absolute one into a sibling workspace,
+    a script that preflight passes never ends in an isolation fault."""
+    base = lower_ir(cantilever_model())
+    sibling = str(allocate_workspace(tmp_path, "other") / simscript.RESULTS_FILENAME)
+    passed = []
+    for path in [*_PATH_TEXTS, sibling]:
+        script = (base.replace("write_results results.res", f"write_results {path}")
+                  if statement == "write_results"
+                  else base.replace("model begin\n", f"model begin\nworkspace {path}\n"))
+        if simscript.preflight(parse_script(script)):
+            continue
+        passed.append(path)
+        out = execute(script, allocate_workspace(tmp_path, "task"), Limits(), mode=mode)
+        assert out.runtime_error is None or out.runtime_error.kind != "isolation", path
+    assert passed == ["results.res", ".", "sub/r.res", "script.sim", "script.sim/x", "x" * 300]
 
 
 # Every result kind and optional field, as solved: name -> result set.
@@ -778,6 +803,47 @@ class TestAnalysisTable:
         assert documented == [(mode, p.key, {int: "integer", float: "number"}[p.read],
                                f"[{p.low:g}, {p.high:g}]", p.prior, p.kept)
                               for mode, row in MODES.items() for p in row.params]
+
+    @staticmethod
+    def budget_models(suite_dir) -> list[tuple[str, object]]:
+        """The bundled reference models, and the truss grids, frames and
+        random frames the tests generate."""
+        bundled = [(d.name, deserialize((d / "truth.ir.json").read_text()))
+                   for d in sorted(suite_dir.iterdir()) if (d / "truth.ir.json").exists()]
+        generated = [(f"{make.__name__}{size}",
+                      deserialize(json.dumps(make(*size, random.Random(f"budget{size}"))[2])))
+                     for make, size in ((workloads.truss_grid, (4, 2)),
+                                        (workloads.truss_grid, (20, 10)),
+                                        (workloads.frame, (4, 2)), (workloads.frame, (10, 5)))]
+        rng = random.Random(17)
+        return bundled + generated + [(f"random{i}", random_frame_model(rng)) for i in range(8)]
+
+    @pytest.mark.parametrize("mode", ["static", "modal"])
+    def test_the_budgets_count_the_dofs_the_solver_assembles_and_factors(
+            self, monkeypatch, tmp_path, suite_dir, mode):
+        # the counts the run's dof and work budgets read, stopped there
+        counted = {}
+        monkeypatch.setattr(sandbox, "solved_dofs",
+                            lambda m: counted.setdefault("dofs", solver.solved_dofs(m)))
+
+        def stop(spec, free):
+            counted["free"] = free
+            raise sandbox._RuntimeStop("budget", "counted")
+
+        monkeypatch.setattr(sandbox, "_check_work", stop)
+        spec = AnalysisSpec(mode, modal_count=3 if mode == "modal" else None)
+        models = self.budget_models(suite_dir)
+        assert len(models) == 15 + 4 + 8
+        for name, base in models:
+            # a static analysis needs a load; the frame_modal case has none
+            model = replace(base, analysis=spec,
+                            loads=base.loads or (Load(base.nodes[-1].id, 0.0, -1e3, 0.0),))
+            counted.clear()
+            out = execute(lower_ir(model), allocate_workspace(tmp_path, "budget"), Limits())
+            assert out.runtime_error.message == "counted", name
+            system = solver.assemble(model, solver.ANALYSES[mode].subdivisions)
+            free = solver._FreeDofs(system.pattern, system.constrained)
+            assert counted == {"dofs": system.n_dofs, "free": free.size}, name
 
     def test_execute_calls_the_solver_by_its_module_name(self, monkeypatch, tmp_path):
         # a tracer times the solver by rebinding ``solver.solve_static``; a

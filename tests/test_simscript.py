@@ -288,56 +288,64 @@ def test_parser_agrees_with_the_reference(script):
 
 
 class TestPreflight:
-    def test_clean_script(self, tmp_path):
-        assert preflight(parse_script(MINIMAL), tmp_path) == []
+    def test_clean_script(self):
+        assert preflight(parse_script(MINIMAL)) == []
 
-    def test_missing_analyze_is_lifecycle(self, tmp_path):
+    def test_missing_analyze_is_lifecycle(self):
         ast = parse_script(MINIMAL.replace("analyze static\n", ""))
-        violations = preflight(ast, tmp_path)
+        violations = preflight(ast)
         assert [v.kind for v in violations] == ["lifecycle"]
         assert "no execution trigger" in violations[0].message
 
-    def test_missing_end_is_lifecycle(self, tmp_path):
+    def test_missing_end_is_lifecycle(self):
         ast = parse_script(MINIMAL.replace("end\n", ""))
-        assert [v.kind for v in preflight(ast, tmp_path)] == ["lifecycle"]
+        assert [v.kind for v in preflight(ast)] == ["lifecycle"]
 
-    def test_root_deletion_is_safety(self, tmp_path):
+    def test_root_deletion_is_safety(self):
         ast = parse_script(MINIMAL.replace("analyze static",
                                            "delete model root\nanalyze static"))
-        violations = preflight(ast, tmp_path)
+        violations = preflight(ast)
         assert [v.kind for v in violations] == ["safety"]
         assert violations[0].line == 9
 
-    def test_absolute_escape_is_isolation(self, tmp_path):
-        ws = tmp_path / "runs" / "task-7"
-        ws.mkdir(parents=True)
+    def test_absolute_escape_is_isolation(self):
         ast = parse_script(MINIMAL.replace("write_results results.res",
                                            "write_results /tmp/other/out.res"))
-        violations = preflight(ast, ws)
+        violations = preflight(ast)
         assert [v.kind for v in violations] == ["isolation"]
 
-    def test_relative_escape_is_isolation(self, tmp_path):
+    def test_relative_escape_is_isolation(self):
         ast = parse_script(MINIMAL.replace("write_results results.res",
                                            "write_results ../out.res"))
-        assert [v.kind for v in preflight(ast, tmp_path)] == ["isolation"]
+        assert [v.kind for v in preflight(ast)] == ["isolation"]
 
-    def test_workspace_statement_checked(self, tmp_path):
+    @pytest.mark.parametrize("path, escapes", [
+        ("results.res", False), ("sub/../r.res", False), (".", False), ("a/./b/", False),
+        ("sub/../../r.res", True), ("..", True), ("../", True), ("a\0b", True),
+        ("/tmp/ws/task-0001/results.res", True),
+    ])
+    def test_a_path_is_relative_and_never_climbs_above_its_start(self, path, escapes):
+        # whether it lands inside a given workspace is the kernel's check
+        ast = parse_script(MINIMAL.replace("write_results results.res", f"write_results {path}"))
+        assert [v.kind for v in preflight(ast)] == ["isolation"] * escapes
+
+    def test_workspace_statement_checked(self):
         ast = parse_script("model begin\nworkspace /etc\nanalyze static\n"
                            "write_results r.res\nend\n")
-        assert any(v.kind == "isolation" for v in preflight(ast, tmp_path))
+        assert any(v.kind == "isolation" for v in preflight(ast))
 
-    def test_monotone_under_violating_statement_removal(self, tmp_path):
+    def test_monotone_under_violating_statement_removal(self):
         text = MINIMAL.replace("analyze static",
                                "delete model root\nanalyze static") \
                       .replace("write_results results.res",
                                "write_results ../escape.res")
         ast = parse_script(text)
-        before = preflight(ast, tmp_path)
+        before = preflight(ast)
         for v in before:
             if v.line is None:
                 continue
             pruned = "\n".join(l for i, l in enumerate(text.splitlines(), 1) if i != v.line)
-            after = preflight(parse_script(pruned), tmp_path)
+            after = preflight(parse_script(pruned))
             kind_count = lambda vs, k: sum(1 for x in vs if x.kind == k)
             assert kind_count(after, v.kind) < kind_count(before, v.kind)
 
@@ -377,11 +385,9 @@ class TestLowerIR:
 @given(st.integers(min_value=0, max_value=10_000))
 def test_lowering_soundness_property(seed):
     """Guaranteed-executable contract: every audited model lowers to a script
-    that parses and preflights clean (containment is lexical, so the
-    workspace root need not exist)."""
-    root = Path("/srv/vfea-check/ws")
+    that parses and preflights clean."""
     model = random_frame_model(random.Random(seed))
     assert audit(model).clean
     script = lower_ir(model)
     ast = parse_script(script)
-    assert preflight(ast, root) == []
+    assert preflight(ast) == []

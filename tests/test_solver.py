@@ -568,11 +568,17 @@ def head_prepare(model: IRModel, n_sub: int = 1):
 
 
 def head_assemble(model: IRModel, n_sub: int):
+    """``head_prepare``'s system, each model node's dofs looked up in the
+    dof index: ux, uy and rz, -1 where it has no rz."""
     index, groups, f, constrained = head_prepare(model, n_sub)
     pattern = solver._pattern(len(index), groups)
     K = solver._scatter(pattern, [element_stiffness(g) for g in groups])
+    node_ids = sorted(n.id for n in model.nodes)
+    node_dofs = np.array([[index.get((n, d), -1) for d in ("ux", "uy", "rz")]
+                          for n in node_ids], dtype=np.int64).reshape(-1, 3)
     return solver.AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
-                                  groups=groups, pattern=pattern)
+                                  groups=groups, pattern=pattern, node_ids=node_ids,
+                                  node_dofs=node_dofs)
 
 
 ALUMINIUM = replace(STEEL, id=2, youngs_modulus=70e9, density=2700.0)
@@ -619,6 +625,9 @@ def test_element_table_equals_its_previous_algorithm(m, n_sub):
         return
     got = assemble(m, n_sub)
     assert_same_system(got, want, n_sub)
+    assert got.node_ids == want.node_ids
+    assert got.node_dofs.dtype == want.node_dofs.dtype
+    assert got.node_dofs.tolist() == want.node_dofs.tolist()
     for a, b in zip(got.groups, want.groups):
         for name in a._fields[1:]:
             x, y = getattr(a, name), getattr(b, name)
@@ -648,6 +657,8 @@ class TestSubdivision:
         n_sub = solver.ANALYSES["modal"].subdivisions if m.analysis.mode == "modal" else 1
         reference = assemble(subdivide_reference(m, n_sub))
         assert solved_dofs(m) == len(reference.dof_index)
+        assert solver.free_dofs(m) == solver._FreeDofs(reference.pattern,
+                                                       reference.constrained).size
         assert_same_system(assemble(m, n_sub), reference, n_sub)
 
     def test_static_count_is_the_dof_index(self):

@@ -77,6 +77,19 @@ class TestComposeDebugContext:
         assert f"line {line}" in ctx.raw_log
         assert ctx.category == "type_iii_unsafe_state"
 
+    def test_the_replay_record_blames_the_line_the_context_does(self, tmp_path, cantilever):
+        # faulty:type_iii puts "delete model root" on line 2, which preflight blames
+        buffer, seen = ExperienceBuffer(), []
+
+        class Heeding(FaultyGenerator):
+            def repair(self, script, context):
+                seen.append(context)
+                return super().repair(script, context)
+
+        synthesize(cantilever, 1, buffer, Heeding("type_iii"), tmp_path)
+        assert [ctx.line for ctx in seen] == [2]
+        assert buffer.records[0].error.line == seen[0].line == 2
+
     @pytest.mark.parametrize("K", [0, 3])
     def test_lessons_are_the_reflections_and_memory_is_read_once(self, tmp_path, cantilever,
                                                                  monkeypatch, K):
@@ -87,7 +100,7 @@ class TestComposeDebugContext:
         for kind, message in [(None, ""), ("isolation", "path escapes the workspace"),
                               ("solver", "rigid body motion at line 9")]:
             buffer.record(ExperienceRecord(
-                signature=sig, error=None if kind is None else classify_error(kind, message),
+                signature=sig, error=None if kind is None else classify_error(kind, message, 9),
                 lesson=reflect([kind])[0] if kind else "verified static script",
                 script_excerpt="model begin", outcome="failure" if kind else "success",
                 created_at=0.0))
@@ -272,8 +285,8 @@ class TestUnverifiedAttempt:
         assert "line 1 column 27" in ctx.message and ctx.line is None
         self.assert_unverified(attempt, ctx, "$: invalid document syntax: Expecting property "
                                "name enclosed in double quotes: line 1 column 27 (char 26)")
-        # the stored error signature keeps the line number its message quotes
-        assert buffer.records[0].error.line == 1
+        # nor does the stored error signature: its line is the fault's
+        assert buffer.records[0].error.line is None
 
     def test_an_unverified_fallback_names_the_path_and_condition(self, tmp_path, cantilever,
                                                                  monkeypatch):
