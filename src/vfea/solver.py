@@ -6,11 +6,14 @@ arrays per element kind (dofs, length, direction cosines, section and
 material), built column by column in one pass over the elements. Frame
 refinement happens in that table: for modal analysis the columns of each
 member of a kind that splits (``ir.KINDS``) are split into equal pieces,
-with interior points, dofs and ids computed as arrays, so no refined model
-is ever built and no second dof index either. Element stiffness and mass
-matrices are built a whole group at a time and summed through COO row and
-column indices, also computed once per model, into sparse CSC matrices; the
-consistent mass matrix is assembled only when modal analysis asks for it.
+with interior points and ids computed as arrays, so no refined model is
+ever built. One dof layout (``_layout``) places every dof, the nodes' own
+and the interior points', in one array pass; the element table, loads,
+constraints, mode shapes and the dof budget's count all read it. Element
+stiffness and mass matrices are built a whole group at a time and summed
+through COO row and column indices, also computed once per model, into
+sparse CSC matrices; the consistent mass matrix is assembled only when
+modal analysis asks for it.
 
 The free partition of K is ordered by reverse Cuthill-McKee (Cuthill &
 McKee 1969) and factored in one of two forms. When the ordered band is
@@ -51,7 +54,6 @@ a 17163-dof frame, which takes SuperLU, in ~0.1 s.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import ChainMap
 from dataclasses import dataclass
@@ -65,8 +67,8 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .certify import RESIDUAL_LIMIT
-from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, KINDS, MODES, AnalysisSpec,
-                 IRModel, _coordinates, _endpoints, _rows)
+from .ir import (_ID, _KIND, _SECTION_ID, AREA_FLOOR_RATIO, DOF_ORDER, KINDS, MODES,
+                 AnalysisSpec, IRModel, _coordinates, _endpoints, _rows)
 from .validation import restraint_rank
 
 _MODAL, _TOPOLOGY = MODES["modal"], MODES["topology_optimization"]
@@ -117,14 +119,13 @@ class _Pattern(NamedTuple):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    dof_index: dict[tuple[int, str], int]
     K: scipy.sparse.csc_array
     f: np.ndarray
     constrained: frozenset[int]
     groups: tuple[_Group, ...]
     pattern: _Pattern
     node_ids: list[int]     # the model's node ids, in increasing order
-    node_dofs: np.ndarray   # a row per node id: its ux, uy, rz dofs, -1 for no rz
+    node_dofs: np.ndarray   # ``_layout``'s row of ux, uy, rz dofs per point, -1 for no rz
 
     @property
     def n_dofs(self) -> int:
@@ -263,21 +264,29 @@ def _rz_nodes(model: IRModel) -> set[int]:
     return rz_nodes
 
 
-def build_dof_index(model: IRModel) -> dict[tuple[int, str], int]:
-    """Allocate global dof indices: ux, uy at every node; rz only where it can
-    carry stiffness (``_rz_nodes``), load, or an explicit constraint."""
-    rz_nodes = _rz_nodes(model)
-    index: dict[tuple[int, str], int] = {}
-    for n in sorted(model.nodes, key=lambda n: n.id):
-        index[(n.id, "ux")] = len(index)
-        index[(n.id, "uy")] = len(index)
-        if n.id in rz_nodes:
-            index[(n.id, "rz")] = len(index)
-    return index
+def _layout(model: IRModel, n_sub: int) -> tuple[list[int], np.ndarray, int]:
+    """Where each dof of the model goes when each member of a kind that
+    splits is split into ``n_sub`` elements: the node ids in increasing
+    order, a row of ux, uy, rz dofs per point, -1 for no rz, and the number
+    of dofs. The points are the nodes in id order, then the interior points
+    of the split members in (kind, member id, point) order. A point's dofs
+    are consecutive from its ux; a node carries rz when ``_rz_nodes`` says
+    so, an interior point when its kind does. No node id enters an array:
+    ids may exceed int64."""
+    ids = sorted(map(_ID, model.nodes))
+    has_rz = np.fromiter(map(_rz_nodes(model).__contains__, ids), bool, len(ids))
+    kinds = list(map(_KIND, model.elements)) if n_sub > 1 else []  # no interior points at 1
+    # the dofs of each point: 2 or 3 at a node, its kind's at an interior point
+    widths = np.concatenate([2 + has_rz] + [np.full((n_sub - 1) * kinds.count(kind), len(row.dofs))
+                                            for kind, row in KINDS.items() if row.split])
+    ux = np.cumsum(widths) - widths
+    dofs = ux[:, None] + np.arange(3)
+    dofs[widths == 2, 2] = -1
+    return ids, dofs, int(widths.sum())
 
 
 def _constrained(model: IRModel) -> set[tuple[int, str]]:
-    """The (node, dof) keys of the model's constrained dofs, all in its dof index."""
+    """The (node, dof) keys of the model's constrained dofs, all in its layout."""
     node_ids = set(map(_ID, model.nodes))
     return {(b.node_id, d) for b in model.boundary_conditions if b.node_id in node_ids
             for d in b.sorted_dofs()}
@@ -285,14 +294,8 @@ def _constrained(model: IRModel) -> set[tuple[int, str]]:
 
 def solved_dofs(model: IRModel) -> int:
     """Dofs the solver assembles for the model's analysis, constrained ones
-    included: the analysis splits each member of a kind that splits into its
-    row's ``subdivisions`` elements, whose interior nodes carry the kind's dofs."""
-    # ux and uy at every node, rz at those build_dof_index gives one
-    node_ids = set(map(_ID, model.nodes))
-    kinds = list(map(_KIND, model.elements))
-    inner = sum(len(row.dofs) * kinds.count(kind) for kind, row in KINDS.items() if row.split)
-    return (2 * len(node_ids) + len(node_ids & _rz_nodes(model))
-            + (ANALYSES[model.analysis.mode].subdivisions - 1) * inner)
+    included: those of its layout under the split count of its mode's row."""
+    return _layout(model, ANALYSES[model.analysis.mode].subdivisions)[2]
 
 
 def free_dofs(model: IRModel) -> int:
@@ -301,11 +304,11 @@ def free_dofs(model: IRModel) -> int:
 
 
 def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.ndarray],
-           n_sub: int, first_id: int, first_dof: int):
+           n_sub: int, first_id: int, inner: np.ndarray):
     """Columns of one kind with each member split into n_sub equal pieces.
 
     Interior point i of a member is ``x1 + (i / n_sub) * (x2 - x1)`` and has
-    the kind's d dofs from ``first_dof`` on, in (member, point) order. A
+    the kind's d dofs ``inner[member, i - 1]``, of shape (m, n_sub - 1, d). A
     member's first piece keeps its id and row; the other pieces follow all
     members, in (member, piece) order, with ids from ``first_id``.
     """
@@ -314,7 +317,6 @@ def _split(ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray, props: list[np.n
     x1, y1, x2, y2 = (ends[:, j:j + 1] for j in range(4))
     xs = np.concatenate([x1, x1 + t * (x2 - x1), x2], axis=1)    # (m, n_sub + 1)
     ys = np.concatenate([y1, y1 + t * (y2 - y1), y2], axis=1)
-    inner = first_dof + np.arange(d * m * k, dtype=np.int64).reshape(m, k, d)
     chain = np.concatenate([dofs[:, None, :d], inner, dofs[:, None, d:]], axis=1)
 
     def rows(a: np.ndarray) -> np.ndarray:  # (m, n_sub, ...) pieces in table order
@@ -336,7 +338,7 @@ def _group(kind: str, ids: np.ndarray, dofs: np.ndarray, ends: np.ndarray,
 
 
 def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
-    """Direct stiffness assembly of K, with the dof index, element table
+    """Direct stiffness assembly of K, with the dof layout, element table
     (one group per ``ir.KINDS`` row, in that order), load vector and
     constrained dofs of a model with each member of a kind that splits
     split into ``n_sub`` elements; the consistent mass matrix ``M`` is
@@ -348,15 +350,8 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
     member id, piece) order. Its matrices are therefore bit-identical to
     those of that model, without building it.
     """
-    index = build_dof_index(model)
-    nodes = sorted(model.nodes, key=_ID)
-    ids = [n.id for n in nodes]
-    ux = np.fromiter(map(index.__getitem__, zip(ids, itertools.repeat("ux"))), np.int64,
-                     len(ids))
-    # a node's dofs are consecutive from its ux, rz last where it has one
-    node_dofs = ux[:, None] + np.arange(3)
-    node_dofs[np.diff(ux, append=len(index)) == 2, 2] = -1
-    xy = _coordinates(nodes)
+    ids, node_dofs, n_dofs = _layout(model, n_sub)
+    xy = _coordinates(sorted(model.nodes, key=_ID))
     sections = {s.id: s for s in model.sections}
     materials = {m.id: m for m in model.materials}
 
@@ -371,8 +366,8 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
     props = table[_rows([s.id for s in used], map(_SECTION_ID, elements))]
     row_of = _rows(list(KINDS), map(_KIND, elements))
 
-    if n_sub > 1:  # a split member's interior nodes and pieces follow the model's own
-        first_node, first_id = (max(map(_ID, c), default=0) + 1 for c in (model.nodes, elements))
+    # a split member's interior points and pieces follow the model's own
+    point, first_id = len(ids), max(map(_ID, elements), default=0) + 1
     # the first element in id order with zero length or no inertia, zero length
     # first when one element has both
     groups, faults = [], []
@@ -387,11 +382,10 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
             faults += [(i, 1, f"{row.word} element {{}} has no moment of inertia")
                        for i in element_ids[mask & (props[:, 4] == 1.0)][:1].tolist()]
         if row.split and n_sub > 1 and rows.size:
-            first_dof, n_inner = len(index), len(rows) * (n_sub - 1)
-            index.update(zip(itertools.product(range(first_node, first_node + n_inner), row.dofs),
-                             itertools.count(first_dof)))
-            columns = _split(*columns, n_sub, first_id, first_dof)
-            first_node, first_id = first_node + n_inner, first_id + n_inner
+            n_inner = len(rows) * (n_sub - 1)
+            inner = node_dofs[point:point + n_inner, :d].reshape(len(rows), n_sub - 1, d)
+            columns = _split(*columns, n_sub, first_id, inner)
+            point, first_id = point + n_inner, first_id + n_inner
         groups.append(_group(kind, *columns))
     faults += [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
                for g in groups if np.any(g.L == 0.0)]
@@ -399,19 +393,21 @@ def assemble(model: IRModel, n_sub: int = 1) -> AssembledSystem:
         element, _, message = min(faults)
         raise SolverError(message.format(element))
 
-    f = np.zeros(len(index))
-    for l in model.loads:
-        f[index[(l.node_id, "ux")]] += l.fx
-        f[index[(l.node_id, "uy")]] += l.fy
-        if l.mz != 0.0:
-            f[index[(l.node_id, "rz")]] += l.mz
+    # each load adds fx, fy and mz at its node's row, in load order; a zero
+    # mz at a node without rz goes nowhere
+    f = np.zeros(n_dofs)
+    at = node_dofs.take(_rows(ids, (l.node_id for l in model.loads)), axis=0).ravel()
+    loads = np.array([(l.fx, l.fy, l.mz) for l in model.loads], float).ravel()
+    kept = at >= 0
+    np.add.at(f, at[kept], loads[kept])
 
-    constrained = frozenset(map(index.__getitem__, _constrained(model)))
-    pattern = _pattern(len(index), groups)
+    keys = list(_constrained(model))
+    constrained = frozenset(node_dofs[_rows(ids, (n for n, _ in keys)),
+                                      _rows(DOF_ORDER, (d for _, d in keys))].tolist())
+    pattern = _pattern(n_dofs, groups)
     K = _scatter(pattern, [FORMULATIONS[g.kind].stiffness(g) for g in groups])
-    return AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
-                           groups=tuple(groups), pattern=pattern, node_ids=ids,
-                           node_dofs=node_dofs)
+    return AssembledSystem(K=K, f=f, constrained=constrained, groups=tuple(groups),
+                           pattern=pattern, node_ids=ids, node_dofs=node_dofs)
 
 
 def _pattern(n: int, groups) -> _Pattern:
@@ -665,7 +661,7 @@ def solve_modal(model: IRModel) -> ModalResult:
         raise SolverError("mechanism detected: non-positive vibration mode")
     freqs = tuple(float(math.sqrt(w) / (2 * math.pi)) for w in w2)
 
-    translations = np.array([i for (_, d), i in system.dof_index.items() if d != "rz"])
+    translations = system.node_dofs[:, :2].ravel()  # in increasing dof order
     phi = np.zeros((system.n_dofs, n))
     phi[free.dofs] = vecs
     for i in range(n):

@@ -303,10 +303,21 @@ def _prepare(model: IRModel, n_sub: int = 1) -> tuple[dict[tuple[int, str], int]
     return index, groups, f, constrained
 
 
+def layout(model: IRModel, index: dict[tuple[int, str], int]) -> tuple:
+    """The dof layout the solver keeps of a dof index of the split model: the
+    model's node ids in increasing order, the ux, uy, rz dofs of each point
+    (-1 for none), the nodes in that order and then the interior points in
+    index order, and the dof count."""
+    points = dict.fromkeys(n for n, _ in index)
+    return (sorted(n.id for n in model.nodes),
+            [[index.get((n, d), -1) for d in DOF_NAMES["frame_beam"]] for n in points],
+            len(index))
+
+
 def assemble(model: IRModel, n_sub: int = 1):
-    """Dof index, K, M, f, constrained dofs and groups of the split model."""
+    """Dof layout, K, M, f, constrained dofs and groups of the split model."""
     index, groups, f, constrained = _prepare(model, n_sub)
     pattern = _pattern(len(index), groups)
     K = _scatter(pattern, [element_stiffness(g) for g in groups])
     M = _scatter(pattern, [element_mass(g) for g in groups])
-    return index, K, M, f, constrained, groups
+    return layout(model, index), K, M, f, constrained, groups

@@ -2,9 +2,10 @@
 reference the run-at-once ``vfea.sandbox._interpret`` is checked against
 (tests/test_sandbox.py). It runs one statement per line, so ``lines``
 first expands each run of declarations into one statement per line; the
-dofs it budgets are counted from the dof index, as ``solved_dofs`` once
-counted them, and the modes from the free ones among them. A budget stop
-carries a ``budget`` fault on the last line run, like every other stop."""
+dofs it budgets are counted from a dof index, as ``solved_dofs`` once
+counted them, the one of element_kinds_reference.py and not the solver's,
+and the modes from the free ones among them. A budget stop carries a
+``budget`` fault on the last line run, like every other stop."""
 
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from element_kinds_reference import build_dof_index
 from vfea.ir import AnalysisSpec, BoundaryCondition, IRModel, Load
 from vfea.sandbox import (MAX_MODES, MAX_OC_ITERATIONS, ExecutionOutcome, Limits, _finish,
                           _RuntimeStop, write_results_file)
 from vfea.simscript import (Analyze, Declare, Delete, End, Entity, Fault, ModelBegin, ScriptAST,
                             WorkspaceStmt, WriteResults)
-from vfea.solver import ANALYSES, SolverError, build_dof_index
+from vfea.solver import ANALYSES, SolverError
 from vfea.validation import check_l1
 
 

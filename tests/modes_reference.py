@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 
+from element_kinds_reference import _rz_nodes
 from vfea.ir import ANALYSIS_MODES, AnalysisSpec, IRModel, Material, Section, _ID, bounding_box
 from vfea.perception import (DEFAULT_MATERIAL, DEFAULT_SECTION, ContextDirectives,
                              PerceptionError)
 from vfea.sandbox import MAX_MODES, MAX_OC_ITERATIONS
-from vfea.solver import ANALYSES, _rz_nodes
+from vfea.solver import ANALYSES
 from vfea.validation import Finding
 
 DEFAULT_VOLFRAC = 0.5

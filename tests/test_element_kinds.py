@@ -57,20 +57,21 @@ def mixed_models(draw) -> IRModel:
 
 
 def _system(assemble, model: IRModel, n_sub: int):
-    """The dof index, K and M data, f, constrained dofs and group ids and
+    """The dof layout, K and M data, f, constrained dofs and group ids and
     kinds of the split model, or the SolverError message."""
     try:
-        index, K, M, f, constrained, groups = assemble(model, n_sub)
+        layout, K, M, f, constrained, groups = assemble(model, n_sub)
     except solver.SolverError as exc:
         return str(exc)
-    return (list(index.items()),
+    return (layout,
             *(getattr(a, part).tobytes() for a in (K, M) for part in ("data", "indices", "indptr")),
             f.tobytes(), constrained, [(g.kind, g.ids.tolist()) for g in groups])
 
 
 def _table_assemble(model: IRModel, n_sub: int):
     s = solver.assemble(model, n_sub)
-    return s.dof_index, s.K, s.M, s.f, s.constrained, s.groups
+    return ((s.node_ids, s.node_dofs.tolist(), s.n_dofs), s.K, s.M, s.f, s.constrained,
+            s.groups)
 
 
 # A zero-length frame beam (nodes 1 and 2 coincide) and a frame beam without

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 from conftest import (BAR, BEAM, REPO_ROOT, STEEL, cantilever_model, ground_structure,
                       modal_cantilever, random_frame_model, two_bar_truss)
-from element_kinds_reference import DOF_NAMES, element_stiffness
+from element_kinds_reference import DOF_NAMES, build_dof_index, element_stiffness, layout
 from vfea.ir import (AnalysisSpec, BoundaryCondition, Element, IRModel, Load,
                      Node, Section, canonicalize, deserialize)
 from vfea import solver
 from vfea.sandbox import Limits, allocate_workspace, execute
 from vfea.simscript import lower_ir
-from vfea.solver import (SolverError, assemble, build_dof_index,
-                         optimize_topology, solve_modal, solve_static, solved_dofs)
+from vfea.solver import (SolverError, assemble, optimize_topology, solve_modal, solve_static,
+                         solved_dofs)
 from vfea.validation import restraint_rank
 
 # The messages of a solver error for an element the solver cannot assemble,
@@ -65,16 +65,16 @@ def unbraced_square(analysis: AnalysisSpec = AnalysisSpec()) -> IRModel:
 
 class TestAssemble:
     def test_horizontal_bar_stiffness_entries(self):
-        sys_ = assemble(single_bar((2.0, 0.0)))
-        i1 = sys_.dof_index[(1, "ux")]
-        i2 = sys_.dof_index[(2, "ux")]
+        m = single_bar((2.0, 0.0))
+        sys_, index = assemble(m), build_dof_index(m)
+        i1, i2 = index[(1, "ux")], index[(2, "ux")]
         assert sys_.K[i1, i1] == pytest.approx(1e6)
         assert sys_.K[i1, i2] == pytest.approx(-1e6)
 
     def test_vertical_bar_has_no_ux_coupling(self):
-        sys_ = assemble(single_bar((0.0, 2.0)))
-        i1 = sys_.dof_index[(1, "ux")]
-        i2 = sys_.dof_index[(2, "ux")]
+        m = single_bar((0.0, 2.0))
+        sys_, index = assemble(m), build_dof_index(m)
+        i1, i2 = index[(1, "ux")], index[(2, "ux")]
         assert sys_.K[i1, i1] == 0.0
         assert sys_.K[i1, i2] == 0.0
 
@@ -84,10 +84,11 @@ class TestAssemble:
         singles = []
         for e in m.elements:
             just_one = canonicalize(replace(m, elements=(e,), loads=()))
-            singles.append(assemble(just_one))
+            singles.append((assemble(just_one), build_dof_index(just_one)[(3, "uy")]))
         # apex node 3 carries both bars: stiffness adds
-        full = sys_.K[sys_.dof_index[(3, "uy")], sys_.dof_index[(3, "uy")]]
-        parts = sum(s.K[s.dof_index[(3, "uy")], s.dof_index[(3, "uy")]] for s in singles)
+        i = build_dof_index(m)[(3, "uy")]
+        full = sys_.K[i, i]
+        parts = sum(s.K[j, j] for s, j in singles)
         assert full == pytest.approx(parts, rel=1e-12)
 
     def test_symmetry_and_psd(self):
@@ -467,8 +468,13 @@ def frame_decks() -> list[tuple[str, IRModel]]:
 
 
 def assert_same_system(got, want, label) -> None:
-    """Bit-identical K, f, M and dof index, the index in the same order."""
-    assert list(got.dof_index.items()) == list(want.dof_index.items()), label
+    """Bit-identical K, f and M, the same constrained dofs and the same dof
+    layout: node ids, dof rows and dof count. ``want`` may split the model
+    in the IR, where the interior points are nodes after the model's own."""
+    assert got.node_ids == want.node_ids[:len(got.node_ids)], label
+    assert got.node_dofs.dtype == want.node_dofs.dtype, label
+    assert got.node_dofs.tolist() == want.node_dofs.tolist(), label
+    assert got.n_dofs == want.n_dofs, label
     for name in ("K", "M"):
         a, b = getattr(got, name), getattr(want, name)
         for part in ("data", "indices", "indptr"):
@@ -547,7 +553,8 @@ def head_prepare(model: IRModel, n_sub: int = 1):
         index.update(zip(itertools.product(range(first_node, first_node + n_inner),
                                            DOF_NAMES["frame_beam"]),
                          range(first_dof, first_dof + 3 * n_inner)))
-        frames = solver._split(*frames, n_sub, max(e.id for e in model.elements) + 1, first_dof)
+        inner = np.arange(first_dof, first_dof + 3 * n_inner).reshape(frames[0].size, -1, 3)
+        frames = solver._split(*frames, n_sub, max(e.id for e in model.elements) + 1, inner)
     groups = (solver._group("truss_bar", *bars), solver._group("frame_beam", *frames))
     faults = [(int(g.ids[g.L == 0.0][0]), 0, "element {} has zero length")
               for g in groups if np.any(g.L == 0.0)]
@@ -568,17 +575,15 @@ def head_prepare(model: IRModel, n_sub: int = 1):
 
 
 def head_assemble(model: IRModel, n_sub: int):
-    """``head_prepare``'s system, each model node's dofs looked up in the
-    dof index: ux, uy and rz, -1 where it has no rz."""
+    """``head_prepare``'s system, each point's dofs looked up in the dof
+    index: ux, uy and rz, -1 where it has no rz."""
     index, groups, f, constrained = head_prepare(model, n_sub)
     pattern = solver._pattern(len(index), groups)
     K = solver._scatter(pattern, [element_stiffness(g) for g in groups])
-    node_ids = sorted(n.id for n in model.nodes)
-    node_dofs = np.array([[index.get((n, d), -1) for d in ("ux", "uy", "rz")]
-                          for n in node_ids], dtype=np.int64).reshape(-1, 3)
-    return solver.AssembledSystem(dof_index=index, K=K, f=f, constrained=constrained,
-                                  groups=groups, pattern=pattern, node_ids=node_ids,
-                                  node_dofs=node_dofs)
+    node_ids, rows, _ = layout(model, index)
+    return solver.AssembledSystem(K=K, f=f, constrained=constrained, groups=groups,
+                                  pattern=pattern, node_ids=node_ids,
+                                  node_dofs=np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 ALUMINIUM = replace(STEEL, id=2, youngs_modulus=70e9, density=2700.0)
@@ -626,8 +631,6 @@ def test_element_table_equals_its_previous_algorithm(m, n_sub):
     got = assemble(m, n_sub)
     assert_same_system(got, want, n_sub)
     assert got.node_ids == want.node_ids
-    assert got.node_dofs.dtype == want.node_dofs.dtype
-    assert got.node_dofs.tolist() == want.node_dofs.tolist()
     for a, b in zip(got.groups, want.groups):
         for name in a._fields[1:]:
             x, y = getattr(a, name), getattr(b, name)
@@ -655,8 +658,9 @@ class TestSubdivision:
     @given(mixed_models())
     def test_solved_dofs_counts_the_split_model(self, m):
         n_sub = solver.ANALYSES["modal"].subdivisions if m.analysis.mode == "modal" else 1
-        reference = assemble(subdivide_reference(m, n_sub))
-        assert solved_dofs(m) == len(reference.dof_index)
+        refined = subdivide_reference(m, n_sub)
+        reference = assemble(refined)
+        assert solved_dofs(m) == reference.n_dofs == len(build_dof_index(refined))
         assert solver.free_dofs(m) == solver._FreeDofs(reference.pattern,
                                                        reference.constrained).size
         assert_same_system(assemble(m, n_sub), reference, n_sub)
@@ -788,7 +792,7 @@ class TestDenseOracle:
             u = np.zeros(system.n_dofs)
             u[free] = np.linalg.solve(K[ff], system.f[free])
             reactions = K @ u - system.f
-            index = system.dof_index
+            index = build_dof_index(m)
             for form, ratio in FORCED.items():
                 monkeypatch.setattr(solver, "BAND_RATIO_MAX", ratio)
                 r = solve_static(m)
@@ -802,7 +806,8 @@ class TestDenseOracle:
     def test_modal_matches_dense_eigh(self, suite_dir, monkeypatch):
         n = 3
         for name, m in oracle_models(suite_dir):
-            system = assemble(subdivide_reference(m, solver.ANALYSES["modal"].subdivisions))
+            refined = subdivide_reference(m, solver.ANALYSES["modal"].subdivisions)
+            system = assemble(refined)
             free, ff = dense_free(system)
             # the reciprocal problem M x = x K / w^2 puts the lowest modes at
             # the top of its spectrum, where the dense solver is most accurate
@@ -810,7 +815,7 @@ class TestDenseOracle:
             k = min(n, free.size)
             w2, vecs = 1.0 / mu[::-1][:k], vecs[:, ::-1][:, :k]
             freqs = np.sqrt(w2) / (2 * math.pi)
-            index = system.dof_index
+            index = build_dof_index(refined)
             translations = [i for (_, d), i in index.items() if d != "rz"]
             for form, ratio in FORCED.items():
                 monkeypatch.setattr(solver, "BAND_RATIO_MAX", ratio)

@@ -182,6 +182,34 @@ class TestVerifyResults:
         out.results_path.write_text(json.dumps(doc))
         assert verify_results(out, model).frequencies_hz == (1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("edit,why", [
+        (lambda d: (d["frequencies_hz"].pop(1), d["mode_shapes"].pop(1)),
+         "2 frequencies for a modal count of 3"),
+        (lambda d: d["mode_shapes"].pop(1), "2 mode shapes for 3 frequencies"),
+        (lambda d: d["mode_shapes"].append(d["mode_shapes"][0]), "4 mode shapes for 3 frequencies"),
+        (lambda d: (d["frequencies_hz"].append(2 * d["frequencies_hz"][-1]),
+                    d["mode_shapes"].append(d["mode_shapes"][0])),
+         "4 frequencies for a modal count of 3"),
+    ], ids=["mode-2-removed", "shape-removed", "shape-added", "mode-added"])
+    def test_modal_check_counts_the_modes(self, tmp_path, edit, why):
+        model = modal_cantilever(3)
+        out = self.run_one(model, tmp_path)
+        doc = json.loads(out.results_path.read_text())
+        edit(doc)
+        out.results_path.write_text(json.dumps(doc))
+        assert self.reason(out, model) == why
+
+    def test_fewer_modes_pass_only_under_the_solvers_note(self, tmp_path):
+        model = modal_cantilever(10_000)  # more modes than free dofs
+        out = self.run_one(model, tmp_path)
+        rs = verify_results(out, model)
+        assert rs.note and len(rs.frequencies_hz) == len(rs.mode_shapes) < 10_000
+        doc = json.loads(out.results_path.read_text())
+        del doc["note"]
+        out.results_path.write_text(json.dumps(doc))
+        assert self.reason(out, model) == \
+            f"{len(rs.frequencies_hz)} frequencies for a modal count of 10000"
+
     def test_missing_file_says_it_is_missing(self, tmp_path):
         out = self.run_one(cantilever_model(), tmp_path)
         out.results_path.unlink()
